@@ -103,13 +103,19 @@ struct CaseLocal {
 };
 
 /// Feasible Delta domain of case i: [delta_i, min(delta_{i-1}, speed cap)].
-/// The speed cap keeps the stretched tasks (j >= i) within s_up.
+/// The speed cap keeps the stretched tasks (j >= i) within s_up. A task
+/// whose filled speed sits inside instance_ok()'s 1e-12 slack above s_up
+/// leaves no room under the exact cap; the slack then admits the case at
+/// its lower edge, where every stretched task runs at most at its filled
+/// speed.
 CaseLocal case_local_optimum(const Instance& in, int i) {
   CaseLocal out;
   const double lo = in.ws->delta[i];
   double hi = (i >= 2) ? in.ws->delta[i - 1] : in.horizon;
   if (std::isfinite(in.s_up) && in.ws->suffix_wmax[i] > 0.0) {
-    hi = std::min(hi, in.horizon - in.ws->suffix_wmax[i] / in.s_up);
+    const double w = in.ws->suffix_wmax[i];
+    hi = std::min(hi, in.horizon - w / in.s_up);
+    if (hi < lo && in.horizon - w / (in.s_up * (1.0 + 1e-12)) >= lo) hi = lo;
   }
   if (hi < lo) return out;  // case entirely infeasible under the speed cap
   const double dm = std::clamp(delta_mi(in, i), lo, hi);

@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
-#include <set>
 #include <vector>
 
-#include "support/numeric.hpp"
+#include "obs/obs.hpp"
 
 namespace sdem {
 namespace {
@@ -30,29 +30,26 @@ double best_race_level(const CorePower& core, const FrequencyLadder& ladder) {
   return best;
 }
 
-}  // namespace
-
-double discrete_window_energy(const Task& t, const CorePower& core,
-                              const FrequencyLadder& ladder, double window,
-                              double* hi_level, double* lo_level,
-                              double* hi_time) {
+/// discrete_window_energy with the race level resolved by the caller.
+double window_energy(double work, const CorePower& core,
+                     const FrequencyLadder& ladder, double race, double window,
+                     double* hi_level, double* lo_level, double* hi_time) {
   if (hi_level) *hi_level = 0.0;
   if (lo_level) *lo_level = 0.0;
   if (hi_time) *hi_time = 0.0;
-  if (t.work <= 0.0) return 0.0;
+  if (work <= 0.0) return 0.0;
   if (window <= 0.0) return kInf;
 
-  const double fill = t.work / window;
+  const double fill = work / window;
   const double top = std::min(ladder.highest(), core.max_speed());
   if (fill > top * (1.0 + 1e-9)) return kInf;
 
-  const double race = best_race_level(core, ladder);
-  if (t.work / race <= window * (1.0 + 1e-12)) {
+  if (work / race <= window * (1.0 + 1e-12)) {
     // Loose window: race at the cheapest level and sleep.
     if (hi_level) *hi_level = race;
     if (lo_level) *lo_level = race;
-    if (hi_time) *hi_time = t.work / race;
-    return core.exec_energy(t.work, race);
+    if (hi_time) *hi_time = work / race;
+    return core.exec_energy(work, race);
   }
 
   // Tight window: fill it exactly with the adjacent bracketing pair.
@@ -70,9 +67,20 @@ double discrete_window_energy(const Task& t, const CorePower& core,
   return core.power(hi) * t_hi + core.power(lo) * (window - t_hi);
 }
 
+}  // namespace
+
+double discrete_window_energy(const Task& t, const CorePower& core,
+                              const FrequencyLadder& ladder, double window,
+                              double* hi_level, double* lo_level,
+                              double* hi_time) {
+  return window_energy(t.work, core, ladder, best_race_level(core, ladder),
+                       window, hi_level, lo_level, hi_time);
+}
+
 OfflineResult solve_common_release_discrete(const TaskSet& tasks,
                                             const SystemConfig& cfg,
                                             const FrequencyLadder& ladder) {
+  SDEM_OBS_TIMER("discrete/solve");
   OfflineResult res;
   if (tasks.empty() || !tasks.is_common_release() || !tasks.validate().empty())
     return res;
@@ -84,54 +92,126 @@ OfflineResult solve_common_release_discrete(const TaskSet& tasks,
   for (const auto& t : tasks.tasks()) {
     horizon = std::max(horizon, t.deadline - release);
   }
+  const double race = best_race_level(cfg.core, ladder);
+  const double alpha_m = cfg.memory.alpha_m;
+  const bool has_work = tasks.total_work() > 0.0;
 
+  SDEM_OBS_ONLY(std::uint64_t obs_probes = 0;)
+  // Direct objective: the energy at T summed task by task.
   auto energy = [&](double T) {
-    if (T <= 0.0) {
-      return tasks.total_work() > 0.0 ? kInf : 0.0;
-    }
-    double e = cfg.memory.alpha_m * T;
+    SDEM_OBS_ONLY(++obs_probes;)
+    if (T <= 0.0) return has_work ? kInf : 0.0;
+    double e = alpha_m * T;
     for (const auto& t : tasks.tasks()) {
-      e += discrete_window_energy(t, cfg.core, ladder,
-                                  std::min(T, t.deadline - release));
+      e += window_energy(t.work, cfg.core, ladder, race,
+                         std::min(T, t.deadline - release), nullptr, nullptr,
+                         nullptr);
       if (!std::isfinite(e)) return kInf;
     }
     return e;
   };
 
-  // Feasible floor and piece breakpoints: deadlines, per-task bracket
-  // switches (window = w / level), race knees.
+  // Feasible floor and breakpoints: deadlines, per-task bracket switches
+  // (window = w / level), race knees. Each is an event of its task.
   double t_min = 0.0;
-  std::set<double> bps;
-  const double race = best_race_level(cfg.core, ladder);
   for (const auto& t : tasks.tasks()) {
-    if (t.work <= 0.0) continue;
-    t_min = std::max(t_min, t.work / top);
-    if (t.deadline - release < horizon) bps.insert(t.deadline - release);
-    for (double s : ladder.levels()) {
-      const double w = t.work / s;
-      if (w > t_min && w < horizon) bps.insert(w);
-    }
-    const double knee = t.work / race;
-    if (knee > t_min && knee < horizon) bps.insert(knee);
+    if (t.work > 0.0) t_min = std::max(t_min, t.work / top);
   }
-  std::vector<double> edges(bps.begin(), bps.end());
-  std::erase_if(edges, [&](double e) { return e <= t_min; });
-  edges.insert(edges.begin(), t_min);
-  edges.push_back(horizon);
+  struct Event {
+    double T;
+    std::uint32_t task;
+  };
+  std::vector<Event> events;
+  const auto add_event = [&](double T, std::size_t k) {
+    if (T > t_min && T < horizon)
+      events.push_back({T, static_cast<std::uint32_t>(k)});
+  };
+  for (std::size_t k = 0; k < tasks.size(); ++k) {
+    const Task& t = tasks[k];
+    if (t.work <= 0.0) continue;
+    add_event(t.deadline - release, k);
+    for (double s : ladder.levels()) add_event(t.work / s, k);
+    add_event(t.work / race, k);
+  }
+  std::sort(events.begin(), events.end(),
+            [](const Event& x, const Event& y) { return x.T < y.T; });
 
-  double best_T = horizon;
-  double best = energy(horizon);
-  for (std::size_t i = 0; i + 1 < edges.size(); ++i) {
-    if (edges[i + 1] <= edges[i]) continue;
-    const double t = golden_min(energy, edges[i], edges[i + 1], 1e-13);
-    for (double cand : {t, edges[i], edges[i + 1]}) {
-      const double e = energy(cand);
-      if (e < best) {
-        best = e;
-        best_T = cand;
+  // Per-task cost on the current piece: intercept + slope * T. Refreshed at
+  // the task's own events only, at the piece midpoint so every branch test
+  // sees an interior window.
+  std::vector<double> icpt(tasks.size(), 0.0), slope(tasks.size(), 0.0);
+  double sum_icpt = 0.0, sum_slope = alpha_m;
+  const auto refresh = [&](std::size_t k, double lo, double hi) {
+    const Task& t = tasks[k];
+    const double cap = t.deadline - release;
+    const double mid = 0.5 * (lo + hi);
+    double a = 0.0, b = 0.0;
+    if (t.work <= 0.0) {
+    } else if (cap <= lo) {
+      a = window_energy(t.work, cfg.core, ladder, race, cap, nullptr, nullptr,
+                        nullptr);
+    } else if (t.work / race <= mid * (1.0 + 1e-12)) {
+      a = cfg.core.exec_energy(t.work, race);
+    } else {
+      const auto [s_lo, s_hi] = ladder.bracket(t.work / mid);
+      if (s_lo == s_hi) {
+        b = cfg.core.power(s_hi);
+      } else {
+        const double p_hi = cfg.core.power(s_hi), p_lo = cfg.core.power(s_lo);
+        a = t.work * (p_hi - p_lo) / (s_hi - s_lo);
+        b = (p_lo * s_hi - p_hi * s_lo) / (s_hi - s_lo);
       }
     }
+    sum_icpt += a - icpt[k];
+    sum_slope += b - slope[k];
+    icpt[k] = a;
+    slope[k] = b;
+  };
+
+  // Sweep: the model value at the left edge of every piece, then at the
+  // horizon. Events all lie above t_min, so the first piece refreshes every
+  // task and each later one only the tasks whose events it starts at.
+  std::vector<double> edge_T, edge_model;
+  std::size_t next = 0;
+  for (double lo = t_min; lo < horizon;) {
+    const std::size_t from = next;
+    while (next < events.size() && events[next].T <= lo) ++next;
+    const double hi = next < events.size() ? events[next].T : horizon;
+    if (lo == t_min) {
+      for (std::size_t k = 0; k < tasks.size(); ++k) refresh(k, lo, hi);
+    } else {
+      for (std::size_t i = from; i < next; ++i)
+        refresh(events[i].task, lo, hi);
+    }
+    edge_T.push_back(lo);
+    edge_model.push_back(sum_icpt + sum_slope * lo);
+    lo = hi;
   }
+  edge_T.push_back(horizon);
+  edge_model.push_back(sum_icpt + sum_slope * horizon);
+  SDEM_OBS_ONLY(obs_probes += edge_T.size();)
+
+  // The model ranks the breakpoints up to its rounding; every breakpoint
+  // within a relative 1e-10 of the lowest model value is evaluated directly
+  // and the strict-< fold — the horizon first, then left to right — picks
+  // the winner, as a scan seeded with E(horizon) would.
+  const double lowest =
+      *std::min_element(edge_model.begin(), edge_model.end());
+  const double cutoff = lowest + 1e-10 * std::abs(lowest);
+  double best_T = horizon;
+  double best = kInf;
+  if (edge_model.back() <= cutoff) best = energy(horizon);
+  for (std::size_t i = 0; i + 1 < edge_T.size(); ++i) {
+    if (edge_model[i] > cutoff) continue;
+    const double e = energy(edge_T[i]);
+    if (e < best) {
+      best = e;
+      best_T = edge_T[i];
+    }
+  }
+  SDEM_OBS_INC("discrete/solves");
+  SDEM_OBS_COUNT("discrete/breakpoints", edge_T.size());
+  SDEM_OBS_COUNT("discrete/probes", obs_probes);
   if (!std::isfinite(best)) return res;
 
   res.feasible = true;
@@ -145,7 +225,7 @@ OfflineResult solve_common_release_discrete(const TaskSet& tasks,
     }
     const double window = std::min(best_T, t.deadline - release);
     double hi = 0.0, lo = 0.0, t_hi = 0.0;
-    discrete_window_energy(t, cfg.core, ladder, window, &hi, &lo, &t_hi);
+    window_energy(t.work, cfg.core, ladder, race, window, &hi, &lo, &t_hi);
     if (hi == lo) {
       res.schedule.add(
           Segment{t.id, core_idx, release, release + t_hi, hi});

@@ -9,11 +9,14 @@
 //
 //   f_disc(W) = min over feasible level mixes of exec energy
 //
-// is again convex and non-increasing in W (it is the lower convex envelope
-// of finitely many affine-in-(1/W)... evaluated exactly below), so the
-// memory-busy-end search of the continuous scheme carries over: E(T) =
-// alpha_m T + sum_k f_disc(min(T, d_k)) is piecewise convex with
-// breakpoints where a task's bracketing pair changes (window = w / level).
+// is affine in W inside each bracket (with t_hi = (w - lo W) / (hi - lo),
+// P(hi) t_hi + P(lo) (W - t_hi) is linear in W) and constant once racing or
+// deadline-capped. So E(T) = alpha_m T + sum_k f_disc(min(T, d_k)) is
+// piecewise *linear* with breakpoints where a task's window hits its
+// deadline, a ladder level (window = w / level) or its race knee, and the
+// optimum sits on a breakpoint. The solver sweeps the sorted breakpoints
+// once with a running intercept and slope — O(nL log nL) — and settles
+// near-ties by evaluating the objective directly.
 //
 // Guarantees tested: never better than the continuous optimum, never worse
 // than post-hoc discretization of it, and exact agreement with brute force

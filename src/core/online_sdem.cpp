@@ -11,6 +11,11 @@
 #include "obs/obs.hpp"
 
 namespace sdem {
+
+bool plans_with_transition(const SystemConfig& cfg) {
+  return cfg.memory.xi_m > 0.0 || (cfg.core.alpha > 0.0 && cfg.core.xi > 0.0);
+}
+
 namespace {
 
 /// Pick the Section 4 / Section 7 scheme matching the configuration.
@@ -18,7 +23,7 @@ OfflineResult plan_common_release(const TaskSet& tasks,
                                   const SystemConfig& cfg,
                                   TransitionWorkspace& tw,
                                   CommonReleaseScratch& cw, bool validated) {
-  if (cfg.memory.xi_m > 0.0 || (cfg.core.alpha > 0.0 && cfg.core.xi > 0.0)) {
+  if (plans_with_transition(cfg)) {
     return solve_common_release_transition(tasks, cfg, tw, validated);
   }
   if (cfg.core.alpha > 0.0) {

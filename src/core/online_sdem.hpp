@@ -23,6 +23,10 @@
 
 namespace sdem {
 
+/// Does SDEM-ON plan its replans with the Section 7 transition solver
+/// (transition overheads configured) rather than a Section 4 scheme?
+bool plans_with_transition(const SystemConfig& cfg);
+
 class SdemOnPolicy : public OnlinePolicy {
  public:
   /// `procrastinate == false` disables step 5 (sleep until the first latest

@@ -209,7 +209,10 @@ void Service::flush_shard(Producer& p, std::size_t shard) {
         ring.push_n(batch.data() + off, batch.size() - off);
     off += pushed;
     // Make sure a consumer exists before (and while) we wait on a full
-    // ring, otherwise backpressure would deadlock the producer.
+    // ring, otherwise backpressure would deadlock the producer. The fence
+    // pairs with the one in drain(): either the retiring drain sees this
+    // push, or this exchange sees its retire and schedules a new drain.
+    std::atomic_thread_fence(std::memory_order_seq_cst);
     if (!s.scheduled.exchange(true, std::memory_order_acq_rel)) {
       schedule_drain(s);
     }
@@ -312,7 +315,10 @@ void Service::drain(Shard& s) {
       }
     }
     // Standard actor hand-off: unpublish, re-check, re-acquire or retire.
+    // The fence keeps the re-check from reading the rings before the
+    // unpublish is visible (store-load order; see flush_shard).
     s.scheduled.store(false, std::memory_order_release);
+    std::atomic_thread_fence(std::memory_order_seq_cst);
     if (s.empty()) return;
     if (s.scheduled.exchange(true, std::memory_order_acq_rel)) return;
   }

@@ -221,7 +221,10 @@ CaseLocal case_local_optimum(const Instance& in, int i) {
   const double lo = in.delta[i];
   double hi = (i >= 2) ? in.delta[i - 1] : in.horizon;
   if (std::isfinite(in.s_up) && in.suffix_wmax[i] > 0.0) {
-    hi = std::min(hi, in.horizon - in.suffix_wmax[i] / in.s_up);
+    const double w = in.suffix_wmax[i];
+    hi = std::min(hi, in.horizon - w / in.s_up);
+    // Admission-slack fix, applied to both copies (docs/testing.md).
+    if (hi < lo && in.horizon - w / (in.s_up * (1.0 + 1e-12)) >= lo) hi = lo;
   }
   if (hi < lo) return out;
   const double dm = std::clamp(delta_mi(in, i), lo, hi);

@@ -7,6 +7,7 @@
 #include "core/common_release_alpha0.hpp"
 #include "core/reference.hpp"
 #include "core/transition.hpp"
+#include "obs/obs.hpp"
 #include "sched/validate.hpp"
 #include "test_util.hpp"
 #include "workload/generator.hpp"
@@ -15,6 +16,7 @@ namespace sdem {
 namespace {
 
 using test::expect_near_rel;
+using test::local_counter;
 using test::make_cfg;
 using test::task;
 
@@ -145,6 +147,86 @@ TEST(Transition, SchedulesAreFeasible) {
     const auto v = validate_schedule(res.schedule, ts, cfg);
     EXPECT_TRUE(v.ok) << v.error << " seed " << seed;
   }
+}
+
+// ---------------------------------------------------------------------------
+// Certification of the closed-form piece sweep.
+
+class TransitionSweep : public ::testing::TestWithParam<double> {};
+
+TEST_P(TransitionSweep, MatchesDenseReferenceAcrossOverheads) {
+  // Every piece is a T + b + C T^(1-lambda); alpha = alpha_m = 0 makes a = 0
+  // on every piece (E decreasing, optimum at the piece's upper edge), and the
+  // idle-tail regions T > H - xi_m (and T > H - xi) drop the memory (core)
+  // term from a, so both a > 0 and a <= 0 pieces are swept.
+  const double lambda = GetParam();
+  for (double alpha : {0.0, 0.31}) {
+    for (double alpha_m : {0.0, 4.0}) {
+      for (double xi : {0.0, 0.002, 0.02}) {
+        for (double xi_m : {0.005, 0.04}) {
+          auto cfg = with_overheads(alpha, alpha_m, xi, xi_m);
+          cfg.core.lambda = lambda;
+          for (std::uint64_t seed = 1; seed <= 2; ++seed) {
+            const int n = 1 + static_cast<int>(seed * 5 + xi_m * 1e3) % 8;
+            const TaskSet ts = make_common_release(n, 0.0, seed * 13 + n);
+            const auto res = solve_common_release_transition(ts, cfg);
+            ASSERT_TRUE(res.feasible);
+            const double ref =
+                reference_common_release_transition(ts, cfg, 20000);
+            // Never worse than the grid; the grid is within its resolution.
+            EXPECT_LE(res.energy, ref * (1.0 + 1e-9))
+                << "lambda " << lambda << " alpha " << alpha << " alpha_m "
+                << alpha_m << " xi " << xi << " xi_m " << xi_m;
+            expect_near_rel(ref, res.energy, 1e-6, "vs dense reference");
+            const auto v = validate_schedule(res.schedule, ts, cfg);
+            EXPECT_TRUE(v.ok) << v.error;
+          }
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Lambda, TransitionSweep,
+                         ::testing::Values(2.0, 2.5, 3.0));
+
+TEST(Transition, BoundaryTightTaskEvaluatesAtTheHorizon) {
+  // w / d = s_up (1 + 2e-16): admitted by the 1e-12 slack, yet
+  // t_min = w / s_up lies past H, so there is no piece to sweep and the
+  // solver must still evaluate E(H).
+  auto cfg = with_overheads(0.0, 7.139075066086153, 0.0, 0.040, 2600.0);
+  cfg.core.lambda = 2.5;
+  TaskSet ts;
+  ts.add(task(0, 0.0, 0.051758684394049494, 134.5725794245287));
+  const double H = ts[0].deadline;
+  ASSERT_GT(ts[0].work / cfg.core.s_up, H);
+  const auto res = solve_common_release_transition(ts, cfg);
+  ASSERT_TRUE(res.feasible);
+  double run = 0.0, speed = 0.0;
+  const double task_cost = transition_task_cost(ts[0], cfg, H, H, run, speed);
+  EXPECT_DOUBLE_EQ(cfg.memory.alpha_m * H + task_cost, res.energy);
+  EXPECT_EQ(0.0, res.sleep_time);
+  ASSERT_EQ(1u, res.schedule.size());
+  EXPECT_EQ(H, res.schedule.segments()[0].end);
+}
+
+TEST(Transition, SweepWorkIsLinearInPieces) {
+  if (!obs::compiled()) GTEST_SKIP() << "built with SDEM_OBS=0";
+  // At most three candidates per piece (lo, hi, stationary point) plus one
+  // direct evaluation at the winner.
+  const auto cfg = with_overheads(0.31, 4.0, 0.002, 0.040);
+  const TaskSet ts = make_common_release(256, 0.0, 7);
+  const std::uint64_t probes0 = local_counter("transition/probes");
+  const std::uint64_t pieces0 = local_counter("transition/pieces");
+  const std::uint64_t evals0 = local_counter("transition/task_evals_live");
+  ASSERT_TRUE(solve_common_release_transition(ts, cfg).feasible);
+  const std::uint64_t probes = local_counter("transition/probes") - probes0;
+  const std::uint64_t pieces = local_counter("transition/pieces") - pieces0;
+  const std::uint64_t evals =
+      local_counter("transition/task_evals_live") - evals0;
+  EXPECT_GT(pieces, 0u);
+  EXPECT_LE(probes, 3 * pieces + 1);
+  EXPECT_LE(evals, 2u * ts.size());
 }
 
 }  // namespace

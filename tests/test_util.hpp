@@ -3,8 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
 #include "model/power.hpp"
 #include "model/task.hpp"
+#include "obs/obs.hpp"
 
 namespace sdem::test {
 
@@ -37,6 +41,15 @@ inline void expect_near_rel(double expected, double actual, double rel,
                             const char* what = "") {
   const double scale = std::max({1e-12, std::abs(expected), std::abs(actual)});
   EXPECT_NEAR(expected, actual, rel * scale) << what;
+}
+
+/// The calling thread's deterministic counter `name` (0 when never bumped).
+/// Diff two reads around a call to get that call's work counts.
+inline std::uint64_t local_counter(const std::string& name) {
+  for (const auto& [key, value] : obs::Registry::instance().local_counters()) {
+    if (key == name) return value;
+  }
+  return 0;
 }
 
 }  // namespace sdem::test
