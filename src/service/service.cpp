@@ -529,8 +529,8 @@ Json Service::stats(std::uint64_t seq) {
 
 namespace {
 
-/// Compact numeric literal for the exposition (the JSON shortest-roundtrip
-/// formatter, so scraped values parse back exactly).
+/// Compact numeric literal for the exposition (the JSON number rule, so
+/// scraped values parse back exactly).
 std::string prom_num(double v) { return Json(v).dump(); }
 
 std::string shard_label(std::size_t i) {

@@ -1,7 +1,8 @@
 #include "support/json.hpp"
 
+#include <algorithm>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
 
@@ -85,37 +86,53 @@ std::size_t Json::size() const {
   }
 }
 
-std::string Json::number_to_string(double v) {
-  if (!std::isfinite(v)) return "null";
-  // Integers (within double's exact range) print bare: 8, not 8.0. Written
-  // by hand rather than snprintf("%.0f") — this runs per number in every
-  // response envelope and bench row, and the digits are identical (signbit
-  // keeps "-0" for negative zero).
+namespace {
+
+/// Room for the longest rendering: sign, 17 digits, '.', "e-324".
+constexpr std::size_t kNumberChars = 32;
+
+/// Writes `v` by the number rule into buf[0, kNumberChars) and returns the
+/// end of the text.
+char* format_number(char* buf, double v) {
+  char* const end = buf + kNumberChars;
+  if (!std::isfinite(v)) {
+    static constexpr char kNull[] = "null";
+    return std::copy(kNull, kNull + 4, buf);
+  }
+  // Integers (within double's exact range) print bare: 8, not 8.0 — the
+  // digits "%.0f" would print, and signbit keeps "-0" for negative zero.
   if (v == std::floor(v) && std::fabs(v) < 1e15) {
-    char buf[24];
-    char* q = buf + sizeof buf;
-    std::uint64_t mag = static_cast<std::uint64_t>(std::fabs(v));
-    do {
-      *--q = static_cast<char>('0' + mag % 10);
-      mag /= 10;
-    } while (mag != 0);
-    if (std::signbit(v)) *--q = '-';
-    return std::string(q, static_cast<std::size_t>(buf + sizeof buf - q));
+    char* p = buf;
+    if (std::signbit(v)) *p++ = '-';
+    return std::to_chars(p, end, static_cast<std::uint64_t>(std::fabs(v)))
+        .ptr;
   }
-  // Shortest representation that round-trips: try increasing precision.
-  // strtod (not sscanf) for the round-trip check — same parse, no format
-  // string machinery.
-  char buf[40];
-  for (int prec = 15; prec <= 17; ++prec) {
-    std::snprintf(buf, sizeof buf, "%.*g", prec, v);
-    if (std::strtod(buf, nullptr) == v) break;
+  // The first of %.15g, %.16g and %.17g that parses back to v. to_chars
+  // with a precision prints exactly what printf("%.*g") prints and
+  // from_chars reads exactly what strtod reads. No P-digit text can round-
+  // trip below the shortest round-trip digit count, so the search starts
+  // there, and %.17g always round-trips, so it goes unchecked.
+  const char* const e =
+      std::to_chars(buf, end, v, std::chars_format::scientific).ptr;
+  int digits = 0;
+  for (const char* c = buf; c != e && *c != 'e'; ++c)
+    digits += *c >= '0' && *c <= '9';
+  for (int prec = std::max(15, digits);; ++prec) {
+    char* const stop =
+        std::to_chars(buf, end, v, std::chars_format::general, prec).ptr;
+    if (prec >= 17) return stop;
+    double back = 0.0;
+    std::from_chars(buf, stop, back);
+    if (back == v) return stop;
   }
-  return buf;
 }
 
-std::string Json::quote(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
+void append_number(std::string& out, double v) {
+  char buf[kNumberChars];
+  out.append(buf, format_number(buf, v));
+}
+
+void append_quoted(std::string& out, const std::string& s) {
   out += '"';
   // Bulk-copy runs of plain characters; the switch below only sees the
   // rare bytes that actually need escaping.
@@ -128,10 +145,7 @@ std::string Json::quote(const std::string& s) {
       ++j;
     }
     out.append(s, i, j - i);
-    if (j == s.size()) {
-      i = j;
-      break;
-    }
+    if (j == s.size()) break;
     const unsigned char c = static_cast<unsigned char>(s[j]);
     i = j + 1;
     switch (c) {
@@ -156,31 +170,37 @@ std::string Json::quote(const std::string& s) {
       case '\t':
         out += "\\t";
         break;
-      default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += static_cast<char>(c);
-        }
+      default: {
+        static constexpr char kHex[] = "0123456789abcdef";
+        out += "\\u00";
+        out += kHex[c >> 4];
+        out += kHex[c & 0xf];
+      }
     }
   }
   out += '"';
+}
+
+}  // namespace
+
+std::string Json::number_to_string(double v) {
+  std::string out;
+  append_number(out, v);
   return out;
+}
+
+void Json::erase_key(const std::string& key) {
+  if (kind_ == Kind::kArray) {
+    for (Json& v : arr_) v.erase_key(key);
+  } else if (kind_ == Kind::kObject) {
+    std::erase_if(obj_, [&](const auto& kv) { return kv.first == key; });
+    for (auto& kv : obj_) kv.second.erase_key(key);
+  }
 }
 
 Json Json::without_key(const std::string& key) const {
   Json out = *this;
-  if (kind_ == Kind::kArray) {
-    for (Json& v : out.arr_) v = v.without_key(key);
-  } else if (kind_ == Kind::kObject) {
-    out.obj_.clear();
-    for (const auto& kv : obj_) {
-      if (kv.first == key) continue;
-      out.obj_.emplace_back(kv.first, kv.second.without_key(key));
-    }
-  }
+  out.erase_key(key);
   return out;
 }
 
@@ -206,10 +226,10 @@ void Json::write(std::string& out, int indent, int depth) const {
       out += bool_ ? "true" : "false";
       break;
     case Kind::kNumber:
-      out += number_to_string(num_);
+      append_number(out, num_);
       break;
     case Kind::kString:
-      out += quote(str_);
+      append_quoted(out, str_);
       break;
     case Kind::kArray: {
       if (arr_.empty()) {
@@ -235,7 +255,7 @@ void Json::write(std::string& out, int indent, int depth) const {
       for (std::size_t i = 0; i < obj_.size(); ++i) {
         if (i) out += indent > 0 ? "," : ", ";
         newline_pad(depth + 1);
-        out += quote(obj_[i].first);
+        append_quoted(out, obj_[i].first);
         out += ": ";
         obj_[i].second.write(out, indent, depth + 1);
       }
@@ -293,9 +313,16 @@ class Parser {
   Json value() {
     switch (peek()) {
       case '{':
-        return object();
-      case '[':
-        return array();
+      case '[': {
+        // The descent recurses once per level; a bound keeps hostile input
+        // (a line of '[') from overflowing the stack.
+        if (++depth_ == Json::kMaxDepth)
+          fail("containers nested " + std::to_string(Json::kMaxDepth) +
+               " deep");
+        Json v = peek() == '{' ? object() : array();
+        --depth_;
+        return v;
+      }
       case '"':
         return Json(string());
       case 't':
@@ -422,7 +449,7 @@ class Parser {
             else
               fail("bad \\u escape");
           }
-          // quote() only emits \u00XX for control bytes; reject the rest
+          // dump() only emits \u00XX for control bytes; reject the rest
           // rather than half-support UTF-16 surrogates.
           if (code >= 0x80) fail("\\u escape above 0x7f unsupported");
           out += static_cast<char>(code);
@@ -435,26 +462,41 @@ class Parser {
   }
 
   Json number() {
-    const char* start = text_.c_str() + pos_;
-    // Fast path: a plain integer of up to 15 digits is exactly
-    // representable, so composing it directly matches strtod bit for bit.
-    // Anything followed by '.', an exponent, or another letter (strtod
-    // also accepts hex and inf/nan spellings) takes the slow path so the
-    // accepted grammar is unchanged.
+    const char* const start = text_.c_str() + pos_;
+    const auto digit = [](const char* q) { return *q >= '0' && *q <= '9'; };
+    // The longest strict JSON number here (the text is NUL-terminated, so
+    // the scan needs no bounds checks):
+    // -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?
     const char* p = start;
     if (*p == '-') ++p;
-    const char* digits = p;
-    std::uint64_t mag = 0;
-    while (*p >= '0' && *p <= '9') {
-      mag = mag * 10 + static_cast<std::uint64_t>(*p - '0');
-      ++p;
+    const char* const int_digits = p;
+    while (digit(p)) ++p;
+    bool strict =
+        p != int_digits && !(*int_digits == '0' && p - int_digits > 1);
+    if (strict && *p == '.') {
+      const char* const frac = ++p;
+      while (digit(p)) ++p;
+      strict = p != frac;
     }
-    const std::size_t ndigits = static_cast<std::size_t>(p - digits);
-    if (ndigits > 0 && ndigits <= 15 && *p != '.' &&
-        !((*p >= 'a' && *p <= 'z') || (*p >= 'A' && *p <= 'Z'))) {
-      pos_ += static_cast<std::size_t>(p - start);
-      const double v = static_cast<double>(mag);
-      return Json(*start == '-' ? -v : v);
+    if (strict && (*p == 'e' || *p == 'E')) {
+      // "1e" and "1e+" end before the 'e', where strtod stops too.
+      const char* q = p + 1;
+      if (*q == '+' || *q == '-') ++q;
+      const char* const exp_digits = q;
+      while (digit(q)) ++q;
+      if (q != exp_digits) p = q;
+    }
+    // strtod reads exactly this text too, unless a hex 'x' follows ("0x10"),
+    // so it parses with from_chars, which rounds exactly as strtod does.
+    // Every other spelling strtod accepts ("+1", "0x10", ".5", "1.", "inf",
+    // leading zeros) and every out-of-range value keeps the strtod parse,
+    // so the accepted grammar is unchanged.
+    if (strict && *p != 'x' && *p != 'X') {
+      double v = 0.0;
+      if (std::from_chars(start, p, v).ec == std::errc()) {
+        pos_ += static_cast<std::size_t>(p - start);
+        return Json(v);
+      }
     }
     char* end = nullptr;
     const double v = std::strtod(start, &end);
@@ -465,6 +507,7 @@ class Parser {
 
   const std::string& text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  // containers open around the current position
 };
 
 }  // namespace

@@ -5,12 +5,11 @@
 // files must round-trip through the same value type so a replayed case is
 // the exact case that failed. Design constraints, in order:
 //   * deterministic bytes: objects keep insertion order, numbers render via
-//     a fixed shortest-round-trip rule, so a --jobs 8 run and a --jobs 1
-//     run of the same sweep produce identical files (the determinism test
-//     diffs the bytes);
-//   * lossless doubles: every finite double round-trips (printed with up to
-//     17 significant digits, shortest representation that parses back
-//     exactly); NaN/Inf have no JSON spelling and render as null;
+//     a fixed rule, so a --jobs 8 run and a --jobs 1 run of the same sweep
+//     produce identical files (the determinism test diffs the bytes);
+//   * lossless doubles: every finite double round-trips (printed as the
+//     first of %.15g, %.16g and %.17g that parses back exactly); NaN/Inf
+//     have no JSON spelling and render as null;
 //   * no dependencies: a tagged union over the six JSON kinds, ~200 lines.
 #pragma once
 
@@ -84,23 +83,30 @@ class Json {
   /// with that many spaces per level and a trailing newline at top level.
   std::string dump(int indent = 0) const;
 
-  /// Deep copy with every object member named `key` removed, at any depth
-  /// (the runner's --stable uses this to drop timing fields).
+  /// Removes every object member named `key`, at any depth, in place (the
+  /// runner's --stable drops timing fields from its own result this way).
+  void erase_key(const std::string& key);
+
+  /// Copy with every object member named `key` removed, at any depth.
   Json without_key(const std::string& key) const;
 
-  /// The exact number rendering rule (shortest round-trip, integers bare,
-  /// non-finite → "null"), exposed for tests and for CSV/markdown writers
-  /// that want matching bytes.
+  /// The exact number rendering rule, exposed for tests and for
+  /// CSV/markdown writers that want matching bytes: integers below 1e15
+  /// print bare, other finite values print as the first of %.15g, %.16g
+  /// and %.17g that parses back to the same double, non-finite → "null".
   static std::string number_to_string(double v);
 
-  /// JSON string escaping (quotes included in the output).
-  static std::string quote(const std::string& s);
+  /// parse() rejects documents whose containers nest this deep (the
+  /// deepest document the repository writes nests 8).
+  static constexpr int kMaxDepth = 64;
 
   /// Parse a complete JSON document (the subset dump() emits: objects,
   /// arrays, strings with the standard escapes, numbers, booleans, null;
   /// \uXXXX escapes are accepted for code points below 0x80). Throws
-  /// std::invalid_argument with a byte offset on malformed input. Numbers
-  /// parse with strtod, so every value printed by number_to_string
+  /// std::invalid_argument with a byte offset on malformed input or on
+  /// nesting kMaxDepth deep. Numbers read exactly as strtod reads them
+  /// (from_chars for strict JSON number text, strtod for every other
+  /// spelling it accepts), so every value printed by number_to_string
   /// round-trips bit-exactly.
   static Json parse(const std::string& text);
 

@@ -3,9 +3,9 @@
 // A repro file carries everything needed to re-run one fuzz case — model
 // class, full system config, ladder, task set — plus the violations that
 // were observed when it was written (informational: replay re-derives
-// them). Doubles round-trip bit-exactly through support/json's shortest
-// round-trip number rendering, so a replayed case is the exact case that
-// failed, not a close cousin.
+// them). Doubles round-trip bit-exactly through support/json's number
+// rendering, so a replayed case is the exact case that failed, not a close
+// cousin.
 //
 // repro_test_body() additionally renders the case as a ready-to-paste
 // GoogleTest regression test so a confirmed bug can be pinned in

@@ -595,6 +595,36 @@ TEST(ServiceSemantics, MalformedRawLineYieldsErrorEnvelope) {
             std::string::npos);
 }
 
+TEST(ServiceSemantics, DeeplyNestedLineYieldsErrorEnvelope) {
+  // A SUBMIT whose task opens 200 000 arrays peeks as routable, so the
+  // parse that refuses it runs on a shard worker. It must answer with an
+  // error envelope and leave the service serving.
+  const std::string deep = "{\"op\":\"SUBMIT\",\"island\":0,\"task\":" +
+                           std::string(200000, '[');
+  const Parsed parsed = parse_request(deep);
+  EXPECT_FALSE(parsed.ok);
+  EXPECT_NE(parsed.error.find("nested"), std::string::npos) << parsed.error;
+
+  std::map<std::uint64_t, Json> responses;
+  ServiceOptions opt;
+  Service svc(opt, nullptr, [&](const Request& r, Json resp) {
+    responses.emplace(r.seq, std::move(resp));
+  });
+  const Peeked peek = peek_request(deep);
+  ASSERT_TRUE(peek.routable());
+  svc.route_raw(peek.island, peek.op, deep, /*seq=*/1, 0, 0);
+  const std::string good =
+      "{\"op\":\"SUBMIT\",\"island\":0,\"task\":{\"id\":1,\"release\":0,"
+      "\"deadline\":1,\"work\":5}}";
+  svc.route_raw(0, Op::kSubmit, good, /*seq=*/2, 0, 1);
+  svc.flush();
+  svc.drain_all();
+  ASSERT_EQ(responses.count(1), 1u);
+  EXPECT_FALSE(responses.at(1).at("ok").as_bool());
+  ASSERT_EQ(responses.count(2), 1u);
+  EXPECT_TRUE(responses.at(2).at("ok").as_bool());
+}
+
 TEST(ServiceSemantics, MisroutedRawLineIsRejectedNotCrossRouted) {
   // Defense in depth: if a caller routes a raw line to the wrong shard
   // (possible only with a buggy or adversarial peek), the shard must

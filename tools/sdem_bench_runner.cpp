@@ -70,7 +70,8 @@ int usage(int code) {
 }
 
 /// Per-experiment JSON document (docs/benchmarks.md, schema_version 1).
-Json make_document(const Experiment& e, const ExperimentResult& r, int seeds,
+/// Moves r.data into the document.
+Json make_document(const Experiment& e, ExperimentResult& r, int seeds,
                    int jobs, double wall_seconds, bool stable) {
   Json doc = Json::object();
   doc.set("schema_version", kSchemaVersion);
@@ -90,9 +91,11 @@ Json make_document(const Experiment& e, const ExperimentResult& r, int seeds,
   // --stable also drops the per-seed "counters" attribution: the values
   // are deterministic, but the key is additive schema and the stable bytes
   // must match pre-attribution goldens.
-  doc.set("data", stable ? r.data.without_key("solver_seconds")
-                               .without_key("counters")
-                         : r.data);
+  if (stable) {
+    r.data.erase_key("solver_seconds");
+    r.data.erase_key("counters");
+  }
+  doc.set("data", std::move(r.data));
   // Observability sections (docs/observability.md): "counters" holds the
   // deterministic domain (identical values at any --jobs), "runtime" the
   // scheduling/clock-dependent one. Strictly additive, and omitted under
@@ -295,6 +298,9 @@ int main(int argc, char** argv) {
   }
 
   double total_wall = 0.0;
+  // The serial tail after each experiment, on the main thread while the
+  // pool idles: building the document, dumping it, writing it out.
+  double document_s = 0.0, dump_s = 0.0, write_s = 0.0;
   for (const Experiment* e : selected) {
     RunOptions opt;
     opt.seeds = seeds;
@@ -306,7 +312,7 @@ int main(int argc, char** argv) {
     const auto t0 = std::chrono::steady_clock::now();
     // The experiment timer closes before the snapshot below so the rollup
     // sees its final count (an open timer's cell still reads zero).
-    const ExperimentResult r = [&] {
+    ExperimentResult r = [&] {
       const obs::ScopedTimer exp_timer(e->name.c_str());
       return e->run(opt);
     }();
@@ -325,11 +331,20 @@ int main(int argc, char** argv) {
       print_timer_rollup(obs::Registry::instance().snapshot());
 
     const int used_seeds = seeds > 0 ? seeds : e->default_seeds;
-    const Json doc =
-        make_document(*e, r, used_seeds, jobs, wall, stable);
+    auto mark = std::chrono::steady_clock::now();
+    const auto lap = [&mark] {  // seconds since the previous lap
+      const auto now = std::chrono::steady_clock::now();
+      const double s = std::chrono::duration<double>(now - mark).count();
+      mark = now;
+      return s;
+    };
+    const Json doc = make_document(*e, r, used_seeds, jobs, wall, stable);
+    document_s += lap();
     const std::string bytes = doc.dump(2);
+    dump_s += lap();
     if (out_path == "-") {
       std::fwrite(bytes.data(), 1, bytes.size(), stdout);
+      write_s += lap();
     } else {
       const std::string path =
           out_path.empty() ? "BENCH_" + e->name + ".json" : out_path;
@@ -337,6 +352,7 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "cannot write %s\n", path.c_str());
         return 1;
       }
+      write_s += lap();
       std::fprintf(stderr, "%-8s %6.2fs wall  %6.2fs solver  -> %s\n",
                    e->name.c_str(), wall, r.solver_seconds_total,
                    path.c_str());
@@ -350,7 +366,9 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "trace -> %s (open in chrome://tracing)\n",
                  trace_path.c_str());
   }
-  std::fprintf(stderr, "%zu experiment(s), %d job(s), %.2fs total\n",
-               selected.size(), jobs, total_wall);
+  std::fprintf(stderr,
+               "%zu experiment(s), %d job(s), %.2fs total  "
+               "(serial: %.3fs document, %.3fs dump, %.3fs write)\n",
+               selected.size(), jobs, total_wall, document_s, dump_s, write_s);
   return 0;
 }
