@@ -1,11 +1,10 @@
-// The registered experiments: each body is the sweep that used to live in
-// the corresponding standalone bench main, with the seed loop routed
-// through collect_seed_comparisons (pooled) and a JSON payload added next
-// to the legacy tables. Arithmetic, seed derivation, and fold order are
-// kept exactly as the standalone mains had them, so the printed tables are
-// byte-identical and the JSON per-seed numbers are bit-identical between
-// --jobs 1 and --jobs N (see tests/test_figures.cpp and the determinism
-// smoke in docs/benchmarks.md).
+// The registered experiments: each body is one sweep of the paper's
+// evaluation, with the seed loop routed through collect_seed_comparisons or
+// collect_grid_comparisons (pooled) and a JSON payload next to the printed
+// tables. Seed derivation and fold order are pinned, so the printed tables
+// and the JSON per-seed numbers are bit-identical between --jobs 1 and
+// --jobs N (see tests/test_figures.cpp and the determinism smoke in
+// docs/benchmarks.md).
 #include <atomic>
 #include <chrono>
 
@@ -16,6 +15,7 @@
 #include "baseline/mbkp.hpp"
 #include "baseline/simple_policies.hpp"
 #include "bench_registry.hpp"
+#include "bounded/partition.hpp"
 #include "core/agreeable.hpp"
 #include "core/block.hpp"
 #include "core/discrete_solver.hpp"
@@ -24,6 +24,7 @@
 #include "core/common_release_alpha.hpp"
 #include "core/common_release_alpha0.hpp"
 #include "core/online_sdem.hpp"
+#include "core/transition.hpp"
 #include "mem/contention.hpp"
 #include "service/service.hpp"
 #include "mem/dram.hpp"
@@ -80,7 +81,7 @@ ExperimentResult run_fig6(const RunOptions& opt, bool memory) {
         return make_dspstone(p, seed * 977 + u);
       },
       [&](std::size_t) -> const SystemConfig& { return cfg; }, 8, seeds,
-      opt.pool, opt.tile);
+      opt.pool);
 
   Json rows = Json::array();
   double sum_gap = 0.0;
@@ -180,7 +181,7 @@ ExperimentResult run_fig7(const RunOptions& opt, bool sweep_alpham) {
                                               : seed * 7717 + level * 13 + x);
       },
       [&](std::size_t pi) -> const SystemConfig& { return cfgs[pi / 8]; },
-      static_cast<int>(levels.size()) * 8, seeds, opt.pool, opt.tile);
+      static_cast<int>(levels.size()) * 8, seeds, opt.pool);
 
   Json rows = Json::array();
   double sum = 0.0;
@@ -316,7 +317,7 @@ ExperimentResult run_table4(const RunOptions& opt) {
 
 // ----------------------------------------------------------------- Table 1
 
-/// Best-of-`reps` wall time of f, in ms (the standalone bench's time_ms).
+/// Best-of-`reps` wall time of f, in ms.
 template <typename F>
 double time_best_ms(F&& f, int reps) {
   double best = 1e18;
@@ -343,9 +344,11 @@ ExperimentResult run_table1(const RunOptions& opt) {
 
   Json common = Json::array();
   {
-    Table t({"n", "common-release a=0 scan", "a=0 binary", "a!=0 scan"});
+    Table t({"n", "common-release a=0 scan", "a=0 binary", "a!=0 scan",
+             "transition xi_m=40ms", "discrete A57"});
     auto cfg = paper_cfg();
     cfg.memory.xi_m = 0.0;
+    const FrequencyLadder a57 = FrequencyLadder::a57_opps();
     for (int n : {1000, 2000, 4000, 8000, 16000, 32000}) {
       const TaskSet ts = make_common_release(n, 0.0, 42);
       const double scan =
@@ -356,13 +359,24 @@ ExperimentResult run_table1(const RunOptions& opt) {
       cfg_a.core.alpha = 0.31;
       const double alpha =
           time_best_ms([&] { solve_common_release_alpha(ts, cfg_a); }, 3);
+      // The Section 7 instance: memory and core transition overheads.
+      auto cfg_t = cfg_a;
+      cfg_t.memory.xi_m = 0.040;
+      cfg_t.core.xi = 0.002;
+      const double transition =
+          time_best_ms([&] { solve_common_release_transition(ts, cfg_t); }, 3);
+      const double discrete = time_best_ms(
+          [&] { solve_common_release_discrete(ts, cfg_a, a57); }, 3);
       t.add_row({std::to_string(n), Table::fmt(scan, 3), Table::fmt(bin, 3),
-                 Table::fmt(alpha, 3)});
+                 Table::fmt(alpha, 3), Table::fmt(transition, 3),
+                 Table::fmt(discrete, 3)});
       Json row = Json::object();
       row.set("n", n);
       row.set("scan_ms", scan);
       row.set("binary_ms", bin);
       row.set("alpha_scan_ms", alpha);
+      row.set("transition_ms", transition);
+      row.set("discrete_ms", discrete);
       common.push_back(std::move(row));
     }
     r.tables.push_back(std::move(t));
@@ -426,6 +440,12 @@ ExperimentResult run_table1(const RunOptions& opt) {
   complexity.set("common_release_alpha0_binary", "O(n log n)");
   complexity.set("common_release_alpha",
                  "O(n log n) (paper: O(n^2); suffix sums here)");
+  complexity.set("common_release_transition",
+                 "O(n log n) sort + one breakpoint sweep, closed-form "
+                 "stationary point per piece");
+  complexity.set("common_release_discrete",
+                 "O(nL log nL) sort + one sweep over the piecewise-linear "
+                 "objective's breakpoints (L ladder levels)");
   complexity.set("agreeable_dp",
                  "O(n^2) incremental block table x O(k) boxes/row "
                  "(paper: O(n^4+n^2) / O(n^5+n^2); was per-pair re-solve)");
@@ -439,12 +459,105 @@ ExperimentResult run_table1(const RunOptions& opt) {
   return r;
 }
 
+// ------------------------------------------------------- Theorem 1 demo
+
+// Theorem 1: for common release/deadline tasks on C = 2 cores with
+// alpha = 0, the optimal energy (Eq. 3) is reached exactly by the
+// workload-balanced split, so the bounded-core case is PARTITION in
+// disguise. The first table shows the exact solver's cost exploding with n
+// while LPT stays cheap, and how close LPT + local search gets to the
+// balanced optimum; the second compares exhaustive C^n assignment with LPT
+// for C = 2..4 at n = 9. Energies and gaps are deterministic; the `*_ms`
+// single-run timings are measurements, which the regression gate strips.
+ExperimentResult run_bounded_partition(const RunOptions&) {
+  auto cfg = paper_cfg();
+  cfg.core.alpha = 0.0;
+  cfg.core.s_up = 0.0;  // unconstrained, per the Theorem 1 setting
+  constexpr double kDeadline = 0.100;
+
+  ExperimentResult r;
+  r.header_title = "Theorem 1 — bounded cores reduce to PARTITION";
+  r.header_what =
+      "exact = meet-in-the-middle subset sums (C = 2) or all C^n "
+      "assignments (small n); LPT = longest-processing-time + pairwise "
+      "local search";
+
+  Json two_core = Json::array();
+  {
+    Table t({"n", "exact energy (J)", "LPT+LS (J)", "raw LPT gap %",
+             "LPT+LS gap %", "exact time (ms)", "LPT time (ms)"});
+    for (int n : {8, 12, 16, 20, 24, 28}) {
+      const TaskSet ts = make_common_release(n, 0.0, 1234 + n, 2.0, 5.0,
+                                             kDeadline, kDeadline);
+      BoundedResult exact, lpt;
+      const double exact_ms = time_best_ms(
+          [&] { exact = solve_bounded_exact2(ts, cfg, kDeadline); }, 1);
+      const double lpt_ms = time_best_ms(
+          [&] { lpt = solve_bounded_lpt(ts, cfg, kDeadline, 2); }, 1);
+      const BoundedResult raw = solve_bounded_lpt(ts, cfg, kDeadline, 2,
+                                                  /*local_search=*/false);
+      const double raw_gap = 100.0 * (raw.energy / exact.energy - 1.0);
+      const double lpt_gap = 100.0 * (lpt.energy / exact.energy - 1.0);
+      t.add_row({std::to_string(n), Table::fmt(exact.energy, 6),
+                 Table::fmt(lpt.energy, 6), Table::fmt(raw_gap, 4),
+                 Table::fmt(lpt_gap, 4), Table::fmt(exact_ms, 3),
+                 Table::fmt(lpt_ms, 3)});
+      Json row = Json::object();
+      row.set("n", n);
+      row.set("exact_energy_j", exact.energy);
+      row.set("lpt_ls_energy_j", lpt.energy);
+      row.set("raw_lpt_energy_j", raw.energy);
+      row.set("raw_lpt_gap_pct", raw_gap);
+      row.set("lpt_ls_gap_pct", lpt_gap);
+      row.set("exact_ms", exact_ms);
+      row.set("lpt_ms", lpt_ms);
+      two_core.push_back(std::move(row));
+    }
+    r.tables.push_back(std::move(t));
+  }
+
+  Json multi_core = Json::array();
+  {
+    constexpr int kTasks = 9;
+    Table t({"n", "C", "exact (J)", "LPT (J)", "gap %"});
+    for (int c : {2, 3, 4}) {
+      const TaskSet ts = make_common_release(kTasks, 0.0, 777 + c, 2.0, 5.0,
+                                             kDeadline, kDeadline);
+      const BoundedResult exact = solve_bounded_exact(ts, cfg, kDeadline, c);
+      const BoundedResult lpt = solve_bounded_lpt(ts, cfg, kDeadline, c);
+      const double gap = 100.0 * (lpt.energy / exact.energy - 1.0);
+      t.add_row({std::to_string(kTasks), std::to_string(c),
+                 Table::fmt(exact.energy, 6), Table::fmt(lpt.energy, 6),
+                 Table::fmt(gap, 4)});
+      Json row = Json::object();
+      row.set("n", kTasks);
+      row.set("cores", c);
+      row.set("exact_energy_j", exact.energy);
+      row.set("lpt_energy_j", lpt.energy);
+      row.set("gap_pct", gap);
+      multi_core.push_back(std::move(row));
+    }
+    r.tables.push_back(std::move(t));
+  }
+
+  Json params = Json::object();
+  params.set("deadline_s", kDeadline);
+  params.set("core_alpha_w", 0.0);
+  params.set("work_mcycles_lo", 2.0);
+  params.set("work_mcycles_hi", 5.0);
+  r.data = Json::object();
+  r.data.set("params", std::move(params));
+  r.data.set("two_core", std::move(two_core));
+  r.data.set("multi_core", std::move(multi_core));
+  return r;
+}
+
 // ---------------------------------------------------------- Blocks ablation
 
 // Section 5 block DP vs the two degenerate partitions, spread x seed grid.
 // Each cell (spread, seed) is independent — parallel_for_grid spreads them
-// across the pool; folds below run in the standalone's spread-major,
-// seed-ascending order, so tables stay byte-identical to the legacy bench.
+// across the pool; folds below run spread-major in seed-ascending order,
+// so tables are byte-identical at any --jobs.
 ExperimentResult run_ablation_blocks(const RunOptions& opt) {
   auto cfg = paper_cfg();
   cfg.memory.xi_m = 0.0;
@@ -539,7 +652,7 @@ ExperimentResult run_ablation_blocks(const RunOptions& opt) {
 // Empirical competitive ratio of SDEM-ON against the Section 5 DP on
 // agreeable inputs, plus the memory-oblivious per-core comparator. Each
 // (spread, seed) cell is independent; folds run spread-major in seed order,
-// so the table is byte-identical to the legacy serial loop.
+// so the table is byte-identical to the serial loop.
 ExperimentResult run_online_vs_offline(const RunOptions& opt) {
   auto cfg = paper_cfg();
   cfg.core.s_min = 0.0;
@@ -629,8 +742,7 @@ ExperimentResult run_online_vs_offline(const RunOptions& opt) {
         cell.set("ratio", c.ratio);
         cell.set("oblivious_ratio", c.obliv_ratio);
         // Per-run memory sleep-interval stats of the online schedule
-        // (count / min / mean / max, seconds) — JSON-only, so the printed
-        // tables stay byte-identical to the legacy bench.
+        // (count / min / mean / max, seconds) — JSON-only.
         cell.set("memory_sleep_cycles", c.sleep_cycles);
         cell.set("memory_sleep_min_s", c.sleep_min);
         cell.set("memory_sleep_mean_s", c.sleep_mean);
@@ -686,7 +798,7 @@ ExperimentResult run_online_vs_offline(const RunOptions& opt) {
 // The title question as a bench: five online policies (the two poles, the
 // single-core folklore answer, MBKPS, SDEM-ON) on the same synthetic traces
 // across utilizations. One (x, seed) grid; folds in seed order keep the
-// table byte-identical to the legacy serial loop.
+// table byte-identical to the serial loop.
 ExperimentResult run_policy_poles(const RunOptions& opt) {
   const auto cfg = paper_cfg();
   const int seeds = opt.seeds > 0 ? opt.seeds : 10;
@@ -781,7 +893,7 @@ ExperimentResult run_policy_poles(const RunOptions& opt) {
 
 // Extension bench: voltage-island granularity (the paper's future work).
 // One (islands, seed) grid; folds below walk islands-major in seed order,
-// so the printed table is byte-identical to the legacy standalone.
+// so the printed table is byte-identical to the serial loop.
 ExperimentResult run_islands(const RunOptions& opt) {
   auto cfg = paper_cfg();
   cfg.core.s_min = 0.0;
@@ -884,7 +996,7 @@ ExperimentResult run_islands(const RunOptions& opt) {
 
 // Assumption probe: what does SDEM-ON's alignment do to memory-controller
 // contention? One (x, seed) grid; folds in seed order keep the table and
-// footers byte-identical to the legacy standalone.
+// footers byte-identical to the serial loop.
 ExperimentResult run_contention(const RunOptions& opt) {
   const auto cfg = paper_cfg();
   ContentionParams cp;  // 8 banks, 50 ns service, 1 access / 500 cycles
@@ -993,7 +1105,7 @@ ExperimentResult run_contention(const RunOptions& opt) {
 // Substrate validation: the paper's (alpha_m, xi_m) abstraction vs the
 // DRAM power-state machine replayed on the actual SDEM-ON schedules. One
 // (x, seed) grid; folds in seed order keep the table byte-identical to the
-// legacy standalone (naps/sleeps use its integer-division average).
+// serial loop (naps/sleeps use an integer-division average).
 ExperimentResult run_dram_abstraction(const RunOptions& opt) {
   const auto dram = DramPowerParams::paper_50nm();
   const auto abs = abstraction_for(dram);
@@ -1107,7 +1219,7 @@ ExperimentResult run_dram_abstraction(const RunOptions& opt) {
 
 // Extension: re-account the same SDEM-ON and MBKP schedules with
 // rank-granular power-down. One (ranks, seed) grid; folds in seed order
-// keep the table byte-identical to the legacy standalone.
+// keep the table byte-identical to the serial loop.
 ExperimentResult run_rank_granularity(const RunOptions& opt) {
   const auto cfg = paper_cfg();
   const int seeds = opt.seeds > 0 ? opt.seeds : 10;
@@ -1200,8 +1312,8 @@ ExperimentResult run_rank_granularity(const RunOptions& opt) {
 
 // Extension: WCET pessimism. Each (fraction, regime, seed) cell simulates
 // the reclaiming and non-reclaiming variants once; folds walk fractions in
-// row order, alpha != 0 before alpha = 0, seeds ascending — the exact fold
-// order of the legacy standalone's nested loops.
+// row order, alpha != 0 before alpha = 0, seeds ascending — the fold order
+// of the serial nested loops.
 ExperimentResult run_slack_reclamation(const RunOptions& opt) {
   const auto cfg = paper_cfg();
   auto cfg0 = cfg;
@@ -1224,7 +1336,7 @@ ExperimentResult run_slack_reclamation(const RunOptions& opt) {
     double solver_seconds = 0.0;
   };
   // Point layout: fraction-major, regime minor (0 = alpha != 0, 1 = alpha
-  // = 0), matching the standalone's run(cfg, ...) then run(cfg0, ...).
+  // = 0), i.e. run(cfg, ...) then run(cfg0, ...) per fraction.
   const int points = static_cast<int>(fracs.size()) * 2;
   std::vector<Cell> cells(static_cast<std::size_t>(points) *
                           static_cast<std::size_t>(seeds));
@@ -1317,7 +1429,7 @@ ExperimentResult run_slack_reclamation(const RunOptions& opt) {
 
 // Extension: whole-execution-access assumption. One (fraction, seed) grid;
 // the f = 1.0 row doubles as the baseline the later rows compare against,
-// so folds walk fractions in row order like the legacy standalone.
+// so folds walk fractions in row order.
 ExperimentResult run_access_sensitivity(const RunOptions& opt) {
   const auto cfg = paper_cfg();
   const int seeds = opt.seeds > 0 ? opt.seeds : 10;
@@ -1417,8 +1529,8 @@ ExperimentResult run_access_sensitivity(const RunOptions& opt) {
 // ---------------------------------------------------- Discrete ablation
 
 // Ablation: cost of real DVFS ladders. One (ladder, seed) grid; infeasible
-// continuous solves skip the cell (like the standalone's `continue`), and
-// averages still divide by the full seed count, matching its arithmetic.
+// continuous solves skip the cell, and averages still divide by the full
+// seed count.
 ExperimentResult run_ablation_discrete(const RunOptions& opt) {
   auto cfg = paper_cfg();
   cfg.core.s_min = 0.0;
@@ -1527,7 +1639,7 @@ ExperimentResult run_ablation_discrete(const RunOptions& opt) {
 
 // Ablation: value of step 5 (alignment sleep) vs the per-replan speed
 // selection alone. One (x, seed) grid; folds in seed order keep the table
-// byte-identical to the legacy standalone.
+// byte-identical to the serial loop.
 ExperimentResult run_ablation_procrastination(const RunOptions& opt) {
   const auto cfg = paper_cfg();
   const int seeds = opt.seeds > 0 ? opt.seeds : 10;
@@ -1621,7 +1733,7 @@ ExperimentResult run_ablation_procrastination(const RunOptions& opt) {
 
 // Ablation: never / always / break-even gap disciplines on the same MBKP
 // schedule. One (x, seed) grid; folds in seed order keep the table
-// byte-identical to the legacy standalone.
+// byte-identical to the serial loop.
 ExperimentResult run_ablation_sleep_discipline(const RunOptions& opt) {
   const auto cfg = paper_cfg();
   const int seeds = opt.seeds > 0 ? opt.seeds : 10;
@@ -1955,10 +2067,10 @@ std::vector<std::string> make_throughput_lines(long n, int islands,
   return lines;
 }
 
-// Ingest-throughput sweep: parse-on-ingest (the PR-6 single-thread-parse
-// baseline) vs parse-on-shard (raw lines routed by peek, parsed on the
-// shard workers) across shard and producer counts. Timing experiment like
-// table1 — the JSON carries measured events/sec, not deterministic bytes.
+// Ingest-throughput sweep of the parse-on-shard pipeline (raw lines routed
+// by peek, parsed on the shard workers) across shard and producer counts.
+// Timing experiment like table1 — the JSON carries measured events/sec,
+// not deterministic bytes.
 // Each config builds its own pool sized to its shard count (opt.pool is
 // for seed-parallel sweeps and deliberately unused here).
 //
@@ -1972,8 +2084,6 @@ std::vector<std::string> make_throughput_lines(long n, int islands,
 //     admitted and planned). On a single-core host ingest and shard work
 //     time-share, so e2e ~= the sum of both stages; with >= shards+1
 //     cores the stages overlap and e2e approaches the ingest rate.
-// For the parse-on-ingest baseline the two rates coincide by
-// construction: the parse happens on the ingest thread itself.
 ExperimentResult run_service_throughput(const RunOptions& opt) {
   const int seeds = opt.seeds > 0 ? opt.seeds : 3;
   constexpr int kIslands = 64;
@@ -1993,18 +2103,14 @@ ExperimentResult run_service_throughput(const RunOptions& opt) {
     const char* policy;
     int shards;
     int producers;
-    bool parse_on_shard;
     long events;
   };
   const std::vector<Config> configs = {
-      {"ingest-parse s1", "race", 1, 1, false, kEvents},
-      {"ingest-parse s4", "race", 4, 1, false, kEvents},
-      {"shard-parse s1", "race", 1, 1, true, kEvents},
-      {"shard-parse s2", "race", 2, 1, true, kEvents},
-      {"shard-parse s4", "race", 4, 1, true, kEvents},
-      {"shard-parse s4 p2", "race", 4, 2, true, kEvents},
-      {"ingest-parse s4 sdem-on", "sdem-on", 4, 1, false, kEventsSolver},
-      {"shard-parse s4 sdem-on", "sdem-on", 4, 1, true, kEventsSolver},
+      {"shard-parse s1", "race", 1, 1, kEvents},
+      {"shard-parse s2", "race", 2, 1, kEvents},
+      {"shard-parse s4", "race", 4, 1, kEvents},
+      {"shard-parse s4 p2", "race", 4, 2, kEvents},
+      {"shard-parse s4 sdem-on", "sdem-on", 4, 1, kEventsSolver},
   };
 
   struct RunResult {
@@ -2058,13 +2164,11 @@ ExperimentResult run_service_throughput(const RunOptions& opt) {
     const auto ingest = [&](int p) {
       std::uint64_t s = static_cast<std::uint64_t>(p);
       for (std::string& line : per_producer[static_cast<std::size_t>(p)]) {
-        if (c.parse_on_shard) {
-          const service::Peeked pk = service::peek_request(line);
-          if (pk.routable()) {
-            svc.route_raw(pk.island, pk.op, std::move(line), s, 0, s, p);
-            s += static_cast<std::uint64_t>(c.producers);
-            continue;
-          }
+        const service::Peeked pk = service::peek_request(line);
+        if (pk.routable()) {
+          svc.route_raw(pk.island, pk.op, std::move(line), s, 0, s, p);
+          s += static_cast<std::uint64_t>(c.producers);
+          continue;
         }
         service::Parsed pr = service::parse_request(line);
         pr.request.seq = s;
@@ -2117,9 +2221,7 @@ ExperimentResult run_service_throughput(const RunOptions& opt) {
   Table t({"config", "policy", "shards", "producers", "events",
            "ingest ev/s", "e2e ev/s", "replan p50 (us)", "replan p99 (us)"});
   Json rows = Json::array();
-  double baseline_eps = 0.0;
   double pipelined_eps = 0.0;
-  double baseline_e2e_eps = 0.0;
   double pipelined_e2e_eps = 0.0;
   for (const Config& c : configs) {
     double best_eps = 0.0;
@@ -2151,10 +2253,6 @@ ExperimentResult run_service_throughput(const RunOptions& opt) {
       run.set("replan_p99_ns", res.p99_ns);
       per_run.push_back(std::move(run));
     }
-    if (std::string(c.name) == "ingest-parse s4") {
-      baseline_eps = best_eps;
-      baseline_e2e_eps = best_e2e_eps;
-    }
     if (std::string(c.name) == "shard-parse s4") {
       pipelined_eps = best_eps;
       pipelined_e2e_eps = best_e2e_eps;
@@ -2169,7 +2267,6 @@ ExperimentResult run_service_throughput(const RunOptions& opt) {
     row.set("policy", c.policy);
     row.set("shards", c.shards);
     row.set("producers", c.producers);
-    row.set("parse_on_shard", c.parse_on_shard);
     row.set("events", static_cast<std::uint64_t>(c.events));
     row.set("best_ingest_events_per_sec", best_eps);
     row.set("best_events_per_sec", best_e2e_eps);
@@ -2180,21 +2277,13 @@ ExperimentResult run_service_throughput(const RunOptions& opt) {
   }
   r.tables.push_back(std::move(t));
 
-  const double speedup =
-      baseline_eps > 0.0 ? pipelined_eps / baseline_eps : 0.0;
-  const double e2e_speedup =
-      baseline_e2e_eps > 0.0 ? pipelined_e2e_eps / baseline_e2e_eps : 0.0;
   r.footers.push_back(strf(
-      "ingest throughput, parse-on-shard x4 vs parse-on-ingest x4 (race): "
-      "%.2fx (%.0f vs %.0f events/s)",
-      speedup, pipelined_eps, baseline_eps));
-  r.footers.push_back(strf(
-      "end-to-end on this host: %.2fx (%.0f vs %.0f events/s); e2e "
+      "parse-on-shard x4 (race): %.0f ingest events/s, %.0f end-to-end; e2e "
       "approaches the ingest rate once shards get their own cores",
-      e2e_speedup, pipelined_e2e_eps, baseline_e2e_eps));
+      pipelined_eps, pipelined_e2e_eps));
   r.footers.push_back(
       "race configs are ingest-bound (the axis under test); the sdem-on "
-      "pair shows the honest solver-bound contrast");
+      "config shows the solver-bound contrast");
 
   Json params = Json::object();
   params.set("islands", kIslands);
@@ -2205,90 +2294,83 @@ ExperimentResult run_service_throughput(const RunOptions& opt) {
   r.data = Json::object();
   r.data.set("params", std::move(params));
   r.data.set("configs", std::move(rows));
-  r.data.set("baseline_eps", baseline_eps);
   r.data.set("pipelined_eps", pipelined_eps);
-  r.data.set("speedup", speedup);
-  r.data.set("baseline_e2e_eps", baseline_e2e_eps);
   r.data.set("pipelined_e2e_eps", pipelined_e2e_eps);
-  r.data.set("e2e_speedup", e2e_speedup);
   return r;
 }
 
 }  // namespace
 
 void register_all_experiments(std::vector<Experiment>& out) {
-  out.push_back({"fig6a", "Fig. 6a", "bench_fig6a_memory_saving",
+  out.push_back({"fig6a", "Fig. 6a",
                  "memory static-energy saving vs U (DSPstone)", 10,
                  [](const RunOptions& o) { return run_fig6(o, true); }});
-  out.push_back({"fig6b", "Fig. 6b", "bench_fig6b_system_saving",
+  out.push_back({"fig6b", "Fig. 6b",
                  "system-wide energy saving vs U (DSPstone)", 10,
                  [](const RunOptions& o) { return run_fig6(o, false); }});
-  out.push_back({"fig7a", "Fig. 7a", "bench_fig7a_alpham_sweep",
+  out.push_back({"fig7a", "Fig. 7a",
                  "saving improvement over alpha_m x x (synthetic)", 10,
                  [](const RunOptions& o) { return run_fig7(o, true); }});
-  out.push_back({"fig7b", "Fig. 7b", "bench_fig7b_xim_sweep",
+  out.push_back({"fig7b", "Fig. 7b",
                  "saving improvement over xi_m x x (synthetic)", 10,
                  [](const RunOptions& o) { return run_fig7(o, false); }});
-  out.push_back({"table4", "Table 4", "bench_table4_grid",
+  out.push_back({"table4", "Table 4",
                  "parameter grid and the default operating point", 10,
                  [](const RunOptions& o) { return run_table4(o); }});
-  out.push_back({"table1", "Table 1", "bench_table1_complexity",
+  out.push_back({"table1", "Table 1",
                  "runtime scaling of the SDEM schemes", 1,
                  [](const RunOptions& o) { return run_table1(o); }});
-  out.push_back({"ablation_blocks", "§5 ablation", "bench_ablation_blocks",
+  out.push_back({"bounded_partition", "Theorem 1",
+                 "bounded cores reduce to PARTITION: exact vs LPT", 1,
+                 [](const RunOptions& o) { return run_bounded_partition(o); }});
+  out.push_back({"ablation_blocks", "§5 ablation",
                  "block DP vs degenerate partitions over task spread", 8,
                  [](const RunOptions& o) { return run_ablation_blocks(o); }});
-  out.push_back({"online_vs_offline", "§6 ratio", "bench_online_vs_offline",
+  out.push_back({"online_vs_offline", "§6 ratio",
                  "empirical competitive ratio vs the agreeable DP", 12,
                  [](const RunOptions& o) { return run_online_vs_offline(o); }});
-  out.push_back({"policy_poles", "title question", "bench_policy_poles",
+  out.push_back({"policy_poles", "title question",
                  "race / stretch / critical / MBKPS / SDEM-ON across x", 10,
                  [](const RunOptions& o) { return run_policy_poles(o); }});
-  out.push_back({"islands", "future work", "bench_islands",
+  out.push_back({"islands", "future work",
                  "voltage-island granularity vs per-core rails", 20,
                  [](const RunOptions& o) { return run_islands(o); }});
-  out.push_back({"contention", "§3 assumption", "bench_contention",
+  out.push_back({"contention", "§3 assumption",
                  "controller contention under SDEM-ON's alignment", 10,
                  [](const RunOptions& o) { return run_contention(o); }});
-  out.push_back({"dram_abstraction", "§3 substrate", "bench_dram_abstraction",
+  out.push_back({"dram_abstraction", "§3 substrate",
                  "DRAM power-state machine vs the (alpha_m, xi_m) model", 10,
                  [](const RunOptions& o) { return run_dram_abstraction(o); }});
-  out.push_back({"rank_granularity", "future work", "bench_rank_granularity",
+  out.push_back({"rank_granularity", "future work",
                  "rank-granular power-down vs monolithic memory", 10,
                  [](const RunOptions& o) { return run_rank_granularity(o); }});
   out.push_back({"slack_reclamation", "§2 extension",
-                 "bench_slack_reclamation",
                  "WCET pessimism: replanning on early completions", 10,
                  [](const RunOptions& o) { return run_slack_reclamation(o); }});
   out.push_back({"access_sensitivity", "§3 sensitivity",
-                 "bench_access_sensitivity",
                  "memory energy vs per-task access fraction", 10,
                  [](const RunOptions& o) {
                    return run_access_sensitivity(o);
                  }});
   out.push_back({"ablation_discrete", "§4.2 ablation",
-                 "bench_ablation_discrete",
                  "discrete DVFS ladders vs continuous speeds", 20,
                  [](const RunOptions& o) { return run_ablation_discrete(o); }});
   out.push_back({"ablation_procrastination", "§6 step 5 ablation",
-                 "bench_ablation_procrastination",
                  "value of alignment sleep vs speed selection alone", 10,
                  [](const RunOptions& o) {
                    return run_ablation_procrastination(o);
                  }});
   out.push_back({"ablation_sleep_discipline", "Table 3 ablation",
-                 "bench_ablation_sleep_discipline",
                  "never / always / break-even gap disciplines on MBKP", 10,
                  [](const RunOptions& o) {
                    return run_ablation_sleep_discipline(o);
                  }});
-  out.push_back({"governor_ladder", "ROADMAP ladder", "bench_governor_ladder",
+  out.push_back({"governor_ladder", "ROADMAP ladder",
                  "predictive idle governor vs sleep-when-idle vs clairvoyant "
                  "across ladder depth x utilization", 8,
                  [](const RunOptions& o) { return run_governor_ladder(o); }});
   out.push_back({"service_throughput", "online serving",
-                 "bench_service_throughput",
-                 "ingest events/sec: parse-on-shard pipeline vs baseline", 3,
+                 "ingest events/sec of the parse-on-shard pipeline", 3,
                  [](const RunOptions& o) {
                    return run_service_throughput(o);
                  }});

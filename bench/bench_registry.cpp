@@ -55,19 +55,6 @@ void print_result(const ExperimentResult& r) {
   for (const std::string& f : r.footers) std::printf("%s\n", f.c_str());
 }
 
-int run_standalone(const std::string& name) {
-  const Experiment* e = find_experiment(name);
-  if (e == nullptr) {
-    std::fprintf(stderr, "unknown experiment: %s\n", name.c_str());
-    return 1;
-  }
-  ThreadPool pool(ThreadPool::hardware_jobs());
-  RunOptions opt;
-  opt.pool = &pool;
-  print_result(e->run(opt));
-  return 0;
-}
-
 std::string strf(const char* fmt, ...) {
   va_list args;
   va_start(args, fmt);
@@ -95,7 +82,7 @@ Json seed_comparison_json(const SeedComparison& sc) {
   j.set("memory_sleep_mbkps_s", sc.sleep_mbkps);
   j.set("solver_seconds", sc.solver_seconds);
   // Per-cell deterministic counter attribution (docs/observability.md):
-  // identical at any --jobs/--tile, but strictly additive schema — the
+  // identical at any --jobs, but strictly additive schema — the
   // runner's --stable strips it so pre-attribution goldens stay valid.
   if (!sc.counters.empty()) {
     Json c = Json::object();

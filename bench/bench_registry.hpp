@@ -1,18 +1,14 @@
 // Named-experiment registry for the paper's evaluation (§8).
 //
-// Each figure/table sweep that used to live only in a standalone bench
-// main registers here as an Experiment: a name ("fig6a"), the paper item
-// it reproduces, and a run() callback that executes the sweep — in
-// parallel across seeds when RunOptions.pool is set — and returns both the
-// human-readable tables (byte-compatible with the legacy bench stdout) and
-// a structured JSON payload with full-precision per-seed metrics.
+// Each figure/table sweep registers here as an Experiment: a name
+// ("fig6a"), the paper item it reproduces, and a run() callback that
+// executes the sweep — in parallel across seeds when RunOptions.pool is
+// set — and returns both the human-readable tables and a structured JSON
+// payload with full-precision per-seed metrics.
 //
-// Consumers:
-//   * tools/sdem_bench_runner.cpp — runs any subset (--filter, --seeds,
-//     --jobs) and writes BENCH_<name>.json (schema in docs/benchmarks.md);
-//   * the legacy bench mains (bench_fig6a_memory_saving, ...) — call
-//     run_standalone(name) so `./bench_fig6a_memory_saving` prints exactly
-//     what it always printed.
+// tools/sdem_bench_runner.cpp is the one front end: it runs any subset
+// (--filter, --seeds, --jobs) and writes BENCH_<name>.json (schema in
+// docs/benchmarks.md).
 #pragma once
 
 #include <functional>
@@ -27,10 +23,6 @@ namespace sdem::bench {
 struct RunOptions {
   int seeds = 0;               ///< 0 → the experiment's paper default
   ThreadPool* pool = nullptr;  ///< null → serial reference execution
-  /// Grid cells per pool task for grid-shaped sweeps (see
-  /// collect_grid_comparisons): > 1 reuses one comparison scratch across
-  /// that many adjacent (point, seed) cells. Results are tile-invariant.
-  int tile = 1;
 };
 
 struct ExperimentResult {
@@ -45,7 +37,6 @@ struct ExperimentResult {
 struct Experiment {
   std::string name;         ///< registry key, e.g. "fig6a"
   std::string paper_item;   ///< "Fig. 6a", "Table 4", ...
-  std::string binary;       ///< legacy standalone binary, for cross-reference
   std::string description;  ///< one line, shown by --list
   int default_seeds = 10;
   std::function<ExperimentResult(const RunOptions&)> run;
@@ -58,17 +49,14 @@ const std::vector<Experiment>& all_experiments();
 const Experiment* find_experiment(const std::string& name);
 
 /// Comma-separated case-sensitive substring filter against the names;
-/// empty or "all" matches everything. Preserves registration order.
+/// empty or "all" matches everything. Preserves registration order. No
+/// name is a substring of another, so each full name selects exactly its
+/// own experiment.
 std::vector<const Experiment*> match_experiments(const std::string& filter);
 
-/// Print exactly what the legacy standalone bench printed: header, tables
-/// (text + CSV), footers.
+/// Print a result as the bench text format: header, tables (text + CSV),
+/// footers.
 void print_result(const ExperimentResult& r);
-
-/// Body of a legacy bench main: run `name` at its default seed count on a
-/// hardware-sized pool (the output is scheduling-independent) and print it.
-/// Returns the process exit code.
-int run_standalone(const std::string& name);
 
 /// printf-style formatting into a std::string (for footers).
 std::string strf(const char* fmt, ...);

@@ -1,12 +1,11 @@
-// Shared helpers for the figure/table reproduction benches.
+// Shared helpers for the registered figure/table experiments.
 //
-// Every bench prints (a) the experiment header with all parameters and
+// Every experiment prints (a) the experiment header with all parameters and
 // seeds, (b) an aligned table of the series the paper plots, and (c) the
-// same rows as CSV for downstream plotting. The same sweeps are registered
-// with bench/bench_registry.hpp, so `sdem_bench_runner --md` re-renders any
-// table as the markdown embedded in EXPERIMENTS.md and `--out` captures the
-// per-seed numbers as BENCH_<name>.json (see docs/benchmarks.md for the
-// schema and the regeneration commands).
+// same rows as CSV for downstream plotting. `sdem_bench_runner --md`
+// prints just the tables, the format embedded in EXPERIMENTS.md, and
+// `--out` captures the per-seed numbers as BENCH_<name>.json (see
+// docs/benchmarks.md for the schema and the regeneration commands).
 //
 // Seed sweeps run through support/thread_pool.hpp: seeds are computed in
 // parallel into per-seed slots, then folded in seed order, so the printed
@@ -96,16 +95,15 @@ inline std::vector<std::pair<std::string, std::uint64_t>> counter_delta(
 }
 
 /// One cell's work, shared by the seed and grid collectors: run the
-/// comparison with the caller's scratch, fill the slot, and attribute the
-/// worker thread's deterministic counter delta to the cell. The cell runs
-/// entirely on one thread, so the delta is a pure function of (trace, cfg)
-/// whatever the job count, tile size, or scheduling.
+/// comparison, fill the slot, and attribute the worker thread's
+/// deterministic counter delta to the cell. The cell runs entirely on one
+/// thread, so the delta is a pure function of (trace, cfg) whatever the job
+/// count or scheduling.
 inline void fill_seed_comparison(SeedComparison& sc, std::uint64_t seed,
-                                 const TaskSet& trace, const SystemConfig& cfg,
-                                 ComparisonScratch& scratch) {
+                                 const TaskSet& trace, const SystemConfig& cfg) {
   const auto before = obs::Registry::instance().local_counters();
   const auto t0 = std::chrono::steady_clock::now();
-  const Comparison cmp = run_comparison(trace, cfg, scratch);
+  const Comparison cmp = run_comparison(trace, cfg);
   const auto t1 = std::chrono::steady_clock::now();
   sc.seed = seed;
   sc.sdem_system = cmp.system_saving_sdem();
@@ -130,8 +128,7 @@ std::vector<SeedComparison> collect_seed_comparisons(MakeTrace&& make_trace,
                                                      ThreadPool* pool = nullptr) {
   std::vector<SeedComparison> out(static_cast<std::size_t>(seeds));
   parallel_for_seeds(pool, seeds, [&](std::uint64_t seed, std::size_t i) {
-    ComparisonScratch scratch;
-    fill_seed_comparison(out[i], seed, make_trace(seed), cfg, scratch);
+    fill_seed_comparison(out[i], seed, make_trace(seed), cfg);
   });
   return out;
 }
@@ -140,28 +137,22 @@ std::vector<SeedComparison> collect_seed_comparisons(MakeTrace&& make_trace,
 /// seed) cell runs independently on the pool, so sweeps with many points
 /// and few seeds — fig7's 64 cells, a --seeds 2 rerun — still occupy every
 /// worker. `make_trace(point, seed)` builds the cell's trace,
-/// `cfg_for(point)` its config. `tile` > 1 batches that many consecutive
-/// point-major cells per pool task and reuses one ComparisonScratch across
-/// the batch (parallel_for_grid_tiled), amortizing the policies' workspace
-/// growth; the serial path always reuses one scratch for the whole grid.
-/// Returns one seed-ordered vector per point; cells are pure functions of
-/// (point, seed) and scratch reuse is semantically stateless, so the
-/// result is bit-identical to the serial point-major loop at any job count
-/// and tile size.
+/// `cfg_for(point)` its config. Returns one seed-ordered vector per point;
+/// cells are pure functions of (point, seed), so the result is
+/// bit-identical to the serial point-major loop at any job count.
 template <typename MakeTrace, typename CfgFor>
 std::vector<std::vector<SeedComparison>> collect_grid_comparisons(
     MakeTrace&& make_trace, CfgFor&& cfg_for, int points, int seeds,
-    ThreadPool* pool = nullptr, int tile = 1) {
+    ThreadPool* pool = nullptr) {
   std::vector<std::vector<SeedComparison>> out(
       static_cast<std::size_t>(points),
       std::vector<SeedComparison>(static_cast<std::size_t>(seeds)));
-  parallel_for_grid_tiled(
-      pool, points, seeds, tile, [] { return ComparisonScratch(); },
-      [&](ComparisonScratch& scratch, std::size_t point, std::uint64_t seed,
-          std::size_t) {
-        fill_seed_comparison(out[point][seed - 1], seed,
-                             make_trace(point, seed), cfg_for(point), scratch);
-      });
+  parallel_for_grid(pool, points, seeds,
+                    [&](std::size_t point, std::uint64_t seed, std::size_t) {
+                      fill_seed_comparison(out[point][seed - 1], seed,
+                                           make_trace(point, seed),
+                                           cfg_for(point));
+                    });
   return out;
 }
 
@@ -177,33 +168,6 @@ inline SavingStats to_saving_stats(const std::vector<SeedComparison>& seeds) {
     out.mbkps_memory.add(sc.mbkps_memory);
   }
   return out;
-}
-
-template <typename MakeTrace>
-SavingStats collect_comparison(MakeTrace&& make_trace, const SystemConfig& cfg,
-                               int seeds, ThreadPool* pool = nullptr) {
-  return to_saving_stats(
-      collect_seed_comparisons(make_trace, cfg, seeds, pool));
-}
-
-/// Average a metric over seeds via a comparison callback.
-template <typename MakeTrace>
-void average_comparison(MakeTrace&& make_trace, const SystemConfig& cfg,
-                        int seeds, double* sdem_saving, double* mbkps_saving,
-                        double* sdem_mem_saving, double* mbkps_mem_saving,
-                        ThreadPool* pool = nullptr) {
-  const auto cmps = collect_seed_comparisons(make_trace, cfg, seeds, pool);
-  double ss = 0, ms = 0, smem = 0, mmem = 0;
-  for (const SeedComparison& sc : cmps) {
-    ss += sc.sdem_system;
-    ms += sc.mbkps_system;
-    smem += sc.sdem_memory;
-    mmem += sc.mbkps_memory;
-  }
-  if (sdem_saving) *sdem_saving = ss / seeds;
-  if (mbkps_saving) *mbkps_saving = ms / seeds;
-  if (sdem_mem_saving) *sdem_mem_saving = smem / seeds;
-  if (mbkps_mem_saving) *mbkps_mem_saving = mmem / seeds;
 }
 
 /// "12.34 ±0.56" percentage rendering of a savings Stats.

@@ -17,7 +17,7 @@
 // and the fraction of busy time spent saturated (u >= 1, where the fluid
 // model's delay diverges and the paper's assumption actually breaks).
 //
-// The interesting finding (bench_contention): SDEM-ON's alignment
+// The interesting finding (the contention experiment): SDEM-ON's alignment
 // *concentrates* accesses — it buys memory sleep by raising the peak
 // bandwidth demand, the exact trade the paper waves at with "tasks have the
 // potential to be scheduled concentratively".

@@ -14,7 +14,8 @@
 //   * one rank for all cores  == the paper's monolithic memory;
 //   * one rank per core       == fully decoupled: the common-idle-time
 //     coupling disappears and with it most of SDEM-ON's edge over
-//     memory-oblivious scheduling (quantified in bench_rank_granularity).
+//     memory-oblivious scheduling (quantified by the rank_granularity
+//     experiment).
 //
 // Total leakage is conserved: each rank carries alpha_m / num_ranks and
 // the per-rank break-even time stays xi_m (pair energy scales with the

@@ -345,24 +345,59 @@ bool Daemon::read_chunk(Acceptor& a, int fd, Conn& c) {
   if (n == 0) return false;  // EOF
   if (n < 0) return errno == EAGAIN || errno == EWOULDBLOCK;
   c.buf.append(chunk, static_cast<std::size_t>(n));
+  // Only the new bytes are searched: buf[0, scanned) is known newline-free.
   std::size_t start = 0;
+  std::size_t from = c.scanned;
   for (;;) {
-    const std::size_t nl = c.buf.find('\n', start);
-    if (nl == std::string::npos) break;  // partial line: keep for next read
-    dispatch(a, c.buf.substr(start, nl - start), c);
-    start = nl + 1;
+    const std::size_t nl = c.buf.find('\n', from);
+    if (nl == std::string::npos) {
+      from = c.buf.size();
+      break;  // partial line: keep for next read
+    }
+    if (c.overlong) {
+      c.overlong = false;  // the rejected line ends here
+    } else if (nl - start > kMaxLineBytes) {
+      reject_overlong(c);
+    } else {
+      dispatch(a, c.buf.substr(start, nl - start), c);
+    }
+    start = from = nl + 1;
     if (stop_.load(std::memory_order_acquire)) break;
   }
   c.buf.erase(0, start);
+  c.scanned = from - start;
+  // An unterminated tail past the cap is answered now, and its bytes are
+  // dropped as they arrive until its newline, so a client that never sends
+  // one cannot grow buf.
+  if (!c.overlong && c.buf.size() > kMaxLineBytes) {
+    reject_overlong(c);
+    c.overlong = true;
+  }
+  if (c.overlong) {
+    c.buf.clear();
+    c.scanned = 0;
+  }
   return true;
 }
 
 void Daemon::flush_partial(Acceptor& a, Conn& c) {
   // A final line without a trailing newline still counts at EOF.
-  if (!c.buf.empty() && !stop_.load(std::memory_order_acquire)) {
+  if (!c.buf.empty() && !c.overlong &&
+      !stop_.load(std::memory_order_acquire)) {
     dispatch(a, c.buf, c);
   }
   c.buf.clear();
+  c.scanned = 0;
+  c.overlong = false;
+}
+
+void Daemon::reject_overlong(Conn& c) {
+  const std::uint64_t seq = seq_.fetch_add(1, std::memory_order_relaxed);
+  writer_.deposit(c.id, c.conn_seq++,
+                  error_response(seq, "line exceeds " +
+                                          std::to_string(kMaxLineBytes) +
+                                          " bytes")
+                      .dump(0));
 }
 
 void Daemon::dispatch(Acceptor& a, const std::string& line, Conn& c) {
@@ -370,17 +405,16 @@ void Daemon::dispatch(Acceptor& a, const std::string& line, Conn& c) {
   const std::uint64_t seq = seq_.fetch_add(1, std::memory_order_relaxed);
   const std::uint64_t conn_seq = c.conn_seq++;
 
-  if (opt_.parse_on_shard) {
-    const Peeked peek = peek_request(line);
-    if (peek.routable()) {
-      // Fast path: ship the raw line; the shard worker parses it.
-      std::shared_lock<std::shared_mutex> gate(barrier_mu_);
-      svc_->route_raw(peek.island, peek.op, line, seq, c.id, conn_seq,
-                      a.index);
-      return;
-    }
+  const Peeked peek = peek_request(line);
+  if (peek.routable()) {
+    // Fast path: ship the raw line; the shard worker parses it.
+    std::shared_lock<std::shared_mutex> gate(barrier_mu_);
+    svc_->route_raw(peek.island, peek.op, line, seq, c.id, conn_seq, a.index);
+    return;
   }
 
+  // Peek miss (STATS, METRICS, SHUTDOWN, or a SUBMIT the peek cannot route,
+  // such as "island":2.0): full parse here on the acceptor.
   Parsed p = parse_request(line);
   if (!p.ok) {
     writer_.deposit(c.id, conn_seq, error_response(seq, p.error).dump(0));

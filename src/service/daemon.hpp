@@ -44,14 +44,12 @@ struct DaemonOptions {
   std::string policy = "sdem-on";
   int shards = 1;
   /// Ingest/poll threads; connections are assigned round-robin. More than
-  /// one only pays off when parse-on-ingest or many slow clients dominate.
+  /// one only pays off when many slow clients or peek-miss lines (parsed on
+  /// the acceptor) dominate.
   int acceptors = 1;
   int port = -1;           ///< -1 = no TCP; 0 = pick a free port
   bool use_stdin = true;   ///< serve requests on stdin/stdout (CLI mode)
   std::size_t queue_capacity = 1024;
-  /// Ship raw lines to shard workers (peek_request routing); false parses
-  /// every line on the ingest thread (the pre-pipelining baseline).
-  bool parse_on_shard = true;
   /// When > 0 and metrics_path is set, a background thread writes the
   /// Prometheus exposition (Service::metrics_text()) to metrics_path every
   /// interval, truncating — the file always holds the latest snapshot.
@@ -62,6 +60,11 @@ struct DaemonOptions {
 
 class Daemon {
  public:
+  /// Longest request line a connection may send, newline excluded. A longer
+  /// line gets one error envelope in its conn_seq slot; its bytes up to the
+  /// next '\n' are dropped unbuffered and the connection keeps serving.
+  static constexpr std::size_t kMaxLineBytes = std::size_t{1} << 20;
+
   explicit Daemon(DaemonOptions opt);
   ~Daemon();
 
@@ -112,6 +115,8 @@ class Daemon {
     int fd = -1;
     std::uint64_t conn_seq = 0;  ///< next request's per-connection index
     std::string buf;             ///< partial (unterminated) line
+    std::size_t scanned = 0;     ///< leading bytes of buf known '\n'-free
+    bool overlong = false;       ///< dropping a rejected line up to its '\n'
   };
 
   struct Acceptor {
@@ -126,12 +131,14 @@ class Daemon {
   bool open_listener();
   void accept_clients();
   void acceptor_loop(Acceptor& a);
-  /// Read once from fd (retrying EINTR), dispatch complete lines. Returns
-  /// false on EOF or a hard error — the caller flushes the partial line
-  /// and closes.
+  /// Read once from fd (retrying EINTR), dispatch complete lines, and
+  /// enforce kMaxLineBytes. Returns false on EOF or a hard error — the
+  /// caller flushes the partial line and closes.
   bool read_chunk(Acceptor& a, int fd, Conn& c);
   void flush_partial(Acceptor& a, Conn& c);
   void dispatch(Acceptor& a, const std::string& line, Conn& c);
+  /// Answer an over-long line with an error envelope in its conn_seq slot.
+  void reject_overlong(Conn& c);
   void wake(Acceptor& a);
   /// Body of the periodic metrics-snapshot thread (--metrics-interval).
   void metrics_loop();

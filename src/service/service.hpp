@@ -18,8 +18,8 @@
 //   * route_raw() ships the *unparsed* line: the producer only needs the
 //     peeked (op, island) routing key (protocol.hpp peek_request); the
 //     expensive parse_request() runs on the shard worker. route() ships an
-//     already-parsed Request for callers that have one (tests, the
-//     peek-miss fallback, parse-on-ingest baselines).
+//     already-parsed Request for callers that have one (tests and the
+//     peek-miss fallback).
 //   * Producer-side staging batches ring traffic: route_raw() appends to a
 //     per-(producer, shard) buffer and push_n moves the whole batch with
 //     one acquire/release pair when the batch fills or flush() is called.

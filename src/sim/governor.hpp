@@ -33,7 +33,7 @@
 // Determinism contract (docs/governor.md): decisions are a pure function
 // of the (choose_state, observe) call sequence — no clocks, no randomness
 // — so any accounting that feeds gaps in chronological order is
-// bit-reproducible at any --jobs/--tile, provided each parallel unit owns
+// bit-reproducible at any --jobs, provided each parallel unit owns
 // its own governor.
 #pragma once
 

@@ -47,21 +47,17 @@ double Comparison::memory_saving_sdem() const {
 }
 
 Comparison run_comparison(const TaskSet& arrivals, const SystemConfig& cfg) {
-  ComparisonScratch scratch;
-  return run_comparison(arrivals, cfg, scratch);
-}
-
-Comparison run_comparison(const TaskSet& arrivals, const SystemConfig& cfg,
-                          ComparisonScratch& scratch) {
   SDEM_OBS_TIMER("metrics/run_comparison");
   Comparison cmp;
 
-  const SimResult mbkp_sim = simulate(arrivals, cfg, scratch.mbkp);
+  MbkpPolicy mbkp;
+  const SimResult mbkp_sim = simulate(arrivals, cfg, mbkp);
   cmp.mbkp = evaluate_policy(mbkp_sim, cfg, SleepDiscipline::kNever, "MBKP");
   cmp.mbkps =
       evaluate_policy(mbkp_sim, cfg, SleepDiscipline::kOptimal, "MBKPS");
 
-  const SimResult sdem_sim = simulate(arrivals, cfg, scratch.sdem);
+  SdemOnPolicy sdem;
+  const SimResult sdem_sim = simulate(arrivals, cfg, sdem);
   cmp.sdem =
       evaluate_policy(sdem_sim, cfg, SleepDiscipline::kOptimal, "SDEM-ON");
   // Per-run headline gauges: how long the memory sleeps under each policy's

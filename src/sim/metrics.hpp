@@ -51,23 +51,7 @@ struct Comparison {
   }
 };
 
-/// Reusable state for run_comparison. The two policy objects carry replan
-/// scratch buffers (dense id slots, per-slot arrays, the transition solver
-/// workspace) that only grow; keeping one scratch alive across many
-/// comparisons — e.g. across the cells of one grid tile, see
-/// parallel_for_grid_tiled — pays those allocations once instead of per
-/// cell. simulate() resets all logical policy state at the start of every
-/// run, so the scratch-reusing overload is bit-identical to the plain one.
-struct ComparisonScratch {
-  MbkpPolicy mbkp;
-  SdemOnPolicy sdem;
-};
-
 /// Simulate both policies on `arrivals` and account all three comparators.
 Comparison run_comparison(const TaskSet& arrivals, const SystemConfig& cfg);
-
-/// Scratch-reusing overload, bit-identical to the one above.
-Comparison run_comparison(const TaskSet& arrivals, const SystemConfig& cfg,
-                          ComparisonScratch& scratch);
 
 }  // namespace sdem

@@ -20,47 +20,33 @@ std::string Table::fmt(double v, int precision) {
   return buf;
 }
 
-std::string Table::to_text() const {
-  std::vector<std::size_t> width(header_.size());
-  for (std::size_t c = 0; c < header_.size(); ++c) width[c] = header_[c].size();
-  for (const auto& row : rows_) {
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      width[c] = std::max(width[c], row[c].size());
-    }
-  }
-  std::ostringstream os;
-  auto emit = [&](const std::vector<std::string>& row) {
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      os << "| ";
-      os << row[c];
-      os << std::string(width[c] - row[c].size() + 1, ' ');
-    }
-    os << "|\n";
-  };
-  emit(header_);
-  os << '|';
-  for (std::size_t c = 0; c < header_.size(); ++c) {
-    os << std::string(width[c] + 2, '-') << '|';
-  }
-  os << '\n';
-  for (const auto& row : rows_) emit(row);
-  return os.str();
+namespace {
+
+/// Display width of a UTF-8 cell: its code points, i.e. every byte that is
+/// not a continuation byte (10xxxxxx). "§5" is two columns, not three.
+std::size_t display_width(const std::string& cell) {
+  std::size_t n = 0;
+  for (const unsigned char b : cell) n += (b & 0xC0) != 0x80;
+  return n;
 }
 
-std::string Table::to_markdown() const {
+}  // namespace
+
+std::string Table::to_text() const {
   std::vector<std::size_t> width(header_.size());
-  for (std::size_t c = 0; c < header_.size(); ++c) width[c] = header_[c].size();
+  for (std::size_t c = 0; c < header_.size(); ++c)
+    width[c] = display_width(header_[c]);
   for (const auto& row : rows_) {
     for (std::size_t c = 0; c < row.size(); ++c) {
-      width[c] = std::max(width[c], row[c].size());
+      width[c] = std::max(width[c], display_width(row[c]));
     }
   }
   std::ostringstream os;
   auto emit = [&](const std::vector<std::string>& row) {
     os << '|';
     for (std::size_t c = 0; c < row.size(); ++c) {
-      os << ' ' << row[c] << std::string(width[c] - row[c].size() + 1, ' ')
-         << '|';
+      os << ' ' << row[c]
+         << std::string(width[c] - display_width(row[c]) + 1, ' ') << '|';
     }
     os << '\n';
   };

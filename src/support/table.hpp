@@ -1,8 +1,9 @@
 // Plain-text table rendering for the benchmark harness.
 //
-// Every bench binary prints its figure/table as an aligned ASCII table plus
-// a machine-readable CSV block; to_markdown() is the EXPERIMENTS.md
-// rendering (`sdem_bench_runner --md` prints it directly).
+// Every experiment prints its figure/table as an aligned text table plus a
+// machine-readable CSV block. The aligned text is GitHub-flavored markdown,
+// so `sdem_bench_runner --md` prints the same rendering EXPERIMENTS.md
+// embeds.
 #pragma once
 
 #include <string>
@@ -20,15 +21,13 @@ class Table {
   /// Convenience: format doubles with fixed precision.
   static std::string fmt(double v, int precision = 4);
 
-  /// Aligned, human-readable rendering.
+  /// Aligned rendering that is also a GitHub-flavored markdown table
+  /// (header, separator, rows). Cells pad by UTF-8 code points, so
+  /// non-ASCII cells stay aligned.
   std::string to_text() const;
 
   /// CSV rendering (header + rows).
   std::string to_csv() const;
-
-  /// GitHub-flavored markdown rendering (header, separator, rows) — what
-  /// EXPERIMENTS.md embeds; `sdem_bench_runner --md` prints this.
-  std::string to_markdown() const;
 
   const std::vector<std::string>& header() const { return header_; }
   const std::vector<std::string>& row(std::size_t i) const { return rows_[i]; }

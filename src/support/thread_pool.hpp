@@ -111,43 +111,4 @@ void parallel_for_grid(ThreadPool* pool, int points, int seeds, Fn&& fn) {
   });
 }
 
-/// Tiled variant of parallel_for_grid: the flat point-major cell range is
-/// cut into runs of `tile` consecutive cells and each run becomes one pool
-/// task that first calls `make_ctx()` and then hands the same context to
-/// every cell in the run — `fn(ctx, point, seed, slot)`. The context is the
-/// amortization vehicle: a solver workspace or policy pair created once per
-/// tile keeps its grown buffers warm across the tile's cells instead of
-/// being rebuilt per cell. tile <= 1 degenerates to one cell per task; the
-/// serial path (null pool) uses a single context for the whole grid, which
-/// is exactly the largest legal tile. Bit-identity holds for any (tile,
-/// jobs) pair for the same reason it holds untiled: cells write only their
-/// own slots and the caller folds slots in flat order — provided `fn` gives
-/// the same results for a fresh and a reused context (reuse must be
-/// semantically stateless, e.g. policies that reset per run).
-template <typename MakeCtx, typename Fn>
-void parallel_for_grid_tiled(ThreadPool* pool, int points, int seeds, int tile,
-                             MakeCtx&& make_ctx, Fn&& fn) {
-  if (points <= 0 || seeds <= 0) return;
-  const std::size_t total =
-      static_cast<std::size_t>(points) * static_cast<std::size_t>(seeds);
-  const std::size_t sseeds = static_cast<std::size_t>(seeds);
-  if (pool == nullptr) {
-    auto ctx = make_ctx();
-    for (std::size_t i = 0; i < total; ++i) {
-      fn(ctx, i / sseeds, static_cast<std::uint64_t>(i % sseeds) + 1, i);
-    }
-    return;
-  }
-  const std::size_t step = tile > 1 ? static_cast<std::size_t>(tile) : 1;
-  const std::size_t tiles = (total + step - 1) / step;
-  pool->parallel_for(tiles, [&fn, &make_ctx, sseeds, step,
-                             total](std::size_t t) {
-    auto ctx = make_ctx();
-    const std::size_t hi = std::min(total, (t + 1) * step);
-    for (std::size_t i = t * step; i < hi; ++i) {
-      fn(ctx, i / sseeds, static_cast<std::uint64_t>(i % sseeds) + 1, i);
-    }
-  });
-}
-
 }  // namespace sdem

@@ -1,7 +1,8 @@
 // In-process daemon tests (src/service/daemon.hpp): ephemeral-port TCP,
 // requests fragmented across writes (the poll-loop partial-read
 // regression), per-connection response ordering with multiple acceptors,
-// malformed lines answered in order, and clean SHUTDOWN.
+// malformed, peek-miss and over-long lines answered in order, and clean
+// SHUTDOWN.
 #include "service/daemon.hpp"
 
 #include <gtest/gtest.h>
@@ -244,16 +245,62 @@ TEST(Daemon, ShutdownStopsRunAndReportsCount) {
   EXPECT_EQ(h.rc, 0);
 }
 
-TEST(Daemon, ParseOnIngestBaselineStillServes) {
+TEST(Daemon, PeekMissSubmitParsedOnAcceptor) {
+  // "island":2.0 is a valid island id the allocation-free peek will not
+  // route, so the acceptor parses the line itself and routes the Request.
   DaemonOptions opt;
   opt.shards = 2;
-  opt.parse_on_shard = false;
   DaemonHarness h(opt);
   LineClient c(h.port);
-  c.send(submit_line(0, 1, 0.0) + "\n");
+  c.send(
+      "{\"op\":\"SUBMIT\",\"island\":2.0,\"task\":{\"id\":1,\"release\":0,"
+      "\"deadline\":1,\"work\":0.05}}\n" +
+      submit_line(2, 2, 0.0) + "\n");
+  const Json r1 = Json::parse(c.recv_line());
+  ASSERT_TRUE(r1.at("ok").as_bool()) << r1.dump(0);
+  EXPECT_EQ(r1.at("island").as_number(), 2.0);
+  EXPECT_EQ(r1.at("id").as_number(), 1.0);
+  const Json r2 = Json::parse(c.recv_line());
+  ASSERT_TRUE(r2.at("ok").as_bool()) << r2.dump(0);
+  EXPECT_EQ(r2.at("id").as_number(), 2.0);
+}
+
+TEST(Daemon, OverlongLineGetsOneErrorThenServes) {
+  // 2 MiB with no newline: the daemon answers once the line passes
+  // kMaxLineBytes, drops the rest up to its newline without buffering it,
+  // and serves the next SUBMIT on the same connection.
+  DaemonOptions opt;
+  opt.shards = 2;
+  DaemonHarness h(opt);
+  LineClient c(h.port);
+  const std::string piece(64 * 1024, 'x');
+  for (int i = 0; i < 32; ++i) c.send(piece);
+  c.send("\n" + submit_line(0, 9, 0.0) + "\n");
+  const Json err = Json::parse(c.recv_line());
+  EXPECT_FALSE(err.at("ok").as_bool()) << err.dump(0);
+  EXPECT_NE(err.at("error").as_string().find("exceeds"), std::string::npos)
+      << err.dump(0);
   const Json resp = Json::parse(c.recv_line());
   ASSERT_TRUE(resp.at("ok").as_bool()) << resp.dump(0);
-  EXPECT_EQ(resp.at("id").as_number(), 1.0);
+  EXPECT_EQ(resp.at("op").as_string(), "SUBMIT");
+  EXPECT_EQ(resp.at("id").as_number(), 9.0);
+}
+
+TEST(Daemon, LineAtTheCapIsServed) {
+  // The cap counts the line without its newline: a SUBMIT padded with
+  // spaces to exactly kMaxLineBytes is parsed, one byte more is rejected.
+  DaemonOptions opt;
+  opt.shards = 1;
+  DaemonHarness h(opt);
+  LineClient c(h.port);
+  const std::string line = submit_line(0, 1, 0.0);
+  const std::size_t pad = Daemon::kMaxLineBytes - line.size();
+  c.send(std::string(pad, ' ') + line + "\n");
+  c.send(std::string(pad + 1, ' ') + submit_line(0, 2, 0.0) + "\n");
+  const Json ok = Json::parse(c.recv_line());
+  ASSERT_TRUE(ok.at("ok").as_bool()) << ok.dump(0);
+  EXPECT_EQ(ok.at("id").as_number(), 1.0);
+  EXPECT_FALSE(Json::parse(c.recv_line()).at("ok").as_bool());
 }
 
 }  // namespace

@@ -3,7 +3,8 @@
 // identical whatever the thread count, reset that keeps cached call-site
 // cells valid, macros that compile to no-ops under SDEM_OBS=0 (this file
 // builds and passes in both modes), and a Chrome-trace sink whose B/E
-// duration pairs are monotone and well-nested per thread.
+// duration pairs are monotone and well-nested per thread. Also home to the
+// bench registry's name-filter contract, next to its find_experiment use.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -105,6 +106,20 @@ TEST(Obs, CounterMergeIsJobCountIndependent) {
     // Not vacuous: the run populated simulator and solver counters.
     EXPECT_NE(serial.find("sim/runs"), std::string::npos);
     EXPECT_NE(serial.find("agreeable/solves"), std::string::npos);
+  }
+}
+
+TEST(BenchRegistry, EachNameSelectsExactlyOne) {
+  // `--filter <name>` matches by substring; tools/check_bench_regression.py
+  // and the comma-joined perfbench filter rely on a full name selecting
+  // only its own experiment, so no name may contain another.
+  const auto& all = bench::all_experiments();
+  ASSERT_FALSE(all.empty());
+  for (const bench::Experiment& e : all) {
+    const std::vector<const bench::Experiment*> hit =
+        bench::match_experiments(e.name);
+    ASSERT_EQ(hit.size(), 1u) << e.name;
+    EXPECT_EQ(hit[0], &e) << e.name;
   }
 }
 

@@ -1,6 +1,6 @@
 // Batched/SIMD solver kernels (src/core/block_kernel.hpp, support/simd.hpp)
-// and the fused grid-sweep cells (parallel_for_grid_tiled): the bit-equality
-// contracts PR 7 introduced.
+// and the pooled grid-sweep cells (parallel_for_grid): the bit-equality
+// contracts of the batched kernels.
 //
 //   * block_piece_batch must equal block_piece_scalar lane for lane,
 //     bitwise, on any input mix — race/fill/clamped regimes, infeasible
@@ -12,9 +12,9 @@
 //   * BlockContext::set_cross_check must audit the batched evaluator: a
 //     full agreeable solve under audit reports zero mismatches against the
 //     exact O(k) block_energy_at.
-//   * Tiled grid sweeps must be pure layout: collect_grid_comparisons at
-//     any tile size — and serially — returns identical bytes, per-cell
-//     counter attribution included.
+//   * Pooled grid sweeps must be pure layout: collect_grid_comparisons on a
+//     pool and serially returns identical bytes, per-cell counter
+//     attribution included.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -171,7 +171,7 @@ void expect_grids_identical(
 }
 
 TEST(SimdKernels, TiledGridIsPureLayout) {
-  // tiled (several sizes) ≡ untiled ≡ serial, per-cell counters included.
+  // pooled ≡ serial, per-cell counters included.
   const auto make_trace = [](std::size_t point, std::uint64_t seed) {
     return make_agreeable(8 + static_cast<int>(point) * 2, seed * 31 + point,
                           0.080);
@@ -183,14 +183,9 @@ TEST(SimdKernels, TiledGridIsPureLayout) {
   const auto serial =
       bench::collect_grid_comparisons(make_trace, cfg_for, kPoints, kSeeds);
   ThreadPool pool(3);
-  const auto untiled = bench::collect_grid_comparisons(make_trace, cfg_for,
-                                                       kPoints, kSeeds, &pool);
-  expect_grids_identical(serial, untiled, "serial vs untiled");
-  for (const int tile : {2, 5, 64}) {
-    const auto tiled = bench::collect_grid_comparisons(
-        make_trace, cfg_for, kPoints, kSeeds, &pool, tile);
-    expect_grids_identical(serial, tiled, "serial vs tiled");
-  }
+  const auto pooled = bench::collect_grid_comparisons(make_trace, cfg_for,
+                                                      kPoints, kSeeds, &pool);
+  expect_grids_identical(serial, pooled, "serial vs pooled");
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-// Tests for the ASCII table renderer used by the bench harness.
+// Tests for the text (markdown) table renderer used by the bench harness.
 #include <gtest/gtest.h>
 
 #include "support/table.hpp"
@@ -15,6 +15,19 @@ TEST(Table, AlignedTextOutput) {
   EXPECT_NE(s.find("| longer-name"), std::string::npos);
   // Header separator present.
   EXPECT_NE(s.find("|---"), std::string::npos);
+}
+
+TEST(Table, NonAsciiCellsAlign) {
+  // "§" is two bytes but one column: cells pad by UTF-8 code points, so
+  // every bar lines up (the runner's --list shows "§5 ablation" etc.).
+  Table t({"item", "n"});
+  t.add_row({"§5 ablation", "1"});
+  t.add_row({"Fig. 6a", "22"});
+  EXPECT_EQ(t.to_text(),
+            "| item        | n  |\n"
+            "|-------------|----|\n"
+            "| §5 ablation | 1  |\n"
+            "| Fig. 6a     | 22 |\n");
 }
 
 TEST(Table, CsvOutput) {

@@ -1,11 +1,12 @@
 // sdem_bench_runner — one command for the paper's evaluation (§8).
 //
-// Runs any subset of the registered experiments (bench/bench_registry.hpp)
-// with the seed sweeps spread across a thread pool, prints the same tables
-// the standalone bench binaries print, and writes one BENCH_<name>.json
-// per experiment with full-precision per-seed metrics, per-seed solver
-// timings, and the experiment wall-clock. docs/benchmarks.md documents the
-// JSON schema and the regeneration recipes.
+// The one entry point to the evaluation: runs any subset of the registered
+// experiments (bench/bench_registry.hpp) with the seed sweeps spread across
+// a thread pool, prints each experiment's tables, and writes one
+// BENCH_<name>.json per experiment with full-precision per-seed metrics,
+// per-seed solver timings, and the experiment wall-clock.
+// docs/benchmarks.md documents the JSON schema and the regeneration
+// recipes.
 //
 //   sdem_bench_runner --list
 //   sdem_bench_runner                        # full sweep, all defaults
@@ -55,10 +56,7 @@ int usage(int code) {
       "                    stdout; default BENCH_<name>.json per experiment\n"
       "  --stable          omit timings, job count, and observability\n"
       "                    sections from the JSON (byte-reproducible across\n"
-      "                    runs, --jobs, and --tile)\n"
-      "  --tile N          grid cells per pool task for grid-shaped sweeps;\n"
-      "                    > 1 reuses one solver scratch across N adjacent\n"
-      "                    (point, seed) cells (results are tile-invariant)\n"
+      "                    runs and --jobs)\n"
       "  --timer-rollup    after each experiment, print the scoped-timer\n"
       "                    hierarchy as an indented inclusive/exclusive table\n"
       "  --trace PATH      record a chrome://tracing JSON of the whole run\n"
@@ -183,8 +181,8 @@ void print_timer_rollup(const obs::Snapshot& snap) {
 void print_markdown(const ExperimentResult& r) {
   std::printf("## %s\n\n%s\n\n", r.header_title.c_str(),
               r.header_what.c_str());
-  for (const Table& t : r.tables)
-    std::printf("%s\n", t.to_markdown().c_str());
+  // Table::to_text is already GitHub markdown (header, separator, rows).
+  for (const Table& t : r.tables) std::printf("%s\n", t.to_text().c_str());
   for (const std::string& f : r.footers) std::printf("%s\n", f.c_str());
   if (!r.footers.empty()) std::printf("\n");
 }
@@ -204,7 +202,6 @@ int main(int argc, char** argv) {
   std::string trace_path;
   int seeds = 0;
   int jobs = ThreadPool::hardware_jobs();
-  int tile = 1;
   bool list = false, md = false, quiet = false, stable = false;
   bool timer_rollup = false;
 
@@ -235,13 +232,6 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "--jobs needs a positive integer, got '%s'\n", v);
         return usage(2);
       }
-    } else if (arg == "--tile") {
-      const char* v = value("--tile");
-      tile = std::atoi(v);
-      if (tile <= 0) {
-        std::fprintf(stderr, "--tile needs a positive integer, got '%s'\n", v);
-        return usage(2);
-      }
     } else if (arg == "--timer-rollup") {
       timer_rollup = true;
     } else if (arg == "--out") {
@@ -269,11 +259,10 @@ int main(int argc, char** argv) {
     return 1;
   }
   if (list) {
-    Table t({"name", "paper item", "seeds", "standalone binary",
-             "description"});
+    Table t({"name", "paper item", "seeds", "description"});
     for (const Experiment* e : selected)
       t.add_row({e->name, e->paper_item, std::to_string(e->default_seeds),
-                 e->binary, e->description});
+                 e->description});
     std::printf("%s", t.to_text().c_str());
     return 0;
   }
@@ -305,7 +294,6 @@ int main(int argc, char** argv) {
     RunOptions opt;
     opt.seeds = seeds;
     opt.pool = pool.get();
-    opt.tile = tile;
     // Fresh counters per experiment: the "counters" section of
     // BENCH_<name>.json covers exactly this experiment's work.
     obs::Registry::instance().reset();

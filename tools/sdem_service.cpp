@@ -70,8 +70,6 @@ int usage(int code) {
       "  --port PORT       also serve ndjson on 127.0.0.1:PORT (0 = pick a\n"
       "                    free port; the chosen port is printed to stderr)\n"
       "  --queue-capacity N  per (producer, shard) ring slots (default 1024)\n"
-      "  --parse-on-ingest parse every line on the ingest thread instead of\n"
-      "                    the shard workers (pre-pipelining baseline)\n"
       "  --replay FILE     replay an ndjson arrival stream deterministically\n"
       "                    and print per-island schedules to stdout\n"
       "  --verify-batch    with --replay: re-run the batch simulator per\n"
@@ -98,7 +96,6 @@ struct Options {
   int acceptors = 1;
   int port = -1;  ///< -1 = no TCP
   std::size_t queue_capacity = 1024;
-  bool parse_on_ingest = false;
   std::string replay;
   bool verify_batch = false;
   long gen_stream = 0;
@@ -234,17 +231,15 @@ int run_replay(const Options& o) {
   std::uint64_t seq = 0;
   while (std::getline(in, line)) {
     if (line.empty()) continue;
-    if (!o.parse_on_ingest) {
-      // Pipelined path (the default): route by peek, parse on the shard.
-      // Parse failures surface through the error callback, sequence-tagged.
-      const Peeked peek = peek_request(line);
-      if (peek.routable() && peek.op == Op::kSubmit) {
-        const std::uint64_t s = seq++;
-        svc.route_raw(peek.island, peek.op, std::move(line), s, 0, s);
-        continue;
-      }
+    // Route by peek, parse on the shard. Parse failures surface through
+    // the error callback, sequence-tagged.
+    const Peeked peek = peek_request(line);
+    if (peek.routable() && peek.op == Op::kSubmit) {
+      const std::uint64_t s = seq++;
+      svc.route_raw(peek.island, peek.op, std::move(line), s, 0, s);
+      continue;
     }
-    // Baseline path, and the peek-miss fallback (e.g. {"island":2.0}).
+    // Peek miss (e.g. {"island":2.0}): parse here.
     Parsed p = parse_request(line);
     if (!p.ok) {
       std::fprintf(stderr, "replay line %llu: %s\n",
@@ -440,8 +435,6 @@ int main(int argc, char** argv) {
         return usage(2);
       }
       o.queue_capacity = static_cast<std::size_t>(v);
-    } else if (arg == "--parse-on-ingest") {
-      o.parse_on_ingest = true;
     } else if (arg == "--replay") {
       o.replay = value("--replay");
     } else if (arg == "--verify-batch") {
@@ -498,7 +491,6 @@ int main(int argc, char** argv) {
       dopt.port = o.port;
       dopt.use_stdin = true;
       dopt.queue_capacity = o.queue_capacity;
-      dopt.parse_on_shard = !o.parse_on_ingest;
       dopt.metrics_interval_s = o.metrics_interval;
       dopt.metrics_path = o.metrics_out;
       Daemon daemon(dopt);
