@@ -43,6 +43,7 @@ void Daemon::ResponseWriter::close_conn(int id) {
 
 void Daemon::ResponseWriter::deposit(int conn_id, std::uint64_t conn_seq,
                                      std::string line) {
+  line.push_back('\n');
   std::lock_guard<std::mutex> lock(mu_);
   auto it = conns_.find(conn_id);
   if (it == conns_.end()) return;  // connection gone: best-effort drop
@@ -56,18 +57,16 @@ void Daemon::ResponseWriter::deposit(int conn_id, std::uint64_t conn_seq,
 }
 
 void Daemon::ResponseWriter::write_line(int fd, const std::string& line) {
-  std::string out = line;
-  out.push_back('\n');
   if (fd < 0) {
-    std::fwrite(out.data(), 1, out.size(), stdout);
+    std::fwrite(line.data(), 1, line.size(), stdout);
     std::fflush(stdout);
     return;
   }
   // Best effort: a disconnected client just loses its responses (SIGPIPE
   // is ignored; EPIPE is expected).
   std::size_t off = 0;
-  while (off < out.size()) {
-    const ssize_t n = ::write(fd, out.data() + off, out.size() - off);
+  while (off < line.size()) {
+    const ssize_t n = ::write(fd, line.data() + off, line.size() - off);
     if (n < 0 && errno == EINTR) continue;
     if (n <= 0) return;
     off += static_cast<std::size_t>(n);
@@ -407,7 +406,7 @@ void Daemon::dispatch(Acceptor& a, const std::string& line, Conn& c) {
 
   const Peeked peek = peek_request(line);
   if (peek.routable()) {
-    // Fast path: ship the raw line; the shard worker parses it.
+    // Fast path: ship the raw line; the shard's drain parses it.
     std::shared_lock<std::shared_mutex> gate(barrier_mu_);
     svc_->route_raw(peek.island, peek.op, line, seq, c.id, conn_seq, a.index);
     return;

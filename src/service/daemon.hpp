@@ -9,7 +9,9 @@
 // listener; accepted connections are handed out round-robin over wake
 // pipes and then belong to exactly one acceptor for life — which is what
 // keeps each (producer, shard) ring single-producer and each connection's
-// request stream in arrival order.
+// request stream in arrival order. An acceptor that finds a shard's drain
+// short runs it itself (read, parse, commit, dump and write on one thread);
+// longer drains go to the `shards`-thread pool.
 //
 // Per-connection response order is restored by a reorder buffer keyed on
 // Request::conn_seq (shards complete out of order; two connections'
@@ -45,7 +47,9 @@ struct DaemonOptions {
   int shards = 1;
   /// Ingest/poll threads; connections are assigned round-robin. More than
   /// one only pays off when many slow clients or peek-miss lines (parsed on
-  /// the acceptor) dominate.
+  /// the acceptor) dominate. Each acceptor also runs the short drains it
+  /// schedules (service.hpp), so more acceptors run more of them in
+  /// parallel.
   int acceptors = 1;
   int port = -1;           ///< -1 = no TCP; 0 = pick a free port
   bool use_stdin = true;   ///< serve requests on stdin/stdout (CLI mode)
@@ -93,6 +97,8 @@ class Daemon {
     /// Invalidate the fd under the lock, close it, and drop undelivered
     /// responses. After this, deposits for `id` are discarded.
     void close_conn(int id);
+    /// Queue `line` (no trailing newline) as response `conn_seq` and write
+    /// every response that is now next in order.
     void deposit(int conn_id, std::uint64_t conn_seq, std::string line);
 
     ResponseWriter();
@@ -103,6 +109,7 @@ class Daemon {
       std::uint64_t next = 0;
       std::map<std::uint64_t, std::string> held;
     };
+    /// Write one newline-terminated line to fd (-1 = stdout).
     static void write_line(int fd, const std::string& line);
 
     std::mutex mu_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 
@@ -39,6 +40,24 @@ double dist_percentile(const obs::DistValue& d, double q) {
 constexpr std::size_t kIngestBatch = 64;
 constexpr std::size_t kDrainBatch = 64;
 
+/// A producer that wins a shard's drain runs it on its own thread while the
+/// drain is short, since then a pool wake-up costs more than the work (the
+/// paper's break-even rule applied to the daemon). Short means, first, that
+/// the shard's rings hold at most kInlineBatch messages: a closed-loop
+/// client pushes one per flush, while batch ingest (--replay, piped stdin,
+/// service_throughput) pushes kIngestBatch and keeps its producer/shard
+/// overlap on the pool. The inline drain also handles at most this many
+/// messages before it hands the rest to the pool, so other producers'
+/// traffic cannot hold a producer.
+constexpr std::size_t kInlineBatch = 4;
+/// Second, the island the shard served last had at most this many pending
+/// tasks. The §7 solve and the QUERY dump both grow with the pending set;
+/// past it, one acceptor running every commit itself would serialize its
+/// connections' slow commits.
+constexpr std::size_t kInlinePending = 16;
+/// A pool drain's budget: it runs until the rings are empty.
+constexpr std::size_t kUnbounded = std::numeric_limits<std::size_t>::max();
+
 }  // namespace
 
 std::unique_ptr<OnlinePolicy> make_policy(const std::string& name) {
@@ -65,7 +84,7 @@ struct Service::Island {
 };
 
 /// One ring entry: either an already-parsed request (raw.empty()) or a raw
-/// line to parse on the shard worker. For raw entries, `req` carries the
+/// line to parse in the shard's drain. For raw entries, `req` carries the
 /// routing skeleton — peeked op/island plus seq/conn/conn_seq.
 struct Service::Msg {
   Request req;
@@ -95,6 +114,14 @@ struct Service::Shard {
   /// Backoff pauses taken by producers waiting on this shard's full rings
   /// (the METRICS backpressure gauge; one count per wait step).
   std::atomic<std::uint64_t> stalls{0};
+  /// Drains run on a producer's thread and drains submitted to the pool
+  /// (METRICS sdem_shard_drains_total). An inline drain that outgrows its
+  /// budget and moves to the pool counts once in each.
+  std::atomic<std::uint64_t> inline_drains{0};
+  std::atomic<std::uint64_t> pool_drains{0};
+  /// Pending tasks on the island the last SUBMIT or QUERY served: written
+  /// by the drain, read by producers choosing where the next drain runs.
+  std::atomic<std::size_t> last_pending{0};
 
   std::map<int, std::unique_ptr<Island>> islands;
   std::string replan_metric;
@@ -190,11 +217,19 @@ Service::Island& Service::island_of(Shard& s, int island) {
 }
 
 void Service::schedule_drain(Shard& s) {
-  if (pool_ != nullptr) {
-    pool_->submit([this, sp = &s] { drain(*sp); });
-  } else {
-    drain(s);
+  // The caller won `scheduled`, so it owns the drain; only which thread runs
+  // it is chosen here, never the order in which messages are handled.
+  if (pool_ == nullptr ||
+      (s.ring_occupancy() <= kInlineBatch &&
+       s.last_pending.load(std::memory_order_relaxed) <= kInlinePending)) {
+    s.inline_drains.fetch_add(1, std::memory_order_relaxed);
+    // Without a pool there is nobody to hand work to: drain it all here.
+    if (drain(s, pool_ == nullptr ? kUnbounded : kInlineBatch)) return;
+    // Work remains past the budget: the drain is still ours (`scheduled`
+    // stays set), so the pool task takes it over without a retire.
   }
+  s.pool_drains.fetch_add(1, std::memory_order_relaxed);
+  pool_->submit([this, sp = &s] { drain(*sp, kUnbounded); });
 }
 
 void Service::flush_shard(Producer& p, std::size_t shard) {
@@ -272,9 +307,9 @@ void Service::flush(int producer) {
   }
 }
 
-void Service::drain(Shard& s) {
+bool Service::drain(Shard& s, std::size_t budget) {
   // Cells live in the calling thread's obs shard — resolve per drain, not
-  // per service, because successive drains may land on different workers.
+  // per service, because successive drains may land on different threads.
   ShardCells cells;
 #if SDEM_OBS
   cells.replan =
@@ -289,10 +324,10 @@ void Service::drain(Shard& s) {
   Msg buf[kDrainBatch];
   for (;;) {
     bool progressed = true;
-    while (progressed) {
+    while (progressed && budget > 0) {
       progressed = false;
       for (const auto& ring : s.rings) {
-        const std::size_t k = ring->pop_n(buf, kDrainBatch);
+        const std::size_t k = ring->pop_n(buf, std::min(kDrainBatch, budget));
         for (std::size_t i = 0; i < k; ++i) {
           handle(s, buf[i], cells);
 #if SDEM_OBS
@@ -307,27 +342,32 @@ void Service::drain(Shard& s) {
         }
         if (k > 0) {
           progressed = true;
+          budget -= k;
           s.processed.fetch_add(k, std::memory_order_release);
 #if SDEM_OBS
           *req_count += k;
 #endif
         }
+        if (budget == 0) break;
       }
     }
+    // Out of budget with work left: return still holding `scheduled`.
+    if (budget == 0 && !s.empty()) return false;
     // Standard actor hand-off: unpublish, re-check, re-acquire or retire.
     // The fence keeps the re-check from reading the rings before the
     // unpublish is visible (store-load order; see flush_shard).
     s.scheduled.store(false, std::memory_order_release);
     std::atomic_thread_fence(std::memory_order_seq_cst);
-    if (s.empty()) return;
-    if (s.scheduled.exchange(true, std::memory_order_acq_rel)) return;
+    if (s.empty()) return true;
+    if (s.scheduled.exchange(true, std::memory_order_acq_rel)) return true;
   }
 }
 
 void Service::handle(Shard& s, Msg& m, const ShardCells& cells) {
   if (!m.raw.empty()) {
     // Parse-on-shard: the ingest thread shipped the raw line; the DOM
-    // parse and validation happen here, off the ingest critical path.
+    // parse and validation happen in the drain, which is off the ingest
+    // thread unless the drain was short enough to run inline.
     Parsed p = parse_request(m.raw);
     if (!p.ok) {
       done_(m.req, error_response(m.req.seq, p.error));
@@ -414,6 +454,8 @@ void Service::process(Shard& s, Request& r, const ShardCells& cells) {
         cells.replan->add(static_cast<double>(now - t_inject));
         cells.replan_win->add(static_cast<double>(now - t_inject), now);
       }
+      s.last_pending.store(isl.sim.pending().size(),
+                           std::memory_order_relaxed);
       done_(r, std::move(resp));
       return;
     }
@@ -425,6 +467,7 @@ void Service::process(Shard& s, Request& r, const ShardCells& cells) {
       return;
     }
     const Island& isl = *it->second;
+    s.last_pending.store(isl.sim.pending().size(), std::memory_order_relaxed);
     Json resp = ok_response(Op::kQuery, r.seq);
     resp.set("island", r.island);
     resp.set("policy", isl.policy->name());
@@ -575,6 +618,17 @@ std::string Service::metrics_text() const {
     line("sdem_backpressure_stalls_total" + shard_label(i) + " " +
          prom_num(static_cast<double>(
              shards_[i]->stalls.load(std::memory_order_relaxed))));
+  }
+  line("# TYPE sdem_shard_drains_total counter");
+  for (std::size_t i = 0; i < shards_.size(); ++i) {
+    const std::string prefix = "sdem_shard_drains_total{shard=\"" +
+                               std::to_string(i) + "\",where=\"";
+    line(prefix + "inline\"} " +
+         prom_num(static_cast<double>(
+             shards_[i]->inline_drains.load(std::memory_order_relaxed))));
+    line(prefix + "pool\"} " +
+         prom_num(static_cast<double>(
+             shards_[i]->pool_drains.load(std::memory_order_relaxed))));
   }
 #if SDEM_OBS
   // Windowed latency summaries: quantiles over the last

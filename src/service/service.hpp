@@ -8,16 +8,23 @@
 //
 // Request flow is a three-stage pipeline (docs/service.md §3):
 //
-//   ingest (N producers)  →  SPSC rings  →  shard workers (parse + solve)
+//   ingest (N producers)  →  SPSC rings  →  shard drains (parse + solve)
 //
 //   * Producers are ingest threads (the daemon's acceptor threads, or the
 //     replay loop). Each producer owns one bounded SpscRing per shard
 //     (support/spsc_ring.hpp), so every ring stays strictly
 //     single-producer; the single in-flight drain per shard (an atomic
 //     `scheduled` flag) keeps it single-consumer.
+//   * The producer that wins `scheduled` owns the drain and picks its
+//     thread. A short drain (a few queued messages, a small pending set on
+//     the island the shard served last) runs on the producer itself: a
+//     closed-loop request then needs no pool wake-up. Anything longer, and
+//     an inline drain that outgrows its budget, goes to the pool. Without a
+//     pool every drain is inline. The choice moves no message and changes
+//     no byte.
 //   * route_raw() ships the *unparsed* line: the producer only needs the
 //     peeked (op, island) routing key (protocol.hpp peek_request); the
-//     expensive parse_request() runs on the shard worker. route() ships an
+//     expensive parse_request() runs in the shard's drain. route() ships an
 //     already-parsed Request for callers that have one (tests and the
 //     peek-miss fallback).
 //   * Producer-side staging batches ring traffic: route_raw() appends to a
@@ -42,7 +49,8 @@
 // (obs/window.hpp) — per-commit replan latency and ingest-to-response
 // latency over the last few seconds — which back the METRICS verb's
 // Prometheus exposition (metrics()/metrics_text(), docs/service.md §METRICS)
-// together with ring-occupancy and backpressure-stall gauges.
+// together with ring-occupancy, backpressure-stall and drain-placement
+// counts.
 #pragma once
 
 #include <atomic>
@@ -86,8 +94,10 @@ struct ServiceOptions {
 
 class Service {
  public:
-  /// `done(request, response)` fires once per routed request, possibly on a
-  /// pool thread; responses for one connection arrive in order only after
+  /// `done(request, response)` fires once per routed request, on a pool
+  /// thread or on the producer thread whose route()/route_raw()/flush()/
+  /// drain_all() ran the drain inline. It must therefore not call back into
+  /// the Service. Responses for one connection arrive in order only after
   /// the caller re-orders them (the daemon's ResponseWriter does, keyed on
   /// Request::conn_seq). For raw lines that fail to parse, `request` is a
   /// routing stub (seq/conn/conn_seq valid, task fields not).
@@ -105,7 +115,7 @@ class Service {
   /// never overtakes an earlier raw one from the same producer.
   void route(Request req, int producer = 0);
 
-  /// Stage one *raw* request line for shard routing; the shard worker
+  /// Stage one *raw* request line for shard routing; the shard's drain
   /// parses it (parse-on-shard). `island`/`op` are the peeked routing key
   /// (protocol.hpp peek_request) — callers must only pass lines whose peek
   /// was routable. seq/conn/conn_seq ride along for response ordering.
@@ -136,11 +146,12 @@ class Service {
 
   /// Prometheus text exposition (docs/service.md §METRICS): uptime and
   /// request totals, per-shard requests / ring occupancy / backpressure
-  /// stalls, and — when the obs layer is compiled in — windowed
-  /// p50/p99/p999 replan and end-to-end latency per shard plus the
-  /// cumulative registry counters (governor mispredict/abort rates
-  /// included). Callers must quiesce first (metrics() and the daemon's
-  /// barrier do); under SDEM_OBS=OFF only the obs-free families appear.
+  /// stalls / inline and pooled drains, and — when the obs layer is
+  /// compiled in — windowed p50/p99/p999 replan and end-to-end latency per
+  /// shard plus the cumulative registry counters (governor mispredict/abort
+  /// rates included). Callers must quiesce first (metrics() and the
+  /// daemon's barrier do); under SDEM_OBS=OFF only the obs-free families
+  /// appear.
   std::string metrics_text() const;
 
   /// Seconds since construction.
@@ -180,10 +191,15 @@ class Service {
 
   std::size_t shard_index(int island) const;
   Island& island_of(Shard& s, int island);
+  /// Run the drain the caller owns (it won `scheduled`) inline or on the
+  /// pool (service.cpp kInlineBatch, kInlinePending).
   void schedule_drain(Shard& s);
-  void drain(Shard& s);
+  /// Handle up to `budget` messages. Returns true once the drain has
+  /// retired; false when the budget ran out with work left, in which case
+  /// the caller still owns the drain and must hand it on.
+  bool drain(Shard& s, std::size_t budget);
   void flush_shard(Producer& p, std::size_t shard);
-  /// Parse (if raw) and process one dequeued message on the shard worker.
+  /// Parse (if raw) and process one dequeued message in the shard's drain.
   void handle(Shard& s, Msg& m, const ShardCells& cells);
   void process(Shard& s, Request& req, const ShardCells& cells);
 

@@ -1,4 +1,6 @@
-// Fixed-size thread pool for the benchmark harness.
+// Fixed-size thread pool for the benchmark harness, and for the online
+// service's longer shard drains (short ones run on the producer that
+// scheduled them, src/service/service.hpp).
 //
 // The paper's evaluation is embarrassingly parallel across seeds: every
 // seed builds its own trace and runs run_comparison independently, and the

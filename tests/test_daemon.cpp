@@ -1,8 +1,8 @@
 // In-process daemon tests (src/service/daemon.hpp): ephemeral-port TCP,
 // requests fragmented across writes (the poll-loop partial-read
 // regression), per-connection response ordering with multiple acceptors,
-// malformed, peek-miss and over-long lines answered in order, and clean
-// SHUTDOWN.
+// a two-connection closed loop drained on the acceptor, malformed,
+// peek-miss and over-long lines answered in order, and clean SHUTDOWN.
 #include "service/daemon.hpp"
 
 #include <gtest/gtest.h>
@@ -116,6 +116,17 @@ std::string submit_line(int island, int id, double release) {
   return req.dump(0);
 }
 
+/// One sdem_shard_drains_total sample from a METRICS body; -1 if absent.
+double shard_drains(const std::string& body, int shard,
+                    const std::string& where) {
+  const std::string key = "sdem_shard_drains_total{shard=\"" +
+                          std::to_string(shard) + "\",where=\"" + where +
+                          "\"} ";
+  const std::size_t at = body.find(key);
+  return at == std::string::npos ? -1.0
+                                 : std::stod(body.substr(at + key.size()));
+}
+
 TEST(Daemon, FragmentedSubmitAcrossTwoTcpWrites) {
   // Regression: a SUBMIT split mid-line across two TCP writes must be
   // reassembled by the poll loop, not dispatched per read().
@@ -204,6 +215,54 @@ TEST(Daemon, PerConnectionOrderWithTwoAcceptors) {
     EXPECT_EQ(rb.at("island").as_number(), 1.0);
     EXPECT_EQ(rb.at("id").as_number(), static_cast<double>(1000 + i))
         << "connection B responses out of order";
+  }
+}
+
+TEST(Daemon, ClosedLoopOnTwoConnectionsDrainsInline) {
+  // The benchmark's serve shape: two shards, one acceptor, and two
+  // connections that each keep one SUBMIT in flight, islands split by
+  // parity so each connection feeds its own shard. Every reply must arrive
+  // within 1 s and in request order, and the acceptor must have drained
+  // both shards itself: light requests never wait on a pool wake-up.
+  DaemonOptions opt;
+  opt.shards = 2;
+  opt.acceptors = 1;
+  DaemonHarness h(opt);
+  LineClient a(h.port);
+  LineClient b(h.port);
+  LineClient* conns[2] = {&a, &b};
+
+  constexpr int kPerConn = 200;
+  using Clock = std::chrono::steady_clock;
+  Clock::time_point sent[2];
+  const auto send = [&](int c, int i) {
+    // Islands 2k + c: this connection's shard. A task every 2 s against a
+    // 1 s window keeps each island's pending set tiny.
+    conns[c]->send(submit_line(2 * (i % 4) + c, i, 2.0 * i) + "\n");
+    sent[c] = Clock::now();
+  };
+  send(0, 0);
+  send(1, 0);
+  for (int i = 0; i < kPerConn; ++i) {
+    for (int c = 0; c < 2; ++c) {
+      const Json r = Json::parse(conns[c]->recv_line());
+      const auto waited = Clock::now() - sent[c];
+      ASSERT_TRUE(r.at("ok").as_bool()) << r.dump(0);
+      ASSERT_EQ(r.at("id").as_number(), static_cast<double>(i))
+          << "connection " << c << " answered out of order";
+      ASSERT_LT(waited, std::chrono::seconds(1))
+          << "connection " << c << " request " << i;
+      if (i + 1 < kPerConn) send(c, i + 1);
+    }
+  }
+
+  a.send("{\"op\":\"METRICS\"}\n");
+  const Json m = Json::parse(a.recv_line());
+  ASSERT_TRUE(m.at("ok").as_bool()) << m.dump(0);
+  const std::string& body = m.at("body").as_string();
+  for (int shard = 0; shard < 2; ++shard) {
+    EXPECT_GT(shard_drains(body, shard, "inline"), 0.0) << body;
+    EXPECT_EQ(shard_drains(body, shard, "pool"), 0.0) << body;
   }
 }
 

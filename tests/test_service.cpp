@@ -318,6 +318,13 @@ TEST(ServiceSemantics, MetricsExposesPrometheusText) {
   EXPECT_NE(body.find("sdem_shard_requests_total{shard=\"0\"} "), npos);
   EXPECT_NE(body.find("sdem_ring_occupancy{shard=\"1\"} "), npos);
   EXPECT_NE(body.find("sdem_backpressure_stalls_total{shard=\"0\"} "), npos);
+  // Without a pool every drain runs on the routing thread.
+  EXPECT_NE(body.find("sdem_shard_drains_total{shard=\"1\","
+                      "where=\"inline\"} 1\n"),
+            npos);
+  EXPECT_NE(body.find("sdem_shard_drains_total{shard=\"1\","
+                      "where=\"pool\"} 0\n"),
+            npos);
   if (obs::compiled()) {
     EXPECT_NE(body.find("sdem_obs_compiled 1"), npos);
     EXPECT_NE(body.find("sdem_replan_latency_seconds{shard=\"0\","
@@ -491,11 +498,29 @@ std::string submit_wire_line(const Request& r) {
   return req.dump(0);
 }
 
+/// Drains of one placement ("inline" or "pool") summed over every shard,
+/// from a METRICS exposition's sdem_shard_drains_total family.
+double drains(const std::string& metrics, const std::string& where) {
+  const std::string family = "sdem_shard_drains_total{";
+  const std::string label = ",where=\"" + where + "\"} ";
+  double total = 0.0;
+  for (std::size_t at = metrics.find(family); at != std::string::npos;
+       at = metrics.find(family, at + 1)) {
+    const std::string line = metrics.substr(at, metrics.find('\n', at) - at);
+    const std::size_t l = line.find(label);
+    if (l != std::string::npos) {
+      total += std::stod(line.substr(l + label.size()));
+    }
+  }
+  return total;
+}
+
 /// Same stream as run_stream, but shipped as raw lines through the
-/// parse-on-shard path (peek routing + shard-side parse_request).
+/// parse-on-shard path (peek routing + shard-side parse_request). When
+/// `metrics` is set, it receives the finalized service's METRICS body.
 std::vector<Service::IslandResult> run_stream_raw(
     const std::vector<Request>& reqs, const std::string& policy, int shards,
-    ThreadPool* pool) {
+    ThreadPool* pool, std::string* metrics = nullptr) {
   ServiceOptions opt;
   opt.policy = policy;
   opt.shards = shards;
@@ -517,18 +542,23 @@ std::vector<Service::IslandResult> run_stream_raw(
   }
   auto out = svc.finalize_all();
   EXPECT_TRUE(errors.empty()) << errors.front();
+  if (metrics != nullptr) *metrics = svc.metrics_text();
   return out;
 }
 
 TEST(ServiceDeterminism, ParseOnShardIsByteIdenticalAcrossShardCounts) {
   // The tentpole determinism contract: raw lines routed by peek and parsed
-  // on the shard workers finalize to byte-identical per-island results at
-  // any shard count — and to the parsed-route path.
+  // in the shard drains finalize to byte-identical per-island results at
+  // any shard count — and to the parsed-route path. The 4-shard run pushes
+  // batches of 16 to 64 lines, too deep to drain inline, so it also pins
+  // the pooled drains to the serial reference.
   const auto reqs = make_stream(/*islands=*/5, /*tasks_per_island=*/40, 13);
   const auto parsed = run_stream(reqs, "sdem-on", 1, false, nullptr);
   const auto raw1 = run_stream_raw(reqs, "sdem-on", 1, nullptr);
   ThreadPool pool(4);
-  const auto raw4 = run_stream_raw(reqs, "sdem-on", 4, &pool);
+  std::string metrics4;
+  const auto raw4 = run_stream_raw(reqs, "sdem-on", 4, &pool, &metrics4);
+  EXPECT_GT(drains(metrics4, "pool"), 0.0) << metrics4;
   ASSERT_EQ(parsed.size(), raw1.size());
   ASSERT_EQ(parsed.size(), raw4.size());
   for (std::size_t i = 0; i < parsed.size(); ++i) {
@@ -541,12 +571,12 @@ TEST(ServiceDeterminism, ParseOnShardIsByteIdenticalAcrossShardCounts) {
   }
 }
 
-TEST(ServiceHandOff, ClosedLoopAnswersEveryRequestWithoutABarrier) {
-  // One request in flight at a time across two shards, and no drain_all()
-  // or STATS barrier to rescue a ring whose drain retired without seeing
-  // the push: every SUBMIT must be answered within 1 s, or the drain
-  // hand-off lost its wake-up.
-  const auto reqs = make_stream(/*islands=*/2, /*tasks_per_island=*/1500, 13);
+/// Route `reqs` through a two-shard pooled service with one request in
+/// flight at a time, and no drain_all() or STATS barrier to rescue a ring
+/// whose drain retired without seeing the push: every SUBMIT must be
+/// answered within 1 s, or the drain hand-off lost its wake-up. `metrics`
+/// receives the METRICS body afterwards.
+void run_closed_loop(const std::vector<Request>& reqs, std::string* metrics) {
   ThreadPool pool(2);
   ServiceOptions opt;
   opt.shards = 2;
@@ -569,6 +599,27 @@ TEST(ServiceHandOff, ClosedLoopAnswersEveryRequestWithoutABarrier) {
              << ") unanswered after 1 s";
     }
   }
+  svc.drain_all();
+  *metrics = svc.metrics_text();
+}
+
+TEST(ServiceHandOff, ClosedLoopAnswersEveryRequestWithoutABarrier) {
+  // Both drain placements under a closed loop. The light stream keeps few
+  // tasks pending, so the routing thread drains every request itself. The
+  // heavy one has far deadlines, so its islands keep more than the inline
+  // bound (16) pending, and its drains go through the pool hand-off that
+  // can lose a wake-up.
+  std::string light;
+  ASSERT_NO_FATAL_FAILURE(run_closed_loop(
+      make_stream(/*islands=*/2, /*tasks_per_island=*/1500, 13), &light));
+  EXPECT_GT(drains(light, "inline"), 0.0) << light;
+  EXPECT_EQ(drains(light, "pool"), 0.0) << light;
+
+  auto heavy = make_stream(/*islands=*/2, /*tasks_per_island=*/300, 13);
+  for (Request& r : heavy) r.task.deadline = r.task.release + 1000.0;
+  std::string pooled;
+  ASSERT_NO_FATAL_FAILURE(run_closed_loop(heavy, &pooled));
+  EXPECT_GT(drains(pooled, "pool"), 0.0) << pooled;
 }
 
 TEST(ServiceSemantics, MalformedRawLineYieldsErrorEnvelope) {

@@ -7,7 +7,9 @@
 //
 //   sdem_service [--policy P] [--shards N] [--acceptors A] [--port PORT]
 //       live daemon (src/service/daemon.hpp): pipelined ingest — raw lines
-//       are routed by a peek and parsed on the shard workers
+//       are routed by a peek and parsed in the shard's drain, which runs on
+//       the acceptor when short (a closed-loop client) and, with N > 1, on
+//       one of N pool threads otherwise
 //   sdem_service --replay file.ndjson [--verify-batch]      deterministic
 //       batch replay: prints per-island schedules byte-identical to the
 //       batch simulator on the same stream (any --shards value)
@@ -64,7 +66,8 @@ int usage(int code) {
       "usage: sdem_service [options]\n"
       "  --policy NAME     sdem-on|sdem-on-eager|mbkp|race|stretch|critical\n"
       "                    (default sdem-on)\n"
-      "  --shards N        worker shards / pool threads (default 1)\n"
+      "  --shards N        island shards (default 1); N > 1 adds N pool\n"
+      "                    threads for long drains, short ones run inline\n"
       "  --acceptors N     ingest/poll threads for the live daemon\n"
       "                    (default 1; connections assigned round-robin)\n"
       "  --port PORT       also serve ndjson on 127.0.0.1:PORT (0 = pick a\n"
