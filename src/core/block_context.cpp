@@ -11,6 +11,18 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+/// Same relative slack block_energy_at grants optima sitting exactly on
+/// the s_up boundary, so feasibility decisions cannot flip between the
+/// fast and the exact path.
+constexpr double kBlockUpSlack = 1.0 + 1e-9;
+
+/// W^(1-lambda), pow-free for λ ∈ {2, 3}.
+inline double window_power(double w_pos, double lambda) {
+  if (lambda == 3.0) return 1.0 / (w_pos * w_pos);
+  if (lambda == 2.0) return 1.0 / w_pos;
+  return std::pow(w_pos, 1.0 - lambda);
+}
+
 std::atomic<bool> g_cross_check{false};
 std::atomic<std::uint64_t> g_probes{0};
 std::atomic<std::uint64_t> g_failures{0};
@@ -71,10 +83,6 @@ BlockContext::BlockContext(const SystemConfig& cfg) : cfg_(cfg) {
   lambda_ = cfg_.core.lambda;
   s_m_raw_ = cfg_.core.critical_speed_raw();  // one pow per context, not per probe
   s_up_ = cfg_.core.max_speed();
-  kc_.alpha = alpha_;
-  kc_.lambda = lambda_;
-  kc_.s_m_raw = s_m_raw_;
-  kc_.s_up = s_up_;
   // Lower-bound pruning needs each lane's energy nonincreasing in its
   // window, i.e. the fill-regime curve alpha*W + beta*w^λ*W^(1-λ) must have
   // its stationary point exactly at the race boundary (the definition of
@@ -106,9 +114,30 @@ void BlockContext::reset() {
   infeasible_ = false;
 }
 
-double BlockContext::piece(std::size_t i, double window) const {
-  return block_piece_scalar(kc_, pw_[i], pq_[i], pwpow_[i], perace_[i],
-                            peup_[i], window);
+// sigma = min(max(s_m, w/W), s_up). The regime tests are in multiplied
+// form (w ⋚ s·W rather than w/W ⋚ s): the race regime — where
+// golden-section probes spend most of their iterations — then needs no
+// division at all. The two forms can only disagree when w/W rounds onto
+// the regime boundary, where the energy curve is continuous (race and fill
+// values meet at the knee), so a flip would be ulp-sized; the golden-file
+// and fast-vs-reference tests pin that none occurs.
+inline double BlockContext::lane_energy(const Lane& l, double window) const {
+  if (!(window > 0.0)) return kInf;
+  if (l.w < s_m_raw_ * window) {  // race regime: sigma pins at min(s_m, s_up)
+    if (l.q > window * kBlockUpSlack) return kInf;
+    return l.e_race;
+  }
+  if (l.w > s_up_ * window) {  // clamped at s_up (feasible in the slack sliver)
+    if (l.q > window * kBlockUpSlack) return kInf;
+    return l.e_up;
+  }
+  // Fill regime: exec_energy(w, w/W) = alpha*W + beta*w^lambda*W^(1-lambda).
+  return alpha_ * window + l.wpow * window_power(window, lambda_);
+}
+
+inline BlockContext::Lane BlockContext::lane(std::size_t i,
+                                             double bound) const {
+  return {pw_[i], pq_[i], pwpow_[i], perace_[i], peup_[i], bound};
 }
 
 void BlockContext::push_task(const Task& t) {
@@ -126,12 +155,12 @@ void BlockContext::push_task(const Task& t) {
     w_race = c > 0.0 ? t.work / c : kInf;
     e_race = cfg_.core.exec_energy(t.work, c);
     e_up = std::isfinite(s_up_) ? cfg_.core.exec_energy(t.work, s_up_) : kInf;
-    e_full = block_piece_scalar(kc_, t.work, q, wpow, e_race, e_up,
-                                t.deadline - t.release);
+    e_full = lane_energy({t.work, q, wpow, e_race, e_up, 0.0},
+                         t.deadline - t.release);
     if (!std::isfinite(e_full)) infeasible_ = true;
     nr_.push_back(t.release);
     nd_.push_back(t.deadline);
-    // Slacked copy for the feasibility geometry: the piece kernel keeps
+    // Slacked copy for the feasibility geometry: lane_energy keeps
     // windows down to q / kBlockUpSlack finite, so feasible_e_min/
     // feasible_s_max must accept them too, or a boundary-tight task
     // collapses every box to its corners.
@@ -170,79 +199,38 @@ void BlockContext::push_task(const Task& t) {
   }
 }
 
-void BlockContext::push_lane(LaneBuf& buf, std::size_t i, double bound) {
-  buf.bound.push_back(bound);
-  buf.w.push_back(pw_[i]);
-  buf.q.push_back(pq_[i]);
-  buf.wpow.push_back(pwpow_[i]);
-  buf.e_race.push_back(perace_[i]);
-  buf.e_up.push_back(peup_[i]);
-}
-
 #if defined(__GNUC__) || defined(__clang__)
 __attribute__((always_inline)) inline
 #endif
 double BlockContext::eval_box(double s, double e) const {
   SDEM_OBS_ONLY(++obs_probes_;)
   double energy = alpha_m_ * (e - s) + const_energy_;
-  // One window per fused lane (left | right | coupled segments), one
-  // batched-kernel call, one serial reduction in task order (left, right,
-  // coupled — the order the scalar loop added them), so the sum is
+  // Left, right, coupled: the segments add in task order, so the sum is
   // bit-identical to per-task accumulation.
-  const std::size_t n = lanes_.size();
-  if (n != 0) {
-    const double* bound = lanes_.bound.data();
-    const std::size_t nl = nleft_, nlr = nleft_ + nright_;
-    if (n < kBlockBatchMinLanes) {
-      // Narrow box (the common case): evaluate each lane inline — same
-      // scalar kernel, same accumulation order, so the same bits as the
-      // batched path below — skipping the win_/val_ scratch round-trip,
-      // which costs more than it saves at a handful of lanes.
-      const LaneBuf& L = lanes_;
-      for (std::size_t i = 0; i < nl; ++i) {
-        energy += block_piece_scalar(kc_, L.w[i], L.q[i], L.wpow[i],
-                                     L.e_race[i], L.e_up[i], bound[i] - s);
-      }
-      for (std::size_t i = nl; i < nlr; ++i) {
-        energy += block_piece_scalar(kc_, L.w[i], L.q[i], L.wpow[i],
-                                     L.e_race[i], L.e_up[i], e - bound[i]);
-      }
-      for (std::size_t i = nlr; i < n; ++i) {
-        energy += block_piece_scalar(kc_, L.w[i], L.q[i], L.wpow[i],
-                                     L.e_race[i], L.e_up[i], e - s);
-      }
-    } else {
-      double* win = win_.data();
-      for (std::size_t i = 0; i < nl; ++i) win[i] = bound[i] - s;  // d - s'
-      for (std::size_t i = nl; i < nlr; ++i) win[i] = e - bound[i];  // e' - r
-      for (std::size_t i = nlr; i < n; ++i) win[i] = e - s;  // e' - s'
-      block_piece_batch(kc_, lanes_.w.data(), lanes_.q.data(),
-                        lanes_.wpow.data(), lanes_.e_race.data(),
-                        lanes_.e_up.data(), win, val_.data(), n);
-      const double* val = val_.data();
-      for (std::size_t i = 0; i < n; ++i) energy += val[i];
-    }
+  const std::vector<Lane>& L = lanes_;
+  const std::size_t n = L.size(), nl = nleft_, nlr = nleft_ + nright_;
+  for (std::size_t i = 0; i < nl; ++i) {
+    energy += lane_energy(L[i], L[i].bound - s);  // d - s'
   }
-
+  for (std::size_t i = nl; i < nlr; ++i) {
+    energy += lane_energy(L[i], e - L[i].bound);  // e' - r
+  }
+  for (std::size_t i = nlr; i < n; ++i) {
+    energy += lane_energy(L[i], e - s);  // e' - s'
+  }
   if (g_cross_check.load(std::memory_order_relaxed)) audit_probe(s, e, energy);
   return std::isfinite(energy) ? energy : kInf;
 }
 
 void BlockContext::prime_fixed_left(double s) const {
-  const LaneBuf& L = lanes_;
-  const double* bound = L.bound.data();
   for (std::size_t i = 0; i < nleft_; ++i) {
-    fixv_[i] = block_piece_scalar(kc_, L.w[i], L.q[i], L.wpow[i], L.e_race[i],
-                                  L.e_up[i], bound[i] - s);
+    fixv_[i] = lane_energy(lanes_[i], lanes_[i].bound - s);
   }
 }
 
 void BlockContext::prime_fixed_right(double e) const {
-  const LaneBuf& L = lanes_;
-  const double* bound = L.bound.data();
   for (std::size_t i = nleft_; i < nleft_ + nright_; ++i) {
-    fixv_[i] = block_piece_scalar(kc_, L.w[i], L.q[i], L.wpow[i], L.e_race[i],
-                                  L.e_up[i], e - bound[i]);
+    fixv_[i] = lane_energy(lanes_[i], e - lanes_[i].bound);
   }
 }
 
@@ -252,19 +240,14 @@ __attribute__((always_inline)) inline
 double BlockContext::eval_box_fixed_s(double s, double e) const {
   SDEM_OBS_ONLY(++obs_probes_;)
   double energy = alpha_m_ * (e - s) + const_energy_;
-  const LaneBuf& L = lanes_;
-  const double* bound = L.bound.data();
+  const std::vector<Lane>& L = lanes_;
   const std::size_t n = L.size(), nl = nleft_, nlr = nleft_ + nright_;
   const double* fix = fixv_.data();
   for (std::size_t i = 0; i < nl; ++i) energy += fix[i];  // primed at this s
   for (std::size_t i = nl; i < nlr; ++i) {
-    energy += block_piece_scalar(kc_, L.w[i], L.q[i], L.wpow[i], L.e_race[i],
-                                 L.e_up[i], e - bound[i]);
+    energy += lane_energy(L[i], e - L[i].bound);
   }
-  for (std::size_t i = nlr; i < n; ++i) {
-    energy += block_piece_scalar(kc_, L.w[i], L.q[i], L.wpow[i], L.e_race[i],
-                                 L.e_up[i], e - s);
-  }
+  for (std::size_t i = nlr; i < n; ++i) energy += lane_energy(L[i], e - s);
   if (g_cross_check.load(std::memory_order_relaxed)) audit_probe(s, e, energy);
   return std::isfinite(energy) ? energy : kInf;
 }
@@ -275,19 +258,14 @@ __attribute__((always_inline)) inline
 double BlockContext::eval_box_fixed_e(double s, double e) const {
   SDEM_OBS_ONLY(++obs_probes_;)
   double energy = alpha_m_ * (e - s) + const_energy_;
-  const LaneBuf& L = lanes_;
-  const double* bound = L.bound.data();
+  const std::vector<Lane>& L = lanes_;
   const std::size_t n = L.size(), nl = nleft_, nlr = nleft_ + nright_;
   const double* fix = fixv_.data();
   for (std::size_t i = 0; i < nl; ++i) {
-    energy += block_piece_scalar(kc_, L.w[i], L.q[i], L.wpow[i], L.e_race[i],
-                                 L.e_up[i], bound[i] - s);
+    energy += lane_energy(L[i], L[i].bound - s);
   }
   for (std::size_t i = nl; i < nlr; ++i) energy += fix[i];  // primed at e
-  for (std::size_t i = nlr; i < n; ++i) {
-    energy += block_piece_scalar(kc_, L.w[i], L.q[i], L.wpow[i], L.e_race[i],
-                                 L.e_up[i], e - s);
-  }
+  for (std::size_t i = nlr; i < n; ++i) energy += lane_energy(L[i], e - s);
   if (g_cross_check.load(std::memory_order_relaxed)) audit_probe(s, e, energy);
   return std::isfinite(energy) ? energy : kInf;
 }
@@ -323,8 +301,8 @@ bool BlockContext::setup_box(double s_lo, double s_hi, double e_lo,
   // Feasibility geometry of the dynamic lanes, for the lower bound's memory
   // term: a finite probe needs window*slack >= q per lane, so left lanes cap
   // s' at d - q/slack, right lanes floor e' at r + q/slack, and coupled
-  // lanes floor e' - s' directly. Ulp-level rounding slop against the piece
-  // kernel's own boundary test is absorbed by the 1e-12 prune shave.
+  // lanes floor e' - s' directly. Ulp-level rounding slop against
+  // lane_energy's own boundary test is absorbed by the 1e-12 prune shave.
   double s_cap = s_hi;
   double e_floor = e_lo;
   double w_floor = 0.0;
@@ -348,12 +326,13 @@ bool BlockContext::setup_box(double s_lo, double s_hi, double e_lo,
   const std::size_t left_end = std::min(a, c);
   for (std::size_t i = 0; i < left_end; ++i) {  // W = d - s'
     if (pw_[i] <= 0.0) continue;
-    const double v = piece(i, pd_[i] - s_lo);
+    const Lane l = lane(i, pd_[i]);
+    const double v = lane_energy(l, pd_[i] - s_lo);
     if (!std::isfinite(v)) return false;  // box infeasible
     if (pd_[i] - s_hi >= pwrace_[i]) {
       const_energy_ += perace_[i];  // pinned at the race speed across the box
     } else {
-      push_lane(lanes_, i, pd_[i]);
+      lanes_.push_back(l);
       box_floor_ += v;
       s_cap = std::min(s_cap, pd_[i] - pq_[i] * inv_slack);
     }
@@ -367,12 +346,13 @@ bool BlockContext::setup_box(double s_lo, double s_hi, double e_lo,
     // eval_box, but the const_energy_ folds must keep this loop order.
     for (std::size_t i = c; i < a; ++i) {  // both-sides-clipped: W = e' - s'
       if (pw_[i] <= 0.0) continue;
-      const double v = piece(i, e_hi - s_lo);
+      const Lane l = lane(i, 0.0);
+      const double v = lane_energy(l, e_hi - s_lo);
       if (!std::isfinite(v)) return false;
       if (e_lo - s_hi >= pwrace_[i]) {
         const_energy_ += perace_[i];
       } else {
-        push_lane(ctmp_, i, 0.0);
+        ctmp_.push_back(l);
         box_floor_ += v;
         w_floor = std::max(w_floor, pq_[i] * inv_slack);
       }
@@ -380,18 +360,19 @@ bool BlockContext::setup_box(double s_lo, double s_hi, double e_lo,
   }
   for (std::size_t i = std::max(a, c); i < n; ++i) {  // W = e' - r
     if (pw_[i] <= 0.0) continue;
-    const double v = piece(i, e_hi - pr_[i]);
+    const Lane l = lane(i, pr_[i]);
+    const double v = lane_energy(l, e_hi - pr_[i]);
     if (!std::isfinite(v)) return false;
     if (e_lo - pr_[i] >= pwrace_[i]) {
       const_energy_ += perace_[i];
     } else {
-      push_lane(lanes_, i, pr_[i]);
+      lanes_.push_back(l);
       box_floor_ += v;
       e_floor = std::max(e_floor, pr_[i] + pq_[i] * inv_slack);
     }
   }
   nright_ = lanes_.size() - nleft_;
-  lanes_.append(ctmp_);
+  lanes_.insert(lanes_.end(), ctmp_.begin(), ctmp_.end());
   box_mem_floor_ = std::max({0.0, e_floor - s_cap, w_floor});
   return true;
 }
@@ -504,8 +485,6 @@ BlockSolution BlockContext::solve() {
   }
 
   build_e_breakpoints();
-  win_.resize(pr_.size());
-  val_.resize(pr_.size());
   fixv_.resize(pr_.size());
 
   SDEM_OBS_ONLY(std::uint64_t boxes = 0; std::uint64_t boxes_pruned = 0;

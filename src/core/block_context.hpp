@@ -25,13 +25,11 @@
 // right-clipped (e' - r), both-sides-clipped (e' - s')} — contiguous index
 // ranges in agreeable order — folds every constant-energy task (unclipped,
 // or pinned at the race speed across the whole box) into a single scalar,
-// and packs the few remaining "dynamic" tasks into one fused SoA lane
-// buffer (left, right, coupled segments). A probe fills the per-lane
-// window array, evaluates every lane with one call to the batched kernel
-// of core/block_kernel.hpp (SIMD for λ ∈ {2, 3} when SDEM_SIMD is on,
-// scalar otherwise — bit-identical either way) and reduces the values
-// serially in task order, so probe values are bit-for-bit the same as the
-// scalar loop they replaced.
+// and packs the few remaining "dynamic" tasks into one lane buffer (left,
+// right, coupled segments). A probe evaluates each lane's window energy
+// (lane_energy, the one statement of the per-task regime rule) and adds the
+// values in task order, so a probe's value is bit-for-bit a plain per-task
+// sum.
 //
 // Because each lane's energy is nonincreasing in its window, the value at
 // the box's maximal windows — already computed by the feasibility check —
@@ -50,8 +48,7 @@
 // core/block.hpp's exact block_energy_at (same regime boundaries, same
 // s_up feasibility slack), differing only by floating-point reassociation
 // (≲1e-12 relative; tests pin ≤1e-9). set_cross_check(true) audits every
-// probe — batched evaluator included — against the exact O(k) path; Debug
-// builds also assert on it.
+// probe against the exact O(k) path; Debug builds also assert on it.
 //
 // Inputs must be pushed in agreeable deadline order (non-decreasing r and
 // d). Anything else trips the sorted-input check and solve() falls back to
@@ -63,7 +60,6 @@
 #include <vector>
 
 #include "core/block.hpp"
-#include "core/block_kernel.hpp"
 #include "model/power.hpp"
 #include "model/task.hpp"
 #include "obs/obs.hpp"
@@ -114,34 +110,20 @@ class BlockContext {
   static void reset_cross_check_counters();
 
  private:
-  /// A box's dynamic lanes, packed as parallel arrays so the batched
-  /// kernel streams them contiguously. `bound` is d for the left-clipped
-  /// segment (W = d - s') and r for the right-clipped one (W = e' - r);
-  /// the both-sides-clipped segment (W = e' - s') ignores it.
-  struct LaneBuf {
-    std::vector<double> bound, w, q, wpow, e_race, e_up;
-
-    void clear() {
-      bound.clear();
-      w.clear();
-      q.clear();
-      wpow.clear();
-      e_race.clear();
-      e_up.clear();
-    }
-    void append(const LaneBuf& o) {
-      bound.insert(bound.end(), o.bound.begin(), o.bound.end());
-      w.insert(w.end(), o.w.begin(), o.w.end());
-      q.insert(q.end(), o.q.begin(), o.q.end());
-      wpow.insert(wpow.end(), o.wpow.begin(), o.wpow.end());
-      e_race.insert(e_race.end(), o.e_race.begin(), o.e_race.end());
-      e_up.insert(e_up.end(), o.e_up.begin(), o.e_up.end());
-    }
-    std::size_t size() const { return w.size(); }
+  /// One dynamic task of a box: its probe constants (copied from the
+  /// per-task columns below) plus `bound`, which is d for the left-clipped
+  /// segment (W = d - s') and r for the right-clipped one (W = e' - r); the
+  /// both-sides-clipped segment (W = e' - s') ignores it.
+  struct Lane {
+    double w, q, wpow, e_race, e_up;
+    double bound;
   };
 
-  double piece(std::size_t i, double window) const;  ///< lane i over window
-  /// The probe: one window fill + lane evaluation + serial reduction.
+  /// One task's energy over one window: the regimes of block.cpp's
+  /// task_window_energy with the per-task constants hoisted.
+  double lane_energy(const Lane& l, double window) const;
+  Lane lane(std::size_t i, double bound) const;  ///< task i's constants
+  /// The probe: every lane's energy, added in task order.
   /// Every call site lives in block_context.cpp's line searches, and the
   /// few-lane body must inline into them (it is the whole hot path), so
   /// the definition is marked always_inline there; the slow audit tail
@@ -163,7 +145,6 @@ class BlockContext {
   double feasible_s_max(double e) const;
   void build_e_breakpoints();
   BlockSolution solve_fallback() const;
-  void push_lane(LaneBuf& buf, std::size_t i, double bound);
 
   SystemConfig cfg_;
   double alpha_ = 0.0;
@@ -171,13 +152,11 @@ class BlockContext {
   double lambda_ = 3.0;
   double s_m_raw_ = 0.0;  ///< hoisted critical_speed_raw (one pow per block row)
   double s_up_ = 0.0;     ///< max_speed() (+inf when unbounded)
-  BlockKernelConsts kc_;  ///< the four constants above, kernel-shaped
   bool can_prune_ = false;  ///< lower-bound box pruning is sound (see solve)
 
   std::vector<Task> tasks_;  ///< pushed order (exact cross-check, placements)
-  // Per-task probe constants as SoA columns, parallel to tasks_ (pushed
-  // order). Split from the former AoS `Pre` struct so per-box gathers and
-  // the batched kernel touch only the columns they read.
+  // Per-task probe constants as columns, parallel to tasks_ (pushed order):
+  // setup_box binary-searches pr_/pd_ and sums prefixes of pefull_.
   std::vector<double> pr_;      ///< release
   std::vector<double> pd_;      ///< deadline
   std::vector<double> pw_;      ///< work
@@ -202,18 +181,16 @@ class BlockContext {
   std::size_t ecur_ = 0;    ///< monotone cursor: first deadline > r_max
 
   // Per-box scratch, reused across boxes and solves (no allocation). All
-  // dynamic lanes live in one fused buffer — segments [0, nleft_),
+  // dynamic lanes live in one buffer — segments [0, nleft_),
   // [nleft_, nleft_ + nright_), [nleft_ + nright_, size) hold the left-,
-  // right- and both-sides-clipped classes — so a probe fills one window
-  // array, makes one batched-kernel call and reduces one value array.
-  // ctmp_ stages the coupled class during setup_box (its lanes are
-  // discovered between the left and right loops but accumulate last).
-  LaneBuf lanes_, ctmp_;
+  // right- and both-sides-clipped classes. ctmp_ stages the coupled class
+  // during setup_box (its lanes are discovered between the left and right
+  // loops but accumulate last).
+  std::vector<Lane> lanes_, ctmp_;
   std::size_t nleft_ = 0, nright_ = 0;
   double const_energy_ = 0.0;
   double box_floor_ = 0.0;  ///< exact sum of the dynamic lanes' box minima
   double box_mem_floor_ = 0.0;  ///< least feasible e' - s' over the box
-  mutable std::vector<double> win_, val_;  ///< per-probe lane windows/values
   mutable std::vector<double> fixv_;  ///< pinned-segment values (prime_*)
 
   /// One feasible breakpoint box of the current solve, ranked by its exact

@@ -295,25 +295,23 @@ class Checker {
                    "incremental DP vs seed DP energy");
     }
 
-    // Audited re-solve: every fast probe — batched/SIMD lanes included —
-    // is recomputed with the exact O(k) block_energy_at; a feasibility
-    // flip or a > 1e-9 relative energy mismatch counts as a failure.
-    if (opts_.audit_block_probes) {
-      BlockContext::reset_cross_check_counters();
-      BlockContext::set_cross_check(true);
-      const auto audited = solve_agreeable(c_.tasks, c_.cfg);
-      BlockContext::set_cross_check(false);
-      if (BlockContext::cross_check_failures() != 0) {
-        add("block:cross-check",
-            std::to_string(BlockContext::cross_check_failures()) + " of " +
-                std::to_string(BlockContext::cross_check_probes()) +
-                " probes disagree with the exact evaluator");
-      }
-      if (audited.energy != res.energy) {
-        add("block:cross-check",
-            "audited solve changed the result: " + num(audited.energy) +
-                " vs " + num(res.energy));
-      }
+    // Audited re-solve: every fast block probe is recomputed with the exact
+    // O(k) block_energy_at; a feasibility flip or a > 1e-9 relative energy
+    // mismatch counts as a failure.
+    BlockContext::reset_cross_check_counters();
+    BlockContext::set_cross_check(true);
+    const auto audited = solve_agreeable(c_.tasks, c_.cfg);
+    BlockContext::set_cross_check(false);
+    if (BlockContext::cross_check_failures() != 0) {
+      add("block:cross-check",
+          std::to_string(BlockContext::cross_check_failures()) + " of " +
+              std::to_string(BlockContext::cross_check_probes()) +
+              " probes disagree with the exact evaluator");
+    }
+    if (audited.energy != res.energy) {
+      add("block:cross-check",
+          "audited solve changed the result: " + num(audited.energy) +
+              " vs " + num(res.energy));
     }
 
     // Row-parallel fill must replay bit-identically.

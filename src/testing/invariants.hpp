@@ -56,12 +56,6 @@ struct CheckOptions {
   int max_ref_n = 7;            ///< grid references only for n <= this
   int max_cross_n = 14;         ///< cross-solver DP checks only below this
   bool run_reference = true;    ///< enable the slow grid-reference oracles
-  /// Audit every fast block probe against the exact O(k) evaluator during
-  /// the agreeable checks (BlockContext::set_cross_check). This is what
-  /// makes the fuzzer exercise the batched/SIMD kernel: on an SDEM_SIMD=ON
-  /// build every batched lane evaluation is re-derived exactly, and any
-  /// mismatch > 1e-9 relative fails the case.
-  bool audit_block_probes = true;
   ThreadPool* pool = nullptr;   ///< when set: parallel-replay determinism
 };
 

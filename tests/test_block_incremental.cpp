@@ -6,7 +6,9 @@
 // to the serial fill at any worker count.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "core/agreeable.hpp"
@@ -189,6 +191,37 @@ TEST(BlockIncremental, CrossCheckAuditsCleanly) {
     const auto cfg = make_cfg(seed % 2 ? 0.31 : 0.0, 4.0, 1900.0);
     const TaskSet ts = make_agreeable(5, seed, 0.030);
     solve_agreeable(ts, cfg);
+  }
+  BlockContext::set_cross_check(false);
+  EXPECT_GT(BlockContext::cross_check_probes(), 0u);
+  EXPECT_EQ(BlockContext::cross_check_failures(), 0u);
+  BlockContext::reset_cross_check_counters();
+}
+
+TEST(BlockIncremental, CrossCheckAuditsLongBlocksCleanly) {
+  // Paper-default sets with long blocks: n = 16 at a 60 ms spread, and
+  // n = 10 at a 10 ms spread, whose tight windows open boxes with 8 or
+  // more dynamic lanes. Zero audit failures, and auditing only observes:
+  // each audited solve is bit-identical to the plain one.
+  const SystemConfig cfg = SystemConfig::paper_default();
+  std::vector<TaskSet> cases;
+  for (const std::uint64_t seed : {1ull, 5ull, 9ull}) {
+    cases.push_back(make_agreeable(16, seed, 0.060));
+  }
+  cases.push_back(make_agreeable(10, 1, 0.010));
+  std::vector<OfflineResult> plain;
+  for (const TaskSet& ts : cases) plain.push_back(solve_agreeable(ts, cfg));
+
+  BlockContext::reset_cross_check_counters();
+  BlockContext::set_cross_check(true);
+  for (std::size_t k = 0; k < cases.size(); ++k) {
+    const OfflineResult audited = solve_agreeable(cases[k], cfg);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(audited.energy),
+              std::bit_cast<std::uint64_t>(plain[k].energy))
+        << "case " << k;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(audited.sleep_time),
+              std::bit_cast<std::uint64_t>(plain[k].sleep_time))
+        << "case " << k;
   }
   BlockContext::set_cross_check(false);
   EXPECT_GT(BlockContext::cross_check_probes(), 0u);

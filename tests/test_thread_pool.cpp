@@ -1,15 +1,18 @@
-// ThreadPool / parallel_for_seeds: the bench harness's determinism
-// contract. A --jobs N sweep must produce bit-identical per-seed results
-// to the serial loop it replaced, whatever the scheduling, because each
-// seed writes only its own slot and folds happen in seed order.
+// ThreadPool / parallel_for_seeds / parallel_for_grid: the bench
+// harness's determinism contract. A --jobs N sweep must produce
+// bit-identical per-seed results to the serial loop it replaced, whatever
+// the scheduling, because each seed writes only its own slot and folds
+// happen in seed order.
 #include "support/thread_pool.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -152,6 +155,47 @@ TEST(ParallelForSeeds, BenchComparisonDeterministicAcrossJobCounts) {
     EXPECT_EQ(a.sdem_system.mean(), b.sdem_system.mean());
     EXPECT_EQ(a.sdem_system.sem(), b.sdem_system.sem());
     EXPECT_EQ(a.mbkps_memory.mean(), b.mbkps_memory.mean());
+  }
+}
+
+// Grid sweeps (parallel_for_grid): every (point, seed) cell is a pure
+// function of its inputs, so pooled and serial sweeps return identical
+// bytes, per-cell counter attribution included.
+TEST(ThreadPool, PooledGridSweepIsPureLayout) {
+  const auto make_trace = [](std::size_t point, std::uint64_t seed) {
+    return make_agreeable(8 + static_cast<int>(point) * 2, seed * 31 + point,
+                          0.080);
+  };
+  const SystemConfig cfg = SystemConfig::paper_default();
+  const auto cfg_for = [&](std::size_t) -> const SystemConfig& { return cfg; };
+  constexpr int kPoints = 3, kSeeds = 4;
+
+  const auto serial =
+      bench::collect_grid_comparisons(make_trace, cfg_for, kPoints, kSeeds);
+  ThreadPool pool(3);
+  const auto pooled = bench::collect_grid_comparisons(make_trace, cfg_for,
+                                                      kPoints, kSeeds, &pool);
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  ASSERT_EQ(serial.size(), pooled.size());
+  for (std::size_t p = 0; p < serial.size(); ++p) {
+    ASSERT_EQ(serial[p].size(), pooled[p].size());
+    for (std::size_t s = 0; s < serial[p].size(); ++s) {
+      const bench::SeedComparison& x = serial[p][s];
+      const bench::SeedComparison& y = pooled[p][s];
+      SCOPED_TRACE("point " + std::to_string(p) + " seed " +
+                   std::to_string(s + 1));
+      EXPECT_EQ(x.seed, y.seed);
+      EXPECT_EQ(bits(x.sdem_system), bits(y.sdem_system));
+      EXPECT_EQ(bits(x.mbkps_system), bits(y.mbkps_system));
+      EXPECT_EQ(bits(x.sdem_memory), bits(y.sdem_memory));
+      EXPECT_EQ(bits(x.mbkps_memory), bits(y.mbkps_memory));
+      EXPECT_EQ(bits(x.energy_mbkp), bits(y.energy_mbkp));
+      EXPECT_EQ(bits(x.energy_mbkps), bits(y.energy_mbkps));
+      EXPECT_EQ(bits(x.energy_sdem), bits(y.energy_sdem));
+      EXPECT_EQ(bits(x.sleep_sdem), bits(y.sleep_sdem));
+      EXPECT_EQ(bits(x.sleep_mbkps), bits(y.sleep_mbkps));
+      EXPECT_EQ(x.counters, y.counters);
+    }
   }
 }
 
