@@ -1835,8 +1835,9 @@ ExperimentResult run_ablation_sleep_discipline(const RunOptions& opt) {
 // the oracle discipline and shows what co-designed scheduling adds on
 // top. The ladder is
 // SleepLadder::geometric, whose deepest rung is exactly the paper's
-// single state, so the depth-1 rows double as a frozen-oracle check:
-// oracle == the legacy single-state kOptimal accounting bit for bit.
+// single state, so the depth-1 rows double as a configuration check:
+// oracle == the empty-ladder (SleepLadder::single) kOptimal accounting
+// bit for bit.
 // Simulations are shared across depths (the ladder only affects
 // accounting, not the solver).
 ExperimentResult run_governor_ladder(const RunOptions& opt) {
@@ -1866,7 +1867,7 @@ ExperimentResult run_governor_ladder(const RunOptions& opt) {
     double aborts[kNumDepths] = {};
     /// Per-rung governor accounting (cycles/aborts/mispredicts by state).
     std::vector<SleepStateBreakdown> states[kNumDepths];
-    double sleep_legacy = 0.0;  ///< legacy kOptimal (frozen single-state)
+    double sleep_legacy = 0.0;  ///< empty-ladder kOptimal (single state)
     double solver_seconds = 0.0;
   };
   std::vector<Cell> cells(static_cast<std::size_t>(kUtil) *
@@ -2016,23 +2017,6 @@ ExperimentResult run_governor_ladder(const RunOptions& opt) {
 }
 
 // ------------------------------------------------- Service ingest throughput
-
-// Upper edge of the log2-histogram bucket where the cumulative count
-// crosses q (same estimator service.cpp's stats() uses).
-double dist_bucket_percentile(const obs::DistValue& d, double q) {
-  if (d.count == 0) return 0.0;
-  const auto target = static_cast<std::uint64_t>(
-      std::max(1.0, std::ceil(q * static_cast<double>(d.count))));
-  std::uint64_t cum = 0;
-  for (const auto& [exp2, n] : d.buckets) {
-    cum += n;
-    if (cum >= target) {
-      if (exp2 <= -9999) return 0.0;
-      return std::min(d.max, std::ldexp(1.0, exp2 + 1));
-    }
-  }
-  return d.max;
-}
 
 // The service's ingest-throughput stream: K islands round-robin, each
 // island's arrivals in same-release batches (lazy-mode commits then replan
@@ -2212,8 +2196,8 @@ ExperimentResult run_service_throughput(const RunOptions& opt) {
         for (const auto& [e, n] : d.buckets) buckets[e] += n;
       }
       merged.buckets.assign(buckets.begin(), buckets.end());
-      res.p50_ns = dist_bucket_percentile(merged, 0.50);
-      res.p99_ns = dist_bucket_percentile(merged, 0.99);
+      res.p50_ns = merged.percentile(0.50);
+      res.p99_ns = merged.percentile(0.99);
     }
     return res;
   };

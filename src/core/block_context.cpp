@@ -6,6 +6,8 @@
 #include <cmath>
 #include <limits>
 
+#include "support/numeric.hpp"
+
 namespace sdem {
 namespace {
 
@@ -26,37 +28,6 @@ inline double window_power(double w_pos, double lambda) {
 std::atomic<bool> g_cross_check{false};
 std::atomic<std::uint64_t> g_probes{0};
 std::atomic<std::uint64_t> g_failures{0};
-
-/// numeric.cpp's golden_min, restated as a template so the per-probe call
-/// is direct (no std::function) while keeping the iteration — and therefore
-/// the convergence point — identical.
-template <typename F>
-double golden_min_t(F&& f, double lo, double hi, double rel_tol) {
-  if (hi <= lo) return lo;
-  constexpr double inv_phi = 0.6180339887498949;
-  double a = lo, b = hi;
-  double x1 = b - inv_phi * (b - a);
-  double x2 = a + inv_phi * (b - a);
-  double f1 = f(x1);
-  double f2 = f(x2);
-  const double tol = std::max(std::abs(hi - lo), 1.0) * rel_tol;
-  while (b - a > tol) {
-    if (f1 <= f2) {
-      b = x2;
-      x2 = x1;
-      f2 = f1;
-      x1 = b - inv_phi * (b - a);
-      f1 = f(x1);
-    } else {
-      a = x1;
-      x1 = x2;
-      f1 = f2;
-      x2 = a + inv_phi * (b - a);
-      f2 = f(x2);
-    }
-  }
-  return 0.5 * (a + b);
-}
 
 }  // namespace
 

@@ -62,42 +62,4 @@ ContentionReport analyze_contention(const Schedule& sched,
   return out;
 }
 
-WakeStallReport analyze_wake_stalls(const Schedule& sched,
-                                    const SleepLadder& ladder,
-                                    double horizon_lo, double horizon_hi) {
-  WakeStallReport out;
-  if (ladder.empty()) return out;
-  const auto busy = sched.memory_busy();
-
-  double busy_time = 0.0;
-  for (const auto& b : busy) busy_time += b.length();
-
-  std::vector<double> gaps;
-  if (busy.empty()) {
-    if (horizon_hi > horizon_lo) gaps.push_back(horizon_hi - horizon_lo);
-  } else {
-    if (horizon_hi > horizon_lo && busy.front().lo > horizon_lo) {
-      gaps.push_back(busy.front().lo - horizon_lo);
-    }
-    for (std::size_t i = 1; i < busy.size(); ++i) {
-      gaps.push_back(busy[i].lo - busy[i - 1].hi);
-    }
-    if (horizon_hi > horizon_lo && horizon_hi > busy.back().hi) {
-      gaps.push_back(horizon_hi - busy.back().hi);
-    }
-  }
-
-  for (double g : gaps) {
-    if (g <= 0.0) continue;
-    const int k = ladder.oracle_state(g);
-    if (k < 0) continue;
-    const double lat = ladder.state(k).latency;
-    out.sleeps += 1.0;
-    out.stall_time += lat;
-    if (lat > out.worst_stall) out.worst_stall = lat;
-  }
-  if (busy_time > 0.0) out.stall_fraction = out.stall_time / busy_time;
-  return out;
-}
-
 }  // namespace sdem

@@ -23,7 +23,6 @@
 // potential to be scheduled concentratively".
 #pragma once
 
-#include "model/sleep_ladder.hpp"
 #include "sched/schedule.hpp"
 
 namespace sdem {
@@ -45,25 +44,5 @@ struct ContentionReport {
 /// Analyze a schedule's offered memory load.
 ContentionReport analyze_contention(const Schedule& sched,
                                     const ContentionParams& params);
-
-// The energy accounting (sched/energy.hpp) charges a sleep state's
-// enter+exit latency as energy but assumes the wakeup is prescient — the
-// state is already exited when the next access arrives. A real controller
-// wakes on demand: the first access after a gap stalls for the exit
-// latency. This probe measures what that assumption hides for a given
-// ladder under clairvoyant (oracle) gap decisions.
-struct WakeStallReport {
-  double sleeps = 0.0;          ///< gaps slept through
-  double stall_time = 0.0;      ///< summed enter+exit latencies, seconds
-  double worst_stall = 0.0;     ///< largest single latency taken
-  double stall_fraction = 0.0;  ///< stall_time / memory busy time
-};
-
-/// Wake-stall exposure of `sched`'s memory gap profile under `ladder`
-/// (horizon semantics as in sched/energy.hpp; a trailing gap wakes into
-/// the horizon edge and still counts).
-WakeStallReport analyze_wake_stalls(const Schedule& sched,
-                                    const SleepLadder& ladder,
-                                    double horizon_lo, double horizon_hi);
 
 }  // namespace sdem

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "sched/energy.hpp"
+
 namespace sdem {
 
 DramPowerParams DramPowerParams::paper_50nm() {
@@ -84,21 +86,11 @@ DramEnergyResult replay_dram(const Schedule& sched, const DramPowerParams& p,
     if (hi > lo) out.active += p.p_active * (hi - lo);
   }
 
-  // Gaps (leading, interior, trailing), per sched/energy.hpp's horizon
-  // semantics.
-  std::vector<double> gaps;
-  if (busy.empty()) {
-    if (horizon_hi > horizon_lo) gaps.push_back(horizon_hi - horizon_lo);
-  } else {
-    if (busy.front().lo > horizon_lo) gaps.push_back(busy.front().lo - horizon_lo);
-    for (std::size_t i = 1; i < busy.size(); ++i) {
-      gaps.push_back(busy[i].lo - busy[i - 1].hi);
-    }
-    if (horizon_hi > busy.back().hi) gaps.push_back(horizon_hi - busy.back().hi);
-  }
-
-  for (double g : gaps) {
-    if (g <= 0.0) continue;
+  // Gaps (leading, interior, trailing) as sched/energy.hpp enumerates them.
+  // The policy decides each one, not the ladder walk: OracleDramPolicy
+  // breaks ties toward the shallower state, the walk toward the deeper.
+  for (const IdleGap& gap : idle_gaps(busy, horizon_lo, horizon_hi).gaps) {
+    const double g = gap.length;
     GapDecision d = policy.decide(g, p);
     if (!fits(d.state, g, p)) d.state = DramState::kActive;  // clamp illegal
     switch (d.state) {
@@ -118,15 +110,6 @@ DramEnergyResult replay_dram(const Schedule& sched, const DramPowerParams& p,
     }
   }
   return out;
-}
-
-SleepLadder to_sleep_ladder(const DramPowerParams& p) {
-  SleepLadder ladder;
-  ladder.add_state("powerdown", p.p_powerdown, p.e_powerdown, p.t_powerdown,
-                   p.p_active);
-  ladder.add_state("selfrefresh", p.p_selfrefresh, p.e_selfrefresh,
-                   p.t_selfrefresh, p.p_active);
-  return ladder;
 }
 
 DramAbstraction abstraction_for(const DramPowerParams& p, DramState depth) {

@@ -23,7 +23,6 @@
 #include <string>
 #include <vector>
 
-#include "model/sleep_ladder.hpp"
 #include "sched/schedule.hpp"
 
 namespace sdem {
@@ -119,11 +118,5 @@ struct DramAbstraction {
 };
 DramAbstraction abstraction_for(const DramPowerParams& p,
                                 DramState depth = DramState::kSelfRefresh);
-
-/// The parameter set as a 2-state SleepLadder (power-down, self-refresh)
-/// against active power p_active — the machine-level ladder the
-/// generalized energy accounting (sched/energy.hpp) consumes directly.
-/// Per-state xi is derived as pair_energy / (p_active - power).
-SleepLadder to_sleep_ladder(const DramPowerParams& p);
 
 }  // namespace sdem

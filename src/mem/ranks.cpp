@@ -2,9 +2,6 @@
 
 #include <algorithm>
 
-#include "obs/obs.hpp"
-#include "obs/timeline.hpp"
-
 namespace sdem {
 
 RankEnergy rank_memory_energy(const Schedule& sched, const MemoryPower& memory,
@@ -14,6 +11,7 @@ RankEnergy rank_memory_energy(const Schedule& sched, const MemoryPower& memory,
   num_ranks = std::max(1, num_ranks);
   num_cores = std::max(num_cores, sched.cores_used());
   const double rank_power = memory.alpha_m / num_ranks;
+  const SleepLadder rank_sleep = SleepLadder::single(rank_power, memory.xi_m);
 
   for (int r = 0; r < num_ranks; ++r) {
     // Busy union of the rank's cores.
@@ -24,126 +22,11 @@ RankEnergy rank_memory_energy(const Schedule& sched, const MemoryPower& memory,
     const auto busy = merge_intervals(std::move(v));
 
     for (const auto& b : busy) out.active += rank_power * b.length();
-
-    std::vector<double> gaps;
-    if (busy.empty()) {
-      if (horizon_hi > horizon_lo) gaps.push_back(horizon_hi - horizon_lo);
-    } else {
-      if (busy.front().lo > horizon_lo) {
-        gaps.push_back(busy.front().lo - horizon_lo);
-      }
-      for (std::size_t i = 1; i < busy.size(); ++i) {
-        gaps.push_back(busy[i].lo - busy[i - 1].hi);
-      }
-      if (horizon_hi > busy.back().hi) {
-        gaps.push_back(horizon_hi - busy.back().hi);
-      }
-    }
-    for (double g : gaps) {
-      if (g <= 0.0) continue;
-      if (memory.xi_m <= 0.0 || g >= memory.xi_m) {
-        out.transition += rank_power * memory.xi_m;
-        out.sleep_time += g;
-      } else {
-        out.idle += rank_power * g;
-      }
-    }
-  }
-  return out;
-}
-
-RankEnergy rank_memory_energy_ladder(
-    const Schedule& sched, const MemoryPower& memory, const SleepLadder& ladder,
-    int num_ranks, int num_cores, double horizon_lo, double horizon_hi,
-    const std::vector<MemoryGapGovernor*>& governors) {
-  RankEnergy out;
-  num_ranks = std::max(1, num_ranks);
-  num_cores = std::max(num_cores, sched.cores_used());
-  const double share = 1.0 / num_ranks;
-  const double rank_power = memory.alpha_m * share;
-
-  for (int r = 0; r < num_ranks; ++r) {
-    std::vector<Interval> v;
-    for (const auto& seg : sched.segments()) {
-      if (seg.core % num_ranks == r) v.push_back({seg.start, seg.end});
-    }
-    const auto busy = merge_intervals(std::move(v));
-
-    for (const auto& b : busy) out.active += rank_power * b.length();
-
-    // Chronological gaps — the governor's observation order. gap_t0 feeds
-    // the power-timeline journal (one pass per rank/island).
-    std::vector<double> gaps;
-    std::vector<double> gap_t0;
-    auto push_gap = [&](double t0, double g) {
-      gaps.push_back(g);
-      gap_t0.push_back(t0);
-    };
-    if (busy.empty()) {
-      if (horizon_hi > horizon_lo) {
-        push_gap(horizon_lo, horizon_hi - horizon_lo);
-      }
-    } else {
-      if (busy.front().lo > horizon_lo) {
-        push_gap(horizon_lo, busy.front().lo - horizon_lo);
-      }
-      for (std::size_t i = 1; i < busy.size(); ++i) {
-        push_gap(busy[i - 1].hi, busy[i].lo - busy[i - 1].hi);
-      }
-      if (horizon_hi > busy.back().hi) {
-        push_gap(busy.back().hi, horizon_hi - busy.back().hi);
-      }
-    }
-
-    MemoryGapGovernor* gov =
-        static_cast<std::size_t>(r) < governors.size()
-            ? governors[static_cast<std::size_t>(r)]
-            : nullptr;
-#if SDEM_OBS
-    const int tl_pass = obs::timeline::enabled()
-                            ? obs::timeline::begin_pass(r, "rank")
-                            : -1;
-#endif
-    for (std::size_t i = 0; i < gaps.size(); ++i) {
-      const double g = gaps[i];
-      if (g <= 0.0) continue;
-      int k = gov != nullptr ? gov->choose_state(ladder)
-                             : ladder.oracle_state(g);
-      if (k >= ladder.depth()) k = ladder.depth() - 1;
-      bool aborted = false;
-      if (k < 0) {
-        out.idle += rank_power * g;
-      } else {
-        const SleepState& s = ladder.state(k);
-        if (g < s.latency) {
-          aborted = true;
-          out.idle += rank_power * g;
-          out.transition += s.pair_energy * share;
-          out.aborts += 1.0;
-        } else {
-          out.residency += s.power * share * g;
-          out.transition += s.pair_energy * share;
-          out.sleep_time += g;
-          out.cycles += 1.0;
-          if (s.xi > 0.0 && g < s.xi) out.mispredicts += 1.0;
-        }
-      }
-#if SDEM_OBS
-      if (tl_pass >= 0) {
-        const double predicted = gov != nullptr ? gov->predict_gap() : g;
-        const bool mispredicted = k >= 0 && !aborted &&
-                                  ladder.state(k).xi > 0.0 &&
-                                  g < ladder.state(k).xi;
-        const auto oc = k < 0 ? obs::timeline::Outcome::kIdle
-                        : aborted ? obs::timeline::Outcome::kAbort
-                        : mispredicted ? obs::timeline::Outcome::kMispredict
-                                       : obs::timeline::Outcome::kCycle;
-        obs::timeline::record_decision(tl_pass, gap_t0[i], gap_t0[i] + g,
-                                       predicted, k, oc);
-      }
-#endif
-      if (gov != nullptr) gov->observe(g, aborted);
-    }
+    const GapCosts gaps =
+        account_idle_gaps(busy, rank_sleep, horizon_lo, horizon_hi);
+    out.idle += rank_power * gaps.idle;
+    out.transition += gaps.per_state[0].transition_energy;
+    out.sleep_time += gaps.asleep;
   }
   return out;
 }

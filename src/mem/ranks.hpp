@@ -35,31 +35,17 @@ struct RankEnergy {
   double idle = 0.0;
   double transition = 0.0;
   double sleep_time = 0.0;  ///< summed over ranks
-  // Ladder-path extras (zero on the single-state path below).
-  double residency = 0.0;    ///< in-state power * time, summed over ranks
-  double cycles = 0.0;       ///< completed sleep cycles, summed over ranks
-  double aborts = 0.0;       ///< pairs that did not fit their gap
-  double mispredicts = 0.0;  ///< governor slept in a state with xi > gap
-  double total() const { return active + idle + transition + residency; }
+  double total() const { return active + idle + transition; }
 };
 
 /// Evaluate `sched` with `num_ranks` ranks; core c maps to rank
-/// c % num_ranks. Gap discipline: sleep iff gap >= xi_m (per rank).
-/// Horizon semantics as in sched/energy.hpp (awake at both ends).
+/// c % num_ranks. Each rank's gaps go through sched/energy.hpp's walk on
+/// the paper's single sleep state (sleep iff gap >= xi_m, kOptimal), with
+/// its horizon semantics (awake at both ends); `memory.ladder` is not
+/// consulted. One rank reproduces compute_energy's memory_total() on an
+/// empty ladder.
 RankEnergy rank_memory_energy(const Schedule& sched, const MemoryPower& memory,
                               int num_ranks, int num_cores, double horizon_lo,
                               double horizon_hi);
-
-/// Ladder generalization: each rank carries a 1/num_ranks share of the
-/// device (state powers and pair energies scale; per-state xi and latency
-/// are scale-invariant). Per gap, rank r either consults its own governor
-/// (`governors[r]`, when given — per-rank predictor state is the "per
-/// island" EWMA/histogram the governor design calls for) or takes the
-/// clairvoyant oracle state. Gaps shorter than the chosen state's latency
-/// abort: idle power for the gap plus the sunk pair energy.
-RankEnergy rank_memory_energy_ladder(
-    const Schedule& sched, const MemoryPower& memory, const SleepLadder& ladder,
-    int num_ranks, int num_cores, double horizon_lo, double horizon_hi,
-    const std::vector<MemoryGapGovernor*>& governors = {});
 
 }  // namespace sdem

@@ -37,25 +37,11 @@ AccessAwareMemoryEnergy access_aware_memory_energy(
   const auto busy = memory_busy_with_access(sched, access);
   for (const auto& b : busy) out.active += memory.alpha_m * b.length();
 
-  std::vector<double> gaps;
-  if (busy.empty()) {
-    if (horizon_hi > horizon_lo) gaps.push_back(horizon_hi - horizon_lo);
-  } else {
-    if (busy.front().lo > horizon_lo) gaps.push_back(busy.front().lo - horizon_lo);
-    for (std::size_t i = 1; i < busy.size(); ++i) {
-      gaps.push_back(busy[i].lo - busy[i - 1].hi);
-    }
-    if (horizon_hi > busy.back().hi) gaps.push_back(horizon_hi - busy.back().hi);
-  }
-  for (double g : gaps) {
-    if (g <= 0.0) continue;
-    if (memory.xi_m <= 0.0 || g >= memory.xi_m) {
-      out.transition += memory.alpha_m * memory.xi_m;
-      out.sleep_time += g;
-    } else {
-      out.idle += memory.alpha_m * g;
-    }
-  }
+  const SleepLadder single = SleepLadder::single(memory.alpha_m, memory.xi_m);
+  const GapCosts gaps = account_idle_gaps(busy, single, horizon_lo, horizon_hi);
+  out.idle = memory.alpha_m * gaps.idle;
+  out.transition = gaps.per_state[0].transition_energy;
+  out.sleep_time = gaps.asleep;
   return out;
 }
 

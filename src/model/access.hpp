@@ -36,8 +36,11 @@ struct TaskAccess {
 std::vector<Interval> memory_busy_with_access(
     const Schedule& sched, const std::map<int, TaskAccess>& access);
 
-/// Memory-side energy under the access-phase busy profile, with the same
-/// gap semantics as sched/energy.hpp (horizon-aware, kOptimal discipline).
+/// Memory-side energy under the access-phase busy profile, through
+/// sched/energy.hpp's gap walk on the paper's single sleep state
+/// (horizon-aware, kOptimal discipline; `memory.ladder` is not consulted).
+/// With every task kWhole it equals compute_energy's memory_total() on an
+/// empty ladder.
 struct AccessAwareMemoryEnergy {
   double active = 0.0;
   double idle = 0.0;

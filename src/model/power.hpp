@@ -57,9 +57,9 @@ struct MemoryPower {
   double alpha_m = 0.0;  ///< static (leakage) power while active, W
   double xi_m = 0.0;     ///< break-even time of a sleep cycle, seconds
 
-  /// Optional multi-state sleep ladder. Empty (the default) selects the
-  /// legacy single-state model above; `SleepLadder::single(alpha_m, xi_m)`
-  /// as a depth-1 ladder is bit-identical to it.
+  /// Optional multi-state sleep ladder for compute_energy's memory gaps.
+  /// Empty (the default) stands for the paper's single state above,
+  /// `SleepLadder::single(alpha_m, xi_m)`.
   SleepLadder ladder;
 
   /// Energy cost of one active->sleep->active transition pair.

@@ -17,8 +17,10 @@
 // The single-state paper model is the exact depth=1 special case:
 // `SleepLadder::single(alpha_m, xi_m)` stores power = 0, latency = 0,
 // pair_energy = alpha_m * xi_m and — crucially — xi = xi_m *verbatim*
-// rather than re-deriving it, so the ladder accounting path reproduces the
-// legacy single-state output bit for bit (frozen-oracle policy).
+// rather than re-deriving it, so the gap walk of sched/energy.hpp on it
+// reproduces the frozen single-state rule (testing/gap_reference.hpp) bit
+// for bit. Core gaps, and memory gaps without a configured ladder, are
+// charged through it.
 #pragma once
 
 #include <cstddef>
@@ -37,15 +39,14 @@ struct SleepState {
 };
 
 /// An ordered ladder of sleep states, shallow (index 0) to deep (back()).
-/// Empty ladder == legacy single-state model driven by MemoryPower::xi_m.
+/// An empty ladder on MemoryPower stands for single(alpha_m, xi_m).
 class SleepLadder {
  public:
   SleepLadder() = default;
 
   /// The paper's single sleep state as a depth-1 ladder. xi is stored as
   /// the given xi_m (not derived), pair_energy = alpha_m * xi_m, power and
-  /// latency are zero — accounting through this ladder is bit-identical to
-  /// the legacy path.
+  /// latency are zero.
   static SleepLadder single(double alpha_m, double xi_m);
 
   /// A synthetic depth-d ladder whose deepest state is exactly the paper's
@@ -89,7 +90,7 @@ class SleepLadder {
   /// xi[k] <= 0) and latency[k] <= gap, the one minimizing
   /// power[k] * gap + pair_energy[k]; ties prefer the deeper state. -1 when
   /// no state beats idle-awake. At depth 1 this reduces exactly to the
-  /// legacy rule "sleep iff xi <= 0 or gap >= xi".
+  /// paper's rule "sleep iff xi <= 0 or gap >= xi".
   int oracle_state(double gap) const;
 
  private:

@@ -293,6 +293,21 @@ Json Snapshot::runtime_json() const {
   return j;
 }
 
+double DistValue::percentile(double q) const {
+  if (count == 0) return 0.0;
+  const auto target = static_cast<std::uint64_t>(
+      std::max(1.0, std::ceil(q * static_cast<double>(count))));
+  std::uint64_t seen = 0;
+  for (const auto& [e, c] : buckets) {
+    seen += c;
+    if (seen >= target) {
+      if (e == -9999) return 0.0;  // nonpositive-sample bucket
+      return std::min(max, std::ldexp(1.0, e + 1));
+    }
+  }
+  return max;
+}
+
 const std::uint64_t* Snapshot::counter(const std::string& name) const {
   for (const auto& [n, v] : counters) {
     if (n == name) return &v;

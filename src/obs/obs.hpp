@@ -113,6 +113,12 @@ struct DistValue {
 
   double sum() const { return static_cast<double>(sum_fx) / kDistFxScale; }
   double mean() const { return count > 0 ? sum() / static_cast<double>(count) : 0.0; }
+  /// Quantile estimate from the log2 histogram: the upper edge of the
+  /// bucket holding the ceil(q*count)-th sample, clamped to the observed
+  /// max; 0 when empty or when that sample is nonpositive. Coarse
+  /// (factor-of-two buckets) but mergeable — what STATS, METRICS and the
+  /// service_throughput bench report.
+  double percentile(double q) const;
 };
 
 /// Name-sorted, shard-merged view of every metric.
@@ -139,7 +145,8 @@ struct Snapshot {
 // depending on the window header.
 struct WindowSpec;
 struct WindowCell;
-struct WindowValue;
+/// A window merged over its slices is a distribution like any other.
+using WindowValue = DistValue;
 
 class Registry {
  public:

@@ -2,15 +2,16 @@
 // sleep decisions, exported as Chrome-trace/Perfetto tracks
 // (docs/observability.md §timeline).
 //
-// The ladder accounting in src/sched/energy.cpp and src/mem/ranks.cpp
-// walks each memory island's idle gaps chronologically; when the timeline
-// is recording, every decision (predicted idle, chosen rung, actual gap,
-// outcome) is journaled under a *pass* — one pass per accounting walk per
-// island. Serialization turns each pass into its own tid of well-nested
-// B/E spans (one span per gap, annotated with prediction/actual/state),
-// plus one "C" counter track per island showing sleep-state residency
-// (value = rung + 1 while asleep, 0 awake) and any caller-supplied counter
-// tracks (sdem_cli adds per-core CPU speed from the schedule).
+// The gap walk in src/sched/energy.cpp decides each memory island's idle
+// gaps chronologically; when the timeline is recording, every decision of
+// a walk over a configured ladder or under a governor (predicted idle,
+// chosen rung, actual gap, outcome) is journaled under a *pass* — one pass
+// per compute_energy call. Serialization turns each pass into its own tid
+// of well-nested B/E spans (one span per gap, annotated with
+// prediction/actual/state), plus one "C" counter track per island showing
+// sleep-state residency (value = rung + 1 while asleep, 0 awake) and any
+// caller-supplied counter tracks (sdem_cli adds per-core CPU speed from
+// the schedule).
 //
 // Timestamps are *simulated* seconds (reported as microseconds), not wall
 // clock, so the journal is a pure function of the accounting sequence —

@@ -38,8 +38,6 @@ void WindowCell::clear() {
 
 void merge_window(WindowValue& into, const WindowCell& cell,
                   std::uint64_t as_of_ns) {
-  into.spec = cell.spec;
-  into.as_of_ns = as_of_ns;
   const std::uint64_t cur = as_of_ns / cell.spec.slice_ns;
   const std::uint64_t span = static_cast<std::uint64_t>(cell.spec.slices) - 1;
   const std::uint64_t lo = cur >= span ? cur - span : 0;
@@ -60,21 +58,6 @@ void merge_window(WindowValue& into, const WindowCell& cell,
     }
   }
   into.buckets.assign(merged.begin(), merged.end());
-}
-
-double WindowValue::percentile(double q) const {
-  if (count == 0) return 0.0;
-  const auto target = static_cast<std::uint64_t>(std::max(
-      1.0, std::ceil(q * static_cast<double>(count))));
-  std::uint64_t seen = 0;
-  for (const auto& [e, c] : buckets) {
-    seen += c;
-    if (seen >= target) {
-      if (e == -9999) return 0.0;  // nonpositive-sample bucket
-      return std::min(max, std::ldexp(1.0, e + 1));
-    }
-  }
-  return max;
 }
 
 }  // namespace sdem::obs

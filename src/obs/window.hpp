@@ -6,9 +6,9 @@
 // with the *absolute* slice number it covers (timestamp / slice_ns).
 // add() rotates lazily: when a sample lands in a ring slot whose stored
 // slice number differs, the slot is cleared and re-claimed — no timers, no
-// background sweeps. A merged WindowValue covers the last `slices` slice
-// numbers ending at an explicit as-of instant, so stale slots age out by
-// simply failing the range test at merge time.
+// background sweeps. A merged WindowValue (a DistValue, obs.hpp) covers the
+// last `slices` slice numbers ending at an explicit as-of instant, so stale
+// slots age out by simply failing the range test at merge time.
 //
 // Cells live in the same per-thread registry shards as the cumulative
 // cells (one WindowCell per name per thread, registered on first use) and
@@ -71,29 +71,6 @@ struct WindowCell {
 
   /// Drop every slice (Registry::reset path).
   void clear();
-};
-
-/// Shard-merged view of a window ending at `as_of_ns`.
-struct WindowValue {
-  WindowSpec spec;
-  std::uint64_t as_of_ns = 0;
-  std::uint64_t count = 0;
-  std::int64_t sum_fx = 0;
-  double min = 0.0;
-  double max = 0.0;
-  /// Sparse log2 histogram, ascending (exponent, count); exponent -9999 is
-  /// the nonpositive-sample sentinel, matching DistValue.
-  std::vector<std::pair<int, std::uint64_t>> buckets;
-
-  double sum() const { return static_cast<double>(sum_fx) / kDistFxScale; }
-  double mean() const {
-    return count > 0 ? sum() / static_cast<double>(count) : 0.0;
-  }
-  /// Quantile estimate from the log2 histogram: the upper edge of the
-  /// bucket holding the ceil(q*count)-th sample, clamped to the observed
-  /// max (the same estimator STATS uses on cumulative dists). Empty window
-  /// => 0.
-  double percentile(double q) const;
 };
 
 /// Fold `cell`'s in-window slices (absolute slice numbers in

@@ -1,7 +1,6 @@
 #include "sched/energy.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <vector>
 
 #include "obs/obs.hpp"
@@ -10,163 +9,24 @@
 namespace sdem {
 namespace {
 
-struct GapCosts {
-  double idle = 0.0;       ///< time spent idle-awake in gaps
-  double sleeps = 0.0;     ///< number of sleep cycles taken
-  double asleep = 0.0;     ///< time spent asleep
-  double sleep_min = 0.0;  ///< shortest single sleep interval (0 when none)
-  double sleep_max = 0.0;  ///< longest single sleep interval
-};
-
-/// Decide idle-vs-sleep for every gap between consecutive busy intervals,
-/// including leading/trailing gaps against the horizon when one is given.
-/// Gaps are folded in place (leading, trailing, then internal in order)
-/// rather than materialized. `is_memory` routes per-gap samples to the
-/// memory sleep/idle gauges (the device the paper's race-vs-stretch
-/// tension is about).
-GapCosts account_gaps(const std::vector<Interval>& busy, double break_even,
-                      SleepDiscipline disc, double horizon_lo,
-                      double horizon_hi, bool is_memory) {
+/// account_idle_gaps under any discipline (kGovernor without a governor
+/// decides as kOptimal), plus the observability hooks of compute_energy's
+/// memory walk: per-gap memory gauges (`gauges`) and the power-timeline
+/// journal (`tl_pass` >= 0). Neither feeds back into the sums.
+GapCosts walk_gaps(const std::vector<Interval>& busy, const SleepLadder& ladder,
+                   double horizon_lo, double horizon_hi, SleepDiscipline disc,
+                   MemoryGapGovernor* governor, bool gauges,
+                   [[maybe_unused]] int tl_pass) {
   GapCosts out;
-  auto sleep_for = [&](double g) {
-    out.sleeps += 1.0;
-    out.asleep += g;
-    if (out.sleeps == 1.0 || g < out.sleep_min) out.sleep_min = g;
-    if (g > out.sleep_max) out.sleep_max = g;
-    if (is_memory) SDEM_OBS_DIST("energy/memory_sleep_interval_s", g);
-  };
-  auto idle_for = [&](double g) {
-    out.idle += g;
-    if (is_memory) SDEM_OBS_DIST("energy/memory_idle_gap_s", g);
-  };
-  if (busy.empty()) {
-    // A device that never runs: idle-awake across the horizon under kNever,
-    // otherwise it sleeps through it (one cycle if the horizon is nonempty).
-    if (horizon_hi > horizon_lo) {
-      const double span = horizon_hi - horizon_lo;
-      if (disc == SleepDiscipline::kNever) {
-        idle_for(span);
-      } else if (disc == SleepDiscipline::kAlways || span >= break_even) {
-        // kOptimal and (governor-less) kGovernor sleep iff the span covers
-        // the break-even time.
-        sleep_for(span);
-      } else {
-        idle_for(span);
-      }
-    }
-    return out;
-  }
-
-  auto consider = [&](double g) {
-    if (g <= 0.0) return;
-    switch (disc) {
-      case SleepDiscipline::kNever:
-        idle_for(g);
-        break;
-      case SleepDiscipline::kAlways:
-        sleep_for(g);
-        break;
-      case SleepDiscipline::kOptimal:
-      case SleepDiscipline::kGovernor:  // no governor on this path: kOptimal
-        // Sleep iff the gap is at least the break-even time (with a free
-        // transition, always sleep).
-        if (break_even <= 0.0 || g >= break_even) {
-          sleep_for(g);
-        } else {
-          idle_for(g);
-        }
-        break;
-    }
-  };
-
-  if (horizon_hi > horizon_lo) {
-    if (busy.front().lo > horizon_lo) consider(busy.front().lo - horizon_lo);
-    if (horizon_hi > busy.back().hi) consider(horizon_hi - busy.back().hi);
-  }
-  for (std::size_t i = 1; i < busy.size(); ++i) {
-    consider(busy[i].lo - busy[i - 1].hi);
-  }
-  return out;
-}
-
-struct LadderCosts {
-  double idle = 0.0;       ///< time spent idle-awake in gaps
-  double sleeps = 0.0;     ///< completed sleep cycles (all states)
-  double asleep = 0.0;     ///< time spent in some sleep state
-  double sleep_min = 0.0;  ///< shortest single sleep interval (0 when none)
-  double sleep_max = 0.0;  ///< longest single sleep interval
-  double exit_latency = 0.0;  ///< sum of enter+exit latencies taken
-  double mispredicts = 0.0;   ///< slept in a state whose xi exceeds the gap
-  double aborts = 0.0;        ///< entries cut short before the pair fit
-  std::vector<SleepStateBreakdown> per_state;
-};
-
-/// Ladder-path analogue of account_gaps. Decisions are made in
-/// *chronological* gap order (the governor is an online predictor), then
-/// the accounting sums are folded in the legacy order — leading, trailing,
-/// then internal — so a depth-1 ladder reproduces the single-state totals
-/// bit for bit.
-///
-/// Per-gap semantics for a chosen state k:
-///   gap <  latency[k]  — abort: the pair doesn't fit; the gap is charged
-///                        idle-awake and the pair energy is still paid.
-///   gap >= latency[k]  — a completed cycle: residency power[k] for the
-///                        whole gap plus the pair energy; counted as a
-///                        mispredict when gap < xi[k] (the state loses to
-///                        idling, but the decision was already taken).
-LadderCosts account_ladder_gaps(const std::vector<Interval>& busy,
-                                const SleepLadder& ladder,
-                                SleepDiscipline disc,
-                                MemoryGapGovernor* governor, double horizon_lo,
-                                double horizon_hi, int tl_pass) {
-  LadderCosts out;
   out.per_state.resize(static_cast<std::size_t>(ladder.depth()));
+  const IdleGaps list = idle_gaps(busy, horizon_lo, horizon_hi);
+  const std::vector<IdleGap>& gaps = list.gaps;
+  const std::size_t n = gaps.size();
 
-  // Chronological gap list: leading, internal..., trailing. gap_t0 carries
-  // each gap's start time for the power-timeline journal.
-  std::vector<double> gaps;
-  std::vector<double> gap_t0;
-  auto push_gap = [&](double t0, double g) {
-    gaps.push_back(g);
-    gap_t0.push_back(t0);
-  };
-  bool has_leading = false;
-  bool has_trailing = false;
-  if (busy.empty()) {
-    if (horizon_hi > horizon_lo) {
-      push_gap(horizon_lo, horizon_hi - horizon_lo);
-      has_leading = true;
-    }
-  } else {
-    if (horizon_hi > horizon_lo) {
-      if (busy.front().lo > horizon_lo) {
-        const double g = busy.front().lo - horizon_lo;
-        if (g > 0.0) {
-          push_gap(horizon_lo, g);
-          has_leading = true;
-        }
-      }
-    }
-    for (std::size_t i = 1; i < busy.size(); ++i) {
-      const double g = busy[i].lo - busy[i - 1].hi;
-      if (g > 0.0) push_gap(busy[i - 1].hi, g);
-    }
-    if (horizon_hi > horizon_lo && horizon_hi > busy.back().hi) {
-      const double g = horizon_hi - busy.back().hi;
-      if (g > 0.0) {
-        push_gap(busy.back().hi, g);
-        has_trailing = true;
-      }
-    }
-  }
-  if (gaps.empty()) return out;
-
-  // Decide every gap chronologically.
-  std::vector<int> decision(gaps.size(), -1);
-  std::vector<double> predicted;
-  if (tl_pass >= 0) predicted.assign(gaps.size(), -1.0);
-  for (std::size_t i = 0; i < gaps.size(); ++i) {
-    const double g = gaps[i];
+  // Decide every gap chronologically (the governor is an online predictor).
+  std::vector<int> decision(n, -1);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double g = gaps[i].length;
     int k = -1;
     switch (disc) {
       case SleepDiscipline::kNever:
@@ -180,39 +40,25 @@ LadderCosts account_ladder_gaps(const std::vector<Interval>& busy,
         break;
       case SleepDiscipline::kGovernor:
         if (governor != nullptr) {
-          k = governor->choose_state(ladder);
-          if (k >= ladder.depth()) k = ladder.depth() - 1;
-          if (k < -1) k = -1;
+          k = std::clamp(governor->choose_state(ladder), -1,
+                         ladder.depth() - 1);
         } else {
           k = ladder.oracle_state(g);
         }
         break;
     }
     decision[i] = k;
+#if SDEM_OBS
     if (tl_pass >= 0) {
       // Clairvoyant disciplines "predicted" the true gap; a live governor
       // exposes the prediction its choice was based on.
+      double predicted = -1.0;
       if (disc == SleepDiscipline::kOptimal ||
           (disc == SleepDiscipline::kGovernor && governor == nullptr)) {
-        predicted[i] = g;
+        predicted = g;
       } else if (disc == SleepDiscipline::kGovernor) {
-        predicted[i] = governor->predict_gap();
+        predicted = governor->predict_gap();
       }
-    }
-    if (disc == SleepDiscipline::kGovernor && governor != nullptr) {
-      const bool aborted =
-          k >= 0 && g < ladder.state(k).latency;
-      governor->observe(g, aborted);
-    }
-  }
-
-#if SDEM_OBS
-  // Journal every decision chronologically (the fold below runs in legacy
-  // order, which would scramble the timeline).
-  if (tl_pass >= 0) {
-    for (std::size_t i = 0; i < gaps.size(); ++i) {
-      const double g = gaps[i];
-      const int k = decision[i];
       obs::timeline::Outcome oc = obs::timeline::Outcome::kIdle;
       if (k >= 0) {
         const SleepState& s = ladder.state(k);
@@ -221,19 +67,21 @@ LadderCosts account_ladder_gaps(const std::vector<Interval>& busy,
                  ? obs::timeline::Outcome::kMispredict
                  : obs::timeline::Outcome::kCycle;
       }
-      obs::timeline::record_decision(tl_pass, gap_t0[i], gap_t0[i] + g,
-                                     predicted[i], k, oc);
+      obs::timeline::record_decision(tl_pass, gaps[i].t0, gaps[i].t0 + g,
+                                     predicted, k, oc);
+    }
+#endif
+    if (disc == SleepDiscipline::kGovernor && governor != nullptr) {
+      governor->observe(g, k >= 0 && g < ladder.state(k).latency);
     }
   }
-#endif
 
-  // Fold accounting in legacy order: leading, trailing, then internal.
   auto fold = [&](std::size_t i) {
-    const double g = gaps[i];
+    const double g = gaps[i].length;
     const int k = decision[i];
     if (k < 0) {
       out.idle += g;
-      SDEM_OBS_DIST("energy/memory_idle_gap_s", g);
+      if (gauges) SDEM_OBS_DIST("energy/memory_idle_gap_s", g);
       return;
     }
     const SleepState& s = ladder.state(k);
@@ -244,8 +92,10 @@ LadderCosts account_ladder_gaps(const std::vector<Interval>& busy,
       out.idle += g;
       out.aborts += 1.0;
       ps.aborts += 1.0;
-      SDEM_OBS_INC("energy/ladder_aborts");
-      SDEM_OBS_DIST("energy/memory_idle_gap_s", g);
+      if (gauges) {
+        SDEM_OBS_INC("energy/ladder_aborts");
+        SDEM_OBS_DIST("energy/memory_idle_gap_s", g);
+      }
       return;
     }
     out.sleeps += 1.0;
@@ -255,11 +105,13 @@ LadderCosts account_ladder_gaps(const std::vector<Interval>& busy,
     out.exit_latency += s.latency;
     ps.cycles += 1.0;
     ps.sleep_time += g;
-    if (s.xi > 0.0 && g < s.xi) {
+    const bool mispredict = s.xi > 0.0 && g < s.xi;
+    if (mispredict) {
       out.mispredicts += 1.0;
       ps.mispredicts += 1.0;
-      SDEM_OBS_INC("energy/ladder_mispredicts");
     }
+    if (!gauges) return;
+    if (mispredict) SDEM_OBS_INC("energy/ladder_mispredicts");
     SDEM_OBS_DIST("energy/memory_sleep_interval_s", g);
     // Per-state residency gauges (docs/observability.md): fixed names for
     // the first rungs, one shared bucket for anything deeper.
@@ -272,21 +124,16 @@ LadderCosts account_ladder_gaps(const std::vector<Interval>& busy,
     }
   };
 
-  const std::size_t n = gaps.size();
-  std::size_t internal_lo = 0;
-  std::size_t internal_hi = n;
-  if (has_leading) {
-    fold(0);
-    internal_lo = 1;
-  }
-  if (has_trailing) {
-    fold(n - 1);
-    internal_hi = n - 1;
-  }
-  for (std::size_t i = internal_lo; i < internal_hi; ++i) fold(i);
+  // Fold leading, trailing, then internal gaps: the paper model's
+  // accounting order, which the committed bench payloads were made with.
+  std::size_t lo = 0;
+  std::size_t hi = n;
+  if (list.leading) fold(lo++);
+  if (list.trailing && hi > lo) fold(--hi);
+  for (std::size_t i = lo; i < hi; ++i) fold(i);
 
-  // One multiply per state, mirroring the legacy
-  // `alpha_m * xi_m * sleeps` association.
+  // One multiply per state: pair_energy * cycles is the paper's
+  // `alpha * xi * sleeps` association.
   for (std::size_t k = 0; k < out.per_state.size(); ++k) {
     auto& ps = out.per_state[k];
     const SleepState& s = ladder.state(static_cast<int>(k));
@@ -298,6 +145,41 @@ LadderCosts account_ladder_gaps(const std::vector<Interval>& busy,
 
 }  // namespace
 
+IdleGaps idle_gaps(const std::vector<Interval>& busy, double horizon_lo,
+                   double horizon_hi) {
+  IdleGaps out;
+  const bool horizon = horizon_hi > horizon_lo;
+  if (busy.empty()) {
+    if (horizon) {
+      out.gaps.push_back({horizon_lo, horizon_hi - horizon_lo});
+      out.leading = true;
+    }
+    return out;
+  }
+  out.gaps.reserve(busy.size() + 1);
+  if (horizon && busy.front().lo > horizon_lo) {
+    out.gaps.push_back({horizon_lo, busy.front().lo - horizon_lo});
+    out.leading = true;
+  }
+  for (std::size_t i = 1; i < busy.size(); ++i) {
+    const double g = busy[i].lo - busy[i - 1].hi;
+    if (g > 0.0) out.gaps.push_back({busy[i - 1].hi, g});
+  }
+  if (horizon && horizon_hi > busy.back().hi) {
+    out.gaps.push_back({busy.back().hi, horizon_hi - busy.back().hi});
+    out.trailing = true;
+  }
+  return out;
+}
+
+GapCosts account_idle_gaps(const std::vector<Interval>& busy,
+                           const SleepLadder& ladder, double horizon_lo,
+                           double horizon_hi) {
+  return walk_gaps(busy, ladder, horizon_lo, horizon_hi,
+                   SleepDiscipline::kOptimal, /*governor=*/nullptr,
+                   /*gauges=*/false, /*tl_pass=*/-1);
+}
+
 EnergyBreakdown compute_energy(const Schedule& sched, const SystemConfig& cfg,
                                const EnergyOptions& opts) {
   EnergyBreakdown e;
@@ -307,6 +189,8 @@ EnergyBreakdown compute_energy(const Schedule& sched, const SystemConfig& cfg,
   }
 
   if (cfg.core.alpha > 0.0) {
+    const SleepLadder core_sleep = SleepLadder::single(cfg.core.alpha,
+                                                       cfg.core.xi);
     const int cores = sched.cores_used();
     // Bucket segments by core in one pass instead of scanning the whole
     // schedule once per core; per-core interval order (segment order) and
@@ -323,68 +207,49 @@ EnergyBreakdown compute_energy(const Schedule& sched, const SystemConfig& cfg,
       const auto busy =
           merge_intervals(std::move(per_core[static_cast<std::size_t>(c)]));
       for (const auto& i : busy) e.core_static += cfg.core.alpha * i.length();
-      const auto gaps = account_gaps(busy, cfg.core.xi, opts.core_gaps,
-                                     opts.horizon_lo, opts.horizon_hi,
-                                     /*is_memory=*/false);
+      const GapCosts gaps = account_idle_gaps(busy, core_sleep,
+                                              opts.horizon_lo, opts.horizon_hi);
       e.core_idle += cfg.core.alpha * gaps.idle;
-      e.core_transition += cfg.core.alpha * cfg.core.xi * gaps.sleeps;
+      e.core_transition += gaps.per_state[0].transition_energy;
     }
   }
 
-  {
-    const auto busy = sched.memory_busy();
-    for (const auto& i : busy) {
-      e.memory_active += cfg.memory.alpha_m * i.length();
-    }
-    const bool ladder_path = !cfg.memory.ladder.empty() ||
-                             opts.memory_gaps == SleepDiscipline::kGovernor;
-    if (!ladder_path) {
-      const auto gaps = account_gaps(busy, cfg.memory.xi_m, opts.memory_gaps,
-                                     opts.horizon_lo, opts.horizon_hi,
-                                     /*is_memory=*/true);
-      e.memory_idle += cfg.memory.alpha_m * gaps.idle;
-      e.memory_transition +=
-          cfg.memory.alpha_m * cfg.memory.xi_m * gaps.sleeps;
-      e.memory_sleep_time = gaps.asleep;
-      e.memory_sleep_cycles = gaps.sleeps;
-      e.memory_sleep_min = gaps.sleep_min;
-      e.memory_sleep_max = gaps.sleep_max;
-    } else {
-      // kGovernor on a ladder-less config runs against the paper's single
-      // state as a depth-1 ladder (bit-identical accounting basis).
-      SleepLadder fallback;
-      if (cfg.memory.ladder.empty()) {
-        fallback = SleepLadder::single(cfg.memory.alpha_m, cfg.memory.xi_m);
-      }
-      const SleepLadder& ladder =
-          cfg.memory.ladder.empty() ? fallback : cfg.memory.ladder;
-      int tl_pass = -1;
+  const auto busy = sched.memory_busy();
+  for (const auto& i : busy) {
+    e.memory_active += cfg.memory.alpha_m * i.length();
+  }
+  const SleepLadder single =
+      SleepLadder::single(cfg.memory.alpha_m, cfg.memory.xi_m);
+  const SleepLadder& ladder =
+      cfg.memory.ladder.empty() ? single : cfg.memory.ladder;
+  int tl_pass = -1;
 #if SDEM_OBS
-      if (obs::timeline::enabled()) {
-        tl_pass = obs::timeline::begin_pass(
-            opts.timeline_island,
-            opts.timeline_label != nullptr ? opts.timeline_label : "");
-      }
-#endif
-      const auto costs = account_ladder_gaps(
-          busy, ladder, opts.memory_gaps, opts.governor, opts.horizon_lo,
-          opts.horizon_hi, tl_pass);
-      e.memory_idle += cfg.memory.alpha_m * costs.idle;
-      for (const auto& ps : costs.per_state) {
-        e.memory_sleep_residency += ps.residency_energy;
-        e.memory_transition += ps.transition_energy;
-      }
-      e.memory_sleep_time = costs.asleep;
-      e.memory_sleep_cycles = costs.sleeps;
-      e.memory_sleep_min = costs.sleep_min;
-      e.memory_sleep_max = costs.sleep_max;
-      e.memory_exit_latency = costs.exit_latency;
-      e.governor_mispredicts = costs.mispredicts;
-      e.governor_aborts = costs.aborts;
-      e.memory_states = costs.per_state;
-    }
+  // The journal follows ladder and governor walks; the single state under
+  // a clairvoyant or fixed discipline has no rung choice to show.
+  if (obs::timeline::enabled() &&
+      (!cfg.memory.ladder.empty() ||
+       opts.memory_gaps == SleepDiscipline::kGovernor)) {
+    tl_pass = obs::timeline::begin_pass(
+        opts.timeline_island,
+        opts.timeline_label != nullptr ? opts.timeline_label : "");
   }
-
+#endif
+  GapCosts costs = walk_gaps(busy, ladder, opts.horizon_lo, opts.horizon_hi,
+                             opts.memory_gaps, opts.governor,
+                             /*gauges=*/true, tl_pass);
+  e.memory_idle += cfg.memory.alpha_m * costs.idle;
+  for (const auto& ps : costs.per_state) {
+    e.memory_sleep_residency += ps.residency_energy;
+    e.memory_transition += ps.transition_energy;
+  }
+  e.memory_sleep_time = costs.asleep;
+  e.memory_sleep_cycles = costs.sleeps;
+  e.memory_sleep_min = costs.sleep_min;
+  e.memory_sleep_max = costs.sleep_max;
+  e.memory_exit_latency = costs.exit_latency;
+  e.governor_mispredicts = costs.mispredicts;
+  e.governor_aborts = costs.aborts;
+  e.memory_states = std::move(costs.per_state);
   return e;
 }
 

@@ -10,19 +10,23 @@
 // zero break-even time, sleeping is free and instantaneous, which recovers
 // the Section 3 model where idle cores and sleeping memory cost nothing.
 //
+// Every idle gap goes through one walk (`account_idle_gaps` is its kOptimal,
+// metric-free entry point) under a sleep ladder (model/sleep_ladder.hpp):
+// per-state residency power, per-state transition pairs, and an abort path
+// for gaps shorter than the chosen state's enter+exit latency. The paper's
+// single sleep state is the depth-1 ladder
+// `SleepLadder::single(static_power, break_even)`: each core's gaps are
+// charged through it, and so is the memory's unless `cfg.memory.ladder` is
+// set.
+//
 // Gap disciplines:
 //   kNever    — idle-awake through every gap (MBKP's memory)
-//   kAlways   — sleep through every gap, however short (MBKPS's memory)
-//   kOptimal  — sleep iff the gap length >= the break-even time; with a
-//               sleep ladder, the clairvoyant per-gap energy minimum
+//   kAlways   — sleep through every gap, however short, in the deepest
+//               state (MBKPS's memory)
+//   kOptimal  — the clairvoyant per-gap energy minimum; on the single
+//               state, sleep iff the gap length >= the break-even time
 //   kGovernor — a MemoryGapGovernor predicts each gap online and picks a
 //               ladder state before seeing the gap's true length
-//
-// When `cfg.memory.ladder` is non-empty (or the discipline is kGovernor),
-// gap accounting runs through the ladder path: per-state residency power,
-// per-state transition pairs, and an abort path for gaps shorter than the
-// chosen state's enter+exit latency. The empty-ladder kNever/kAlways/
-// kOptimal path is the legacy single-state code, unchanged.
 //
 // Leading and trailing gaps (horizon edge to first/last busy interval) are
 // gaps like any other when a horizon is given; otherwise the horizon
@@ -73,6 +77,60 @@ struct SleepStateBreakdown {
   double transition_energy = 0.0;  ///< pair_energy[k] * (cycles + aborts)
 };
 
+/// One idle gap of a device: [t0, t0 + length), length > 0.
+struct IdleGap {
+  double t0 = 0.0;
+  double length = 0.0;
+};
+
+/// A device's idle gaps in chronological order. `leading` marks a first
+/// gap that starts at the horizon's start, `trailing` a last gap that ends
+/// at the horizon's end.
+struct IdleGaps {
+  std::vector<IdleGap> gaps;
+  bool leading = false;
+  bool trailing = false;
+};
+
+/// The idle gaps around `busy` (sorted, merged intervals): between
+/// consecutive busy intervals and, when horizon_hi > horizon_lo, from
+/// horizon_lo to the first and from the last to horizon_hi (the whole
+/// horizon when `busy` is empty). Zero-length gaps are dropped.
+IdleGaps idle_gaps(const std::vector<Interval>& busy, double horizon_lo,
+                   double horizon_hi);
+
+/// Sums of one device's gap walk.
+struct GapCosts {
+  double idle = 0.0;          ///< time spent idle-awake in gaps
+  double sleeps = 0.0;        ///< completed sleep cycles (all states)
+  double asleep = 0.0;        ///< time spent in some sleep state
+  double sleep_min = 0.0;     ///< shortest single sleep interval (0 when none)
+  double sleep_max = 0.0;     ///< longest single sleep interval
+  double exit_latency = 0.0;  ///< sum of enter+exit latencies taken
+  double mispredicts = 0.0;   ///< slept in a state whose xi exceeds the gap
+  double aborts = 0.0;        ///< entries cut short before the pair fit
+  std::vector<SleepStateBreakdown> per_state;  ///< parallel to the ladder
+};
+
+/// The gap walk. Decides every idle gap of `busy` (idle_gaps' semantics)
+/// under `ladder` in chronological order, then folds the sums leading gap
+/// first, trailing gap second, then the internal gaps in order. This entry
+/// point takes the clairvoyant kOptimal decision (SleepLadder::oracle_state)
+/// and records no metrics; compute_energy runs the same walk under any
+/// SleepDiscipline, asking a governor once per gap and then telling it the
+/// gap's true length.
+///
+/// Per-gap semantics for a chosen state k:
+///   gap <  latency[k]  — abort: the pair doesn't fit; the gap is charged
+///                        idle-awake and the pair energy is still paid.
+///   gap >= latency[k]  — a completed cycle: residency power[k] for the
+///                        whole gap plus the pair energy; counted as a
+///                        mispredict when gap < xi[k] (the state loses to
+///                        idling, but the decision was already taken).
+GapCosts account_idle_gaps(const std::vector<Interval>& busy,
+                           const SleepLadder& ladder, double horizon_lo,
+                           double horizon_hi);
+
 struct EnergyBreakdown {
   double core_dynamic = 0.0;      ///< beta * s^lambda * time
   double core_static = 0.0;       ///< alpha * execution time
@@ -80,7 +138,7 @@ struct EnergyBreakdown {
   double core_transition = 0.0;   ///< alpha * xi per sleep cycle
   double memory_active = 0.0;     ///< alpha_m * busy time
   double memory_idle = 0.0;       ///< alpha_m * idle-awake gap time
-  double memory_transition = 0.0; ///< alpha_m * xi_m per sleep cycle
+  double memory_transition = 0.0; ///< pair energy per sleep cycle or abort
   double memory_sleep_time = 0.0; ///< total time the memory spends asleep
 
   // Memory sleep-interval statistics (paper §3's central quantity): how
@@ -90,13 +148,14 @@ struct EnergyBreakdown {
   double memory_sleep_min = 0.0;
   double memory_sleep_max = 0.0;
 
-  // Ladder-path extras; all zero on the legacy single-state path.
+  // Ladder extras; all zero on the paper's single state, whose residency
+  // power and latency are zero, except mispredicts under kAlways.
   double memory_sleep_residency = 0.0;  ///< sum of power[k] * time-in-state
   double memory_exit_latency = 0.0;     ///< time inside enter/exit pairs
   double governor_mispredicts = 0.0;    ///< slept in a state with xi > gap
   double governor_aborts = 0.0;         ///< woken before the pair completed
-  /// Per-state residency/cycles/energy, parallel to the ladder's states;
-  /// empty on the legacy path.
+  /// Per-state residency/cycles/energy, parallel to the memory's ladder
+  /// (one row for the single state).
   std::vector<SleepStateBreakdown> memory_states;
 
   /// Mean sleep-interval length (0 when the memory never sleeps).
@@ -116,7 +175,6 @@ struct EnergyBreakdown {
 };
 
 struct EnergyOptions {
-  SleepDiscipline core_gaps = SleepDiscipline::kOptimal;
   SleepDiscipline memory_gaps = SleepDiscipline::kOptimal;
   /// Accounting horizon; when hi <= lo it defaults to the schedule's busy
   /// span (leading/trailing gaps empty).
@@ -133,7 +191,8 @@ struct EnergyOptions {
   const char* timeline_label = "";
 };
 
-/// Full accounting of `sched` under `cfg`.
+/// Full accounting of `sched` under `cfg`. Core gaps always take the
+/// kOptimal discipline.
 EnergyBreakdown compute_energy(const Schedule& sched, const SystemConfig& cfg,
                                const EnergyOptions& opts = {});
 

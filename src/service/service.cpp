@@ -15,25 +15,6 @@
 namespace sdem::service {
 namespace {
 
-/// Approximate quantile from a merged log2 histogram: the upper edge of the
-/// bucket where the cumulative count crosses q, clamped to the observed
-/// max. Coarse (factor-of-two buckets) but allocation-free and mergeable —
-/// exactly what the runtime domain stores.
-double dist_percentile(const obs::DistValue& d, double q) {
-  if (d.count == 0) return 0.0;
-  const auto target = static_cast<std::uint64_t>(
-      std::max(1.0, std::ceil(q * static_cast<double>(d.count))));
-  std::uint64_t cum = 0;
-  for (const auto& [exp2, n] : d.buckets) {
-    cum += n;
-    if (cum >= target) {
-      if (exp2 <= -9999) return 0.0;  // nonpositive-sample bucket
-      return std::min(d.max, std::ldexp(1.0, exp2 + 1));
-    }
-  }
-  return d.max;
-}
-
 /// Lines staged per (producer, shard) before an automatic ring push, and
 /// the drain's pop batch. One acquire/release pair moves this many
 /// requests across the ring.
@@ -556,8 +537,8 @@ Json Service::stats(std::uint64_t seq) {
       if (name != s.replan_metric) continue;
       Json lat = Json::object();
       lat.set("count", dist.count);
-      lat.set("p50_ns", dist_percentile(dist, 0.50));
-      lat.set("p99_ns", dist_percentile(dist, 0.99));
+      lat.set("p50_ns", dist.percentile(0.50));
+      lat.set("p99_ns", dist.percentile(0.99));
       lat.set("mean_ns", dist.mean());
       lat.set("max_ns", dist.max);
       js.set("replan_latency", std::move(lat));

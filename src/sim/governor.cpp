@@ -13,24 +13,6 @@ IdleGovernor::IdleGovernor(const IdleGovernorParams& params)
   ring_.assign(static_cast<std::size_t>(params_.window), 0.0);
 }
 
-void IdleGovernor::reset() {
-  count_ = 0;
-  clamps_ = 0.0;
-  ewma_ = 0.0;
-  ring_next_ = 0;
-  ring_size_ = 0;
-  tau_ = 0.0;
-  ewma_short_ = 0.0;
-  n_short_ = 0;
-  ewma_long_ = 0.0;
-  n_long_ = 0;
-  run_ = 0.0;
-  run_len_ewma_ = 0.0;
-  run_seen_ = false;
-  last_class_ = -1;
-  p_long_after_long_ = 0.0;
-}
-
 double IdleGovernor::unimodal_predict() const {
   double pred = ewma_;
   if (ring_size_ >= 2) {
@@ -144,22 +126,6 @@ void IdleGovernor::observe(double gap, bool aborted) {
     }
     last_class_ = is_long ? 1 : 0;
   }
-}
-
-GovernorBank::GovernorBank(int islands, const IdleGovernorParams& params) {
-  if (islands < 1) islands = 1;
-  governors_.assign(static_cast<std::size_t>(islands), IdleGovernor(params));
-}
-
-std::vector<MemoryGapGovernor*> GovernorBank::pointers() {
-  std::vector<MemoryGapGovernor*> out;
-  out.reserve(governors_.size());
-  for (auto& g : governors_) out.push_back(&g);
-  return out;
-}
-
-void GovernorBank::reset_all() {
-  for (auto& g : governors_) g.reset();
 }
 
 }  // namespace sdem

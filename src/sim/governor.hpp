@@ -55,9 +55,6 @@ class IdleGovernor final : public MemoryGapGovernor {
   IdleGovernor() : IdleGovernor(IdleGovernorParams{}) {}
   explicit IdleGovernor(const IdleGovernorParams& params);
 
-  /// Forget all history (fresh trace).
-  void reset();
-
   /// Predicted length of the next gap; 0 before the first observation.
   double predict() const;
 
@@ -100,26 +97,6 @@ class IdleGovernor final : public MemoryGapGovernor {
   bool run_seen_ = false;       ///< a run has completed at least once
   int last_class_ = -1;         ///< -1 none, 0 short, 1 long
   double p_long_after_long_ = 0.0;  ///< EWMA of [long follows long]
-};
-
-/// One independent governor per memory island/rank: per-island gap streams
-/// must not contaminate each other's predictors (and per-island state is
-/// what keeps parallel accounting deterministic).
-class GovernorBank {
- public:
-  explicit GovernorBank(int islands,
-                        const IdleGovernorParams& params = IdleGovernorParams{});
-
-  int size() const { return static_cast<int>(governors_.size()); }
-  IdleGovernor& at(int island) {
-    return governors_[static_cast<std::size_t>(island)];
-  }
-  /// Non-owning per-island pointer view (rank_memory_energy_ladder input).
-  std::vector<MemoryGapGovernor*> pointers();
-  void reset_all();
-
- private:
-  std::vector<IdleGovernor> governors_;
 };
 
 }  // namespace sdem

@@ -9,7 +9,6 @@ PolicyEval evaluate_policy(const SimResult& sim, const SystemConfig& cfg,
                            const std::string& name,
                            MemoryGapGovernor* governor) {
   EnergyOptions opts;
-  opts.core_gaps = SleepDiscipline::kOptimal;
   opts.memory_gaps = memory_discipline;
   opts.horizon_lo = sim.horizon_lo;
   opts.horizon_hi = sim.horizon_hi;

@@ -3,38 +3,19 @@
 #include <algorithm>
 #include <cmath>
 
+#include "sched/energy.hpp"
+
 namespace sdem {
 namespace {
 
-/// Idle-vs-sleep cost of a gap under break-even accounting.
-struct GapTally {
-  double idle = 0.0;
-  double asleep = 0.0;
-  int sleeps = 0;
-};
-
-GapTally tally_gaps(const Schedule& sched, double xi) {
-  GapTally out;
-  Interval prev{0.0, -1.0};
-  for (const auto& b : merge_intervals([&] {
-         std::vector<Interval> v;
-         for (const auto& s : sched.segments()) v.push_back({s.start, s.end});
-         return v;
-       }())) {
-    if (prev.hi >= prev.lo) {
-      const double gap = b.lo - prev.hi;
-      if (gap > 0.0) {
-        if (xi <= 0.0 || gap >= xi) {
-          out.asleep += gap;
-          ++out.sleeps;
-        } else {
-          out.idle += gap;
-        }
-      }
-    }
-    prev = b;
-  }
-  return out;
+/// The schedule's gaps under the core's single sleep state, horizon = busy
+/// span (sched/energy.hpp's walk).
+GapCosts busy_span_gaps(const Schedule& sched, const CorePower& power) {
+  std::vector<Interval> v;
+  for (const auto& s : sched.segments()) v.push_back({s.start, s.end});
+  return account_idle_gaps(merge_intervals(std::move(v)),
+                           SleepLadder::single(power.alpha, power.xi), 0.0,
+                           0.0);
 }
 
 }  // namespace
@@ -44,9 +25,9 @@ double single_core_energy(const Schedule& sched, const CorePower& power) {
   for (const auto& s : sched.segments()) {
     e += power.power(s.speed) * s.duration();
   }
-  const GapTally g = tally_gaps(sched, power.xi);
+  const GapCosts g = busy_span_gaps(sched, power);
   e += power.alpha * g.idle;
-  e += power.alpha * power.xi * static_cast<double>(g.sleeps);
+  e += g.per_state[0].transition_energy;
   return e;
 }
 
@@ -76,9 +57,9 @@ SssResult solve_single_core_sleep(const std::vector<YdsJob>& jobs,
 
   res.feasible = true;
   res.energy = single_core_energy(res.schedule, power);
-  const GapTally g = tally_gaps(res.schedule, power.xi);
+  const GapCosts g = busy_span_gaps(res.schedule, power);
   res.sleep_time = g.asleep;
-  res.sleeps = g.sleeps;
+  res.sleeps = static_cast<int>(g.sleeps);
   return res;
 }
 

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <map>
 #include <sstream>
+#include <utility>
 
 #include "baseline/mbkp.hpp"
 #include "core/agreeable.hpp"
@@ -23,6 +24,7 @@
 #include "sim/sim_reference.hpp"
 #include "support/json.hpp"
 #include "support/thread_pool.hpp"
+#include "testing/gap_reference.hpp"
 #include "testing/oracle_compare.hpp"
 
 namespace sdem::testing {
@@ -562,6 +564,35 @@ class Checker {
     }
   }
 
+  /// The first field where `got` differs bitwise from the frozen
+  /// single-state oracle's `ref`; empty when all match.
+  static std::string depth1_mismatch(const EnergyBreakdown& ref,
+                                     const EnergyBreakdown& got) {
+    static constexpr std::pair<const char*, double EnergyBreakdown::*>
+        kFields[] = {
+            {"core_idle", &EnergyBreakdown::core_idle},
+            {"core_transition", &EnergyBreakdown::core_transition},
+            {"memory_active", &EnergyBreakdown::memory_active},
+            {"memory_idle", &EnergyBreakdown::memory_idle},
+            {"memory_transition", &EnergyBreakdown::memory_transition},
+            {"memory_sleep_time", &EnergyBreakdown::memory_sleep_time},
+            {"memory_sleep_cycles", &EnergyBreakdown::memory_sleep_cycles},
+            {"memory_sleep_min", &EnergyBreakdown::memory_sleep_min},
+            {"memory_sleep_max", &EnergyBreakdown::memory_sleep_max},
+        };
+    for (const auto& [name, field] : kFields) {
+      if (ref.*field != got.*field) {
+        return std::string(name) + " " + num(got.*field) + " vs " +
+               num(ref.*field);
+      }
+    }
+    if (ref.system_total() != got.system_total()) {
+      return "system total " + num(got.system_total()) + " vs " +
+             num(ref.system_total());
+    }
+    return "";
+  }
+
   void check_sleep_ladder() {
     const SleepLadder& ladder = c_.cfg.memory.ladder;
     const std::string err = ladder.validate(c_.cfg.memory.alpha_m);
@@ -575,33 +606,33 @@ class Checker {
     MbkpPolicy policy;
     const auto sim = simulate(c_.tasks, c_.cfg, policy);
 
-    // Depth-1 differential: the single-state ladder built from (alpha_m,
-    // xi_m) must reproduce the legacy accounting path bit for bit — the
-    // frozen-oracle contract the whole refactor rests on.
+    // Depth-1 differential: the gap walk on the paper's single state, as
+    // the empty ladder and as SleepLadder::single(alpha_m, xi_m), must
+    // reproduce the frozen single-state rule (testing/gap_reference) bit
+    // for bit, core gaps included.
     {
-      auto legacy_cfg = c_.cfg;
-      legacy_cfg.memory.ladder = SleepLadder();
+      auto empty_cfg = c_.cfg;
+      empty_cfg.memory.ladder = SleepLadder();
       auto single_cfg = c_.cfg;
       single_cfg.memory.ladder = SleepLadder::single(c_.cfg.memory.alpha_m,
                                                      c_.cfg.memory.xi_m);
-      const auto legacy =
-          evaluate_policy(sim, legacy_cfg, SleepDiscipline::kOptimal, "lg");
-      const auto single =
-          evaluate_policy(sim, single_cfg, SleepDiscipline::kOptimal, "s1");
-      if (legacy.energy.memory_idle != single.energy.memory_idle ||
-          legacy.energy.memory_transition != single.energy.memory_transition ||
-          legacy.energy.memory_sleep_time != single.energy.memory_sleep_time ||
-          legacy.energy.memory_sleep_cycles !=
-              single.energy.memory_sleep_cycles ||
-          legacy.energy.memory_total() != single.energy.memory_total()) {
-        add("ladder:depth1-differential",
-            "single-state ladder diverges from legacy: total " +
-                num(single.energy.memory_total()) + " vs " +
-                num(legacy.energy.memory_total()) + ", idle " +
-                num(single.energy.memory_idle) + " vs " +
-                num(legacy.energy.memory_idle) + ", transition " +
-                num(single.energy.memory_transition) + " vs " +
-                num(legacy.energy.memory_transition));
+      const std::pair<SleepDiscipline, const char*> disciplines[] = {
+          {SleepDiscipline::kNever, "never"},
+          {SleepDiscipline::kAlways, "always"},
+          {SleepDiscipline::kOptimal, "optimal"}};
+      for (const auto& [disc, disc_name] : disciplines) {
+        const auto ref = reference_energy(sim.schedule, c_.cfg, disc,
+                                          sim.horizon_lo, sim.horizon_hi);
+        for (const auto* cfg : {&empty_cfg, &single_cfg}) {
+          const auto got = evaluate_policy(sim, *cfg, disc, "s1").energy;
+          const std::string diff = depth1_mismatch(ref, got);
+          if (!diff.empty()) {
+            add("ladder:depth1-differential",
+                std::string(cfg == &empty_cfg ? "empty" : "single") +
+                    " ladder, " + disc_name +
+                    ": diverges from the frozen single-state rule: " + diff);
+          }
+        }
       }
     }
 

@@ -1,7 +1,10 @@
 // Tests for multi-rank memory accounting.
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "mem/ranks.hpp"
+#include "model/access.hpp"
 #include "sched/energy.hpp"
 #include "test_util.hpp"
 
@@ -30,6 +33,27 @@ TEST(Ranks, SingleRankEqualsMonolithicAccounting) {
   opts.horizon_hi = 4.0;
   const auto e = compute_energy(sched, cfg, opts);
   EXPECT_NEAR(r.total(), e.memory_total(), 1e-12);
+}
+
+TEST(Ranks, OneRankAndAccessMatchBatchAccountingAtAnyHorizon) {
+  // A schedule that starts after t = 0: with an unset horizon (hi <= lo)
+  // the busy span is the horizon, so no gap runs from horizon_lo.
+  Schedule s;
+  s.add(Segment{0, 0, 1.0, 2.0, 100.0});
+  s.add(Segment{1, 1, 2.5, 3.0, 100.0});
+  auto cfg = test::make_cfg(0.0, 4.0);
+  cfg.memory.xi_m = 0.04;
+  for (const auto& [lo, hi] : {std::pair{0.0, 0.0}, std::pair{0.0, 4.0}}) {
+    EnergyOptions opts;
+    opts.horizon_lo = lo;
+    opts.horizon_hi = hi;
+    const double batch = compute_energy(s, cfg, opts).memory_total();
+    EXPECT_EQ(rank_memory_energy(s, cfg.memory, 1, 2, lo, hi).total(), batch)
+        << "horizon [" << lo << ", " << hi << "]";
+    EXPECT_EQ(access_aware_memory_energy(s, {}, cfg.memory, lo, hi).total(),
+              batch)
+        << "horizon [" << lo << ", " << hi << "]";
+  }
 }
 
 TEST(Ranks, PerCoreRanksDecoupleIdleTime) {

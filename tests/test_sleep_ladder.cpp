@@ -1,13 +1,16 @@
 // Tests for the multi-state memory sleep ladder (model/sleep_ladder.hpp),
-// the ladder-aware energy accounting path (sched/energy.hpp), and the
+// the gap walk of the energy accounting (sched/energy.hpp), and the
 // predictive idle governor (sim/governor.hpp).
 //
-// The load-bearing contract: the depth-1 ladder built by
-// SleepLadder::single(alpha_m, xi_m) must reproduce the legacy single-state
-// accounting *bit for bit* — energies compared with EXPECT_EQ, not
-// EXPECT_NEAR — because every committed --stable bench JSON was produced by
-// the legacy path and the frozen-oracle policy pins refactors to it.
+// The load-bearing contract: on the depth-1 ladder — the empty memory
+// ladder, or SleepLadder::single(alpha_m, xi_m) — the walk must reproduce
+// the frozen single-state rule (testing/gap_reference.hpp) *bit for bit*,
+// for core and memory gaps, with EXPECT_EQ rather than EXPECT_NEAR: the
+// compute_energy results in every committed --stable bench JSON were
+// produced by that rule.
 #include <gtest/gtest.h>
+
+#include <string>
 
 #include "model/sleep_ladder.hpp"
 #include "sched/energy.hpp"
@@ -17,6 +20,7 @@
 #include "sim/policy.hpp"
 #include "support/rng.hpp"
 #include "test_util.hpp"
+#include "testing/gap_reference.hpp"
 #include "testing/generators.hpp"
 #include "testing/invariants.hpp"
 #include "workload/generator.hpp"
@@ -108,61 +112,102 @@ TEST(SleepLadder, DeepestFitRespectsBreakEvenAndLatency) {
 
 // -- depth-1 differential vs the frozen single-state oracle ----------------
 
-TEST(SleepLadder, Depth1AccountingBitIdenticalToLegacy) {
-  for (double xi_m : {0.0, 0.007, 0.04, 0.2, 1.5}) {
-    auto legacy_cfg = make_cfg(0.31, 4.0);
-    legacy_cfg.memory.xi_m = xi_m;
-    auto ladder_cfg = legacy_cfg;
-    ladder_cfg.memory.ladder = SleepLadder::single(4.0, xi_m);
+/// Every field the frozen single-state rule produces, compared bitwise.
+void expect_matches_reference(const EnergyBreakdown& ref,
+                              const EnergyBreakdown& e,
+                              const std::string& where) {
+  EXPECT_EQ(ref.core_idle, e.core_idle) << where;
+  EXPECT_EQ(ref.core_transition, e.core_transition) << where;
+  EXPECT_EQ(ref.core_total(), e.core_total()) << where;
+  EXPECT_EQ(ref.memory_active, e.memory_active) << where;
+  EXPECT_EQ(ref.memory_idle, e.memory_idle) << where;
+  EXPECT_EQ(ref.memory_transition, e.memory_transition) << where;
+  EXPECT_EQ(ref.memory_sleep_time, e.memory_sleep_time) << where;
+  EXPECT_EQ(ref.memory_sleep_cycles, e.memory_sleep_cycles) << where;
+  EXPECT_EQ(ref.memory_sleep_min, e.memory_sleep_min) << where;
+  EXPECT_EQ(ref.memory_sleep_max, e.memory_sleep_max) << where;
+  EXPECT_EQ(ref.memory_total(), e.memory_total()) << where;
+  EXPECT_EQ(ref.system_total(), e.system_total()) << where;
+}
 
-    for (auto disc : {SleepDiscipline::kNever, SleepDiscipline::kAlways,
-                      SleepDiscipline::kOptimal}) {
-      EnergyOptions opts;
-      opts.memory_gaps = disc;
-      opts.horizon_lo = -0.5;
-      opts.horizon_hi = 4.25;
-      const auto a = compute_energy(gap_schedule(), legacy_cfg, opts);
-      const auto b = compute_energy(gap_schedule(), ladder_cfg, opts);
-      // Segment-exact: every rollup the legacy path produces must be
-      // reproduced bitwise by the depth-1 ladder path.
-      EXPECT_EQ(a.memory_active, b.memory_active) << "xi_m=" << xi_m;
-      EXPECT_EQ(a.memory_idle, b.memory_idle) << "xi_m=" << xi_m;
-      EXPECT_EQ(a.memory_transition, b.memory_transition) << "xi_m=" << xi_m;
-      EXPECT_EQ(a.memory_sleep_time, b.memory_sleep_time) << "xi_m=" << xi_m;
-      EXPECT_EQ(a.memory_sleep_cycles, b.memory_sleep_cycles);
-      EXPECT_EQ(a.memory_sleep_min, b.memory_sleep_min);
-      EXPECT_EQ(a.memory_sleep_max, b.memory_sleep_max);
-      EXPECT_EQ(a.memory_total(), b.memory_total()) << "xi_m=" << xi_m;
-      EXPECT_EQ(a.system_total(), b.system_total()) << "xi_m=" << xi_m;
+constexpr SleepDiscipline kFixedDisciplines[] = {
+    SleepDiscipline::kNever, SleepDiscipline::kAlways,
+    SleepDiscipline::kOptimal};
+
+TEST(SleepLadder, Depth1AccountingBitIdenticalToLegacy) {
+  // gap_schedule, plus a schedule whose gap sums round differently unless
+  // the trailing gap is folded second, as the oracle does.
+  Schedule fold_order;
+  fold_order.add(Segment{0, 0, 0.7, 1.2, 1000.0});
+  fold_order.add(Segment{1, 0, 1.4, 2.4, 1000.0});
+  struct Case {
+    Schedule sched;
+    double horizon_lo;
+    double horizon_hi;
+  };
+  const Case cases[] = {{gap_schedule(), -0.5, 4.25}, {fold_order, -0.1, 3.0}};
+  // Core and memory share the break-even time. xi = 1.0 is exactly the
+  // length of gap_schedule's second internal gap, where the rule sleeps.
+  for (const Case& c : cases) {
+    for (double xi : {0.0, 0.007, 0.04, 0.2, 1.0, 1.5}) {
+      auto empty_cfg = make_cfg(0.31, 4.0);
+      empty_cfg.core.xi = xi;
+      empty_cfg.memory.xi_m = xi;
+      auto single_cfg = empty_cfg;
+      single_cfg.memory.ladder = SleepLadder::single(4.0, xi);
+
+      for (auto disc : kFixedDisciplines) {
+        EnergyOptions opts;
+        opts.memory_gaps = disc;
+        opts.horizon_lo = c.horizon_lo;
+        opts.horizon_hi = c.horizon_hi;
+        const auto ref = testing::reference_energy(
+            c.sched, empty_cfg, disc, c.horizon_lo, c.horizon_hi);
+        const std::string where =
+            "horizon_hi=" + std::to_string(c.horizon_hi) +
+            " xi=" + std::to_string(xi) +
+            " discipline=" + std::to_string(static_cast<int>(disc));
+        expect_matches_reference(ref, compute_energy(c.sched, empty_cfg, opts),
+                                 where + " empty ladder");
+        expect_matches_reference(ref,
+                                 compute_energy(c.sched, single_cfg, opts),
+                                 where + " single ladder");
+      }
     }
   }
 }
 
 TEST(SleepLadder, Depth1BitIdenticalOnSimulatedBurstyTraces) {
   // Same differential over real simulator output (leading/trailing horizon
-  // gaps, multi-core overlap, replanned segments) across many seeds.
+  // gaps, multi-core overlap, replanned segments) across many seeds; the
+  // core break-even sits inside the intra-burst gaps.
   for (std::uint64_t seed : {1u, 7u, 23u, 99u}) {
     BurstyParams p;
     p.num_tasks = 40;
     p.intra_spacing = 0.015;
     const auto trace = make_bursty(p, seed);
-    auto legacy_cfg = make_cfg(0.31, 4.0);
-    legacy_cfg.memory.xi_m = 0.04;
-    legacy_cfg.num_cores = 8;
-    auto ladder_cfg = legacy_cfg;
-    ladder_cfg.memory.ladder = SleepLadder::single(4.0, 0.04);
+    auto empty_cfg = make_cfg(0.31, 4.0);
+    empty_cfg.core.xi = 0.01;
+    empty_cfg.memory.xi_m = 0.04;
+    empty_cfg.num_cores = 8;
+    auto single_cfg = empty_cfg;
+    single_cfg.memory.ladder = SleepLadder::single(4.0, 0.04);
 
     MbkpPolicy pol;
-    const auto sim = simulate(trace, legacy_cfg, pol);
-    const auto a =
-        evaluate_policy(sim, legacy_cfg, SleepDiscipline::kOptimal, "a");
-    const auto b =
-        evaluate_policy(sim, ladder_cfg, SleepDiscipline::kOptimal, "b");
-    EXPECT_EQ(a.energy.memory_total(), b.energy.memory_total())
-        << "seed " << seed;
-    EXPECT_EQ(a.energy.memory_idle, b.energy.memory_idle);
-    EXPECT_EQ(a.energy.memory_transition, b.energy.memory_transition);
-    EXPECT_EQ(a.energy.memory_sleep_cycles, b.energy.memory_sleep_cycles);
+    const auto sim = simulate(trace, empty_cfg, pol);
+    for (auto disc : kFixedDisciplines) {
+      const auto ref = testing::reference_energy(
+          sim.schedule, empty_cfg, disc, sim.horizon_lo, sim.horizon_hi);
+      const std::string where =
+          "seed " + std::to_string(seed) +
+          " discipline=" + std::to_string(static_cast<int>(disc));
+      expect_matches_reference(
+          ref, evaluate_policy(sim, empty_cfg, disc, "a").energy,
+          where + " empty ladder");
+      expect_matches_reference(
+          ref, evaluate_policy(sim, single_cfg, disc, "b").energy,
+          where + " single ladder");
+    }
   }
 }
 

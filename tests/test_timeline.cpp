@@ -45,7 +45,6 @@ SystemConfig ladder_cfg(int depth) {
 EnergyOptions governor_opts(IdleGovernor* gov, int island,
                             const char* label) {
   EnergyOptions opts;
-  opts.core_gaps = SleepDiscipline::kOptimal;
   opts.memory_gaps = SleepDiscipline::kGovernor;
   opts.horizon_lo = 0.0;
   opts.horizon_hi = 2.0;

@@ -121,6 +121,10 @@ void print_timer_rollup(const obs::Snapshot& snap) {
       kids;
   std::map<std::string, std::pair<std::string, std::uint64_t>> parent_of;
   for (const auto& [name, cell] : snap.timers) {
+    // Registry::reset zeroes cells but keeps them registered: a cell an
+    // earlier experiment left behind reads count 0 and is not part of this
+    // run.
+    if (cell.count == 0) continue;
     const std::size_t sep = name.find(obs::kTimerEdgeSep);
     if (sep == std::string::npos) {
       flat[name] = cell;

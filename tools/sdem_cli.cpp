@@ -175,7 +175,6 @@ int cmd_simulate(int argc, char** argv) {
     const std::string label = pol->name();
     IdleGovernor gov;
     EnergyOptions eopt;
-    eopt.core_gaps = SleepDiscipline::kOptimal;
     eopt.memory_gaps = SleepDiscipline::kGovernor;
     eopt.horizon_lo = sim.horizon_lo;
     eopt.horizon_hi = sim.horizon_hi;
