@@ -271,7 +271,7 @@ ExperimentResult run_table4(const RunOptions& opt) {
     sleep_mbkps += sc.sleep_mbkps;
   }
   Table t({"metric", "MBKP", "MBKPS", "SDEM-ON"});
-  t.add_row({"system energy (J, avg)", Table::fmt(e_sdem / seeds, 4),
+  t.add_row({"system energy (J, avg)", Table::fmt(e_mbkp / seeds, 4),
              Table::fmt(e_mbkps / seeds, 4), Table::fmt(e_sdem / seeds, 4)});
   t.add_row({"saving vs MBKP (%)", "0.00",
              Table::fmt(100.0 * (e_mbkp - e_mbkps) / e_mbkp, 2),
@@ -1103,11 +1103,13 @@ ExperimentResult run_contention(const RunOptions& opt) {
 // ------------------------------------------------------ DRAM abstraction
 
 // Substrate validation: the paper's (alpha_m, xi_m) abstraction vs the
-// DRAM power-state machine replayed on the actual SDEM-ON schedules. One
-// (x, seed) grid; folds in seed order keep the table byte-identical to the
-// serial loop (naps/sleeps use an integer-division average).
+// DRAM power-down/self-refresh ladder charged on the actual SDEM-ON
+// schedules. One (x, seed) grid; folds in seed order keep the table
+// byte-identical to the serial loop (naps/sleeps use an integer-division
+// average).
 ExperimentResult run_dram_abstraction(const RunOptions& opt) {
   const auto dram = DramPowerParams::paper_50nm();
+  const MemoryPower dram_memory = dram.memory();
   const auto abs = abstraction_for(dram);
   auto cfg = paper_cfg();
   cfg.memory.alpha_m = abs.alpha_m;
@@ -1142,12 +1144,14 @@ ExperimentResult run_dram_abstraction(const RunOptions& opt) {
         const TaskSet ts = make_synthetic(p, seed * 53 + x);
         SdemOnPolicy pol;
         const SimResult sim = simulate(ts, cfg, pol);
-        OracleDramPolicy oracle;
-        const auto rep = replay_dram(sim.schedule, dram, oracle,
-                                     sim.horizon_lo, sim.horizon_hi);
-        c.machine = rep.total();
-        c.naps = rep.powerdown_cycles;
-        c.sleeps = rep.selfrefresh_cycles;
+        EnergyOptions eopt;
+        eopt.horizon_lo = sim.horizon_lo;
+        eopt.horizon_hi = sim.horizon_hi;
+        EnergyBreakdown m;
+        add_memory_energy(sim.schedule.memory_busy(), dram_memory, eopt, m);
+        c.machine = m.memory_total();
+        c.naps = static_cast<int>(m.memory_states[0].cycles);
+        c.sleeps = static_cast<int>(m.memory_states[1].cycles);
         const auto ev =
             evaluate_policy(sim, cfg, SleepDiscipline::kOptimal, "sdem");
         c.abstract_j = ev.energy.memory_total() +
@@ -1251,12 +1255,12 @@ ExperimentResult run_rank_granularity(const RunOptions& opt) {
         const auto s1 = simulate(ts, cfg, sdem);
         c.e_sdem = rank_memory_energy(s1.schedule, cfg.memory, ranks, 8,
                                       s1.horizon_lo, s1.horizon_hi)
-                       .total();
+                       .memory_total();
         MbkpPolicy mbkp;
         const auto s2 = simulate(ts, cfg, mbkp);
         c.e_mbkp = rank_memory_energy(s2.schedule, cfg.memory, ranks, 8,
                                       s2.horizon_lo, s2.horizon_hi)
-                       .total();
+                       .memory_total();
         c.solver_seconds = std::chrono::duration<double>(
                                std::chrono::steady_clock::now() - t0)
                                .count();
@@ -1461,16 +1465,19 @@ ExperimentResult run_access_sensitivity(const RunOptions& opt) {
         for (const auto& task : ts.tasks()) {
           acc[task.id] = {AccessPattern::kPrefix, f};
         }
+        const auto memory_j = [&](const SimResult& sim) {
+          EnergyOptions eopt;
+          eopt.horizon_lo = sim.horizon_lo;
+          eopt.horizon_hi = sim.horizon_hi;
+          EnergyBreakdown e;
+          add_memory_energy(memory_busy_with_access(sim.schedule, acc),
+                            cfg.memory, eopt, e);
+          return e.memory_total();
+        };
         SdemOnPolicy sdem;
-        const auto s1 = simulate(ts, cfg, sdem);
-        c.e_sdem = access_aware_memory_energy(s1.schedule, acc, cfg.memory,
-                                              s1.horizon_lo, s1.horizon_hi)
-                       .total();
+        c.e_sdem = memory_j(simulate(ts, cfg, sdem));
         MbkpPolicy mbkp;
-        const auto s2 = simulate(ts, cfg, mbkp);
-        c.e_mbkp = access_aware_memory_energy(s2.schedule, acc, cfg.memory,
-                                              s2.horizon_lo, s2.horizon_hi)
-                       .total();
+        c.e_mbkp = memory_j(simulate(ts, cfg, mbkp));
         c.solver_seconds = std::chrono::duration<double>(
                                std::chrono::steady_clock::now() - t0)
                                .count();

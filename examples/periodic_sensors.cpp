@@ -9,6 +9,7 @@
 
 #include "core/online_sdem.hpp"
 #include "mem/dram.hpp"
+#include "sched/energy.hpp"
 #include "sched/trace_io.hpp"
 #include "sim/metrics.hpp"
 #include "workload/periodic.hpp"
@@ -51,18 +52,24 @@ int main() {
   std::printf("\nSDEM-ON, first 400 ms (note the aligned batches):\n%s\n",
               render_gantt(head).c_str());
 
-  // Replay the memory profile through the DRAM power-state machine to see
-  // which low-power states the common idle time actually lands in.
-  const auto dram = DramPowerParams::paper_50nm();
-  OracleDramPolicy oracle;
-  const auto mem = replay_dram(sim.schedule, dram, oracle, sim.horizon_lo,
-                               sim.horizon_hi);
+  // Charge the memory profile on the DRAM's power-down/self-refresh ladder
+  // (clairvoyant kOptimal) to see which low-power states the common idle
+  // time actually lands in.
+  EnergyOptions eopt;
+  eopt.horizon_lo = sim.horizon_lo;
+  eopt.horizon_hi = sim.horizon_hi;
+  EnergyBreakdown mem;
+  add_memory_energy(sim.schedule.memory_busy(),
+                    DramPowerParams::paper_50nm().memory(), eopt, mem);
+  const SleepStateBreakdown& pd = mem.memory_states[0];
+  const SleepStateBreakdown& sr = mem.memory_states[1];
   std::printf("DRAM machine replay (oracle controller):\n");
   std::printf("  active %.4f J, power-down %.4f J (%d naps), self-refresh "
               "%.4f J (%d sleeps), transitions %.4f J\n",
-              mem.active, mem.powerdown, mem.powerdown_cycles,
-              mem.selfrefresh, mem.selfrefresh_cycles, mem.transition);
+              mem.memory_active + mem.memory_idle, pd.residency_energy,
+              static_cast<int>(pd.cycles), sr.residency_energy,
+              static_cast<int>(sr.cycles), mem.memory_transition);
   std::printf("  total %.4f J vs abstract model %.4f J + floor\n",
-              mem.total(), cmp.sdem.energy.memory_total());
+              mem.memory_total(), cmp.sdem.energy.memory_total());
   return 0;
 }

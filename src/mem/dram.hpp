@@ -1,29 +1,31 @@
-// DRAM power-state machine (the substrate behind the paper's memory model).
+// DRAM power states (the substrate behind the paper's memory model).
 //
 // The paper abstracts the main memory as: static power alpha_m while
 // active, zero while asleep, one transition pair costing alpha_m * xi_m.
 // Real DRAM (the 50nm parts the paper cites via CACTI, and the power-mode
-// analysis of Fan/Ellis/Lebeck 2001) has a richer ladder:
+// analysis of Fan/Ellis/Lebeck 2001) has a richer set of states:
 //
 //   ACTIVE_STANDBY      serving or ready to serve; full leakage + refresh
 //   PRECHARGE_POWERDOWN clocks gated; fast exit; most leakage remains
 //   SELF_REFRESH        on-die refresh only; slow exit; minimal power
 //
-// This module replays a schedule's memory busy/idle profile through that
-// ladder under a pluggable power-management policy. Entering/exiting a
-// low-power state costs energy and *time*: a state is only usable in a gap
-// long enough to cover its entry+exit latency (otherwise the next access
-// would stall — the schedulers above assume accesses are never delayed).
+// Those are a two-rung sleep ladder (model/sleep_ladder.hpp) over the
+// active power: `DramPowerParams::memory()` returns it, and
+// sched/energy.hpp's `add_memory_energy` charges a schedule's memory busy
+// profile on it like any other memory. A state is usable only in a gap
+// that covers its entry+exit latency (otherwise the next access would
+// stall — the schedulers above assume accesses are never delayed), so the
+// clairvoyant kOptimal discipline pays, per gap, the cheapest of idling
+// awake and the states that fit. kNever is a controller that never powers
+// down; kAlways on `ladder.prefix(1)` one that enters power-down in every
+// gap.
 //
 // `abstraction_for()` derives the (alpha_m, xi_m) pair that best represents
 // a parameter set in the paper's model, and tests verify the abstraction
-// tracks the machine.
+// tracks the ladder.
 #pragma once
 
-#include <string>
-#include <vector>
-
-#include "sched/schedule.hpp"
+#include "model/power.hpp"
 
 namespace sdem {
 
@@ -44,79 +46,23 @@ struct DramPowerParams {
   /// A 50nm-DRAM-flavored parameter set whose derived abstraction matches
   /// the paper's defaults (alpha_m ~ 4 W) at the self-refresh depth.
   static DramPowerParams paper_50nm();
+
+  /// The device as a memory: alpha_m = p_active and the ladder
+  /// {power-down, self-refresh}, each rung's break-even derived by
+  /// SleepLadder::add_state. xi_m stays 0: the ladder replaces the single
+  /// state.
+  MemoryPower memory() const;
 };
 
-enum class DramState { kActive, kPowerDown, kSelfRefresh };
-
-std::string to_string(DramState s);
-
-/// Decision a power-management policy makes for one idle gap.
-struct GapDecision {
-  DramState state = DramState::kActive;
-};
-
-/// Policy interface: choose a state for a gap of known length. The replay
-/// clamps illegal choices (latency does not fit) back to kActive.
-class DramPolicy {
- public:
-  virtual ~DramPolicy() = default;
-  virtual std::string name() const = 0;
-  virtual GapDecision decide(double gap, const DramPowerParams& p) = 0;
-};
-
-/// Never leaves active/standby (the MBKP memory).
-class NoPowerDownPolicy : public DramPolicy {
- public:
-  std::string name() const override { return "no-power-down"; }
-  GapDecision decide(double, const DramPowerParams&) override { return {}; }
-};
-
-/// Enters precharge power-down in every gap it fits in (common controller
-/// default).
-class ImmediatePowerDownPolicy : public DramPolicy {
- public:
-  std::string name() const override { return "immediate-power-down"; }
-  GapDecision decide(double gap, const DramPowerParams& p) override;
-};
-
-/// Energy-oracle: picks the feasible state minimizing the gap's energy
-/// (state power * residency + pair energy) — the machine-level analogue of
-/// the paper's break-even rule.
-class OracleDramPolicy : public DramPolicy {
- public:
-  std::string name() const override { return "oracle"; }
-  GapDecision decide(double gap, const DramPowerParams& p) override;
-};
-
-struct DramEnergyResult {
-  double active = 0.0;       ///< energy in active/standby (busy + idle)
-  double powerdown = 0.0;    ///< energy while in power-down
-  double selfrefresh = 0.0;  ///< energy while in self refresh
-  double transition = 0.0;   ///< pair energies
-  int powerdown_cycles = 0;
-  int selfrefresh_cycles = 0;
-
-  double total() const {
-    return active + powerdown + selfrefresh + transition;
-  }
-};
-
-/// Replay the memory busy profile of `sched` over [horizon_lo, horizon_hi]
-/// (awake at both boundaries, as in sched/energy.hpp).
-DramEnergyResult replay_dram(const Schedule& sched, const DramPowerParams& p,
-                             DramPolicy& policy, double horizon_lo,
-                             double horizon_hi);
-
-/// The paper-model equivalent of a parameter set at a given low-power depth:
-/// alpha_m = p_active - p_floor (the shedable leakage) and
-/// xi_m = pair_energy / alpha_m (the break-even time). The non-shedable
-/// floor p_floor * horizon is a policy-independent constant.
+/// The paper-model equivalent of a parameter set at the self-refresh
+/// depth: alpha_m = p_active - p_selfrefresh (the shedable leakage) and
+/// xi_m = e_selfrefresh / alpha_m (the break-even time). The non-shedable
+/// floor p_selfrefresh * horizon is a policy-independent constant.
 struct DramAbstraction {
   double alpha_m = 0.0;
   double xi_m = 0.0;
   double floor_power = 0.0;
 };
-DramAbstraction abstraction_for(const DramPowerParams& p,
-                                DramState depth = DramState::kSelfRefresh);
+DramAbstraction abstraction_for(const DramPowerParams& p);
 
 }  // namespace sdem

@@ -19,7 +19,9 @@
 //
 // Total leakage is conserved: each rank carries alpha_m / num_ranks and
 // the per-rank break-even time stays xi_m (pair energy scales with the
-// rank's share of the leakage).
+// rank's share of the leakage). Every rank goes through sched/energy.hpp's
+// one memory charge, `add_memory_energy`, into a single EnergyBreakdown
+// whose memory fields are the sums over ranks.
 #pragma once
 
 #include <vector>
@@ -30,22 +32,16 @@
 
 namespace sdem {
 
-struct RankEnergy {
-  double active = 0.0;
-  double idle = 0.0;
-  double transition = 0.0;
-  double sleep_time = 0.0;  ///< summed over ranks
-  double total() const { return active + idle + transition; }
-};
-
 /// Evaluate `sched` with `num_ranks` ranks; core c maps to rank
-/// c % num_ranks. Each rank's gaps go through sched/energy.hpp's walk on
-/// the paper's single sleep state (sleep iff gap >= xi_m, kOptimal), with
-/// its horizon semantics (awake at both ends); `memory.ladder` is not
-/// consulted. One rank reproduces compute_energy's memory_total() on an
-/// empty ladder.
-RankEnergy rank_memory_energy(const Schedule& sched, const MemoryPower& memory,
-                              int num_ranks, int num_cores, double horizon_lo,
-                              double horizon_hi);
+/// c % num_ranks. Each rank is charged by add_memory_energy on the paper's
+/// single sleep state with power alpha_m / num_ranks and break-even xi_m
+/// (kOptimal, awake at both horizon ends), into the memory fields of one
+/// breakdown; `memory.ladder` is not consulted, since splitting a ladder
+/// across ranks is undefined. One rank reproduces compute_energy's memory
+/// half on an empty ladder.
+EnergyBreakdown rank_memory_energy(const Schedule& sched,
+                                   const MemoryPower& memory, int num_ranks,
+                                   int num_cores, double horizon_lo,
+                                   double horizon_hi);
 
 }  // namespace sdem

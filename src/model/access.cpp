@@ -30,19 +30,4 @@ std::vector<Interval> memory_busy_with_access(
   return merge_intervals(std::move(v));
 }
 
-AccessAwareMemoryEnergy access_aware_memory_energy(
-    const Schedule& sched, const std::map<int, TaskAccess>& access,
-    const MemoryPower& memory, double horizon_lo, double horizon_hi) {
-  AccessAwareMemoryEnergy out;
-  const auto busy = memory_busy_with_access(sched, access);
-  for (const auto& b : busy) out.active += memory.alpha_m * b.length();
-
-  const SleepLadder single = SleepLadder::single(memory.alpha_m, memory.xi_m);
-  const GapCosts gaps = account_idle_gaps(busy, single, horizon_lo, horizon_hi);
-  out.idle = memory.alpha_m * gaps.idle;
-  out.transition = gaps.per_state[0].transition_energy;
-  out.sleep_time = gaps.asleep;
-  return out;
-}
-
 }  // namespace sdem

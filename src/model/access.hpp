@@ -10,16 +10,17 @@
 //   kSuffix  a store phase: the last `fraction` of every segment accesses
 //
 // Given a schedule and per-task descriptors, `memory_busy_with_access`
-// rebuilds the memory busy intervals from the access phases only, and
-// `access_aware_energy` re-accounts the memory under them. The schedulers
-// above stay conservative (they plan with kWhole); the delta measures how
-// much extra sleep a memory-phase-aware scheduler could hope to claw back.
+// rebuilds the memory busy intervals from the access phases only;
+// sched/energy.hpp's `add_memory_energy` charges the memory on that
+// profile exactly as compute_energy charges the whole-execution one,
+// configured ladder and discipline included. The schedulers above stay
+// conservative (they plan with kWhole); the delta measures how much extra
+// sleep a memory-phase-aware scheduler could hope to claw back.
 #pragma once
 
 #include <map>
+#include <vector>
 
-#include "model/power.hpp"
-#include "sched/energy.hpp"
 #include "sched/schedule.hpp"
 
 namespace sdem {
@@ -35,21 +36,5 @@ struct TaskAccess {
 /// Tasks without an entry default to kWhole.
 std::vector<Interval> memory_busy_with_access(
     const Schedule& sched, const std::map<int, TaskAccess>& access);
-
-/// Memory-side energy under the access-phase busy profile, through
-/// sched/energy.hpp's gap walk on the paper's single sleep state
-/// (horizon-aware, kOptimal discipline; `memory.ladder` is not consulted).
-/// With every task kWhole it equals compute_energy's memory_total() on an
-/// empty ladder.
-struct AccessAwareMemoryEnergy {
-  double active = 0.0;
-  double idle = 0.0;
-  double transition = 0.0;
-  double sleep_time = 0.0;
-  double total() const { return active + idle + transition; }
-};
-AccessAwareMemoryEnergy access_aware_memory_energy(
-    const Schedule& sched, const std::map<int, TaskAccess>& access,
-    const MemoryPower& memory, double horizon_lo, double horizon_hi);
 
 }  // namespace sdem

@@ -9,10 +9,55 @@
 namespace sdem {
 namespace {
 
+/// One idle gap of a device: [t0, t0 + length), length > 0.
+struct IdleGap {
+  double t0 = 0.0;
+  double length = 0.0;
+};
+
+/// A device's idle gaps in chronological order. `leading` marks a first
+/// gap that starts at the horizon's start, `trailing` a last gap that ends
+/// at the horizon's end.
+struct IdleGaps {
+  std::vector<IdleGap> gaps;
+  bool leading = false;
+  bool trailing = false;
+};
+
+/// The idle gaps around `busy` (account_idle_gaps' semantics); zero-length
+/// gaps are dropped.
+IdleGaps idle_gaps(const std::vector<Interval>& busy, double horizon_lo,
+                   double horizon_hi) {
+  IdleGaps out;
+  const bool horizon = horizon_hi > horizon_lo;
+  if (busy.empty()) {
+    if (horizon) {
+      out.gaps.push_back({horizon_lo, horizon_hi - horizon_lo});
+      out.leading = true;
+    }
+    return out;
+  }
+  out.gaps.reserve(busy.size() + 1);
+  if (horizon && busy.front().lo > horizon_lo) {
+    out.gaps.push_back({horizon_lo, busy.front().lo - horizon_lo});
+    out.leading = true;
+  }
+  for (std::size_t i = 1; i < busy.size(); ++i) {
+    const double g = busy[i].lo - busy[i - 1].hi;
+    if (g > 0.0) out.gaps.push_back({busy[i - 1].hi, g});
+  }
+  if (horizon && horizon_hi > busy.back().hi) {
+    out.gaps.push_back({busy.back().hi, horizon_hi - busy.back().hi});
+    out.trailing = true;
+  }
+  return out;
+}
+
 /// account_idle_gaps under any discipline (kGovernor without a governor
-/// decides as kOptimal), plus the observability hooks of compute_energy's
-/// memory walk: per-gap memory gauges (`gauges`) and the power-timeline
-/// journal (`tl_pass` >= 0). Neither feeds back into the sums.
+/// decides as kOptimal), plus the observability hooks of the memory charge
+/// (add_memory_energy): per-gap memory gauges (`gauges`) and the
+/// power-timeline journal (`tl_pass` >= 0). Neither feeds back into the
+/// sums.
 GapCosts walk_gaps(const std::vector<Interval>& busy, const SleepLadder& ladder,
                    double horizon_lo, double horizon_hi, SleepDiscipline disc,
                    MemoryGapGovernor* governor, bool gauges,
@@ -145,39 +190,65 @@ GapCosts walk_gaps(const std::vector<Interval>& busy, const SleepLadder& ladder,
 
 }  // namespace
 
-IdleGaps idle_gaps(const std::vector<Interval>& busy, double horizon_lo,
-                   double horizon_hi) {
-  IdleGaps out;
-  const bool horizon = horizon_hi > horizon_lo;
-  if (busy.empty()) {
-    if (horizon) {
-      out.gaps.push_back({horizon_lo, horizon_hi - horizon_lo});
-      out.leading = true;
-    }
-    return out;
-  }
-  out.gaps.reserve(busy.size() + 1);
-  if (horizon && busy.front().lo > horizon_lo) {
-    out.gaps.push_back({horizon_lo, busy.front().lo - horizon_lo});
-    out.leading = true;
-  }
-  for (std::size_t i = 1; i < busy.size(); ++i) {
-    const double g = busy[i].lo - busy[i - 1].hi;
-    if (g > 0.0) out.gaps.push_back({busy[i - 1].hi, g});
-  }
-  if (horizon && horizon_hi > busy.back().hi) {
-    out.gaps.push_back({busy.back().hi, horizon_hi - busy.back().hi});
-    out.trailing = true;
-  }
-  return out;
-}
-
 GapCosts account_idle_gaps(const std::vector<Interval>& busy,
                            const SleepLadder& ladder, double horizon_lo,
                            double horizon_hi) {
   return walk_gaps(busy, ladder, horizon_lo, horizon_hi,
                    SleepDiscipline::kOptimal, /*governor=*/nullptr,
                    /*gauges=*/false, /*tl_pass=*/-1);
+}
+
+void add_memory_energy(const std::vector<Interval>& busy,
+                       const MemoryPower& memory, const EnergyOptions& opts,
+                       EnergyBreakdown& e) {
+  for (const auto& i : busy) e.memory_active += memory.alpha_m * i.length();
+  const SleepLadder single = SleepLadder::single(memory.alpha_m, memory.xi_m);
+  const SleepLadder& ladder = memory.ladder.empty() ? single : memory.ladder;
+  int tl_pass = -1;
+#if SDEM_OBS
+  // The journal follows ladder and governor walks; the single state under
+  // a clairvoyant or fixed discipline has no rung choice to show.
+  if (obs::timeline::enabled() &&
+      (!memory.ladder.empty() ||
+       opts.memory_gaps == SleepDiscipline::kGovernor)) {
+    tl_pass = obs::timeline::begin_pass(
+        opts.timeline_island,
+        opts.timeline_label != nullptr ? opts.timeline_label : "");
+  }
+#endif
+  GapCosts costs = walk_gaps(busy, ladder, opts.horizon_lo, opts.horizon_hi,
+                             opts.memory_gaps, opts.governor,
+                             /*gauges=*/true, tl_pass);
+  e.memory_idle += memory.alpha_m * costs.idle;
+  for (const auto& ps : costs.per_state) {
+    e.memory_sleep_residency += ps.residency_energy;
+    e.memory_transition += ps.transition_energy;
+  }
+  if (costs.sleeps > 0.0) {
+    if (e.memory_sleep_cycles == 0.0 || costs.sleep_min < e.memory_sleep_min) {
+      e.memory_sleep_min = costs.sleep_min;
+    }
+    e.memory_sleep_max = std::max(e.memory_sleep_max, costs.sleep_max);
+  }
+  e.memory_sleep_time += costs.asleep;
+  e.memory_sleep_cycles += costs.sleeps;
+  e.memory_exit_latency += costs.exit_latency;
+  e.governor_mispredicts += costs.mispredicts;
+  e.governor_aborts += costs.aborts;
+  if (e.memory_states.empty()) {
+    e.memory_states = std::move(costs.per_state);
+    return;
+  }
+  for (std::size_t k = 0; k < e.memory_states.size(); ++k) {
+    SleepStateBreakdown& to = e.memory_states[k];
+    const SleepStateBreakdown& from = costs.per_state[k];
+    to.sleep_time += from.sleep_time;
+    to.cycles += from.cycles;
+    to.aborts += from.aborts;
+    to.mispredicts += from.mispredicts;
+    to.residency_energy += from.residency_energy;
+    to.transition_energy += from.transition_energy;
+  }
 }
 
 EnergyBreakdown compute_energy(const Schedule& sched, const SystemConfig& cfg,
@@ -214,42 +285,7 @@ EnergyBreakdown compute_energy(const Schedule& sched, const SystemConfig& cfg,
     }
   }
 
-  const auto busy = sched.memory_busy();
-  for (const auto& i : busy) {
-    e.memory_active += cfg.memory.alpha_m * i.length();
-  }
-  const SleepLadder single =
-      SleepLadder::single(cfg.memory.alpha_m, cfg.memory.xi_m);
-  const SleepLadder& ladder =
-      cfg.memory.ladder.empty() ? single : cfg.memory.ladder;
-  int tl_pass = -1;
-#if SDEM_OBS
-  // The journal follows ladder and governor walks; the single state under
-  // a clairvoyant or fixed discipline has no rung choice to show.
-  if (obs::timeline::enabled() &&
-      (!cfg.memory.ladder.empty() ||
-       opts.memory_gaps == SleepDiscipline::kGovernor)) {
-    tl_pass = obs::timeline::begin_pass(
-        opts.timeline_island,
-        opts.timeline_label != nullptr ? opts.timeline_label : "");
-  }
-#endif
-  GapCosts costs = walk_gaps(busy, ladder, opts.horizon_lo, opts.horizon_hi,
-                             opts.memory_gaps, opts.governor,
-                             /*gauges=*/true, tl_pass);
-  e.memory_idle += cfg.memory.alpha_m * costs.idle;
-  for (const auto& ps : costs.per_state) {
-    e.memory_sleep_residency += ps.residency_energy;
-    e.memory_transition += ps.transition_energy;
-  }
-  e.memory_sleep_time = costs.asleep;
-  e.memory_sleep_cycles = costs.sleeps;
-  e.memory_sleep_min = costs.sleep_min;
-  e.memory_sleep_max = costs.sleep_max;
-  e.memory_exit_latency = costs.exit_latency;
-  e.governor_mispredicts = costs.mispredicts;
-  e.governor_aborts = costs.aborts;
-  e.memory_states = std::move(costs.per_state);
+  add_memory_energy(sched.memory_busy(), cfg.memory, opts, e);
   return e;
 }
 

@@ -19,6 +19,11 @@
 // charged through it, and so is the memory's unless `cfg.memory.ladder` is
 // set.
 //
+// The memory half of compute_energy is exposed as `add_memory_energy`, the
+// one memory charge: the rank-granular memory (mem/ranks.hpp), the
+// access-phase busy profile (model/access.hpp) and the DRAM power-down /
+// self-refresh ladder (mem/dram.hpp) are all charged through it.
+//
 // Gap disciplines:
 //   kNever    — idle-awake through every gap (MBKP's memory)
 //   kAlways   — sleep through every gap, however short, in the deepest
@@ -77,28 +82,6 @@ struct SleepStateBreakdown {
   double transition_energy = 0.0;  ///< pair_energy[k] * (cycles + aborts)
 };
 
-/// One idle gap of a device: [t0, t0 + length), length > 0.
-struct IdleGap {
-  double t0 = 0.0;
-  double length = 0.0;
-};
-
-/// A device's idle gaps in chronological order. `leading` marks a first
-/// gap that starts at the horizon's start, `trailing` a last gap that ends
-/// at the horizon's end.
-struct IdleGaps {
-  std::vector<IdleGap> gaps;
-  bool leading = false;
-  bool trailing = false;
-};
-
-/// The idle gaps around `busy` (sorted, merged intervals): between
-/// consecutive busy intervals and, when horizon_hi > horizon_lo, from
-/// horizon_lo to the first and from the last to horizon_hi (the whole
-/// horizon when `busy` is empty). Zero-length gaps are dropped.
-IdleGaps idle_gaps(const std::vector<Interval>& busy, double horizon_lo,
-                   double horizon_hi);
-
 /// Sums of one device's gap walk.
 struct GapCosts {
   double idle = 0.0;          ///< time spent idle-awake in gaps
@@ -112,13 +95,15 @@ struct GapCosts {
   std::vector<SleepStateBreakdown> per_state;  ///< parallel to the ladder
 };
 
-/// The gap walk. Decides every idle gap of `busy` (idle_gaps' semantics)
-/// under `ladder` in chronological order, then folds the sums leading gap
-/// first, trailing gap second, then the internal gaps in order. This entry
-/// point takes the clairvoyant kOptimal decision (SleepLadder::oracle_state)
-/// and records no metrics; compute_energy runs the same walk under any
-/// SleepDiscipline, asking a governor once per gap and then telling it the
-/// gap's true length.
+/// The gap walk. Decides every idle gap of `busy` (sorted, merged) under
+/// `ladder` in chronological order, then folds the sums leading gap first,
+/// trailing gap second, then the internal gaps in order. The gaps lie
+/// between consecutive busy intervals and, when horizon_hi > horizon_lo,
+/// from horizon_lo to the first and from the last to horizon_hi (the whole
+/// horizon when `busy` is empty). This entry point takes the clairvoyant
+/// kOptimal decision (SleepLadder::oracle_state) and records no metrics;
+/// add_memory_energy runs the same walk under any SleepDiscipline, asking a
+/// governor once per gap and then telling it the gap's true length.
 ///
 /// Per-gap semantics for a chosen state k:
 ///   gap <  latency[k]  — abort: the pair doesn't fit; the gap is charged
@@ -191,8 +176,21 @@ struct EnergyOptions {
   const char* timeline_label = "";
 };
 
+/// The memory half of compute_energy. Charges the memory busy profile
+/// `busy` (sorted, merged) under `memory` — its ladder, or
+/// `SleepLadder::single(alpha_m, xi_m)` when the ladder is empty — and
+/// `opts`, and adds the result into `e`'s memory fields: energies, sleep
+/// time and cycles, exit latency, mispredicts and aborts are summed, the
+/// sleep-interval min/max merged, and `memory_states` summed row by row
+/// (so every call into one breakdown must use ladders of the same depth).
+/// Records the `energy/*` gauges and, while the power timeline records,
+/// journals ladder and governor walks.
+void add_memory_energy(const std::vector<Interval>& busy,
+                       const MemoryPower& memory, const EnergyOptions& opts,
+                       EnergyBreakdown& e);
+
 /// Full accounting of `sched` under `cfg`. Core gaps always take the
-/// kOptimal discipline.
+/// kOptimal discipline; the memory is charged by add_memory_energy.
 EnergyBreakdown compute_energy(const Schedule& sched, const SystemConfig& cfg,
                                const EnergyOptions& opts = {});
 

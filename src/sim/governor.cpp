@@ -4,14 +4,14 @@
 
 namespace sdem {
 
-IdleGovernor::IdleGovernor(const IdleGovernorParams& params)
-    : params_(params) {
-  if (params_.window < 1) params_.window = 1;
-  if (params_.ewma_weight <= 0.0 || params_.ewma_weight > 1.0) {
-    params_.ewma_weight = 0.25;
-  }
-  ring_.assign(static_cast<std::size_t>(params_.window), 0.0);
-}
+namespace {
+
+constexpr double kEwmaWeight = 0.25;  ///< weight of the newest gap in EWMAs
+constexpr std::size_t kWindow = 8;    ///< recent-gap ring for the TEO check
+
+}  // namespace
+
+IdleGovernor::IdleGovernor() : ring_(kWindow, 0.0) {}
 
 double IdleGovernor::unimodal_predict() const {
   double pred = ewma_;
@@ -77,7 +77,7 @@ void IdleGovernor::observe(double gap, bool aborted) {
   if (count_ == 0) {
     ewma_ = gap;
   } else {
-    ewma_ = (1.0 - params_.ewma_weight) * ewma_ + params_.ewma_weight * gap;
+    ewma_ = (1.0 - kEwmaWeight) * ewma_ + kEwmaWeight * gap;
   }
   if (aborted && gap < ewma_) {
     // Mispredict correction: an aborted entry means the commitment was
@@ -98,29 +98,29 @@ void IdleGovernor::observe(double gap, bool aborted) {
     const bool is_long = gap >= tau_;
     if (last_class_ == 1) {
       const double hit = is_long ? 1.0 : 0.0;
-      p_long_after_long_ = (1.0 - params_.ewma_weight) * p_long_after_long_ +
-                           params_.ewma_weight * hit;
+      p_long_after_long_ = (1.0 - kEwmaWeight) * p_long_after_long_ +
+                           kEwmaWeight * hit;
     } else if (last_class_ == -1 && is_long) {
       // Seed optimistically: a trace that opens long often stays long.
       p_long_after_long_ = 1.0;
     }
     if (is_long) {
       ewma_long_ = n_long_ == 0 ? gap
-                                : (1.0 - params_.ewma_weight) * ewma_long_ +
-                                      params_.ewma_weight * gap;
+                                : (1.0 - kEwmaWeight) * ewma_long_ +
+                                      kEwmaWeight * gap;
       ++n_long_;
       if (run_ > 0.0) {
         run_len_ewma_ = !run_seen_
                             ? run_
-                            : (1.0 - params_.ewma_weight) * run_len_ewma_ +
-                                  params_.ewma_weight * run_;
+                            : (1.0 - kEwmaWeight) * run_len_ewma_ +
+                                  kEwmaWeight * run_;
         run_seen_ = true;
       }
       run_ = 0.0;
     } else {
       ewma_short_ = n_short_ == 0 ? gap
-                                  : (1.0 - params_.ewma_weight) * ewma_short_ +
-                                        params_.ewma_weight * gap;
+                                  : (1.0 - kEwmaWeight) * ewma_short_ +
+                                        kEwmaWeight * gap;
       ++n_short_;
       run_ += 1.0;
     }

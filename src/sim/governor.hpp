@@ -10,11 +10,12 @@
 //
 // Predictor, per governor (= per memory island):
 //
-//  * Unimodal path — an EWMA of observed gap lengths (weight
-//    `ewma_weight`, default 1/4) with TEO's intercept correction: when a
-//    majority of the recent `window` gaps came in shorter than the EWMA
-//    predicts, the average is being dragged up by stale long gaps and the
-//    recent window's median is used instead.
+//  * Unimodal path — an EWMA of observed gap lengths (the newest gap
+//    weighs 1/4) with TEO's intercept correction: when a majority of the
+//    recent 8 gaps came in shorter than the EWMA predicts, the average is
+//    being dragged up by stale long gaps and the recent window's median is
+//    used instead. Both are constants (kEwmaWeight, kWindow in
+//    governor.cpp); every class EWMA below uses the same weight.
 //
 //  * Bimodal path — bursty traces interleave runs of tiny gaps with long
 //    quiet gaps; a single average predicts neither. Gaps are classified
@@ -43,17 +44,11 @@
 
 namespace sdem {
 
-struct IdleGovernorParams {
-  double ewma_weight = 0.25;  ///< weight of the newest gap in the EWMAs
-  int window = 8;             ///< recent-gap ring size for the TEO check
-};
-
 /// Online sleep-state selector: per-class EWMA + recent-interval window
 /// predictor with burst-run detection and the deepest-fit selection rule.
 class IdleGovernor final : public MemoryGapGovernor {
  public:
-  IdleGovernor() : IdleGovernor(IdleGovernorParams{}) {}
-  explicit IdleGovernor(const IdleGovernorParams& params);
+  IdleGovernor();
 
   /// Predicted length of the next gap; 0 before the first observation.
   double predict() const;
@@ -74,15 +69,14 @@ class IdleGovernor final : public MemoryGapGovernor {
  private:
   double unimodal_predict() const;
 
-  IdleGovernorParams params_;
   long count_ = 0;
   double clamps_ = 0.0;
 
   // Unimodal path.
   double ewma_ = 0.0;           ///< EWMA over all gaps
-  std::vector<double> ring_;    ///< last `window` gaps, ring-indexed
+  std::vector<double> ring_;    ///< last kWindow gaps, ring-indexed
   std::size_t ring_next_ = 0;   ///< next slot to overwrite
-  std::size_t ring_size_ = 0;   ///< filled entries (<= window)
+  std::size_t ring_size_ = 0;   ///< filled entries (<= kWindow)
   mutable std::vector<double> scratch_;  ///< median workspace
 
   // Bimodal path: short/long split at the deepest break-even of the

@@ -2,10 +2,24 @@
 #include <gtest/gtest.h>
 
 #include "model/access.hpp"
+#include "sched/energy.hpp"
 #include "test_util.hpp"
 
 namespace sdem {
 namespace {
+
+/// The memory charge on the access-phase busy profile.
+EnergyBreakdown access_energy(const Schedule& sched,
+                              const std::map<int, TaskAccess>& access,
+                              const MemoryPower& memory, double horizon_lo,
+                              double horizon_hi) {
+  EnergyOptions opts;
+  opts.horizon_lo = horizon_lo;
+  opts.horizon_hi = horizon_hi;
+  EnergyBreakdown e;
+  add_memory_energy(memory_busy_with_access(sched, access), memory, opts, e);
+  return e;
+}
 
 Schedule two_segments() {
   Schedule s;
@@ -65,27 +79,24 @@ TEST(Access, EnergyNeverExceedsWholeModel) {
   // transitions) — the paper's whole-execution model is conservative.
   MemoryPower mem{4.0, 0.0};
   const auto sched = two_segments();
-  const auto whole =
-      access_aware_memory_energy(sched, {}, mem, 0.0, 3.0);
+  const auto whole = access_energy(sched, {}, mem, 0.0, 3.0);
   std::map<int, TaskAccess> acc;
   acc[0] = {AccessPattern::kPrefix, 0.3};
   acc[1] = {AccessPattern::kSuffix, 0.5};
-  const auto partial =
-      access_aware_memory_energy(sched, acc, mem, 0.0, 3.0);
-  EXPECT_LT(partial.total(), whole.total());
-  EXPECT_GT(partial.sleep_time, whole.sleep_time);
+  const auto partial = access_energy(sched, acc, mem, 0.0, 3.0);
+  EXPECT_LT(partial.memory_total(), whole.memory_total());
+  EXPECT_GT(partial.memory_sleep_time, whole.memory_sleep_time);
 }
 
 TEST(Access, BreakEvenRespected) {
   MemoryPower mem{4.0, 2.0};  // interior gap of 1 s is below break-even
-  const auto e = access_aware_memory_energy(two_segments(), {}, mem, 0.0, 3.0);
-  EXPECT_DOUBLE_EQ(e.idle, 4.0 * 1.0);
-  EXPECT_EQ(e.sleep_time, 0.0);
+  const auto e = access_energy(two_segments(), {}, mem, 0.0, 3.0);
+  EXPECT_DOUBLE_EQ(e.memory_idle, 4.0 * 1.0);
+  EXPECT_EQ(e.memory_sleep_time, 0.0);
   MemoryPower mem2{4.0, 0.5};
-  const auto e2 =
-      access_aware_memory_energy(two_segments(), {}, mem2, 0.0, 3.0);
-  EXPECT_DOUBLE_EQ(e2.transition, 4.0 * 0.5);
-  EXPECT_DOUBLE_EQ(e2.sleep_time, 1.0);
+  const auto e2 = access_energy(two_segments(), {}, mem2, 0.0, 3.0);
+  EXPECT_DOUBLE_EQ(e2.memory_transition, 4.0 * 0.5);
+  EXPECT_DOUBLE_EQ(e2.memory_sleep_time, 1.0);
 }
 
 TEST(Access, MatchesComputeEnergyOnWholeModel) {
@@ -94,12 +105,11 @@ TEST(Access, MatchesComputeEnergyOnWholeModel) {
   auto cfg = test::make_cfg(0.0, 4.0);
   cfg.memory.xi_m = 0.3;
   const auto sched = two_segments();
-  const auto a = access_aware_memory_energy(sched, {}, cfg.memory,
-                                            sched.start_time(),
-                                            sched.end_time());
+  const auto a = access_energy(sched, {}, cfg.memory, sched.start_time(),
+                               sched.end_time());
   EnergyOptions opts;
   const auto e = compute_energy(sched, cfg, opts);
-  EXPECT_NEAR(a.total(), e.memory_total(), 1e-12);
+  EXPECT_NEAR(a.memory_total(), e.memory_total(), 1e-12);
 }
 
 }  // namespace

@@ -4,7 +4,8 @@
 // cells valid, macros that compile to no-ops under SDEM_OBS=0 (this file
 // builds and passes in both modes), and a Chrome-trace sink whose B/E
 // duration pairs are monotone and well-nested per thread. Also home to the
-// bench registry's name-filter contract, next to its find_experiment use.
+// bench registry's name-filter contract and a Table 4 cell check, next to
+// its find_experiment use.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -16,6 +17,7 @@
 #include "obs/obs.hpp"
 #include "obs/trace.hpp"
 #include "support/json.hpp"
+#include "support/table.hpp"
 #include "support/thread_pool.hpp"
 
 namespace sdem {
@@ -121,6 +123,24 @@ TEST(BenchRegistry, EachNameSelectsExactlyOne) {
     ASSERT_EQ(hit.size(), 1u) << e.name;
     EXPECT_EQ(hit[0], &e) << e.name;
   }
+}
+
+TEST(BenchRegistry, Table4PrintsMbkpEnergyInTheMbkpColumn) {
+  const bench::Experiment* e = bench::find_experiment("table4");
+  ASSERT_NE(e, nullptr);
+  bench::RunOptions opt;
+  opt.seeds = 2;
+  const bench::ExperimentResult r = e->run(opt);
+  const Json* anchor = r.data.find("anchor");
+  ASSERT_NE(anchor, nullptr);
+  const Json* mbkp_j = anchor->find("energy_mbkp_j_avg");
+  ASSERT_NE(mbkp_j, nullptr);
+  // tables[0] is the parameter grid; tables[1] compares the policies.
+  ASSERT_EQ(r.tables.size(), 2u);
+  const Table& t = r.tables[1];
+  ASSERT_EQ(t.header()[1], "MBKP");
+  ASSERT_EQ(t.row(0)[0], "system energy (J, avg)");
+  EXPECT_EQ(t.row(0)[1], Table::fmt(mbkp_j->as_number(), 4));
 }
 
 // Walk a Chrome-trace document: per tid, timestamps must be monotone

@@ -32,7 +32,7 @@ TEST(Ranks, SingleRankEqualsMonolithicAccounting) {
   opts.horizon_lo = 0.0;
   opts.horizon_hi = 4.0;
   const auto e = compute_energy(sched, cfg, opts);
-  EXPECT_NEAR(r.total(), e.memory_total(), 1e-12);
+  EXPECT_NEAR(r.memory_total(), e.memory_total(), 1e-12);
 }
 
 TEST(Ranks, OneRankAndAccessMatchBatchAccountingAtAnyHorizon) {
@@ -48,10 +48,13 @@ TEST(Ranks, OneRankAndAccessMatchBatchAccountingAtAnyHorizon) {
     opts.horizon_lo = lo;
     opts.horizon_hi = hi;
     const double batch = compute_energy(s, cfg, opts).memory_total();
-    EXPECT_EQ(rank_memory_energy(s, cfg.memory, 1, 2, lo, hi).total(), batch)
-        << "horizon [" << lo << ", " << hi << "]";
-    EXPECT_EQ(access_aware_memory_energy(s, {}, cfg.memory, lo, hi).total(),
+    EXPECT_EQ(rank_memory_energy(s, cfg.memory, 1, 2, lo, hi).memory_total(),
               batch)
+        << "horizon [" << lo << ", " << hi << "]";
+    EnergyBreakdown access;
+    add_memory_energy(memory_busy_with_access(s, {}), cfg.memory, opts,
+                      access);
+    EXPECT_EQ(access.memory_total(), batch)
         << "horizon [" << lo << ", " << hi << "]";
   }
 }
@@ -63,9 +66,9 @@ TEST(Ranks, PerCoreRanksDecoupleIdleTime) {
   const auto duo = rank_memory_energy(sched, mem, 2, 2, 0.0, 4.0);
   // Monolithic: busy all 4 s at 4 W = 16 J. Two ranks: each 2 W, busy 2 s
   // => 8 J total. The decoupling halves the leakage.
-  EXPECT_NEAR(mono.total(), 16.0, 1e-12);
-  EXPECT_NEAR(duo.total(), 8.0, 1e-12);
-  EXPECT_GT(duo.sleep_time, mono.sleep_time);
+  EXPECT_NEAR(mono.memory_total(), 16.0, 1e-12);
+  EXPECT_NEAR(duo.memory_total(), 8.0, 1e-12);
+  EXPECT_GT(duo.memory_sleep_time, mono.memory_sleep_time);
 }
 
 TEST(Ranks, LeakageConserved) {
@@ -76,7 +79,7 @@ TEST(Ranks, LeakageConserved) {
   MemoryPower mem{4.0, 0.0};
   for (int ranks : {1, 2}) {
     const auto r = rank_memory_energy(s, mem, ranks, 2, 0.0, 2.0);
-    EXPECT_NEAR(r.total(), 8.0, 1e-12) << ranks << " ranks";
+    EXPECT_NEAR(r.memory_total(), 8.0, 1e-12) << ranks << " ranks";
   }
 }
 
@@ -88,12 +91,13 @@ TEST(Ranks, BreakEvenPerRank) {
   s.add(Segment{2, 1, 0.0, 3.0, 100.0});
   MemoryPower nap{4.0, 0.5};
   const auto r1 = rank_memory_energy(s, nap, 2, 2, 0.0, 3.0);
-  EXPECT_NEAR(r1.transition, 2.0 * 0.5, 1e-12);  // rank power 2 W * xi_m
-  EXPECT_NEAR(r1.sleep_time, 1.0, 1e-12);
+  // Rank power 2 W * xi_m.
+  EXPECT_NEAR(r1.memory_transition, 2.0 * 0.5, 1e-12);
+  EXPECT_NEAR(r1.memory_sleep_time, 1.0, 1e-12);
   MemoryPower stay{4.0, 2.0};
   const auto r2 = rank_memory_energy(s, stay, 2, 2, 0.0, 3.0);
-  EXPECT_NEAR(r2.idle, 2.0 * 1.0, 1e-12);
-  EXPECT_EQ(r2.sleep_time, 0.0);
+  EXPECT_NEAR(r2.memory_idle, 2.0 * 1.0, 1e-12);
+  EXPECT_EQ(r2.memory_sleep_time, 0.0);
 }
 
 TEST(Ranks, IdleRankSleepsWholeHorizon) {
@@ -102,8 +106,8 @@ TEST(Ranks, IdleRankSleepsWholeHorizon) {
   MemoryPower mem{4.0, 0.0};
   const auto r = rank_memory_energy(s, mem, 4, 4, 0.0, 1.0);
   // Only rank 0 is ever busy: 1 W * 1 s; other ranks sleep free.
-  EXPECT_NEAR(r.total(), 1.0, 1e-12);
-  EXPECT_NEAR(r.sleep_time, 3.0, 1e-12);
+  EXPECT_NEAR(r.memory_total(), 1.0, 1e-12);
+  EXPECT_NEAR(r.memory_sleep_time, 3.0, 1e-12);
 }
 
 TEST(Ranks, MoreRanksNeverCostMore) {
@@ -112,8 +116,8 @@ TEST(Ranks, MoreRanksNeverCostMore) {
   double prev = 1e18;
   for (int ranks : {1, 2, 4}) {
     const auto r = rank_memory_energy(sched, mem, ranks, 2, 0.0, 4.0);
-    EXPECT_LE(r.total(), prev + 1e-9) << ranks;
-    prev = r.total();
+    EXPECT_LE(r.memory_total(), prev + 1e-9) << ranks;
+    prev = r.memory_total();
   }
 }
 

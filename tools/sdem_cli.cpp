@@ -7,7 +7,9 @@
 //       scheme: cr-alpha0 | cr-alpha | cr-transition | agreeable
 //       prints energy, sleep time, a Gantt chart and the schedule CSV
 //   sdem_cli simulate <policy>             < tasks.csv   online run:
-//       policy: sdem-on | mbkp | race | stretch | critical
+//       policy: sdem-on | sdem-on-eager | mbkp | race | stretch | critical
+//   sdem_cli svg [policy]                  < tasks.csv   SVG Gantt chart
+//       of the online run (default sdem-on)
 //   sdem_cli compare                       < tasks.csv   SDEM-ON vs MBKP(S)
 //   sdem_cli selftest                                    end-to-end smoke
 //
@@ -18,6 +20,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -28,14 +31,12 @@
 #include "sim/governor.hpp"
 #include "core/common_release_alpha.hpp"
 #include "core/common_release_alpha0.hpp"
-#include "core/online_sdem.hpp"
 #include "core/transition.hpp"
-#include "baseline/mbkp.hpp"
-#include "baseline/simple_policies.hpp"
 #include "sched/energy.hpp"
 #include "sched/svg.hpp"
 #include "sched/trace_io.hpp"
 #include "sched/validate.hpp"
+#include "service/service.hpp"
 #include "sim/metrics.hpp"
 #include "workload/dspstone.hpp"
 #include "workload/generator.hpp"
@@ -57,8 +58,8 @@ int usage() {
                "usage: sdem_cli gen {synthetic|dspstone|common} ... |\n"
                "       sdem_cli solve {cr-alpha0|cr-alpha|cr-transition|"
                "agreeable} < tasks.csv |\n"
-               "       sdem_cli simulate {sdem-on|mbkp|race|stretch|critical}"
-               " < tasks.csv |\n"
+               "       sdem_cli {simulate|svg} {sdem-on|sdem-on-eager|mbkp|"
+               "race|stretch|critical} < tasks.csv |\n"
                "       sdem_cli compare < tasks.csv | sdem_cli selftest\n"
                "  --trace PATH   (any command) record a chrome://tracing "
                "JSON\n"
@@ -145,21 +146,10 @@ int cmd_solve(int argc, char** argv) {
 int cmd_simulate(int argc, char** argv) {
   if (argc < 1) return usage();
   const std::string which = argv[0];
+  const std::unique_ptr<OnlinePolicy> pol = service::make_policy(which);
+  if (pol == nullptr) return usage();
   const TaskSet tasks = task_set_from_csv(read_stdin());
   const auto cfg = default_cfg();
-
-  SdemOnPolicy sdem_on;
-  MbkpPolicy mbkp;
-  RaceToIdlePolicy race;
-  StretchPolicy stretch;
-  CriticalSpeedPolicy critical;
-  OnlinePolicy* pol = nullptr;
-  if (which == "sdem-on") pol = &sdem_on;
-  else if (which == "mbkp") pol = &mbkp;
-  else if (which == "race") pol = &race;
-  else if (which == "stretch") pol = &stretch;
-  else if (which == "critical") pol = &critical;
-  else return usage();
 
   const SimResult sim = simulate(tasks, cfg, *pol);
   const auto ev = evaluate_policy(
@@ -209,13 +199,11 @@ int cmd_simulate(int argc, char** argv) {
 
 int cmd_svg(int argc, char** argv) {
   // sdem_cli svg [policy] < tasks.csv > schedule.svg
-  const std::string which = argc >= 1 ? argv[0] : "sdem-on";
+  const std::unique_ptr<OnlinePolicy> pol =
+      service::make_policy(argc >= 1 ? argv[0] : "sdem-on");
+  if (pol == nullptr) return usage();
   const TaskSet tasks = task_set_from_csv(read_stdin());
   const auto cfg = default_cfg();
-  SdemOnPolicy sdem_on;
-  MbkpPolicy mbkp;
-  OnlinePolicy* pol = which == "mbkp" ? static_cast<OnlinePolicy*>(&mbkp)
-                                      : static_cast<OnlinePolicy*>(&sdem_on);
   const SimResult sim = simulate(tasks, cfg, *pol);
   SvgOptions opts;
   opts.title = pol->name() + " schedule, " + std::to_string(tasks.size()) +

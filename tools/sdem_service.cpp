@@ -177,10 +177,6 @@ std::vector<StreamLine> make_stream_lines(long n, int islands,
 }
 
 int run_gen_stream(const Options& o) {
-  if (o.gen_stream <= 0 || o.islands <= 0) {
-    std::fprintf(stderr, "--gen-stream and --islands need positive values\n");
-    return 2;
-  }
   std::string out;
   for (const StreamLine& l :
        make_stream_lines(o.gen_stream, o.islands, o.seed)) {
@@ -446,6 +442,10 @@ int main(int argc, char** argv) {
       o.gen_stream = std::atol(value("--gen-stream"));
     } else if (arg == "--islands") {
       o.islands = std::atoi(value("--islands"));
+      if (o.islands < 1) {
+        std::fprintf(stderr, "--islands needs a positive integer\n");
+        return usage(2);
+      }
     } else if (arg == "--seed") {
       o.seed = static_cast<std::uint64_t>(std::atoll(value("--seed")));
     } else if (arg == "--load-gen") {
