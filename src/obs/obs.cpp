@@ -8,6 +8,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <string_view>
 
 #include "obs/trace.hpp"
 #include "obs/window.hpp"
@@ -38,7 +39,8 @@ std::uint64_t now_ns() {
 namespace {
 
 // One mutex guards shard registration, per-shard cell creation, reset and
-// snapshot. Cell increments never touch it (thread-local pointers).
+// snapshot. Cell increments and a thread's lookups of its own existing
+// cells never touch it.
 std::mutex& registry_mutex() {
   static std::mutex mu;
   return mu;
@@ -52,11 +54,34 @@ struct Registry::Shard {
   std::deque<DistCell> dist_storage;
   std::deque<TimerCell> timer_storage;
   std::deque<WindowCell> window_storage;
-  std::map<std::string, std::pair<Domain, std::uint64_t*>> counters;
-  std::map<std::string, std::pair<Domain, DistCell*>> dists;
-  std::map<std::string, TimerCell*> timers;
-  std::map<std::string, WindowCell*> windows;
+  // Transparent comparators: a lookup by name builds no std::string.
+  std::map<std::string, std::pair<Domain, std::uint64_t*>, std::less<>>
+      counters;
+  std::map<std::string, std::pair<Domain, DistCell*>, std::less<>> dists;
+  std::map<std::string, TimerCell*, std::less<>> timers;
+  std::map<std::string, WindowCell*, std::less<>> windows;
 };
+
+namespace {
+
+/// The cell `name` in `map`, one of the calling thread's shard maps;
+/// `make()` creates its storage on first use. Only the owning thread
+/// inserts into its shard's maps, and reset() never touches them, so the
+/// owner looks up without the lock; the lock orders an insertion against
+/// snapshot() and window_values() reading the same map from other threads.
+template <typename Map, typename Make>
+typename Map::mapped_type find_or_insert(Map& map, const char* name,
+                                         Make make) {
+  const std::string_view key(name);
+  auto it = map.find(key);
+  if (it == map.end()) {
+    std::lock_guard<std::mutex> lock(registry_mutex());
+    it = map.emplace(key, make()).first;
+  }
+  return it->second;
+}
+
+}  // namespace
 
 Registry& Registry::instance() {
   // Leaked singleton: worker threads may flush cells during static
@@ -81,50 +106,34 @@ Registry::Shard& Registry::local_shard() {
 
 std::uint64_t* Registry::counter_cell(const char* name, Domain domain) {
   Shard& shard = local_shard();
-  std::lock_guard<std::mutex> lock(registry_mutex());
-  auto it = shard.counters.find(name);
-  if (it == shard.counters.end()) {
-    shard.counter_storage.push_back(0);
-    it = shard.counters
-             .emplace(name, std::make_pair(domain, &shard.counter_storage.back()))
-             .first;
-  }
-  return it->second.second;
+  return find_or_insert(shard.counters, name, [&] {
+           shard.counter_storage.push_back(0);
+           return std::make_pair(domain, &shard.counter_storage.back());
+         }).second;
 }
 
 DistCell* Registry::dist_cell(const char* name, Domain domain) {
   Shard& shard = local_shard();
-  std::lock_guard<std::mutex> lock(registry_mutex());
-  auto it = shard.dists.find(name);
-  if (it == shard.dists.end()) {
-    shard.dist_storage.emplace_back();
-    it = shard.dists
-             .emplace(name, std::make_pair(domain, &shard.dist_storage.back()))
-             .first;
-  }
-  return it->second.second;
+  return find_or_insert(shard.dists, name, [&] {
+           shard.dist_storage.emplace_back();
+           return std::make_pair(domain, &shard.dist_storage.back());
+         }).second;
 }
 
 TimerCell* Registry::timer_cell(const char* name) {
   Shard& shard = local_shard();
-  std::lock_guard<std::mutex> lock(registry_mutex());
-  auto it = shard.timers.find(name);
-  if (it == shard.timers.end()) {
+  return find_or_insert(shard.timers, name, [&] {
     shard.timer_storage.emplace_back();
-    it = shard.timers.emplace(name, &shard.timer_storage.back()).first;
-  }
-  return it->second;
+    return &shard.timer_storage.back();
+  });
 }
 
 WindowCell* Registry::window_cell(const char* name, const WindowSpec& spec) {
   Shard& shard = local_shard();
-  std::lock_guard<std::mutex> lock(registry_mutex());
-  auto it = shard.windows.find(name);
-  if (it == shard.windows.end()) {
+  return find_or_insert(shard.windows, name, [&] {
     shard.window_storage.emplace_back(spec);
-    it = shard.windows.emplace(name, &shard.window_storage.back()).first;
-  }
-  return it->second;
+    return &shard.window_storage.back();
+  });
 }
 
 std::vector<std::pair<std::string, std::uint64_t>> Registry::local_counters() {
@@ -150,20 +159,6 @@ void Registry::reset() {
 }
 
 namespace {
-
-DistValue to_value(const DistCell& cell) {
-  DistValue v;
-  v.count = cell.count;
-  v.sum_fx = cell.sum_fx;
-  v.min = cell.min;
-  v.max = cell.max;
-  for (int i = 0; i < kDistBuckets; ++i) {
-    if (cell.buckets[i] > 0) {
-      v.buckets.emplace_back(i == 0 ? -9999 : i - 64, cell.buckets[i]);
-    }
-  }
-  return v;
-}
 
 void merge_dist(DistValue& into, const DistCell& cell) {
   if (cell.count == 0) return;

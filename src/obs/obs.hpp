@@ -30,7 +30,8 @@
 //     "counters" section keeps its byte-equality contract.
 //
 // Threading contract: cell *creation* (first use of a name on a thread) and
-// snapshot()/reset() take locks; cell *increments* are unsynchronized
+// snapshot()/reset() take locks; a thread's lookup of a cell it already
+// created takes none, and cell *increments* are unsynchronized
 // thread-local writes. Callers must quiesce instrumented work (e.g.
 // ThreadPool::wait_idle) before snapshot()/reset() — exactly the moment a
 // deterministic snapshot is meaningful anyway.
@@ -153,8 +154,9 @@ class Registry {
   static Registry& instance();
 
   /// Resolve a named cell in the calling thread's shard. Stable pointer
-  /// (valid for the thread's lifetime and across reset()). Cold path: the
-  /// SDEM_OBS_* macros cache the result per call site per thread.
+  /// (valid for the thread's lifetime and across reset()). Only the first
+  /// use of a name on a thread locks; the SDEM_OBS_* macros still cache the
+  /// result per call site per thread.
   std::uint64_t* counter_cell(const char* name, Domain domain);
   DistCell* dist_cell(const char* name, Domain domain);
   TimerCell* timer_cell(const char* name);

@@ -1,6 +1,8 @@
 #include "service/service.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -39,6 +41,66 @@ constexpr std::size_t kInlinePending = 16;
 /// A pool drain's budget: it runs until the rings are empty.
 constexpr std::size_t kUnbounded = std::numeric_limits<std::size_t>::max();
 
+/// The task ids one island has accepted (duplicate-submit detection): a
+/// flat open-addressing table with linear probing, doubled at half load,
+/// so an insert allocates only when the table doubles. It grows with the
+/// accepted SUBMITs, never with the magnitude of an id.
+class TaskIds {
+ public:
+  bool contains(int id) const {
+    if (id == kEmpty) return has_empty_;
+    if (slots_.empty()) return false;
+    for (std::size_t i = home(id);; i = (i + 1) & (slots_.size() - 1)) {
+      if (slots_[i] == id) return true;
+      if (slots_[i] == kEmpty) return false;
+    }
+  }
+
+  /// Adds an id that is not present yet.
+  void insert(int id) {
+    if (id == kEmpty) {
+      has_empty_ = true;
+      return;
+    }
+    if (2 * (size_ + 1) > slots_.size()) {
+      std::vector<int> old(std::max<std::size_t>(16, 2 * slots_.size()),
+                           kEmpty);
+      old.swap(slots_);
+      shift_ = 64 - std::countr_zero(slots_.size());
+      for (const int v : old) {
+        if (v != kEmpty) place(v);
+      }
+    }
+    place(id);
+    ++size_;
+  }
+
+ private:
+  /// Marks a free slot. The protocol accepts |id| <= 2e9 only, but route()
+  /// takes any Request, so this one id is kept beside the table.
+  static constexpr int kEmpty = std::numeric_limits<int>::min();
+
+  /// Fibonacci hashing: the top bits of id * 2^64/phi, so that sequential
+  /// and strided ids alike spread over the table.
+  std::size_t home(int id) const {
+    return static_cast<std::size_t>(
+        (static_cast<std::uint64_t>(static_cast<std::uint32_t>(id)) *
+         0x9E3779B97F4A7C15ull) >>
+        shift_);
+  }
+
+  void place(int id) {
+    std::size_t i = home(id);
+    while (slots_[i] != kEmpty) i = (i + 1) & (slots_.size() - 1);
+    slots_[i] = id;
+  }
+
+  std::vector<int> slots_;  ///< power-of-two size, kEmpty where free
+  std::size_t size_ = 0;
+  int shift_ = 64;
+  bool has_empty_ = false;  ///< whether id kEmpty was inserted
+};
+
 }  // namespace
 
 std::unique_ptr<OnlinePolicy> make_policy(const std::string& name) {
@@ -59,7 +121,7 @@ struct Service::Island {
 
   std::unique_ptr<OnlinePolicy> policy;
   StreamSim sim;
-  std::unordered_set<int> task_ids;  ///< duplicate-submit detection
+  TaskIds task_ids;  ///< duplicate-submit detection
   std::uint64_t submits = 0;
   bool finalized = false;
 };
@@ -103,6 +165,10 @@ struct Service::Shard {
   /// Pending tasks on the island the last SUBMIT or QUERY served: written
   /// by the drain, read by producers choosing where the next drain runs.
   std::atomic<std::size_t> last_pending{0};
+
+  /// The drain's pop buffer. Only the drain holding `scheduled` touches
+  /// it, so it lives here rather than being built and torn down per drain.
+  std::array<Msg, kDrainBatch> drain_buf;
 
   std::map<int, std::unique_ptr<Island>> islands;
   std::string replan_metric;
@@ -302,7 +368,7 @@ bool Service::drain(Shard& s, std::size_t budget) {
   std::uint64_t* req_count =
       obs::counter_cell(s.requests_metric.c_str(), obs::Domain::kRuntime);
 #endif
-  Msg buf[kDrainBatch];
+  Msg* const buf = s.drain_buf.data();
   for (;;) {
     bool progressed = true;
     while (progressed && budget > 0) {
@@ -319,7 +385,11 @@ bool Service::drain(Shard& s, std::size_t budget) {
                 static_cast<double>(now - buf[i].req.ingest_ns), now);
           }
 #endif
-          buf[i] = Msg{};  // release the line/task payload promptly
+          // Free the line now. A slot that kept its storage would hand it
+          // to the ring slot the next pop empties; a closed loop cycles
+          // through every slot of the ring, so each would keep a buffer as
+          // large as the longest line it ever carried.
+          std::string().swap(buf[i].raw);
         }
         if (k > 0) {
           progressed = true;
@@ -384,7 +454,7 @@ void Service::process(Shard& s, Request& r, const ShardCells& cells) {
                                     " already finalized"));
         return;
       }
-      if (!isl.task_ids.insert(r.task.id).second) {
+      if (isl.task_ids.contains(r.task.id)) {
         done_(r, error_response(r.seq,
                                 "duplicate task id " +
                                     std::to_string(r.task.id) + " on island " +
@@ -396,10 +466,10 @@ void Service::process(Shard& s, Request& r, const ShardCells& cells) {
       try {
         isl.sim.inject_arrival(r.task);
       } catch (const std::invalid_argument& e) {
-        isl.task_ids.erase(r.task.id);
         done_(r, error_response(r.seq, e.what()));
         return;
       }
+      isl.task_ids.insert(r.task.id);
       ++isl.submits;
       Json resp = ok_response(Op::kSubmit, r.seq);
       resp.set("island", r.island);

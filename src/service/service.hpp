@@ -59,7 +59,6 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "model/power.hpp"
@@ -181,8 +180,9 @@ class Service {
   struct Producer;
 
   /// The shard's obs cells, resolved by drain() once per invocation on the
-  /// executing thread (cell resolution takes the registry lock; the hot
-  /// path must not). All null when the obs layer is compiled out.
+  /// executing thread (successive drains may run on different threads, and
+  /// each thread has its own cells). All null when the obs layer is
+  /// compiled out.
   struct ShardCells {
     obs::DistCell* replan = nullptr;       ///< cumulative replan latency
     obs::WindowCell* replan_win = nullptr; ///< windowed replan latency

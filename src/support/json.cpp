@@ -110,17 +110,25 @@ char* format_number(char* buf, double v) {
   // The first of %.15g, %.16g and %.17g that parses back to v. to_chars
   // with a precision prints exactly what printf("%.*g") prints and
   // from_chars reads exactly what strtod reads. No P-digit text can round-
-  // trip below the shortest round-trip digit count, so the search starts
-  // there, and %.17g always round-trips, so it goes unchecked.
+  // trip below the shortest round-trip digit count D, and from P = D on the
+  // nearest P-digit decimal lies no farther from v than the shortest text
+  // does, so where v's rounding interval is symmetric, %.Pg at
+  // P = max(15, D) round-trips and needs no parse-back. Only an exact power
+  // of two, whose interval is half as wide below v, is checked, and only at
+  // P = 16: at 15 the grid is coarser than either half, and %.17g always
+  // round-trips.
   const char* const e =
       std::to_chars(buf, end, v, std::chars_format::scientific).ptr;
   int digits = 0;
   for (const char* c = buf; c != e && *c != 'e'; ++c)
     digits += *c >= '0' && *c <= '9';
-  for (int prec = std::max(15, digits);; ++prec) {
+  const int prec = std::max(15, digits);
+  int exp2 = 0;
+  const bool check = prec == 16 && std::fabs(std::frexp(v, &exp2)) == 0.5;
+  for (int p = prec;; ++p) {
     char* const stop =
-        std::to_chars(buf, end, v, std::chars_format::general, prec).ptr;
-    if (prec >= 17) return stop;
+        std::to_chars(buf, end, v, std::chars_format::general, p).ptr;
+    if (!check || p >= 17) return stop;
     double back = 0.0;
     std::from_chars(buf, stop, back);
     if (back == v) return stop;
@@ -206,6 +214,9 @@ Json Json::without_key(const std::string& key) const {
 
 std::string Json::dump(int indent) const {
   std::string out;
+  // One allocation covers a typical service envelope; growing from the
+  // short-string buffer would reallocate four times on the way there.
+  if (kind_ == Kind::kObject || kind_ == Kind::kArray) out.reserve(256);
   write(out, indent, 0);
   if (indent > 0) out += '\n';
   return out;

@@ -1,14 +1,20 @@
 // In-process daemon tests (src/service/daemon.hpp): ephemeral-port TCP,
 // requests fragmented across writes (the poll-loop partial-read
 // regression), per-connection response ordering with multiple acceptors,
-// a two-connection closed loop drained on the acceptor, malformed,
-// peek-miss and over-long lines answered in order, and clean SHUTDOWN.
+// a two-connection closed loop drained on the acceptor, pipelined pairs
+// answered without a delayed-ACK stall, a client that stops reading without
+// holding up another connection, the backlog cap checked per line, every
+// response delivered before a close on SHUTDOWN or on the client's hang-up,
+// malformed, peek-miss and over-long lines answered in order, and clean
+// SHUTDOWN.
 #include "service/daemon.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <csignal>
+#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -16,6 +22,7 @@
 #include <vector>
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <sys/time.h>
@@ -53,13 +60,20 @@ struct DaemonHarness {
 };
 
 /// Blocking line-oriented TCP client with a 10 s receive timeout so a
-/// daemon bug fails the test instead of hanging CI.
+/// daemon bug fails the test instead of hanging CI. `socket_buffer` > 0
+/// shrinks both kernel socket buffers before connecting.
 struct LineClient {
-  explicit LineClient(int port) {
+  explicit LineClient(int port, int socket_buffer = 0) {
     fd = ::socket(AF_INET, SOCK_STREAM, 0);
     EXPECT_GE(fd, 0);
     timeval tv{10, 0};
     ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+    if (socket_buffer > 0) {
+      ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &socket_buffer,
+                   sizeof(socket_buffer));
+      ::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &socket_buffer,
+                   sizeof(socket_buffer));
+    }
     sockaddr_in addr{};
     addr.sin_family = AF_INET;
     addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
@@ -263,6 +277,255 @@ TEST(Daemon, ClosedLoopOnTwoConnectionsDrainsInline) {
   for (int shard = 0; shard < 2; ++shard) {
     EXPECT_GT(shard_drains(body, shard, "inline"), 0.0) << body;
     EXPECT_EQ(shard_drains(body, shard, "pool"), 0.0) << body;
+  }
+}
+
+TEST(Daemon, PipelinedPairIsNotHeldForTheDelayedAck) {
+  // Two requests in one write: the daemon sends their responses one after
+  // the other. With Nagle's algorithm on the accepted socket, the second
+  // would wait for the client's delayed ACK of the first (~40 ms).
+  DaemonHarness h(DaemonOptions{});
+  LineClient c(h.port);
+  using Clock = std::chrono::steady_clock;
+  std::vector<double> round_trip_ms;
+  for (int b = 0; b < 5; ++b) {
+    const auto t0 = Clock::now();
+    c.send(submit_line(0, b, 2.0 * b) + "\n{\"op\":\"QUERY\",\"island\":0}\n");
+    for (int k = 0; k < 2; ++k) {
+      const Json r = Json::parse(c.recv_line());
+      ASSERT_TRUE(r.at("ok").as_bool()) << r.dump(0);
+    }
+    round_trip_ms.push_back(
+        std::chrono::duration<double, std::milli>(Clock::now() - t0).count());
+  }
+  std::sort(round_trip_ms.begin(), round_trip_ms.end());
+  EXPECT_LT(round_trip_ms[2], 20.0) << "median pipelined burst round trip";
+}
+
+TEST(Daemon, ClientThatStopsReadingHoldsUpNoOtherConnection) {
+  // One client pipelines QUERYs and never reads its answers. The daemon
+  // stops reading it once kMaxUnsentBytes of answers wait, but keeps
+  // serving everyone else, and hands the first client every answer, whole
+  // and in order, once it reads. The second connection is served before
+  // the flood starts, by the second acceptor and on another shard, so only
+  // the response writer couples the two: the backlog the first acceptor
+  // still works through (one read and a ring's worth of QUERYs, seconds
+  // under TSan) does not delay it.
+  DaemonOptions opt;
+  opt.shards = 2;
+  opt.acceptors = 2;
+  DaemonHarness h(opt);
+  // Small buffers keep the kernel's share of the backlog small, so the
+  // daemon's own cap is what stops the sending.
+  LineClient slow(h.port, 16 << 10);
+  slow.send(submit_line(0, 0, 0.0) + "\n");
+  ASSERT_TRUE(Json::parse(slow.recv_line()).at("ok").as_bool());
+  LineClient other(h.port);
+  other.send(submit_line(1, 0, 0.0) + "\n");
+  ASSERT_TRUE(Json::parse(other.recv_line()).at("ok").as_bool());
+
+  // Send until the daemon has taken nothing for 300 ms (or 3 s pass).
+  ASSERT_EQ(
+      ::fcntl(slow.fd, F_SETFL, ::fcntl(slow.fd, F_GETFL, 0) | O_NONBLOCK), 0);
+  const std::string query = "{\"op\":\"QUERY\",\"island\":0}\n";
+  std::string batch;
+  for (int i = 0; i < 1000; ++i) batch += query;
+  using Clock = std::chrono::steady_clock;
+  const auto start = Clock::now();
+  auto progress = start;
+  std::size_t sent = 0;  // bytes, counted from the first QUERY
+  while (Clock::now() - progress < std::chrono::milliseconds(300) &&
+         Clock::now() - start < std::chrono::seconds(3)) {
+    const std::size_t off = sent % batch.size();
+    const ssize_t n = ::send(slow.fd, batch.data() + off, batch.size() - off,
+                             MSG_NOSIGNAL);
+    if (n > 0) {
+      sent += static_cast<std::size_t>(n);
+      progress = Clock::now();
+    } else {
+      ASSERT_TRUE(errno == EAGAIN || errno == EWOULDBLOCK)
+          << std::strerror(errno);
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+  }
+  const std::size_t queries = sent / query.size();
+  ASSERT_GT(queries, 0u);
+
+  timeval tv{2, 0};  // fail fast, not after the default 10 s
+  ::setsockopt(other.fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  const auto t0 = Clock::now();
+  other.send(submit_line(1, 1, 2.0) + "\n");
+  const std::string answer = other.recv_line();
+  ASSERT_LT(Clock::now() - t0, std::chrono::seconds(1))
+      << "after " << queries << " unread QUERYs";
+  ASSERT_TRUE(Json::parse(answer).at("ok").as_bool()) << answer;
+
+  ASSERT_EQ(::fcntl(slow.fd, F_SETFL,
+                    ::fcntl(slow.fd, F_GETFL, 0) & ~O_NONBLOCK),
+            0);
+  double last_seq = -1.0;
+  for (std::size_t i = 0; i < queries; ++i) {
+    const std::string line = slow.recv_line();
+    const Json r = Json::parse(line);
+    ASSERT_TRUE(r.at("ok").as_bool()) << line;
+    ASSERT_EQ(r.at("op").as_string(), "QUERY") << line;
+    ASSERT_GT(r.at("seq").as_number(), last_seq) << "answer " << i;
+    last_seq = r.at("seq").as_number();
+  }
+}
+
+/// `n` copies of a QUERY for `island`, one per line.
+std::string queries(int island, int n) {
+  const std::string q =
+      "{\"op\":\"QUERY\",\"island\":" + std::to_string(island) + "}\n";
+  std::string out;
+  for (int i = 0; i < n; ++i) out += q;
+  return out;
+}
+
+/// Whether `line` is a whole QUERY answer, and its "seq", told without a
+/// full parse: these tests read thousands of large answers, under TSan too.
+bool is_query_answer(const std::string& line) {
+  return !line.empty() && line.back() == '}' &&
+         line.find("\"QUERY\"") != std::string::npos;
+}
+double seq_of(const std::string& line) {
+  const std::size_t at = line.find("\"seq\":");
+  return at == std::string::npos ? -1.0
+                                 : std::strtod(line.c_str() + at + 6, nullptr);
+}
+
+/// SUBMITs tasks 0..n-1 to `island`, all released at 0, and reads the
+/// answers, so that the island's plan (and every QUERY answer) lists n
+/// tasks.
+void fill_plan(LineClient& c, int island, int n) {
+  std::string submits;
+  for (int id = 0; id < n; ++id) submits += submit_line(island, id, 0.0) + "\n";
+  c.send(submits);
+  for (int id = 0; id < n; ++id) {
+    const std::string line = c.recv_line();
+    ASSERT_TRUE(Json::parse(line).at("ok").as_bool()) << line;
+  }
+}
+
+TEST(Daemon, ShutdownDeliversTheResponsesAClientHasNotReadYet) {
+  // A client pipelines QUERYs and SHUTDOWN, and reads slower than the
+  // daemon answers: more is owed than the kernel's socket buffers hold
+  // (a 50-task plan makes each answer ~5 KB), so when the daemon reaches
+  // SHUTDOWN, answers still wait in its own buffer. They are sent all the
+  // same, in order, and the SHUTDOWN line comes last and whole.
+  DaemonHarness h(DaemonOptions{});
+  LineClient c(h.port, 16 << 10);
+  fill_plan(c, 0, 50);
+  constexpr int kQueries = 2000;
+  c.send(queries(0, kQueries) + "{\"op\":\"SHUTDOWN\"}\n");
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  for (int i = 0; i < kQueries; ++i) {
+    const std::string line = c.recv_line();
+    ASSERT_TRUE(is_query_answer(line)) << "answer " << i << ": "
+                                       << line.substr(0, 200);
+  }
+  const std::string last = c.recv_line();
+  const Json bye = Json::parse(last);
+  EXPECT_EQ(bye.at("op").as_string(), "SHUTDOWN") << last.substr(0, 200);
+  h.thread.join();
+  EXPECT_EQ(h.rc, 0);
+}
+
+TEST(Daemon, ClientThatHangsUpIsSentEveryResponseBeforeTheClose) {
+  // A client pipelines QUERYs, shuts down its sending side, and only then
+  // reads. The daemon sees the end of its requests long before the client
+  // has read the answers (some are not even computed yet: a 20-task plan
+  // puts the QUERY drains on the pool), and closes the connection only
+  // once every answer is sent.
+  DaemonOptions opt;
+  opt.shards = 2;
+  DaemonHarness h(opt);
+  LineClient c(h.port, 16 << 10);
+  fill_plan(c, 0, 20);
+  constexpr int kQueries = 2000;
+  c.send(queries(0, kQueries));
+  ASSERT_EQ(::shutdown(c.fd, SHUT_WR), 0) << std::strerror(errno);
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  for (int i = 0; i < kQueries; ++i) {
+    const std::string line = c.recv_line();
+    ASSERT_TRUE(is_query_answer(line)) << "answer " << i << ": "
+                                       << line.substr(0, 200);
+  }
+  char byte = 0;
+  EXPECT_EQ(::read(c.fd, &byte, 1), 0) << "the daemon closes after the last";
+}
+
+TEST(Daemon, BacklogCapIsCheckedBeforeEveryLine) {
+  // QUERY answers with the island's whole plan, so one read of pipelined
+  // QUERYs (a 64 KiB read holds over 2,000) can ask for far more than
+  // kMaxUnsentBytes. The daemon checks the backlog before it dispatches
+  // each line, so a client that does not read gets its answers computed
+  // only until the backlog passes the cap, plus the requests already
+  // handed to the shard, plus what the kernel's socket buffers take.
+  DaemonHarness h(DaemonOptions{});
+  LineClient c(h.port, 16 << 10);
+  constexpr int kTasks = 200;
+  fill_plan(c, 0, kTasks);
+  c.send(queries(0, 1));
+  const std::size_t answer_bytes = c.recv_line().size() + 1;
+  ASSERT_GT(answer_bytes, std::size_t{16} << 10);
+
+  // 600 QUERYs in one write, without blocking: the daemon may stop
+  // reading before it has them all.
+  ASSERT_EQ(::fcntl(c.fd, F_SETFL, ::fcntl(c.fd, F_GETFL, 0) | O_NONBLOCK),
+            0);
+  constexpr int kQueries = 600;
+  const std::string batch = queries(0, kQueries);
+  using Clock = std::chrono::steady_clock;
+  const auto start = Clock::now();
+  std::size_t sent = 0;
+  while (sent < batch.size() &&
+         Clock::now() - start < std::chrono::seconds(2)) {
+    const ssize_t n = ::send(c.fd, batch.data() + sent, batch.size() - sent,
+                             MSG_NOSIGNAL);
+    if (n > 0) {
+      sent += static_cast<std::size_t>(n);
+    } else {
+      ASSERT_TRUE(errno == EAGAIN || errno == EWOULDBLOCK)
+          << std::strerror(errno);
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+  }
+  const std::size_t sent_queries = sent / (batch.size() / kQueries);
+  // Wait until the daemon has answered all it will: its first answers,
+  // then 500 ms without another.
+  const std::uint64_t before = kTasks + 1;
+  std::uint64_t answered = 0;
+  auto progress = Clock::now();
+  while (Clock::now() - progress < std::chrono::milliseconds(500) ||
+         (answered == 0 && Clock::now() - start < std::chrono::seconds(10))) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    const std::uint64_t now = h.daemon->requests_processed() - before;
+    if (now != answered) {
+      answered = now;
+      progress = Clock::now();
+    }
+  }
+  // The backlog passes the cap within one staged batch (64 lines), and
+  // the kernel's socket buffers take the rest: on loopback, up to 4 MiB
+  // (tcp_wmem) on the daemon's side.
+  const std::size_t kernel = std::size_t{6} << 20;
+  EXPECT_LT(answered * answer_bytes,
+            Daemon::kMaxUnsentBytes + 64 * answer_bytes + kernel)
+      << answered << " of " << sent_queries << " QUERYs answered, "
+      << answer_bytes << " bytes each";
+
+  // Reading resumes the connection: every QUERY is answered, in order.
+  ASSERT_EQ(::fcntl(c.fd, F_SETFL, ::fcntl(c.fd, F_GETFL, 0) & ~O_NONBLOCK),
+            0);
+  double last_seq = -1.0;
+  for (std::size_t i = 0; i < sent_queries; ++i) {
+    const std::string line = c.recv_line();
+    ASSERT_TRUE(is_query_answer(line)) << "answer " << i << ": "
+                                       << line.substr(0, 200);
+    ASSERT_GT(seq_of(line), last_seq) << "answer " << i;
+    last_seq = seq_of(line);
   }
 }
 

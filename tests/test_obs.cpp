@@ -8,6 +8,7 @@
 // its find_experiment use.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <map>
 #include <string>
 #include <thread>
@@ -16,6 +17,7 @@
 #include "bench_registry.hpp"
 #include "obs/obs.hpp"
 #include "obs/trace.hpp"
+#include "obs/window.hpp"
 #include "support/json.hpp"
 #include "support/table.hpp"
 #include "support/thread_pool.hpp"
@@ -79,6 +81,39 @@ TEST(Obs, ShardsFromOtherThreadsMergeIntoTheSnapshot) {
   t.join();
   const obs::Snapshot snap = Registry::instance().snapshot();
   EXPECT_EQ(*snap.counter("test_obs/merged"), 11u);
+}
+
+TEST(Obs, CellLookupsDoNotRaceSnapshots) {
+  // A thread looks its own cells up without the registry lock. One thread
+  // creates and re-resolves cells of every kind while another snapshots
+  // and merges windows: under TSan this checks the unlocked lookups. Cell
+  // values stay untouched, since snapshots need quiesced writers anyway.
+  std::atomic<bool> done{false};
+  std::thread reader([&] {
+    while (!done.load()) {
+      (void)Registry::instance().snapshot();
+      (void)Registry::instance().window_values(obs::now_ns());
+    }
+  });
+  std::thread owner([] {
+    for (int i = 0; i < 4000; ++i) {
+      const std::string name = "test_obs/lookup_race/" + std::to_string(i % 97);
+      const char* n = name.c_str();
+      EXPECT_EQ(Registry::instance().counter_cell(n, obs::Domain::kRuntime),
+                Registry::instance().counter_cell(n, obs::Domain::kRuntime));
+      EXPECT_EQ(Registry::instance().dist_cell(n, obs::Domain::kRuntime),
+                Registry::instance().dist_cell(n, obs::Domain::kRuntime));
+      EXPECT_EQ(Registry::instance().timer_cell(n),
+                Registry::instance().timer_cell(n));
+      EXPECT_EQ(Registry::instance().window_cell(n, obs::WindowSpec{}),
+                Registry::instance().window_cell(n, obs::WindowSpec{}));
+    }
+  });
+  owner.join();
+  done.store(true);
+  reader.join();
+  const obs::Snapshot snap = Registry::instance().snapshot();
+  EXPECT_NE(snap.counter("test_obs/lookup_race/96"), nullptr);
 }
 
 // The tentpole acceptance property: the deterministic counter domain of a

@@ -6,15 +6,22 @@
 //     and to the frozen simulate_reference() oracle;
 //   * shard invariance: the per-island results do not depend on --shards;
 //   * live mode: eager per-SUBMIT commits change the replan count but not
-//     one byte of the schedule.
+//     one byte of the schedule;
+//   * the inline request path makes at most a fixed number of heap
+//     allocations per request.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstdio>
+#include <cstdlib>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <new>
 #include <string>
 #include <vector>
 
@@ -29,6 +36,28 @@
 #include "support/thread_pool.hpp"
 #include "testing/oracle_compare.hpp"
 #include "workload/generator.hpp"
+
+// Every global operator new in this binary counts here; the inline-path
+// guard (ServiceHandOff.InlinePathAllocationsPerRequest) reads it. The
+// nothrow forms are replaced too: a sanitizer runtime supplies its own,
+// which would bypass the count and pair its allocations with the free below.
+std::atomic<std::uint64_t> g_operator_new_calls{0};
+
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  g_operator_new_calls.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(n == 0 ? 1 : n);
+}
+void* operator new(std::size_t n) {
+  if (void* p = operator new(n, std::nothrow)) return p;
+  throw std::bad_alloc();
+}
+// GCC cannot see that the new above is malloc, and flags the free below.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+#endif
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
 
 namespace {
 
@@ -198,6 +227,17 @@ TEST(ServiceSemantics, RejectsDuplicateTaskIdPerIsland) {
   EXPECT_NE(dup.at("error").as_string().find("duplicate"), std::string::npos);
   // Same id on a different island is a different task.
   EXPECT_TRUE(h.submit(1, 1, 0.1, 0.9, 50.0).at("ok").as_bool());
+  // Still caught after the id table has grown several times, for any int.
+  for (int id = 2; id < 200; ++id) {
+    ASSERT_TRUE(h.submit(0, id * 1024, 0.1 + 0.001 * id, 5.0, 1.0)
+                    .at("ok")
+                    .as_bool());
+  }
+  const int kMin = std::numeric_limits<int>::min();
+  EXPECT_TRUE(h.submit(0, kMin, 0.3, 5.0, 1.0).at("ok").as_bool());
+  EXPECT_FALSE(h.submit(0, kMin, 0.3, 5.0, 1.0).at("ok").as_bool());
+  EXPECT_FALSE(h.submit(0, 50 * 1024, 0.3, 5.0, 1.0).at("ok").as_bool());
+  EXPECT_TRUE(h.submit(0, 50 * 1024 + 1, 0.3, 5.0, 1.0).at("ok").as_bool());
 }
 
 TEST(ServiceSemantics, RejectsUnknownIslandQuery) {
@@ -620,6 +660,54 @@ TEST(ServiceHandOff, ClosedLoopAnswersEveryRequestWithoutABarrier) {
   std::string pooled;
   ASSERT_NO_FATAL_FAILURE(run_closed_loop(heavy, &pooled));
   EXPECT_GT(drains(pooled, "pool"), 0.0) << pooled;
+}
+
+TEST(ServiceHandOff, InlinePathAllocationsPerRequest) {
+  // The daemon's serve shape without its sockets: two shards and a pool,
+  // eager commits, one raw wire line in flight, and each response dumped
+  // as the daemon dumps it. Every drain then runs on the routing thread,
+  // so the operator new calls per request are the inline path's own — a
+  // figure CI can hold without timing anything. The first half of the
+  // stream grows every buffer, table and obs cell to its working size; the
+  // second half is counted. Each island gets a QUERY after 3 SUBMITs.
+  const auto reqs = make_stream(/*islands=*/2, /*tasks_per_island=*/400, 13);
+  std::vector<std::string> lines;
+  for (std::size_t i = 0; i < reqs.size(); ++i) {
+    lines.push_back(submit_wire_line(reqs[i]));
+    if (i % 3 == 2) {
+      lines.push_back("{\"op\":\"QUERY\",\"island\":" +
+                      std::to_string(reqs[i].island) + "}");
+    }
+  }
+  ThreadPool pool(2);
+  ServiceOptions opt;
+  opt.shards = 2;
+  std::atomic<std::size_t> answered{0};
+  std::string last;
+  Service svc(opt, &pool, [&](const Request&, Json resp) {
+    last = resp.dump(0);
+    answered.fetch_add(1);
+  });
+  const std::size_t warm = lines.size() / 2;
+  std::uint64_t news_before = 0;
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    if (i == warm) news_before = g_operator_new_calls.load();
+    const Peeked peek = peek_request(lines[i]);
+    ASSERT_TRUE(peek.routable()) << lines[i];
+    svc.route_raw(peek.island, peek.op, std::move(lines[i]), i, 0, i);
+    svc.flush();
+    ASSERT_EQ(answered.load(), i + 1) << "request " << i << " left the thread";
+    ASSERT_NE(last.find("\"ok\": true"), std::string::npos) << last;
+  }
+  const double per_request =
+      static_cast<double>(g_operator_new_calls.load() - news_before) /
+      static_cast<double>(lines.size() - warm);
+  // 17.93 before the drain buffer, the registry lookups, the dump
+  // reservation and the flat task-id table took their allocations off this
+  // path; the rest are the parse, the response, its dump and the replan.
+  EXPECT_LE(per_request, 10.17);
+  std::printf("inline path: %.3f operator new calls per request\n",
+              per_request);
 }
 
 TEST(ServiceSemantics, MalformedRawLineYieldsErrorEnvelope) {
