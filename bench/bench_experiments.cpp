@@ -773,8 +773,9 @@ ExperimentResult run_online_vs_offline(const RunOptions& opt) {
   }
   r.tables.push_back(std::move(t));
   r.footers.push_back(
-      "ratios are >= 1 by optimality of the DP; the online gap is the price "
-      "of not knowing the future,");
+      "the DP is optimal among non-preemptive schedules only and SDEM-ON "
+      "preempts, so a ratio may fall below 1; above 1, the online gap is the "
+      "price of not knowing the future,");
   r.footers.push_back(
       "the oblivious gap is the price of ignoring the shared memory (the "
       "paper's core argument).");

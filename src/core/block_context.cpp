@@ -370,7 +370,12 @@ double BlockContext::feasible_s_max(double e) const {
 BoxMin BlockContext::minimize_box(double s_lo, double s_hi, double e_lo,
                                   double e_hi) const {
   // minimize_in_box's alternating line searches + diagonal escape, with the
-  // box-specialized evaluator and the block-level feasibility arrays.
+  // box-specialized evaluator and the block-level feasibility arrays. The
+  // alternation stops at its noise floor: the first round that fails to
+  // strictly improve the incumbent ends the box, so (s, e) always sits at
+  // the incumbent and a stalled box stops re-probing the same rounding
+  // noise. The coordinate test stays as a second exit, so no box runs more
+  // rounds than minimize_in_box's loop would.
   BoxMin out;
   double s = s_lo, e = e_hi;  // maximal windows: feasible if anything is
   double val = eval_box(s, e);
@@ -381,6 +386,7 @@ BoxMin BlockContext::minimize_box(double s_lo, double s_hi, double e_lo,
   out.value = val;
 
   for (int round = 0; round < 64; ++round) {
+    SDEM_OBS_ONLY(++obs_rounds_;)
     const double elo = std::max({e_lo, s, feasible_e_min(s)});
     if (elo > e_hi) break;
     // The e-line search holds s fixed, so the left lanes' windows — and
@@ -410,16 +416,15 @@ BoxMin BlockContext::minimize_box(double s_lo, double s_hi, double e_lo,
     const double cand_s = new_s + t;
     const double cand_e = new_e + t;
     const double cand = eval_box(cand_s, cand_e);
+    if (!(std::isfinite(cand) && cand < out.value)) break;  // noise floor
     const bool converged =
         std::abs(cand_s - s) < 1e-13 * std::max(1.0, std::abs(s)) &&
         std::abs(cand_e - e) < 1e-13 * std::max(1.0, std::abs(e));
     s = cand_s;
     e = cand_e;
-    if (std::isfinite(cand) && cand < out.value) {
-      out.value = cand;
-      out.s = s;
-      out.e = e;
-    }
+    out.value = cand;
+    out.s = s;
+    out.e = e;
     if (converged) break;
   }
   return out;
@@ -572,7 +577,9 @@ BlockSolution BlockContext::solve() {
   SDEM_OBS_COUNT("block/box_tasks_coupled", cls_coupled);
 #if SDEM_OBS
   SDEM_OBS_COUNT("block/probes", obs_probes_);
+  SDEM_OBS_COUNT("block/search_rounds", obs_rounds_);
   obs_probes_ = 0;
+  obs_rounds_ = 0;
 #endif
   if (!std::isfinite(best)) return out;
   out.feasible = true;

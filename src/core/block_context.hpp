@@ -31,6 +31,14 @@
 // values in task order, so a probe's value is bit-for-bit a plain per-task
 // sum.
 //
+// Within a box, minimize_box alternates golden-section line searches over
+// e' and s' plus a diagonal step, and stops at the first round that does
+// not strictly improve its incumbent: past that the searches only re-probe
+// rounding noise. The frozen minimize_in_box runs on to its 1e-13
+// coordinate test instead, so a block optimum can sit a few ulps above
+// the one that loop reaches (docs/testing.md, "The block-search and
+// islands tolerance trade").
+//
 // Because each lane's energy is nonincreasing in its window, the value at
 // the box's maximal windows — already computed by the feasibility check —
 // is the lane's exact box minimum, so every feasible box carries an exact
@@ -211,10 +219,12 @@ class BlockContext {
   std::vector<SearchedBox> searched_;  ///< per-solve scratch
 
 #if SDEM_OBS
-  // Probe tally for the current solve(), flushed to the obs registry once
-  // per solve (mutable: eval_box is const). Gated so OFF builds carry no
-  // extra state and eval_box stays untouched.
+  // Probe and search-round tallies for the current solve(), flushed to the
+  // obs registry once per solve (mutable: eval_box and minimize_box are
+  // const). Gated so OFF builds carry no extra state and eval_box stays
+  // untouched.
   mutable std::uint64_t obs_probes_ = 0;
+  mutable std::uint64_t obs_rounds_ = 0;
 #endif
 };
 

@@ -6,8 +6,6 @@
 #include <numeric>
 #include <set>
 
-#include "support/numeric.hpp"
-
 namespace sdem {
 namespace {
 
@@ -17,6 +15,7 @@ struct Island {
   double total_work = 0.0;  ///< W_I
   double max_work = 0.0;    ///< w_max,I
   double min_speed = 0.0;   ///< feasibility floor: max member filled speed
+  double knee = 0.0;        ///< w_max,I / s_lb,I: fills its window below it
   std::vector<int> members; ///< task indices
 };
 
@@ -83,21 +82,39 @@ OfflineResult solve_common_release_islands(
     t_min = std::max(t_min, isl.max_work / s_up);
   }
   std::set<double> bps;
-  for (const auto& isl : islands) {
-    const double lb = std::max({s_m, isl.min_speed, 1e-12});
-    const double knee = isl.max_work / lb;
-    if (knee > t_min && knee < horizon) bps.insert(knee);
+  for (auto& isl : islands) {
+    isl.knee = isl.max_work / std::max({s_m, isl.min_speed, 1e-12});
+    if (isl.knee > t_min && isl.knee < horizon) bps.insert(isl.knee);
   }
   std::vector<double> edges(bps.begin(), bps.end());
   edges.insert(edges.begin(), t_min);
   edges.push_back(horizon);
 
+  // On a piece [lo, hi] the islands whose knee lies at or past hi fill
+  // their window (sigma = w_max / T) and the rest run at a constant speed,
+  // so E(T) = a T + b + C T^(1-lambda) with a = alpha_m + sum alpha W / w_max
+  // and C = sum beta W w_max^(lambda-1) over the filling islands: the
+  // stationary point ((lambda-1) C / a)^(1/lambda), clamped to the piece, is
+  // its minimum. With a or C zero the piece is monotone and its edges decide.
+  const double alpha = cfg.core.alpha, beta = cfg.core.beta;
+  const double lambda = cfg.core.lambda;
   double best_T = horizon;
   double best = energy(horizon);
   for (std::size_t i = 0; i + 1 < edges.size(); ++i) {
-    if (edges[i + 1] <= edges[i]) continue;
-    const double t = golden_min(energy, edges[i], edges[i + 1], 1e-13);
-    for (double cand : {t, edges[i], edges[i + 1]}) {
+    const double lo = edges[i], hi = edges[i + 1];
+    if (hi <= lo) continue;
+    double a = cfg.memory.alpha_m, C = 0.0;
+    for (const auto& isl : islands) {
+      if (isl.knee < hi) continue;
+      a += alpha * isl.total_work / isl.max_work;
+      C += beta * isl.total_work * std::pow(isl.max_work, lambda - 1.0);
+    }
+    const double t =
+        a > 0.0 && C > 0.0
+            ? std::clamp(std::pow((lambda - 1.0) * C / a, 1.0 / lambda), lo,
+                         hi)
+            : lo;
+    for (double cand : {t, lo, hi}) {
       const double e = energy(cand);
       if (e < best) {
         best = e;

@@ -13,8 +13,10 @@
 //
 // where W_I is the island's total work — the same convex window structure
 // as the per-core scheme with (W_I, w_max,I) replacing (w, w): piecewise
-// convex in T with knees at w_max,I / s_lb,I, solved exactly per piece.
-// Singleton islands recover Section 4.2 exactly (tested).
+// convex in T with knees at w_max,I / s_lb,I. Each piece is
+// a·T + b + C·T^(1−λ) and is solved at its closed-form stationary point,
+// as the Section 7 solver does. Singleton islands recover Section 4.2
+// exactly (tested).
 #pragma once
 
 #include <vector>

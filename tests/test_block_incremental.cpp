@@ -23,6 +23,7 @@ namespace sdem {
 namespace {
 
 using test::expect_near_rel;
+using test::local_counter;
 using test::make_cfg;
 using test::task;
 
@@ -227,6 +228,36 @@ TEST(BlockIncremental, CrossCheckAuditsLongBlocksCleanly) {
   EXPECT_GT(BlockContext::cross_check_probes(), 0u);
   EXPECT_EQ(BlockContext::cross_check_failures(), 0u);
   BlockContext::reset_cross_check_counters();
+}
+
+TEST(BlockIncremental, BoxSearchStopsAtItsNoiseFloor) {
+  if (!obs::compiled()) GTEST_SKIP() << "built with SDEM_OBS=0";
+  // ablation_blocks' 48 cells (n = 8, xi_m = 0): the DP, one block, and
+  // one block per task. A box's alternation ends at the first round that
+  // does not strictly improve its incumbent. Without that stop, these
+  // cells take about 13 rounds per box and 3,000 probes per solve.
+  auto cfg = SystemConfig::paper_default();
+  cfg.memory.xi_m = 0.0;
+  const char* keys[] = {"block/solves", "block/boxes_opened", "block/probes",
+                        "block/search_rounds"};
+  std::uint64_t before[4];
+  for (int k = 0; k < 4; ++k) before[k] = local_counter(keys[k]);
+  for (const double spread : {0.005, 0.020, 0.050, 0.100, 0.200, 0.400}) {
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+      const TaskSet ts =
+          make_agreeable(8, seed * 131 + int(spread * 1e4), spread);
+      ASSERT_TRUE(solve_agreeable(ts, cfg).feasible);
+      const auto sorted = ts.sorted_by_deadline().tasks();
+      ASSERT_TRUE(solve_block(sorted, cfg).feasible);
+      for (const Task& t : sorted) ASSERT_TRUE(solve_block({t}, cfg).feasible);
+    }
+  }
+  std::uint64_t d[4];
+  for (int k = 0; k < 4; ++k) d[k] = local_counter(keys[k]) - before[k];
+  ASSERT_GT(d[0], 0u);
+  ASSERT_GT(d[1], 0u);
+  EXPECT_LE(d[2], 1000 * d[0]) << d[2] << " probes over " << d[0] << " solves";
+  EXPECT_LE(d[3], 4 * d[1]) << d[3] << " rounds over " << d[1] << " boxes";
 }
 
 }  // namespace

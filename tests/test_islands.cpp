@@ -1,11 +1,15 @@
 // Tests for the voltage-island extension.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "core/common_release_alpha.hpp"
 #include "core/islands.hpp"
 #include "sched/validate.hpp"
+#include "support/numeric.hpp"
+#include "support/rng.hpp"
 #include "test_util.hpp"
 #include "workload/generator.hpp"
 
@@ -31,6 +35,72 @@ TEST(Islands, SingletonIslandsRecoverSection42) {
     const auto ref = solve_common_release_alpha(ts, cfg);
     ASSERT_TRUE(isl.feasible && ref.feasible) << "seed " << seed;
     expect_near_rel(ref.energy, isl.energy, 1e-6, "singletons == Section 4.2");
+  }
+}
+
+// The islands objective rebuilt from the model: the memory is awake until
+// T and each island runs at the least speed that finishes its longest task
+// by T and every member by its deadline, clamped to [s_m, s_up].
+double islands_energy(const TaskSet& ts, const SystemConfig& cfg,
+                      const std::vector<int>& assignment, double T) {
+  const int k = *std::max_element(assignment.begin(), assignment.end()) + 1;
+  std::vector<double> total(k, 0.0), longest(k, 0.0), least_speed(k, 0.0);
+  for (std::size_t i = 0; i < ts.size(); ++i) {
+    const int j = assignment[i];
+    total[j] += ts[i].work;
+    longest[j] = std::max(longest[j], ts[i].work);
+    least_speed[j] = std::max(least_speed[j], ts[i].filled_speed());
+  }
+  double e = cfg.memory.alpha_m * T;
+  for (int j = 0; j < k; ++j) {
+    if (total[j] <= 0.0) continue;
+    const double sigma =
+        std::min(std::max(cfg.core.critical_speed_raw(),
+                          std::max(longest[j] / T, least_speed[j])),
+                 cfg.core.max_speed());
+    if (longest[j] / sigma > T * (1.0 + 1e-9)) {
+      return std::numeric_limits<double>::infinity();
+    }
+    e += cfg.core.exec_energy(total[j], sigma);
+  }
+  return e;
+}
+
+TEST(Islands, PieceStationaryPointMatchesDenseScan) {
+  // Each piece's closed-form stationary point against a dense scan of the
+  // whole objective: never above it by more than rounding, and within 1e-9.
+  Xoshiro256 rng(2024);
+  for (const double alpha : {0.0, 0.31}) {
+    for (const double alpha_m : {0.0, 4.0}) {
+      for (const double lambda : {2.0, 3.0}) {
+        const auto cfg = make_cfg(alpha, alpha_m, 1900.0, lambda);
+        for (int rep = 0; rep < 6; ++rep) {
+          const int n = static_cast<int>(rng.uniform_int(4, 24));
+          const TaskSet ts = make_common_release(n, 0.0, rng());
+          const int k = static_cast<int>(rng.uniform_int(1, n));
+          std::vector<int> random(ts.size());
+          for (int& a : random) a = static_cast<int>(rng.uniform_int(0, k - 1));
+          for (const auto& assignment :
+               {assign_islands_similar_speed(ts, k), random}) {
+            const auto res = solve_common_release_islands(ts, cfg, assignment);
+            ASSERT_TRUE(res.feasible);
+            double t_min = 0.0, horizon = 0.0;
+            for (const Task& t : ts.tasks()) {
+              t_min = std::max(t_min, t.work / cfg.core.max_speed());
+              horizon = std::max(horizon, t.deadline);
+            }
+            const auto f = [&](double T) {
+              return islands_energy(ts, cfg, assignment, T);
+            };
+            const double scan = f(grid_refine_min(f, t_min, horizon));
+            EXPECT_LE(res.energy, scan * (1.0 + 1e-12))
+                << "n " << n << " islands " << k << " alpha " << alpha
+                << " alpha_m " << alpha_m << " lambda " << lambda;
+            expect_near_rel(scan, res.energy, 1e-9, "closed form vs scan");
+          }
+        }
+      }
+    }
   }
 }
 
