@@ -18,6 +18,14 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 // searches then never run and only box corners are ever probed.
 constexpr double kUpSlack = 1.0 + 1e-9;
 
+/// Speed chosen for a window of length `window` (block.hpp's sigma_k).
+double task_window_speed(const Task& t, const CorePower& core, double window) {
+  if (t.work <= 0.0) return 0.0;
+  if (window <= 0.0) return kInf;
+  const double fill = t.work / window;
+  return std::min(std::max(core.critical_speed_raw(), fill), core.max_speed());
+}
+
 }  // namespace
 
 BoxMin minimize_in_box(const std::vector<Task>& tasks, double s_up,
@@ -101,13 +109,6 @@ BoxMin minimize_in_box(const std::vector<Task>& tasks, double s_up,
     if (converged) break;
   }
   return out;
-}
-
-double task_window_speed(const Task& t, const CorePower& core, double window) {
-  if (t.work <= 0.0) return 0.0;
-  if (window <= 0.0) return kInf;
-  const double fill = t.work / window;
-  return std::min(std::max(core.critical_speed_raw(), fill), core.max_speed());
 }
 
 double task_window_energy(const Task& t, const CorePower& core, double window) {

@@ -56,9 +56,6 @@ struct BlockResult {
 /// Returns +inf when the window cannot hold the task within s_up.
 double task_window_energy(const Task& t, const CorePower& core, double window);
 
-/// Speed chosen for a window of length `window` (the sigma_k above).
-double task_window_speed(const Task& t, const CorePower& core, double window);
-
 /// Optimize one block. `tasks` must be agreeable and is treated as one busy
 /// interval; placements come back on logical cores 0..n-1 (caller re-bases).
 /// Routes through the incremental core/block_context solver; task vectors

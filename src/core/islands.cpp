@@ -49,6 +49,10 @@ OfflineResult solve_common_release_islands(
     isl.members.push_back(static_cast<int>(i));
   }
   std::erase_if(islands, [](const Island& i) { return i.members.empty(); });
+  // Order islands by their first task, not by label, so the energy sums
+  // (and their rounding) depend on the partition alone.
+  std::ranges::sort(islands, {},
+                    [](const Island& i) { return i.members.front(); });
   if (islands.empty()) {
     res.feasible = true;
     return res;

@@ -7,30 +7,6 @@
 
 namespace sdem {
 
-double bisect_root(const std::function<double(double)>& f, double lo, double hi) {
-  double flo = f(lo);
-  double fhi = f(hi);
-  if (flo == 0.0) return lo;
-  if (fhi == 0.0) return hi;
-  if ((flo > 0.0) == (fhi > 0.0)) {
-    return std::abs(flo) < std::abs(fhi) ? lo : hi;
-  }
-  const double width_tol = std::max(std::abs(hi - lo), 1.0) * kTol;
-  while (hi - lo > width_tol) {
-    const double mid = 0.5 * (lo + hi);
-    if (mid <= lo || mid >= hi) break;  // ran out of precision
-    const double fm = f(mid);
-    if (fm == 0.0) return mid;
-    if ((fm > 0.0) == (flo > 0.0)) {
-      lo = mid;
-      flo = fm;
-    } else {
-      hi = mid;
-    }
-  }
-  return 0.5 * (lo + hi);
-}
-
 double golden_min(const std::function<double(double)>& f, double lo, double hi,
                   double rel_tol) {
   return golden_min_t(f, lo, hi, rel_tol);
@@ -128,10 +104,6 @@ double stretch_energy_term(double w, double len, double lambda) {
   if (w <= 0.0) return 0.0;
   if (len <= 0.0) return std::numeric_limits<double>::infinity();
   return std::pow(w, lambda) * std::pow(len, 1.0 - lambda);
-}
-
-bool approx_eq(double a, double b, double tol) {
-  return std::abs(a - b) <= tol * std::max({1.0, std::abs(a), std::abs(b)});
 }
 
 }  // namespace sdem

@@ -1,10 +1,9 @@
-// Numeric substrate: root finding and 1-D/2-D continuous minimization.
+// Numeric substrate: 1-D/2-D continuous minimization.
 //
-// The closed-form schemes in src/core reduce every continuous subproblem to
-// either a monotone root (stationarity of a convex energy function) or a
-// unimodal 1-D/2-D minimization over an interval. These helpers implement
-// those primitives with explicit tolerances so callers can reason about the
-// certification error in tests.
+// The schemes in src/core reduce every continuous subproblem they do not
+// solve in closed form to a unimodal 1-D/2-D minimization over an interval.
+// These helpers implement those primitives with explicit tolerances so
+// callers can reason about the certification error in tests.
 #pragma once
 
 #include <algorithm>
@@ -13,17 +12,6 @@
 #include <functional>
 
 namespace sdem {
-
-/// Default relative tolerance for continuous solves. Energies in this
-/// library are O(1e-3..1e3) joules, so 1e-12 relative is far below any
-/// decision threshold the schedulers use.
-inline constexpr double kTol = 1e-12;
-
-/// Find x in [lo, hi] with f(x) == 0 for a monotone (either direction)
-/// continuous f. Requires sign(f(lo)) != sign(f(hi)) or one endpoint root;
-/// if both endpoints have the same sign, returns the endpoint with smaller
-/// |f|. Converges to |hi-lo| * kTol absolute width.
-double bisect_root(const std::function<double(double)>& f, double lo, double hi);
 
 /// Golden-section minimization of a unimodal f over [lo, hi].
 /// Returns the minimizing x; tolerance is width-relative.
@@ -78,8 +66,5 @@ double grid_refine_min2(const std::function<double(double, double)>& f,
 /// Numerically robust power for our energy terms: w^lambda * len^(1-lambda).
 /// Handles len -> 0 (returns +inf for positive w) and w == 0 (returns 0).
 double stretch_energy_term(double w, double len, double lambda);
-
-/// True if |a - b| <= tol * max(1, |a|, |b|).
-bool approx_eq(double a, double b, double tol = 1e-9);
 
 }  // namespace sdem

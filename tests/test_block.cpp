@@ -119,5 +119,27 @@ TEST(BlockSolver, DisjointRegionsForcedTogetherCostMore) {
   EXPECT_GE(one_block.e, 0.050 - 1e-9);
 }
 
+TEST(BlockSolver, Lemma3StationarityAtInteriorOptimum) {
+  // Lemma 3's first-order condition in s': where the optimum sits strictly
+  // between two releases, the tasks released by s' satisfy
+  //   sum_{r_k <= s'} (w_k / (d_k - s'))^lambda = alpha_m / (beta (lambda-1)).
+  const auto cfg = make_cfg(0.0, 4.0, 0.0);
+  const std::vector<Task> ts{task(0, 0.0, 0.100, 170.0),
+                             task(1, 0.020, 0.120, 150.0)};
+  const auto res = solve_block(ts, cfg);
+  ASSERT_TRUE(res.feasible);
+  ASSERT_GT(res.s, ts[0].release + 1e-3);
+  ASSERT_LT(res.s, ts[1].release - 1e-3);
+  double lhs = 0.0;
+  for (const Task& t : ts) {
+    if (t.release <= res.s) {
+      lhs += std::pow(t.work / (t.deadline - res.s), cfg.core.lambda);
+    }
+  }
+  expect_near_rel(
+      cfg.memory.alpha_m / (cfg.core.beta * (cfg.core.lambda - 1.0)), lhs,
+      1e-6, "Lemma 3 stationarity in s'");
+}
+
 }  // namespace
 }  // namespace sdem

@@ -104,6 +104,35 @@ TEST(Islands, PieceStationaryPointMatchesDenseScan) {
   }
 }
 
+TEST(Islands, EnergyIgnoresIslandLabels) {
+  // The energy is a function of the partition, not of how its islands are
+  // numbered. The islands experiment's setup: per-core rails against 16
+  // similar-speed islands of one task each, and a round-robin partition
+  // against a copy with its labels reversed, bit for bit.
+  auto cfg = SystemConfig::paper_default();
+  cfg.core.s_min = 0.0;
+  cfg.memory.xi_m = 0.0;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    const TaskSet ts = make_common_release(16, 0.0, seed * 397);
+    const auto per_core = solve_common_release_islands(
+        ts, cfg, singleton_assignment(ts.size()));
+    const auto similar = solve_common_release_islands(
+        ts, cfg, assign_islands_similar_speed(ts, 16));
+    ASSERT_TRUE(per_core.feasible && similar.feasible) << "seed " << seed;
+    EXPECT_EQ(per_core.energy, similar.energy) << "seed " << seed;
+
+    std::vector<int> robin(ts.size()), reversed(ts.size());
+    for (std::size_t i = 0; i < ts.size(); ++i) {
+      robin[i] = static_cast<int>(i % 4);
+      reversed[i] = 3 - robin[i];
+    }
+    const auto a = solve_common_release_islands(ts, cfg, robin);
+    const auto b = solve_common_release_islands(ts, cfg, reversed);
+    ASSERT_TRUE(a.feasible && b.feasible) << "seed " << seed;
+    EXPECT_EQ(a.energy, b.energy) << "seed " << seed;
+  }
+}
+
 TEST(Islands, SharedRailNeverBeatsIndividualRails) {
   const auto cfg = make_cfg(0.31, 4.0, 1900.0);
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {

@@ -8,26 +8,6 @@
 namespace sdem {
 namespace {
 
-TEST(Bisect, FindsRootOfIncreasingFunction) {
-  const double r = bisect_root([](double x) { return x * x - 2.0; }, 0.0, 2.0);
-  EXPECT_NEAR(r, std::sqrt(2.0), 1e-10);
-}
-
-TEST(Bisect, FindsRootOfDecreasingFunction) {
-  const double r = bisect_root([](double x) { return 1.0 - x; }, 0.0, 5.0);
-  EXPECT_NEAR(r, 1.0, 1e-10);
-}
-
-TEST(Bisect, ReturnsEndpointWhenNoSignChange) {
-  const double r = bisect_root([](double x) { return x + 10.0; }, 0.0, 1.0);
-  EXPECT_EQ(r, 0.0);  // |f(0)| = 10 < |f(1)| = 11
-}
-
-TEST(Bisect, ExactRootAtEndpoint) {
-  EXPECT_EQ(bisect_root([](double x) { return x; }, 0.0, 1.0), 0.0);
-  EXPECT_EQ(bisect_root([](double x) { return x - 1.0; }, 0.0, 1.0), 1.0);
-}
-
 TEST(Golden, FindsParabolaMinimum) {
   const double x = golden_min(
       [](double v) { return (v - 0.3) * (v - 0.3) + 1.0; }, 0.0, 1.0);
@@ -81,12 +61,6 @@ TEST(StretchEnergy, Basics) {
   EXPECT_TRUE(std::isinf(stretch_energy_term(1.0, 0.0, 3.0)));
   // w^3 / len^2.
   EXPECT_NEAR(stretch_energy_term(2.0, 4.0, 3.0), 8.0 / 16.0, 1e-12);
-}
-
-TEST(ApproxEq, RelativeSemantics) {
-  EXPECT_TRUE(approx_eq(1e9, 1e9 * (1.0 + 1e-10)));
-  EXPECT_FALSE(approx_eq(1.0, 1.1));
-  EXPECT_TRUE(approx_eq(0.0, 1e-10));
 }
 
 }  // namespace

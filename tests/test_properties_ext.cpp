@@ -1,6 +1,6 @@
 // Extended parameterized property sweeps covering the extension modules
-// (islands, heterogeneous cores, discretization, online policies) and
-// cross-cutting accounting invariants.
+// (islands, discretization, online policies) and cross-cutting accounting
+// invariants.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -9,7 +9,6 @@
 #include "baseline/mbkp.hpp"
 #include "baseline/simple_policies.hpp"
 #include "core/common_release_alpha.hpp"
-#include "core/common_release_hetero.hpp"
 #include "core/discretize.hpp"
 #include "core/islands.hpp"
 #include "core/online_sdem.hpp"
@@ -81,43 +80,6 @@ INSTANTIATE_TEST_SUITE_P(
     Grid, DiscretizationPenalty,
     ::testing::Combine(::testing::Values(0.0, 0.31),
                        ::testing::Values(2, 4, 8, 32)));
-
-// ---------------------------------------------------------------------------
-// Hetero: mixing core powers; homogeneous rows of the sweep must agree with
-// the Section 4.2 solver; heterogeneous rows must beat all-little or match.
-
-class HeteroMix : public ::testing::TestWithParam<double> {};
-
-TEST_P(HeteroMix, BigCoreFractionSweep) {
-  const double big_fraction = GetParam();
-  CorePower big;
-  big.alpha = 0.31;
-  big.beta = 2.53e-10;
-  big.lambda = 3.0;
-  big.s_up = 1900.0;
-  CorePower little = big;
-  little.alpha = 0.05;
-  little.beta = 5.0e-10;
-  little.s_up = 1200.0;
-  MemoryPower mem{4.0, 0.0};
-  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
-    const TaskSet ts = make_common_release(8, 0.0, seed * 301);
-    std::vector<CorePower> cores;
-    for (std::size_t i = 0; i < ts.size(); ++i) {
-      cores.push_back(static_cast<double>(i) < big_fraction * ts.size()
-                          ? big
-                          : little);
-    }
-    const auto res = solve_common_release_hetero(ts, cores, mem);
-    ASSERT_TRUE(res.feasible) << "seed " << seed;
-    for (const auto& seg : res.schedule.segments()) {
-      EXPECT_LE(seg.speed, cores[seg.core].max_speed() * (1.0 + 1e-6));
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Fractions, HeteroMix,
-                         ::testing::Values(0.0, 0.25, 0.5, 1.0));
 
 // ---------------------------------------------------------------------------
 // Online policy grid: every policy stays feasible across the Table 4 grid
