@@ -1,10 +1,12 @@
 // The registered experiments: each body is one sweep of the paper's
-// evaluation, with the seed loop routed through collect_seed_comparisons or
-// collect_grid_comparisons (pooled) and a JSON payload next to the printed
-// tables. Seed derivation and fold order are pinned, so the printed tables
-// and the JSON per-seed numbers are bit-identical between --jobs 1 and
-// --jobs N (see tests/test_figures.cpp and the determinism smoke in
-// docs/benchmarks.md).
+// evaluation and a JSON payload next to the printed tables. The
+// deterministic sweeps run their (point, seed) cells through Grid
+// (bench_util.hpp), which folds in seed order, so the printed tables and
+// the JSON per-seed numbers are bit-identical between --jobs 1 and
+// --jobs N (BenchRegistry.EveryDeterministicExperimentIsJobCountIndependent
+// in tests/test_obs.cpp). governor_ladder keeps its own loop because one
+// cell's simulations feed three depth rows; table1, bounded_partition and
+// service_throughput time their work, so their payloads vary run to run.
 #include <atomic>
 #include <chrono>
 
@@ -72,24 +74,22 @@ ExperimentResult run_fig6(const RunOptions& opt, bool memory) {
                                          "SDEM-ON - MBKPS (pp)"});
   // All 8 U points x seeds flood the pool as one grid; folds below walk the
   // points in order, so output is byte-identical to the per-point loop.
-  const auto grid = collect_grid_comparisons(
-      [&](std::size_t pi, std::uint64_t seed) {
-        const int u = 2 + static_cast<int>(pi);
-        DspstoneParams p;
-        p.num_tasks = kTasks;
-        p.utilization_u = static_cast<double>(u);
-        return make_dspstone(p, seed * 977 + u);
-      },
-      [&](std::size_t) -> const SystemConfig& { return cfg; }, 8, seeds,
-      opt.pool);
+  Grid g(opt.pool, 8, seeds,
+         [&](std::size_t pi, std::uint64_t seed, Json& cell) {
+           const int u = 2 + static_cast<int>(pi);
+           DspstoneParams p;
+           p.num_tasks = kTasks;
+           p.utilization_u = static_cast<double>(u);
+           comparison_cell(cell, make_dspstone(p, seed * 977 + u), cfg);
+         });
 
+  const char* part = memory ? "_memory_saving" : "_system_saving";
   Json rows = Json::array();
   double sum_gap = 0.0;
   for (int u = 2; u <= 9; ++u) {
-    const auto& per_seed = grid[static_cast<std::size_t>(u - 2)];
-    const SavingStats st = to_saving_stats(per_seed);
-    const Stats& s_col = memory ? st.sdem_memory : st.sdem_system;
-    const Stats& m_col = memory ? st.mbkps_memory : st.mbkps_system;
+    const auto pi = static_cast<std::size_t>(u - 2);
+    const Stats s_col = g.stats(pi, std::string("sdem") + part);
+    const Stats m_col = g.stats(pi, std::string("mbkps") + part);
     sum_gap += s_col.mean() - m_col.mean();
     t.add_row({std::to_string(u), pct(m_col), pct(s_col),
                Table::fmt(100.0 * (s_col.mean() - m_col.mean()), 2)});
@@ -101,9 +101,10 @@ ExperimentResult run_fig6(const RunOptions& opt, bool memory) {
     row.set("sdem_saving_pct", 100.0 * s_col.mean());
     row.set("sdem_sem_pct", 100.0 * s_col.sem());
     row.set("gap_pp", 100.0 * (s_col.mean() - m_col.mean()));
-    attach_seeds(row, per_seed, &r.solver_seconds_total);
+    row.set("per_seed", g.per_seed(pi));
     rows.push_back(std::move(row));
   }
+  r.solver_seconds_total = g.solver_seconds();
   r.tables.push_back(std::move(t));
   const double avg_gap = 100.0 * sum_gap / 8.0;
   r.footers.push_back(
@@ -158,8 +159,7 @@ ExperimentResult run_fig7(const RunOptions& opt, bool sweep_alpham) {
   Table t(std::move(header));
 
   // One level-major grid of all 64 (level, x) cells x seeds: the whole
-  // sweep occupies the pool even at --seeds 2. Per-cell math and the fold
-  // order below are unchanged, so tables and JSON stay byte-identical.
+  // sweep occupies the pool even at --seeds 2.
   std::vector<SystemConfig> cfgs;
   cfgs.reserve(levels.size());
   for (int level : levels) {
@@ -170,18 +170,18 @@ ExperimentResult run_fig7(const RunOptions& opt, bool sweep_alpham) {
       cfg.memory.xi_m = level / 1000.0;
     cfgs.push_back(cfg);
   }
-  const auto grid = collect_grid_comparisons(
-      [&](std::size_t pi, std::uint64_t seed) {
-        const int level = levels[pi / 8];
-        const int x = 100 + static_cast<int>(pi % 8) * 100;
-        SyntheticParams p;
-        p.num_tasks = kTasks;
-        p.max_interarrival = x / 1000.0;
-        return make_synthetic(p, sweep_alpham ? seed * 10007 + level * 31 + x
-                                              : seed * 7717 + level * 13 + x);
-      },
-      [&](std::size_t pi) -> const SystemConfig& { return cfgs[pi / 8]; },
-      static_cast<int>(levels.size()) * 8, seeds, opt.pool);
+  Grid g(opt.pool, static_cast<int>(levels.size()) * 8, seeds,
+         [&](std::size_t pi, std::uint64_t seed, Json& cell) {
+           const int level = levels[pi / 8];
+           const int x = 100 + static_cast<int>(pi % 8) * 100;
+           SyntheticParams p;
+           p.num_tasks = kTasks;
+           p.max_interarrival = x / 1000.0;
+           const std::uint64_t trace_seed =
+               sweep_alpham ? seed * 10007 + level * 31 + x
+                            : seed * 7717 + level * 13 + x;
+           comparison_cell(cell, make_synthetic(p, trace_seed), cfgs[pi / 8]);
+         });
 
   Json rows = Json::array();
   double sum = 0.0;
@@ -191,14 +191,9 @@ ExperimentResult run_fig7(const RunOptions& opt, bool sweep_alpham) {
     std::vector<std::string> row{std::to_string(level) +
                                  (sweep_alpham ? " W" : " ms")};
     for (int x = 100; x <= 800; x += 100) {
-      const auto& per_seed = grid[li * 8 + static_cast<std::size_t>(x / 100 - 1)];
-      double s_sys = 0, m_sys = 0;
-      for (const SeedComparison& sc : per_seed) {
-        s_sys += sc.sdem_system;
-        m_sys += sc.mbkps_system;
-      }
-      s_sys /= seeds;
-      m_sys /= seeds;
+      const std::size_t pi = li * 8 + static_cast<std::size_t>(x / 100 - 1);
+      const double s_sys = g.sum(pi, "sdem_system_saving") / seeds;
+      const double m_sys = g.sum(pi, "mbkps_system_saving") / seeds;
       const double imp = 100.0 * (s_sys - m_sys);
       sum += imp;
       ++cells;
@@ -210,11 +205,12 @@ ExperimentResult run_fig7(const RunOptions& opt, bool sweep_alpham) {
       cell.set("sdem_system_saving_pct", 100.0 * s_sys);
       cell.set("mbkps_system_saving_pct", 100.0 * m_sys);
       cell.set("improvement_pp", imp);
-      attach_seeds(cell, per_seed, &r.solver_seconds_total);
+      cell.set("per_seed", g.per_seed(pi));
       rows.push_back(std::move(cell));
     }
     t.add_row(std::move(row));
   }
+  r.solver_seconds_total = g.solver_seconds();
   r.tables.push_back(std::move(t));
   r.footers.push_back(strf("average improvement: %.2f pp (paper: ~%s%%)",
                            sum / cells, sweep_alpham ? "9.74" : "10.52"));
@@ -254,22 +250,18 @@ ExperimentResult run_table4(const RunOptions& opt) {
     r.tables.push_back(std::move(t));
   }
 
-  const auto per_seed = collect_seed_comparisons(
-      [&](std::uint64_t seed) {
-        SyntheticParams p;
-        p.num_tasks = 120;
-        p.max_interarrival = 0.400;
-        return make_synthetic(p, seed * 97);
-      },
-      cfg, seeds, opt.pool);
-  double e_mbkp = 0, e_mbkps = 0, e_sdem = 0, sleep_sdem = 0, sleep_mbkps = 0;
-  for (const SeedComparison& sc : per_seed) {
-    e_mbkp += sc.energy_mbkp;
-    e_mbkps += sc.energy_mbkps;
-    e_sdem += sc.energy_sdem;
-    sleep_sdem += sc.sleep_sdem;
-    sleep_mbkps += sc.sleep_mbkps;
-  }
+  Grid g(opt.pool, 1, seeds,
+         [&](std::size_t, std::uint64_t seed, Json& cell) {
+           SyntheticParams p;
+           p.num_tasks = 120;
+           p.max_interarrival = 0.400;
+           comparison_cell(cell, make_synthetic(p, seed * 97), cfg);
+         });
+  const double e_mbkp = g.sum(0, "energy_mbkp_j");
+  const double e_mbkps = g.sum(0, "energy_mbkps_j");
+  const double e_sdem = g.sum(0, "energy_sdem_j");
+  const double sleep_sdem = g.sum(0, "memory_sleep_sdem_s");
+  const double sleep_mbkps = g.sum(0, "memory_sleep_mbkps_s");
   Table t({"metric", "MBKP", "MBKPS", "SDEM-ON"});
   t.add_row({"system energy (J, avg)", Table::fmt(e_mbkp / seeds, 4),
              Table::fmt(e_mbkps / seeds, 4), Table::fmt(e_sdem / seeds, 4)});
@@ -292,7 +284,8 @@ ExperimentResult run_table4(const RunOptions& opt) {
   anchor.set("sdem_saving_pct", 100.0 * (e_mbkp - e_sdem) / e_mbkp);
   anchor.set("memory_sleep_mbkps_s_avg", sleep_mbkps / seeds);
   anchor.set("memory_sleep_sdem_s_avg", sleep_sdem / seeds);
-  attach_seeds(anchor, per_seed, &r.solver_seconds_total);
+  anchor.set("per_seed", g.per_seed(0));
+  r.solver_seconds_total = g.solver_seconds();
 
   Json grid = Json::object();
   const auto int_array = [](std::initializer_list<int> xs) {
@@ -555,9 +548,6 @@ ExperimentResult run_bounded_partition(const RunOptions&) {
 // ---------------------------------------------------------- Blocks ablation
 
 // Section 5 block DP vs the two degenerate partitions, spread x seed grid.
-// Each cell (spread, seed) is independent — parallel_for_grid spreads them
-// across the pool; folds below run spread-major in seed-ascending order,
-// so tables are byte-identical at any --jobs.
 ExperimentResult run_ablation_blocks(const RunOptions& opt) {
   auto cfg = paper_cfg();
   cfg.memory.xi_m = 0.0;
@@ -569,60 +559,31 @@ ExperimentResult run_ablation_blocks(const RunOptions& opt) {
   r.header_title = "Ablation — Section 5 block DP vs degenerate partitions";
   r.header_what = "agreeable sets, n = 8; spread = max inter-arrival (s)";
 
-  struct Cell {
-    double dp = 0.0, one = 0.0, each = 0.0;
-    int blocks = 0;
-    double solver_seconds = 0.0;
-  };
-  std::vector<Cell> cells(spreads.size() * static_cast<std::size_t>(seeds));
-  parallel_for_grid(
-      opt.pool, static_cast<int>(spreads.size()), seeds,
-      [&](std::size_t pi, std::uint64_t seed, std::size_t slot) {
-        const double spread = spreads[pi];
-        const auto t0 = std::chrono::steady_clock::now();
-        const TaskSet ts =
-            make_agreeable(kN, seed * 131 + int(spread * 1e4), spread);
-        const auto dp = solve_agreeable(ts, cfg);
-        const auto sorted = ts.sorted_by_deadline().tasks();
-        const auto one = solve_block(sorted, cfg);
-        double each = 0.0;
-        for (const auto& task : sorted) {
-          each += solve_block({task}, cfg).energy;
-        }
-        Cell& c = cells[slot];
-        c.dp = dp.energy;
-        c.one = one.energy;
-        c.each = each;
-        c.blocks = dp.case_index;
-        c.solver_seconds = std::chrono::duration<double>(
-                               std::chrono::steady_clock::now() - t0)
-                               .count();
-      });
+  Grid g(opt.pool, static_cast<int>(spreads.size()), seeds,
+         [&](std::size_t pi, std::uint64_t seed, Json& cell) {
+           const double spread = spreads[pi];
+           const TaskSet ts =
+               make_agreeable(kN, seed * 131 + int(spread * 1e4), spread);
+           const auto dp = solve_agreeable(ts, cfg);
+           const auto sorted = ts.sorted_by_deadline().tasks();
+           cell.set("dp_energy_j", dp.energy);
+           cell.set("one_block_energy_j", solve_block(sorted, cfg).energy);
+           double each = 0.0;
+           for (const auto& task : sorted) {
+             each += solve_block({task}, cfg).energy;
+           }
+           cell.set("per_task_energy_j", each);
+           cell.set("dp_blocks", dp.case_index);
+         });
 
   Table t({"spread (s)", "DP energy (J)", "one block (J)",
            "per-task blocks (J)", "DP blocks"});
   Json rows = Json::array();
   for (std::size_t pi = 0; pi < spreads.size(); ++pi) {
-    double e_dp = 0, e_one = 0, e_each = 0;
-    double blocks = 0;
-    Json per_seed = Json::array();
-    for (int s = 0; s < seeds; ++s) {
-      const Cell& c = cells[pi * static_cast<std::size_t>(seeds) +
-                            static_cast<std::size_t>(s)];
-      e_dp += c.dp;
-      e_one += c.one;
-      e_each += c.each;
-      blocks += c.blocks;
-      r.solver_seconds_total += c.solver_seconds;
-      Json cell = Json::object();
-      cell.set("seed", static_cast<std::uint64_t>(s + 1));
-      cell.set("dp_energy_j", c.dp);
-      cell.set("one_block_energy_j", c.one);
-      cell.set("per_task_energy_j", c.each);
-      cell.set("dp_blocks", c.blocks);
-      cell.set("solver_seconds", c.solver_seconds);
-      per_seed.push_back(std::move(cell));
-    }
+    const double e_dp = g.sum(pi, "dp_energy_j");
+    const double e_one = g.sum(pi, "one_block_energy_j");
+    const double e_each = g.sum(pi, "per_task_energy_j");
+    const double blocks = g.sum(pi, "dp_blocks");
     t.add_row({Table::fmt(spreads[pi], 3), Table::fmt(e_dp / seeds, 5),
                Table::fmt(e_one / seeds, 5), Table::fmt(e_each / seeds, 5),
                Table::fmt(blocks / seeds, 1)});
@@ -632,9 +593,10 @@ ExperimentResult run_ablation_blocks(const RunOptions& opt) {
     row.set("one_block_energy_j_avg", e_one / seeds);
     row.set("per_task_energy_j_avg", e_each / seeds);
     row.set("dp_blocks_avg", blocks / seeds);
-    row.set("per_seed", std::move(per_seed));
+    row.set("per_seed", g.per_seed(pi));
     rows.push_back(std::move(row));
   }
+  r.solver_seconds_total = g.solver_seconds();
   r.tables.push_back(std::move(t));
 
   Json params = Json::object();
@@ -650,9 +612,8 @@ ExperimentResult run_ablation_blocks(const RunOptions& opt) {
 // --------------------------------------------------- Online vs offline ratio
 
 // Empirical competitive ratio of SDEM-ON against the Section 5 DP on
-// agreeable inputs, plus the memory-oblivious per-core comparator. Each
-// (spread, seed) cell is independent; folds run spread-major in seed order,
-// so the table is byte-identical to the serial loop.
+// agreeable inputs, plus the memory-oblivious per-core comparator.
+// Infeasible offline solves set only "feasible"; the folds skip them.
 ExperimentResult run_online_vs_offline(const RunOptions& opt) {
   auto cfg = paper_cfg();
   cfg.core.s_min = 0.0;
@@ -668,96 +629,52 @@ ExperimentResult run_online_vs_offline(const RunOptions& opt) {
       "ratio = E(online) / E(offline DP); also the memory-oblivious "
       "per-core critical-speed scheduler on the same traces";
 
-  struct Cell {
-    bool feasible = false;
-    double ratio = 0.0;
-    double obliv_ratio = 0.0;
-    // Memory sleep-interval statistics of the online schedule (the energy
-    // model's per-run breakdown; see EnergyBreakdown).
-    double sleep_cycles = 0.0;
-    double sleep_min = 0.0;
-    double sleep_mean = 0.0;
-    double sleep_max = 0.0;
-    double solver_seconds = 0.0;
-  };
-  std::vector<Cell> cells(spreads.size() * static_cast<std::size_t>(seeds));
-  parallel_for_grid(
-      opt.pool, static_cast<int>(spreads.size()), seeds,
-      [&](std::size_t pi, std::uint64_t seed, std::size_t slot) {
-        const double spread = spreads[pi];
-        const auto t0 = std::chrono::steady_clock::now();
-        Cell& c = cells[slot];
-        const TaskSet ts =
-            make_agreeable(kTasks, seed * 577 + int(spread * 1e4), spread);
-        const auto offline = solve_agreeable(ts, cfg);
-        if (offline.feasible) {
-          c.feasible = true;
-          SdemOnPolicy pol;
-          const auto sim = simulate(ts, cfg, pol);
-          EnergyOptions opts;  // busy-span horizon, same as the offline model
-          const EnergyBreakdown online_e =
-              compute_energy(sim.schedule, cfg, opts);
-          c.ratio = online_e.system_total() / offline.energy;
-          c.sleep_cycles = online_e.memory_sleep_cycles;
-          c.sleep_min = online_e.memory_sleep_min;
-          c.sleep_mean = online_e.memory_sleep_mean();
-          c.sleep_max = online_e.memory_sleep_max;
+  Grid g(opt.pool, static_cast<int>(spreads.size()), seeds,
+         [&](std::size_t pi, std::uint64_t seed, Json& cell) {
+           const double spread = spreads[pi];
+           const TaskSet ts =
+               make_agreeable(kTasks, seed * 577 + int(spread * 1e4), spread);
+           const auto offline = solve_agreeable(ts, cfg);
+           cell.set("feasible", offline.feasible);
+           if (!offline.feasible) return;
+           SdemOnPolicy pol;
+           const auto sim = simulate(ts, cfg, pol);
+           EnergyOptions opts;  // busy-span horizon, same as the offline model
+           const EnergyBreakdown online_e =
+               compute_energy(sim.schedule, cfg, opts);
+           cell.set("ratio", online_e.system_total() / offline.energy);
 
-          // Memory-oblivious: every task on its own core, per-core critical-
-          // speed sleep schedule; memory follows whatever union results.
-          Schedule per_core;
-          int core = 0;
-          for (const auto& task : ts.tasks()) {
-            const auto sss = solve_single_core_sleep(
-                {{task.id, task.release, task.deadline, task.work}}, cfg.core,
-                core++);
-            for (const auto& seg : sss.schedule.segments()) per_core.add(seg);
-          }
-          c.obliv_ratio =
-              compute_energy(per_core, cfg, opts).system_total() /
-              offline.energy;
-        }
-        c.solver_seconds = std::chrono::duration<double>(
-                               std::chrono::steady_clock::now() - t0)
-                               .count();
-      });
+           // Memory-oblivious: every task on its own core, per-core
+           // critical-speed sleep schedule; memory follows whatever union
+           // results.
+           Schedule per_core;
+           int core = 0;
+           for (const auto& task : ts.tasks()) {
+             const auto sss = solve_single_core_sleep(
+                 {{task.id, task.release, task.deadline, task.work}},
+                 cfg.core, core++);
+             for (const auto& seg : sss.schedule.segments()) per_core.add(seg);
+           }
+           cell.set("oblivious_ratio",
+                    compute_energy(per_core, cfg, opts).system_total() /
+                        offline.energy);
+           // Memory sleep-interval statistics of the online schedule
+           // (count / min / mean / max, seconds) — JSON-only.
+           cell.set("memory_sleep_cycles", online_e.memory_sleep_cycles);
+           cell.set("memory_sleep_min_s", online_e.memory_sleep_min);
+           cell.set("memory_sleep_mean_s", online_e.memory_sleep_mean());
+           cell.set("memory_sleep_max_s", online_e.memory_sleep_max);
+         });
 
   Table t({"spread (ms)", "avg ratio", "worst ratio",
            "memory-oblivious ratio"});
   Json rows = Json::array();
   for (std::size_t pi = 0; pi < spreads.size(); ++pi) {
     const double spread = spreads[pi];
-    double sum = 0.0, worst = 0.0, obliv = 0.0;
-    double sleep_cycles = 0.0, sleep_mean = 0.0;
-    int counted = 0;
-    Json per_seed = Json::array();
-    for (int s = 0; s < seeds; ++s) {
-      const Cell& c = cells[pi * static_cast<std::size_t>(seeds) +
-                            static_cast<std::size_t>(s)];
-      r.solver_seconds_total += c.solver_seconds;
-      Json cell = Json::object();
-      cell.set("seed", static_cast<std::uint64_t>(s + 1));
-      cell.set("feasible", c.feasible);
-      if (c.feasible) {
-        cell.set("ratio", c.ratio);
-        cell.set("oblivious_ratio", c.obliv_ratio);
-        // Per-run memory sleep-interval stats of the online schedule
-        // (count / min / mean / max, seconds) — JSON-only.
-        cell.set("memory_sleep_cycles", c.sleep_cycles);
-        cell.set("memory_sleep_min_s", c.sleep_min);
-        cell.set("memory_sleep_mean_s", c.sleep_mean);
-        cell.set("memory_sleep_max_s", c.sleep_max);
-      }
-      cell.set("solver_seconds", c.solver_seconds);
-      per_seed.push_back(std::move(cell));
-      if (!c.feasible) continue;
-      sum += c.ratio;
-      worst = std::max(worst, c.ratio);
-      obliv += c.obliv_ratio;
-      sleep_cycles += c.sleep_cycles;
-      sleep_mean += c.sleep_mean;
-      ++counted;
-    }
+    const double sum = g.sum(pi, "ratio");
+    const double worst = g.max(pi, "ratio");
+    const double obliv = g.sum(pi, "oblivious_ratio");
+    const auto counted = static_cast<int>(g.count(pi, "ratio"));
     t.add_row({Table::fmt(spread * 1e3, 0), Table::fmt(sum / counted, 4),
                Table::fmt(worst, 4), Table::fmt(obliv / counted, 4)});
     Json row = Json::object();
@@ -765,12 +682,15 @@ ExperimentResult run_online_vs_offline(const RunOptions& opt) {
     row.set("avg_ratio", sum / counted);
     row.set("worst_ratio", worst);
     row.set("oblivious_ratio_avg", obliv / counted);
-    row.set("memory_sleep_cycles_avg", sleep_cycles / counted);
-    row.set("memory_sleep_mean_s_avg", sleep_mean / counted);
+    row.set("memory_sleep_cycles_avg",
+            g.sum(pi, "memory_sleep_cycles") / counted);
+    row.set("memory_sleep_mean_s_avg",
+            g.sum(pi, "memory_sleep_mean_s") / counted);
     row.set("counted", counted);
-    row.set("per_seed", std::move(per_seed));
+    row.set("per_seed", g.per_seed(pi));
     rows.push_back(std::move(row));
   }
+  r.solver_seconds_total = g.solver_seconds();
   r.tables.push_back(std::move(t));
   r.footers.push_back(
       "the DP is optimal among non-preemptive schedules only and SDEM-ON "
@@ -798,8 +718,7 @@ ExperimentResult run_online_vs_offline(const RunOptions& opt) {
 
 // The title question as a bench: five online policies (the two poles, the
 // single-core folklore answer, MBKPS, SDEM-ON) on the same synthetic traces
-// across utilizations. One (x, seed) grid; folds in seed order keep the
-// table byte-identical to the serial loop.
+// across utilizations.
 ExperimentResult run_policy_poles(const RunOptions& opt) {
   const auto cfg = paper_cfg();
   const int seeds = opt.seeds > 0 ? opt.seeds : 10;
@@ -807,6 +726,9 @@ ExperimentResult run_policy_poles(const RunOptions& opt) {
   constexpr int kPolicies = 5;
   static const char* kNames[kPolicies] = {"race@s_up", "stretch", "critical",
                                           "MBKPS", "SDEM-ON"};
+  const auto key = [](int i) {
+    return std::string("energy_") + kNames[i] + "_j";
+  };
 
   ExperimentResult r;
   r.header_title =
@@ -814,70 +736,46 @@ ExperimentResult run_policy_poles(const RunOptions& opt) {
   r.header_what = "synthetic traces, 120 tasks, paper defaults; avg over " +
                   std::to_string(seeds) + " seeds";
 
-  struct Cell {
-    double e[kPolicies] = {0, 0, 0, 0, 0};
-    double solver_seconds = 0.0;
-  };
-  std::vector<Cell> cells(static_cast<std::size_t>(kPoints) *
-                          static_cast<std::size_t>(seeds));
-  parallel_for_grid(
-      opt.pool, kPoints, seeds,
-      [&](std::size_t pi, std::uint64_t seed, std::size_t slot) {
-        const int x = 100 + static_cast<int>(pi) * 100;
-        const auto t0 = std::chrono::steady_clock::now();
-        Cell& c = cells[slot];
-        SyntheticParams p;
-        p.num_tasks = 120;
-        p.max_interarrival = x / 1000.0;
-        const TaskSet ts = make_synthetic(p, seed * 811 + x);
+  Grid g(opt.pool, kPoints, seeds,
+         [&](std::size_t pi, std::uint64_t seed, Json& cell) {
+           const int x = 100 + static_cast<int>(pi) * 100;
+           SyntheticParams p;
+           p.num_tasks = 120;
+           p.max_interarrival = x / 1000.0;
+           const TaskSet ts = make_synthetic(p, seed * 811 + x);
 
-        RaceToIdlePolicy race;
-        StretchPolicy stretch;
-        CriticalSpeedPolicy crit;
-        MbkpPolicy mbkp;
-        SdemOnPolicy sdem;
-        OnlinePolicy* pols[kPolicies] = {&race, &stretch, &crit, &mbkp, &sdem};
-        for (int i = 0; i < kPolicies; ++i) {
-          const auto sim = simulate(ts, cfg, *pols[i]);
-          c.e[i] = evaluate_policy(sim, cfg, SleepDiscipline::kOptimal, "x")
-                       .energy.system_total();
-        }
-        c.solver_seconds = std::chrono::duration<double>(
-                               std::chrono::steady_clock::now() - t0)
-                               .count();
-      });
+           RaceToIdlePolicy race;
+           StretchPolicy stretch;
+           CriticalSpeedPolicy crit;
+           MbkpPolicy mbkp;
+           SdemOnPolicy sdem;
+           OnlinePolicy* pols[kPolicies] = {&race, &stretch, &crit, &mbkp,
+                                            &sdem};
+           for (int i = 0; i < kPolicies; ++i) {
+             const auto sim = simulate(ts, cfg, *pols[i]);
+             cell.set(key(i), evaluate_policy(sim, cfg,
+                                              SleepDiscipline::kOptimal, "x")
+                                  .energy.system_total());
+           }
+         });
 
   Table t({"x (ms)", "race@s_up", "stretch", "critical", "MBKPS", "SDEM-ON"});
   Json rows = Json::array();
-  for (int pi = 0; pi < kPoints; ++pi) {
-    const int x = 100 + pi * 100;
-    double e[kPolicies] = {0, 0, 0, 0, 0};
-    Json per_seed = Json::array();
-    for (int s = 0; s < seeds; ++s) {
-      const Cell& c = cells[static_cast<std::size_t>(pi) *
-                                static_cast<std::size_t>(seeds) +
-                            static_cast<std::size_t>(s)];
-      r.solver_seconds_total += c.solver_seconds;
-      Json cell = Json::object();
-      cell.set("seed", static_cast<std::uint64_t>(s + 1));
-      for (int i = 0; i < kPolicies; ++i) {
-        e[i] += c.e[i];
-        cell.set(std::string("energy_") + kNames[i] + "_j", c.e[i]);
-      }
-      cell.set("solver_seconds", c.solver_seconds);
-      per_seed.push_back(std::move(cell));
-    }
-    t.add_row({std::to_string(x), Table::fmt(e[0] / seeds, 3),
-               Table::fmt(e[1] / seeds, 3), Table::fmt(e[2] / seeds, 3),
-               Table::fmt(e[3] / seeds, 3), Table::fmt(e[4] / seeds, 3)});
+  for (std::size_t pi = 0; pi < kPoints; ++pi) {
+    const int x = 100 + static_cast<int>(pi) * 100;
     Json row = Json::object();
     row.set("x_ms", x);
+    std::vector<std::string> cols{std::to_string(x)};
     for (int i = 0; i < kPolicies; ++i) {
-      row.set(std::string("energy_") + kNames[i] + "_j_avg", e[i] / seeds);
+      const double avg = g.sum(pi, key(i)) / seeds;
+      cols.push_back(Table::fmt(avg, 3));
+      row.set(key(i) + "_avg", avg);
     }
-    row.set("per_seed", std::move(per_seed));
+    t.add_row(std::move(cols));
+    row.set("per_seed", g.per_seed(pi));
     rows.push_back(std::move(row));
   }
+  r.solver_seconds_total = g.solver_seconds();
   r.tables.push_back(std::move(t));
 
   Json params = Json::object();
@@ -893,8 +791,6 @@ ExperimentResult run_policy_poles(const RunOptions& opt) {
 // ------------------------------------------------------- Voltage islands
 
 // Extension bench: voltage-island granularity (the paper's future work).
-// One (islands, seed) grid; folds below walk islands-major in seed order,
-// so the printed table is byte-identical to the serial loop.
 ExperimentResult run_islands(const RunOptions& opt) {
   auto cfg = paper_cfg();
   cfg.core.s_min = 0.0;
@@ -910,61 +806,34 @@ ExperimentResult run_islands(const RunOptions& opt) {
                   std::to_string(kTasks) + " tasks, " +
                   std::to_string(seeds) + " seeds";
 
-  struct Cell {
-    double base = 0.0, similar = 0.0, rr = 0.0;
-    double solver_seconds = 0.0;
-  };
-  std::vector<Cell> cells(island_counts.size() *
-                          static_cast<std::size_t>(seeds));
-  parallel_for_grid(
-      opt.pool, static_cast<int>(island_counts.size()), seeds,
-      [&](std::size_t pi, std::uint64_t seed, std::size_t slot) {
-        const int islands = island_counts[pi];
-        const auto t0 = std::chrono::steady_clock::now();
-        Cell& c = cells[slot];
-        const TaskSet ts = make_common_release(kTasks, 0.0, seed * 397);
-        std::vector<int> ones(ts.size());
-        for (std::size_t i = 0; i < ts.size(); ++i) {
-          ones[i] = static_cast<int>(i);
-        }
-        const auto fine = solve_common_release_islands(ts, cfg, ones);
-        const auto sim = solve_common_release_islands(
-            ts, cfg, assign_islands_similar_speed(ts, islands));
-        std::vector<int> robin(ts.size());
-        for (std::size_t i = 0; i < ts.size(); ++i) {
-          robin[i] = static_cast<int>(i) % islands;
-        }
-        const auto rrres = solve_common_release_islands(ts, cfg, robin);
-        c.base = fine.energy;
-        c.similar = sim.energy;
-        c.rr = rrres.energy;
-        c.solver_seconds = std::chrono::duration<double>(
-                               std::chrono::steady_clock::now() - t0)
-                               .count();
-      });
+  Grid g(opt.pool, static_cast<int>(island_counts.size()), seeds,
+         [&](std::size_t pi, std::uint64_t seed, Json& cell) {
+           const int islands = island_counts[pi];
+           const TaskSet ts = make_common_release(kTasks, 0.0, seed * 397);
+           std::vector<int> ones(ts.size());
+           std::vector<int> robin(ts.size());
+           for (std::size_t i = 0; i < ts.size(); ++i) {
+             ones[i] = static_cast<int>(i);
+             robin[i] = static_cast<int>(i) % islands;
+           }
+           cell.set("per_core_energy_j",
+                    solve_common_release_islands(ts, cfg, ones).energy);
+           cell.set("similar_speed_energy_j",
+                    solve_common_release_islands(
+                        ts, cfg, assign_islands_similar_speed(ts, islands))
+                        .energy);
+           cell.set("round_robin_energy_j",
+                    solve_common_release_islands(ts, cfg, robin).energy);
+         });
 
   Table t({"islands", "tasks/rail", "similar-speed grouping +%",
            "round-robin grouping +%"});
   Json rows = Json::array();
   for (std::size_t pi = 0; pi < island_counts.size(); ++pi) {
     const int islands = island_counts[pi];
-    double similar = 0.0, rr = 0.0, base = 0.0;
-    Json per_seed = Json::array();
-    for (int s = 0; s < seeds; ++s) {
-      const Cell& c = cells[pi * static_cast<std::size_t>(seeds) +
-                            static_cast<std::size_t>(s)];
-      base += c.base;
-      similar += c.similar;
-      rr += c.rr;
-      r.solver_seconds_total += c.solver_seconds;
-      Json cell = Json::object();
-      cell.set("seed", static_cast<std::uint64_t>(s + 1));
-      cell.set("per_core_energy_j", c.base);
-      cell.set("similar_speed_energy_j", c.similar);
-      cell.set("round_robin_energy_j", c.rr);
-      cell.set("solver_seconds", c.solver_seconds);
-      per_seed.push_back(std::move(cell));
-    }
+    const double base = g.sum(pi, "per_core_energy_j");
+    const double similar = g.sum(pi, "similar_speed_energy_j");
+    const double rr = g.sum(pi, "round_robin_energy_j");
     t.add_row({std::to_string(islands),
                std::to_string(kTasks / islands),
                Table::fmt(100.0 * (similar / base - 1.0), 2),
@@ -974,9 +843,10 @@ ExperimentResult run_islands(const RunOptions& opt) {
     row.set("tasks_per_rail", kTasks / islands);
     row.set("similar_speed_overhead_pct", 100.0 * (similar / base - 1.0));
     row.set("round_robin_overhead_pct", 100.0 * (rr / base - 1.0));
-    row.set("per_seed", std::move(per_seed));
+    row.set("per_seed", g.per_seed(pi));
     rows.push_back(std::move(row));
   }
+  r.solver_seconds_total = g.solver_seconds();
   r.tables.push_back(std::move(t));
 
   Json params = Json::object();
@@ -996,8 +866,7 @@ ExperimentResult run_islands(const RunOptions& opt) {
 // --------------------------------------------------- Controller contention
 
 // Assumption probe: what does SDEM-ON's alignment do to memory-controller
-// contention? One (x, seed) grid; folds in seed order keep the table and
-// footers byte-identical to the serial loop.
+// contention?
 ExperimentResult run_contention(const RunOptions& opt) {
   const auto cfg = paper_cfg();
   ContentionParams cp;  // 8 banks, 50 ns service, 1 access / 500 cycles
@@ -1011,63 +880,36 @@ ExperimentResult run_contention(const RunOptions& opt) {
       "fluid M/D/1 model, 8 banks, 50 ns service, 2000 accesses/Mc; "
       "peak u and mean wait per policy";
 
-  struct Cell {
-    double pu_s = 0, pu_m = 0, w_s = 0, w_m = 0, sat = 0;
-    double solver_seconds = 0.0;
-  };
-  std::vector<Cell> cells(static_cast<std::size_t>(kPoints) *
-                          static_cast<std::size_t>(seeds));
-  parallel_for_grid(
-      opt.pool, kPoints, seeds,
-      [&](std::size_t pi, std::uint64_t seed, std::size_t slot) {
-        const int x = 100 + static_cast<int>(pi) * 200;
-        const auto t0 = std::chrono::steady_clock::now();
-        Cell& c = cells[slot];
-        SyntheticParams p;
-        p.num_tasks = 120;
-        p.max_interarrival = x / 1000.0;
-        const TaskSet ts = make_synthetic(p, seed * 211 + x);
-        SdemOnPolicy sdem;
-        MbkpPolicy mbkp;
-        const auto a = analyze_contention(simulate(ts, cfg, sdem).schedule, cp);
-        const auto b = analyze_contention(simulate(ts, cfg, mbkp).schedule, cp);
-        c.pu_s = a.peak_utilization;
-        c.pu_m = b.peak_utilization;
-        c.w_s = a.mean_wait;
-        c.w_m = b.mean_wait;
-        c.sat = a.saturated_fraction;
-        c.solver_seconds = std::chrono::duration<double>(
-                               std::chrono::steady_clock::now() - t0)
-                               .count();
-      });
+  Grid g(opt.pool, kPoints, seeds,
+         [&](std::size_t pi, std::uint64_t seed, Json& cell) {
+           const int x = 100 + static_cast<int>(pi) * 200;
+           SyntheticParams p;
+           p.num_tasks = 120;
+           p.max_interarrival = x / 1000.0;
+           const TaskSet ts = make_synthetic(p, seed * 211 + x);
+           SdemOnPolicy sdem;
+           MbkpPolicy mbkp;
+           const auto a =
+               analyze_contention(simulate(ts, cfg, sdem).schedule, cp);
+           const auto b =
+               analyze_contention(simulate(ts, cfg, mbkp).schedule, cp);
+           cell.set("sdem_peak_utilization", a.peak_utilization);
+           cell.set("mbkp_peak_utilization", b.peak_utilization);
+           cell.set("sdem_mean_wait_s", a.mean_wait);
+           cell.set("mbkp_mean_wait_s", b.mean_wait);
+           cell.set("saturated_fraction", a.saturated_fraction);
+         });
 
   Table t({"x (ms)", "SDEM-ON peak u", "MBKP peak u", "SDEM-ON wait (ns)",
            "MBKP wait (ns)", "saturated %"});
   Json rows = Json::array();
-  for (int pi = 0; pi < kPoints; ++pi) {
-    const int x = 100 + pi * 200;
-    double pu_s = 0, pu_m = 0, w_s = 0, w_m = 0, sat = 0;
-    Json per_seed = Json::array();
-    for (int s = 0; s < seeds; ++s) {
-      const Cell& c = cells[static_cast<std::size_t>(pi) *
-                                static_cast<std::size_t>(seeds) +
-                            static_cast<std::size_t>(s)];
-      pu_s += c.pu_s;
-      pu_m += c.pu_m;
-      w_s += c.w_s;
-      w_m += c.w_m;
-      sat += c.sat;
-      r.solver_seconds_total += c.solver_seconds;
-      Json cell = Json::object();
-      cell.set("seed", static_cast<std::uint64_t>(s + 1));
-      cell.set("sdem_peak_utilization", c.pu_s);
-      cell.set("mbkp_peak_utilization", c.pu_m);
-      cell.set("sdem_mean_wait_s", c.w_s);
-      cell.set("mbkp_mean_wait_s", c.w_m);
-      cell.set("saturated_fraction", c.sat);
-      cell.set("solver_seconds", c.solver_seconds);
-      per_seed.push_back(std::move(cell));
-    }
+  for (std::size_t pi = 0; pi < kPoints; ++pi) {
+    const int x = 100 + static_cast<int>(pi) * 200;
+    const double pu_s = g.sum(pi, "sdem_peak_utilization");
+    const double pu_m = g.sum(pi, "mbkp_peak_utilization");
+    const double w_s = g.sum(pi, "sdem_mean_wait_s");
+    const double w_m = g.sum(pi, "mbkp_mean_wait_s");
+    const double sat = g.sum(pi, "saturated_fraction");
     t.add_row({std::to_string(x), Table::fmt(pu_s / seeds, 4),
                Table::fmt(pu_m / seeds, 4),
                Table::fmt(1e9 * w_s / seeds, 2),
@@ -1080,9 +922,10 @@ ExperimentResult run_contention(const RunOptions& opt) {
     row.set("sdem_mean_wait_ns_avg", 1e9 * w_s / seeds);
     row.set("mbkp_mean_wait_ns_avg", 1e9 * w_m / seeds);
     row.set("saturated_pct_avg", 100.0 * sat / seeds);
-    row.set("per_seed", std::move(per_seed));
+    row.set("per_seed", g.per_seed(pi));
     rows.push_back(std::move(row));
   }
+  r.solver_seconds_total = g.solver_seconds();
   r.tables.push_back(std::move(t));
   r.footers.push_back(
       "alignment concentrates accesses: higher peaks, but far from "
@@ -1105,9 +948,7 @@ ExperimentResult run_contention(const RunOptions& opt) {
 
 // Substrate validation: the paper's (alpha_m, xi_m) abstraction vs the
 // DRAM power-down/self-refresh ladder charged on the actual SDEM-ON
-// schedules. One (x, seed) grid; folds in seed order keep the table
-// byte-identical to the serial loop (naps/sleeps use an integer-division
-// average).
+// schedules. The naps/sleeps column is an integer-division average.
 ExperimentResult run_dram_abstraction(const RunOptions& opt) {
   const auto dram = DramPowerParams::paper_50nm();
   const MemoryPower dram_memory = dram.memory();
@@ -1126,83 +967,57 @@ ExperimentResult run_dram_abstraction(const RunOptions& opt) {
       "0.25 W; abstraction: alpha_m = " + Table::fmt(abs.alpha_m, 2) +
       " W, xi_m = " + Table::fmt(abs.xi_m * 1e3, 0) + " ms";
 
-  struct Cell {
-    double machine = 0.0, abstract_j = 0.0;
-    int naps = 0, sleeps = 0;
-    double solver_seconds = 0.0;
-  };
-  std::vector<Cell> cells(static_cast<std::size_t>(kPoints) *
-                          static_cast<std::size_t>(seeds));
-  parallel_for_grid(
-      opt.pool, kPoints, seeds,
-      [&](std::size_t pi, std::uint64_t seed, std::size_t slot) {
-        const int x = 100 + static_cast<int>(pi) * 100;
-        const auto t0 = std::chrono::steady_clock::now();
-        Cell& c = cells[slot];
-        SyntheticParams p;
-        p.num_tasks = 120;
-        p.max_interarrival = x / 1000.0;
-        const TaskSet ts = make_synthetic(p, seed * 53 + x);
-        SdemOnPolicy pol;
-        const SimResult sim = simulate(ts, cfg, pol);
-        EnergyOptions eopt;
-        eopt.horizon_lo = sim.horizon_lo;
-        eopt.horizon_hi = sim.horizon_hi;
-        EnergyBreakdown m;
-        add_memory_energy(sim.schedule.memory_busy(), dram_memory, eopt, m);
-        c.machine = m.memory_total();
-        c.naps = static_cast<int>(m.memory_states[0].cycles);
-        c.sleeps = static_cast<int>(m.memory_states[1].cycles);
-        const auto ev =
-            evaluate_policy(sim, cfg, SleepDiscipline::kOptimal, "sdem");
-        c.abstract_j = ev.energy.memory_total() +
-                       abs.floor_power * (sim.horizon_hi - sim.horizon_lo);
-        c.solver_seconds = std::chrono::duration<double>(
-                               std::chrono::steady_clock::now() - t0)
-                               .count();
-      });
+  Grid g(opt.pool, kPoints, seeds,
+         [&](std::size_t pi, std::uint64_t seed, Json& cell) {
+           const int x = 100 + static_cast<int>(pi) * 100;
+           SyntheticParams p;
+           p.num_tasks = 120;
+           p.max_interarrival = x / 1000.0;
+           const TaskSet ts = make_synthetic(p, seed * 53 + x);
+           SdemOnPolicy pol;
+           const SimResult sim = simulate(ts, cfg, pol);
+           EnergyOptions eopt;
+           eopt.horizon_lo = sim.horizon_lo;
+           eopt.horizon_hi = sim.horizon_hi;
+           EnergyBreakdown m;
+           add_memory_energy(sim.schedule.memory_busy(), dram_memory, eopt, m);
+           cell.set("machine_j", m.memory_total());
+           const auto ev =
+               evaluate_policy(sim, cfg, SleepDiscipline::kOptimal, "sdem");
+           cell.set("abstract_j",
+                    ev.energy.memory_total() +
+                        abs.floor_power * (sim.horizon_hi - sim.horizon_lo));
+           cell.set("powerdown_cycles",
+                    static_cast<int>(m.memory_states[0].cycles));
+           cell.set("selfrefresh_cycles",
+                    static_cast<int>(m.memory_states[1].cycles));
+         });
 
   Table t({"x (ms)", "SDEM-ON machine (J)", "SDEM-ON abstract (J)", "err %",
            "naps/sleeps"});
   Json rows = Json::array();
-  for (int pi = 0; pi < kPoints; ++pi) {
-    const int x = 100 + pi * 100;
-    double machine = 0.0, abstract_j = 0.0;
-    int naps = 0, sleeps = 0;
-    Json per_seed = Json::array();
-    for (int s = 0; s < seeds; ++s) {
-      const Cell& c = cells[static_cast<std::size_t>(pi) *
-                                static_cast<std::size_t>(seeds) +
-                            static_cast<std::size_t>(s)];
-      machine += c.machine;
-      abstract_j += c.abstract_j;
-      naps += c.naps;
-      sleeps += c.sleeps;
-      r.solver_seconds_total += c.solver_seconds;
-      Json cell = Json::object();
-      cell.set("seed", static_cast<std::uint64_t>(s + 1));
-      cell.set("machine_j", c.machine);
-      cell.set("abstract_j", c.abstract_j);
-      cell.set("powerdown_cycles", c.naps);
-      cell.set("selfrefresh_cycles", c.sleeps);
-      cell.set("solver_seconds", c.solver_seconds);
-      per_seed.push_back(std::move(cell));
-    }
+  for (std::size_t pi = 0; pi < kPoints; ++pi) {
+    const int x = 100 + static_cast<int>(pi) * 100;
+    const double machine = g.sum(pi, "machine_j");
+    const double abstract_j = g.sum(pi, "abstract_j");
+    const double naps = g.sum(pi, "powerdown_cycles");
+    const double sleeps = g.sum(pi, "selfrefresh_cycles");
     t.add_row({std::to_string(x), Table::fmt(machine / seeds, 3),
                Table::fmt(abstract_j / seeds, 3),
                Table::fmt(100.0 * (abstract_j - machine) / machine, 2),
-               std::to_string(naps / seeds) + "/" +
-                   std::to_string(sleeps / seeds)});
+               std::to_string(static_cast<int>(naps) / seeds) + "/" +
+                   std::to_string(static_cast<int>(sleeps) / seeds)});
     Json row = Json::object();
     row.set("x_ms", x);
     row.set("machine_j_avg", machine / seeds);
     row.set("abstract_j_avg", abstract_j / seeds);
     row.set("abstraction_err_pct", 100.0 * (abstract_j - machine) / machine);
-    row.set("powerdown_cycles_avg", static_cast<double>(naps) / seeds);
-    row.set("selfrefresh_cycles_avg", static_cast<double>(sleeps) / seeds);
-    row.set("per_seed", std::move(per_seed));
+    row.set("powerdown_cycles_avg", naps / seeds);
+    row.set("selfrefresh_cycles_avg", sleeps / seeds);
+    row.set("per_seed", g.per_seed(pi));
     rows.push_back(std::move(row));
   }
+  r.solver_seconds_total = g.solver_seconds();
   r.tables.push_back(std::move(t));
   r.footers.push_back(
       "positive err % = the abstraction over-charges (machine finds cheaper "
@@ -1223,8 +1038,7 @@ ExperimentResult run_dram_abstraction(const RunOptions& opt) {
 // ------------------------------------------------------ Rank granularity
 
 // Extension: re-account the same SDEM-ON and MBKP schedules with
-// rank-granular power-down. One (ranks, seed) grid; folds in seed order
-// keep the table byte-identical to the serial loop.
+// rank-granular power-down.
 ExperimentResult run_rank_granularity(const RunOptions& opt) {
   const auto cfg = paper_cfg();
   const int seeds = opt.seeds > 0 ? opt.seeds : 10;
@@ -1236,56 +1050,33 @@ ExperimentResult run_rank_granularity(const RunOptions& opt) {
       "memory energy (J, avg) of the same schedules accounted with "
       "1..8 ranks; x = 300 ms, alpha_m = 4 W, xi_m = 40 ms";
 
-  struct Cell {
-    double e_sdem = 0.0, e_mbkp = 0.0;
-    double solver_seconds = 0.0;
-  };
-  std::vector<Cell> cells(rank_counts.size() *
-                          static_cast<std::size_t>(seeds));
-  parallel_for_grid(
-      opt.pool, static_cast<int>(rank_counts.size()), seeds,
-      [&](std::size_t pi, std::uint64_t seed, std::size_t slot) {
-        const int ranks = rank_counts[pi];
-        const auto t0 = std::chrono::steady_clock::now();
-        Cell& c = cells[slot];
-        SyntheticParams p;
-        p.num_tasks = 120;
-        p.max_interarrival = 0.300;
-        const TaskSet ts = make_synthetic(p, seed * 41);
-        SdemOnPolicy sdem;
-        const auto s1 = simulate(ts, cfg, sdem);
-        c.e_sdem = rank_memory_energy(s1.schedule, cfg.memory, ranks, 8,
-                                      s1.horizon_lo, s1.horizon_hi)
-                       .memory_total();
-        MbkpPolicy mbkp;
-        const auto s2 = simulate(ts, cfg, mbkp);
-        c.e_mbkp = rank_memory_energy(s2.schedule, cfg.memory, ranks, 8,
-                                      s2.horizon_lo, s2.horizon_hi)
-                       .memory_total();
-        c.solver_seconds = std::chrono::duration<double>(
-                               std::chrono::steady_clock::now() - t0)
-                               .count();
-      });
+  Grid g(opt.pool, static_cast<int>(rank_counts.size()), seeds,
+         [&](std::size_t pi, std::uint64_t seed, Json& cell) {
+           const int ranks = rank_counts[pi];
+           SyntheticParams p;
+           p.num_tasks = 120;
+           p.max_interarrival = 0.300;
+           const TaskSet ts = make_synthetic(p, seed * 41);
+           SdemOnPolicy sdem;
+           const auto s1 = simulate(ts, cfg, sdem);
+           cell.set("sdem_memory_j",
+                    rank_memory_energy(s1.schedule, cfg.memory, ranks, 8,
+                                       s1.horizon_lo, s1.horizon_hi)
+                        .memory_total());
+           MbkpPolicy mbkp;
+           const auto s2 = simulate(ts, cfg, mbkp);
+           cell.set("mbkp_memory_j",
+                    rank_memory_energy(s2.schedule, cfg.memory, ranks, 8,
+                                       s2.horizon_lo, s2.horizon_hi)
+                        .memory_total());
+         });
 
   Table t({"ranks", "SDEM-ON mem (J)", "MBKP-sched mem (J)",
            "SDEM-ON advantage %"});
   Json rows = Json::array();
   for (std::size_t pi = 0; pi < rank_counts.size(); ++pi) {
-    double e_sdem = 0.0, e_mbkp = 0.0;
-    Json per_seed = Json::array();
-    for (int s = 0; s < seeds; ++s) {
-      const Cell& c = cells[pi * static_cast<std::size_t>(seeds) +
-                            static_cast<std::size_t>(s)];
-      e_sdem += c.e_sdem;
-      e_mbkp += c.e_mbkp;
-      r.solver_seconds_total += c.solver_seconds;
-      Json cell = Json::object();
-      cell.set("seed", static_cast<std::uint64_t>(s + 1));
-      cell.set("sdem_memory_j", c.e_sdem);
-      cell.set("mbkp_memory_j", c.e_mbkp);
-      cell.set("solver_seconds", c.solver_seconds);
-      per_seed.push_back(std::move(cell));
-    }
+    const double e_sdem = g.sum(pi, "sdem_memory_j");
+    const double e_mbkp = g.sum(pi, "mbkp_memory_j");
     t.add_row({std::to_string(rank_counts[pi]), Table::fmt(e_sdem / seeds, 3),
                Table::fmt(e_mbkp / seeds, 3),
                Table::fmt(100.0 * (e_mbkp - e_sdem) / e_mbkp, 2)});
@@ -1294,9 +1085,10 @@ ExperimentResult run_rank_granularity(const RunOptions& opt) {
     row.set("sdem_memory_j_avg", e_sdem / seeds);
     row.set("mbkp_memory_j_avg", e_mbkp / seeds);
     row.set("sdem_advantage_pct", 100.0 * (e_mbkp - e_sdem) / e_mbkp);
-    row.set("per_seed", std::move(per_seed));
+    row.set("per_seed", g.per_seed(pi));
     rows.push_back(std::move(row));
   }
+  r.solver_seconds_total = g.solver_seconds();
   r.tables.push_back(std::move(t));
   r.footers.push_back(
       "monolithic memory (1 rank) is where coordinating the common idle "
@@ -1316,9 +1108,9 @@ ExperimentResult run_rank_granularity(const RunOptions& opt) {
 // ----------------------------------------------------- Slack reclamation
 
 // Extension: WCET pessimism. Each (fraction, regime, seed) cell simulates
-// the reclaiming and non-reclaiming variants once; folds walk fractions in
-// row order, alpha != 0 before alpha = 0, seeds ascending — the fold order
-// of the serial nested loops.
+// the reclaiming and non-reclaiming variants once; points are
+// fraction-major, regime minor (alpha != 0 before alpha = 0), and each row
+// merges its fraction's two points.
 ExperimentResult run_slack_reclamation(const RunOptions& opt) {
   const auto cfg = paper_cfg();
   auto cfg0 = cfg;
@@ -1336,65 +1128,38 @@ ExperimentResult run_slack_reclamation(const RunOptions& opt) {
       "speed (per-cycle-optimal already — nothing to reclaim), the "
       "alpha = 0 model stretches, so freed work slows the rest.";
 
-  struct Cell {
-    double e_with = 0.0, e_without = 0.0;
-    double solver_seconds = 0.0;
-  };
-  // Point layout: fraction-major, regime minor (0 = alpha != 0, 1 = alpha
-  // = 0), i.e. run(cfg, ...) then run(cfg0, ...) per fraction.
-  const int points = static_cast<int>(fracs.size()) * 2;
-  std::vector<Cell> cells(static_cast<std::size_t>(points) *
-                          static_cast<std::size_t>(seeds));
-  parallel_for_grid(
-      opt.pool, points, seeds,
-      [&](std::size_t pi, std::uint64_t seed, std::size_t slot) {
-        const double f = fracs[pi / 2];
-        const SystemConfig& c_run = (pi % 2 == 0) ? cfg : cfg0;
-        const auto t0 = std::chrono::steady_clock::now();
-        Cell& c = cells[slot];
-        SyntheticParams p;
-        p.num_tasks = 120;
-        p.max_interarrival = 0.300;
-        const TaskSet ts = make_synthetic(p, seed * 67);
-        std::map<int, double> frac;
-        for (const auto& task : ts.tasks()) frac[task.id] = f;
-        SdemOnPolicy a, b;
-        const auto with = simulate_with_actuals(ts, c_run, a, frac, true);
-        const auto without = simulate_with_actuals(ts, c_run, b, frac, false);
-        c.e_with = evaluate_policy(with, c_run, SleepDiscipline::kOptimal, "r")
-                       .energy.system_total();
-        c.e_without =
-            evaluate_policy(without, c_run, SleepDiscipline::kOptimal, "n")
-                .energy.system_total();
-        c.solver_seconds = std::chrono::duration<double>(
-                               std::chrono::steady_clock::now() - t0)
-                               .count();
-      });
+  Grid g(opt.pool, static_cast<int>(fracs.size()) * 2, seeds,
+         [&](std::size_t pi, std::uint64_t seed, Json& cell) {
+           const double f = fracs[pi / 2];
+           const SystemConfig& c_run = (pi % 2 == 0) ? cfg : cfg0;
+           SyntheticParams p;
+           p.num_tasks = 120;
+           p.max_interarrival = 0.300;
+           const TaskSet ts = make_synthetic(p, seed * 67);
+           std::map<int, double> frac;
+           for (const auto& task : ts.tasks()) frac[task.id] = f;
+           SdemOnPolicy a, b;
+           const auto with = simulate_with_actuals(ts, c_run, a, frac, true);
+           const auto without =
+               simulate_with_actuals(ts, c_run, b, frac, false);
+           cell.set("alpha_zero", pi % 2 == 1);
+           cell.set("reclaim_energy_j",
+                    evaluate_policy(with, c_run, SleepDiscipline::kOptimal, "r")
+                        .energy.system_total());
+           cell.set("no_reclaim_energy_j",
+                    evaluate_policy(without, c_run, SleepDiscipline::kOptimal,
+                                    "n")
+                        .energy.system_total());
+         });
 
   Table t({"actual/WCET", "a!=0 reclaim", "a!=0 none", "gain %",
            "a=0 reclaim", "a=0 none", "gain %"});
   Json rows = Json::array();
   for (std::size_t fi = 0; fi < fracs.size(); ++fi) {
-    double w1 = 0, n1 = 0, w0 = 0, n0 = 0;
-    Json per_seed = Json::array();
-    for (int regime = 0; regime < 2; ++regime) {
-      for (int s = 0; s < seeds; ++s) {
-        const Cell& c =
-            cells[(fi * 2 + static_cast<std::size_t>(regime)) *
-                      static_cast<std::size_t>(seeds) +
-                  static_cast<std::size_t>(s)];
-        (regime == 0 ? w1 : w0) += c.e_with;
-        (regime == 0 ? n1 : n0) += c.e_without;
-        r.solver_seconds_total += c.solver_seconds;
-        Json cell = Json::object();
-        cell.set("seed", static_cast<std::uint64_t>(s + 1));
-        cell.set("alpha_zero", regime == 1);
-        cell.set("reclaim_energy_j", c.e_with);
-        cell.set("no_reclaim_energy_j", c.e_without);
-        cell.set("solver_seconds", c.solver_seconds);
-        per_seed.push_back(std::move(cell));
-      }
-    }
+    const double w1 = g.sum(fi * 2, "reclaim_energy_j");
+    const double n1 = g.sum(fi * 2, "no_reclaim_energy_j");
+    const double w0 = g.sum(fi * 2 + 1, "reclaim_energy_j");
+    const double n0 = g.sum(fi * 2 + 1, "no_reclaim_energy_j");
     t.add_row({Table::fmt(fracs[fi], 1), Table::fmt(w1 / seeds, 3),
                Table::fmt(n1 / seeds, 3),
                Table::fmt(100.0 * (n1 - w1) / n1, 2),
@@ -1408,9 +1173,10 @@ ExperimentResult run_slack_reclamation(const RunOptions& opt) {
     row.set("alpha0_reclaim_j_avg", w0 / seeds);
     row.set("alpha0_no_reclaim_j_avg", n0 / seeds);
     row.set("alpha0_gain_pct", 100.0 * (n0 - w0) / n0);
-    row.set("per_seed", std::move(per_seed));
+    row.set("per_seed", g.per_seed(fi * 2 + 1, g.per_seed(fi * 2)));
     rows.push_back(std::move(row));
   }
+  r.solver_seconds_total = g.solver_seconds();
   r.tables.push_back(std::move(t));
   r.footers.push_back(
       "Finding: energy falls with actual/WCET (freed work shortens the\n"
@@ -1432,9 +1198,9 @@ ExperimentResult run_slack_reclamation(const RunOptions& opt) {
 
 // ---------------------------------------------------- Access sensitivity
 
-// Extension: whole-execution-access assumption. One (fraction, seed) grid;
-// the f = 1.0 row doubles as the baseline the later rows compare against,
-// so folds walk fractions in row order.
+// Extension: whole-execution-access assumption. The f = 1.0 row doubles as
+// the baseline the later rows compare against, so folds walk fractions in
+// row order.
 ExperimentResult run_access_sensitivity(const RunOptions& opt) {
   const auto cfg = paper_cfg();
   const int seeds = opt.seeds > 0 ? opt.seeds : 10;
@@ -1447,63 +1213,38 @@ ExperimentResult run_access_sensitivity(const RunOptions& opt) {
       "schedules unchanged (planned with f = 1), accounting "
       "refined; x = 400 ms";
 
-  struct Cell {
-    double e_sdem = 0.0, e_mbkp = 0.0;
-    double solver_seconds = 0.0;
-  };
-  std::vector<Cell> cells(fracs.size() * static_cast<std::size_t>(seeds));
-  parallel_for_grid(
-      opt.pool, static_cast<int>(fracs.size()), seeds,
-      [&](std::size_t pi, std::uint64_t seed, std::size_t slot) {
-        const double f = fracs[pi];
-        const auto t0 = std::chrono::steady_clock::now();
-        Cell& c = cells[slot];
-        SyntheticParams p;
-        p.num_tasks = 120;
-        p.max_interarrival = 0.400;
-        const TaskSet ts = make_synthetic(p, seed * 29);
-        std::map<int, TaskAccess> acc;
-        for (const auto& task : ts.tasks()) {
-          acc[task.id] = {AccessPattern::kPrefix, f};
-        }
-        const auto memory_j = [&](const SimResult& sim) {
-          EnergyOptions eopt;
-          eopt.horizon_lo = sim.horizon_lo;
-          eopt.horizon_hi = sim.horizon_hi;
-          EnergyBreakdown e;
-          add_memory_energy(memory_busy_with_access(sim.schedule, acc),
-                            cfg.memory, eopt, e);
-          return e.memory_total();
-        };
-        SdemOnPolicy sdem;
-        c.e_sdem = memory_j(simulate(ts, cfg, sdem));
-        MbkpPolicy mbkp;
-        c.e_mbkp = memory_j(simulate(ts, cfg, mbkp));
-        c.solver_seconds = std::chrono::duration<double>(
-                               std::chrono::steady_clock::now() - t0)
-                               .count();
-      });
+  Grid g(opt.pool, static_cast<int>(fracs.size()), seeds,
+         [&](std::size_t pi, std::uint64_t seed, Json& cell) {
+           SyntheticParams p;
+           p.num_tasks = 120;
+           p.max_interarrival = 0.400;
+           const TaskSet ts = make_synthetic(p, seed * 29);
+           std::map<int, TaskAccess> acc;
+           for (const auto& task : ts.tasks()) {
+             acc[task.id] = {AccessPattern::kPrefix, fracs[pi]};
+           }
+           const auto memory_j = [&](const SimResult& sim) {
+             EnergyOptions eopt;
+             eopt.horizon_lo = sim.horizon_lo;
+             eopt.horizon_hi = sim.horizon_hi;
+             EnergyBreakdown e;
+             add_memory_energy(memory_busy_with_access(sim.schedule, acc),
+                               cfg.memory, eopt, e);
+             return e.memory_total();
+           };
+           SdemOnPolicy sdem;
+           cell.set("sdem_memory_j", memory_j(simulate(ts, cfg, sdem)));
+           MbkpPolicy mbkp;
+           cell.set("mbkp_memory_j", memory_j(simulate(ts, cfg, mbkp)));
+         });
 
   Table t({"fraction f", "SDEM-ON mem (J)", "vs f=1 %", "MBKP-sched mem (J)",
            "vs f=1 %"});
   Json rows = Json::array();
   double sdem_base = 0.0, mbkp_base = 0.0;
   for (std::size_t pi = 0; pi < fracs.size(); ++pi) {
-    double e_sdem = 0.0, e_mbkp = 0.0;
-    Json per_seed = Json::array();
-    for (int s = 0; s < seeds; ++s) {
-      const Cell& c = cells[pi * static_cast<std::size_t>(seeds) +
-                            static_cast<std::size_t>(s)];
-      e_sdem += c.e_sdem;
-      e_mbkp += c.e_mbkp;
-      r.solver_seconds_total += c.solver_seconds;
-      Json cell = Json::object();
-      cell.set("seed", static_cast<std::uint64_t>(s + 1));
-      cell.set("sdem_memory_j", c.e_sdem);
-      cell.set("mbkp_memory_j", c.e_mbkp);
-      cell.set("solver_seconds", c.solver_seconds);
-      per_seed.push_back(std::move(cell));
-    }
+    const double e_sdem = g.sum(pi, "sdem_memory_j");
+    const double e_mbkp = g.sum(pi, "mbkp_memory_j");
     if (fracs[pi] == 1.0) {
       sdem_base = e_sdem;
       mbkp_base = e_mbkp;
@@ -1518,9 +1259,10 @@ ExperimentResult run_access_sensitivity(const RunOptions& opt) {
     row.set("sdem_vs_full_pct", 100.0 * (e_sdem / sdem_base - 1.0));
     row.set("mbkp_memory_j_avg", e_mbkp / seeds);
     row.set("mbkp_vs_full_pct", 100.0 * (e_mbkp / mbkp_base - 1.0));
-    row.set("per_seed", std::move(per_seed));
+    row.set("per_seed", g.per_seed(pi));
     rows.push_back(std::move(row));
   }
+  r.solver_seconds_total = g.solver_seconds();
   r.tables.push_back(std::move(t));
 
   Json params = Json::object();
@@ -1536,9 +1278,9 @@ ExperimentResult run_access_sensitivity(const RunOptions& opt) {
 
 // ---------------------------------------------------- Discrete ablation
 
-// Ablation: cost of real DVFS ladders. One (ladder, seed) grid; infeasible
-// continuous solves skip the cell, and averages still divide by the full
-// seed count.
+// Ablation: cost of real DVFS ladders. Infeasible continuous solves set
+// only "feasible", so the folds skip them, and averages still divide by the
+// full seed count.
 ExperimentResult run_ablation_discrete(const RunOptions& opt) {
   auto cfg = paper_cfg();
   cfg.core.s_min = 0.0;
@@ -1559,61 +1301,30 @@ ExperimentResult run_ablation_discrete(const RunOptions& opt) {
   }
   ladders.emplace_back("A57 OPPs (6)", FrequencyLadder::a57_opps());
 
-  struct Cell {
-    bool feasible = false;
-    double pen = 0.0, aware_pen = 0.0;
-    int splits = 0;
-    double solver_seconds = 0.0;
-  };
-  std::vector<Cell> cells(ladders.size() * static_cast<std::size_t>(seeds));
-  parallel_for_grid(
-      opt.pool, static_cast<int>(ladders.size()), seeds,
-      [&](std::size_t pi, std::uint64_t seed, std::size_t slot) {
-        const FrequencyLadder& ladder = ladders[pi].second;
-        const auto t0 = std::chrono::steady_clock::now();
-        Cell& c = cells[slot];
-        const TaskSet ts = make_common_release(10, 0.0, seed * 61);
-        const auto cont = solve_common_release_alpha(ts, cfg);
-        if (cont.feasible) {
-          c.feasible = true;
-          const double base = system_energy(cont.schedule, cfg);
-          const auto d = discretize_schedule(cont.schedule, ladder);
-          c.pen = (system_energy(d.schedule, cfg) - base) / base;
-          c.splits = d.splits;
-          const auto aware = solve_common_release_discrete(ts, cfg, ladder);
-          c.aware_pen = (aware.energy - base) / base;
-        }
-        c.solver_seconds = std::chrono::duration<double>(
-                               std::chrono::steady_clock::now() - t0)
-                               .count();
-      });
+  Grid g(opt.pool, static_cast<int>(ladders.size()), seeds,
+         [&](std::size_t pi, std::uint64_t seed, Json& cell) {
+           const FrequencyLadder& ladder = ladders[pi].second;
+           const TaskSet ts = make_common_release(10, 0.0, seed * 61);
+           const auto cont = solve_common_release_alpha(ts, cfg);
+           cell.set("feasible", cont.feasible);
+           if (!cont.feasible) return;
+           const double base = system_energy(cont.schedule, cfg);
+           const auto d = discretize_schedule(cont.schedule, ladder);
+           cell.set("post_hoc_penalty",
+                    (system_energy(d.schedule, cfg) - base) / base);
+           const auto aware = solve_common_release_discrete(ts, cfg, ladder);
+           cell.set("ladder_aware_penalty", (aware.energy - base) / base);
+           cell.set("splits", d.splits);
+         });
 
   Table t({"ladder", "post-hoc penalty %", "ladder-aware penalty %",
            "max post-hoc %", "avg splits"});
   Json rows = Json::array();
   for (std::size_t pi = 0; pi < ladders.size(); ++pi) {
-    double sum = 0.0, worst = 0.0, splits = 0.0, aware_sum = 0.0;
-    Json per_seed = Json::array();
-    for (int s = 0; s < seeds; ++s) {
-      const Cell& c = cells[pi * static_cast<std::size_t>(seeds) +
-                            static_cast<std::size_t>(s)];
-      r.solver_seconds_total += c.solver_seconds;
-      Json cell = Json::object();
-      cell.set("seed", static_cast<std::uint64_t>(s + 1));
-      cell.set("feasible", c.feasible);
-      if (c.feasible) {
-        cell.set("post_hoc_penalty", c.pen);
-        cell.set("ladder_aware_penalty", c.aware_pen);
-        cell.set("splits", c.splits);
-      }
-      cell.set("solver_seconds", c.solver_seconds);
-      per_seed.push_back(std::move(cell));
-      if (!c.feasible) continue;
-      sum += c.pen;
-      worst = std::max(worst, c.pen);
-      splits += c.splits;
-      aware_sum += c.aware_pen;
-    }
+    const double sum = g.sum(pi, "post_hoc_penalty");
+    const double worst = g.max(pi, "post_hoc_penalty");
+    const double splits = g.sum(pi, "splits");
+    const double aware_sum = g.sum(pi, "ladder_aware_penalty");
     t.add_row({ladders[pi].first, Table::fmt(100.0 * sum / seeds, 3),
                Table::fmt(100.0 * aware_sum / seeds, 3),
                Table::fmt(100.0 * worst, 3), Table::fmt(splits / seeds, 1)});
@@ -1623,9 +1334,10 @@ ExperimentResult run_ablation_discrete(const RunOptions& opt) {
     row.set("ladder_aware_penalty_pct_avg", 100.0 * aware_sum / seeds);
     row.set("max_post_hoc_pct", 100.0 * worst);
     row.set("splits_avg", splits / seeds);
-    row.set("per_seed", std::move(per_seed));
+    row.set("per_seed", g.per_seed(pi));
     rows.push_back(std::move(row));
   }
+  r.solver_seconds_total = g.solver_seconds();
   r.tables.push_back(std::move(t));
 
   Json params = Json::object();
@@ -1646,8 +1358,7 @@ ExperimentResult run_ablation_discrete(const RunOptions& opt) {
 // --------------------------------------------- Procrastination ablation
 
 // Ablation: value of step 5 (alignment sleep) vs the per-replan speed
-// selection alone. One (x, seed) grid; folds in seed order keep the table
-// byte-identical to the serial loop.
+// selection alone.
 ExperimentResult run_ablation_procrastination(const RunOptions& opt) {
   const auto cfg = paper_cfg();
   const int seeds = opt.seeds > 0 ? opt.seeds : 10;
@@ -1661,60 +1372,34 @@ ExperimentResult run_ablation_procrastination(const RunOptions& opt) {
       "system energy saving vs MBKP; eager = same speeds, no "
       "alignment sleep";
 
-  struct Cell {
-    double e_mbkp = 0.0, e_sdem = 0.0, e_eager = 0.0;
-    double solver_seconds = 0.0;
-  };
-  std::vector<Cell> cells(static_cast<std::size_t>(kPoints) *
-                          static_cast<std::size_t>(seeds));
-  parallel_for_grid(
-      opt.pool, kPoints, seeds,
-      [&](std::size_t pi, std::uint64_t seed, std::size_t slot) {
-        const int x = 100 + static_cast<int>(pi) * 100;
-        const auto t0 = std::chrono::steady_clock::now();
-        Cell& c = cells[slot];
-        SyntheticParams p;
-        p.num_tasks = kTasks;
-        p.max_interarrival = x / 1000.0;
-        const TaskSet trace = make_synthetic(p, seed * 4241 + x);
-        const auto cmp = run_comparison(trace, cfg);
-        c.e_mbkp = cmp.mbkp.energy.system_total();
-        c.e_sdem = cmp.sdem.energy.system_total();
-        SdemOnPolicy eager(/*procrastinate=*/false);
-        const auto sim = simulate(trace, cfg, eager);
-        c.e_eager =
-            evaluate_policy(sim, cfg, SleepDiscipline::kOptimal, "eager")
-                .energy.system_total();
-        c.solver_seconds = std::chrono::duration<double>(
-                               std::chrono::steady_clock::now() - t0)
-                               .count();
-      });
+  Grid g(opt.pool, kPoints, seeds,
+         [&](std::size_t pi, std::uint64_t seed, Json& cell) {
+           const int x = 100 + static_cast<int>(pi) * 100;
+           SyntheticParams p;
+           p.num_tasks = kTasks;
+           p.max_interarrival = x / 1000.0;
+           const TaskSet trace = make_synthetic(p, seed * 4241 + x);
+           const auto cmp = run_comparison(trace, cfg);
+           cell.set("energy_mbkp_j", cmp.mbkp.energy.system_total());
+           cell.set("energy_sdem_j", cmp.sdem.energy.system_total());
+           SdemOnPolicy eager(/*procrastinate=*/false);
+           const auto sim = simulate(trace, cfg, eager);
+           cell.set("energy_eager_j",
+                    evaluate_policy(sim, cfg, SleepDiscipline::kOptimal,
+                                    "eager")
+                        .energy.system_total());
+         });
 
   Table t({"x (ms)", "SDEM-ON saving %", "eager saving %",
            "procrastination value (pp)"});
   Json rows = Json::array();
-  for (int pi = 0; pi < kPoints; ++pi) {
-    const int x = 100 + pi * 100;
-    double e_mbkp = 0, e_sdem = 0, e_eager = 0;
-    Json per_seed = Json::array();
-    for (int s = 0; s < seeds; ++s) {
-      const Cell& c = cells[static_cast<std::size_t>(pi) *
-                                static_cast<std::size_t>(seeds) +
-                            static_cast<std::size_t>(s)];
-      e_mbkp += c.e_mbkp;
-      e_sdem += c.e_sdem;
-      e_eager += c.e_eager;
-      r.solver_seconds_total += c.solver_seconds;
-      Json cell = Json::object();
-      cell.set("seed", static_cast<std::uint64_t>(s + 1));
-      cell.set("energy_mbkp_j", c.e_mbkp);
-      cell.set("energy_sdem_j", c.e_sdem);
-      cell.set("energy_eager_j", c.e_eager);
-      cell.set("solver_seconds", c.solver_seconds);
-      per_seed.push_back(std::move(cell));
-    }
-    const double s_sdem = 100.0 * (e_mbkp - e_sdem) / e_mbkp;
-    const double s_eager = 100.0 * (e_mbkp - e_eager) / e_mbkp;
+  for (std::size_t pi = 0; pi < kPoints; ++pi) {
+    const int x = 100 + static_cast<int>(pi) * 100;
+    const double e_mbkp = g.sum(pi, "energy_mbkp_j");
+    const double s_sdem =
+        100.0 * (e_mbkp - g.sum(pi, "energy_sdem_j")) / e_mbkp;
+    const double s_eager =
+        100.0 * (e_mbkp - g.sum(pi, "energy_eager_j")) / e_mbkp;
     t.add_row({std::to_string(x), Table::fmt(s_sdem, 2),
                Table::fmt(s_eager, 2), Table::fmt(s_sdem - s_eager, 2)});
     Json row = Json::object();
@@ -1722,9 +1407,10 @@ ExperimentResult run_ablation_procrastination(const RunOptions& opt) {
     row.set("sdem_saving_pct", s_sdem);
     row.set("eager_saving_pct", s_eager);
     row.set("procrastination_value_pp", s_sdem - s_eager);
-    row.set("per_seed", std::move(per_seed));
+    row.set("per_seed", g.per_seed(pi));
     rows.push_back(std::move(row));
   }
+  r.solver_seconds_total = g.solver_seconds();
   r.tables.push_back(std::move(t));
 
   Json params = Json::object();
@@ -1740,8 +1426,7 @@ ExperimentResult run_ablation_procrastination(const RunOptions& opt) {
 // ------------------------------------------- Sleep-discipline ablation
 
 // Ablation: never / always / break-even gap disciplines on the same MBKP
-// schedule. One (x, seed) grid; folds in seed order keep the table
-// byte-identical to the serial loop.
+// schedule.
 ExperimentResult run_ablation_sleep_discipline(const RunOptions& opt) {
   const auto cfg = paper_cfg();
   const int seeds = opt.seeds > 0 ? opt.seeds : 10;
@@ -1754,57 +1439,31 @@ ExperimentResult run_ablation_sleep_discipline(const RunOptions& opt) {
       "system energy (J, avg over seeds); x sweeps utilization; "
       "xi_m = 40 ms, alpha_m = 4 W";
 
-  struct Cell {
-    double e_never = 0.0, e_always = 0.0, e_opt = 0.0;
-    double solver_seconds = 0.0;
-  };
-  std::vector<Cell> cells(static_cast<std::size_t>(kPoints) *
-                          static_cast<std::size_t>(seeds));
-  parallel_for_grid(
-      opt.pool, kPoints, seeds,
-      [&](std::size_t pi, std::uint64_t seed, std::size_t slot) {
-        const int x = 100 + static_cast<int>(pi) * 100;
-        const auto t0 = std::chrono::steady_clock::now();
-        Cell& c = cells[slot];
-        SyntheticParams p;
-        p.num_tasks = kTasks;
-        p.max_interarrival = x / 1000.0;
-        MbkpPolicy pol;
-        const auto sim = simulate(make_synthetic(p, seed * 31 + x), cfg, pol);
-        c.e_never = evaluate_policy(sim, cfg, SleepDiscipline::kNever, "n")
-                        .energy.system_total();
-        c.e_always = evaluate_policy(sim, cfg, SleepDiscipline::kAlways, "a")
-                         .energy.system_total();
-        c.e_opt = evaluate_policy(sim, cfg, SleepDiscipline::kOptimal, "o")
-                      .energy.system_total();
-        c.solver_seconds = std::chrono::duration<double>(
-                               std::chrono::steady_clock::now() - t0)
-                               .count();
-      });
+  Grid g(opt.pool, kPoints, seeds,
+         [&](std::size_t pi, std::uint64_t seed, Json& cell) {
+           const int x = 100 + static_cast<int>(pi) * 100;
+           SyntheticParams p;
+           p.num_tasks = kTasks;
+           p.max_interarrival = x / 1000.0;
+           MbkpPolicy pol;
+           const auto sim =
+               simulate(make_synthetic(p, seed * 31 + x), cfg, pol);
+           const auto energy = [&](SleepDiscipline d) {
+             return evaluate_policy(sim, cfg, d, "m").energy.system_total();
+           };
+           cell.set("energy_never_j", energy(SleepDiscipline::kNever));
+           cell.set("energy_always_j", energy(SleepDiscipline::kAlways));
+           cell.set("energy_breakeven_j", energy(SleepDiscipline::kOptimal));
+         });
 
   Table t({"x (ms)", "never (MBKP)", "always", "break-even (MBKPS)",
            "always vs never %"});
   Json rows = Json::array();
-  for (int pi = 0; pi < kPoints; ++pi) {
-    const int x = 100 + pi * 100;
-    double e_never = 0, e_always = 0, e_opt = 0;
-    Json per_seed = Json::array();
-    for (int s = 0; s < seeds; ++s) {
-      const Cell& c = cells[static_cast<std::size_t>(pi) *
-                                static_cast<std::size_t>(seeds) +
-                            static_cast<std::size_t>(s)];
-      e_never += c.e_never;
-      e_always += c.e_always;
-      e_opt += c.e_opt;
-      r.solver_seconds_total += c.solver_seconds;
-      Json cell = Json::object();
-      cell.set("seed", static_cast<std::uint64_t>(s + 1));
-      cell.set("energy_never_j", c.e_never);
-      cell.set("energy_always_j", c.e_always);
-      cell.set("energy_breakeven_j", c.e_opt);
-      cell.set("solver_seconds", c.solver_seconds);
-      per_seed.push_back(std::move(cell));
-    }
+  for (std::size_t pi = 0; pi < kPoints; ++pi) {
+    const int x = 100 + static_cast<int>(pi) * 100;
+    const double e_never = g.sum(pi, "energy_never_j");
+    const double e_always = g.sum(pi, "energy_always_j");
+    const double e_opt = g.sum(pi, "energy_breakeven_j");
     t.add_row({std::to_string(x), Table::fmt(e_never / seeds, 4),
                Table::fmt(e_always / seeds, 4),
                Table::fmt(e_opt / seeds, 4),
@@ -1815,9 +1474,10 @@ ExperimentResult run_ablation_sleep_discipline(const RunOptions& opt) {
     row.set("energy_always_j_avg", e_always / seeds);
     row.set("energy_breakeven_j_avg", e_opt / seeds);
     row.set("always_vs_never_pct", 100.0 * (e_always - e_never) / e_never);
-    row.set("per_seed", std::move(per_seed));
+    row.set("per_seed", g.per_seed(pi));
     rows.push_back(std::move(row));
   }
+  r.solver_seconds_total = g.solver_seconds();
   r.tables.push_back(std::move(t));
 
   Json params = Json::object();

@@ -68,38 +68,4 @@ std::string strf(const char* fmt, ...) {
   return out;
 }
 
-Json seed_comparison_json(const SeedComparison& sc) {
-  Json j = Json::object();
-  j.set("seed", static_cast<std::uint64_t>(sc.seed));
-  j.set("sdem_system_saving", sc.sdem_system);
-  j.set("mbkps_system_saving", sc.mbkps_system);
-  j.set("sdem_memory_saving", sc.sdem_memory);
-  j.set("mbkps_memory_saving", sc.mbkps_memory);
-  j.set("energy_mbkp_j", sc.energy_mbkp);
-  j.set("energy_mbkps_j", sc.energy_mbkps);
-  j.set("energy_sdem_j", sc.energy_sdem);
-  j.set("memory_sleep_sdem_s", sc.sleep_sdem);
-  j.set("memory_sleep_mbkps_s", sc.sleep_mbkps);
-  j.set("solver_seconds", sc.solver_seconds);
-  // Per-cell deterministic counter attribution (docs/observability.md):
-  // identical at any --jobs, but strictly additive schema — the
-  // runner's --stable strips it so pre-attribution goldens stay valid.
-  if (!sc.counters.empty()) {
-    Json c = Json::object();
-    for (const auto& [name, v] : sc.counters) c.set(name, v);
-    j.set("counters", std::move(c));
-  }
-  return j;
-}
-
-void attach_seeds(Json& row, const std::vector<SeedComparison>& seeds,
-                  double* solver_seconds_total) {
-  Json arr = Json::array();
-  for (const SeedComparison& sc : seeds) {
-    arr.push_back(seed_comparison_json(sc));
-    if (solver_seconds_total) *solver_seconds_total += sc.solver_seconds;
-  }
-  row.set("per_seed", std::move(arr));
-}
-
 }  // namespace sdem::bench

@@ -2,7 +2,7 @@
 //
 // Each figure/table sweep registers here as an Experiment: a name
 // ("fig6a"), the paper item it reproduces, and a run() callback that
-// executes the sweep — in parallel across seeds when RunOptions.pool is
+// executes the sweep — in parallel across cells when RunOptions.pool is
 // set — and returns both the human-readable tables and a structured JSON
 // payload with full-precision per-seed metrics.
 //
@@ -31,7 +31,9 @@ struct ExperimentResult {
   std::vector<Table> tables;
   std::vector<std::string> footers;  ///< lines printed after the tables
   Json data;                         ///< experiment-specific JSON payload
-  double solver_seconds_total = 0.0;  ///< sum of per-seed run_comparison time
+  /// Summed wall time of the sweep's cells, trace generation included
+  /// (Grid::solver_seconds); the timing experiments sum their runs.
+  double solver_seconds_total = 0.0;
 };
 
 struct Experiment {
@@ -60,13 +62,5 @@ void print_result(const ExperimentResult& r);
 
 /// printf-style formatting into a std::string (for footers).
 std::string strf(const char* fmt, ...);
-
-/// Full-precision JSON rendering of one seed's comparison — the
-/// bit-identical payload the determinism acceptance check diffs.
-Json seed_comparison_json(const SeedComparison& sc);
-
-/// Shared fold: per-seed array + total solver seconds onto `row`.
-void attach_seeds(Json& row, const std::vector<SeedComparison>& seeds,
-                  double* solver_seconds_total);
 
 }  // namespace sdem::bench

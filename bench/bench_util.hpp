@@ -7,9 +7,10 @@
 // `--out` captures the per-seed numbers as BENCH_<name>.json (see
 // docs/benchmarks.md for the schema and the regeneration commands).
 //
-// Seed sweeps run through support/thread_pool.hpp: seeds are computed in
-// parallel into per-seed slots, then folded in seed order, so the printed
-// statistics are bit-identical whatever the job count or scheduling.
+// Seed sweeps run through Grid (support/thread_pool.hpp underneath): cells
+// are computed in parallel into private JSON objects, then folded in seed
+// order, so the printed statistics are bit-identical whatever the job count
+// or scheduling.
 #pragma once
 
 #include <chrono>
@@ -22,6 +23,7 @@
 #include "model/power.hpp"
 #include "obs/obs.hpp"
 #include "sim/metrics.hpp"
+#include "support/json.hpp"
 #include "support/stats.hpp"
 #include "support/table.hpp"
 #include "support/thread_pool.hpp"
@@ -46,128 +48,109 @@ inline void print_table(const Table& t) {
   std::printf("-- CSV --\n%s\n", t.to_csv().c_str());
 }
 
-/// Per-seed saving statistics for one operating point.
-struct SavingStats {
-  Stats sdem_system;
-  Stats mbkps_system;
-  Stats sdem_memory;
-  Stats mbkps_memory;
-};
-
-/// Everything one seed of a three-way comparison produces: the four savings
-/// the figures plot, the absolute energies Table 4 anchors on, and the
-/// wall-clock the seed's run_comparison took (simulate + account, i.e. the
-/// solver time the runner records per seed).
-struct SeedComparison {
-  std::uint64_t seed = 0;
-  double sdem_system = 0.0;   ///< system_saving_sdem()
-  double mbkps_system = 0.0;  ///< system_saving_mbkps()
-  double sdem_memory = 0.0;   ///< memory_saving_sdem()
-  double mbkps_memory = 0.0;  ///< memory_saving_mbkps()
-  double energy_mbkp = 0.0;   ///< absolute system energies, J
-  double energy_mbkps = 0.0;
-  double energy_sdem = 0.0;
-  double sleep_sdem = 0.0;  ///< memory sleep, s
-  double sleep_mbkps = 0.0;
-  double solver_seconds = 0.0;
-  /// Deterministic-domain counter deltas attributed to this cell's solve
-  /// (name-sorted, zero deltas dropped) — the per-(point, seed) attribution
-  /// the runner JSON exposes so counter regressions localize to a cell.
-  std::vector<std::pair<std::string, std::uint64_t>> counters;
-};
-
-/// after - before for two same-thread Registry::local_counters() reads.
-/// Counters only grow and cells are never removed, so `after` is a
-/// superset of `before` with values >= ; both are name-sorted, so one
-/// merge pass suffices. Zero deltas are dropped.
-inline std::vector<std::pair<std::string, std::uint64_t>> counter_delta(
-    const std::vector<std::pair<std::string, std::uint64_t>>& before,
-    const std::vector<std::pair<std::string, std::uint64_t>>& after) {
-  std::vector<std::pair<std::string, std::uint64_t>> out;
-  std::size_t bi = 0;
-  for (const auto& [name, v] : after) {
-    while (bi < before.size() && before[bi].first < name) ++bi;
-    std::uint64_t prev = 0;
-    if (bi < before.size() && before[bi].first == name) prev = before[bi].second;
-    if (v > prev) out.emplace_back(name, v - prev);
+/// A (point, seed) sweep whose cells are JSON objects. Every cell runs on
+/// the pool (serially when it is null) and sets each of its metrics once on
+/// its own object; the folds below read them back in seed order, so every
+/// folded statistic is bit-identical at any job count. The grid sets
+/// "seed" before a cell runs and times the whole cell, trace generation
+/// included; the timings live apart from the cells until per_seed().
+class Grid {
+ public:
+  /// `cell(point, seed, out)`: 0-based point, 1-based seed, and the cell's
+  /// object, which already holds "seed".
+  template <typename Cell>
+  Grid(ThreadPool* pool, int points, int seeds, Cell&& cell)
+      : seeds_(static_cast<std::size_t>(seeds)),
+        cells_(static_cast<std::size_t>(points) * seeds_),
+        seconds_(cells_.size()) {
+    parallel_for_grid(
+        pool, points, seeds,
+        [&](std::size_t point, std::uint64_t seed, std::size_t slot) {
+          const auto t0 = std::chrono::steady_clock::now();
+          cells_[slot].set("seed", seed);
+          cell(point, seed, cells_[slot]);
+          seconds_[slot] = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - t0)
+                               .count();
+        });
   }
-  return out;
-}
 
-/// One cell's work, shared by the seed and grid collectors: run the
-/// comparison, fill the slot, and attribute the worker thread's
-/// deterministic counter delta to the cell. The cell runs entirely on one
-/// thread, so the delta is a pure function of (trace, cfg) whatever the job
-/// count or scheduling.
-inline void fill_seed_comparison(SeedComparison& sc, std::uint64_t seed,
-                                 const TaskSet& trace, const SystemConfig& cfg) {
+  /// Seed-order sum of `key` over the point's cells that set it; 0 if none.
+  double sum(std::size_t point, const std::string& key) const {
+    double total = 0.0;
+    for (std::size_t i = point * seeds_; i < (point + 1) * seeds_; ++i)
+      if (const Json* v = cells_[i].find(key)) total += v->as_number();
+    return total;
+  }
+
+  /// Seed-order Welford accumulation of `key` over the point's cells that
+  /// set it; max() and count() read it.
+  Stats stats(std::size_t point, const std::string& key) const {
+    Stats s;
+    for (std::size_t i = point * seeds_; i < (point + 1) * seeds_; ++i)
+      if (const Json* v = cells_[i].find(key)) s.add(v->as_number());
+    return s;
+  }
+  double max(std::size_t point, const std::string& key) const {
+    return stats(point, key).max();
+  }
+  std::size_t count(std::size_t point, const std::string& key) const {
+    return stats(point, key).count();
+  }
+
+  /// Moves the point's cells onto the end of `into`, in seed order, each
+  /// closed by its "solver_seconds". Fold the point first.
+  Json per_seed(std::size_t point, Json into = Json::array()) {
+    for (std::size_t i = point * seeds_; i < (point + 1) * seeds_; ++i) {
+      cells_[i].set("solver_seconds", seconds_[i]);
+      into.push_back(std::move(cells_[i]));
+    }
+    return into;
+  }
+
+  /// Wall time of every cell, summed.
+  double solver_seconds() const {
+    double total = 0.0;
+    for (double s : seconds_) total += s;
+    return total;
+  }
+
+ private:
+  std::size_t seeds_;
+  std::vector<Json> cells_;  ///< point-major, seed-ascending
+  std::vector<double> seconds_;
+};
+
+/// One three-way comparison cell: the four savings the figures plot, the
+/// absolute system energies Table 4 anchors on, and the two memory sleep
+/// times. On SDEM_OBS builds it also sets "counters", the worker thread's
+/// deterministic counter delta around run_comparison: the cell runs on one
+/// thread, so the delta is a pure function of (trace, cfg) at any job
+/// count. The runner's --stable strips it.
+inline void comparison_cell(Json& cell, const TaskSet& trace,
+                            const SystemConfig& cfg) {
   const auto before = obs::Registry::instance().local_counters();
-  const auto t0 = std::chrono::steady_clock::now();
   const Comparison cmp = run_comparison(trace, cfg);
-  const auto t1 = std::chrono::steady_clock::now();
-  sc.seed = seed;
-  sc.sdem_system = cmp.system_saving_sdem();
-  sc.mbkps_system = cmp.system_saving_mbkps();
-  sc.sdem_memory = cmp.memory_saving_sdem();
-  sc.mbkps_memory = cmp.memory_saving_mbkps();
-  sc.energy_mbkp = cmp.mbkp.energy.system_total();
-  sc.energy_mbkps = cmp.mbkps.energy.system_total();
-  sc.energy_sdem = cmp.sdem.energy.system_total();
-  sc.sleep_sdem = cmp.sdem.memory_sleep_time;
-  sc.sleep_mbkps = cmp.mbkps.memory_sleep_time;
-  sc.solver_seconds = std::chrono::duration<double>(t1 - t0).count();
-  sc.counters = counter_delta(before, obs::Registry::instance().local_counters());
-}
-
-/// Run `seeds` independent comparisons, in parallel when `pool` is given.
-/// Slot i holds seed i+1; the returned vector is always in seed order.
-template <typename MakeTrace>
-std::vector<SeedComparison> collect_seed_comparisons(MakeTrace&& make_trace,
-                                                     const SystemConfig& cfg,
-                                                     int seeds,
-                                                     ThreadPool* pool = nullptr) {
-  std::vector<SeedComparison> out(static_cast<std::size_t>(seeds));
-  parallel_for_seeds(pool, seeds, [&](std::uint64_t seed, std::size_t i) {
-    fill_seed_comparison(out[i], seed, make_trace(seed), cfg);
-  });
-  return out;
-}
-
-/// Grid generalization of collect_seed_comparisons: every (operating point,
-/// seed) cell runs independently on the pool, so sweeps with many points
-/// and few seeds — fig7's 64 cells, a --seeds 2 rerun — still occupy every
-/// worker. `make_trace(point, seed)` builds the cell's trace,
-/// `cfg_for(point)` its config. Returns one seed-ordered vector per point;
-/// cells are pure functions of (point, seed), so the result is
-/// bit-identical to the serial point-major loop at any job count.
-template <typename MakeTrace, typename CfgFor>
-std::vector<std::vector<SeedComparison>> collect_grid_comparisons(
-    MakeTrace&& make_trace, CfgFor&& cfg_for, int points, int seeds,
-    ThreadPool* pool = nullptr) {
-  std::vector<std::vector<SeedComparison>> out(
-      static_cast<std::size_t>(points),
-      std::vector<SeedComparison>(static_cast<std::size_t>(seeds)));
-  parallel_for_grid(pool, points, seeds,
-                    [&](std::size_t point, std::uint64_t seed, std::size_t) {
-                      fill_seed_comparison(out[point][seed - 1], seed,
-                                           make_trace(point, seed),
-                                           cfg_for(point));
-                    });
-  return out;
-}
-
-/// Fold per-seed comparisons into the figures' Welford accumulators, in
-/// seed order (Welford is order-sensitive; this keeps --jobs N output
-/// byte-identical to the serial loop it replaced).
-inline SavingStats to_saving_stats(const std::vector<SeedComparison>& seeds) {
-  SavingStats out;
-  for (const SeedComparison& sc : seeds) {
-    out.sdem_system.add(sc.sdem_system);
-    out.mbkps_system.add(sc.mbkps_system);
-    out.sdem_memory.add(sc.sdem_memory);
-    out.mbkps_memory.add(sc.mbkps_memory);
+  cell.set("sdem_system_saving", cmp.system_saving_sdem());
+  cell.set("mbkps_system_saving", cmp.system_saving_mbkps());
+  cell.set("sdem_memory_saving", cmp.memory_saving_sdem());
+  cell.set("mbkps_memory_saving", cmp.memory_saving_mbkps());
+  cell.set("energy_mbkp_j", cmp.mbkp.energy.system_total());
+  cell.set("energy_mbkps_j", cmp.mbkps.energy.system_total());
+  cell.set("energy_sdem_j", cmp.sdem.energy.system_total());
+  cell.set("memory_sleep_sdem_s", cmp.sdem.memory_sleep_time);
+  cell.set("memory_sleep_mbkps_s", cmp.mbkps.memory_sleep_time);
+  // after - before. Counters only grow and are never removed, so `after`
+  // is a name-sorted superset of `before` and one merge pass suffices.
+  Json counters = Json::object();
+  std::size_t bi = 0;
+  for (const auto& [name, v] : obs::Registry::instance().local_counters()) {
+    while (bi < before.size() && before[bi].first < name) ++bi;
+    const std::uint64_t prev =
+        bi < before.size() && before[bi].first == name ? before[bi].second : 0;
+    if (v > prev) counters.set(name, v - prev);
   }
-  return out;
+  if (counters.size() > 0) cell.set("counters", std::move(counters));
 }
 
 /// "12.34 ±0.56" percentage rendering of a savings Stats.

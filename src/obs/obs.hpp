@@ -183,7 +183,7 @@ class Registry {
   /// The calling thread's deterministic counters, name-sorted — the
   /// per-cell attribution primitive. A grid cell runs entirely on one
   /// worker thread, so reading this before and after the cell and diffing
-  /// (bench_util.hpp's counter_delta) yields counts that are a pure
+  /// (bench_util.hpp's comparison_cell) yields counts that are a pure
   /// function of the cell's work, independent of scheduling or job count.
   /// Only the shard lock is taken; other shards are never touched.
   std::vector<std::pair<std::string, std::uint64_t>> local_counters();

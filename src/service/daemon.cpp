@@ -169,7 +169,6 @@ int Daemon::port() {
 
 void Daemon::request_stop() {
   stop_.store(true, std::memory_order_release);
-  metrics_cv_.notify_all();
   // run() builds and tears down acceptors_ under the same lock, so every
   // wake fd seen here is live (before startup the vector is just empty).
   std::lock_guard<std::mutex> lock(acceptors_mu_);
@@ -196,7 +195,6 @@ int Daemon::run() {
   sopt.shards = opt_.shards;
   sopt.producers = opt_.acceptors;
   sopt.eager = true;
-  sopt.queue_capacity = opt_.queue_capacity;
   if (opt_.shards > 1) pool_ = std::make_unique<ThreadPool>(opt_.shards);
   svc_ = std::make_unique<Service>(
       sopt, pool_.get(), [this](const Request& r, Json resp) {
@@ -242,24 +240,12 @@ int Daemon::run() {
     for (const auto& a : acceptors_) wake(*a);
   }
 
-  if (opt_.metrics_interval_s > 0.0 && !opt_.metrics_path.empty()) {
-    metrics_thread_ = std::thread([this] { metrics_loop(); });
-  }
-
   std::vector<std::thread> threads;
   for (int i = 1; i < opt_.acceptors; ++i) {
     threads.emplace_back([this, i] { acceptor_loop(*acceptors_[i]); });
   }
   acceptor_loop(*acceptors_[0]);
   for (std::thread& t : threads) t.join();
-
-  if (metrics_thread_.joinable()) {
-    // The lead loop can exit without request_stop() (stdin EOF with no TCP
-    // is routed through it, but "nothing to serve" is not).
-    stop_.store(true, std::memory_order_release);
-    metrics_cv_.notify_all();
-    metrics_thread_.join();
-  }
 
   svc_->drain_all();
   close_connections();
@@ -675,33 +661,6 @@ void Daemon::dispatch(Acceptor& a, std::string line, Conn& c) {
       request_stop();
       break;
     }
-  }
-}
-
-void Daemon::metrics_loop() {
-  const auto interval =
-      std::chrono::duration<double>(opt_.metrics_interval_s);
-  std::unique_lock<std::mutex> lock(metrics_mu_);
-  while (!stop_.load(std::memory_order_acquire)) {
-    if (metrics_cv_.wait_for(lock, interval, [this] {
-          return stop_.load(std::memory_order_acquire);
-        })) {
-      break;
-    }
-    lock.unlock();
-    {
-      // Exclusive barrier, like a METRICS request: producers pause, the
-      // drain retires every flushed request, then the snapshot is read.
-      std::unique_lock<std::shared_mutex> gate(barrier_mu_);
-      svc_->drain_all();
-      const std::string text = svc_->metrics_text();
-      std::FILE* f = std::fopen(opt_.metrics_path.c_str(), "w");
-      if (f != nullptr) {
-        std::fwrite(text.data(), 1, text.size(), f);
-        std::fclose(f);
-      }
-    }
-    lock.lock();
   }
 }
 

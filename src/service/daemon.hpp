@@ -60,13 +60,6 @@ struct DaemonOptions {
   int acceptors = 1;
   int port = -1;           ///< -1 = no TCP; 0 = pick a free port
   bool use_stdin = true;   ///< serve requests on stdin/stdout (CLI mode)
-  std::size_t queue_capacity = 1024;
-  /// When > 0 and metrics_path is set, a background thread writes the
-  /// Prometheus exposition (Service::metrics_text()) to metrics_path every
-  /// interval, truncating — the file always holds the latest snapshot.
-  /// Each tick takes the exclusive barrier, so scrapes see quiesced cells.
-  double metrics_interval_s = 0.0;
-  std::string metrics_path;
 };
 
 class Daemon {
@@ -215,8 +208,6 @@ class Daemon {
   /// Answer an over-long line with an error envelope in its conn_seq slot.
   void reject_overlong(Conn& c);
   static void wake(Acceptor& a);
-  /// Body of the periodic metrics-snapshot thread (--metrics-interval).
-  void metrics_loop();
 
   DaemonOptions opt_;
   std::unique_ptr<ThreadPool> pool_;
@@ -237,12 +228,6 @@ class Daemon {
   std::atomic<std::uint64_t> seq_{0};
   std::atomic<int> next_acceptor_{0};
   std::atomic<bool> stop_{false};
-
-  /// Wakes the metrics thread early on shutdown (it otherwise sleeps a
-  /// full interval between snapshots).
-  std::mutex metrics_mu_;
-  std::condition_variable metrics_cv_;
-  std::thread metrics_thread_;
 
   std::mutex port_mu_;
   std::condition_variable port_cv_;

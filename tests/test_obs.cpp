@@ -160,6 +160,44 @@ TEST(BenchRegistry, EachNameSelectsExactlyOne) {
   }
 }
 
+// Every deterministic sweep is a pure function of its cells: a serial run
+// and a pooled one print the same tables and footers and produce the same
+// data once the cell timings and counter attribution are erased. The three
+// excluded experiments time their work.
+TEST(BenchRegistry, EveryDeterministicExperimentIsJobCountIndependent) {
+  struct Output {
+    std::string data, tables, footers;
+  };
+  const auto run = [](const bench::Experiment& e, ThreadPool* pool) {
+    bench::RunOptions opt;
+    opt.seeds = 2;
+    opt.pool = pool;
+    bench::ExperimentResult r = e.run(opt);
+    r.data.erase_key("solver_seconds");
+    r.data.erase_key("counters");
+    Output out{r.data.dump(2), "", ""};
+    for (const Table& t : r.tables) out.tables += t.to_text() + t.to_csv();
+    for (const std::string& f : r.footers) out.footers += f + "\n";
+    return out;
+  };
+  ThreadPool pool(3);
+  int checked = 0;
+  for (const bench::Experiment& e : bench::all_experiments()) {
+    if (e.name == "table1" || e.name == "bounded_partition" ||
+        e.name == "service_throughput") {
+      continue;
+    }
+    SCOPED_TRACE(e.name);
+    const Output serial = run(e, nullptr);
+    const Output pooled = run(e, &pool);
+    EXPECT_EQ(serial.data, pooled.data);
+    EXPECT_EQ(serial.tables, pooled.tables);
+    EXPECT_EQ(serial.footers, pooled.footers);
+    ++checked;
+  }
+  EXPECT_GE(checked, 18);
+}
+
 TEST(BenchRegistry, Table4PrintsMbkpEnergyInTheMbkpColumn) {
   const bench::Experiment* e = bench::find_experiment("table4");
   ASSERT_NE(e, nullptr);

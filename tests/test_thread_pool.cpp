@@ -1,5 +1,5 @@
-// ThreadPool / parallel_for_seeds / parallel_for_grid: the bench
-// harness's determinism contract. A --jobs N sweep must produce
+// ThreadPool / parallel_for_seeds / parallel_for_grid / bench::Grid: the
+// bench harness's determinism contract. A --jobs N sweep must produce
 // bit-identical per-seed results to the serial loop it replaced, whatever
 // the scheduling, because each seed writes only its own slot and folds
 // happen in seed order.
@@ -16,6 +16,8 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "support/json.hpp"
+#include "support/stats.hpp"
 #include "workload/generator.hpp"
 
 namespace sdem {
@@ -119,6 +121,34 @@ TEST(ParallelForSeeds, SlotsMatchSerialBitForBit) {
   }
 }
 
+// Bit-identical, not approximately equal: every metric a comparison cell
+// sets, and its counter attribution.
+void expect_same_comparison_cells(const Json& a, const Json& b) {
+  static const char* const kKeys[] = {
+      "sdem_system_saving", "mbkps_system_saving", "sdem_memory_saving",
+      "mbkps_memory_saving", "energy_mbkp_j",      "energy_mbkps_j",
+      "energy_sdem_j",      "memory_sleep_sdem_s", "memory_sleep_mbkps_s"};
+  const auto bits = [](const Json& j) {
+    return std::bit_cast<std::uint64_t>(j.as_number());
+  };
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    const Json& x = a.at(i);
+    const Json& y = b.at(i);
+    SCOPED_TRACE("cell " + std::to_string(i));
+    EXPECT_EQ(x.at("seed").as_number(), y.at("seed").as_number());
+    for (const char* key : kKeys) {
+      EXPECT_EQ(bits(x.at(key)), bits(y.at(key))) << key;
+    }
+    const Json* cx = x.find("counters");
+    const Json* cy = y.find("counters");
+    ASSERT_EQ(cx == nullptr, cy == nullptr);
+    if (cx != nullptr) {
+      EXPECT_EQ(cx->dump(0), cy->dump(0));
+    }
+  }
+}
+
 // The real acceptance property: the bench harness's seed sweep produces
 // bit-identical per-seed savings and identical folded statistics under any
 // job count, on the actual paper workload + solver stack.
@@ -131,72 +161,121 @@ TEST(ParallelForSeeds, BenchComparisonDeterministicAcrossJobCounts) {
     return make_synthetic(p, seed * 977 + 3);
   };
   constexpr int kSeeds = 6;
-  const auto serial =
-      bench::collect_seed_comparisons(make_trace, cfg, kSeeds, nullptr);
-  ASSERT_EQ(serial.size(), static_cast<std::size_t>(kSeeds));
+  const auto sweep = [&](ThreadPool* pool) {
+    return bench::Grid(pool, 1, kSeeds,
+                       [&](std::size_t, std::uint64_t seed, Json& cell) {
+                         bench::comparison_cell(cell, make_trace(seed), cfg);
+                       });
+  };
+  bench::Grid serial = sweep(nullptr);
+  const Stats a = serial.stats(0, "sdem_system_saving");
+  const Stats a_mem = serial.stats(0, "mbkps_memory_saving");
+  const Json serial_cells = serial.per_seed(0);
+  ASSERT_EQ(serial_cells.size(), static_cast<std::size_t>(kSeeds));
   for (int jobs : {2, 4}) {
     ThreadPool pool(jobs);
-    const auto parallel =
-        bench::collect_seed_comparisons(make_trace, cfg, kSeeds, &pool);
-    ASSERT_EQ(parallel.size(), serial.size());
-    for (std::size_t i = 0; i < serial.size(); ++i) {
-      EXPECT_EQ(serial[i].seed, parallel[i].seed);
-      // Bit-identical, not approximately equal.
-      EXPECT_EQ(serial[i].sdem_system, parallel[i].sdem_system);
-      EXPECT_EQ(serial[i].mbkps_system, parallel[i].mbkps_system);
-      EXPECT_EQ(serial[i].sdem_memory, parallel[i].sdem_memory);
-      EXPECT_EQ(serial[i].mbkps_memory, parallel[i].mbkps_memory);
-      EXPECT_EQ(serial[i].energy_mbkp, parallel[i].energy_mbkp);
-      EXPECT_EQ(serial[i].energy_mbkps, parallel[i].energy_mbkps);
-      EXPECT_EQ(serial[i].energy_sdem, parallel[i].energy_sdem);
-    }
-    const bench::SavingStats a = bench::to_saving_stats(serial);
-    const bench::SavingStats b = bench::to_saving_stats(parallel);
-    EXPECT_EQ(a.sdem_system.mean(), b.sdem_system.mean());
-    EXPECT_EQ(a.sdem_system.sem(), b.sdem_system.sem());
-    EXPECT_EQ(a.mbkps_memory.mean(), b.mbkps_memory.mean());
+    bench::Grid parallel = sweep(&pool);
+    const Stats b = parallel.stats(0, "sdem_system_saving");
+    EXPECT_EQ(a.mean(), b.mean());
+    EXPECT_EQ(a.sem(), b.sem());
+    EXPECT_EQ(a_mem.mean(), parallel.stats(0, "mbkps_memory_saving").mean());
+    expect_same_comparison_cells(serial_cells, parallel.per_seed(0));
   }
 }
 
-// Grid sweeps (parallel_for_grid): every (point, seed) cell is a pure
-// function of its inputs, so pooled and serial sweeps return identical
-// bytes, per-cell counter attribution included.
+// Grid sweeps: every (point, seed) cell is a pure function of its inputs,
+// so pooled and serial sweeps return identical bytes, per-cell counter
+// attribution included.
 TEST(ThreadPool, PooledGridSweepIsPureLayout) {
   const auto make_trace = [](std::size_t point, std::uint64_t seed) {
     return make_agreeable(8 + static_cast<int>(point) * 2, seed * 31 + point,
                           0.080);
   };
   const SystemConfig cfg = SystemConfig::paper_default();
-  const auto cfg_for = [&](std::size_t) -> const SystemConfig& { return cfg; };
   constexpr int kPoints = 3, kSeeds = 4;
+  const auto sweep = [&](ThreadPool* pool) {
+    return bench::Grid(
+        pool, kPoints, kSeeds,
+        [&](std::size_t point, std::uint64_t seed, Json& cell) {
+          bench::comparison_cell(cell, make_trace(point, seed), cfg);
+        });
+  };
 
-  const auto serial =
-      bench::collect_grid_comparisons(make_trace, cfg_for, kPoints, kSeeds);
+  bench::Grid serial = sweep(nullptr);
   ThreadPool pool(3);
-  const auto pooled = bench::collect_grid_comparisons(make_trace, cfg_for,
-                                                      kPoints, kSeeds, &pool);
-  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
-  ASSERT_EQ(serial.size(), pooled.size());
-  for (std::size_t p = 0; p < serial.size(); ++p) {
-    ASSERT_EQ(serial[p].size(), pooled[p].size());
-    for (std::size_t s = 0; s < serial[p].size(); ++s) {
-      const bench::SeedComparison& x = serial[p][s];
-      const bench::SeedComparison& y = pooled[p][s];
-      SCOPED_TRACE("point " + std::to_string(p) + " seed " +
-                   std::to_string(s + 1));
-      EXPECT_EQ(x.seed, y.seed);
-      EXPECT_EQ(bits(x.sdem_system), bits(y.sdem_system));
-      EXPECT_EQ(bits(x.mbkps_system), bits(y.mbkps_system));
-      EXPECT_EQ(bits(x.sdem_memory), bits(y.sdem_memory));
-      EXPECT_EQ(bits(x.mbkps_memory), bits(y.mbkps_memory));
-      EXPECT_EQ(bits(x.energy_mbkp), bits(y.energy_mbkp));
-      EXPECT_EQ(bits(x.energy_mbkps), bits(y.energy_mbkps));
-      EXPECT_EQ(bits(x.energy_sdem), bits(y.energy_sdem));
-      EXPECT_EQ(bits(x.sleep_sdem), bits(y.sleep_sdem));
-      EXPECT_EQ(bits(x.sleep_mbkps), bits(y.sleep_mbkps));
-      EXPECT_EQ(x.counters, y.counters);
-    }
+  bench::Grid pooled = sweep(&pool);
+  for (std::size_t p = 0; p < kPoints; ++p) {
+    SCOPED_TRACE("point " + std::to_string(p));
+    expect_same_comparison_cells(serial.per_seed(p), pooled.per_seed(p));
   }
+}
+
+// Grid's folds read only the cells that set a key, in seed order, and a
+// per-seed entry lists "seed", the cell's keys in the order it set them,
+// then "solver_seconds".
+TEST(BenchGrid, FoldsSkipUnsetKeysAndKeepSeedOrder) {
+  // Odd seeds set "x"; point 0 sets "x" before "y", point 1 after it.
+  const double xs[] = {0.3, 0.0, 0.7, 0.0, 0.2};
+  bench::Grid g(nullptr, 2, 5,
+                [&](std::size_t point, std::uint64_t seed, Json& cell) {
+                  const bool odd = seed % 2 == 1;
+                  const double x = xs[seed - 1] + static_cast<double>(point);
+                  if (point == 0 && odd) cell.set("x", x);
+                  cell.set("y", 1.0 / static_cast<double>(seed + 2));
+                  if (point == 1 && odd) cell.set("x", x);
+                });
+
+  EXPECT_EQ(g.count(0, "x"), 3u);
+  EXPECT_EQ(g.count(0, "y"), 5u);
+  EXPECT_EQ(g.count(0, "absent"), 0u);
+  EXPECT_EQ(g.sum(0, "absent"), 0.0);
+  EXPECT_EQ(g.sum(0, "x"), 0.0 + 0.3 + 0.7 + 0.2);
+  EXPECT_EQ(g.max(0, "x"), 0.7);
+  EXPECT_EQ(g.max(1, "x"), 1.7);
+  double y_sum = 0.0;
+  Stats y_ref;
+  for (int seed = 1; seed <= 5; ++seed) {
+    y_sum += 1.0 / (seed + 2);
+    y_ref.add(1.0 / (seed + 2));
+  }
+  EXPECT_EQ(g.sum(1, "y"), y_sum);
+  const Stats y = g.stats(1, "y");
+  EXPECT_EQ(y.count(), y_ref.count());
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(y.mean()),
+            std::bit_cast<std::uint64_t>(y_ref.mean()));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(y.sem()),
+            std::bit_cast<std::uint64_t>(y_ref.sem()));
+
+  const double total = g.solver_seconds();
+  const Json cells = g.per_seed(1, g.per_seed(0));
+  ASSERT_EQ(cells.size(), 10u);
+  double seconds = 0.0;
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    const std::uint64_t seed = i % 5 + 1;
+    const std::string dump = cells.at(i).dump(0);
+    SCOPED_TRACE(dump);
+    EXPECT_EQ(cells.at(i).at("seed").as_number(), static_cast<double>(seed));
+    const std::size_t s = dump.find("\"seed\"");
+    const std::size_t x = dump.find("\"x\"");
+    const std::size_t yk = dump.find("\"y\"");
+    const std::size_t t = dump.find("\"solver_seconds\"");
+    const double cell_seconds = cells.at(i).at("solver_seconds").as_number();
+    EXPECT_EQ(s, 1u);
+    EXPECT_LT(yk, t);
+    EXPECT_EQ(dump.substr(t), "\"solver_seconds\": " +
+                                  Json::number_to_string(cell_seconds) + "}");
+    if (seed % 2 == 0) {
+      EXPECT_EQ(x, std::string::npos);
+    } else if (i < 5) {
+      EXPECT_LT(s, x);
+      EXPECT_LT(x, yk);
+    } else {
+      EXPECT_LT(yk, x);
+      EXPECT_LT(x, t);
+    }
+    seconds += cell_seconds;
+  }
+  EXPECT_EQ(seconds, total);
 }
 
 }  // namespace

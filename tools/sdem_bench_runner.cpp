@@ -4,7 +4,8 @@
 // experiments (bench/bench_registry.hpp) with the seed sweeps spread across
 // a thread pool, prints each experiment's tables, and writes one
 // BENCH_<name>.json per experiment with full-precision per-seed metrics,
-// per-seed solver timings, and the experiment wall-clock.
+// per-seed solver timings, and the experiment wall-clock (--md alone
+// prints markdown and writes none).
 // docs/benchmarks.md documents the JSON schema and the regeneration
 // recipes.
 //
@@ -54,6 +55,7 @@ int usage(int code) {
       "  --jobs N          worker threads; 1 = serial (default: hardware)\n"
       "  --out PATH        JSON path for a single-experiment run; '-' for\n"
       "                    stdout; default BENCH_<name>.json per experiment\n"
+      "                    (none with --md)\n"
       "  --stable          omit timings, job count, and observability\n"
       "                    sections from the JSON (byte-reproducible across\n"
       "                    runs and --jobs)\n"
@@ -321,6 +323,9 @@ int main(int argc, char** argv) {
     }
     if (timer_rollup && obs::compiled())
       print_timer_rollup(obs::Registry::instance().snapshot());
+    // --md without --out writes no document: run from the repository root,
+    // the default path would overwrite a committed artifact.
+    if (md && out_path.empty()) continue;
 
     const int used_seeds = seeds > 0 ? seeds : e->default_seeds;
     auto mark = std::chrono::steady_clock::now();

@@ -72,7 +72,6 @@ int usage(int code) {
       "                    (default 1; connections assigned round-robin)\n"
       "  --port PORT       also serve ndjson on 127.0.0.1:PORT (0 = pick a\n"
       "                    free port; the chosen port is printed to stderr)\n"
-      "  --queue-capacity N  per (producer, shard) ring slots (default 1024)\n"
       "  --replay FILE     replay an ndjson arrival stream deterministically\n"
       "                    and print per-island schedules to stdout\n"
       "  --verify-batch    with --replay: re-run the batch simulator per\n"
@@ -85,10 +84,6 @@ int usage(int code) {
       "  --connect PORT    daemon port for --load-gen\n"
       "  --conns C         concurrent load-gen connections (default 1)\n"
       "  --trace PATH      record a chrome://tracing JSON of the run\n"
-      "  --metrics-interval S  daemon mode: write a Prometheus metrics\n"
-      "                    snapshot every S seconds (needs --metrics-out)\n"
-      "  --metrics-out PATH  snapshot file, truncated each tick so it\n"
-      "                    always holds the latest exposition\n"
       "  --help            this message\n");
   return code;
 }
@@ -98,7 +93,6 @@ struct Options {
   int shards = 1;
   int acceptors = 1;
   int port = -1;  ///< -1 = no TCP
-  std::size_t queue_capacity = 1024;
   std::string replay;
   bool verify_batch = false;
   long gen_stream = 0;
@@ -108,8 +102,6 @@ struct Options {
   int connect_port = -1;
   int conns = 1;
   std::string trace;
-  double metrics_interval = 0.0;
-  std::string metrics_out;
 };
 
 /// SIGINT/SIGTERM → one byte down a self-pipe; a watcher thread turns it
@@ -212,7 +204,6 @@ int run_replay(const Options& o) {
   sopt.policy = o.policy;
   sopt.shards = o.shards;
   sopt.eager = false;  // batch same-instant arrivals exactly like simulate()
-  sopt.queue_capacity = o.queue_capacity;
   std::unique_ptr<ThreadPool> pool;
   if (o.shards > 1) pool = std::make_unique<ThreadPool>(o.shards);
 
@@ -427,13 +418,6 @@ int main(int argc, char** argv) {
       }
     } else if (arg == "--port") {
       o.port = std::atoi(value("--port"));
-    } else if (arg == "--queue-capacity") {
-      const long v = std::atol(value("--queue-capacity"));
-      if (v < 1) {
-        std::fprintf(stderr, "--queue-capacity needs a positive integer\n");
-        return usage(2);
-      }
-      o.queue_capacity = static_cast<std::size_t>(v);
     } else if (arg == "--replay") {
       o.replay = value("--replay");
     } else if (arg == "--verify-batch") {
@@ -456,14 +440,6 @@ int main(int argc, char** argv) {
       o.conns = std::atoi(value("--conns"));
     } else if (arg == "--trace") {
       o.trace = value("--trace");
-    } else if (arg == "--metrics-interval") {
-      o.metrics_interval = std::atof(value("--metrics-interval"));
-      if (!(o.metrics_interval > 0.0)) {
-        std::fprintf(stderr, "--metrics-interval needs a positive number\n");
-        return usage(2);
-      }
-    } else if (arg == "--metrics-out") {
-      o.metrics_out = value("--metrics-out");
     } else if (arg == "--help" || arg == "-h") {
       return usage(0);
     } else {
@@ -482,20 +458,12 @@ int main(int argc, char** argv) {
     } else if (!o.replay.empty()) {
       rc = run_replay(o);
     } else {
-      if ((o.metrics_interval > 0.0) != !o.metrics_out.empty()) {
-        std::fprintf(stderr,
-                     "--metrics-interval and --metrics-out go together\n");
-        return usage(2);
-      }
       DaemonOptions dopt;
       dopt.policy = o.policy;
       dopt.shards = o.shards;
       dopt.acceptors = o.acceptors;
       dopt.port = o.port;
       dopt.use_stdin = true;
-      dopt.queue_capacity = o.queue_capacity;
-      dopt.metrics_interval_s = o.metrics_interval;
-      dopt.metrics_path = o.metrics_out;
       Daemon daemon(dopt);
       std::thread sig_watcher;
       if (::pipe(g_signal_pipe) == 0) {
