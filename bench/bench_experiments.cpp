@@ -1730,8 +1730,8 @@ std::vector<std::string> make_throughput_lines(long n, int islands,
 //   * ingest events/s — until every producer has routed + flushed its
 //     stream. This is the acceptor-thread service rate, the axis the
 //     pipeline targets: it bounds what a daemon can pull off the socket.
-//     Rings are sized to hold the full stream so backpressure never
-//     blocks the stage under test.
+//     Shard queues are sized to hold the full stream so backpressure
+//     never blocks the stage under test.
 //   * e2e events/s — until drain_all() returns (every task parsed,
 //     admitted and planned). On a single-core host ingest and shard work
 //     time-share, so e2e ~= the sum of both stages; with >= shards+1
@@ -1798,7 +1798,7 @@ ExperimentResult run_service_throughput(const RunOptions& opt) {
     sopt.shards = c.shards;
     sopt.producers = c.producers;
     sopt.eager = false;
-    // Hold a full per-ring share of the stream (islands are uniform across
+    // Hold a full per-shard share of the stream (islands are uniform across
     // shards and producers) so the ingest stage is measured unthrottled.
     sopt.queue_capacity =
         static_cast<std::size_t>(c.events) /

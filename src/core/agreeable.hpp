@@ -42,14 +42,4 @@ OfflineResult solve_agreeable(const TaskSet& tasks, const SystemConfig& cfg,
 OfflineResult solve_agreeable_reference(const TaskSet& tasks,
                                         const SystemConfig& cfg);
 
-/// Paper-facing aliases for the two subsections.
-inline OfflineResult solve_agreeable_alpha0(const TaskSet& tasks,
-                                            const SystemConfig& cfg) {
-  return solve_agreeable(tasks, cfg);
-}
-inline OfflineResult solve_agreeable_alpha(const TaskSet& tasks,
-                                           const SystemConfig& cfg) {
-  return solve_agreeable(tasks, cfg);
-}
-
 }  // namespace sdem

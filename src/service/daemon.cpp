@@ -429,8 +429,9 @@ void Daemon::acceptor_loop(Acceptor& a) {
     if (stdin_open && !stdin_polled && !stop_.load(std::memory_order_acquire)) {
       read_stdin();
     }
-    // Bound latency: staged raw lines ride to the rings before we block in
-    // epoll_wait again (route_raw auto-flushes only at full batches).
+    // Bound latency: staged raw lines ride to the shard queues before we
+    // block in epoll_wait again (route_raw auto-flushes only at full
+    // batches).
     std::shared_lock<std::shared_mutex> gate(barrier_mu_);
     svc_->flush(a.index);
   }

@@ -8,10 +8,10 @@
 // Service pipeline (service.hpp). Acceptor 0 owns stdin and the TCP
 // listener; accepted connections are handed out round-robin over wake
 // pipes and then belong to exactly one acceptor for life — which is what
-// keeps each (producer, shard) ring single-producer and each connection's
-// request stream in arrival order. An acceptor that finds a shard's drain
-// short runs it itself (read, parse, commit, dump and write on one thread);
-// longer drains go to the `shards`-thread pool.
+// keeps each connection's request stream in arrival order. An acceptor
+// that finds a shard's drain short runs it itself (read, parse, commit,
+// dump and write on one thread); longer drains go to the `shards`-thread
+// pool.
 //
 // Per-connection response order is restored by a reorder buffer keyed on
 // Request::conn_seq (shards complete out of order; two connections'

@@ -1,10 +1,12 @@
 #include "service/service.hpp"
 
 #include <algorithm>
-#include <array>
+#include <atomic>
 #include <bit>
 #include <cmath>
+#include <condition_variable>
 #include <limits>
+#include <mutex>
 #include <stdexcept>
 #include <utility>
 
@@ -17,28 +19,26 @@
 namespace sdem::service {
 namespace {
 
-/// Lines staged per (producer, shard) before an automatic ring push, and
-/// the drain's pop batch. One acquire/release pair moves this many
-/// requests across the ring.
+/// Lines staged per (producer, shard) before an automatic push to the
+/// shard's queue. One lock round moves this many requests.
 constexpr std::size_t kIngestBatch = 64;
-constexpr std::size_t kDrainBatch = 64;
 
-/// A producer that wins a shard's drain runs it on its own thread while the
+/// A producer that takes a shard's drain runs it on its own thread while the
 /// drain is short, since then a pool wake-up costs more than the work (the
 /// paper's break-even rule applied to the daemon). Short means, first, that
-/// the shard's rings hold at most kInlineBatch messages: a closed-loop
+/// the shard's queue holds at most kInlineBatch messages: a closed-loop
 /// client pushes one per flush, while batch ingest (--replay, piped stdin,
 /// service_throughput) pushes kIngestBatch and keeps its producer/shard
-/// overlap on the pool. The inline drain also handles at most this many
-/// messages before it hands the rest to the pool, so other producers'
-/// traffic cannot hold a producer.
+/// overlap on the pool. The inline drain also takes the queue only while
+/// it fits this many messages in all, and hands the rest to the pool, so
+/// other producers' traffic cannot hold a producer.
 constexpr std::size_t kInlineBatch = 4;
 /// Second, the island the shard served last had at most this many pending
 /// tasks. The §7 solve and the QUERY dump both grow with the pending set;
 /// past it, one acceptor running every commit itself would serialize its
 /// connections' slow commits.
 constexpr std::size_t kInlinePending = 16;
-/// A pool drain's budget: it runs until the rings are empty.
+/// A pool drain's budget: it runs until the queue is empty.
 constexpr std::size_t kUnbounded = std::numeric_limits<std::size_t>::max();
 
 /// The task ids one island has accepted (duplicate-submit detection): a
@@ -126,7 +126,7 @@ struct Service::Island {
   bool finalized = false;
 };
 
-/// One ring entry: either an already-parsed request (raw.empty()) or a raw
+/// One queue entry: either an already-parsed request (raw.empty()) or a raw
 /// line to parse in the shard's drain. For raw entries, `req` carries the
 /// routing skeleton — peeked op/island plus seq/conn/conn_seq.
 struct Service::Msg {
@@ -135,28 +135,43 @@ struct Service::Msg {
 };
 
 struct Service::Shard {
-  Shard(int index, std::size_t capacity, int producers)
-      : replan_metric("service/shard" + std::to_string(index) + "/replan_ns"),
+  Shard(int index, std::size_t capacity)
+      : capacity(capacity),
+        replan_metric("service/shard" + std::to_string(index) + "/replan_ns"),
         requests_metric("service/shard" + std::to_string(index) +
                         "/requests"),
         replan_window_metric("service/shard" + std::to_string(index) +
                              "/replan_window_ns"),
         e2e_window_metric("service/shard" + std::to_string(index) +
                           "/e2e_window_ns") {
-    rings.reserve(static_cast<std::size_t>(producers));
-    for (int p = 0; p < producers; ++p) {
-      rings.push_back(std::make_unique<SpscRing<Msg>>(capacity));
-    }
+    queue.reserve(capacity);
+    batch.reserve(capacity);
   }
 
-  /// One SPSC ring per producer; the single in-flight drain (enforced by
-  /// `scheduled`) is the common consumer, so each ring stays SPSC.
-  std::vector<std::unique_ptr<SpscRing<Msg>>> rings;
-  std::atomic<bool> scheduled{false};
+  /// The most messages `queue` holds.
+  const std::size_t capacity;
+
+  /// Guards the four fields below it. A queued message always has an
+  /// owning drain: a push that finds `scheduled` clear sets it in the same
+  /// critical section, and a drain clears it only when it finds the queue
+  /// empty.
+  std::mutex mu;
+  std::vector<Msg> queue;  ///< every producer's pushes, in push order
+  bool scheduled = false;  ///< a drain owns the shard
+  /// Threads waiting on `wake`: producers facing a full queue, and
+  /// drain_all() waiting for the drain to retire.
+  std::size_t waiters = 0;
+  /// Waits producers took on a full queue (the METRICS backpressure
+  /// counter).
+  std::uint64_t stalls = 0;
+  std::condition_variable wake;
+
+  /// The queue the drain took last. Only the drain touches it. Both
+  /// vectors keep `capacity` reserved and trade buffers on every take, so
+  /// a push never reallocates.
+  std::vector<Msg> batch;
+
   std::atomic<std::uint64_t> processed{0};
-  /// Backoff pauses taken by producers waiting on this shard's full rings
-  /// (the METRICS backpressure gauge; one count per wait step).
-  std::atomic<std::uint64_t> stalls{0};
   /// Drains run on a producer's thread and drains submitted to the pool
   /// (METRICS sdem_shard_drains_total). An inline drain that outgrows its
   /// budget and moves to the pool counts once in each.
@@ -166,38 +181,17 @@ struct Service::Shard {
   /// by the drain, read by producers choosing where the next drain runs.
   std::atomic<std::size_t> last_pending{0};
 
-  /// The drain's pop buffer. Only the drain holding `scheduled` touches
-  /// it, so it lives here rather than being built and torn down per drain.
-  std::array<Msg, kDrainBatch> drain_buf;
-
   std::map<int, std::unique_ptr<Island>> islands;
   std::string replan_metric;
   std::string requests_metric;
   std::string replan_window_metric;
   std::string e2e_window_metric;
-
-  /// Entries currently sitting in this shard's rings (occupancy gauge;
-  /// approximate while producers are live, exact once quiesced).
-  std::size_t ring_occupancy() const {
-    std::size_t n = 0;
-    for (const auto& r : rings) n += r->size();
-    return n;
-  }
-
-  bool empty() const {
-    for (const auto& r : rings) {
-      if (!r->empty()) return false;
-    }
-    return true;
-  }
 };
 
-/// Producer-side staging: per-shard batches awaiting a push_n. Owned by
+/// Producer-side staging: per-shard batches awaiting a push. Owned by
 /// exactly one ingest thread; no synchronization.
 struct Service::Producer {
-  Producer(std::size_t index, std::size_t shards)
-      : index(index), staged(shards) {}
-  std::size_t index;  ///< which ring slot this producer owns in each shard
+  explicit Producer(std::size_t shards) : staged(shards) {}
   std::vector<std::vector<Msg>> staged;
 };
 
@@ -222,13 +216,12 @@ Service::Service(ServiceOptions opt, ThreadPool* pool,
   }
   shards_.reserve(static_cast<std::size_t>(opt_.shards));
   for (int i = 0; i < opt_.shards; ++i) {
-    shards_.push_back(
-        std::make_unique<Shard>(i, opt_.queue_capacity, opt_.producers));
+    shards_.push_back(std::make_unique<Shard>(
+        i, opt_.queue_capacity * static_cast<std::size_t>(opt_.producers)));
   }
   producers_.reserve(static_cast<std::size_t>(opt_.producers));
   for (int p = 0; p < opt_.producers; ++p) {
-    producers_.push_back(std::make_unique<Producer>(
-        static_cast<std::size_t>(p), shards_.size()));
+    producers_.push_back(std::make_unique<Producer>(shards_.size()));
   }
   start_ns_ = obs::now_ns();
 }
@@ -263,11 +256,11 @@ Service::Island& Service::island_of(Shard& s, int island) {
   return *it->second;
 }
 
-void Service::schedule_drain(Shard& s) {
-  // The caller won `scheduled`, so it owns the drain; only which thread runs
+void Service::schedule_drain(Shard& s, std::size_t queued) {
+  // The caller set `scheduled`, so it owns the drain; only which thread runs
   // it is chosen here, never the order in which messages are handled.
   if (pool_ == nullptr ||
-      (s.ring_occupancy() <= kInlineBatch &&
+      (queued <= kInlineBatch &&
        s.last_pending.load(std::memory_order_relaxed) <= kInlinePending)) {
     s.inline_drains.fetch_add(1, std::memory_order_relaxed);
     // Without a pool there is nobody to hand work to: drain it all here.
@@ -280,33 +273,32 @@ void Service::schedule_drain(Shard& s) {
 }
 
 void Service::flush_shard(Producer& p, std::size_t shard) {
-  std::vector<Msg>& batch = p.staged[shard];
-  if (batch.empty()) return;
+  std::vector<Msg>& staged = p.staged[shard];
   Shard& s = *shards_[shard];
-  SpscRing<Msg>& ring = *s.rings[p.index];
-  std::size_t off = 0;
-  Backoff backoff;
-  while (off < batch.size()) {
-    const std::size_t pushed =
-        ring.push_n(batch.data() + off, batch.size() - off);
-    off += pushed;
-    // Make sure a consumer exists before (and while) we wait on a full
-    // ring, otherwise backpressure would deadlock the producer. The fence
-    // pairs with the one in drain(): either the retiring drain sees this
-    // push, or this exchange sees its retire and schedules a new drain.
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    if (!s.scheduled.exchange(true, std::memory_order_acq_rel)) {
-      schedule_drain(s);
+  std::size_t next = 0;
+  while (next < staged.size()) {
+    std::size_t queued = 0;
+    bool own = false;
+    {
+      std::unique_lock<std::mutex> lock(s.mu);
+      // A full queue is not empty, so its drain exists and wakes us when it
+      // takes the queue.
+      if (s.queue.size() == s.capacity) {
+        ++s.stalls;
+        ++s.waiters;
+        s.wake.wait(lock, [&s] { return s.queue.size() < s.capacity; });
+        --s.waiters;
+      }
+      while (next < staged.size() && s.queue.size() < s.capacity) {
+        s.queue.push_back(std::move(staged[next++]));
+      }
+      queued = s.queue.size();
+      own = !s.scheduled;
+      s.scheduled = true;
     }
-    if (off == batch.size()) break;
-    if (pushed > 0) {
-      backoff.reset();
-    } else {
-      s.stalls.fetch_add(1, std::memory_order_relaxed);
-      backoff.pause();
-    }
+    if (own) schedule_drain(s, queued);
   }
-  batch.clear();
+  staged.clear();
 }
 
 void Service::route(Request req, int producer) {
@@ -368,49 +360,37 @@ bool Service::drain(Shard& s, std::size_t budget) {
   std::uint64_t* req_count =
       obs::counter_cell(s.requests_metric.c_str(), obs::Domain::kRuntime);
 #endif
-  Msg* const buf = s.drain_buf.data();
   for (;;) {
-    bool progressed = true;
-    while (progressed && budget > 0) {
-      progressed = false;
-      for (const auto& ring : s.rings) {
-        const std::size_t k = ring->pop_n(buf, std::min(kDrainBatch, budget));
-        for (std::size_t i = 0; i < k; ++i) {
-          handle(s, buf[i], cells);
-#if SDEM_OBS
-          // Windowed end-to-end latency: ingest stamp to response done.
-          if (buf[i].req.ingest_ns != 0) {
-            const std::uint64_t now = obs::now_ns();
-            cells.e2e_win->add(
-                static_cast<double>(now - buf[i].req.ingest_ns), now);
-          }
-#endif
-          // Free the line now. A slot that kept its storage would hand it
-          // to the ring slot the next pop empties; a closed loop cycles
-          // through every slot of the ring, so each would keep a buffer as
-          // large as the longest line it ever carried.
-          std::string().swap(buf[i].raw);
-        }
-        if (k > 0) {
-          progressed = true;
-          budget -= k;
-          s.processed.fetch_add(k, std::memory_order_release);
-#if SDEM_OBS
-          *req_count += k;
-#endif
-        }
-        if (budget == 0) break;
+    {
+      std::lock_guard<std::mutex> lock(s.mu);
+      // Past the budget: return still owning the drain.
+      if (s.queue.size() > budget) return false;
+      const bool retire = s.queue.empty();
+      if (retire) {
+        s.scheduled = false;
+      } else {
+        s.batch.swap(s.queue);
       }
+      // The queue has room, or the drain retired: wake whoever waits.
+      if (s.waiters > 0) s.wake.notify_all();
+      if (retire) return true;
     }
-    // Out of budget with work left: return still holding `scheduled`.
-    if (budget == 0 && !s.empty()) return false;
-    // Standard actor hand-off: unpublish, re-check, re-acquire or retire.
-    // The fence keeps the re-check from reading the rings before the
-    // unpublish is visible (store-load order; see flush_shard).
-    s.scheduled.store(false, std::memory_order_release);
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    if (s.empty()) return true;
-    if (s.scheduled.exchange(true, std::memory_order_acq_rel)) return true;
+    budget -= s.batch.size();
+    for (Msg& m : s.batch) {
+      handle(s, m, cells);
+#if SDEM_OBS
+      // Windowed end-to-end latency: ingest stamp to response done.
+      if (m.req.ingest_ns != 0) {
+        const std::uint64_t now = obs::now_ns();
+        cells.e2e_win->add(static_cast<double>(now - m.req.ingest_ns), now);
+      }
+#endif
+    }
+    s.processed.fetch_add(s.batch.size(), std::memory_order_release);
+#if SDEM_OBS
+    *req_count += s.batch.size();
+#endif
+    s.batch.clear();  // frees the handled lines
   }
 }
 
@@ -545,19 +525,13 @@ void Service::process(Shard& s, Request& r, const ShardCells& cells) {
 }
 
 void Service::drain_all() {
-  Backoff backoff;
+  // A queued message always has an owning drain, so once a shard's drain
+  // has retired, everything flushed to it has been handled.
   for (const auto& s : shards_) {
-    while (!s->empty() || s->scheduled.load(std::memory_order_acquire)) {
-      // A flushed-but-unscheduled ring can only exist transiently between
-      // a push and the scheduled.exchange in flush_shard; make sure a
-      // consumer exists rather than waiting on one that already retired.
-      if (!s->empty() &&
-          !s->scheduled.exchange(true, std::memory_order_acq_rel)) {
-        schedule_drain(*s);
-      }
-      backoff.pause();
-    }
-    backoff.reset();
+    std::unique_lock<std::mutex> lock(s->mu);
+    ++s->waiters;
+    s->wake.wait(lock, [&s] { return !s->scheduled; });
+    --s->waiters;
   }
   // Retire the drain tasks themselves (and rethrow anything fatal).
   if (pool_ != nullptr) pool_->wait_idle();
@@ -661,14 +635,15 @@ std::string Service::metrics_text() const {
   }
   line("# TYPE sdem_ring_occupancy gauge");
   for (std::size_t i = 0; i < shards_.size(); ++i) {
+    std::lock_guard<std::mutex> lock(shards_[i]->mu);
     line("sdem_ring_occupancy" + shard_label(i) + " " +
-         prom_num(static_cast<double>(shards_[i]->ring_occupancy())));
+         prom_num(static_cast<double>(shards_[i]->queue.size())));
   }
   line("# TYPE sdem_backpressure_stalls_total counter");
   for (std::size_t i = 0; i < shards_.size(); ++i) {
+    std::lock_guard<std::mutex> lock(shards_[i]->mu);
     line("sdem_backpressure_stalls_total" + shard_label(i) + " " +
-         prom_num(static_cast<double>(
-             shards_[i]->stalls.load(std::memory_order_relaxed))));
+         prom_num(static_cast<double>(shards_[i]->stalls)));
   }
   line("# TYPE sdem_shard_drains_total counter");
   for (std::size_t i = 0; i < shards_.size(); ++i) {

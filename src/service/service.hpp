@@ -8,37 +8,37 @@
 //
 // Request flow is a three-stage pipeline (docs/service.md §3):
 //
-//   ingest (N producers)  →  SPSC rings  →  shard drains (parse + solve)
+//   ingest (N producers)  →  shard queues  →  shard drains (parse + solve)
 //
 //   * Producers are ingest threads (the daemon's acceptor threads, or the
-//     replay loop). Each producer owns one bounded SpscRing per shard
-//     (support/spsc_ring.hpp), so every ring stays strictly
-//     single-producer; the single in-flight drain per shard (an atomic
-//     `scheduled` flag) keeps it single-consumer.
-//   * The producer that wins `scheduled` owns the drain and picks its
-//     thread. A short drain (a few queued messages, a small pending set on
-//     the island the shard served last) runs on the producer itself: a
-//     closed-loop request then needs no pool wake-up. Anything longer, and
-//     an inline drain that outgrows its budget, goes to the pool. Without a
-//     pool every drain is inline. The choice moves no message and changes
-//     no byte.
+//     replay loop). Each shard has one bounded queue, guarded by one mutex,
+//     that every producer pushes to. At most one drain owns a shard (its
+//     `scheduled` flag), and a queued message always has one: the push
+//     that finds no drain takes it in the same critical section, and a
+//     drain retires only when it finds the queue empty.
+//   * The producer that takes the drain picks its thread. A short drain (a
+//     few queued messages, a small pending set on the island the shard
+//     served last) runs on the producer itself: a closed-loop request then
+//     needs no pool wake-up. Anything longer, and an inline drain that
+//     outgrows its budget, goes to the pool. Without a pool every drain is
+//     inline. The choice moves no message and changes no byte.
 //   * route_raw() ships the *unparsed* line: the producer only needs the
 //     peeked (op, island) routing key (protocol.hpp peek_request); the
 //     expensive parse_request() runs in the shard's drain. route() ships an
 //     already-parsed Request for callers that have one (tests and the
 //     peek-miss fallback).
-//   * Producer-side staging batches ring traffic: route_raw() appends to a
-//     per-(producer, shard) buffer and push_n moves the whole batch with
-//     one acquire/release pair when the batch fills or flush() is called.
+//   * Producer-side staging batches queue traffic: route_raw() appends to a
+//     per-(producer, shard) buffer, and one lock round moves the whole
+//     batch when it fills or flush() is called.
 //
 // Determinism: an island's schedule is a pure function of its own arrival
 // stream — shards never exchange state, and one producer's requests for
-// one island traverse one FIFO ring — so any `shards` value produces
+// one island traverse one FIFO queue — so any `shards` value produces
 // identical per-island results (pinned by tests/test_service.cpp).
 //
-// Backpressure: rings are bounded (ServiceOptions::queue_capacity). When a
-// ring is full the producer waits on a Backoff ladder (spin → yield →
-// sleep, support/spsc_ring.hpp) until the drain catches up — the ingest
+// Backpressure: a shard queue holds ServiceOptions::queue_capacity
+// messages per producer. A producer that finds it full waits on the
+// shard's condition variable until the drain takes the queue — the ingest
 // loop stops reading input and kernel socket buffers push the backpressure
 // to clients, without a stalled shard costing a spinning core.
 //
@@ -49,11 +49,10 @@
 // (obs/window.hpp) — per-commit replan latency and ingest-to-response
 // latency over the last few seconds — which back the METRICS verb's
 // Prometheus exposition (metrics()/metrics_text(), docs/service.md §METRICS)
-// together with ring-occupancy, backpressure-stall and drain-placement
+// together with queue-length, backpressure-stall and drain-placement
 // counts.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -65,7 +64,6 @@
 #include "obs/obs.hpp"
 #include "service/protocol.hpp"
 #include "sim/event_sim.hpp"
-#include "support/spsc_ring.hpp"
 #include "support/thread_pool.hpp"
 
 namespace sdem::service {
@@ -79,16 +77,17 @@ struct ServiceOptions {
   SystemConfig cfg = SystemConfig::paper_default();
   std::string policy = "sdem-on";
   int shards = 1;
-  /// Ingest threads. Every producer index in [0, producers) owns a private
-  /// SPSC ring per shard plus a staging buffer; calls into route()/
-  /// route_raw()/flush() for one producer index must come from one thread
-  /// at a time.
+  /// Ingest threads. Every producer index in [0, producers) owns a staging
+  /// buffer per shard; calls into route()/route_raw()/flush() for one
+  /// producer index must come from one thread at a time.
   int producers = 1;
   /// Live mode commits (replan + answer) on every SUBMIT; replay mode
   /// batches same-instant arrivals exactly like the batch simulator so the
   /// full SimResult (replans included) matches simulate().
   bool eager = true;
-  std::size_t queue_capacity = 1024;  ///< per (producer, shard) ring
+  /// A shard's queue holds this many messages per producer; a producer
+  /// that finds it full waits for the drain.
+  std::size_t queue_capacity = 1024;
 };
 
 class Service {
@@ -118,18 +117,18 @@ class Service {
   /// parses it (parse-on-shard). `island`/`op` are the peeked routing key
   /// (protocol.hpp peek_request) — callers must only pass lines whose peek
   /// was routable. seq/conn/conn_seq ride along for response ordering.
-  /// Staged lines are pushed to the ring in batches; call flush() at the
-  /// end of an ingest chunk to bound latency.
+  /// Staged lines are pushed to the shard's queue in batches; call flush()
+  /// at the end of an ingest chunk to bound latency.
   void route_raw(int island, Op op, std::string line, std::uint64_t seq,
                  int conn, std::uint64_t conn_seq, int producer = 0);
 
-  /// Push this producer's staged batches to the rings (blocking on the
-  /// Backoff ladder while full) and schedule drains. Must be called from
-  /// the producer's own thread.
+  /// Push this producer's staged batches to the shard queues (waiting
+  /// while one is full) and schedule drains. Must be called from the
+  /// producer's own thread.
   void flush(int producer = 0);
 
-  /// Block until every *flushed* request has been processed (rings empty,
-  /// drains retired). Does not touch other producers' staging buffers —
+  /// Block until every *flushed* request has been processed (every shard's
+  /// drain retired). Does not touch other producers' staging buffers —
   /// each producer flushes its own before a barrier (the daemon does).
   void drain_all();
 
@@ -144,7 +143,7 @@ class Service {
   Json metrics(std::uint64_t seq);
 
   /// Prometheus text exposition (docs/service.md §METRICS): uptime and
-  /// request totals, per-shard requests / ring occupancy / backpressure
+  /// request totals, per-shard requests / queue length / backpressure
   /// stalls / inline and pooled drains, and — when the obs layer is
   /// compiled in — windowed p50/p99/p999 replan and end-to-end latency per
   /// shard plus the cumulative registry counters (governor mispredict/abort
@@ -191,15 +190,17 @@ class Service {
 
   std::size_t shard_index(int island) const;
   Island& island_of(Shard& s, int island);
-  /// Run the drain the caller owns (it won `scheduled`) inline or on the
-  /// pool (service.cpp kInlineBatch, kInlinePending).
-  void schedule_drain(Shard& s);
-  /// Handle up to `budget` messages. Returns true once the drain has
-  /// retired; false when the budget ran out with work left, in which case
-  /// the caller still owns the drain and must hand it on.
+  /// Run the drain the caller owns (it set `scheduled`) inline or on the
+  /// pool (service.cpp kInlineBatch, kInlinePending). `queued` is the
+  /// queue length the caller's push left.
+  void schedule_drain(Shard& s, std::size_t queued);
+  /// Take and handle the queue while it fits in `budget` messages. Returns
+  /// true once the drain has retired (it found the queue empty); false
+  /// when the queue outgrew the budget, in which case the caller still
+  /// owns the drain and must hand it on.
   bool drain(Shard& s, std::size_t budget);
   void flush_shard(Producer& p, std::size_t shard);
-  /// Parse (if raw) and process one dequeued message in the shard's drain.
+  /// Parse (if raw) and process one message in the shard's drain.
   void handle(Shard& s, Msg& m, const ShardCells& cells);
   void process(Shard& s, Request& req, const ShardCells& cells);
 

@@ -71,29 +71,15 @@ class ThreadPool {
   bool stop_ = false;
 };
 
-/// Serial when pool is null or single-threaded — the reference execution
-/// the parallel path must match bit-for-bit. `fn(seed, index)` receives the
-/// 1-based seed (what the generators consume) and the 0-based slot index.
-template <typename Fn>
-void parallel_for_seeds(ThreadPool* pool, int seeds, Fn&& fn) {
-  if (seeds <= 0) return;
-  if (pool == nullptr) {
-    for (int i = 0; i < seeds; ++i)
-      fn(static_cast<std::uint64_t>(i + 1), static_cast<std::size_t>(i));
-    return;
-  }
-  pool->parallel_for(static_cast<std::size_t>(seeds), [&fn](std::size_t i) {
-    fn(static_cast<std::uint64_t>(i + 1), i);
-  });
-}
-
-/// Grid generalization of parallel_for_seeds: every (operating point, seed)
-/// cell is an independent work item, so small-seed sweeps with many points
-/// (fig7's 64 cells, table4's single point) still occupy the whole pool.
+/// A (operating point, seed) sweep: every cell is an independent work item,
+/// so small-seed sweeps with many points (fig7's 64 cells, table4's single
+/// point) still occupy the whole pool. Serial when pool is null — the
+/// reference execution the parallel path must match bit-for-bit.
 /// `fn(point, seed, slot)` receives the 0-based point index, the 1-based
-/// seed, and the flat point-major slot index point*seeds + (seed-1) — the
-/// exact order the serial reference loop visits, so caller-side folds over
-/// slots are bit-identical at any job count.
+/// seed (what the generators consume), and the flat point-major slot index
+/// point*seeds + (seed-1) — the exact order the serial reference loop
+/// visits, so caller-side folds over slots are bit-identical at any job
+/// count.
 template <typename Fn>
 void parallel_for_grid(ThreadPool* pool, int points, int seeds, Fn&& fn) {
   if (points <= 0 || seeds <= 0) return;

@@ -309,7 +309,7 @@ TEST(Daemon, ClientThatStopsReadingHoldsUpNoOtherConnection) {
   // and in order, once it reads. The second connection is served before
   // the flood starts, by the second acceptor and on another shard, so only
   // the response writer couples the two: the backlog the first acceptor
-  // still works through (one read and a ring's worth of QUERYs, seconds
+  // still works through (one read and a queue's worth of QUERYs, seconds
   // under TSan) does not delay it.
   DaemonOptions opt;
   opt.shards = 2;

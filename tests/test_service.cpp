@@ -8,13 +8,13 @@
 //   * live mode: eager per-SUBMIT commits change the replan count but not
 //     one byte of the schedule;
 //   * the inline request path makes at most a fixed number of heap
-//     allocations per request.
+//     allocations per request;
+//   * a full shard queue holds its producer until the drain catches up.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
@@ -23,6 +23,7 @@
 #include <mutex>
 #include <new>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "baseline/mbkp.hpp"
@@ -538,21 +539,26 @@ std::string submit_wire_line(const Request& r) {
   return req.dump(0);
 }
 
-/// Drains of one placement ("inline" or "pool") summed over every shard,
-/// from a METRICS exposition's sdem_shard_drains_total family.
-double drains(const std::string& metrics, const std::string& where) {
-  const std::string family = "sdem_shard_drains_total{";
-  const std::string label = ",where=\"" + where + "\"} ";
+/// The lines of a METRICS exposition's `family` whose labels end in
+/// `label_end`, their values summed over every shard.
+double family_total(const std::string& metrics, const std::string& family,
+                    const std::string& label_end) {
   double total = 0.0;
-  for (std::size_t at = metrics.find(family); at != std::string::npos;
-       at = metrics.find(family, at + 1)) {
+  for (std::size_t at = metrics.find(family + "{"); at != std::string::npos;
+       at = metrics.find(family + "{", at + 1)) {
     const std::string line = metrics.substr(at, metrics.find('\n', at) - at);
-    const std::size_t l = line.find(label);
+    const std::size_t l = line.find(label_end);
     if (l != std::string::npos) {
-      total += std::stod(line.substr(l + label.size()));
+      total += std::stod(line.substr(l + label_end.size()));
     }
   }
   return total;
+}
+
+/// Drains of one placement ("inline" or "pool") summed over every shard.
+double drains(const std::string& metrics, const std::string& where) {
+  return family_total(metrics, "sdem_shard_drains_total",
+                      ",where=\"" + where + "\"} ");
 }
 
 /// Same stream as run_stream, but shipped as raw lines through the
@@ -612,31 +618,30 @@ TEST(ServiceDeterminism, ParseOnShardIsByteIdenticalAcrossShardCounts) {
 }
 
 /// Route `reqs` through a two-shard pooled service with one request in
-/// flight at a time, and no drain_all() or STATS barrier to rescue a ring
+/// flight at a time, and no drain_all() or STATS barrier to rescue a queue
 /// whose drain retired without seeing the push: every SUBMIT must be
-/// answered within 1 s, or the drain hand-off lost its wake-up. `metrics`
-/// receives the METRICS body afterwards.
+/// answered within 1 s, or the drain hand-off lost its wake-up. The loop
+/// polls for each answer instead of sleeping on it, so the next push lands
+/// while the drain that answered is still on its way to retiring.
+/// `metrics` receives the METRICS body afterwards.
 void run_closed_loop(const std::vector<Request>& reqs, std::string* metrics) {
   ThreadPool pool(2);
   ServiceOptions opt;
   opt.shards = 2;
-  std::mutex mu;
-  std::condition_variable cv;
-  std::size_t answered = 0;
-  Service svc(opt, &pool, [&](const Request&, Json) {
-    std::lock_guard<std::mutex> lock(mu);
-    ++answered;
-    cv.notify_one();
-  });
+  std::atomic<std::size_t> answered{0};
+  Service svc(opt, &pool,
+              [&](const Request&, Json) { answered.fetch_add(1); });
   for (std::size_t i = 0; i < reqs.size(); ++i) {
     svc.route(reqs[i]);
-    std::unique_lock<std::mutex> lock(mu);
-    if (!cv.wait_for(lock, std::chrono::seconds(1),
-                     [&] { return answered > i; })) {
-      lock.unlock();
-      svc.drain_all();  // unstick the ring so the service can shut down
-      FAIL() << "request " << i << " (island " << reqs[i].island
-             << ") unanswered after 1 s";
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(1);
+    while (answered.load() <= i) {
+      if (std::chrono::steady_clock::now() > deadline) {
+        svc.drain_all();  // unstick the queue so the service can shut down
+        FAIL() << "request " << i << " (island " << reqs[i].island
+               << ") unanswered after 1 s";
+      }
+      std::this_thread::yield();
     }
   }
   svc.drain_all();
@@ -660,6 +665,52 @@ TEST(ServiceHandOff, ClosedLoopAnswersEveryRequestWithoutABarrier) {
   std::string pooled;
   ASSERT_NO_FATAL_FAILURE(run_closed_loop(heavy, &pooled));
   EXPECT_GT(drains(pooled, "pool"), 0.0) << pooled;
+}
+
+TEST(ServiceHandOff, FullQueueHoldsTheProducerUntilTheDrainCatchesUp) {
+  // Two-message shard queues and far deadlines: the islands keep more than
+  // the inline bound (16) pending, so every drain runs on the pool, and the
+  // producer outruns it. route_raw must then wait for room, so the
+  // unanswered requests never exceed what each shard can hold: a staged
+  // batch (under 64 lines), a full queue and the batch its drain handles.
+  auto reqs = make_stream(/*islands=*/4, /*tasks_per_island=*/300, 21);
+  for (Request& r : reqs) r.task.deadline = r.task.release + 1000.0;
+  const auto serial = run_stream_raw(reqs, "sdem-on", 1, nullptr);
+
+  constexpr std::size_t kCapacity = 2;
+  ThreadPool pool(2);
+  ServiceOptions opt;
+  opt.shards = 2;
+  opt.eager = false;
+  opt.queue_capacity = kCapacity;
+  std::atomic<std::size_t> answered{0};
+  std::atomic<std::size_t> errors{0};
+  Service svc(opt, &pool, [&](const Request&, Json resp) {
+    if (!resp.at("ok").as_bool()) errors.fetch_add(1);
+    answered.fetch_add(1);
+  });
+  const std::size_t bound = 2 * (64 + 2 * kCapacity);
+  for (std::size_t i = 0; i < reqs.size(); ++i) {
+    std::string line = submit_wire_line(reqs[i]);
+    const Peeked peek = peek_request(line);
+    ASSERT_TRUE(peek.routable()) << line;
+    svc.route_raw(peek.island, peek.op, std::move(line), reqs[i].seq, 0,
+                  reqs[i].seq);
+    ASSERT_LE(i + 1 - answered.load(), bound) << "after request " << i;
+  }
+  const auto sharded = svc.finalize_all();
+  EXPECT_EQ(errors.load(), 0u);
+  const std::string metrics = svc.metrics_text();
+  const double waits =
+      family_total(metrics, "sdem_backpressure_stalls_total", "\"} ");
+  EXPECT_GT(waits, 0.0) << metrics;
+  std::printf("full queue: %.0f backpressure waits\n", waits);
+  ASSERT_EQ(serial.size(), sharded.size());
+  for (std::size_t i = 0; i < serial.size(); ++i) {
+    EXPECT_EQ(serial[i].island, sharded[i].island);
+    EXPECT_EQ(result_bytes(serial[i]), result_bytes(sharded[i]))
+        << "island " << serial[i].island;
+  }
 }
 
 TEST(ServiceHandOff, InlinePathAllocationsPerRequest) {

@@ -1,8 +1,8 @@
-// ThreadPool / parallel_for_seeds / parallel_for_grid / bench::Grid: the
-// bench harness's determinism contract. A --jobs N sweep must produce
-// bit-identical per-seed results to the serial loop it replaced, whatever
-// the scheduling, because each seed writes only its own slot and folds
-// happen in seed order.
+// ThreadPool / parallel_for_grid / bench::Grid: the bench harness's
+// determinism contract. A --jobs N sweep must produce bit-identical
+// per-seed results to the serial loop it replaced, whatever the
+// scheduling, because each seed writes only its own slot and folds happen
+// in seed order.
 #include "support/thread_pool.hpp"
 
 #include <gtest/gtest.h>
@@ -84,12 +84,15 @@ TEST(ThreadPool, ReusableAcrossManyParallelForRounds) {
 }
 
 TEST(ParallelForSeeds, SerialWhenPoolIsNull) {
+  // A one-point grid is a plain seed sweep.
   std::vector<std::uint64_t> seeds;
   std::vector<std::size_t> indices;
-  parallel_for_seeds(nullptr, 5, [&](std::uint64_t seed, std::size_t i) {
-    seeds.push_back(seed);
-    indices.push_back(i);
-  });
+  parallel_for_grid(nullptr, 1, 5,
+                    [&](std::size_t point, std::uint64_t seed, std::size_t i) {
+                      EXPECT_EQ(point, 0u);
+                      seeds.push_back(seed);
+                      indices.push_back(i);
+                    });
   EXPECT_EQ(seeds, (std::vector<std::uint64_t>{1, 2, 3, 4, 5}));
   EXPECT_EQ(indices, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
 }
@@ -105,15 +108,17 @@ TEST(ParallelForSeeds, SlotsMatchSerialBitForBit) {
   };
   constexpr int kSeeds = 64;
   std::vector<double> reference(kSeeds);
-  parallel_for_seeds(nullptr, kSeeds, [&](std::uint64_t seed, std::size_t i) {
-    reference[i] = compute(seed);
-  });
+  parallel_for_grid(nullptr, 1, kSeeds,
+                    [&](std::size_t, std::uint64_t seed, std::size_t i) {
+                      reference[i] = compute(seed);
+                    });
   for (int jobs : {1, 2, 3, 8}) {
     ThreadPool pool(jobs);
     std::vector<double> got(kSeeds, -1.0);
-    parallel_for_seeds(&pool, kSeeds, [&](std::uint64_t seed, std::size_t i) {
-      got[i] = compute(seed);
-    });
+    parallel_for_grid(&pool, 1, kSeeds,
+                      [&](std::size_t, std::uint64_t seed, std::size_t i) {
+                        got[i] = compute(seed);
+                      });
     for (int i = 0; i < kSeeds; ++i)
       ASSERT_EQ(reference[static_cast<std::size_t>(i)],
                 got[static_cast<std::size_t>(i)])
