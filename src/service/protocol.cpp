@@ -14,8 +14,9 @@ bool read_island(const Json& obj, int* out, std::string* err) {
     return false;
   }
   const double d = v->as_number();
-  if (!(d >= 0) || d != std::floor(d) || d > 1e9) {
-    *err = "\"island\" must be a non-negative integer";
+  if (!(d >= 0) || d != std::floor(d) || d >= kMaxIslands) {
+    *err = "\"island\" must be an integer in [0, " +
+           std::to_string(kMaxIslands) + ")";
     return false;
   }
   *out = static_cast<int>(d);

@@ -25,6 +25,11 @@ namespace sdem::service {
 
 enum class Op { kSubmit, kQuery, kStats, kMetrics, kShutdown };
 
+/// Island ids are integers in [0, kMaxIslands). Each island a SUBMIT
+/// creates holds its own policy and simulator (about 2 KB when new), so
+/// the cap bounds what clients can make the daemon hold.
+constexpr int kMaxIslands = 4096;
+
 /// Wire spelling of an op ("SUBMIT", ...).
 const char* op_name(Op op);
 
@@ -50,9 +55,10 @@ struct Parsed {
 };
 
 /// Parse and validate one request line against the grammar above. Never
-/// throws: malformed JSON, wrong types, unknown ops, negative islands and
-/// invalid tasks (work < 0, deadline <= release, non-finite fields) all
-/// come back as `ok == false` with a one-line diagnostic.
+/// throws: malformed JSON, wrong types, unknown ops, islands outside
+/// [0, kMaxIslands) and invalid tasks (work < 0, deadline <= release,
+/// non-finite fields) all come back as `ok == false` with a one-line
+/// diagnostic.
 Parsed parse_request(const std::string& line);
 
 /// Routing peek: the op and island of a request line, found with one

@@ -35,8 +35,8 @@ constexpr std::size_t kIngestBatch = 64;
 constexpr std::size_t kInlineBatch = 4;
 /// Second, the island the shard served last had at most this many pending
 /// tasks. The §7 solve and the QUERY dump both grow with the pending set;
-/// past it, one acceptor running every commit itself would serialize its
-/// connections' slow commits.
+/// past it, the daemon's event loop running every commit itself would
+/// serialize its connections' slow commits.
 constexpr std::size_t kInlinePending = 16;
 /// A pool drain's budget: it runs until the queue is empty.
 constexpr std::size_t kUnbounded = std::numeric_limits<std::size_t>::max();

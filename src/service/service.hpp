@@ -10,8 +10,8 @@
 //
 //   ingest (N producers)  →  shard queues  →  shard drains (parse + solve)
 //
-//   * Producers are ingest threads (the daemon's acceptor threads, or the
-//     replay loop). Each shard has one bounded queue, guarded by one mutex,
+//   * Producers are ingest threads (the daemon's event loop, or the replay
+//     loop). Each shard has one bounded queue, guarded by one mutex,
 //     that every producer pushes to. At most one drain owns a shard (its
 //     `scheduled` flag), and a queued message always has one: the push
 //     that finds no drain takes it in the same critical section, and a
@@ -96,7 +96,7 @@ class Service {
   /// thread or on the producer thread whose route()/route_raw()/flush()/
   /// drain_all() ran the drain inline. It must therefore not call back into
   /// the Service. Responses for one connection arrive in order only after
-  /// the caller re-orders them (the daemon's ResponseWriter does, keyed on
+  /// the caller re-orders them (the daemon's event loop does, keyed on
   /// Request::conn_seq). For raw lines that fail to parse, `request` is a
   /// routing stub (seq/conn/conn_seq valid, task fields not).
   /// `pool` may be null: requests are then drained inline by route()/

@@ -30,6 +30,16 @@
 namespace sdem::testing {
 namespace {
 
+// Tolerances and reference sizes of the checks.
+constexpr double kPairTol = 1e-9;      ///< equivalent-solver agreement
+constexpr double kAccountTol = 1e-7;   ///< analytic vs re-accounted energy
+constexpr double kRefTol = 1e-4;       ///< one-sided optimality vs reference
+constexpr double kRefLooseTol = 5e-3;  ///< two-sided reference agreement
+constexpr std::size_t kRefGrid = 20000;    ///< grid for the 1-D scans
+constexpr std::size_t kRefBlockGrid = 60;  ///< grid for agreeable 2-D blocks
+constexpr int kMaxRefN = 7;     ///< grid references only for n <= this
+constexpr int kMaxCrossN = 14;  ///< cross-solver DP checks only below this
+
 std::string num(double v) { return Json::number_to_string(v); }
 
 double rel_diff(double a, double b) {
@@ -133,7 +143,7 @@ class Checker {
     if (check_accounting) {
       const auto e = compute_energy(res.schedule, c_.cfg);
       expect_close("accounting:" + solver, res.energy, e.system_total(),
-                   opts_.account_tol, "analytic vs re-accounted energy");
+                   kAccountTol, "analytic vs re-accounted energy");
     }
     const auto lb = lower_bound_energy(c_.tasks, c_.cfg);
     expect_le("order:lower-bound:" + solver, lb.total(), res.energy,
@@ -167,12 +177,12 @@ class Checker {
         add("pair:binary-vs-scan", "feasibility disagrees");
       } else {
         expect_close("pair:binary-vs-scan", res.energy, bin.energy,
-                     opts_.pair_tol, "binary-search vs linear-scan energy");
+                     kPairTol, "binary-search vs linear-scan energy");
       }
       // The alpha scheme must reduce exactly to 4.1 at alpha == 0.
       const auto red = solve_common_release_alpha(c_.tasks, c_.cfg);
       expect_close("pair:alpha-reduces-to-alpha0", res.energy, red.energy,
-                   opts_.pair_tol, "section 4.2 at alpha=0 vs section 4.1");
+                   kPairTol, "section 4.2 at alpha=0 vs section 4.1");
     }
 
     // The section-7 solver must reduce to section 4 at xi == xi_m == 0.
@@ -181,12 +191,12 @@ class Checker {
       add("pair:transition-reduces", "transition solver rejected the case");
     } else {
       expect_close("pair:transition-reduces", res.energy, tr.energy,
-                   opts_.pair_tol, "section 7 at xi=xi_m=0 vs section 4");
+                   kPairTol, "section 7 at xi=xi_m=0 vs section 4");
     }
 
     // Cross-solver: a common-release set is agreeable, and with no block
     // charge (xi_m == 0) both optima coincide.
-    if (static_cast<int>(c_.tasks.size()) <= opts_.max_cross_n) {
+    if (static_cast<int>(c_.tasks.size()) <= kMaxCrossN) {
       const auto dp = solve_agreeable(c_.tasks, c_.cfg);
       if (!dp.feasible) {
         add("pair:agreeable-on-common-release", "DP rejected the case");
@@ -197,13 +207,12 @@ class Checker {
     }
 
     if (opts_.run_reference &&
-        static_cast<int>(c_.tasks.size()) <= opts_.max_ref_n) {
-      const double ref =
-          reference_common_release(c_.tasks, c_.cfg, opts_.ref_grid);
-      expect_le("opt:vs-reference", res.energy, ref, opts_.ref_tol,
+        static_cast<int>(c_.tasks.size()) <= kMaxRefN) {
+      const double ref = reference_common_release(c_.tasks, c_.cfg, kRefGrid);
+      expect_le("opt:vs-reference", res.energy, ref, kRefTol,
                 "solver energy vs grid reference");
       expect_close("opt:vs-reference-loose", res.energy, ref,
-                   opts_.ref_loose_tol, "solver vs grid reference");
+                   kRefLooseTol, "solver vs grid reference");
     }
   }
 
@@ -241,13 +250,13 @@ class Checker {
     }
 
     if (opts_.run_reference &&
-        static_cast<int>(c_.tasks.size()) <= opts_.max_ref_n) {
-      const double ref = reference_common_release_transition(c_.tasks, c_.cfg,
-                                                             opts_.ref_grid);
-      expect_le("opt:vs-reference", res.energy, ref, opts_.ref_tol,
+        static_cast<int>(c_.tasks.size()) <= kMaxRefN) {
+      const double ref =
+          reference_common_release_transition(c_.tasks, c_.cfg, kRefGrid);
+      expect_le("opt:vs-reference", res.energy, ref, kRefTol,
                 "transition solver energy vs grid reference");
       expect_close("opt:vs-reference-loose", res.energy, ref,
-                   opts_.ref_loose_tol, "transition solver vs grid reference");
+                   kRefLooseTol, "transition solver vs grid reference");
     }
   }
 
@@ -266,7 +275,7 @@ class Checker {
     if (!v.ok) add("validate:cr-discrete", v.describe());
     const auto e = compute_energy(aware.schedule, c_.cfg);
     expect_close("accounting:cr-discrete", aware.energy, e.system_total(),
-                 opts_.account_tol, "analytic vs re-accounted energy");
+                 kAccountTol, "analytic vs re-accounted energy");
     if (cont.feasible) {
       expect_le("order:discrete-bracket", cont.energy, aware.energy,
                 opts_.order_tol, "continuous optimum vs discrete-aware");
@@ -293,7 +302,7 @@ class Checker {
       add("pair:agreeable-incremental-vs-seed", "feasibility disagrees");
     } else {
       expect_close("pair:agreeable-incremental-vs-seed", res.energy,
-                   seed.energy, opts_.pair_tol,
+                   seed.energy, kPairTol,
                    "incremental DP vs seed DP energy");
     }
 
@@ -329,13 +338,12 @@ class Checker {
     }
 
     if (opts_.run_reference &&
-        static_cast<int>(c_.tasks.size()) <= std::min(opts_.max_ref_n, 6)) {
-      const double ref =
-          reference_agreeable(c_.tasks, c_.cfg, opts_.ref_block_grid);
-      expect_le("opt:vs-reference", res.energy, ref, opts_.ref_tol,
+        static_cast<int>(c_.tasks.size()) <= std::min(kMaxRefN, 6)) {
+      const double ref = reference_agreeable(c_.tasks, c_.cfg, kRefBlockGrid);
+      expect_le("opt:vs-reference", res.energy, ref, kRefTol,
                 "DP energy vs exhaustive-partition reference");
       expect_close("opt:vs-reference-loose", res.energy, ref,
-                   opts_.ref_loose_tol, "DP vs exhaustive reference");
+                   kRefLooseTol, "DP vs exhaustive reference");
     }
   }
 
@@ -432,7 +440,7 @@ class Checker {
     // accounting models coincide (no overheads: idle time is free on both
     // sides, so the wider online horizon adds nothing).
     if (!c_.has_overheads() &&
-        static_cast<int>(c_.tasks.size()) <= opts_.max_cross_n) {
+        static_cast<int>(c_.tasks.size()) <= kMaxCrossN) {
       OfflineResult opt;
       std::string which;
       if (c_.tasks.is_common_release()) {
@@ -533,11 +541,11 @@ class Checker {
             "negative per-state stats in state " + std::to_string(k));
       }
       expect_close("ladder:accounting:" + label, ps.residency_energy,
-                   st.power * ps.sleep_time, opts_.account_tol,
+                   st.power * ps.sleep_time, kAccountTol,
                    "state " + std::to_string(k) + " residency vs power*time");
       expect_close("ladder:accounting:" + label, ps.transition_energy,
                    st.pair_energy * (ps.cycles + ps.aborts),
-                   opts_.account_tol,
+                   kAccountTol,
                    "state " + std::to_string(k) + " transition vs pair*cycles");
       residency += ps.residency_energy;
       transition += ps.transition_energy;
@@ -545,9 +553,9 @@ class Checker {
       aborts += ps.aborts;
     }
     expect_close("ladder:accounting:" + label, e.memory_sleep_residency,
-                 residency, opts_.account_tol, "residency rollup");
+                 residency, kAccountTol, "residency rollup");
     expect_close("ladder:accounting:" + label, e.memory_transition, transition,
-                 opts_.account_tol, "transition rollup");
+                 kAccountTol, "transition rollup");
     if (e.memory_sleep_cycles != cycles) {
       add("ladder:accounting:" + label,
           "cycle rollup " + num(e.memory_sleep_cycles) + " != per-state sum " +

@@ -1,12 +1,12 @@
 // In-process daemon tests (src/service/daemon.hpp): ephemeral-port TCP,
 // requests fragmented across writes (the poll-loop partial-read
-// regression), per-connection response ordering with multiple acceptors,
-// a two-connection closed loop drained on the acceptor, pipelined pairs
-// answered without a delayed-ACK stall, a client that stops reading without
-// holding up another connection, the backlog cap checked per line, every
-// response delivered before a close on SHUTDOWN or on the client's hang-up,
-// malformed, peek-miss and over-long lines answered in order, and clean
-// SHUTDOWN.
+// regression), per-connection response ordering across two pipelined
+// connections, a two-connection closed loop drained on the event loop,
+// pipelined pairs answered without a delayed-ACK stall, a client that stops
+// reading or disconnects mid-line without holding up another connection,
+// the backlog cap checked per line, every response delivered before a close
+// on SHUTDOWN or on the client's hang-up, malformed, peek-miss and
+// over-long lines answered in order, and clean SHUTDOWN.
 #include "service/daemon.hpp"
 
 #include <gtest/gtest.h>
@@ -175,6 +175,33 @@ TEST(Daemon, ManyFragmentsOneByteAtATime) {
   EXPECT_EQ(resp.at("id").as_number(), 7.0);
 }
 
+TEST(Daemon, DisconnectMidLineLeavesTheOtherConnectionsServed) {
+  // A client sends half a SUBMIT line and closes. The daemon answers the
+  // fragment (a final line without its newline still counts), finds the
+  // client gone, closes its connection, and serves the next one as usual.
+  DaemonOptions opt;
+  opt.shards = 2;
+  DaemonHarness h(opt);
+  {
+    LineClient a(h.port);
+    const std::string line = submit_line(0, 1, 0.0);
+    a.send(line.substr(0, line.size() / 2));
+  }
+  LineClient b(h.port);
+  b.send(submit_line(0, 2, 0.0) + "\n{\"op\":\"QUERY\",\"island\":0}\n");
+  const Json submitted = Json::parse(b.recv_line());
+  ASSERT_TRUE(submitted.at("ok").as_bool()) << submitted.dump(0);
+  EXPECT_EQ(submitted.at("op").as_string(), "SUBMIT");
+  EXPECT_EQ(submitted.at("id").as_number(), 2.0);
+  const Json queried = Json::parse(b.recv_line());
+  ASSERT_TRUE(queried.at("ok").as_bool()) << queried.dump(0);
+  EXPECT_EQ(queried.at("op").as_string(), "QUERY");
+  b.send("{\"op\":\"SHUTDOWN\"}\n");
+  EXPECT_EQ(Json::parse(b.recv_line()).at("op").as_string(), "SHUTDOWN");
+  h.thread.join();
+  EXPECT_EQ(h.rc, 0);
+}
+
 TEST(Daemon, MalformedLineAnsweredInOrder) {
   // good / malformed / good in one write: three responses, per-connection
   // order preserved, the middle one an error envelope.
@@ -196,13 +223,12 @@ TEST(Daemon, MalformedLineAnsweredInOrder) {
   EXPECT_EQ(r3.at("id").as_number(), 3.0);
 }
 
-TEST(Daemon, PerConnectionOrderWithTwoAcceptors) {
-  // Two pipelined connections, round-robined onto two acceptors, each
-  // submitting to its own island: every connection must see its own
-  // responses in its own request order, whatever the shards do.
+TEST(Daemon, PerConnectionOrderWithTwoPipelinedConnections) {
+  // Two pipelined connections, each submitting to its own island: every
+  // connection must see its own responses in its own request order,
+  // whatever the shards do.
   DaemonOptions opt;
   opt.shards = 4;
-  opt.acceptors = 2;
   DaemonHarness h(opt);
   LineClient a(h.port);
   LineClient b(h.port);
@@ -233,14 +259,13 @@ TEST(Daemon, PerConnectionOrderWithTwoAcceptors) {
 }
 
 TEST(Daemon, ClosedLoopOnTwoConnectionsDrainsInline) {
-  // The benchmark's serve shape: two shards, one acceptor, and two
-  // connections that each keep one SUBMIT in flight, islands split by
-  // parity so each connection feeds its own shard. Every reply must arrive
-  // within 1 s and in request order, and the acceptor must have drained
-  // both shards itself: light requests never wait on a pool wake-up.
+  // The benchmark's serve shape: two shards and two connections that each
+  // keep one SUBMIT in flight, islands split by parity so each connection
+  // feeds its own shard. Every reply must arrive within 1 s and in request
+  // order, and the event loop must have drained both shards itself: light
+  // requests never wait on a pool wake-up.
   DaemonOptions opt;
   opt.shards = 2;
-  opt.acceptors = 1;
   DaemonHarness h(opt);
   LineClient a(h.port);
   LineClient b(h.port);
@@ -306,14 +331,11 @@ TEST(Daemon, ClientThatStopsReadingHoldsUpNoOtherConnection) {
   // One client pipelines QUERYs and never reads its answers. The daemon
   // stops reading it once kMaxUnsentBytes of answers wait, but keeps
   // serving everyone else, and hands the first client every answer, whole
-  // and in order, once it reads. The second connection is served before
-  // the flood starts, by the second acceptor and on another shard, so only
-  // the response writer couples the two: the backlog the first acceptor
-  // still works through (one read and a queue's worth of QUERYs, seconds
-  // under TSan) does not delay it.
+  // and in order, once it reads. The second connection feeds another
+  // shard, and the first has at most kMaxInFlight requests in the shards,
+  // so the event loop never waits on a full queue behind it.
   DaemonOptions opt;
   opt.shards = 2;
-  opt.acceptors = 2;
   DaemonHarness h(opt);
   // Small buffers keep the kernel's share of the backlog small, so the
   // daemon's own cap is what stops the sending.
@@ -532,7 +554,6 @@ TEST(Daemon, BacklogCapIsCheckedBeforeEveryLine) {
 TEST(Daemon, StatsBarrierCountsEarlierSubmits) {
   DaemonOptions opt;
   opt.shards = 2;
-  opt.acceptors = 2;
   DaemonHarness h(opt);
   LineClient c(h.port);
   constexpr int kN = 20;
@@ -569,7 +590,8 @@ TEST(Daemon, ShutdownStopsRunAndReportsCount) {
 
 TEST(Daemon, PeekMissSubmitParsedOnAcceptor) {
   // "island":2.0 is a valid island id the allocation-free peek will not
-  // route, so the acceptor parses the line itself and routes the Request.
+  // route, so the event loop parses the line itself and routes the
+  // Request.
   DaemonOptions opt;
   opt.shards = 2;
   DaemonHarness h(opt);

@@ -81,6 +81,7 @@ TEST(ServiceProtocol, RejectsMalformedRequests) {
       {"{\"op\":\"SUBMIT\"}", "island"},
       {"{\"op\":\"SUBMIT\",\"island\":-1}", "island"},
       {"{\"op\":\"SUBMIT\",\"island\":0.5}", "island"},
+      {"{\"op\":\"SUBMIT\",\"island\":4096}", "island"},
       {"{\"op\":\"SUBMIT\",\"island\":0}", "task"},
       {"{\"op\":\"SUBMIT\",\"island\":0,\"task\":3}", "task"},
       {"{\"op\":\"SUBMIT\",\"island\":0,\"task\":{}}", "id"},
@@ -121,6 +122,9 @@ TEST(ServiceProtocol, AcceptsWellFormedRequests) {
   p = parse_request("{\"op\":\"QUERY\",\"island\":0}");
   ASSERT_TRUE(p.ok);
   EXPECT_EQ(p.request.op, Op::kQuery);
+  p = parse_request("{\"op\":\"QUERY\",\"island\":4095}");
+  ASSERT_TRUE(p.ok) << p.error;
+  EXPECT_EQ(p.request.island, kMaxIslands - 1);
   EXPECT_TRUE(parse_request("{\"op\":\"STATS\"}").ok);
   EXPECT_TRUE(parse_request("{\"op\":\"SHUTDOWN\"}").ok);
 }
@@ -761,6 +765,63 @@ TEST(ServiceHandOff, InlinePathAllocationsPerRequest) {
               per_request);
 }
 
+TEST(ServiceHandOff, PooledPathAllocationsPerMessage) {
+  // The batch-ingest shape: two shards and a pool, lazy commits, and raw
+  // SUBMIT lines routed with no flush() between them, so every push moves
+  // a staged batch of 64, too deep to drain inline, and every drain runs
+  // on the pool. Each response is dumped as the daemon dumps it. The
+  // islands alternate line by line and each half of the stream gives each
+  // shard a whole number of batches: the first half grows every buffer,
+  // table and obs cell to its working size, and the second half, counted,
+  // leaves nothing staged.
+  constexpr int kPerIsland = 4096;
+  std::vector<std::string> per_island[2];
+  for (const Request& r : make_stream(/*islands=*/2, kPerIsland, 17)) {
+    per_island[r.island].push_back(submit_wire_line(r));
+  }
+  std::vector<std::string> lines;
+  for (int i = 0; i < kPerIsland; ++i) {
+    for (auto& island : per_island) lines.push_back(std::move(island[i]));
+  }
+  ThreadPool pool(2);
+  ServiceOptions opt;
+  opt.shards = 2;
+  opt.eager = false;
+  std::atomic<std::size_t> answered{0};
+  std::atomic<std::size_t> failed{0};
+  Service svc(opt, &pool, [&](const Request&, Json resp) {
+    if (resp.dump(0).find("\"ok\": true") == std::string::npos) {
+      failed.fetch_add(1);
+    }
+    answered.fetch_add(1);
+  });
+  const auto route = [&](std::size_t from, std::size_t to) {
+    for (std::size_t i = from; i < to; ++i) {
+      const Peeked peek = peek_request(lines[i]);
+      ASSERT_TRUE(peek.routable()) << lines[i];
+      svc.route_raw(peek.island, peek.op, std::move(lines[i]), i, 0, i);
+    }
+    svc.drain_all();
+  };
+  const std::size_t warm = lines.size() / 2;
+  ASSERT_NO_FATAL_FAILURE(route(0, warm));
+  const double inline_before = drains(svc.metrics_text(), "inline");
+  const std::uint64_t news_before = g_operator_new_calls.load();
+  ASSERT_NO_FATAL_FAILURE(route(warm, lines.size()));
+  const double per_message =
+      static_cast<double>(g_operator_new_calls.load() - news_before) /
+      static_cast<double>(lines.size() - warm);
+  EXPECT_EQ(answered.load(), lines.size());
+  EXPECT_EQ(failed.load(), 0u);
+  const std::string metrics = svc.metrics_text();
+  EXPECT_EQ(drains(metrics, "inline"), inline_before) << metrics;
+  // 7.248-7.253 over 12 runs when this guard was added, rounded up to the
+  // next 0.05: the parse, the response and its dump, and the lazy replans.
+  EXPECT_LE(per_message, 7.30);
+  std::printf("pooled path: %.3f operator new calls per message\n",
+              per_message);
+}
+
 TEST(ServiceSemantics, MalformedRawLineYieldsErrorEnvelope) {
   // A line whose routing key peeks fine but whose payload fails the full
   // parse: the shard worker must answer with the uniform error envelope
@@ -783,6 +844,22 @@ TEST(ServiceSemantics, MalformedRawLineYieldsErrorEnvelope) {
   EXPECT_EQ(responses.at(7).at("seq").as_number(), 7);
   EXPECT_NE(responses.at(7).at("error").as_string().find("work"),
             std::string::npos);
+
+  // An island past kMaxIslands peeks as routable; its drain answers it in
+  // its slot and creates no island.
+  const std::string far =
+      "{\"op\":\"SUBMIT\",\"island\":4096,\"task\":{\"id\":1,\"release\":0,"
+      "\"deadline\":1,\"work\":5}}";
+  const Peeked far_peek = peek_request(far);
+  ASSERT_TRUE(far_peek.routable());
+  svc.route_raw(far_peek.island, far_peek.op, far, /*seq=*/8, 0, 1);
+  svc.flush();
+  svc.drain_all();
+  ASSERT_EQ(responses.count(8), 1u);
+  EXPECT_FALSE(responses.at(8).at("ok").as_bool());
+  EXPECT_NE(responses.at(8).at("error").as_string().find("island"),
+            std::string::npos);
+  EXPECT_EQ(svc.stats(9).at("islands").as_number(), 0.0);
 }
 
 TEST(ServiceSemantics, DeeplyNestedLineYieldsErrorEnvelope) {

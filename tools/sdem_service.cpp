@@ -5,11 +5,11 @@
 // queries online, and shards independent memory islands across the thread
 // pool. Four modes:
 //
-//   sdem_service [--policy P] [--shards N] [--acceptors A] [--port PORT]
-//       live daemon (src/service/daemon.hpp): pipelined ingest — raw lines
-//       are routed by a peek and parsed in the shard's drain, which runs on
-//       the acceptor when short (a closed-loop client) and, with N > 1, on
-//       one of N pool threads otherwise
+//   sdem_service [--policy P] [--shards N] [--port PORT]
+//       live daemon (src/service/daemon.hpp): one event loop serves every
+//       connection — raw lines are routed by a peek and parsed in the
+//       shard's drain, which runs on the loop when short (a closed-loop
+//       client) and, with N > 1, on one of N pool threads otherwise
 //   sdem_service --replay file.ndjson [--verify-batch]      deterministic
 //       batch replay: prints per-island schedules byte-identical to the
 //       batch simulator on the same stream (any --shards value)
@@ -68,8 +68,8 @@ int usage(int code) {
       "                    (default sdem-on)\n"
       "  --shards N        island shards (default 1); N > 1 adds N pool\n"
       "                    threads for long drains, short ones run inline\n"
-      "  --acceptors N     ingest/poll threads for the live daemon\n"
-      "                    (default 1; connections assigned round-robin)\n"
+      "  --acceptors 1     accepted for compatibility; one event loop\n"
+      "                    serves every connection\n"
       "  --port PORT       also serve ndjson on 127.0.0.1:PORT (0 = pick a\n"
       "                    free port; the chosen port is printed to stderr)\n"
       "  --replay FILE     replay an ndjson arrival stream deterministically\n"
@@ -77,7 +77,8 @@ int usage(int code) {
       "  --verify-batch    with --replay: re-run the batch simulator per\n"
       "                    island and fail unless byte-identical\n"
       "  --gen-stream N    emit an N-arrival SUBMIT stream to stdout\n"
-      "  --islands K       islands for --gen-stream/--load-gen (default 4)\n"
+      "  --islands K       islands for --gen-stream/--load-gen (default 4,\n"
+      "                    at most 4096)\n"
       "  --seed S          seed for --gen-stream/--load-gen (default 1)\n"
       "  --load-gen N      connect to a daemon and push N SUBMITs, timing\n"
       "                    end-to-end events/sec (needs --connect)\n"
@@ -91,7 +92,6 @@ int usage(int code) {
 struct Options {
   std::string policy = "sdem-on";
   int shards = 1;
-  int acceptors = 1;
   int port = -1;  ///< -1 = no TCP
   std::string replay;
   bool verify_batch = false;
@@ -339,9 +339,9 @@ int run_load_gen(const Options& o) {
   for (int c = 0; c < o.conns; ++c) {
     // Writer and reader per connection: the daemon answers every line, so
     // a client that only writes would deadlock both socket buffers. The
-    // writer must NOT half-close after the last line — the daemon treats
-    // read-EOF as connection teardown and drops responses still in the
-    // shard pipeline; the reader already knows how many lines to expect.
+    // writer hangs up after its last line, like any client that is done
+    // sending; the daemon still sends every response it owes before it
+    // closes, and the reader knows how many lines to expect.
     threads.emplace_back([fd = fds[static_cast<std::size_t>(c)],
                           &data = payload[static_cast<std::size_t>(c)],
                           &failed] {
@@ -355,6 +355,7 @@ int run_load_gen(const Options& o) {
         }
         off += static_cast<std::size_t>(n);
       }
+      ::shutdown(fd, SHUT_WR);
     });
     threads.emplace_back([fd = fds[static_cast<std::size_t>(c)],
                           want = expect[static_cast<std::size_t>(c)],
@@ -411,9 +412,10 @@ int main(int argc, char** argv) {
         return usage(2);
       }
     } else if (arg == "--acceptors") {
-      o.acceptors = std::atoi(value("--acceptors"));
-      if (o.acceptors < 1) {
-        std::fprintf(stderr, "--acceptors needs a positive integer\n");
+      if (std::string(value("--acceptors")) != "1") {
+        std::fprintf(stderr,
+                     "--acceptors takes only 1: the daemon serves every "
+                     "connection from one event loop\n");
         return usage(2);
       }
     } else if (arg == "--port") {
@@ -426,8 +428,9 @@ int main(int argc, char** argv) {
       o.gen_stream = std::atol(value("--gen-stream"));
     } else if (arg == "--islands") {
       o.islands = std::atoi(value("--islands"));
-      if (o.islands < 1) {
-        std::fprintf(stderr, "--islands needs a positive integer\n");
+      if (o.islands < 1 || o.islands > kMaxIslands) {
+        std::fprintf(stderr, "--islands needs an integer in [1, %d]\n",
+                     kMaxIslands);
         return usage(2);
       }
     } else if (arg == "--seed") {
@@ -461,7 +464,6 @@ int main(int argc, char** argv) {
       DaemonOptions dopt;
       dopt.policy = o.policy;
       dopt.shards = o.shards;
-      dopt.acceptors = o.acceptors;
       dopt.port = o.port;
       dopt.use_stdin = true;
       Daemon daemon(dopt);
