@@ -123,13 +123,16 @@ class Grid {
 
 /// One three-way comparison cell: the four savings the figures plot, the
 /// absolute system energies Table 4 anchors on, and the two memory sleep
-/// times. On SDEM_OBS builds it also sets "counters", the worker thread's
-/// deterministic counter delta around run_comparison: the cell runs on one
-/// thread, so the delta is a pure function of (trace, cfg) at any job
-/// count. The runner's --stable strips it.
+/// times. While the layer records (obs::recording()) it also sets
+/// "counters", the worker thread's deterministic counter delta around
+/// run_comparison: the cell runs on one thread, so the delta is a pure
+/// function of (trace, cfg) at any job count. The runner's --stable
+/// strips it.
 inline void comparison_cell(Json& cell, const TaskSet& trace,
                             const SystemConfig& cfg) {
-  const auto before = obs::Registry::instance().local_counters();
+  const bool attribute = obs::recording();
+  std::vector<std::pair<std::string, std::uint64_t>> before;
+  if (attribute) before = obs::Registry::instance().local_counters();
   const Comparison cmp = run_comparison(trace, cfg);
   cell.set("sdem_system_saving", cmp.system_saving_sdem());
   cell.set("mbkps_system_saving", cmp.system_saving_mbkps());
@@ -140,6 +143,7 @@ inline void comparison_cell(Json& cell, const TaskSet& trace,
   cell.set("energy_sdem_j", cmp.sdem.energy.system_total());
   cell.set("memory_sleep_sdem_s", cmp.sdem.memory_sleep_time);
   cell.set("memory_sleep_mbkps_s", cmp.mbkps.memory_sleep_time);
+  if (!attribute) return;
   // after - before. Counters only grow and are never removed, so `after`
   // is a name-sorted superset of `before` and one merge pass suffices.
   Json counters = Json::object();

@@ -18,10 +18,10 @@ double tail_cost(double static_power, double gap, double break_even) {
   return std::min(static_power * gap, static_power * break_even);
 }
 
-}  // namespace
-
-double transition_task_cost(const Task& t, const SystemConfig& cfg, double H,
-                            double window, double& run, double& speed) {
+/// transition_task_cost with the core critical speed s_m =
+/// cfg.core.critical_speed_raw() passed in, so a solve pays its pow once.
+double task_cost(const Task& t, const SystemConfig& cfg, double s_m, double H,
+                 double window, double& run, double& speed) {
   run = 0.0;
   speed = 0.0;
   if (t.work <= 0.0) return 0.0;
@@ -39,7 +39,6 @@ double transition_task_cost(const Task& t, const SystemConfig& cfg, double H,
   double best_run = window;
   double best = cost_at(window);
   // Candidate 2: race at the (clamped) critical speed and sleep.
-  const double s_m = cfg.core.critical_speed_raw();
   if (s_m > 0.0) {
     const double s_race = std::min(std::max(s_m, fill), cfg.core.max_speed());
     const double r = t.work / s_race;
@@ -54,6 +53,14 @@ double transition_task_cost(const Task& t, const SystemConfig& cfg, double H,
   run = best_run;
   speed = t.work / best_run;
   return best;
+}
+
+}  // namespace
+
+double transition_task_cost(const Task& t, const SystemConfig& cfg, double H,
+                            double window, double& run, double& speed) {
+  return task_cost(t, cfg, cfg.core.critical_speed_raw(), H, window, run,
+                   speed);
 }
 
 OfflineResult solve_common_release_transition(const TaskSet& tasks,
@@ -104,6 +111,7 @@ OfflineResult solve_common_release_transition(const TaskSet& tasks,
   //   alpha H + beta w^lambda T^(1-lambda)
   // drops below the race cost (the closed-form crossing tau_k), and finally
   // turns constant once T passes its deadline cap.
+  ws.wl.assign(n, 0.0);
   ws.race_cost.assign(n, 0.0);
   ws.knee.assign(n, kInf);
   ws.restretch.assign(n, kInf);
@@ -120,6 +128,7 @@ OfflineResult solve_common_release_transition(const TaskSet& tasks,
     const double w = tasks[k].work;
     const auto task = static_cast<std::uint32_t>(k);
     if (w <= 0.0) continue;
+    ws.wl[k] = std::pow(w, lambda);
     add_event(cap(k), task);
     if (s_m <= 0.0) continue;
     const double r = w / s_race;
@@ -130,7 +139,7 @@ OfflineResult solve_common_release_transition(const TaskSet& tasks,
     const double rhs = ws.race_cost[k] - alpha * H;
     if (core_tail && std::isfinite(s_race) && rhs > 0.0) {
       const double tau =
-          std::pow(beta * std::pow(w, lambda) / rhs, 1.0 / (lambda - 1.0));
+          std::pow(beta * ws.wl[k] / rhs, 1.0 / (lambda - 1.0));
       ws.restretch[k] = std::max({r, tau, H - xi});
       add_event(ws.restretch[k], task);
     }
@@ -141,20 +150,6 @@ OfflineResult solve_common_release_transition(const TaskSet& tasks,
 
   SDEM_OBS_ONLY(std::uint64_t obs_probes = 0; std::uint64_t obs_live = 0;
                 std::uint64_t obs_pieces = 0;)
-
-  // Direct objective: the energy at T summed task by task.
-  const auto energy = [&](double T) {
-    SDEM_OBS_ONLY(++obs_probes; obs_live += n;)
-    if (T <= 0.0) return has_work ? kInf : 0.0;
-    double e = alpha_m * T + tail_cost(alpha_m, H - T, xi_m);
-    for (std::size_t k = 0; k < n; ++k) {
-      double run = 0.0, speed = 0.0;
-      e += transition_task_cost(tasks[k], cfg, H, std::min(T, cap(k)), run,
-                                speed);
-      if (!std::isfinite(e)) return kInf;
-    }
-    return e;
-  };
 
   // Running piece model: `stretching` tasks contribute beta w^lambda
   // T^(1-lambda) plus their exec/tail linear part, every other task a
@@ -179,20 +174,19 @@ OfflineResult solve_common_release_transition(const TaskSet& tasks,
     if (m == old) return;
     if (old == kStretch) {
       --stretching;
-      sum_wl -= std::pow(w, lambda);
+      sum_wl -= ws.wl[k];
     } else if (old != kZero) {
       constant -= ws.const_cost[k];
     }
     if (m == kStretch) {
       ++stretching;
-      sum_wl += std::pow(w, lambda);
+      sum_wl += ws.wl[k];
     } else if (m == kRace) {
       ws.const_cost[k] = ws.race_cost[k];
       constant += ws.const_cost[k];
     } else if (m == kCapped) {
       double run = 0.0, speed = 0.0;
-      ws.const_cost[k] =
-          transition_task_cost(tasks[k], cfg, H, cap(k), run, speed);
+      ws.const_cost[k] = task_cost(tasks[k], cfg, s_m, H, cap(k), run, speed);
       SDEM_OBS_ONLY(++obs_live;)
       constant += ws.const_cost[k];
     }
@@ -213,6 +207,10 @@ OfflineResult solve_common_release_transition(const TaskSet& tasks,
     for (std::size_t k = 0; k < n; ++k) set_mode(k, t_min);
     std::size_t next = 0;
     double lo = t_min;
+    // T^(1-lambda) at lo, NaN until taken: a piece's lo is the previous
+    // piece's hi, whose power that piece may already have paid for.
+    constexpr double kUnset = std::numeric_limits<double>::quiet_NaN();
+    double lo_pow = kUnset;
     while (lo < H) {
       for (; next < events.size() && events[next].T <= lo; ++next) {
         if (events[next].task != TransitionWorkspace::kNoTask)
@@ -232,13 +230,15 @@ OfflineResult solve_common_release_transition(const TaskSet& tasks,
           (mem_idle ? alpha_m * H : (mem_tail ? alpha_m * xi_m : 0.0)) +
           ns * (core_idle ? alpha * H : (core_tail ? alpha * xi : 0.0));
       const double C = beta * sum_wl;
-      const auto model = [&](double T) {
+      // `t_pow` caches T^(1-lambda): NaN until this call needs it.
+      const auto model = [&](double T, double& t_pow) {
         SDEM_OBS_ONLY(++obs_probes;)
         if (T <= 0.0) return has_work ? kInf : 0.0;
-        return a * T + b + (C > 0.0 ? C * std::pow(T, 1.0 - lambda) : 0.0);
+        if (C > 0.0 && std::isnan(t_pow)) t_pow = std::pow(T, 1.0 - lambda);
+        return a * T + b + (C > 0.0 ? C * t_pow : 0.0);
       };
-      const auto consider = [&](double T, double curv) {
-        const double e = model(T);
+      const auto consider = [&](double T, double& t_pow, double curv) {
+        const double e = model(T, t_pow);
         if (e < best_model || (T == H && e <= best_model)) {
           best_model = e;
           best_T = T;
@@ -250,11 +250,15 @@ OfflineResult solve_common_release_transition(const TaskSet& tasks,
         const double t_star =
             std::pow((lambda - 1.0) * C / a, 1.0 / lambda);
         // E'' = lambda (lambda - 1) C T^(-1-lambda) = lambda a / T at T*.
-        if (t_star > lo && t_star < hi) consider(t_star, lambda * a / t_star);
+        double star_pow = kUnset;
+        if (t_star > lo && t_star < hi)
+          consider(t_star, star_pow, lambda * a / t_star);
       }
-      consider(lo, 0.0);
-      consider(hi, 0.0);
+      double hi_pow = kUnset;
+      consider(lo, lo_pow, 0.0);
+      consider(hi, hi_pow, 0.0);
       lo = hi;
+      lo_pow = hi_pow;
     }
   }
   // Around a stationary point E is flat to rounding over a band of relative
@@ -269,7 +273,19 @@ OfflineResult solve_common_release_transition(const TaskSet& tasks,
     best_T = std::max(
         best_lo, best_T - std::sqrt(2.0 * kTieBand * best_model / best_curv));
   }
-  const double best = energy(best_T);
+  // The energy returned is the direct objective at best_T, summed task by
+  // task; the same pass keeps each task's run and speed for the schedule.
+  SDEM_OBS_ONLY(++obs_probes; obs_live += n;)
+  ws.run.assign(n, 0.0);
+  ws.speed.assign(n, 0.0);
+  double best = has_work ? kInf : 0.0;
+  if (best_T > 0.0) {
+    best = alpha_m * best_T + tail_cost(alpha_m, H - best_T, xi_m);
+    for (std::size_t k = 0; k < n && std::isfinite(best); ++k) {
+      best += task_cost(tasks[k], cfg, s_m, H, std::min(best_T, cap(k)),
+                        ws.run[k], ws.speed[k]);
+    }
+  }
   SDEM_OBS_INC("transition/solves");
   SDEM_OBS_COUNT("transition/tasks", n);
   SDEM_OBS_COUNT("transition/probes", obs_probes);
@@ -284,10 +300,9 @@ OfflineResult solve_common_release_transition(const TaskSet& tasks,
   int core = 0;
   for (std::size_t i = 0; i < n; ++i) {
     const Task& t = tasks[i];
-    double run = 0.0, speed = 0.0;
-    transition_task_cost(t, cfg, H, std::min(best_T, cap(i)), run, speed);
     if (t.work > 0.0) {
-      res.schedule.add(Segment{t.id, core, release, release + run, speed});
+      res.schedule.add(
+          Segment{t.id, core, release, release + ws.run[i], ws.speed[i]});
     }
     ++core;
   }

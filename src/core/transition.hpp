@@ -50,9 +50,10 @@ double transition_task_cost(const Task& t, const SystemConfig& cfg, double H,
                             double window, double& run, double& speed);
 
 /// Reusable scratch for solve_common_release_transition: per-task branch
-/// thresholds and constants (the pow-bearing race cost is paid once per
-/// solve) and the sorted breakpoint sweep, so a caller that solves once per
-/// replan allocates nothing.
+/// thresholds and constants (the pow-bearing w^lambda and race cost are
+/// paid once per solve), the sorted breakpoint sweep, and the winner's
+/// per-task run and speed, so a caller that solves once per replan
+/// allocates nothing.
 struct TransitionWorkspace {
   /// A breakpoint of the sweep: `task` changes branch at T (kNoTask for the
   /// memory and core tail thresholds H - xi_m, H - xi).
@@ -62,12 +63,15 @@ struct TransitionWorkspace {
   };
   static constexpr std::uint32_t kNoTask = 0xffffffffu;
 
+  std::vector<double> wl;          ///< w^lambda (0 for a task with no work)
   std::vector<double> race_cost;   ///< total race cost while fill <= s_m
   std::vector<double> knee;        ///< T where the fill drops to the race speed
   std::vector<double> restretch;   ///< T where stretching beats racing again
   std::vector<double> const_cost;  ///< cost while the task is constant in T
   std::vector<char> mode;          ///< the task's branch on the current piece
   std::vector<Event> events;       ///< sorted sweep breakpoints
+  std::vector<double> run;         ///< each task's run length at the optimum
+  std::vector<double> speed;       ///< ... and its speed
 };
 
 /// Optimal common-release schedule under transition overheads.

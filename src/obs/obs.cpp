@@ -358,8 +358,9 @@ TimerCell* edge_cell(const char* parent, const char* child) {
 
 }  // namespace
 
-ScopedTimer::ScopedTimer(const char* name, TimerCell* cell)
-    : name_(name), cell_(cell), t0_(now_ns()), traced_(trace::enabled()) {
+void ScopedTimer::open() {
+  t0_ = now_ns();
+  traced_ = trace::enabled();
   if (traced_) trace::begin(name_, t0_);
   t_timer_stack.push_back(name_);
 }
@@ -367,7 +368,7 @@ ScopedTimer::ScopedTimer(const char* name, TimerCell* cell)
 ScopedTimer::ScopedTimer(const char* name)
     : ScopedTimer(name, Registry::instance().timer_cell(name)) {}
 
-ScopedTimer::~ScopedTimer() {
+void ScopedTimer::close() {
   const std::uint64_t t1 = now_ns();
   cell_->add(t1 - t0_);
   t_timer_stack.pop_back();

@@ -29,6 +29,14 @@
 //     render under a separate "runtime" JSON key so the deterministic
 //     "counters" section keeps its byte-equality contract.
 //
+//   * A run that reports nothing records nothing. In an ON build the
+//     process-wide recording gate (set_recording) decides at run time
+//     whether the SDEM_OBS_* sites and ScopedTimer write: off, a site costs
+//     one relaxed load and a branch. It defaults to on; sdem_bench_runner
+//     turns it off when its output carries nothing the layer collects.
+//     Cells a caller resolves and writes directly (the service's shard
+//     cells) are not gated.
+//
 // Threading contract: cell *creation* (first use of a name on a thread) and
 // snapshot()/reset() take locks; a thread's lookup of a cell it already
 // created takes none, and cell *increments* are unsynchronized
@@ -37,6 +45,7 @@
 // deterministic snapshot is meaningful anyway.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -53,6 +62,23 @@ namespace sdem::obs {
 /// Whether the instrumentation layer is compiled in (the CMake SDEM_OBS
 /// option). Tools use this to omit empty counters sections in OFF builds.
 constexpr bool compiled() { return SDEM_OBS != 0; }
+
+namespace detail {
+inline std::atomic<bool> recording_gate{true};
+}  // namespace detail
+
+/// Whether the SDEM_OBS_* sites and ScopedTimer record right now: the
+/// runtime gate, and always false in an OFF build. One relaxed load.
+inline bool recording() {
+  return compiled() && detail::recording_gate.load(std::memory_order_relaxed);
+}
+
+/// Open or close the recording gate (default open). Sites already past
+/// their check finish as they started; a ScopedTimer closes the way it
+/// opened. Flip it while instrumented work is quiesced to get whole counts.
+inline void set_recording(bool on) {
+  detail::recording_gate.store(on, std::memory_order_relaxed);
+}
 
 /// Metric domain: deterministic values are pure functions of the work
 /// performed (identical at any --jobs); runtime values depend on
@@ -215,23 +241,33 @@ inline TimerCell* timer_cell(const char* name) {
 
 /// RAII scope timer: updates a TimerCell (runtime domain) and, when the
 /// trace sink is recording, emits a Chrome B/E event pair on this thread.
+/// Whether it records is decided once, when it opens: with the gate
+/// closed it reads no clock, touches no timer stack, and closes as a no-op.
 class ScopedTimer {
  public:
   /// Call-site-cached cell (the SDEM_OBS_TIMER macro); `name` must be a
   /// string literal (it is stored by pointer in trace events).
-  ScopedTimer(const char* name, TimerCell* cell);
+  ScopedTimer(const char* name, TimerCell* cell)
+      : name_(name), cell_(recording() ? cell : nullptr) {
+    if (cell_ != nullptr) open();
+  }
   /// Dynamic-name scope (experiment-granularity; resolves the cell itself).
   /// `name` must outlive the trace sink's serialization.
   explicit ScopedTimer(const char* name);
-  ~ScopedTimer();
+  ~ScopedTimer() {
+    if (cell_ != nullptr) close();
+  }
   ScopedTimer(const ScopedTimer&) = delete;
   ScopedTimer& operator=(const ScopedTimer&) = delete;
 
  private:
+  void open();
+  void close();
+
   const char* name_;
-  TimerCell* cell_;
-  std::uint64_t t0_;
-  bool traced_;
+  TimerCell* cell_;  ///< null when this timer does not record
+  std::uint64_t t0_ = 0;
+  bool traced_ = false;
 };
 
 #define SDEM_OBS_CONCAT_(a, b) a##b
@@ -242,8 +278,10 @@ class ScopedTimer {
 #define SDEM_OBS_ONLY(...) __VA_ARGS__
 
 /// Add `n` to a deterministic counter. `name` must be a string literal.
+/// Neither the cell nor `n` is touched while the gate is closed.
 #define SDEM_OBS_COUNT(name, n)                                              \
   do {                                                                       \
+    if (!::sdem::obs::recording()) break;                                    \
     static thread_local std::uint64_t* sdem_obs_cell_ =                      \
         ::sdem::obs::counter_cell(name, ::sdem::obs::Domain::kDeterministic); \
     *sdem_obs_cell_ += static_cast<std::uint64_t>(n);                        \
@@ -253,6 +291,7 @@ class ScopedTimer {
 /// Runtime-domain counter (job-count/scheduling dependent).
 #define SDEM_OBS_RUNTIME_COUNT(name, n)                                   \
   do {                                                                    \
+    if (!::sdem::obs::recording()) break;                                 \
     static thread_local std::uint64_t* sdem_obs_cell_ =                   \
         ::sdem::obs::counter_cell(name, ::sdem::obs::Domain::kRuntime);   \
     *sdem_obs_cell_ += static_cast<std::uint64_t>(n);                     \
@@ -261,6 +300,7 @@ class ScopedTimer {
 /// Add a sample to a deterministic distribution gauge.
 #define SDEM_OBS_DIST(name, v)                                               \
   do {                                                                       \
+    if (!::sdem::obs::recording()) break;                                    \
     static thread_local ::sdem::obs::DistCell* sdem_obs_cell_ =              \
         ::sdem::obs::dist_cell(name, ::sdem::obs::Domain::kDeterministic);   \
     sdem_obs_cell_->add(v);                                                  \
@@ -269,6 +309,7 @@ class ScopedTimer {
 /// Runtime-domain distribution (e.g. worker idle time).
 #define SDEM_OBS_RUNTIME_DIST(name, v)                                    \
   do {                                                                    \
+    if (!::sdem::obs::recording()) break;                                 \
     static thread_local ::sdem::obs::DistCell* sdem_obs_cell_ =           \
         ::sdem::obs::dist_cell(name, ::sdem::obs::Domain::kRuntime);      \
     sdem_obs_cell_->add(v);                                               \

@@ -619,7 +619,10 @@ TEST(Daemon, OverlongLineGetsOneErrorThenServes) {
   LineClient c(h.port);
   const std::string piece(64 * 1024, 'x');
   for (int i = 0; i < 32; ++i) c.send(piece);
-  c.send("\n" + submit_line(0, 9, 0.0) + "\n");
+  std::string tail = "\n";
+  tail += submit_line(0, 9, 0.0);
+  tail += "\n";
+  c.send(tail);
   const Json err = Json::parse(c.recv_line());
   EXPECT_FALSE(err.at("ok").as_bool()) << err.dump(0);
   EXPECT_NE(err.at("error").as_string().find("exceeds"), std::string::npos)

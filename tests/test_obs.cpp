@@ -3,9 +3,11 @@
 // identical whatever the thread count, reset that keeps cached call-site
 // cells valid, macros that compile to no-ops under SDEM_OBS=0 (this file
 // builds and passes in both modes), and a Chrome-trace sink whose B/E
-// duration pairs are monotone and well-nested per thread. Also home to the
-// bench registry's name-filter contract and a Table 4 cell check, next to
-// its find_experiment use.
+// duration pairs are monotone and well-nested per thread, and a runtime
+// recording gate that idles every macro site and timer without touching
+// the numerics or the service's own cells. Also home to the bench
+// registry's name-filter contract and a Table 4 cell check, next to its
+// find_experiment use.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -18,6 +20,7 @@
 #include "obs/obs.hpp"
 #include "obs/trace.hpp"
 #include "obs/window.hpp"
+#include "service/service.hpp"
 #include "support/json.hpp"
 #include "support/table.hpp"
 #include "support/thread_pool.hpp"
@@ -143,6 +146,124 @@ TEST(Obs, CounterMergeIsJobCountIndependent) {
     // Not vacuous: the run populated simulator and solver counters.
     EXPECT_NE(serial.find("sim/runs"), std::string::npos);
     EXPECT_NE(serial.find("agreeable/solves"), std::string::npos);
+  }
+}
+
+// Closes the recording gate for a scope and reopens it on the way out, so
+// a failed assertion cannot leave the rest of the binary unrecorded.
+struct GateClosed {
+  GateClosed() { obs::set_recording(false); }
+  ~GateClosed() { obs::set_recording(true); }
+  GateClosed(const GateClosed&) = delete;
+  GateClosed& operator=(const GateClosed&) = delete;
+};
+
+// The runner's --stable sweeps run with the gate closed: nothing may be
+// recorded, no cell may carry a counters delta, and the data must be the
+// data of a recording run.
+TEST(ObsGate, ClosedGateRecordsNothingAndKeepsTheData) {
+  const bench::Experiment* e = bench::find_experiment("table4");
+  ASSERT_NE(e, nullptr);
+  bench::RunOptions opt;
+  opt.seeds = 2;
+
+  Registry::instance().reset();
+  Json quiet;
+  {
+    const GateClosed closed;
+    quiet = e->run(opt).data;
+  }
+  const obs::Snapshot snap = Registry::instance().snapshot();
+  for (const auto& [name, v] : snap.counters) EXPECT_EQ(v, 0u) << name;
+  for (const auto& [name, v] : snap.runtime_counters) EXPECT_EQ(v, 0u) << name;
+  for (const auto& [name, d] : snap.dists) EXPECT_EQ(d.count, 0u) << name;
+  for (const auto& [name, d] : snap.runtime_dists) EXPECT_EQ(d.count, 0u) << name;
+  for (const auto& [name, t] : snap.timers) EXPECT_EQ(t.count, 0u) << name;
+  quiet.erase_key("solver_seconds");
+  EXPECT_EQ(quiet.dump(2), quiet.without_key("counters").dump(2))
+      << "a cell carries a counters delta while the gate is closed";
+
+  Registry::instance().reset();
+  Json recorded = e->run(opt).data;
+  recorded.erase_key("solver_seconds");
+  if (obs::compiled()) {
+    // Not vacuous: the recording run attributes counters to its cells.
+    EXPECT_NE(recorded.dump(2), recorded.without_key("counters").dump(2));
+    const obs::Snapshot on = Registry::instance().snapshot();
+    ASSERT_NE(on.counter("sim/runs"), nullptr);
+    EXPECT_GT(*on.counter("sim/runs"), 0u);
+  }
+  recorded.erase_key("counters");
+  EXPECT_EQ(quiet.dump(2), recorded.dump(2));
+}
+
+// A timer decides at open whether it records and closes the same way, so
+// flipping the gate inside a scope leaves the per-thread timer stack
+// balanced: a nested pair opened afterwards records only its own edge.
+TEST(ObsGate, TimerClosesTheWayItOpened) {
+  if (!obs::compiled()) GTEST_SKIP() << "built with SDEM_OBS=0";
+  Registry::instance().reset();
+  {
+    const GateClosed closed;
+    {
+      SDEM_OBS_TIMER("test_obs/gate/opened_closed");
+      obs::set_recording(true);
+    }
+    {
+      SDEM_OBS_TIMER("test_obs/gate/opened_open");
+      obs::set_recording(false);
+    }
+  }
+  {
+    SDEM_OBS_TIMER("test_obs/gate/outer");
+    { SDEM_OBS_TIMER("test_obs/gate/inner"); }
+  }
+  const obs::Snapshot snap = Registry::instance().snapshot();
+  std::map<std::string, std::uint64_t> counts;
+  for (const auto& [name, t] : snap.timers) {
+    if (t.count > 0 && name.rfind("test_obs/gate/", 0) == 0)
+      counts[name] = t.count;
+  }
+  const std::string edge =
+      std::string("test_obs/gate/outer") + obs::kTimerEdgeSep +
+      "test_obs/gate/inner";
+  const std::map<std::string, std::uint64_t> want = {
+      {"test_obs/gate/opened_open", 1},
+      {"test_obs/gate/outer", 1},
+      {"test_obs/gate/inner", 1},
+      {edge, 1},
+  };
+  EXPECT_EQ(counts, want);
+}
+
+// The service's shard cells are resolved and written by the drain itself,
+// not through the macros: STATS keeps counting replans with the gate shut.
+TEST(ObsGate, ServiceCellsIgnoreTheGate) {
+  const GateClosed closed;
+  service::ServiceOptions opt;
+  opt.eager = true;
+  std::map<std::uint64_t, Json> responses;
+  service::Service svc(opt, nullptr,
+                       [&](const service::Request& r, Json resp) {
+                         responses.emplace(r.seq, std::move(resp));
+                       });
+  Registry::instance().reset();
+  for (int id = 1; id <= 3; ++id) {
+    service::Request r;
+    r.op = service::Op::kSubmit;
+    r.island = 0;
+    r.task = Task{id, 0.1 * id, 1.0 + 0.1 * id, 100.0};
+    const auto seq = static_cast<std::uint64_t>(id);
+    r.seq = seq;
+    svc.route(std::move(r));
+    ASSERT_TRUE(responses.at(seq).at("ok").as_bool());
+  }
+  const Json stats = svc.stats(99);
+  EXPECT_EQ(stats.at("requests").as_number(), 3);
+  if (obs::compiled()) {
+    const Json& shard0 = stats.at("shards").at(0u);
+    ASSERT_TRUE(shard0.has("replan_latency"));
+    EXPECT_EQ(shard0.at("replan_latency").at("count").as_number(), 3);
   }
 }
 

@@ -58,7 +58,8 @@ int usage(int code) {
       "                    (none with --md)\n"
       "  --stable          omit timings, job count, and observability\n"
       "                    sections from the JSON (byte-reproducible across\n"
-      "                    runs and --jobs)\n"
+      "                    runs and --jobs), and skip collecting them unless\n"
+      "                    --timer-rollup or --trace reads them\n"
       "  --timer-rollup    after each experiment, print the scoped-timer\n"
       "                    hierarchy as an indented inclusive/exclusive table\n"
       "  --trace PATH      record a chrome://tracing JSON of the whole run\n"
@@ -279,6 +280,14 @@ int main(int argc, char** argv) {
     return 2;
   }
 
+  // Record only what the run reports: a non-stable document's counters and
+  // runtime sections, the rollup, or the trace. Everything else (a --stable
+  // sweep, --md without --out) runs with the instrumentation sites idle;
+  // the numerics are the same either way.
+  const bool writes_document = !(md && out_path.empty());
+  obs::set_recording((writes_document && !stable) || timer_rollup ||
+                     !trace_path.empty());
+
   // jobs == 1 keeps the serial reference path (no pool) — the execution the
   // parallel runs must match bit-for-bit.
   std::unique_ptr<ThreadPool> pool;
@@ -325,7 +334,7 @@ int main(int argc, char** argv) {
       print_timer_rollup(obs::Registry::instance().snapshot());
     // --md without --out writes no document: run from the repository root,
     // the default path would overwrite a committed artifact.
-    if (md && out_path.empty()) continue;
+    if (!writes_document) continue;
 
     const int used_seeds = seeds > 0 ? seeds : e->default_seeds;
     auto mark = std::chrono::steady_clock::now();
