@@ -3,7 +3,8 @@
 // deterministic sweeps run their (point, seed) cells through Grid
 // (bench_util.hpp), which folds in seed order, so the printed tables and
 // the JSON per-seed numbers are bit-identical between --jobs 1 and
-// --jobs N (BenchRegistry.EveryDeterministicExperimentIsJobCountIndependent
+// --jobs N, recording or not
+// (BenchRegistry.EveryDeterministicExperimentIsJobCountAndRecordingIndependent
 // in tests/test_obs.cpp). governor_ladder keeps its own loop because one
 // cell's simulations feed three depth rows; table1, bounded_partition and
 // service_throughput time their work, so their payloads vary run to run.
@@ -1847,26 +1848,24 @@ ExperimentResult run_service_throughput(const RunOptions& opt) {
     res.ingest_secs = static_cast<double>(t_ingest - t0) / 1e9;
     res.secs = static_cast<double>(obs::now_ns() - t0) / 1e9;
     res.errors = errors.load();
-    if (obs::compiled()) {
-      // Merge every shard's replan histogram for service-wide p50/p99.
-      const obs::Snapshot snap = obs::Registry::instance().snapshot();
-      obs::DistValue merged;
-      std::map<int, std::uint64_t> buckets;
-      for (const auto& [name, d] : snap.runtime_dists) {
-        if (name.rfind("service/shard", 0) != 0 ||
-            name.find("/replan_ns") == std::string::npos) {
-          continue;
-        }
-        if (merged.count == 0 || d.min < merged.min) merged.min = d.min;
-        if (d.max > merged.max) merged.max = d.max;
-        merged.count += d.count;
-        merged.sum_fx += d.sum_fx;
-        for (const auto& [e, n] : d.buckets) buckets[e] += n;
+    // Merge every shard's replan histogram for service-wide p50/p99.
+    const obs::Snapshot snap = obs::Registry::instance().snapshot();
+    obs::DistValue merged;
+    std::map<int, std::uint64_t> buckets;
+    for (const auto& [name, d] : snap.runtime_dists) {
+      if (name.rfind("service/shard", 0) != 0 ||
+          name.find("/replan_ns") == std::string::npos) {
+        continue;
       }
-      merged.buckets.assign(buckets.begin(), buckets.end());
-      res.p50_ns = merged.percentile(0.50);
-      res.p99_ns = merged.percentile(0.99);
+      if (merged.count == 0 || d.min < merged.min) merged.min = d.min;
+      if (d.max > merged.max) merged.max = d.max;
+      merged.count += d.count;
+      merged.sum_fx += d.sum_fx;
+      for (const auto& [e, n] : d.buckets) buckets[e] += n;
     }
+    merged.buckets.assign(buckets.begin(), buckets.end());
+    res.p50_ns = merged.percentile(0.50);
+    res.p99_ns = merged.percentile(0.99);
     return res;
   };
 

@@ -22,13 +22,13 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 void fill_row(const TaskSet& sorted, const SystemConfig& cfg, int n, int p,
               std::vector<BlockSolution>& block) {
   SDEM_OBS_TIMER("agreeable/fill_row");
-  SDEM_OBS_ONLY(std::uint64_t cells = 0;)
+  std::uint64_t cells = 0;
   BlockContext ctx(cfg);
   for (int q = p; q < n; ++q) {
     ctx.push_task(sorted[q]);
     if (ctx.block_infeasible()) break;
     block[static_cast<std::size_t>(p) * n + q] = ctx.solve();
-    SDEM_OBS_ONLY(++cells;)
+    ++cells;
   }
   SDEM_OBS_COUNT("agreeable/dp_cells", cells);
   SDEM_OBS_COUNT("agreeable/dp_cells_skipped_infeasible",

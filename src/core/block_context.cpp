@@ -174,7 +174,7 @@ void BlockContext::push_task(const Task& t) {
 __attribute__((always_inline)) inline
 #endif
 double BlockContext::eval_box(double s, double e) const {
-  SDEM_OBS_ONLY(++obs_probes_;)
+  ++obs_probes_;
   double energy = alpha_m_ * (e - s) + const_energy_;
   // Left, right, coupled: the segments add in task order, so the sum is
   // bit-identical to per-task accumulation.
@@ -209,7 +209,7 @@ void BlockContext::prime_fixed_right(double e) const {
 __attribute__((always_inline)) inline
 #endif
 double BlockContext::eval_box_fixed_s(double s, double e) const {
-  SDEM_OBS_ONLY(++obs_probes_;)
+  ++obs_probes_;
   double energy = alpha_m_ * (e - s) + const_energy_;
   const std::vector<Lane>& L = lanes_;
   const std::size_t n = L.size(), nl = nleft_, nlr = nleft_ + nright_;
@@ -227,7 +227,7 @@ double BlockContext::eval_box_fixed_s(double s, double e) const {
 __attribute__((always_inline)) inline
 #endif
 double BlockContext::eval_box_fixed_e(double s, double e) const {
-  SDEM_OBS_ONLY(++obs_probes_;)
+  ++obs_probes_;
   double energy = alpha_m_ * (e - s) + const_energy_;
   const std::vector<Lane>& L = lanes_;
   const std::size_t n = L.size(), nl = nleft_, nlr = nleft_ + nright_;
@@ -386,7 +386,7 @@ BoxMin BlockContext::minimize_box(double s_lo, double s_hi, double e_lo,
   out.value = val;
 
   for (int round = 0; round < 64; ++round) {
-    SDEM_OBS_ONLY(++obs_rounds_;)
+    ++obs_rounds_;
     const double elo = std::max({e_lo, s, feasible_e_min(s)});
     if (elo > e_hi) break;
     // The e-line search holds s fixed, so the left lanes' windows — and
@@ -463,10 +463,13 @@ BlockSolution BlockContext::solve() {
   build_e_breakpoints();
   fixv_.resize(pr_.size());
 
-  SDEM_OBS_ONLY(std::uint64_t boxes = 0; std::uint64_t boxes_pruned = 0;
-                std::uint64_t boxes_lb_pruned = 0; std::uint64_t cls_left = 0;
-                std::uint64_t cls_right = 0; std::uint64_t cls_coupled = 0;
-                std::uint64_t cls_const = 0;)
+  std::uint64_t boxes = 0;
+  std::uint64_t boxes_pruned = 0;
+  std::uint64_t boxes_lb_pruned = 0;
+  std::uint64_t cls_left = 0;
+  std::uint64_t cls_right = 0;
+  std::uint64_t cls_coupled = 0;
+  std::uint64_t cls_const = 0;
   double best = kInf;
   double best_s = r_min_, best_e = d_max_;
   // Pass 1: set up every box once to learn its exact lower bound — the
@@ -480,7 +483,7 @@ BlockSolution BlockContext::solve() {
       const double e_lo = eb_[ei], e_hi = eb_[ei + 1];
       if (e_hi <= s_lo) continue;  // would force e' <= s'
       if (!setup_box(s_lo, s_hi, e_lo, e_hi)) {
-        SDEM_OBS_ONLY(++boxes_pruned;)
+        ++boxes_pruned;
         continue;  // pruned: infeasible
       }
       // lb: the memory term at the least feasible e' - s' (setup_box folds
@@ -524,9 +527,11 @@ BlockSolution BlockContext::solve() {
     const double s_lo = sb_[c.si], s_hi = sb_[c.si + 1];
     const double e_lo = eb_[c.ei], e_hi = eb_[c.ei + 1];
     setup_box(s_lo, s_hi, e_lo, e_hi);  // feasible in pass 1, so again here
-    SDEM_OBS_ONLY(++boxes; cls_left += nleft_; cls_right += nright_;
-                  cls_coupled += lanes_.size() - nleft_ - nright_;
-                  cls_const += nr_.size() - lanes_.size();)
+    ++boxes;
+    cls_left += nleft_;
+    cls_right += nright_;
+    cls_coupled += lanes_.size() - nleft_ - nright_;
+    cls_const += nr_.size() - lanes_.size();
     const BoxMin m = minimize_box(s_lo, s_hi, e_lo, e_hi);
     if (m.feasible) {
       best_seen = std::min(best_seen, m.value);
@@ -550,8 +555,7 @@ BlockSolution BlockContext::solve() {
     if (k == first) continue;
     const BoxCand& c = cand_[k];
     if (can_prune_ && c.lb - 1e-12 * std::abs(c.lb) >= best_seen) {
-      SDEM_OBS_ONLY(boxes_lb_pruned +=
-                    cand_.size() - k - (first > k ? 1 : 0);)
+      boxes_lb_pruned += cand_.size() - k - (first > k ? 1 : 0);
       break;
     }
     search_box(c);
@@ -575,12 +579,10 @@ BlockSolution BlockContext::solve() {
   SDEM_OBS_COUNT("block/box_tasks_left_clipped", cls_left);
   SDEM_OBS_COUNT("block/box_tasks_right_clipped", cls_right);
   SDEM_OBS_COUNT("block/box_tasks_coupled", cls_coupled);
-#if SDEM_OBS
   SDEM_OBS_COUNT("block/probes", obs_probes_);
   SDEM_OBS_COUNT("block/search_rounds", obs_rounds_);
   obs_probes_ = 0;
   obs_rounds_ = 0;
-#endif
   if (!std::isfinite(best)) return out;
   out.feasible = true;
   out.s = best_s;

@@ -218,14 +218,11 @@ class BlockContext {
   std::vector<BoxCand> cand_;        ///< per-solve scratch
   std::vector<SearchedBox> searched_;  ///< per-solve scratch
 
-#if SDEM_OBS
   // Probe and search-round tallies for the current solve(), flushed to the
   // obs registry once per solve (mutable: eval_box and minimize_box are
-  // const). Gated so OFF builds carry no extra state and eval_box stays
-  // untouched.
+  // const).
   mutable std::uint64_t obs_probes_ = 0;
   mutable std::uint64_t obs_rounds_ = 0;
-#endif
 };
 
 }  // namespace sdem

@@ -96,10 +96,10 @@ OfflineResult solve_common_release_discrete(const TaskSet& tasks,
   const double alpha_m = cfg.memory.alpha_m;
   const bool has_work = tasks.total_work() > 0.0;
 
-  SDEM_OBS_ONLY(std::uint64_t obs_probes = 0;)
+  std::uint64_t obs_probes = 0;
   // Direct objective: the energy at T summed task by task.
   auto energy = [&](double T) {
-    SDEM_OBS_ONLY(++obs_probes;)
+    ++obs_probes;
     if (T <= 0.0) return has_work ? kInf : 0.0;
     double e = alpha_m * T;
     for (const auto& t : tasks.tasks()) {
@@ -189,7 +189,7 @@ OfflineResult solve_common_release_discrete(const TaskSet& tasks,
   }
   edge_T.push_back(horizon);
   edge_model.push_back(sum_icpt + sum_slope * horizon);
-  SDEM_OBS_ONLY(obs_probes += edge_T.size();)
+  obs_probes += edge_T.size();
 
   // The model ranks the breakpoints up to its rounding; every breakpoint
   // within a relative 1e-10 of the lowest model value is evaluated directly

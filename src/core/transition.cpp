@@ -148,8 +148,9 @@ OfflineResult solve_common_release_transition(const TaskSet& tasks,
             [](const TransitionWorkspace::Event& x,
                const TransitionWorkspace::Event& y) { return x.T < y.T; });
 
-  SDEM_OBS_ONLY(std::uint64_t obs_probes = 0; std::uint64_t obs_live = 0;
-                std::uint64_t obs_pieces = 0;)
+  std::uint64_t obs_probes = 0;
+  std::uint64_t obs_live = 0;
+  std::uint64_t obs_pieces = 0;
 
   // Running piece model: `stretching` tasks contribute beta w^lambda
   // T^(1-lambda) plus their exec/tail linear part, every other task a
@@ -187,7 +188,7 @@ OfflineResult solve_common_release_transition(const TaskSet& tasks,
     } else if (m == kCapped) {
       double run = 0.0, speed = 0.0;
       ws.const_cost[k] = task_cost(tasks[k], cfg, s_m, H, cap(k), run, speed);
-      SDEM_OBS_ONLY(++obs_live;)
+      ++obs_live;
       constant += ws.const_cost[k];
     }
     if (stretching == 0) sum_wl = 0.0;  // drop the cancellation residue
@@ -217,7 +218,7 @@ OfflineResult solve_common_release_transition(const TaskSet& tasks,
           set_mode(events[next].task, lo);
       }
       const double hi = next < events.size() ? events[next].T : H;
-      SDEM_OBS_ONLY(++obs_pieces;)
+      ++obs_pieces;
       const bool core_idle = core_tail && lo >= H - xi;
       const bool mem_idle = mem_tail && lo >= H - xi_m;
       // Awake-idle tails make the device's cost alpha * (H - T) + alpha T,
@@ -232,7 +233,7 @@ OfflineResult solve_common_release_transition(const TaskSet& tasks,
       const double C = beta * sum_wl;
       // `t_pow` caches T^(1-lambda): NaN until this call needs it.
       const auto model = [&](double T, double& t_pow) {
-        SDEM_OBS_ONLY(++obs_probes;)
+        ++obs_probes;
         if (T <= 0.0) return has_work ? kInf : 0.0;
         if (C > 0.0 && std::isnan(t_pow)) t_pow = std::pow(T, 1.0 - lambda);
         return a * T + b + (C > 0.0 ? C * t_pow : 0.0);
@@ -275,7 +276,8 @@ OfflineResult solve_common_release_transition(const TaskSet& tasks,
   }
   // The energy returned is the direct objective at best_T, summed task by
   // task; the same pass keeps each task's run and speed for the schedule.
-  SDEM_OBS_ONLY(++obs_probes; obs_live += n;)
+  ++obs_probes;
+  obs_live += n;
   ws.run.assign(n, 0.0);
   ws.speed.assign(n, 0.0);
   double best = has_work ? kInf : 0.0;

@@ -23,7 +23,8 @@ SleepLadder SleepLadder::geometric(double alpha_m, double xi_m, int depth,
   for (int k = 1; k <= depth; ++k) {
     const double frac = static_cast<double>(k) / static_cast<double>(depth);
     SleepState s;
-    s.name = "L" + std::to_string(k);
+    s.name = "L";
+    s.name += std::to_string(k);
     s.power = alpha_m * (1.0 - frac);
     s.xi = xi_m * frac * frac;
     s.pair_energy = (alpha_m - s.power) * s.xi;

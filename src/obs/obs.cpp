@@ -323,8 +323,6 @@ const DistValue* Snapshot::dist(const std::string& name) const {
   return nullptr;
 }
 
-#if SDEM_OBS
-
 namespace {
 
 // Per-thread stack of live ScopedTimer names. Timers are strictly nested
@@ -377,7 +375,5 @@ void ScopedTimer::close() {
   }
   if (traced_) trace::end(name_, t1);
 }
-
-#endif  // SDEM_OBS
 
 }  // namespace sdem::obs

@@ -5,13 +5,13 @@
 //
 // Design constraints, in order:
 //
-//   * Zero cost when compiled out. The whole layer is gated on the
-//     compile-time flag SDEM_OBS (CMake option, default ON). With
-//     -DSDEM_OBS=OFF every SDEM_OBS_* macro expands to nothing — no
-//     locals, no branches, no clock reads — and instrumented code is
-//     token-identical to the pre-instrumentation source. The registry API
-//     below stays declared either way so tools compile unchanged; it just
-//     never sees a write.
+//   * One switch, decided at run time. The process-wide recording gate
+//     (set_recording) decides whether the SDEM_OBS_* sites and ScopedTimer
+//     write: closed, a site costs one relaxed load and a branch, and a
+//     timer reads no clock. It defaults to open; sdem_bench_runner closes
+//     it when its output carries nothing the layer collects. Cells a
+//     caller resolves and writes directly (the service's shard cells) are
+//     not gated.
 //
 //   * Deterministic merge. Counters and distributions live in thread-local
 //     shards; snapshot() folds the shards into one name-sorted view whose
@@ -29,14 +29,6 @@
 //     render under a separate "runtime" JSON key so the deterministic
 //     "counters" section keeps its byte-equality contract.
 //
-//   * A run that reports nothing records nothing. In an ON build the
-//     process-wide recording gate (set_recording) decides at run time
-//     whether the SDEM_OBS_* sites and ScopedTimer write: off, a site costs
-//     one relaxed load and a branch. It defaults to on; sdem_bench_runner
-//     turns it off when its output carries nothing the layer collects.
-//     Cells a caller resolves and writes directly (the service's shard
-//     cells) are not gated.
-//
 // Threading contract: cell *creation* (first use of a name on a thread) and
 // snapshot()/reset() take locks; a thread's lookup of a cell it already
 // created takes none, and cell *increments* are unsynchronized
@@ -53,24 +45,16 @@
 
 #include "support/json.hpp"
 
-#ifndef SDEM_OBS
-#define SDEM_OBS 1
-#endif
-
 namespace sdem::obs {
-
-/// Whether the instrumentation layer is compiled in (the CMake SDEM_OBS
-/// option). Tools use this to omit empty counters sections in OFF builds.
-constexpr bool compiled() { return SDEM_OBS != 0; }
 
 namespace detail {
 inline std::atomic<bool> recording_gate{true};
 }  // namespace detail
 
 /// Whether the SDEM_OBS_* sites and ScopedTimer record right now: the
-/// runtime gate, and always false in an OFF build. One relaxed load.
+/// runtime gate. One relaxed load.
 inline bool recording() {
-  return compiled() && detail::recording_gate.load(std::memory_order_relaxed);
+  return detail::recording_gate.load(std::memory_order_relaxed);
 }
 
 /// Open or close the recording gate (default open). Sites already past
@@ -237,8 +221,6 @@ inline TimerCell* timer_cell(const char* name) {
   return Registry::instance().timer_cell(name);
 }
 
-#if SDEM_OBS
-
 /// RAII scope timer: updates a TimerCell (runtime domain) and, when the
 /// trace sink is recording, emits a Chrome B/E event pair on this thread.
 /// Whether it records is decided once, when it opens: with the gate
@@ -272,10 +254,6 @@ class ScopedTimer {
 
 #define SDEM_OBS_CONCAT_(a, b) a##b
 #define SDEM_OBS_CONCAT(a, b) SDEM_OBS_CONCAT_(a, b)
-
-/// Statement that exists only in instrumented builds (for locals that feed
-/// a flush-at-end SDEM_OBS_COUNT).
-#define SDEM_OBS_ONLY(...) __VA_ARGS__
 
 /// Add `n` to a deterministic counter. `name` must be a string literal.
 /// Neither the cell nor `n` is touched while the gate is closed.
@@ -322,23 +300,5 @@ class ScopedTimer {
       sdem_obs_tc_, __LINE__) = ::sdem::obs::timer_cell(name);            \
   ::sdem::obs::ScopedTimer SDEM_OBS_CONCAT(sdem_obs_timer_, __LINE__)(    \
       name, SDEM_OBS_CONCAT(sdem_obs_tc_, __LINE__))
-
-#else  // !SDEM_OBS — every instrumentation site compiles to nothing.
-
-class ScopedTimer {
- public:
-  explicit ScopedTimer(const char*) {}
-  ScopedTimer(const char*, TimerCell*) {}
-};
-
-#define SDEM_OBS_ONLY(...)
-#define SDEM_OBS_COUNT(name, n) ((void)0)
-#define SDEM_OBS_INC(name) ((void)0)
-#define SDEM_OBS_RUNTIME_COUNT(name, n) ((void)0)
-#define SDEM_OBS_DIST(name, v) ((void)0)
-#define SDEM_OBS_RUNTIME_DIST(name, v) ((void)0)
-#define SDEM_OBS_TIMER(name) ((void)0)
-
-#endif  // SDEM_OBS
 
 }  // namespace sdem::obs

@@ -19,9 +19,7 @@
 // --power-trace`. Recording is off unless a tool enables it
 // (`sdem_cli --power-trace out.json`, `sdem_bench_runner --trace`) and the
 // journal only ever *records* — it never feeds back into the numerics, so
-// the --stable byte-identity contract is untouched. The recording hooks in
-// the accounting compile out under SDEM_OBS=OFF; this API stays declared
-// (writing an empty-but-valid trace) so the tools build unchanged.
+// the --stable byte-identity contract is untouched.
 #pragma once
 
 #include <cstdint>

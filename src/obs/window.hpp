@@ -20,10 +20,6 @@
 // (obs::now_ns() in the service), so windows are inherently runtime-tier:
 // they never feed the deterministic "counters" JSON section and are
 // excluded from every --stable surface.
-//
-// Like the rest of the layer, instrumentation *sites* compile out under
-// SDEM_OBS=OFF; the types and registry API below stay declared so the
-// tools build unchanged (they just never see a write).
 #pragma once
 
 #include <cstdint>

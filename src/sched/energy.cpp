@@ -93,7 +93,6 @@ GapCosts walk_gaps(const std::vector<Interval>& busy, const SleepLadder& ladder,
         break;
     }
     decision[i] = k;
-#if SDEM_OBS
     if (tl_pass >= 0) {
       // Clairvoyant disciplines "predicted" the true gap; a live governor
       // exposes the prediction its choice was based on.
@@ -115,7 +114,6 @@ GapCosts walk_gaps(const std::vector<Interval>& busy, const SleepLadder& ladder,
       obs::timeline::record_decision(tl_pass, gaps[i].t0, gaps[i].t0 + g,
                                      predicted, k, oc);
     }
-#endif
     if (disc == SleepDiscipline::kGovernor && governor != nullptr) {
       governor->observe(g, k >= 0 && g < ladder.state(k).latency);
     }
@@ -205,7 +203,6 @@ void add_memory_energy(const std::vector<Interval>& busy,
   const SleepLadder single = SleepLadder::single(memory.alpha_m, memory.xi_m);
   const SleepLadder& ladder = memory.ladder.empty() ? single : memory.ladder;
   int tl_pass = -1;
-#if SDEM_OBS
   // The journal follows ladder and governor walks; the single state under
   // a clairvoyant or fixed discipline has no rung choice to show.
   if (obs::timeline::enabled() &&
@@ -215,7 +212,6 @@ void add_memory_energy(const std::vector<Interval>& busy,
         opts.timeline_island,
         opts.timeline_label != nullptr ? opts.timeline_label : "");
   }
-#endif
   GapCosts costs = walk_gaps(busy, ladder, opts.horizon_lo, opts.horizon_hi,
                              opts.memory_gaps, opts.governor,
                              /*gauges=*/true, tl_pass);

@@ -313,9 +313,7 @@ void Service::route(Request req, int producer) {
   // the shard: stage the parsed request behind them and flush the batch.
   Msg m;
   m.req = std::move(req);
-#if SDEM_OBS
   if (m.req.ingest_ns == 0) m.req.ingest_ns = obs::now_ns();
-#endif
   p.staged[shard].push_back(std::move(m));
   flush_shard(p, shard);
 }
@@ -331,9 +329,7 @@ void Service::route_raw(int island, Op op, std::string line,
   m.req.seq = seq;
   m.req.conn = conn;
   m.req.conn_seq = conn_seq;
-#if SDEM_OBS
   m.req.ingest_ns = obs::now_ns();
-#endif
   m.raw = std::move(line);
   p.staged[shard].push_back(std::move(m));
   if (p.staged[shard].size() >= kIngestBatch) flush_shard(p, shard);
@@ -350,7 +346,6 @@ bool Service::drain(Shard& s, std::size_t budget) {
   // Cells live in the calling thread's obs shard — resolve per drain, not
   // per service, because successive drains may land on different threads.
   ShardCells cells;
-#if SDEM_OBS
   cells.replan =
       obs::dist_cell(s.replan_metric.c_str(), obs::Domain::kRuntime);
   cells.replan_win = obs::Registry::instance().window_cell(
@@ -359,7 +354,6 @@ bool Service::drain(Shard& s, std::size_t budget) {
       s.e2e_window_metric.c_str(), obs::WindowSpec{});
   std::uint64_t* req_count =
       obs::counter_cell(s.requests_metric.c_str(), obs::Domain::kRuntime);
-#endif
   for (;;) {
     {
       std::lock_guard<std::mutex> lock(s.mu);
@@ -378,18 +372,14 @@ bool Service::drain(Shard& s, std::size_t budget) {
     budget -= s.batch.size();
     for (Msg& m : s.batch) {
       handle(s, m, cells);
-#if SDEM_OBS
       // Windowed end-to-end latency: ingest stamp to response done.
       if (m.req.ingest_ns != 0) {
         const std::uint64_t now = obs::now_ns();
         cells.e2e_win->add(static_cast<double>(now - m.req.ingest_ns), now);
       }
-#endif
     }
     s.processed.fetch_add(s.batch.size(), std::memory_order_release);
-#if SDEM_OBS
     *req_count += s.batch.size();
-#endif
     s.batch.clear();  // frees the handled lines
   }
 }
@@ -465,10 +455,8 @@ void Service::process(Shard& s, Request& r, const ShardCells& cells) {
         const std::uint64_t t0 = obs::now_ns();
         isl.sim.commit();
         const std::uint64_t dt = obs::now_ns() - t0;
-        if (cells.replan != nullptr) {
-          cells.replan->add(static_cast<double>(dt));
-          cells.replan_win->add(static_cast<double>(dt), t0 + dt);
-        }
+        cells.replan->add(static_cast<double>(dt));
+        cells.replan_win->add(static_cast<double>(dt), t0 + dt);
         resp.set("pending", static_cast<std::uint64_t>(isl.sim.pending().size()));
         resp.set("replans", isl.sim.replans());
         double plan_end = isl.sim.plan_from();
@@ -476,8 +464,7 @@ void Service::process(Shard& s, Request& r, const ShardCells& cells) {
           plan_end = std::max(plan_end, seg.end);
         }
         resp.set("plan_end", plan_end);
-      } else if (cells.replan != nullptr &&
-                 isl.sim.replans() != replans_before) {
+      } else if (isl.sim.replans() != replans_before) {
         // Lazy mode commits inside inject_arrival when the release
         // advances; attribute that latency too so replay/throughput runs
         // still populate the p50/p99 histograms.
@@ -560,12 +547,9 @@ Json Service::stats(std::uint64_t seq) {
   std::uint64_t islands = 0;
   for (const auto& s : shards_) islands += s->islands.size();
   resp.set("islands", islands);
-  resp.set("obs_compiled", obs::compiled());
 
   Json shard_arr = Json::array();
-#if SDEM_OBS
   const obs::Snapshot snap = obs::Registry::instance().snapshot();
-#endif
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     const Shard& s = *shards_[i];
     const std::uint64_t n = s.processed.load(std::memory_order_acquire);
@@ -575,7 +559,6 @@ Json Service::stats(std::uint64_t seq) {
     js.set("requests", n);
     js.set("throughput_rps",
            uptime > 0.0 ? static_cast<double>(n) / uptime : 0.0);
-#if SDEM_OBS
     // p50/p99 replan latency from the runtime-domain log2 histogram.
     for (const auto& [name, dist] : snap.runtime_dists) {
       if (name != s.replan_metric) continue;
@@ -588,7 +571,6 @@ Json Service::stats(std::uint64_t seq) {
       js.set("replan_latency", std::move(lat));
       break;
     }
-#endif
     shard_arr.push_back(std::move(js));
   }
   resp.set("shards", std::move(shard_arr));
@@ -625,8 +607,6 @@ std::string Service::metrics_text() const {
   for (const auto& s : shards_) islands += s->islands.size();
   line("# TYPE sdem_islands gauge");
   line("sdem_islands " + prom_num(static_cast<double>(islands)));
-  line("# TYPE sdem_obs_compiled gauge");
-  line(std::string("sdem_obs_compiled ") + (obs::compiled() ? "1" : "0"));
   line("# TYPE sdem_shard_requests_total counter");
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     line("sdem_shard_requests_total" + shard_label(i) + " " +
@@ -656,7 +636,6 @@ std::string Service::metrics_text() const {
          prom_num(static_cast<double>(
              shards_[i]->pool_drains.load(std::memory_order_relaxed))));
   }
-#if SDEM_OBS
   // Windowed latency summaries: quantiles over the last
   // WindowSpec{}.window_ns() seconds, not since startup — scrapes a minute
   // apart see independent views (the cumulative view stays in STATS).
@@ -717,14 +696,12 @@ std::string Service::metrics_text() const {
     line("sdem_counter_total{name=\"" + name + "\"} " +
          prom_num(static_cast<double>(v)));
   }
-#endif
   return out;
 }
 
 Json Service::metrics(std::uint64_t seq) {
   drain_all();  // quiesce: window/snapshot reads require no writers
   Json resp = ok_response(Op::kMetrics, seq);
-  resp.set("obs_compiled", obs::compiled());
   resp.set("uptime_s", uptime_s());
   resp.set("requests", requests_processed());
   resp.set("content_type", "text/plain; version=0.0.4");

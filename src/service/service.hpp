@@ -134,8 +134,7 @@ class Service {
 
   /// Service-wide statistics (drains first, so the snapshot is quiesced):
   /// uptime, totals, and per-shard requests/throughput plus p50/p99/mean/max
-  /// replan latency from the obs runtime domain (omitted when the obs layer
-  /// is compiled out).
+  /// replan latency from the obs runtime domain.
   Json stats(std::uint64_t seq);
 
   /// METRICS envelope: ok/op/seq plus `body`, the Prometheus text
@@ -144,12 +143,10 @@ class Service {
 
   /// Prometheus text exposition (docs/service.md §METRICS): uptime and
   /// request totals, per-shard requests / queue length / backpressure
-  /// stalls / inline and pooled drains, and — when the obs layer is
-  /// compiled in — windowed p50/p99/p999 replan and end-to-end latency per
-  /// shard plus the cumulative registry counters (governor mispredict/abort
-  /// rates included). Callers must quiesce first (metrics() and the
-  /// daemon's barrier do); under SDEM_OBS=OFF only the obs-free families
-  /// appear.
+  /// stalls / inline and pooled drains, windowed p50/p99/p999 replan and
+  /// end-to-end latency per shard, and the cumulative registry counters
+  /// (governor mispredict/abort rates included). Callers must quiesce first
+  /// (metrics() and the daemon's barrier do).
   std::string metrics_text() const;
 
   /// Seconds since construction.
@@ -180,8 +177,7 @@ class Service {
 
   /// The shard's obs cells, resolved by drain() once per invocation on the
   /// executing thread (successive drains may run on different threads, and
-  /// each thread has its own cells). All null when the obs layer is
-  /// compiled out.
+  /// each thread has its own cells).
   struct ShardCells {
     obs::DistCell* replan = nullptr;       ///< cumulative replan latency
     obs::WindowCell* replan_win = nullptr; ///< windowed replan latency

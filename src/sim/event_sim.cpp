@@ -11,7 +11,6 @@
 namespace sdem {
 namespace {
 
-#if SDEM_OBS
 /// A context switch is a core running a different task than the one it ran
 /// last. Segments are appended chronologically (event windows in time
 /// order, per-core EDF order within a window), so one pass with a per-core
@@ -39,7 +38,6 @@ void flush_sim_counters(const SimResult& res) {
   SDEM_OBS_COUNT("sim/deadline_misses", res.deadline_misses);
   SDEM_OBS_COUNT("sim/unfinished_tasks", res.unfinished);
 }
-#endif  // SDEM_OBS
 
 }  // namespace
 
@@ -232,9 +230,7 @@ const SimResult& StreamSim::finalize() {
   }
   res_.horizon_hi = std::max(max_deadline, res_.schedule.end_time());
   finalized_ = true;
-#if SDEM_OBS
   flush_sim_counters(res_);
-#endif
   return res_;
 }
 
@@ -447,9 +443,7 @@ SimResult simulate_with_actuals(const TaskSet& arrivals,
     }
   }
   res.horizon_hi = std::max(sorted.max_deadline(), res.schedule.end_time());
-#if SDEM_OBS
   flush_sim_counters(res);
-#endif
   return res;
 }
 

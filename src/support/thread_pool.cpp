@@ -71,7 +71,7 @@ void ThreadPool::worker_loop() {
   for (;;) {
     std::function<void()> task;
     {
-      SDEM_OBS_ONLY(const std::uint64_t idle0 = obs::now_ns();)
+      const std::uint64_t idle0 = obs::now_ns();
       std::unique_lock<std::mutex> lock(mu_);
       work_ready_.wait(lock, [this] { return stop_ || !queue_.empty(); });
       if (queue_.empty()) return;  // stop_ set and nothing left to drain

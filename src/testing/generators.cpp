@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "support/rng.hpp"
 #include "workload/generator.hpp"
@@ -210,8 +212,10 @@ SleepLadder random_sleep_ladder(Xoshiro256& rng, const SystemConfig& cfg) {
   double latency = 0.0;
   for (int k = 0; k < depth; ++k) {
     const double lat = std::max(latency, xi * rng.uniform(0.0, 0.25));
-    ladder.add_state("s" + std::to_string(k), power,
-                     (alpha_m - power) * xi, lat, alpha_m);
+    std::string name = "s";
+    name += std::to_string(k);
+    ladder.add_state(std::move(name), power, (alpha_m - power) * xi, lat,
+                     alpha_m);
     latency = lat;
     power *= rng.uniform(0.15, 0.7);
     if (k + 2 == depth && chance(rng, 0.5)) power = 0.0;  // deep rung off

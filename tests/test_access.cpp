@@ -77,7 +77,7 @@ TEST(Access, OverlappingAccessPhasesMerge) {
 TEST(Access, EnergyNeverExceedsWholeModel) {
   // Shrinking access phases can only reduce memory energy (with free
   // transitions) — the paper's whole-execution model is conservative.
-  MemoryPower mem{4.0, 0.0};
+  MemoryPower mem{4.0, 0.0, {}};
   const auto sched = two_segments();
   const auto whole = access_energy(sched, {}, mem, 0.0, 3.0);
   std::map<int, TaskAccess> acc;
@@ -89,11 +89,11 @@ TEST(Access, EnergyNeverExceedsWholeModel) {
 }
 
 TEST(Access, BreakEvenRespected) {
-  MemoryPower mem{4.0, 2.0};  // interior gap of 1 s is below break-even
+  MemoryPower mem{4.0, 2.0, {}};  // interior gap of 1 s is below break-even
   const auto e = access_energy(two_segments(), {}, mem, 0.0, 3.0);
   EXPECT_DOUBLE_EQ(e.memory_idle, 4.0 * 1.0);
   EXPECT_EQ(e.memory_sleep_time, 0.0);
-  MemoryPower mem2{4.0, 0.5};
+  MemoryPower mem2{4.0, 0.5, {}};
   const auto e2 = access_energy(two_segments(), {}, mem2, 0.0, 3.0);
   EXPECT_DOUBLE_EQ(e2.memory_transition, 4.0 * 0.5);
   EXPECT_DOUBLE_EQ(e2.memory_sleep_time, 1.0);

@@ -231,7 +231,6 @@ TEST(BlockIncremental, CrossCheckAuditsLongBlocksCleanly) {
 }
 
 TEST(BlockIncremental, BoxSearchStopsAtItsNoiseFloor) {
-  if (!obs::compiled()) GTEST_SKIP() << "built with SDEM_OBS=0";
   // ablation_blocks' 48 cells (n = 8, xi_m = 0): the DP, one block, and
   // one block per task. A box's alternation ends at the first round that
   // does not strictly improve its incumbent. Without that stop, these

@@ -207,7 +207,6 @@ TEST(DiscreteSolver, BoundaryTightTaskEvaluatesAtTheHorizon) {
 }
 
 TEST(DiscreteSolver, SweepEvaluatesOnlyBreakpoints) {
-  if (!obs::compiled()) GTEST_SKIP() << "built with SDEM_OBS=0";
   // One model value per breakpoint plus the direct evaluation of the
   // winner (near-ties would add more; a generic instance has none).
   const auto cfg = make_cfg(0.31, 4.0, 1900.0);

@@ -41,7 +41,9 @@ TEST(Oa, DeadlinesMet) {
   for (const auto& seg : plan) {
     done[seg.task_id] += seg.work();
     for (const auto& j : jobs) {
-      if (j.id == seg.task_id) EXPECT_LE(seg.end, j.deadline + 1e-9);
+      if (j.id == seg.task_id) {
+        EXPECT_LE(seg.end, j.deadline + 1e-9);
+      }
     }
   }
   EXPECT_NEAR(done[0], 3.0, 1e-9);

@@ -1,12 +1,12 @@
 // Observability layer (src/obs/, docs/observability.md): the acceptance
 // properties the instrumentation must keep — deterministic-domain counters
 // identical whatever the thread count, reset that keeps cached call-site
-// cells valid, macros that compile to no-ops under SDEM_OBS=0 (this file
-// builds and passes in both modes), and a Chrome-trace sink whose B/E
-// duration pairs are monotone and well-nested per thread, and a runtime
-// recording gate that idles every macro site and timer without touching
-// the numerics or the service's own cells. Also home to the bench
-// registry's name-filter contract and a Table 4 cell check, next to its
+// cells valid, a Chrome-trace sink whose B/E duration pairs are monotone
+// and well-nested per thread, and a runtime recording gate that idles
+// every macro site and timer without touching the numerics or the
+// service's own cells. Also home to the bench registry's name-filter
+// contract, its job-count and recording independence check over every
+// deterministic experiment, and a Table 4 cell check, next to its
 // find_experiment use.
 #include <gtest/gtest.h>
 
@@ -37,17 +37,11 @@ TEST(Obs, MacroCountersReachTheRegistry) {
   SDEM_OBS_INC("test_obs/macro");
   const obs::Snapshot snap = Registry::instance().snapshot();
   const std::uint64_t* c = snap.counter("test_obs/macro");
-  if (obs::compiled()) {
-    ASSERT_NE(c, nullptr);
-    EXPECT_EQ(*c, 5u);
-  } else {
-    // SDEM_OBS=0: the macros vanish, the registry stays linked but empty.
-    EXPECT_EQ(c, nullptr);
-  }
+  ASSERT_NE(c, nullptr);
+  EXPECT_EQ(*c, 5u);
 }
 
 TEST(Obs, DistTracksCountMinMeanMax) {
-  if (!obs::compiled()) GTEST_SKIP() << "built with SDEM_OBS=0";
   Registry::instance().reset();
   SDEM_OBS_DIST("test_obs/dist", 0.5);
   SDEM_OBS_DIST("test_obs/dist", 2.0);
@@ -62,7 +56,6 @@ TEST(Obs, DistTracksCountMinMeanMax) {
 }
 
 TEST(Obs, ResetZeroesButKeepsRegistration) {
-  if (!obs::compiled()) GTEST_SKIP() << "built with SDEM_OBS=0";
   Registry::instance().reset();
   SDEM_OBS_COUNT("test_obs/reset_me", 7);
   Registry::instance().reset();
@@ -77,7 +70,6 @@ TEST(Obs, ResetZeroesButKeepsRegistration) {
 }
 
 TEST(Obs, ShardsFromOtherThreadsMergeIntoTheSnapshot) {
-  if (!obs::compiled()) GTEST_SKIP() << "built with SDEM_OBS=0";
   Registry::instance().reset();
   SDEM_OBS_COUNT("test_obs/merged", 1);
   std::thread t([] { SDEM_OBS_COUNT("test_obs/merged", 10); });
@@ -142,11 +134,9 @@ TEST(Obs, CounterMergeIsJobCountIndependent) {
       Registry::instance().snapshot().counters_json().dump(2);
 
   EXPECT_EQ(serial, pooled);
-  if (obs::compiled()) {
-    // Not vacuous: the run populated simulator and solver counters.
-    EXPECT_NE(serial.find("sim/runs"), std::string::npos);
-    EXPECT_NE(serial.find("agreeable/solves"), std::string::npos);
-  }
+  // Not vacuous: the run populated simulator and solver counters.
+  EXPECT_NE(serial.find("sim/runs"), std::string::npos);
+  EXPECT_NE(serial.find("agreeable/solves"), std::string::npos);
 }
 
 // Closes the recording gate for a scope and reopens it on the way out, so
@@ -186,13 +176,11 @@ TEST(ObsGate, ClosedGateRecordsNothingAndKeepsTheData) {
   Registry::instance().reset();
   Json recorded = e->run(opt).data;
   recorded.erase_key("solver_seconds");
-  if (obs::compiled()) {
-    // Not vacuous: the recording run attributes counters to its cells.
-    EXPECT_NE(recorded.dump(2), recorded.without_key("counters").dump(2));
-    const obs::Snapshot on = Registry::instance().snapshot();
-    ASSERT_NE(on.counter("sim/runs"), nullptr);
-    EXPECT_GT(*on.counter("sim/runs"), 0u);
-  }
+  // Not vacuous: the recording run attributes counters to its cells.
+  EXPECT_NE(recorded.dump(2), recorded.without_key("counters").dump(2));
+  const obs::Snapshot on = Registry::instance().snapshot();
+  ASSERT_NE(on.counter("sim/runs"), nullptr);
+  EXPECT_GT(*on.counter("sim/runs"), 0u);
   recorded.erase_key("counters");
   EXPECT_EQ(quiet.dump(2), recorded.dump(2));
 }
@@ -201,7 +189,6 @@ TEST(ObsGate, ClosedGateRecordsNothingAndKeepsTheData) {
 // flipping the gate inside a scope leaves the per-thread timer stack
 // balanced: a nested pair opened afterwards records only its own edge.
 TEST(ObsGate, TimerClosesTheWayItOpened) {
-  if (!obs::compiled()) GTEST_SKIP() << "built with SDEM_OBS=0";
   Registry::instance().reset();
   {
     const GateClosed closed;
@@ -260,11 +247,9 @@ TEST(ObsGate, ServiceCellsIgnoreTheGate) {
   }
   const Json stats = svc.stats(99);
   EXPECT_EQ(stats.at("requests").as_number(), 3);
-  if (obs::compiled()) {
-    const Json& shard0 = stats.at("shards").at(0u);
-    ASSERT_TRUE(shard0.has("replan_latency"));
-    EXPECT_EQ(shard0.at("replan_latency").at("count").as_number(), 3);
-  }
+  const Json& shard0 = stats.at("shards").at(0u);
+  ASSERT_TRUE(shard0.has("replan_latency"));
+  EXPECT_EQ(shard0.at("replan_latency").at("count").as_number(), 3);
 }
 
 TEST(BenchRegistry, EachNameSelectsExactlyOne) {
@@ -281,11 +266,13 @@ TEST(BenchRegistry, EachNameSelectsExactlyOne) {
   }
 }
 
-// Every deterministic sweep is a pure function of its cells: a serial run
-// and a pooled one print the same tables and footers and produce the same
+// Every deterministic sweep is a pure function of its cells: a serial run,
+// a pooled one and a serial one with the recording gate shut (the runner's
+// --stable mode) print the same tables and footers and produce the same
 // data once the cell timings and counter attribution are erased. The three
 // excluded experiments time their work.
-TEST(BenchRegistry, EveryDeterministicExperimentIsJobCountIndependent) {
+TEST(BenchRegistry,
+     EveryDeterministicExperimentIsJobCountAndRecordingIndependent) {
   struct Output {
     std::string data, tables, footers;
   };
@@ -314,6 +301,14 @@ TEST(BenchRegistry, EveryDeterministicExperimentIsJobCountIndependent) {
     EXPECT_EQ(serial.data, pooled.data);
     EXPECT_EQ(serial.tables, pooled.tables);
     EXPECT_EQ(serial.footers, pooled.footers);
+    Output quiet;
+    {
+      const GateClosed closed;
+      quiet = run(e, nullptr);
+    }
+    EXPECT_EQ(serial.data, quiet.data);
+    EXPECT_EQ(serial.tables, quiet.tables);
+    EXPECT_EQ(serial.footers, quiet.footers);
     ++checked;
   }
   EXPECT_GE(checked, 18);
@@ -387,11 +382,7 @@ TEST(ObsTrace, EventsAreMonotoneAndWellNestedPerThread) {
   const Json doc = Json::parse(obs::trace::to_json().dump(2));
   std::size_t total = 0;
   check_trace_events(doc, &total);
-  if (obs::compiled()) {
-    EXPECT_GE(total, 6u);  // three timers -> three B/E pairs
-  } else {
-    EXPECT_EQ(total, 0u);  // timers are no-ops; recording stays empty
-  }
+  EXPECT_GE(total, 6u);  // three timers -> three B/E pairs
   EXPECT_EQ(doc.at("displayTimeUnit").as_string(), "ms");
 }
 

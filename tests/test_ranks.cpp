@@ -23,7 +23,7 @@ Schedule interleaved() {
 }
 
 TEST(Ranks, SingleRankEqualsMonolithicAccounting) {
-  MemoryPower mem{4.0, 0.2};
+  MemoryPower mem{4.0, 0.2, {}};
   const auto sched = interleaved();
   const auto r = rank_memory_energy(sched, mem, 1, 2, 0.0, 4.0);
   auto cfg = test::make_cfg(0.0, mem.alpha_m);
@@ -60,7 +60,7 @@ TEST(Ranks, OneRankAndAccessMatchBatchAccountingAtAnyHorizon) {
 }
 
 TEST(Ranks, PerCoreRanksDecoupleIdleTime) {
-  MemoryPower mem{4.0, 0.0};  // free transitions to isolate the effect
+  MemoryPower mem{4.0, 0.0, {}};  // free transitions to isolate the effect
   const auto sched = interleaved();
   const auto mono = rank_memory_energy(sched, mem, 1, 2, 0.0, 4.0);
   const auto duo = rank_memory_energy(sched, mem, 2, 2, 0.0, 4.0);
@@ -76,7 +76,7 @@ TEST(Ranks, LeakageConserved) {
   Schedule s;
   s.add(Segment{0, 0, 0.0, 2.0, 100.0});
   s.add(Segment{1, 1, 0.0, 2.0, 100.0});
-  MemoryPower mem{4.0, 0.0};
+  MemoryPower mem{4.0, 0.0, {}};
   for (int ranks : {1, 2}) {
     const auto r = rank_memory_energy(s, mem, ranks, 2, 0.0, 2.0);
     EXPECT_NEAR(r.memory_total(), 8.0, 1e-12) << ranks << " ranks";
@@ -89,12 +89,12 @@ TEST(Ranks, BreakEvenPerRank) {
   s.add(Segment{0, 0, 0.0, 1.0, 100.0});
   s.add(Segment{1, 0, 2.0, 3.0, 100.0});
   s.add(Segment{2, 1, 0.0, 3.0, 100.0});
-  MemoryPower nap{4.0, 0.5};
+  MemoryPower nap{4.0, 0.5, {}};
   const auto r1 = rank_memory_energy(s, nap, 2, 2, 0.0, 3.0);
   // Rank power 2 W * xi_m.
   EXPECT_NEAR(r1.memory_transition, 2.0 * 0.5, 1e-12);
   EXPECT_NEAR(r1.memory_sleep_time, 1.0, 1e-12);
-  MemoryPower stay{4.0, 2.0};
+  MemoryPower stay{4.0, 2.0, {}};
   const auto r2 = rank_memory_energy(s, stay, 2, 2, 0.0, 3.0);
   EXPECT_NEAR(r2.memory_idle, 2.0 * 1.0, 1e-12);
   EXPECT_EQ(r2.memory_sleep_time, 0.0);
@@ -103,7 +103,7 @@ TEST(Ranks, BreakEvenPerRank) {
 TEST(Ranks, IdleRankSleepsWholeHorizon) {
   Schedule s;
   s.add(Segment{0, 0, 0.0, 1.0, 100.0});
-  MemoryPower mem{4.0, 0.0};
+  MemoryPower mem{4.0, 0.0, {}};
   const auto r = rank_memory_energy(s, mem, 4, 4, 0.0, 1.0);
   // Only rank 0 is ever busy: 1 W * 1 s; other ranks sleep free.
   EXPECT_NEAR(r.memory_total(), 1.0, 1e-12);
@@ -112,7 +112,7 @@ TEST(Ranks, IdleRankSleepsWholeHorizon) {
 
 TEST(Ranks, MoreRanksNeverCostMore) {
   const auto sched = interleaved();
-  MemoryPower mem{4.0, 0.3};
+  MemoryPower mem{4.0, 0.3, {}};
   double prev = 1e18;
   for (int ranks : {1, 2, 4}) {
     const auto r = rank_memory_energy(sched, mem, ranks, 2, 0.0, 4.0);

@@ -28,7 +28,6 @@
 
 #include "baseline/mbkp.hpp"
 #include "core/online_sdem.hpp"
-#include "obs/obs.hpp"
 #include "sched/trace_io.hpp"
 #include "service/protocol.hpp"
 #include "service/service.hpp"
@@ -289,15 +288,13 @@ TEST(ServiceSemantics, StatsCountsRequestsAndShards) {
   EXPECT_EQ(stats.at("requests").as_number(), 3);
   EXPECT_EQ(stats.at("islands").as_number(), 2);
   ASSERT_EQ(stats.at("shards").size(), 2u);
-  if (obs::compiled()) {
-    // Sustained-load latency reporting: the runtime-domain histogram must
-    // surface per-shard p50/p99 replan latency.
-    const Json& shard0 = stats.at("shards").at(0u);
-    ASSERT_TRUE(shard0.has("replan_latency"));
-    EXPECT_GE(shard0.at("replan_latency").at("p99_ns").as_number(),
-              shard0.at("replan_latency").at("p50_ns").as_number());
-    EXPECT_GT(shard0.at("replan_latency").at("count").as_number(), 0);
-  }
+  // Sustained-load latency reporting: the runtime-domain histogram must
+  // surface per-shard p50/p99 replan latency.
+  const Json& shard0 = stats.at("shards").at(0u);
+  ASSERT_TRUE(shard0.has("replan_latency"));
+  EXPECT_GE(shard0.at("replan_latency").at("p99_ns").as_number(),
+            shard0.at("replan_latency").at("p50_ns").as_number());
+  EXPECT_GT(shard0.at("replan_latency").at("count").as_number(), 0);
 }
 
 TEST(ServiceProtocol, MetricsGrammarRoundTrips) {
@@ -323,7 +320,6 @@ TEST(ServiceSemantics, MetricsExposesPrometheusText) {
   ASSERT_TRUE(m.at("ok").as_bool());
   EXPECT_EQ(m.at("op").as_string(), "METRICS");
   EXPECT_EQ(m.at("seq").as_number(), 7);
-  EXPECT_EQ(m.at("obs_compiled").as_bool(), obs::compiled());
   EXPECT_GT(m.at("uptime_s").as_number(), 0.0);
   EXPECT_EQ(m.at("requests").as_number(), 2);
   EXPECT_EQ(m.at("content_type").as_string(), "text/plain; version=0.0.4");
@@ -370,20 +366,12 @@ TEST(ServiceSemantics, MetricsExposesPrometheusText) {
   EXPECT_NE(body.find("sdem_shard_drains_total{shard=\"1\","
                       "where=\"pool\"} 0\n"),
             npos);
-  if (obs::compiled()) {
-    EXPECT_NE(body.find("sdem_obs_compiled 1"), npos);
-    EXPECT_NE(body.find("sdem_replan_latency_seconds{shard=\"0\","
-                        "quantile=\"0.99\"} "),
-              npos);
-    EXPECT_NE(body.find("sdem_e2e_latency_seconds_count{shard=\"1\"} "),
-              npos);
-    EXPECT_NE(body.find("sdem_governor_ladder_aborts_total "), npos);
-  } else {
-    // Inert stub: obs-free families only.
-    EXPECT_NE(body.find("sdem_obs_compiled 0"), npos);
-    EXPECT_EQ(body.find("sdem_replan_latency_seconds"), npos);
-    EXPECT_EQ(body.find("sdem_e2e_latency_seconds"), npos);
-  }
+  EXPECT_NE(body.find("sdem_replan_latency_seconds{shard=\"0\","
+                      "quantile=\"0.99\"} "),
+            npos);
+  EXPECT_NE(body.find("sdem_e2e_latency_seconds_count{shard=\"1\"} "),
+            npos);
+  EXPECT_NE(body.find("sdem_governor_ladder_aborts_total "), npos);
 }
 
 // ------------------------------------------------------------ determinism

@@ -4,8 +4,7 @@
 // never changes the accounted energy (observation only), the exported
 // events are monotone and well-nested per tid, every decision span carries
 // a valid outcome, each island gets exactly one sleep-state residency
-// counter track, and with the journal disabled (or under SDEM_OBS=OFF,
-// where the accounting hooks compile out) the export is empty.
+// counter track, and with the journal disabled the export is empty.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -95,18 +94,6 @@ TEST(Timeline, ExportIsMonotoneWellNestedWithResidencyTracks) {
   const Json* events = doc.find("traceEvents");
   ASSERT_NE(events, nullptr);
   ASSERT_TRUE(events->is_array());
-
-  if (!obs::compiled()) {
-    // SDEM_OBS=0: the accounting hooks compile out; counter_sample still
-    // records (the API is live), so only the one custom track appears.
-    std::size_t spans = 0;
-    for (std::size_t i = 0; i < events->size(); ++i) {
-      const std::string ph = events->at(i).at("ph").as_string();
-      if (ph == "B" || ph == "E") ++spans;
-    }
-    EXPECT_EQ(spans, 0u);
-    return;
-  }
 
   std::map<int, std::vector<std::string>> stacks;
   std::map<int, double> last_ts;

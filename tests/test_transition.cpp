@@ -7,7 +7,6 @@
 #include "core/common_release_alpha0.hpp"
 #include "core/reference.hpp"
 #include "core/transition.hpp"
-#include "obs/obs.hpp"
 #include "sched/validate.hpp"
 #include "test_util.hpp"
 #include "workload/generator.hpp"
@@ -211,7 +210,6 @@ TEST(Transition, BoundaryTightTaskEvaluatesAtTheHorizon) {
 }
 
 TEST(Transition, SweepWorkIsLinearInPieces) {
-  if (!obs::compiled()) GTEST_SKIP() << "built with SDEM_OBS=0";
   // At most three candidates per piece (lo, hi, stationary point) plus one
   // direct evaluation at the winner.
   const auto cfg = with_overheads(0.31, 4.0, 0.002, 0.040);

@@ -3,9 +3,8 @@
 // reclaim their ring slot across boundaries, samples age out of the merge
 // once the window passes them, empty windows read as zeros, and the
 // registry-level shard merge is invariant to how samples are partitioned
-// across threads (the jobs-1-vs-4 determinism contract). Windows live in
-// the registry in both SDEM_OBS modes — only instrumentation *sites* gate
-// on the flag — so every test here runs in both builds.
+// across threads (the jobs-1-vs-4 determinism contract). Window cells are
+// written directly, not through the recording gate's macro sites.
 #include <gtest/gtest.h>
 
 #include <cstdint>

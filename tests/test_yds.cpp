@@ -61,7 +61,9 @@ TEST(Yds, NestedJobPreemptsCorrectly) {
   EXPECT_TRUE(v.ok) << v.error;
   // Inner critical interval runs at density 20.
   for (const auto& seg : s.segments()) {
-    if (seg.task_id == 1) EXPECT_NEAR(seg.speed, 20.0, 1e-9);
+    if (seg.task_id == 1) {
+      EXPECT_NEAR(seg.speed, 20.0, 1e-9);
+    }
   }
 }
 

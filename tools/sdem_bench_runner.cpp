@@ -101,7 +101,7 @@ Json make_document(const Experiment& e, ExperimentResult& r, int seeds,
   // deterministic domain (identical values at any --jobs), "runtime" the
   // scheduling/clock-dependent one. Strictly additive, and omitted under
   // --stable so golden byte comparisons predate-obs stay valid.
-  if (!stable && sdem::obs::compiled()) {
+  if (!stable) {
     const sdem::obs::Snapshot snap = sdem::obs::Registry::instance().snapshot();
     doc.set("counters", snap.counters_json());
     doc.set("runtime", snap.runtime_json());
@@ -330,7 +330,7 @@ int main(int argc, char** argv) {
       else
         print_result(r);
     }
-    if (timer_rollup && obs::compiled())
+    if (timer_rollup)
       print_timer_rollup(obs::Registry::instance().snapshot());
     // --md without --out writes no document: run from the repository root,
     // the default path would overwrite a committed artifact.

@@ -156,7 +156,6 @@ int cmd_simulate(int argc, char** argv) {
       sim, cfg,
       which == "mbkp" ? SleepDiscipline::kNever : SleepDiscipline::kOptimal,
       pol->name());
-#if SDEM_OBS
   if (obs::timeline::enabled()) {
     // --power-trace: an extra, output-silent accounting pass under the
     // live idle governor journals every gap decision (predicted vs actual
@@ -186,7 +185,6 @@ int cmd_simulate(int argc, char** argv) {
       obs::timeline::counter_sample(track, s.end, 0.0);
     }
   }
-#endif
   std::printf("policy        %s\n", ev.policy.c_str());
   std::printf("system energy %.6f J\n", ev.energy.system_total());
   std::printf("memory energy %.6f J\n", ev.energy.memory_total());
