@@ -6,14 +6,10 @@
 // --jobs N, recording or not
 // (BenchRegistry.EveryDeterministicExperimentIsJobCountAndRecordingIndependent
 // in tests/test_obs.cpp). governor_ladder keeps its own loop because one
-// cell's simulations feed three depth rows; table1, bounded_partition and
-// service_throughput time their work, so their payloads vary run to run.
-#include <atomic>
+// cell's simulations feed three depth rows; table1 and bounded_partition
+// time their work, so their payloads vary run to run.
 #include <chrono>
-
 #include <map>
-#include <memory>
-#include <thread>
 
 #include "baseline/mbkp.hpp"
 #include "baseline/simple_policies.hpp"
@@ -29,7 +25,6 @@
 #include "core/online_sdem.hpp"
 #include "core/transition.hpp"
 #include "mem/contention.hpp"
-#include "service/service.hpp"
 #include "mem/dram.hpp"
 #include "mem/ranks.hpp"
 #include "model/access.hpp"
@@ -1685,271 +1680,6 @@ ExperimentResult run_governor_ladder(const RunOptions& opt) {
   return r;
 }
 
-// ------------------------------------------------- Service ingest throughput
-
-// The service's ingest-throughput stream: K islands round-robin, each
-// island's arrivals in same-release batches (lazy-mode commits then replan
-// once per batch, not per line), tiny work and generous deadlines. This
-// keeps the solver off the critical path for the `race` configs so the
-// bench isolates the axis under test: where the ndjson parse runs.
-std::vector<std::string> make_throughput_lines(long n, int islands,
-                                               int batch,
-                                               std::uint64_t seed) {
-  std::vector<std::string> lines;
-  lines.reserve(static_cast<std::size_t>(n));
-  for (long i = 0; i < n; ++i) {
-    const int isl = static_cast<int>(i % islands);
-    const long j = i / islands;  // per-island arrival index
-    const double release = static_cast<double>(j / batch) * 0.020;
-    const double work =
-        0.010 +
-        1e-4 * static_cast<double>((seed * 2654435761ULL +
-                                    static_cast<std::uint64_t>(i)) %
-                                   97);
-    Json task = Json::object();
-    task.set("id", static_cast<std::uint64_t>(j));
-    task.set("release", release);
-    task.set("deadline", release + 5.0);
-    task.set("work", work);
-    Json req = Json::object();
-    req.set("op", "SUBMIT");
-    req.set("island", isl);
-    req.set("task", std::move(task));
-    lines.push_back(req.dump(0));
-  }
-  return lines;
-}
-
-// Ingest-throughput sweep of the parse-on-shard pipeline (raw lines routed
-// by peek, parsed on the shard workers) across shard and producer counts.
-// Timing experiment like table1 — the JSON carries measured events/sec,
-// not deterministic bytes.
-// Each config builds its own pool sized to its shard count (opt.pool is
-// for seed-parallel sweeps and deliberately unused here).
-//
-// Two rates per config:
-//   * ingest events/s — until every producer has routed + flushed its
-//     stream. This is the acceptor-thread service rate, the axis the
-//     pipeline targets: it bounds what a daemon can pull off the socket.
-//     Shard queues are sized to hold the full stream so backpressure
-//     never blocks the stage under test.
-//   * e2e events/s — until drain_all() returns (every task parsed,
-//     admitted and planned). On a single-core host ingest and shard work
-//     time-share, so e2e ~= the sum of both stages; with >= shards+1
-//     cores the stages overlap and e2e approaches the ingest rate.
-ExperimentResult run_service_throughput(const RunOptions& opt) {
-  const int seeds = opt.seeds > 0 ? opt.seeds : 3;
-  constexpr int kIslands = 64;
-  constexpr int kBatch = 8;
-  constexpr long kEvents = 40000;        // race: ingest-bound
-  constexpr long kEventsSolver = 8000;   // sdem-on: solver-bound contrast
-
-  ExperimentResult r;
-  r.header_title = "Service ingest throughput — parse-on-shard pipeline";
-  r.header_what =
-      strf("%d islands, same-release batches of %d, lazy commits; "
-           "best of %d runs per config",
-           kIslands, kBatch, seeds);
-
-  struct Config {
-    const char* name;
-    const char* policy;
-    int shards;
-    int producers;
-    long events;
-  };
-  const std::vector<Config> configs = {
-      {"shard-parse s1", "race", 1, 1, kEvents},
-      {"shard-parse s2", "race", 2, 1, kEvents},
-      {"shard-parse s4", "race", 4, 1, kEvents},
-      {"shard-parse s4 p2", "race", 4, 2, kEvents},
-      {"shard-parse s4 sdem-on", "sdem-on", 4, 1, kEventsSolver},
-  };
-
-  struct RunResult {
-    double ingest_secs = 0.0;  ///< producers routed + flushed everything
-    double secs = 0.0;         ///< ... and drain_all() completed
-    std::uint64_t errors = 0;
-    double p50_ns = 0.0, p99_ns = 0.0;
-  };
-  const auto run_once = [&](const Config& c,
-                            std::uint64_t seed) -> RunResult {
-    // Per-run metric isolation: the replan histograms accumulate in the
-    // obs registry; reset before every run (no pool is alive here).
-    obs::Registry::instance().reset();
-    std::vector<std::string> lines =
-        make_throughput_lines(c.events, kIslands, kBatch, seed);
-    // Pre-partition by island so each producer keeps per-island arrival
-    // order (the determinism contract); partitioning is not timed.
-    std::vector<std::vector<std::string>> per_producer(
-        static_cast<std::size_t>(c.producers));
-    for (auto& p : per_producer) {
-      p.reserve(lines.size() / static_cast<std::size_t>(c.producers) + 1);
-    }
-    for (long i = 0; i < c.events; ++i) {
-      const int isl = static_cast<int>(i % kIslands);
-      per_producer[static_cast<std::size_t>(isl % c.producers)].push_back(
-          std::move(lines[static_cast<std::size_t>(i)]));
-    }
-
-    std::unique_ptr<ThreadPool> pool;
-    if (c.shards > 1) pool = std::make_unique<ThreadPool>(c.shards);
-    service::ServiceOptions sopt;
-    sopt.policy = c.policy;
-    sopt.shards = c.shards;
-    sopt.producers = c.producers;
-    sopt.eager = false;
-    // Hold a full per-shard share of the stream (islands are uniform across
-    // shards and producers) so the ingest stage is measured unthrottled.
-    sopt.queue_capacity =
-        static_cast<std::size_t>(c.events) /
-            static_cast<std::size_t>(c.shards * c.producers) +
-        64;
-    std::atomic<std::uint64_t> errors{0};
-    service::Service svc(
-        sopt, pool.get(), [&](const service::Request&, Json resp) {
-          const Json* ok = resp.find("ok");
-          if (ok != nullptr && ok->is_bool() && !ok->as_bool()) {
-            errors.fetch_add(1, std::memory_order_relaxed);
-          }
-        });
-
-    const auto ingest = [&](int p) {
-      std::uint64_t s = static_cast<std::uint64_t>(p);
-      for (std::string& line : per_producer[static_cast<std::size_t>(p)]) {
-        const service::Peeked pk = service::peek_request(line);
-        if (pk.routable()) {
-          svc.route_raw(pk.island, pk.op, std::move(line), s, 0, s, p);
-          s += static_cast<std::uint64_t>(c.producers);
-          continue;
-        }
-        service::Parsed pr = service::parse_request(line);
-        pr.request.seq = s;
-        pr.request.conn_seq = s;
-        s += static_cast<std::uint64_t>(c.producers);
-        svc.route(std::move(pr.request), p);
-      }
-      svc.flush(p);
-    };
-
-    const std::uint64_t t0 = obs::now_ns();
-    if (c.producers == 1) {
-      ingest(0);
-    } else {
-      std::vector<std::thread> threads;
-      for (int p = 0; p < c.producers; ++p) {
-        threads.emplace_back([&, p] { ingest(p); });
-      }
-      for (std::thread& t : threads) t.join();
-    }
-    const std::uint64_t t_ingest = obs::now_ns();
-    svc.drain_all();
-    RunResult res;
-    res.ingest_secs = static_cast<double>(t_ingest - t0) / 1e9;
-    res.secs = static_cast<double>(obs::now_ns() - t0) / 1e9;
-    res.errors = errors.load();
-    // Merge every shard's replan histogram for service-wide p50/p99.
-    const obs::Snapshot snap = obs::Registry::instance().snapshot();
-    obs::DistValue merged;
-    std::map<int, std::uint64_t> buckets;
-    for (const auto& [name, d] : snap.runtime_dists) {
-      if (name.rfind("service/shard", 0) != 0 ||
-          name.find("/replan_ns") == std::string::npos) {
-        continue;
-      }
-      if (merged.count == 0 || d.min < merged.min) merged.min = d.min;
-      if (d.max > merged.max) merged.max = d.max;
-      merged.count += d.count;
-      merged.sum_fx += d.sum_fx;
-      for (const auto& [e, n] : d.buckets) buckets[e] += n;
-    }
-    merged.buckets.assign(buckets.begin(), buckets.end());
-    res.p50_ns = merged.percentile(0.50);
-    res.p99_ns = merged.percentile(0.99);
-    return res;
-  };
-
-  Table t({"config", "policy", "shards", "producers", "events",
-           "ingest ev/s", "e2e ev/s", "replan p50 (us)", "replan p99 (us)"});
-  Json rows = Json::array();
-  double pipelined_eps = 0.0;
-  double pipelined_e2e_eps = 0.0;
-  for (const Config& c : configs) {
-    double best_eps = 0.0;
-    double best_e2e_eps = 0.0;
-    RunResult best{};
-    Json per_run = Json::array();
-    for (int s = 1; s <= seeds; ++s) {
-      const RunResult res =
-          run_once(c, static_cast<std::uint64_t>(s));
-      r.solver_seconds_total += res.secs;
-      const double eps = res.ingest_secs > 0.0
-                             ? static_cast<double>(c.events) / res.ingest_secs
-                             : 0.0;
-      const double e2e_eps =
-          res.secs > 0.0 ? static_cast<double>(c.events) / res.secs : 0.0;
-      if (eps > best_eps) {
-        best_eps = eps;
-        best = res;
-      }
-      if (e2e_eps > best_e2e_eps) best_e2e_eps = e2e_eps;
-      Json run = Json::object();
-      run.set("run", static_cast<std::uint64_t>(s));
-      run.set("ingest_s", res.ingest_secs);
-      run.set("elapsed_s", res.secs);
-      run.set("ingest_events_per_sec", eps);
-      run.set("events_per_sec", e2e_eps);
-      run.set("errors", res.errors);
-      run.set("replan_p50_ns", res.p50_ns);
-      run.set("replan_p99_ns", res.p99_ns);
-      per_run.push_back(std::move(run));
-    }
-    if (std::string(c.name) == "shard-parse s4") {
-      pipelined_eps = best_eps;
-      pipelined_e2e_eps = best_e2e_eps;
-    }
-    t.add_row({c.name, c.policy, std::to_string(c.shards),
-               std::to_string(c.producers), std::to_string(c.events),
-               Table::fmt(best_eps, 0), Table::fmt(best_e2e_eps, 0),
-               Table::fmt(best.p50_ns / 1e3, 1),
-               Table::fmt(best.p99_ns / 1e3, 1)});
-    Json row = Json::object();
-    row.set("config", c.name);
-    row.set("policy", c.policy);
-    row.set("shards", c.shards);
-    row.set("producers", c.producers);
-    row.set("events", static_cast<std::uint64_t>(c.events));
-    row.set("best_ingest_events_per_sec", best_eps);
-    row.set("best_events_per_sec", best_e2e_eps);
-    row.set("best_replan_p50_ns", best.p50_ns);
-    row.set("best_replan_p99_ns", best.p99_ns);
-    row.set("runs", std::move(per_run));
-    rows.push_back(std::move(row));
-  }
-  r.tables.push_back(std::move(t));
-
-  r.footers.push_back(strf(
-      "parse-on-shard x4 (race): %.0f ingest events/s, %.0f end-to-end; e2e "
-      "approaches the ingest rate once shards get their own cores",
-      pipelined_eps, pipelined_e2e_eps));
-  r.footers.push_back(
-      "race configs are ingest-bound (the axis under test); the sdem-on "
-      "config shows the solver-bound contrast");
-
-  Json params = Json::object();
-  params.set("islands", kIslands);
-  params.set("batch", kBatch);
-  params.set("events_race", static_cast<std::uint64_t>(kEvents));
-  params.set("events_sdem_on", static_cast<std::uint64_t>(kEventsSolver));
-  params.set("runs_per_config", seeds);
-  r.data = Json::object();
-  r.data.set("params", std::move(params));
-  r.data.set("configs", std::move(rows));
-  r.data.set("pipelined_eps", pipelined_eps);
-  r.data.set("pipelined_e2e_eps", pipelined_e2e_eps);
-  return r;
-}
-
 }  // namespace
 
 void register_all_experiments(std::vector<Experiment>& out) {
@@ -2020,11 +1750,6 @@ void register_all_experiments(std::vector<Experiment>& out) {
                  "predictive idle governor vs sleep-when-idle vs clairvoyant "
                  "across ladder depth x utilization", 8,
                  [](const RunOptions& o) { return run_governor_ladder(o); }});
-  out.push_back({"service_throughput", "online serving",
-                 "ingest events/sec of the parse-on-shard pipeline", 3,
-                 [](const RunOptions& o) {
-                   return run_service_throughput(o);
-                 }});
 }
 
 }  // namespace sdem::bench

@@ -127,8 +127,8 @@ struct DistValue {
   /// Quantile estimate from the log2 histogram: the upper edge of the
   /// bucket holding the ceil(q*count)-th sample, clamped to the observed
   /// max; 0 when empty or when that sample is nonpositive. Coarse
-  /// (factor-of-two buckets) but mergeable — what STATS, METRICS and the
-  /// service_throughput bench report.
+  /// (factor-of-two buckets) but mergeable — what STATS and METRICS
+  /// report.
   double percentile(double q) const;
 };
 

@@ -511,16 +511,15 @@ void Daemon::dispatch(std::string line, Conn& c) {
 
   // Peek miss (STATS, METRICS, SHUTDOWN, or a SUBMIT the peek cannot route,
   // such as "island":2.0): full parse here on the loop.
-  Parsed p = parse_request(line);
+  const Parsed p = parse_request(line);
   if (!p.ok) {
     post(c.id, conn_seq, error_response(seq, p.error).dump(0));
     return;
   }
-  p.request.seq = seq;
-  p.request.conn = c.id;
-  p.request.conn_seq = conn_seq;
   if (p.request.op == Op::kSubmit || p.request.op == Op::kQuery) {
-    svc_->route(std::move(p.request));
+    // Route the line under its parsed key; the shard parses it again.
+    svc_->route_raw(p.request.island, p.request.op, std::move(line), seq,
+                    c.id, conn_seq);
     return;
   }
   // Service-wide barrier: the loop is the only producer, so with its

@@ -19,27 +19,23 @@
 namespace sdem::service {
 namespace {
 
-/// Lines staged per (producer, shard) before an automatic push to the
-/// shard's queue. One lock round moves this many requests.
+/// Lines staged per shard before an automatic push to the shard's queue.
+/// One lock round moves this many requests.
 constexpr std::size_t kIngestBatch = 64;
 
-/// A producer that takes a shard's drain runs it on its own thread while the
-/// drain is short, since then a pool wake-up costs more than the work (the
-/// paper's break-even rule applied to the daemon). Short means, first, that
-/// the shard's queue holds at most kInlineBatch messages: a closed-loop
-/// client pushes one per flush, while batch ingest (--replay, piped stdin,
-/// service_throughput) pushes kIngestBatch and keeps its producer/shard
-/// overlap on the pool. The inline drain also takes the queue only while
-/// it fits this many messages in all, and hands the rest to the pool, so
-/// other producers' traffic cannot hold a producer.
+/// The producer that takes a shard's drain runs it on its own thread while
+/// the drain is short, since then a pool wake-up costs more than the work
+/// (the paper's break-even rule applied to the daemon). Short means, first,
+/// that the shard's queue holds at most kInlineBatch messages: a
+/// closed-loop client pushes one per flush, while batch ingest (--replay,
+/// piped stdin) pushes kIngestBatch and keeps the producer and the shards
+/// overlapping on the pool.
 constexpr std::size_t kInlineBatch = 4;
 /// Second, the island the shard served last had at most this many pending
 /// tasks. The §7 solve and the QUERY dump both grow with the pending set;
 /// past it, the daemon's event loop running every commit itself would
 /// serialize its connections' slow commits.
 constexpr std::size_t kInlinePending = 16;
-/// A pool drain's budget: it runs until the queue is empty.
-constexpr std::size_t kUnbounded = std::numeric_limits<std::size_t>::max();
 
 /// The task ids one island has accepted (duplicate-submit detection): a
 /// flat open-addressing table with linear probing, doubled at half load,
@@ -48,7 +44,6 @@ constexpr std::size_t kUnbounded = std::numeric_limits<std::size_t>::max();
 class TaskIds {
  public:
   bool contains(int id) const {
-    if (id == kEmpty) return has_empty_;
     if (slots_.empty()) return false;
     for (std::size_t i = home(id);; i = (i + 1) & (slots_.size() - 1)) {
       if (slots_[i] == id) return true;
@@ -58,10 +53,6 @@ class TaskIds {
 
   /// Adds an id that is not present yet.
   void insert(int id) {
-    if (id == kEmpty) {
-      has_empty_ = true;
-      return;
-    }
     if (2 * (size_ + 1) > slots_.size()) {
       std::vector<int> old(std::max<std::size_t>(16, 2 * slots_.size()),
                            kEmpty);
@@ -76,8 +67,8 @@ class TaskIds {
   }
 
  private:
-  /// Marks a free slot. The protocol accepts |id| <= 2e9 only, but route()
-  /// takes any Request, so this one id is kept beside the table.
+  /// Marks a free slot. No task carries it: every id comes through
+  /// parse_request, which admits |id| <= 2e9 only.
   static constexpr int kEmpty = std::numeric_limits<int>::min();
 
   /// Fibonacci hashing: the top bits of id * 2^64/phi, so that sequential
@@ -98,7 +89,6 @@ class TaskIds {
   std::vector<int> slots_;  ///< power-of-two size, kEmpty where free
   std::size_t size_ = 0;
   int shift_ = 64;
-  bool has_empty_ = false;  ///< whether id kEmpty was inserted
 };
 
 }  // namespace
@@ -126,9 +116,9 @@ struct Service::Island {
   bool finalized = false;
 };
 
-/// One queue entry: either an already-parsed request (raw.empty()) or a raw
-/// line to parse in the shard's drain. For raw entries, `req` carries the
-/// routing skeleton — peeked op/island plus seq/conn/conn_seq.
+/// One queue entry: a request line to parse in the shard's drain, and its
+/// routing stub — the routing key's op/island plus seq/conn/conn_seq and
+/// the ingest stamp.
 struct Service::Msg {
   Request req;
   std::string raw;
@@ -156,12 +146,12 @@ struct Service::Shard {
   /// critical section, and a drain clears it only when it finds the queue
   /// empty.
   std::mutex mu;
-  std::vector<Msg> queue;  ///< every producer's pushes, in push order
+  std::vector<Msg> queue;  ///< the producer's pushes, in push order
   bool scheduled = false;  ///< a drain owns the shard
-  /// Threads waiting on `wake`: producers facing a full queue, and
+  /// Threads waiting on `wake`: the producer facing a full queue, and
   /// drain_all() waiting for the drain to retire.
   std::size_t waiters = 0;
-  /// Waits producers took on a full queue (the METRICS backpressure
+  /// Waits the producer took on a full queue (the METRICS backpressure
   /// counter).
   std::uint64_t stalls = 0;
   std::condition_variable wake;
@@ -172,13 +162,12 @@ struct Service::Shard {
   std::vector<Msg> batch;
 
   std::atomic<std::uint64_t> processed{0};
-  /// Drains run on a producer's thread and drains submitted to the pool
-  /// (METRICS sdem_shard_drains_total). An inline drain that outgrows its
-  /// budget and moves to the pool counts once in each.
+  /// Drains run on the producer's thread and drains submitted to the pool
+  /// (METRICS sdem_shard_drains_total).
   std::atomic<std::uint64_t> inline_drains{0};
   std::atomic<std::uint64_t> pool_drains{0};
   /// Pending tasks on the island the last SUBMIT or QUERY served: written
-  /// by the drain, read by producers choosing where the next drain runs.
+  /// by the drain, read by the producer choosing where the next drain runs.
   std::atomic<std::size_t> last_pending{0};
 
   std::map<int, std::unique_ptr<Island>> islands;
@@ -186,13 +175,6 @@ struct Service::Shard {
   std::string requests_metric;
   std::string replan_window_metric;
   std::string e2e_window_metric;
-};
-
-/// Producer-side staging: per-shard batches awaiting a push. Owned by
-/// exactly one ingest thread; no synchronization.
-struct Service::Producer {
-  explicit Producer(std::size_t shards) : staged(shards) {}
-  std::vector<std::vector<Msg>> staged;
 };
 
 Service::Service(ServiceOptions opt, ThreadPool* pool,
@@ -204,8 +186,10 @@ Service::Service(ServiceOptions opt, ThreadPool* pool,
         "count to size an unbounded system from)");
   }
   if (opt_.shards < 1) throw std::invalid_argument("service: shards < 1");
-  if (opt_.producers < 1) {
-    throw std::invalid_argument("service: producers < 1");
+  if (opt_.producers != 1) {
+    throw std::invalid_argument(
+        "service: producers must be 1 (one ingest thread feeds every "
+        "shard)");
   }
   if (opt_.queue_capacity < 1) {
     throw std::invalid_argument("service: queue_capacity < 1");
@@ -216,24 +200,17 @@ Service::Service(ServiceOptions opt, ThreadPool* pool,
   }
   shards_.reserve(static_cast<std::size_t>(opt_.shards));
   for (int i = 0; i < opt_.shards; ++i) {
-    shards_.push_back(std::make_unique<Shard>(
-        i, opt_.queue_capacity * static_cast<std::size_t>(opt_.producers)));
+    shards_.push_back(std::make_unique<Shard>(i, opt_.queue_capacity));
   }
-  producers_.reserve(static_cast<std::size_t>(opt_.producers));
-  for (int p = 0; p < opt_.producers; ++p) {
-    producers_.push_back(std::make_unique<Producer>(shards_.size()));
-  }
+  staged_.resize(shards_.size());
   start_ns_ = obs::now_ns();
 }
 
 Service::~Service() {
   try {
-    // Producer threads are gone by the time the Service dies; flushing
-    // their leftovers here is safe and keeps late-staged requests from
-    // vanishing silently.
-    for (std::size_t p = 0; p < producers_.size(); ++p) {
-      flush(static_cast<int>(p));
-    }
+    // The producer is done by the time the Service dies; flushing its
+    // leftovers here keeps late-staged requests from vanishing silently.
+    flush();
     drain_all();
   } catch (...) {
     // Destruction must not throw; a worker exception is already surfaced
@@ -263,17 +240,17 @@ void Service::schedule_drain(Shard& s, std::size_t queued) {
       (queued <= kInlineBatch &&
        s.last_pending.load(std::memory_order_relaxed) <= kInlinePending)) {
     s.inline_drains.fetch_add(1, std::memory_order_relaxed);
-    // Without a pool there is nobody to hand work to: drain it all here.
-    if (drain(s, pool_ == nullptr ? kUnbounded : kInlineBatch)) return;
-    // Work remains past the budget: the drain is still ours (`scheduled`
-    // stays set), so the pool task takes it over without a retire.
+    // Nothing else pushes while the producer drains: this handles what
+    // the push queued and retires.
+    drain(s);
+    return;
   }
   s.pool_drains.fetch_add(1, std::memory_order_relaxed);
-  pool_->submit([this, sp = &s] { drain(*sp, kUnbounded); });
+  pool_->submit([this, sp = &s] { drain(*sp); });
 }
 
-void Service::flush_shard(Producer& p, std::size_t shard) {
-  std::vector<Msg>& staged = p.staged[shard];
+void Service::flush_shard(std::size_t shard) {
+  std::vector<Msg>& staged = staged_[shard];
   Shard& s = *shards_[shard];
   std::size_t next = 0;
   while (next < staged.size()) {
@@ -301,27 +278,8 @@ void Service::flush_shard(Producer& p, std::size_t shard) {
   staged.clear();
 }
 
-void Service::route(Request req, int producer) {
-  if (req.op != Op::kSubmit && req.op != Op::kQuery) {
-    throw std::logic_error(
-        "service: only SUBMIT/QUERY route to shards (STATS/SHUTDOWN are "
-        "service-wide)");
-  }
-  Producer& p = *producers_[static_cast<std::size_t>(producer)];
-  const std::size_t shard = shard_index(req.island);
-  // Keep FIFO order with any raw lines this producer already staged for
-  // the shard: stage the parsed request behind them and flush the batch.
-  Msg m;
-  m.req = std::move(req);
-  if (m.req.ingest_ns == 0) m.req.ingest_ns = obs::now_ns();
-  p.staged[shard].push_back(std::move(m));
-  flush_shard(p, shard);
-}
-
 void Service::route_raw(int island, Op op, std::string line,
-                        std::uint64_t seq, int conn, std::uint64_t conn_seq,
-                        int producer) {
-  Producer& p = *producers_[static_cast<std::size_t>(producer)];
+                        std::uint64_t seq, int conn, std::uint64_t conn_seq) {
   const std::size_t shard = shard_index(island);
   Msg m;
   m.req.op = op;
@@ -331,18 +289,17 @@ void Service::route_raw(int island, Op op, std::string line,
   m.req.conn_seq = conn_seq;
   m.req.ingest_ns = obs::now_ns();
   m.raw = std::move(line);
-  p.staged[shard].push_back(std::move(m));
-  if (p.staged[shard].size() >= kIngestBatch) flush_shard(p, shard);
+  staged_[shard].push_back(std::move(m));
+  if (staged_[shard].size() >= kIngestBatch) flush_shard(shard);
 }
 
-void Service::flush(int producer) {
-  Producer& p = *producers_[static_cast<std::size_t>(producer)];
-  for (std::size_t shard = 0; shard < p.staged.size(); ++shard) {
-    flush_shard(p, shard);
+void Service::flush() {
+  for (std::size_t shard = 0; shard < staged_.size(); ++shard) {
+    flush_shard(shard);
   }
 }
 
-bool Service::drain(Shard& s, std::size_t budget) {
+void Service::drain(Shard& s) {
   // Cells live in the calling thread's obs shard — resolve per drain, not
   // per service, because successive drains may land on different threads.
   ShardCells cells;
@@ -357,8 +314,6 @@ bool Service::drain(Shard& s, std::size_t budget) {
   for (;;) {
     {
       std::lock_guard<std::mutex> lock(s.mu);
-      // Past the budget: return still owning the drain.
-      if (s.queue.size() > budget) return false;
       const bool retire = s.queue.empty();
       if (retire) {
         s.scheduled = false;
@@ -367,16 +322,13 @@ bool Service::drain(Shard& s, std::size_t budget) {
       }
       // The queue has room, or the drain retired: wake whoever waits.
       if (s.waiters > 0) s.wake.notify_all();
-      if (retire) return true;
+      if (retire) return;
     }
-    budget -= s.batch.size();
     for (Msg& m : s.batch) {
       handle(s, m, cells);
       // Windowed end-to-end latency: ingest stamp to response done.
-      if (m.req.ingest_ns != 0) {
-        const std::uint64_t now = obs::now_ns();
-        cells.e2e_win->add(static_cast<double>(now - m.req.ingest_ns), now);
-      }
+      const std::uint64_t now = obs::now_ns();
+      cells.e2e_win->add(static_cast<double>(now - m.req.ingest_ns), now);
     }
     s.processed.fetch_add(s.batch.size(), std::memory_order_release);
     *req_count += s.batch.size();
@@ -385,32 +337,30 @@ bool Service::drain(Shard& s, std::size_t budget) {
 }
 
 void Service::handle(Shard& s, Msg& m, const ShardCells& cells) {
-  if (!m.raw.empty()) {
-    // Parse-on-shard: the ingest thread shipped the raw line; the DOM
-    // parse and validation happen in the drain, which is off the ingest
-    // thread unless the drain was short enough to run inline.
-    Parsed p = parse_request(m.raw);
-    if (!p.ok) {
-      done_(m.req, error_response(m.req.seq, p.error));
-      return;
-    }
-    p.request.seq = m.req.seq;
-    p.request.conn = m.req.conn;
-    p.request.conn_seq = m.req.conn_seq;
-    p.request.ingest_ns = m.req.ingest_ns;
-    if ((p.request.op != Op::kSubmit && p.request.op != Op::kQuery) ||
-        shard_index(p.request.island) != shard_index(m.req.island)) {
-      // The peek that routed the line disagrees with the full parse (only
-      // possible for crafted routing keys the caller mis-peeked). Never
-      // touch an island another shard owns — reject instead.
-      done_(m.req,
-            error_response(m.req.seq,
-                           "misrouted request: peeked routing key does not "
-                           "match the parsed line"));
-      return;
-    }
-    m.req = std::move(p.request);
+  // Parse-on-shard: the ingest thread shipped the raw line; the DOM parse
+  // and validation happen in the drain, which is off the ingest thread
+  // unless the drain was short enough to run inline.
+  Parsed p = parse_request(m.raw);
+  if (!p.ok) {
+    done_(m.req, error_response(m.req.seq, p.error));
+    return;
   }
+  p.request.seq = m.req.seq;
+  p.request.conn = m.req.conn;
+  p.request.conn_seq = m.req.conn_seq;
+  p.request.ingest_ns = m.req.ingest_ns;
+  if ((p.request.op != Op::kSubmit && p.request.op != Op::kQuery) ||
+      shard_index(p.request.island) != shard_index(m.req.island)) {
+    // The routing key disagrees with the full parse (only possible for a
+    // key the caller got wrong). Never touch an island another shard
+    // owns — reject instead.
+    done_(m.req,
+          error_response(m.req.seq,
+                         "misrouted request: peeked routing key does not "
+                         "match the parsed line"));
+    return;
+  }
+  m.req = std::move(p.request);
   process(s, m.req, cells);
 }
 
@@ -710,9 +660,7 @@ Json Service::metrics(std::uint64_t seq) {
 }
 
 std::vector<Service::IslandResult> Service::finalize_all() {
-  for (std::size_t p = 0; p < producers_.size(); ++p) {
-    flush(static_cast<int>(p));
-  }
+  flush();
   drain_all();
   std::vector<IslandResult> out;
   for (const auto& s : shards_) {

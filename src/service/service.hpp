@@ -1,5 +1,5 @@
 // Online scheduling service: memory islands sharded across the thread
-// pool, fed by a pipelined ingest path.
+// pool, fed by one ingest thread.
 //
 // One Service hosts many *memory islands* — independent (cores + DRAM rank)
 // domains, each with its own policy instance and resumable StreamSim.
@@ -8,39 +8,39 @@
 //
 // Request flow is a three-stage pipeline (docs/service.md §3):
 //
-//   ingest (N producers)  →  shard queues  →  shard drains (parse + solve)
+//   ingest (one producer)  →  shard queues  →  shard drains (parse + solve)
 //
-//   * Producers are ingest threads (the daemon's event loop, or the replay
-//     loop). Each shard has one bounded queue, guarded by one mutex,
-//     that every producer pushes to. At most one drain owns a shard (its
-//     `scheduled` flag), and a queued message always has one: the push
-//     that finds no drain takes it in the same critical section, and a
-//     drain retires only when it finds the queue empty.
+//   * The producer is the one ingest thread: the daemon's event loop, or
+//     the replay loop. route_raw() ships the *unparsed* line under its
+//     (op, island) routing key, found by the allocation-free peek
+//     (protocol.hpp peek_request); parse_request() runs in the shard's
+//     drain.
+//   * Staging batches queue traffic: route_raw() appends to a per-shard
+//     buffer, and one lock round moves the whole batch when it fills or
+//     flush() is called.
+//   * Each shard has one bounded queue, guarded by one mutex. At most one
+//     drain owns a shard (its `scheduled` flag), and a queued message
+//     always has one: the push that finds no drain takes it in the same
+//     critical section, and a drain retires only when it finds the queue
+//     empty.
 //   * The producer that takes the drain picks its thread. A short drain (a
 //     few queued messages, a small pending set on the island the shard
 //     served last) runs on the producer itself: a closed-loop request then
-//     needs no pool wake-up. Anything longer, and an inline drain that
-//     outgrows its budget, goes to the pool. Without a pool every drain is
-//     inline. The choice moves no message and changes no byte.
-//   * route_raw() ships the *unparsed* line: the producer only needs the
-//     peeked (op, island) routing key (protocol.hpp peek_request); the
-//     expensive parse_request() runs in the shard's drain. route() ships an
-//     already-parsed Request for callers that have one (tests and the
-//     peek-miss fallback).
-//   * Producer-side staging batches queue traffic: route_raw() appends to a
-//     per-(producer, shard) buffer, and one lock round moves the whole
-//     batch when it fills or flush() is called.
+//     needs no pool wake-up. Nothing else pushes meanwhile, so it handles
+//     what it found and retires. Anything longer goes to the pool. Without
+//     a pool every drain is inline. The choice moves no message and
+//     changes no byte.
 //
 // Determinism: an island's schedule is a pure function of its own arrival
-// stream — shards never exchange state, and one producer's requests for
+// stream — shards never exchange state, and the producer's requests for
 // one island traverse one FIFO queue — so any `shards` value produces
 // identical per-island results (pinned by tests/test_service.cpp).
 //
 // Backpressure: a shard queue holds ServiceOptions::queue_capacity
-// messages per producer. A producer that finds it full waits on the
-// shard's condition variable until the drain takes the queue — the ingest
-// loop stops reading input and kernel socket buffers push the backpressure
-// to clients, without a stalled shard costing a spinning core.
+// messages. The producer that finds it full waits on the shard's condition
+// variable until the drain takes the queue — the ingest loop stops reading
+// input and kernel socket buffers push the backpressure to clients,
+// without a stalled shard costing a spinning core.
 //
 // Observability: each shard records per-request counts and per-commit
 // replan latency into the obs *runtime* domain (`service/shard<k>/...`),
@@ -77,59 +77,54 @@ struct ServiceOptions {
   SystemConfig cfg = SystemConfig::paper_default();
   std::string policy = "sdem-on";
   int shards = 1;
-  /// Ingest threads. Every producer index in [0, producers) owns a staging
-  /// buffer per shard; calls into route()/route_raw()/flush() for one
-  /// producer index must come from one thread at a time.
+  /// Ingest threads: only 1 is accepted, and the constructor throws for
+  /// any other value. Kept because the benchmark harness
+  /// (perfbench/layers.cpp) sets it.
   int producers = 1;
   /// Live mode commits (replan + answer) on every SUBMIT; replay mode
   /// batches same-instant arrivals exactly like the batch simulator so the
   /// full SimResult (replans included) matches simulate().
   bool eager = true;
-  /// A shard's queue holds this many messages per producer; a producer
-  /// that finds it full waits for the drain.
+  /// A shard's queue holds this many messages; the producer waits for the
+  /// drain when it finds the queue full.
   std::size_t queue_capacity = 1024;
 };
 
 class Service {
  public:
   /// `done(request, response)` fires once per routed request, on a pool
-  /// thread or on the producer thread whose route()/route_raw()/flush()/
-  /// drain_all() ran the drain inline. It must therefore not call back into
-  /// the Service. Responses for one connection arrive in order only after
-  /// the caller re-orders them (the daemon's event loop does, keyed on
-  /// Request::conn_seq). For raw lines that fail to parse, `request` is a
+  /// thread or on the producer thread whose route_raw()/flush() ran the
+  /// drain inline. It must therefore not call back into the Service.
+  /// Responses for one connection arrive in order only after the caller
+  /// re-orders them (the daemon's event loop does, keyed on
+  /// Request::conn_seq). For lines that fail to parse, `request` is a
   /// routing stub (seq/conn/conn_seq valid, task fields not).
-  /// `pool` may be null: requests are then drained inline by route()/
+  /// `pool` may be null: requests are then drained inline by route_raw()/
   /// flush() — the serial reference the sharded runs must match.
   /// Throws std::invalid_argument for an unknown policy name, an unbounded
-  /// cfg (an online stream has no task count to size cores from), or
-  /// shards/producers < 1.
+  /// cfg (an online stream has no task count to size cores from),
+  /// shards < 1, or producers other than 1.
   Service(ServiceOptions opt, ThreadPool* pool,
           std::function<void(const Request&, Json)> done);
   ~Service();
 
-  /// Route one parsed SUBMIT/QUERY to its island's shard. Flushes the
-  /// producer's staged raw lines for that shard first, so a parsed request
-  /// never overtakes an earlier raw one from the same producer.
-  void route(Request req, int producer = 0);
-
-  /// Stage one *raw* request line for shard routing; the shard's drain
-  /// parses it (parse-on-shard). `island`/`op` are the peeked routing key
-  /// (protocol.hpp peek_request) — callers must only pass lines whose peek
-  /// was routable. seq/conn/conn_seq ride along for response ordering.
-  /// Staged lines are pushed to the shard's queue in batches; call flush()
-  /// at the end of an ingest chunk to bound latency.
+  /// Stage one SUBMIT/QUERY line for shard routing; the shard's drain
+  /// parses it (parse-on-shard). `island`/`op` are the line's routing key:
+  /// its peek (protocol.hpp peek_request) when routable, else its full
+  /// parse. seq/conn/conn_seq ride along for response ordering. Staged
+  /// lines are pushed to the shard's queue in batches; call flush() at the
+  /// end of an ingest chunk to bound latency. Only the producer thread
+  /// calls route_raw() and flush().
   void route_raw(int island, Op op, std::string line, std::uint64_t seq,
-                 int conn, std::uint64_t conn_seq, int producer = 0);
+                 int conn, std::uint64_t conn_seq);
 
-  /// Push this producer's staged batches to the shard queues (waiting
-  /// while one is full) and schedule drains. Must be called from the
-  /// producer's own thread.
-  void flush(int producer = 0);
+  /// Push the staged batches to the shard queues (waiting while one is
+  /// full) and schedule drains.
+  void flush();
 
   /// Block until every *flushed* request has been processed (every shard's
-  /// drain retired). Does not touch other producers' staging buffers —
-  /// each producer flushes its own before a barrier (the daemon does).
+  /// drain retired). Staged lines stay staged: the producer flushes before
+  /// a barrier (the daemon does).
   void drain_all();
 
   /// Service-wide statistics (drains first, so the snapshot is quiesced):
@@ -160,10 +155,9 @@ class Service {
     SimResult result;
   };
 
-  /// Flush every producer's staging (callers must have quiesced producer
-  /// threads), drain, then finalize every island (ascending id) and return
-  /// the per-island simulation results. Ends the current runs; a later
-  /// SUBMIT to a finalized island is answered with an error.
+  /// Flush the staging, drain, then finalize every island (ascending id)
+  /// and return the per-island simulation results. Ends the current runs;
+  /// a later SUBMIT to a finalized island is answered with an error.
   std::vector<IslandResult> finalize_all();
 
   std::uint64_t requests_processed() const;
@@ -173,7 +167,6 @@ class Service {
   struct Island;
   struct Shard;
   struct Msg;
-  struct Producer;
 
   /// The shard's obs cells, resolved by drain() once per invocation on the
   /// executing thread (successive drains may run on different threads, and
@@ -190,13 +183,10 @@ class Service {
   /// pool (service.cpp kInlineBatch, kInlinePending). `queued` is the
   /// queue length the caller's push left.
   void schedule_drain(Shard& s, std::size_t queued);
-  /// Take and handle the queue while it fits in `budget` messages. Returns
-  /// true once the drain has retired (it found the queue empty); false
-  /// when the queue outgrew the budget, in which case the caller still
-  /// owns the drain and must hand it on.
-  bool drain(Shard& s, std::size_t budget);
-  void flush_shard(Producer& p, std::size_t shard);
-  /// Parse (if raw) and process one message in the shard's drain.
+  /// Take and handle the queue until the drain finds it empty and retires.
+  void drain(Shard& s);
+  void flush_shard(std::size_t shard);
+  /// Parse and process one message in the shard's drain.
   void handle(Shard& s, Msg& m, const ShardCells& cells);
   void process(Shard& s, Request& req, const ShardCells& cells);
 
@@ -204,7 +194,8 @@ class Service {
   ThreadPool* pool_;
   std::function<void(const Request&, Json)> done_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::vector<std::unique_ptr<Producer>> producers_;
+  /// Per-shard batches awaiting a push; only the producer touches them.
+  std::vector<std::vector<Msg>> staged_;
   std::uint64_t start_ns_ = 0;
 };
 

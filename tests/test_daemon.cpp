@@ -588,18 +588,19 @@ TEST(Daemon, ShutdownStopsRunAndReportsCount) {
   EXPECT_EQ(h.rc, 0);
 }
 
-TEST(Daemon, PeekMissSubmitParsedOnAcceptor) {
+TEST(Daemon, PeekMissSubmitRoutedUnderItsParsedKey) {
   // "island":2.0 is a valid island id the allocation-free peek will not
-  // route, so the event loop parses the line itself and routes the
-  // Request.
+  // route, so the event loop parses the line to learn its key and routes
+  // the line under it. Its answer matches that of the same task spelled
+  // "island":2, sent to a daemon of its own.
+  const std::string task =
+      "\"task\":{\"id\":1,\"release\":0,\"deadline\":1,\"work\":0.05}}\n";
   DaemonOptions opt;
   opt.shards = 2;
   DaemonHarness h(opt);
   LineClient c(h.port);
-  c.send(
-      "{\"op\":\"SUBMIT\",\"island\":2.0,\"task\":{\"id\":1,\"release\":0,"
-      "\"deadline\":1,\"work\":0.05}}\n" +
-      submit_line(2, 2, 0.0) + "\n");
+  c.send("{\"op\":\"SUBMIT\",\"island\":2.0," + task + submit_line(2, 2, 0.0) +
+         "\n");
   const Json r1 = Json::parse(c.recv_line());
   ASSERT_TRUE(r1.at("ok").as_bool()) << r1.dump(0);
   EXPECT_EQ(r1.at("island").as_number(), 2.0);
@@ -607,6 +608,15 @@ TEST(Daemon, PeekMissSubmitParsedOnAcceptor) {
   const Json r2 = Json::parse(c.recv_line());
   ASSERT_TRUE(r2.at("ok").as_bool()) << r2.dump(0);
   EXPECT_EQ(r2.at("id").as_number(), 2.0);
+
+  DaemonHarness peekable(opt);
+  LineClient p(peekable.port);
+  p.send("{\"op\":\"SUBMIT\",\"island\":2," + task);
+  const Json want = Json::parse(p.recv_line());
+  ASSERT_TRUE(want.at("ok").as_bool()) << want.dump(0);
+  for (const char* field : {"island", "id", "admitted"}) {
+    EXPECT_EQ(r1.at(field).dump(0), want.at(field).dump(0)) << field;
+  }
 }
 
 TEST(Daemon, OverlongLineGetsOneErrorThenServes) {

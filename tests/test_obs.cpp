@@ -236,13 +236,18 @@ TEST(ObsGate, ServiceCellsIgnoreTheGate) {
                        });
   Registry::instance().reset();
   for (int id = 1; id <= 3; ++id) {
-    service::Request r;
-    r.op = service::Op::kSubmit;
-    r.island = 0;
-    r.task = Task{id, 0.1 * id, 1.0 + 0.1 * id, 100.0};
+    Json task = Json::object();
+    task.set("id", id);
+    task.set("release", 0.1 * id);
+    task.set("deadline", 1.0 + 0.1 * id);
+    task.set("work", 100.0);
+    Json line = Json::object();
+    line.set("op", "SUBMIT");
+    line.set("island", 0);
+    line.set("task", std::move(task));
     const auto seq = static_cast<std::uint64_t>(id);
-    r.seq = seq;
-    svc.route(std::move(r));
+    svc.route_raw(0, service::Op::kSubmit, line.dump(0), seq, 0, seq);
+    svc.flush();
     ASSERT_TRUE(responses.at(seq).at("ok").as_bool());
   }
   const Json stats = svc.stats(99);
@@ -269,7 +274,7 @@ TEST(BenchRegistry, EachNameSelectsExactlyOne) {
 // Every deterministic sweep is a pure function of its cells: a serial run,
 // a pooled one and a serial one with the recording gate shut (the runner's
 // --stable mode) print the same tables and footers and produce the same
-// data once the cell timings and counter attribution are erased. The three
+// data once the cell timings and counter attribution are erased. The two
 // excluded experiments time their work.
 TEST(BenchRegistry,
      EveryDeterministicExperimentIsJobCountAndRecordingIndependent) {
@@ -291,10 +296,7 @@ TEST(BenchRegistry,
   ThreadPool pool(3);
   int checked = 0;
   for (const bench::Experiment& e : bench::all_experiments()) {
-    if (e.name == "table1" || e.name == "bounded_partition" ||
-        e.name == "service_throughput") {
-      continue;
-    }
+    if (e.name == "table1" || e.name == "bounded_partition") continue;
     SCOPED_TRACE(e.name);
     const Output serial = run(e, nullptr);
     const Output pooled = run(e, &pool);

@@ -17,7 +17,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -182,8 +181,30 @@ TEST(ServiceProtocol, PeekFallsBackConservatively) {
 
 // ----------------------------------------------------------- test harness
 
-/// Synchronous single-threaded driver: routes requests inline (null pool)
-/// and keeps every response by seq.
+/// Wire rendering of a SUBMIT request (what the daemon's ingest sees).
+std::string submit_wire_line(const Request& r) {
+  Json task = Json::object();
+  task.set("id", r.task.id);
+  task.set("release", r.task.release);
+  task.set("deadline", r.task.deadline);
+  task.set("work", r.task.work);
+  Json req = Json::object();
+  req.set("op", "SUBMIT");
+  req.set("island", r.island);
+  req.set("task", std::move(task));
+  return req.dump(0);
+}
+
+/// Stage one wire line under its peeked routing key, as the daemon's event
+/// loop does.
+void route_line(Service& svc, std::string line, std::uint64_t seq) {
+  const Peeked peek = peek_request(line);
+  ASSERT_TRUE(peek.routable()) << line;
+  svc.route_raw(peek.island, peek.op, std::move(line), seq, 0, seq);
+}
+
+/// Synchronous single-threaded driver: routes wire lines inline (null
+/// pool) and keeps every response by seq.
 struct InlineHarness {
   explicit InlineHarness(ServiceOptions opt)
       : svc(std::move(opt), nullptr, [this](const Request& r, Json resp) {
@@ -193,21 +214,21 @@ struct InlineHarness {
   Json submit(int island, int id, double release, double deadline,
               double work) {
     Request r;
-    r.op = Op::kSubmit;
     r.island = island;
     r.task = Task{id, release, deadline, work};
-    r.seq = next_seq++;
-    svc.route(std::move(r));
-    return responses.at(next_seq - 1);
+    return route(submit_wire_line(r));
   }
 
   Json query(int island) {
-    Request r;
-    r.op = Op::kQuery;
-    r.island = island;
-    r.seq = next_seq++;
-    svc.route(std::move(r));
-    return responses.at(next_seq - 1);
+    return route("{\"op\":\"QUERY\",\"island\":" + std::to_string(island) +
+                 "}");
+  }
+
+  Json route(std::string line) {
+    const std::uint64_t seq = next_seq++;
+    route_line(svc, std::move(line), seq);
+    svc.flush();
+    return responses.at(seq);
   }
 
   std::map<std::uint64_t, Json> responses;
@@ -223,6 +244,18 @@ ServiceOptions eager_opts() {
 
 // ----------------------------------------------------- semantic validation
 
+TEST(ServiceSemantics, AcceptsOnlyOneProducer) {
+  // One ingest thread feeds every shard; `producers` stays settable only
+  // for callers that spell out the 1.
+  for (const int producers : {0, 2}) {
+    ServiceOptions opt;
+    opt.producers = producers;
+    EXPECT_THROW(Service(opt, nullptr, [](const Request&, Json) {}),
+                 std::invalid_argument)
+        << producers;
+  }
+}
+
 TEST(ServiceSemantics, RejectsDuplicateTaskIdPerIsland) {
   InlineHarness h(eager_opts());
   EXPECT_TRUE(h.submit(0, 1, 0.0, 0.5, 100.0).at("ok").as_bool());
@@ -231,15 +264,17 @@ TEST(ServiceSemantics, RejectsDuplicateTaskIdPerIsland) {
   EXPECT_NE(dup.at("error").as_string().find("duplicate"), std::string::npos);
   // Same id on a different island is a different task.
   EXPECT_TRUE(h.submit(1, 1, 0.1, 0.9, 50.0).at("ok").as_bool());
-  // Still caught after the id table has grown several times, for any int.
+  // Still caught after the id table has grown several times, and for the
+  // wire's extreme ids, ±2e9.
   for (int id = 2; id < 200; ++id) {
     ASSERT_TRUE(h.submit(0, id * 1024, 0.1 + 0.001 * id, 5.0, 1.0)
                     .at("ok")
                     .as_bool());
   }
-  const int kMin = std::numeric_limits<int>::min();
-  EXPECT_TRUE(h.submit(0, kMin, 0.3, 5.0, 1.0).at("ok").as_bool());
-  EXPECT_FALSE(h.submit(0, kMin, 0.3, 5.0, 1.0).at("ok").as_bool());
+  for (const int extreme : {2000000000, -2000000000}) {
+    EXPECT_TRUE(h.submit(0, extreme, 0.3, 5.0, 1.0).at("ok").as_bool());
+    EXPECT_FALSE(h.submit(0, extreme, 0.3, 5.0, 1.0).at("ok").as_bool());
+  }
   EXPECT_FALSE(h.submit(0, 50 * 1024, 0.3, 5.0, 1.0).at("ok").as_bool());
   EXPECT_TRUE(h.submit(0, 50 * 1024 + 1, 0.3, 5.0, 1.0).at("ok").as_bool());
 }
@@ -402,9 +437,12 @@ std::vector<Request> make_stream(int islands, int tasks_per_island,
   return reqs;
 }
 
+/// Ship `reqs` as wire lines through the parse-on-shard path (peek routing
+/// + shard-side parse_request) and finalize. When `metrics` is set, it
+/// receives the finalized service's METRICS body.
 std::vector<Service::IslandResult> run_stream(
     const std::vector<Request>& reqs, const std::string& policy, int shards,
-    bool eager, ThreadPool* pool) {
+    bool eager, ThreadPool* pool, std::string* metrics = nullptr) {
   ServiceOptions opt;
   opt.policy = policy;
   opt.shards = shards;
@@ -418,9 +456,10 @@ std::vector<Service::IslandResult> run_stream(
                        resp.at("error").as_string());
     }
   });
-  for (const Request& r : reqs) svc.route(r);
+  for (const Request& r : reqs) route_line(svc, submit_wire_line(r), r.seq);
   auto out = svc.finalize_all();
   EXPECT_TRUE(errors.empty()) << errors.front();
+  if (metrics != nullptr) *metrics = svc.metrics_text();
   return out;
 }
 
@@ -517,20 +556,6 @@ TEST(ServiceDeterminism, EagerCommitsKeepScheduleBytes) {
 
 // ---------------------------------------------------------- parse-on-shard
 
-/// Wire rendering of a SUBMIT request (what the daemon's ingest sees).
-std::string submit_wire_line(const Request& r) {
-  Json task = Json::object();
-  task.set("id", r.task.id);
-  task.set("release", r.task.release);
-  task.set("deadline", r.task.deadline);
-  task.set("work", r.task.work);
-  Json req = Json::object();
-  req.set("op", "SUBMIT");
-  req.set("island", r.island);
-  req.set("task", std::move(task));
-  return req.dump(0);
-}
-
 /// The lines of a METRICS exposition's `family` whose labels end in
 /// `label_end`, their values summed over every shard.
 double family_total(const std::string& metrics, const std::string& family,
@@ -553,59 +578,28 @@ double drains(const std::string& metrics, const std::string& where) {
                       ",where=\"" + where + "\"} ");
 }
 
-/// Same stream as run_stream, but shipped as raw lines through the
-/// parse-on-shard path (peek routing + shard-side parse_request). When
-/// `metrics` is set, it receives the finalized service's METRICS body.
-std::vector<Service::IslandResult> run_stream_raw(
-    const std::vector<Request>& reqs, const std::string& policy, int shards,
-    ThreadPool* pool, std::string* metrics = nullptr) {
-  ServiceOptions opt;
-  opt.policy = policy;
-  opt.shards = shards;
-  opt.eager = false;
-  std::mutex mu;
-  std::vector<std::string> errors;
-  Service svc(opt, pool, [&](const Request& r, Json resp) {
-    if (!resp.at("ok").as_bool()) {
-      std::lock_guard<std::mutex> lock(mu);
-      errors.push_back("seq " + std::to_string(r.seq) + ": " +
-                       resp.at("error").as_string());
-    }
-  });
-  for (const Request& r : reqs) {
-    std::string line = submit_wire_line(r);
-    const Peeked peek = peek_request(line);
-    EXPECT_TRUE(peek.routable());
-    svc.route_raw(peek.island, peek.op, std::move(line), r.seq, 0, r.seq);
-  }
-  auto out = svc.finalize_all();
-  EXPECT_TRUE(errors.empty()) << errors.front();
-  if (metrics != nullptr) *metrics = svc.metrics_text();
-  return out;
-}
-
 TEST(ServiceDeterminism, ParseOnShardIsByteIdenticalAcrossShardCounts) {
-  // The tentpole determinism contract: raw lines routed by peek and parsed
-  // in the shard drains finalize to byte-identical per-island results at
-  // any shard count — and to the parsed-route path. The 4-shard run pushes
-  // batches of 16 to 64 lines, too deep to drain inline, so it also pins
-  // the pooled drains to the serial reference.
+  // The determinism contract, for every wire policy: lines routed by peek
+  // and parsed in the shard drains finalize to byte-identical per-island
+  // results at any shard count. The 4-shard run pushes batches of 16 to 64
+  // lines, too deep to drain inline, so it also pins the pooled drains to
+  // the serial reference.
   const auto reqs = make_stream(/*islands=*/5, /*tasks_per_island=*/40, 13);
-  const auto parsed = run_stream(reqs, "sdem-on", 1, false, nullptr);
-  const auto raw1 = run_stream_raw(reqs, "sdem-on", 1, nullptr);
   ThreadPool pool(4);
-  std::string metrics4;
-  const auto raw4 = run_stream_raw(reqs, "sdem-on", 4, &pool, &metrics4);
-  EXPECT_GT(drains(metrics4, "pool"), 0.0) << metrics4;
-  ASSERT_EQ(parsed.size(), raw1.size());
-  ASSERT_EQ(parsed.size(), raw4.size());
-  for (std::size_t i = 0; i < parsed.size(); ++i) {
-    EXPECT_EQ(parsed[i].island, raw1[i].island);
-    EXPECT_EQ(parsed[i].island, raw4[i].island);
-    EXPECT_EQ(result_bytes(parsed[i]), result_bytes(raw1[i]))
-        << "island " << parsed[i].island;
-    EXPECT_EQ(result_bytes(parsed[i]), result_bytes(raw4[i]))
-        << "island " << parsed[i].island;
+  for (const char* policy : {"sdem-on", "sdem-on-eager", "mbkp", "race",
+                             "stretch", "critical"}) {
+    SCOPED_TRACE(policy);
+    ASSERT_NE(make_policy(policy), nullptr);
+    const auto raw1 = run_stream(reqs, policy, 1, false, nullptr);
+    std::string metrics4;
+    const auto raw4 = run_stream(reqs, policy, 4, false, &pool, &metrics4);
+    EXPECT_GT(drains(metrics4, "pool"), 0.0) << metrics4;
+    ASSERT_EQ(raw1.size(), raw4.size());
+    for (std::size_t i = 0; i < raw1.size(); ++i) {
+      EXPECT_EQ(raw1[i].island, raw4[i].island);
+      EXPECT_EQ(result_bytes(raw1[i]), result_bytes(raw4[i]))
+          << "island " << raw1[i].island;
+    }
   }
 }
 
@@ -624,7 +618,8 @@ void run_closed_loop(const std::vector<Request>& reqs, std::string* metrics) {
   Service svc(opt, &pool,
               [&](const Request&, Json) { answered.fetch_add(1); });
   for (std::size_t i = 0; i < reqs.size(); ++i) {
-    svc.route(reqs[i]);
+    route_line(svc, submit_wire_line(reqs[i]), reqs[i].seq);
+    svc.flush();
     const auto deadline =
         std::chrono::steady_clock::now() + std::chrono::seconds(1);
     while (answered.load() <= i) {
@@ -667,7 +662,7 @@ TEST(ServiceHandOff, FullQueueHoldsTheProducerUntilTheDrainCatchesUp) {
   // batch (under 64 lines), a full queue and the batch its drain handles.
   auto reqs = make_stream(/*islands=*/4, /*tasks_per_island=*/300, 21);
   for (Request& r : reqs) r.task.deadline = r.task.release + 1000.0;
-  const auto serial = run_stream_raw(reqs, "sdem-on", 1, nullptr);
+  const auto serial = run_stream(reqs, "sdem-on", 1, false, nullptr);
 
   constexpr std::size_t kCapacity = 2;
   ThreadPool pool(2);

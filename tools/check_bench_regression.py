@@ -14,9 +14,7 @@ every host-dependent field:
 
 What remains is the deterministic metric payload (energies, savings,
 counts, parameters), which the frozen-oracle policy pins: any delta is a
-silent behaviour change and fails the job. Experiments listed in
-HOST_DEPENDENT carry only throughput measurements; for those the document
-*structure* is compared (same keys, same row counts) but values are not.
+silent behaviour change and fails the job.
 
 A per-experiment delta table is written to $GITHUB_STEP_SUMMARY when set
 (and always echoed to stdout). Exit status: 0 clean, 1 drift or a failed
@@ -43,10 +41,6 @@ STRIP_KEYS = {
     "timers",
 }
 
-# Experiments whose data sections are throughput/latency measurements of
-# the host itself: structure is checked, values are not.
-HOST_DEPENDENT = {"service_throughput"}
-
 MAX_DELTAS_SHOWN = 10
 
 
@@ -61,15 +55,6 @@ def normalize(node):
     if isinstance(node, list):
         return [normalize(v) for v in node]
     return node
-
-
-def skeleton(node):
-    """Shape only: dict keys, list lengths, leaf types."""
-    if isinstance(node, dict):
-        return {k: skeleton(v) for k, v in sorted(node.items())}
-    if isinstance(node, list):
-        return [skeleton(v) for v in node]
-    return type(node).__name__
 
 
 def diff_leaves(old, new, path="", out=None):
@@ -144,17 +129,6 @@ def main():
                 continue
             with open(out_path) as f:
                 new_doc = json.load(f)
-
-            if name in HOST_DEPENDENT:
-                if skeleton(normalize(old_doc)) == skeleton(normalize(new_doc)):
-                    rows.append((name, "ok (structure only)", []))
-                else:
-                    deltas = diff_leaves(skeleton(normalize(old_doc)),
-                                         skeleton(normalize(new_doc)))
-                    rows.append((name, "STRUCTURE DRIFT",
-                                 [p for p, *_ in deltas[:MAX_DELTAS_SHOWN]]))
-                    failed = True
-                continue
 
             old_n, new_n = normalize(old_doc), normalize(new_doc)
             if old_n == new_n:

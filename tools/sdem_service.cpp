@@ -29,11 +29,14 @@
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
+#include <charconv>
+#include <climits>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -66,24 +69,28 @@ int usage(int code) {
       "usage: sdem_service [options]\n"
       "  --policy NAME     sdem-on|sdem-on-eager|mbkp|race|stretch|critical\n"
       "                    (default sdem-on)\n"
-      "  --shards N        island shards (default 1); N > 1 adds N pool\n"
-      "                    threads for long drains, short ones run inline\n"
+      "  --shards N        island shards, 1..4096 (default 1); N > 1 adds\n"
+      "                    N pool threads for long drains, short ones run\n"
+      "                    inline\n"
       "  --acceptors 1     accepted for compatibility; one event loop\n"
       "                    serves every connection\n"
-      "  --port PORT       also serve ndjson on 127.0.0.1:PORT (0 = pick a\n"
-      "                    free port; the chosen port is printed to stderr)\n"
+      "  --port PORT       also serve ndjson on 127.0.0.1:PORT, 0..65535 (0 =\n"
+      "                    pick a free port; the chosen port is printed to\n"
+      "                    stderr)\n"
       "  --replay FILE     replay an ndjson arrival stream deterministically\n"
       "                    and print per-island schedules to stdout\n"
       "  --verify-batch    with --replay: re-run the batch simulator per\n"
       "                    island and fail unless byte-identical\n"
-      "  --gen-stream N    emit an N-arrival SUBMIT stream to stdout\n"
-      "  --islands K       islands for --gen-stream/--load-gen (default 4,\n"
-      "                    at most 4096)\n"
-      "  --seed S          seed for --gen-stream/--load-gen (default 1)\n"
-      "  --load-gen N      connect to a daemon and push N SUBMITs, timing\n"
-      "                    end-to-end events/sec (needs --connect)\n"
-      "  --connect PORT    daemon port for --load-gen\n"
-      "  --conns C         concurrent load-gen connections (default 1)\n"
+      "  --gen-stream N    emit an N-arrival SUBMIT stream to stdout (N >= 1)\n"
+      "  --islands K       islands for --gen-stream/--load-gen, 1..4096\n"
+      "                    (default 4)\n"
+      "  --seed S          seed for --gen-stream/--load-gen, 0..2^64-1\n"
+      "                    (default 1)\n"
+      "  --load-gen N      connect to a daemon and push N SUBMITs (N >= 1),\n"
+      "                    timing end-to-end events/sec (needs --connect)\n"
+      "  --connect PORT    daemon port for --load-gen, 0..65535\n"
+      "  --conns C         concurrent load-gen connections, 1..1024\n"
+      "                    (default 1)\n"
       "  --trace PATH      record a chrome://tracing JSON of the run\n"
       "  --help            this message\n");
   return code;
@@ -95,10 +102,10 @@ struct Options {
   int port = -1;  ///< -1 = no TCP
   std::string replay;
   bool verify_batch = false;
-  long gen_stream = 0;
+  int gen_stream = 0;
   int islands = 4;
   std::uint64_t seed = 1;
-  long load_gen = 0;
+  int load_gen = 0;
   int connect_port = -1;
   int conns = 1;
   std::string trace;
@@ -127,7 +134,7 @@ struct StreamLine {
   std::string text;  ///< one SUBMIT request, no trailing newline
 };
 
-std::vector<StreamLine> make_stream_lines(long n, int islands,
+std::vector<StreamLine> make_stream_lines(int n, int islands,
                                           std::uint64_t seed) {
   struct Raw {
     double release;
@@ -136,11 +143,11 @@ std::vector<StreamLine> make_stream_lines(long n, int islands,
   };
   std::vector<Raw> raws;
   raws.reserve(static_cast<std::size_t>(n));
-  const long per = n / islands;
-  const long extra = n % islands;
+  const int per = n / islands;
+  const int extra = n % islands;
   for (int isl = 0; isl < islands; ++isl) {
     SyntheticParams p;
-    p.num_tasks = static_cast<int>(per + (isl < extra ? 1 : 0));
+    p.num_tasks = per + (isl < extra ? 1 : 0);
     p.max_interarrival = 0.050;
     if (p.num_tasks == 0) continue;
     const TaskSet ts = make_synthetic(p, seed * 1000003 + isl);
@@ -224,27 +231,26 @@ int run_replay(const Options& o) {
     // Route by peek, parse on the shard. Parse failures surface through
     // the error callback, sequence-tagged.
     const Peeked peek = peek_request(line);
-    if (peek.routable() && peek.op == Op::kSubmit) {
-      const std::uint64_t s = seq++;
-      svc.route_raw(peek.island, peek.op, std::move(line), s, 0, s);
-      continue;
+    int island = peek.island;
+    if (!peek.routable() || peek.op != Op::kSubmit) {
+      // Peek miss (e.g. {"island":2.0}): parse here to learn the key; the
+      // shard parses the line again.
+      const Parsed p = parse_request(line);
+      if (!p.ok) {
+        std::fprintf(stderr, "replay line %llu: %s\n",
+                     static_cast<unsigned long long>(seq + 1),
+                     p.error.c_str());
+        return 1;
+      }
+      if (p.request.op != Op::kSubmit) {
+        std::fprintf(stderr, "replay line %llu: only SUBMIT is replayable\n",
+                     static_cast<unsigned long long>(seq + 1));
+        return 1;
+      }
+      island = p.request.island;
     }
-    // Peek miss (e.g. {"island":2.0}): parse here.
-    Parsed p = parse_request(line);
-    if (!p.ok) {
-      std::fprintf(stderr, "replay line %llu: %s\n",
-                   static_cast<unsigned long long>(seq + 1), p.error.c_str());
-      return 1;
-    }
-    if (p.request.op != Op::kSubmit) {
-      std::fprintf(stderr, "replay line %llu: only SUBMIT is replayable\n",
-                   static_cast<unsigned long long>(seq + 1));
-      return 1;
-    }
-    p.request.seq = seq;
-    p.request.conn_seq = seq;
-    ++seq;
-    svc.route(std::move(p.request));
+    const std::uint64_t s = seq++;
+    svc.route_raw(island, Op::kSubmit, std::move(line), s, 0, s);
   }
   const std::vector<Service::IslandResult> islands = svc.finalize_all();
   if (!errors.empty()) {
@@ -298,16 +304,14 @@ int run_replay(const Options& o) {
 /// the canned stream by island (island % conns, preserving per-island
 /// arrival order), pump every line, and time until the last response.
 int run_load_gen(const Options& o) {
-  if (o.load_gen <= 0 || o.connect_port < 0 || o.conns < 1) {
-    std::fprintf(stderr,
-                 "--load-gen needs a positive count, --connect PORT and "
-                 "--conns >= 1\n");
+  if (o.connect_port < 0) {
+    std::fprintf(stderr, "--load-gen needs --connect PORT\n");
     return 2;
   }
   const std::vector<StreamLine> stream =
       make_stream_lines(o.load_gen, o.islands, o.seed);
   std::vector<std::string> payload(static_cast<std::size_t>(o.conns));
-  std::vector<long> expect(static_cast<std::size_t>(o.conns), 0);
+  std::vector<int> expect(static_cast<std::size_t>(o.conns), 0);
   for (const StreamLine& l : stream) {
     const std::size_t c = static_cast<std::size_t>(l.island % o.conns);
     payload[c] += l.text;
@@ -361,7 +365,7 @@ int run_load_gen(const Options& o) {
                           want = expect[static_cast<std::size_t>(c)],
                           &failed] {
       char chunk[65536];
-      long got = 0;
+      int got = 0;
       while (got < want) {
         const ssize_t n = ::read(fd, chunk, sizeof(chunk));
         if (n < 0 && errno == EINTR) continue;
@@ -383,10 +387,26 @@ int run_load_gen(const Options& o) {
     return 1;
   }
   std::fprintf(stderr,
-               "load-gen: %ld events, %d conn(s), %.3f s, %.0f events/s\n",
+               "load-gen: %d events, %d conn(s), %.3f s, %.0f events/s\n",
                o.load_gen, o.conns, secs,
                secs > 0.0 ? static_cast<double>(o.load_gen) / secs : 0.0);
   return 0;
+}
+
+/// The value of integer flag `flag`: the whole token must be a base-10
+/// integer in [lo, hi], or the tool exits 2 naming the flag and its range.
+template <typename T>
+T int_flag(const char* flag, const char* token, T lo, T hi) {
+  const char* end = token + std::strlen(token);
+  T v = 0;
+  const auto [ptr, ec] = std::from_chars(token, end, v);
+  if (ec != std::errc() || ptr != end || v < lo || v > hi) {
+    std::fprintf(stderr, "%s needs an integer in [%s, %s], not \"%s\"\n",
+                 flag, std::to_string(lo).c_str(), std::to_string(hi).c_str(),
+                 token);
+    std::exit(usage(2));
+  }
+  return v;
 }
 
 }  // namespace
@@ -406,11 +426,7 @@ int main(int argc, char** argv) {
     if (arg == "--policy") {
       o.policy = value("--policy");
     } else if (arg == "--shards") {
-      o.shards = std::atoi(value("--shards"));
-      if (o.shards < 1) {
-        std::fprintf(stderr, "--shards needs a positive integer\n");
-        return usage(2);
-      }
+      o.shards = int_flag("--shards", value("--shards"), 1, kMaxIslands);
     } else if (arg == "--acceptors") {
       if (std::string(value("--acceptors")) != "1") {
         std::fprintf(stderr,
@@ -419,28 +435,26 @@ int main(int argc, char** argv) {
         return usage(2);
       }
     } else if (arg == "--port") {
-      o.port = std::atoi(value("--port"));
+      o.port = int_flag("--port", value("--port"), 0, 65535);
     } else if (arg == "--replay") {
       o.replay = value("--replay");
     } else if (arg == "--verify-batch") {
       o.verify_batch = true;
     } else if (arg == "--gen-stream") {
-      o.gen_stream = std::atol(value("--gen-stream"));
+      o.gen_stream =
+          int_flag("--gen-stream", value("--gen-stream"), 1, INT_MAX);
     } else if (arg == "--islands") {
-      o.islands = std::atoi(value("--islands"));
-      if (o.islands < 1 || o.islands > kMaxIslands) {
-        std::fprintf(stderr, "--islands needs an integer in [1, %d]\n",
-                     kMaxIslands);
-        return usage(2);
-      }
+      o.islands = int_flag("--islands", value("--islands"), 1, kMaxIslands);
     } else if (arg == "--seed") {
-      o.seed = static_cast<std::uint64_t>(std::atoll(value("--seed")));
+      o.seed = int_flag<std::uint64_t>(
+          "--seed", value("--seed"), 0,
+          std::numeric_limits<std::uint64_t>::max());
     } else if (arg == "--load-gen") {
-      o.load_gen = std::atol(value("--load-gen"));
+      o.load_gen = int_flag("--load-gen", value("--load-gen"), 1, INT_MAX);
     } else if (arg == "--connect") {
-      o.connect_port = std::atoi(value("--connect"));
+      o.connect_port = int_flag("--connect", value("--connect"), 0, 65535);
     } else if (arg == "--conns") {
-      o.conns = std::atoi(value("--conns"));
+      o.conns = int_flag("--conns", value("--conns"), 1, 1024);
     } else if (arg == "--trace") {
       o.trace = value("--trace");
     } else if (arg == "--help" || arg == "-h") {
