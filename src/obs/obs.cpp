@@ -11,7 +11,6 @@
 #include <string_view>
 
 #include "obs/trace.hpp"
-#include "obs/window.hpp"
 
 namespace sdem::obs {
 
@@ -53,13 +52,11 @@ struct Registry::Shard {
   std::deque<std::uint64_t> counter_storage;
   std::deque<DistCell> dist_storage;
   std::deque<TimerCell> timer_storage;
-  std::deque<WindowCell> window_storage;
   // Transparent comparators: a lookup by name builds no std::string.
   std::map<std::string, std::pair<Domain, std::uint64_t*>, std::less<>>
       counters;
   std::map<std::string, std::pair<Domain, DistCell*>, std::less<>> dists;
   std::map<std::string, TimerCell*, std::less<>> timers;
-  std::map<std::string, WindowCell*, std::less<>> windows;
 };
 
 namespace {
@@ -68,7 +65,7 @@ namespace {
 /// `make()` creates its storage on first use. Only the owning thread
 /// inserts into its shard's maps, and reset() never touches them, so the
 /// owner looks up without the lock; the lock orders an insertion against
-/// snapshot() and window_values() reading the same map from other threads.
+/// snapshot() reading the same map from another thread.
 template <typename Map, typename Make>
 typename Map::mapped_type find_or_insert(Map& map, const char* name,
                                          Make make) {
@@ -128,14 +125,6 @@ TimerCell* Registry::timer_cell(const char* name) {
   });
 }
 
-WindowCell* Registry::window_cell(const char* name, const WindowSpec& spec) {
-  Shard& shard = local_shard();
-  return find_or_insert(shard.windows, name, [&] {
-    shard.window_storage.emplace_back(spec);
-    return &shard.window_storage.back();
-  });
-}
-
 std::vector<std::pair<std::string, std::uint64_t>> Registry::local_counters() {
   Shard& shard = local_shard();
   std::vector<std::pair<std::string, std::uint64_t>> out;
@@ -154,26 +143,25 @@ void Registry::reset() {
     for (auto& c : s.counter_storage) c = 0;
     for (auto& d : s.dist_storage) d = DistCell{};
     for (auto& t : s.timer_storage) t = TimerCell{};
-    for (auto& w : s.window_storage) w.clear();
   }
 }
 
-namespace {
-
-void merge_dist(DistValue& into, const DistCell& cell) {
+void DistValue::merge(const DistCell& cell) {
   if (cell.count == 0) return;
-  if (into.count == 0 || cell.min < into.min) into.min = cell.min;
-  if (into.count == 0 || cell.max > into.max) into.max = cell.max;
-  into.count += cell.count;
-  into.sum_fx += cell.sum_fx;
+  if (count == 0 || cell.min < min) min = cell.min;
+  if (count == 0 || cell.max > max) max = cell.max;
+  count += cell.count;
+  sum_fx += cell.sum_fx;
   // Merge sparse-vs-dense buckets: rebuild the sparse list in order.
   std::map<int, std::uint64_t> merged;
-  for (const auto& [e, c] : into.buckets) merged[e] += c;
+  for (const auto& [e, c] : buckets) merged[e] += c;
   for (int i = 0; i < kDistBuckets; ++i) {
     if (cell.buckets[i] > 0) merged[i == 0 ? -9999 : i - 64] += cell.buckets[i];
   }
-  into.buckets.assign(merged.begin(), merged.end());
+  buckets.assign(merged.begin(), merged.end());
 }
+
+namespace {
 
 Json dist_json(const DistValue& d) {
   Json j = Json::object();
@@ -208,7 +196,7 @@ Snapshot Registry::snapshot() const {
     for (const auto& [name, dc] : s.dists) {
       auto& slot = dists[name];
       slot.first = dc.first;
-      merge_dist(slot.second, *dc.second);
+      slot.second.merge(*dc.second);
     }
     for (const auto& [name, tc] : s.timers) {
       auto& slot = timers[name];
@@ -229,19 +217,6 @@ Snapshot Registry::snapshot() const {
   }
   for (const auto& [name, tc] : timers) snap.timers.emplace_back(name, tc);
   return snap;
-}
-
-std::vector<std::pair<std::string, WindowValue>> Registry::window_values(
-    std::uint64_t as_of_ns) const {
-  std::lock_guard<std::mutex> lock(registry_mutex());
-  std::map<std::string, WindowValue> merged;
-  for (void* p : shards_) {
-    const Shard& s = *static_cast<const Shard*>(p);
-    for (const auto& [name, cell] : s.windows) {
-      merge_window(merged[name], *cell, as_of_ns);
-    }
-  }
-  return {merged.begin(), merged.end()};
 }
 
 Json Snapshot::counters_json() const {

@@ -2,6 +2,8 @@
 // and (via obs/trace.hpp) a Chrome-trace event sink — the instrumentation
 // spine behind `sdem_bench_runner --trace` and the per-experiment
 // "counters" JSON section (docs/observability.md has the catalogue).
+// Sliding-window histograms (obs/window.hpp) are not registry cells: each
+// is a plain value its one writer owns.
 //
 // Design constraints, in order:
 //
@@ -10,8 +12,8 @@
 //     write: closed, a site costs one relaxed load and a branch, and a
 //     timer reads no clock. It defaults to open; sdem_bench_runner closes
 //     it when its output carries nothing the layer collects. Cells a
-//     caller resolves and writes directly (the service's shard cells) are
-//     not gated.
+//     caller owns and writes directly (the service's per-shard latency
+//     cells, service.hpp) are not gated.
 //
 //   * Deterministic merge. Counters and distributions live in thread-local
 //     shards; snapshot() folds the shards into one name-sorted view whose
@@ -87,8 +89,10 @@ inline constexpr int kDistBuckets = 128;
 /// "timers" JSON section keeps its flat schema.
 inline constexpr char kTimerEdgeSep = '\x1e';
 
-/// A distribution cell (thread-local shard storage). add() is the hot
-/// path: one llround, one ilogb, four integer/double updates.
+/// A distribution cell: thread-local shard storage in the registry, or a
+/// value its one writer owns (a windowed slice, a service shard's replan
+/// latency). add() is the hot path: one llround, one ilogb, four
+/// integer/double updates.
 struct DistCell {
   std::uint64_t count = 0;
   std::int64_t sum_fx = 0;  ///< sum in kDistFxScale units
@@ -112,7 +116,8 @@ struct TimerCell {
   }
 };
 
-/// Merged distribution in a snapshot: same stats, sparse histogram.
+/// Merged distribution (a snapshot's, a window's): same stats, sparse
+/// histogram.
 struct DistValue {
   std::uint64_t count = 0;
   std::int64_t sum_fx = 0;
@@ -121,6 +126,10 @@ struct DistValue {
   /// (bucket index - 64 = floor(log2(v)), count), ascending; index 0
   /// (nonpositive samples) is reported as exponent INT_MIN sentinel -9999.
   std::vector<std::pair<int, std::uint64_t>> buckets;
+
+  /// Fold in a cell's samples: integer counts and sums, so any order of
+  /// cells yields the same value.
+  void merge(const DistCell& cell);
 
   double sum() const { return static_cast<double>(sum_fx) / kDistFxScale; }
   double mean() const { return count > 0 ? sum() / static_cast<double>(count) : 0.0; }
@@ -151,14 +160,6 @@ struct Snapshot {
   const DistValue* dist(const std::string& name) const;
 };
 
-// Sliding-window histogram cells (obs/window.hpp) share the registry
-// shards; declared here so Registry can hand them out without obs.hpp
-// depending on the window header.
-struct WindowSpec;
-struct WindowCell;
-/// A window merged over its slices is a distribution like any other.
-using WindowValue = DistValue;
-
 class Registry {
  public:
   static Registry& instance();
@@ -170,11 +171,6 @@ class Registry {
   std::uint64_t* counter_cell(const char* name, Domain domain);
   DistCell* dist_cell(const char* name, Domain domain);
   TimerCell* timer_cell(const char* name);
-  /// Resolve a sliding-window histogram cell (obs/window.hpp). Windows are
-  /// always runtime-tier (caller-supplied clock timestamps) and never
-  /// appear in snapshot(); read them with window_values(). The first
-  /// registration of a name fixes its WindowSpec.
-  WindowCell* window_cell(const char* name, const WindowSpec& spec);
 
   /// Zero every cell in every shard (cells stay registered, so cached
   /// call-site pointers remain valid). Quiesce instrumented work first.
@@ -182,13 +178,6 @@ class Registry {
 
   /// Merge all shards into a name-sorted snapshot. Quiesce first.
   Snapshot snapshot() const;
-
-  /// Merge every shard's window cells over the window ending at
-  /// `as_of_ns`, name-sorted. Same quiesce contract as snapshot(). The
-  /// fold is a commutative integer merge, so given identical (value,
-  /// timestamp) samples the result is independent of thread count.
-  std::vector<std::pair<std::string, WindowValue>> window_values(
-      std::uint64_t as_of_ns) const;
 
   /// The calling thread's deterministic counters, name-sorted — the
   /// per-cell attribution primitive. A grid cell runs entirely on one

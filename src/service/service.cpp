@@ -125,15 +125,7 @@ struct Service::Msg {
 };
 
 struct Service::Shard {
-  Shard(int index, std::size_t capacity)
-      : capacity(capacity),
-        replan_metric("service/shard" + std::to_string(index) + "/replan_ns"),
-        requests_metric("service/shard" + std::to_string(index) +
-                        "/requests"),
-        replan_window_metric("service/shard" + std::to_string(index) +
-                             "/replan_window_ns"),
-        e2e_window_metric("service/shard" + std::to_string(index) +
-                          "/e2e_window_ns") {
+  explicit Shard(std::size_t capacity) : capacity(capacity) {
     queue.reserve(capacity);
     batch.reserve(capacity);
   }
@@ -171,10 +163,12 @@ struct Service::Shard {
   std::atomic<std::size_t> last_pending{0};
 
   std::map<int, std::unique_ptr<Island>> islands;
-  std::string replan_metric;
-  std::string requests_metric;
-  std::string replan_window_metric;
-  std::string e2e_window_metric;
+
+  /// Latency telemetry. Like `islands`, only the drain that owns the shard
+  /// writes it; stats() and metrics_text() read it after drain_all().
+  obs::DistCell replan;           ///< per-commit replan latency, all time
+  obs::WindowCell replan_window;  ///< the same, over the last 8 s
+  obs::WindowCell e2e_window;     ///< ingest stamp → response, last 8 s
 };
 
 Service::Service(ServiceOptions opt, ThreadPool* pool,
@@ -200,7 +194,7 @@ Service::Service(ServiceOptions opt, ThreadPool* pool,
   }
   shards_.reserve(static_cast<std::size_t>(opt_.shards));
   for (int i = 0; i < opt_.shards; ++i) {
-    shards_.push_back(std::make_unique<Shard>(i, opt_.queue_capacity));
+    shards_.push_back(std::make_unique<Shard>(opt_.queue_capacity));
   }
   staged_.resize(shards_.size());
   start_ns_ = obs::now_ns();
@@ -300,17 +294,6 @@ void Service::flush() {
 }
 
 void Service::drain(Shard& s) {
-  // Cells live in the calling thread's obs shard — resolve per drain, not
-  // per service, because successive drains may land on different threads.
-  ShardCells cells;
-  cells.replan =
-      obs::dist_cell(s.replan_metric.c_str(), obs::Domain::kRuntime);
-  cells.replan_win = obs::Registry::instance().window_cell(
-      s.replan_window_metric.c_str(), obs::WindowSpec{});
-  cells.e2e_win = obs::Registry::instance().window_cell(
-      s.e2e_window_metric.c_str(), obs::WindowSpec{});
-  std::uint64_t* req_count =
-      obs::counter_cell(s.requests_metric.c_str(), obs::Domain::kRuntime);
   for (;;) {
     {
       std::lock_guard<std::mutex> lock(s.mu);
@@ -325,18 +308,17 @@ void Service::drain(Shard& s) {
       if (retire) return;
     }
     for (Msg& m : s.batch) {
-      handle(s, m, cells);
+      handle(s, m);
       // Windowed end-to-end latency: ingest stamp to response done.
       const std::uint64_t now = obs::now_ns();
-      cells.e2e_win->add(static_cast<double>(now - m.req.ingest_ns), now);
+      s.e2e_window.add(static_cast<double>(now - m.req.ingest_ns), now);
     }
     s.processed.fetch_add(s.batch.size(), std::memory_order_release);
-    *req_count += s.batch.size();
     s.batch.clear();  // frees the handled lines
   }
 }
 
-void Service::handle(Shard& s, Msg& m, const ShardCells& cells) {
+void Service::handle(Shard& s, Msg& m) {
   // Parse-on-shard: the ingest thread shipped the raw line; the DOM parse
   // and validation happen in the drain, which is off the ingest thread
   // unless the drain was short enough to run inline.
@@ -361,10 +343,10 @@ void Service::handle(Shard& s, Msg& m, const ShardCells& cells) {
     return;
   }
   m.req = std::move(p.request);
-  process(s, m.req, cells);
+  process(s, m.req);
 }
 
-void Service::process(Shard& s, Request& r, const ShardCells& cells) {
+void Service::process(Shard& s, Request& r) {
   try {
     if (r.op == Op::kSubmit) {
       Island& isl = island_of(s, r.island);
@@ -405,8 +387,8 @@ void Service::process(Shard& s, Request& r, const ShardCells& cells) {
         const std::uint64_t t0 = obs::now_ns();
         isl.sim.commit();
         const std::uint64_t dt = obs::now_ns() - t0;
-        cells.replan->add(static_cast<double>(dt));
-        cells.replan_win->add(static_cast<double>(dt), t0 + dt);
+        s.replan.add(static_cast<double>(dt));
+        s.replan_window.add(static_cast<double>(dt), t0 + dt);
         resp.set("pending", static_cast<std::uint64_t>(isl.sim.pending().size()));
         resp.set("replans", isl.sim.replans());
         double plan_end = isl.sim.plan_from();
@@ -419,8 +401,8 @@ void Service::process(Shard& s, Request& r, const ShardCells& cells) {
         // advances; attribute that latency too so replay/throughput runs
         // still populate the p50/p99 histograms.
         const std::uint64_t now = obs::now_ns();
-        cells.replan->add(static_cast<double>(now - t_inject));
-        cells.replan_win->add(static_cast<double>(now - t_inject), now);
+        s.replan.add(static_cast<double>(now - t_inject));
+        s.replan_window.add(static_cast<double>(now - t_inject), now);
       }
       s.last_pending.store(isl.sim.pending().size(),
                            std::memory_order_relaxed);
@@ -487,7 +469,7 @@ double Service::uptime_s() const {
 }
 
 Json Service::stats(std::uint64_t seq) {
-  drain_all();  // quiesce: obs snapshots require no concurrent writers
+  drain_all();  // quiesce: the shards' cells are read with no writer left
   const double uptime = uptime_s();
   Json resp = ok_response(Op::kStats, seq);
   resp.set("policy", opt_.policy);
@@ -499,7 +481,6 @@ Json Service::stats(std::uint64_t seq) {
   resp.set("islands", islands);
 
   Json shard_arr = Json::array();
-  const obs::Snapshot snap = obs::Registry::instance().snapshot();
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     const Shard& s = *shards_[i];
     const std::uint64_t n = s.processed.load(std::memory_order_acquire);
@@ -509,18 +490,16 @@ Json Service::stats(std::uint64_t seq) {
     js.set("requests", n);
     js.set("throughput_rps",
            uptime > 0.0 ? static_cast<double>(n) / uptime : 0.0);
-    // p50/p99 replan latency from the runtime-domain log2 histogram.
-    for (const auto& [name, dist] : snap.runtime_dists) {
-      if (name != s.replan_metric) continue;
-      Json lat = Json::object();
-      lat.set("count", dist.count);
-      lat.set("p50_ns", dist.percentile(0.50));
-      lat.set("p99_ns", dist.percentile(0.99));
-      lat.set("mean_ns", dist.mean());
-      lat.set("max_ns", dist.max);
-      js.set("replan_latency", std::move(lat));
-      break;
-    }
+    // p50/p99 replan latency from the shard's log2 histogram.
+    obs::DistValue dist;
+    dist.merge(s.replan);
+    Json lat = Json::object();
+    lat.set("count", dist.count);
+    lat.set("p50_ns", dist.percentile(0.50));
+    lat.set("p99_ns", dist.percentile(0.99));
+    lat.set("mean_ns", dist.mean());
+    lat.set("max_ns", dist.max);
+    js.set("replan_latency", std::move(lat));
     shard_arr.push_back(std::move(js));
   }
   resp.set("shards", std::move(shard_arr));
@@ -563,12 +542,6 @@ std::string Service::metrics_text() const {
          prom_num(static_cast<double>(
              shards_[i]->processed.load(std::memory_order_acquire))));
   }
-  line("# TYPE sdem_ring_occupancy gauge");
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    std::lock_guard<std::mutex> lock(shards_[i]->mu);
-    line("sdem_ring_occupancy" + shard_label(i) + " " +
-         prom_num(static_cast<double>(shards_[i]->queue.size())));
-  }
   line("# TYPE sdem_backpressure_stalls_total counter");
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     std::lock_guard<std::mutex> lock(shards_[i]->mu);
@@ -586,43 +559,32 @@ std::string Service::metrics_text() const {
          prom_num(static_cast<double>(
              shards_[i]->pool_drains.load(std::memory_order_relaxed))));
   }
-  // Windowed latency summaries: quantiles over the last
-  // WindowSpec{}.window_ns() seconds, not since startup — scrapes a minute
-  // apart see independent views (the cumulative view stays in STATS).
-  const auto windows = obs::Registry::instance().window_values(obs::now_ns());
-  const auto find_window =
-      [&windows](const std::string& name) -> const obs::WindowValue* {
-    for (const auto& [n, w] : windows) {
-      if (n == name) return &w;
+  // Windowed latency summaries: quantiles over the last 8 s, not since
+  // startup — scrapes a minute apart see independent views (the cumulative
+  // view stays in STATS).
+  const std::uint64_t now = obs::now_ns();
+  const auto summary = [&line](const std::string& metric, std::size_t i,
+                               const obs::DistValue& w) {
+    static constexpr double kQuantiles[] = {0.5, 0.99, 0.999};
+    static const char* const kQuantileNames[] = {"0.5", "0.99", "0.999"};
+    const std::string shard = std::to_string(i);
+    for (std::size_t q = 0; q < 3; ++q) {
+      line(metric + "{shard=\"" + shard + "\",quantile=\"" +
+           kQuantileNames[q] + "\"} " +
+           prom_num(w.percentile(kQuantiles[q]) * 1e-9));
     }
-    return nullptr;
+    line(metric + "_sum{shard=\"" + shard + "\"} " + prom_num(w.sum() * 1e-9));
+    line(metric + "_count{shard=\"" + shard + "\"} " +
+         prom_num(static_cast<double>(w.count)));
   };
-  struct Family {
-    const char* metric;
-    const std::string Shard::* cell_name;
-  };
-  const Family families[] = {
-      {"sdem_replan_latency_seconds", &Shard::replan_window_metric},
-      {"sdem_e2e_latency_seconds", &Shard::e2e_window_metric},
-  };
-  static constexpr double kQuantiles[] = {0.5, 0.99, 0.999};
-  static const char* const kQuantileNames[] = {"0.5", "0.99", "0.999"};
-  for (const Family& fam : families) {
-    line(std::string("# TYPE ") + fam.metric + " summary");
-    for (std::size_t i = 0; i < shards_.size(); ++i) {
-      const obs::WindowValue* w = find_window(*shards_[i] .* fam.cell_name);
-      const std::string shard = std::to_string(i);
-      for (std::size_t q = 0; q < 3; ++q) {
-        const double v_ns = w != nullptr ? w->percentile(kQuantiles[q]) : 0.0;
-        line(std::string(fam.metric) + "{shard=\"" + shard +
-             "\",quantile=\"" + kQuantileNames[q] + "\"} " +
-             prom_num(v_ns * 1e-9));
-      }
-      line(std::string(fam.metric) + "_sum{shard=\"" + shard + "\"} " +
-           prom_num((w != nullptr ? w->sum() : 0.0) * 1e-9));
-      line(std::string(fam.metric) + "_count{shard=\"" + shard + "\"} " +
-           prom_num(static_cast<double>(w != nullptr ? w->count : 0)));
-    }
+  line("# TYPE sdem_replan_latency_seconds summary");
+  for (std::size_t i = 0; i < shards_.size(); ++i) {
+    summary("sdem_replan_latency_seconds", i,
+            shards_[i]->replan_window.value(now));
+  }
+  line("# TYPE sdem_e2e_latency_seconds summary");
+  for (std::size_t i = 0; i < shards_.size(); ++i) {
+    summary("sdem_e2e_latency_seconds", i, shards_[i]->e2e_window.value(now));
   }
   // Cumulative registry counters. The governor/ladder pair gets stable
   // first-class names; everything else is scrapable via the generic family.
@@ -650,7 +612,7 @@ std::string Service::metrics_text() const {
 }
 
 Json Service::metrics(std::uint64_t seq) {
-  drain_all();  // quiesce: window/snapshot reads require no writers
+  drain_all();  // quiesce: the cells and the snapshot are read with no writer
   Json resp = ok_response(Op::kMetrics, seq);
   resp.set("uptime_s", uptime_s());
   resp.set("requests", requests_processed());

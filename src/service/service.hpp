@@ -42,15 +42,16 @@
 // input and kernel socket buffers push the backpressure to clients,
 // without a stalled shard costing a spinning core.
 //
-// Observability: each shard records per-request counts and per-commit
-// replan latency into the obs *runtime* domain (`service/shard<k>/...`),
-// summarized (p50/p99 from the log2 histograms) by stats(). On top of the
-// cumulative cells, each shard feeds two *sliding-window* histograms
-// (obs/window.hpp) — per-commit replan latency and ingest-to-response
-// latency over the last few seconds — which back the METRICS verb's
-// Prometheus exposition (metrics()/metrics_text(), docs/service.md §METRICS)
-// together with queue-length, backpressure-stall and drain-placement
-// counts.
+// Observability: each shard owns its latency cells, written by the drain
+// that owns the shard — a cumulative per-commit replan histogram
+// (obs::DistCell), summarized (p50/p99 from the log2 buckets) by stats(),
+// and two *sliding-window* histograms (obs/window.hpp), per-commit replan
+// latency and ingest-to-response latency over the last 8 s, which back the
+// METRICS verb's Prometheus exposition (metrics()/metrics_text(),
+// docs/service.md §METRICS) together with request, backpressure-stall and
+// drain-placement counts. Like the islands, the cells need no lock: the
+// `scheduled` hand-off orders each drain after the last, and the readers
+// run after drain_all(). Each Service reports only its own requests.
 #pragma once
 
 #include <cstdint>
@@ -61,7 +62,6 @@
 #include <vector>
 
 #include "model/power.hpp"
-#include "obs/obs.hpp"
 #include "service/protocol.hpp"
 #include "sim/event_sim.hpp"
 #include "support/thread_pool.hpp"
@@ -127,9 +127,9 @@ class Service {
   /// a barrier (the daemon does).
   void drain_all();
 
-  /// Service-wide statistics (drains first, so the snapshot is quiesced):
-  /// uptime, totals, and per-shard requests/throughput plus p50/p99/mean/max
-  /// replan latency from the obs runtime domain.
+  /// Service-wide statistics (drains first, so the shards are quiesced):
+  /// uptime, totals, and per-shard requests/throughput plus the count and
+  /// p50/p99/mean/max of the shard's replan latency since construction.
   Json stats(std::uint64_t seq);
 
   /// METRICS envelope: ok/op/seq plus `body`, the Prometheus text
@@ -137,8 +137,8 @@ class Service {
   Json metrics(std::uint64_t seq);
 
   /// Prometheus text exposition (docs/service.md §METRICS): uptime and
-  /// request totals, per-shard requests / queue length / backpressure
-  /// stalls / inline and pooled drains, windowed p50/p99/p999 replan and
+  /// request totals, per-shard requests / backpressure stalls / inline
+  /// and pooled drains, windowed p50/p99/p999 replan and
   /// end-to-end latency per shard, and the cumulative registry counters
   /// (governor mispredict/abort rates included). Callers must quiesce first
   /// (metrics() and the daemon's barrier do).
@@ -168,15 +168,6 @@ class Service {
   struct Shard;
   struct Msg;
 
-  /// The shard's obs cells, resolved by drain() once per invocation on the
-  /// executing thread (successive drains may run on different threads, and
-  /// each thread has its own cells).
-  struct ShardCells {
-    obs::DistCell* replan = nullptr;       ///< cumulative replan latency
-    obs::WindowCell* replan_win = nullptr; ///< windowed replan latency
-    obs::WindowCell* e2e_win = nullptr;    ///< windowed ingest→response
-  };
-
   std::size_t shard_index(int island) const;
   Island& island_of(Shard& s, int island);
   /// Run the drain the caller owns (it set `scheduled`) inline or on the
@@ -187,8 +178,8 @@ class Service {
   void drain(Shard& s);
   void flush_shard(std::size_t shard);
   /// Parse and process one message in the shard's drain.
-  void handle(Shard& s, Msg& m, const ShardCells& cells);
-  void process(Shard& s, Request& req, const ShardCells& cells);
+  void handle(Shard& s, Msg& m);
+  void process(Shard& s, Request& req);
 
   ServiceOptions opt_;
   ThreadPool* pool_;

@@ -19,7 +19,6 @@
 #include "bench_registry.hpp"
 #include "obs/obs.hpp"
 #include "obs/trace.hpp"
-#include "obs/window.hpp"
 #include "service/service.hpp"
 #include "support/json.hpp"
 #include "support/table.hpp"
@@ -80,14 +79,13 @@ TEST(Obs, ShardsFromOtherThreadsMergeIntoTheSnapshot) {
 
 TEST(Obs, CellLookupsDoNotRaceSnapshots) {
   // A thread looks its own cells up without the registry lock. One thread
-  // creates and re-resolves cells of every kind while another snapshots
-  // and merges windows: under TSan this checks the unlocked lookups. Cell
-  // values stay untouched, since snapshots need quiesced writers anyway.
+  // creates and re-resolves cells of every kind while another snapshots:
+  // under TSan this checks the unlocked lookups. Cell values stay
+  // untouched, since snapshots need quiesced writers anyway.
   std::atomic<bool> done{false};
   std::thread reader([&] {
     while (!done.load()) {
       (void)Registry::instance().snapshot();
-      (void)Registry::instance().window_values(obs::now_ns());
     }
   });
   std::thread owner([] {
@@ -100,8 +98,6 @@ TEST(Obs, CellLookupsDoNotRaceSnapshots) {
                 Registry::instance().dist_cell(n, obs::Domain::kRuntime));
       EXPECT_EQ(Registry::instance().timer_cell(n),
                 Registry::instance().timer_cell(n));
-      EXPECT_EQ(Registry::instance().window_cell(n, obs::WindowSpec{}),
-                Registry::instance().window_cell(n, obs::WindowSpec{}));
     }
   });
   owner.join();
@@ -223,8 +219,8 @@ TEST(ObsGate, TimerClosesTheWayItOpened) {
   EXPECT_EQ(counts, want);
 }
 
-// The service's shard cells are resolved and written by the drain itself,
-// not through the macros: STATS keeps counting replans with the gate shut.
+// The service's shard cells are owned and written by the drain itself, not
+// through the macros: STATS keeps counting replans with the gate shut.
 TEST(ObsGate, ServiceCellsIgnoreTheGate) {
   const GateClosed closed;
   service::ServiceOptions opt;
@@ -234,7 +230,6 @@ TEST(ObsGate, ServiceCellsIgnoreTheGate) {
                        [&](const service::Request& r, Json resp) {
                          responses.emplace(r.seq, std::move(resp));
                        });
-  Registry::instance().reset();
   for (int id = 1; id <= 3; ++id) {
     Json task = Json::object();
     task.set("id", id);

@@ -332,6 +332,36 @@ TEST(ServiceSemantics, StatsCountsRequestsAndShards) {
   EXPECT_GT(shard0.at("replan_latency").at("count").as_number(), 0);
 }
 
+TEST(ServiceSemantics, TelemetryIsPerService) {
+  // Each Service owns its latency cells: a second Service alive beside the
+  // first counts its own 3 replans in STATS and in the METRICS window, not
+  // both Services' 6.
+  ServiceOptions opt = eager_opts();
+  opt.shards = 2;
+  InlineHarness first(opt);
+  InlineHarness second(opt);
+  for (InlineHarness* h : {&first, &second}) {
+    for (int id = 1; id <= 3; ++id) {
+      ASSERT_TRUE(h->submit(0, id, 0.1 * id, 1.0 + 0.1 * id, 100.0)
+                      .at("ok")
+                      .as_bool());
+    }
+    const Json stats = h->svc.stats(99);
+    EXPECT_EQ(stats.at("shards").at(0u).at("replan_latency").at("count")
+                  .as_number(),
+              3);
+    const std::string body = h->svc.metrics(100).at("body").as_string();
+    EXPECT_NE(body.find("sdem_replan_latency_seconds_count{shard=\"0\"} 3\n"),
+              std::string::npos)
+        << body;
+  }
+  // A shard that never drained still reports its latency, as zeros.
+  const Json idle = second.svc.stats(101).at("shards").at(1u);
+  ASSERT_TRUE(idle.has("replan_latency"));
+  EXPECT_EQ(idle.at("replan_latency").at("count").as_number(), 0);
+  EXPECT_EQ(idle.at("replan_latency").at("p99_ns").as_number(), 0);
+}
+
 TEST(ServiceProtocol, MetricsGrammarRoundTrips) {
   EXPECT_STREQ(op_name(Op::kMetrics), "METRICS");
   const Parsed p = parse_request("{\"op\":\"METRICS\"}");
@@ -392,8 +422,11 @@ TEST(ServiceSemantics, MetricsExposesPrometheusText) {
   EXPECT_NE(body.find("sdem_requests_total 2"), npos);
   EXPECT_NE(body.find("sdem_islands 2"), npos);
   EXPECT_NE(body.find("sdem_shard_requests_total{shard=\"0\"} "), npos);
-  EXPECT_NE(body.find("sdem_ring_occupancy{shard=\"1\"} "), npos);
   EXPECT_NE(body.find("sdem_backpressure_stalls_total{shard=\"0\"} "), npos);
+  // A barrier leaves every queue empty, and sdem_shard_requests_total is
+  // the one per-shard request count: no queue gauge, no registry copy.
+  EXPECT_EQ(body.find("sdem_ring_occupancy"), npos);
+  EXPECT_EQ(body.find("service/shard"), npos);
   // Without a pool every drain runs on the routing thread.
   EXPECT_NE(body.find("sdem_shard_drains_total{shard=\"1\","
                       "where=\"inline\"} 1\n"),

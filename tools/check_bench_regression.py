@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """Detect drift between committed BENCH_*.json artifacts and a fresh run.
 
-For every BENCH_<experiment>.json in the repository root, rerun that
-experiment through the bench runner with --stable at the committed seed
-count, then compare the committed and regenerated documents after stripping
-every host-dependent field:
+For every BENCH_<experiment>.json committed to the repository root (as
+`git ls-files` lists them, so untracked runner output left in the working
+tree is never taken for an artifact), rerun that experiment through the
+bench runner with --stable at the committed seed count, then compare the
+committed and regenerated documents after stripping every host-dependent
+field:
 
   * the named keys: jobs, wall_seconds, solver_seconds_total,
     solver_seconds, counters, runtime, dists, timers — anywhere in the tree;
@@ -102,10 +104,13 @@ def main():
                          "output; default 2)")
     args = ap.parse_args()
 
-    committed = sorted(
-        f for f in os.listdir(args.repo)
-        if f.startswith("BENCH_") and f.endswith(".json")
-    )
+    listed = subprocess.run(
+        ["git", "-C", args.repo, "ls-files", "--", "BENCH_*.json"],
+        capture_output=True, text=True)
+    if listed.returncode != 0:
+        print(f"git ls-files failed: {listed.stderr.strip()}", file=sys.stderr)
+        return 2
+    committed = sorted(f for f in listed.stdout.splitlines() if "/" not in f)
     if not committed:
         print("no committed BENCH_*.json artifacts found", file=sys.stderr)
         return 2

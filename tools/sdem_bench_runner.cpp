@@ -21,6 +21,7 @@
 // with --stable, making the whole file byte-reproducible.
 #include <algorithm>
 #include <chrono>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -31,6 +32,7 @@
 #include <vector>
 
 #include "bench_registry.hpp"
+#include "int_flag.hpp"
 #include "obs/obs.hpp"
 #include "obs/timeline.hpp"
 #include "obs/trace.hpp"
@@ -41,6 +43,7 @@ namespace {
 
 using namespace sdem;
 using namespace sdem::bench;
+using sdem::tools::int_flag;
 
 constexpr int kSchemaVersion = 1;
 
@@ -52,7 +55,8 @@ int usage(int code) {
       "  --filter NAMES    comma-separated name substrings (default: all)\n"
       "  --seeds N         seeds per operating point (default: per-experiment,"
       " 10)\n"
-      "  --jobs N          worker threads; 1 = serial (default: hardware)\n"
+      "  --jobs N          worker threads, 1..1024; 1 = serial (default:\n"
+      "                    hardware)\n"
       "  --out PATH        JSON path for a single-experiment run; '-' for\n"
       "                    stdout; default BENCH_<name>.json per experiment\n"
       "                    (none with --md)\n"
@@ -211,6 +215,7 @@ int main(int argc, char** argv) {
   int jobs = ThreadPool::hardware_jobs();
   bool list = false, md = false, quiet = false, stable = false;
   bool timer_rollup = false;
+  const auto bad = [] { return usage(2); };
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -226,19 +231,9 @@ int main(int argc, char** argv) {
     } else if (arg == "--filter") {
       filter = value("--filter");
     } else if (arg == "--seeds") {
-      const char* v = value("--seeds");
-      seeds = std::atoi(v);
-      if (seeds <= 0) {
-        std::fprintf(stderr, "--seeds needs a positive integer, got '%s'\n", v);
-        return usage(2);
-      }
+      seeds = int_flag("--seeds", value("--seeds"), 1, INT_MAX, bad);
     } else if (arg == "--jobs") {
-      const char* v = value("--jobs");
-      jobs = std::atoi(v);
-      if (jobs <= 0) {
-        std::fprintf(stderr, "--jobs needs a positive integer, got '%s'\n", v);
-        return usage(2);
-      }
+      jobs = int_flag("--jobs", value("--jobs"), 1, 1024, bad);
     } else if (arg == "--timer-rollup") {
       timer_rollup = true;
     } else if (arg == "--out") {

@@ -19,31 +19,38 @@
 // smoke, the nightly job runs --budget-seconds 600 per model class and
 // uploads any repro corpus as an artifact; tests/corpus/ is replayed by
 // ctest on every build.
+#include <climits>
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <vector>
 
+#include "int_flag.hpp"
 #include "obs/trace.hpp"
 #include "support/thread_pool.hpp"
 #include "testing/fuzz_driver.hpp"
 
 namespace {
 
+using sdem::tools::int_flag;
+
 int usage(const char* argv0) {
   std::cerr
       << "usage: " << argv0 << " [options]\n"
-      << "  --cases N           max cases per model class (default 1000)\n"
+      << "  --cases N           max cases per model class (default 1000;\n"
+      << "                      0 = no cap)\n"
       << "  --budget-seconds S  wall-clock budget across the run\n"
       << "  --seed S            master seed (default 1)\n"
       << "  --model M           all|common_release|agreeable|general|\n"
       << "                      sleep_ladder\n"
       << "                      (repeatable; default all)\n"
       << "  --out-dir DIR       write .repro.json files here\n"
-      << "  --jobs N            threads for the parallel-replay check\n"
-      << "                      (default 2; 0 disables the check)\n"
-      << "  --max-failures N    stop after N distinct failures (default 5)\n"
+      << "  --jobs N            threads for the parallel-replay check,\n"
+      << "                      0..1024 (default 2; 0 disables the check)\n"
+      << "  --max-failures N    stop after N distinct failures (default 5;\n"
+      << "                      0 = no limit)\n"
       << "  --no-shrink         keep failing cases as generated\n"
       << "  --no-reference      skip the slow grid-reference oracles\n"
       << "  --quiet             no per-failure regression-test dump\n"
@@ -66,6 +73,7 @@ int main(int argc, char** argv) {
   std::string replay_dir;
   std::string trace_path;
 
+  const auto bad = [&] { return usage(argv[0]); };
   const auto need_value = [&](int& i) -> const char* {
     if (i + 1 >= argc) {
       std::cerr << argv[i] << " requires a value\n";
@@ -77,11 +85,13 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--cases") {
-      opts.cases = std::atol(need_value(i));
+      opts.cases = int_flag("--cases", need_value(i), 0L, LONG_MAX, bad);
     } else if (arg == "--budget-seconds") {
       opts.budget_seconds = std::atof(need_value(i));
     } else if (arg == "--seed") {
-      opts.seed = std::strtoull(need_value(i), nullptr, 10);
+      opts.seed = int_flag<std::uint64_t>(
+          "--seed", need_value(i), 0,
+          std::numeric_limits<std::uint64_t>::max(), bad);
     } else if (arg == "--model") {
       const std::string m = need_value(i);
       if (m == "all") {
@@ -98,9 +108,10 @@ int main(int argc, char** argv) {
     } else if (arg == "--out-dir") {
       opts.out_dir = need_value(i);
     } else if (arg == "--jobs") {
-      jobs = std::atoi(need_value(i));
+      jobs = int_flag("--jobs", need_value(i), 0, 1024, bad);
     } else if (arg == "--max-failures") {
-      opts.max_failures = std::atoi(need_value(i));
+      opts.max_failures =
+          int_flag("--max-failures", need_value(i), 0, INT_MAX, bad);
     } else if (arg == "--no-shrink") {
       opts.shrink = false;
     } else if (arg == "--no-reference") {

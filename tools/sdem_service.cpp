@@ -29,7 +29,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
-#include <charconv>
 #include <climits>
 #include <csignal>
 #include <cstdio>
@@ -48,6 +47,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include "int_flag.hpp"
 #include "model/task.hpp"
 #include "obs/obs.hpp"
 #include "obs/trace.hpp"
@@ -62,6 +62,7 @@ namespace {
 
 using namespace sdem;
 using namespace sdem::service;
+using sdem::tools::int_flag;
 
 int usage(int code) {
   std::fprintf(
@@ -393,27 +394,12 @@ int run_load_gen(const Options& o) {
   return 0;
 }
 
-/// The value of integer flag `flag`: the whole token must be a base-10
-/// integer in [lo, hi], or the tool exits 2 naming the flag and its range.
-template <typename T>
-T int_flag(const char* flag, const char* token, T lo, T hi) {
-  const char* end = token + std::strlen(token);
-  T v = 0;
-  const auto [ptr, ec] = std::from_chars(token, end, v);
-  if (ec != std::errc() || ptr != end || v < lo || v > hi) {
-    std::fprintf(stderr, "%s needs an integer in [%s, %s], not \"%s\"\n",
-                 flag, std::to_string(lo).c_str(), std::to_string(hi).c_str(),
-                 token);
-    std::exit(usage(2));
-  }
-  return v;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   std::signal(SIGPIPE, SIG_IGN);
   Options o;
+  const auto bad = [] { return usage(2); };
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const auto value = [&](const char* flag) -> const char* {
@@ -426,7 +412,7 @@ int main(int argc, char** argv) {
     if (arg == "--policy") {
       o.policy = value("--policy");
     } else if (arg == "--shards") {
-      o.shards = int_flag("--shards", value("--shards"), 1, kMaxIslands);
+      o.shards = int_flag("--shards", value("--shards"), 1, kMaxIslands, bad);
     } else if (arg == "--acceptors") {
       if (std::string(value("--acceptors")) != "1") {
         std::fprintf(stderr,
@@ -435,26 +421,29 @@ int main(int argc, char** argv) {
         return usage(2);
       }
     } else if (arg == "--port") {
-      o.port = int_flag("--port", value("--port"), 0, 65535);
+      o.port = int_flag("--port", value("--port"), 0, 65535, bad);
     } else if (arg == "--replay") {
       o.replay = value("--replay");
     } else if (arg == "--verify-batch") {
       o.verify_batch = true;
     } else if (arg == "--gen-stream") {
       o.gen_stream =
-          int_flag("--gen-stream", value("--gen-stream"), 1, INT_MAX);
+          int_flag("--gen-stream", value("--gen-stream"), 1, INT_MAX, bad);
     } else if (arg == "--islands") {
-      o.islands = int_flag("--islands", value("--islands"), 1, kMaxIslands);
+      o.islands =
+          int_flag("--islands", value("--islands"), 1, kMaxIslands, bad);
     } else if (arg == "--seed") {
       o.seed = int_flag<std::uint64_t>(
           "--seed", value("--seed"), 0,
-          std::numeric_limits<std::uint64_t>::max());
+          std::numeric_limits<std::uint64_t>::max(), bad);
     } else if (arg == "--load-gen") {
-      o.load_gen = int_flag("--load-gen", value("--load-gen"), 1, INT_MAX);
+      o.load_gen =
+          int_flag("--load-gen", value("--load-gen"), 1, INT_MAX, bad);
     } else if (arg == "--connect") {
-      o.connect_port = int_flag("--connect", value("--connect"), 0, 65535);
+      o.connect_port =
+          int_flag("--connect", value("--connect"), 0, 65535, bad);
     } else if (arg == "--conns") {
-      o.conns = int_flag("--conns", value("--conns"), 1, 1024);
+      o.conns = int_flag("--conns", value("--conns"), 1, 1024, bad);
     } else if (arg == "--trace") {
       o.trace = value("--trace");
     } else if (arg == "--help" || arg == "-h") {
