@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "obs/obs.hpp"
 
@@ -45,9 +46,13 @@ std::vector<Segment> MbkpPolicy::replan(double now,
     }
     if (core_of_[slot] >= 0) continue;
     SDEM_OBS_INC("mbkp/tasks_assigned");
-    const double density = p.task.work / std::max(p.task.region(), 1e-12);
-    const int klass = static_cast<int>(std::floor(std::log2(
-        std::max(density, 1e-12))));
+    // Density has no upper bound (1e308 Mcycles over half a second is
+    // inf), so it is clamped to a finite range before the class is cast to
+    // int; NaN takes the lowest class. Finite densities keep their class.
+    const double density = std::fmin(
+        std::fmax(p.task.work / std::max(p.task.region(), 1e-12), 1e-12),
+        std::numeric_limits<double>::max());
+    const int klass = static_cast<int>(std::floor(std::log2(density)));
     int& cursor = cursor_for(klass);
     core_of_[slot] = cursor % std::max(cores, 1);
     ++cursor;

@@ -43,8 +43,8 @@ class MbkpPolicy : public OnlinePolicy {
 
  private:
   /// Round-robin cursor of a density class (classes are small signed ints:
-  /// floor(log2(density)) with density clamped at 1e-12, so roughly
-  /// [-40, 40]). Stored as a flat array over [base_, base_ + size).
+  /// floor(log2(density)) with density clamped to [1e-12, DBL_MAX], so in
+  /// [-40, 1023]). Stored as a flat array over [base_, base_ + size).
   int& cursor_for(int klass);
 
   IdSlots task_slots_;                ///< task id -> dense slot

@@ -56,6 +56,16 @@ bool read_task(const Json& obj, Task* out, std::string* err) {
     *err = "task \"deadline\" must be > \"release\"";
     return false;
   }
+  // Finite fields can still overflow: a window from -1e308 to 1e308 is
+  // inf long, and 1e308 Mcycles over half a second fill at inf.
+  if (!std::isfinite(out->region())) {
+    *err = "task \"deadline\" - \"release\" must be finite";
+    return false;
+  }
+  if (!std::isfinite(out->filled_speed())) {
+    *err = "task \"work\" / (\"deadline\" - \"release\") must be finite";
+    return false;
+  }
   return true;
 }
 

@@ -2,10 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
-#include <bit>
-#include <cmath>
 #include <condition_variable>
-#include <limits>
 #include <mutex>
 #include <stdexcept>
 #include <utility>
@@ -37,60 +34,6 @@ constexpr std::size_t kInlineBatch = 4;
 /// serialize its connections' slow commits.
 constexpr std::size_t kInlinePending = 16;
 
-/// The task ids one island has accepted (duplicate-submit detection): a
-/// flat open-addressing table with linear probing, doubled at half load,
-/// so an insert allocates only when the table doubles. It grows with the
-/// accepted SUBMITs, never with the magnitude of an id.
-class TaskIds {
- public:
-  bool contains(int id) const {
-    if (slots_.empty()) return false;
-    for (std::size_t i = home(id);; i = (i + 1) & (slots_.size() - 1)) {
-      if (slots_[i] == id) return true;
-      if (slots_[i] == kEmpty) return false;
-    }
-  }
-
-  /// Adds an id that is not present yet.
-  void insert(int id) {
-    if (2 * (size_ + 1) > slots_.size()) {
-      std::vector<int> old(std::max<std::size_t>(16, 2 * slots_.size()),
-                           kEmpty);
-      old.swap(slots_);
-      shift_ = 64 - std::countr_zero(slots_.size());
-      for (const int v : old) {
-        if (v != kEmpty) place(v);
-      }
-    }
-    place(id);
-    ++size_;
-  }
-
- private:
-  /// Marks a free slot. No task carries it: every id comes through
-  /// parse_request, which admits |id| <= 2e9 only.
-  static constexpr int kEmpty = std::numeric_limits<int>::min();
-
-  /// Fibonacci hashing: the top bits of id * 2^64/phi, so that sequential
-  /// and strided ids alike spread over the table.
-  std::size_t home(int id) const {
-    return static_cast<std::size_t>(
-        (static_cast<std::uint64_t>(static_cast<std::uint32_t>(id)) *
-         0x9E3779B97F4A7C15ull) >>
-        shift_);
-  }
-
-  void place(int id) {
-    std::size_t i = home(id);
-    while (slots_[i] != kEmpty) i = (i + 1) & (slots_.size() - 1);
-    slots_[i] = id;
-  }
-
-  std::vector<int> slots_;  ///< power-of-two size, kEmpty where free
-  std::size_t size_ = 0;
-  int shift_ = 64;
-};
-
 }  // namespace
 
 std::unique_ptr<OnlinePolicy> make_policy(const std::string& name) {
@@ -103,17 +46,16 @@ std::unique_ptr<OnlinePolicy> make_policy(const std::string& name) {
   return nullptr;
 }
 
-/// One memory island: its own policy instance and resumable simulation.
-/// Owned exclusively by one shard; only that shard's drain touches it.
+/// One memory island: its own policy instance and resumable simulation,
+/// which also holds the island's task record (duplicate ids, arrivals,
+/// whether the run is finalized). Owned exclusively by one shard; only that
+/// shard's drain touches it.
 struct Service::Island {
   Island(const SystemConfig& cfg, std::unique_ptr<OnlinePolicy> pol)
       : policy(std::move(pol)), sim(cfg, *policy, cfg.num_cores) {}
 
   std::unique_ptr<OnlinePolicy> policy;
   StreamSim sim;
-  TaskIds task_ids;  ///< duplicate-submit detection
-  std::uint64_t submits = 0;
-  bool finalized = false;
 };
 
 /// One queue entry: a request line to parse in the shard's drain, and its
@@ -350,13 +292,13 @@ void Service::process(Shard& s, Request& r) {
   try {
     if (r.op == Op::kSubmit) {
       Island& isl = island_of(s, r.island);
-      if (isl.finalized) {
+      if (isl.sim.finalized()) {
         done_(r, error_response(r.seq,
                                 "island " + std::to_string(r.island) +
                                     " already finalized"));
         return;
       }
-      if (isl.task_ids.contains(r.task.id)) {
+      if (isl.sim.holds(r.task.id)) {
         done_(r, error_response(r.seq,
                                 "duplicate task id " +
                                     std::to_string(r.task.id) + " on island " +
@@ -371,8 +313,6 @@ void Service::process(Shard& s, Request& r) {
         done_(r, error_response(r.seq, e.what()));
         return;
       }
-      isl.task_ids.insert(r.task.id);
-      ++isl.submits;
       Json resp = ok_response(Op::kSubmit, r.seq);
       resp.set("island", r.island);
       resp.set("id", r.task.id);
@@ -630,10 +570,8 @@ std::vector<Service::IslandResult> Service::finalize_all() {
       IslandResult r;
       r.island = id;
       r.policy = isl->policy->name();
-      r.submits = isl->submits;
       r.tasks = isl->sim.injected();
       r.result = isl->sim.finalize();
-      isl->finalized = true;
       out.push_back(std::move(r));
     }
   }

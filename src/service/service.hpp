@@ -150,7 +150,6 @@ class Service {
   struct IslandResult {
     int island = 0;
     std::string policy;
-    std::uint64_t submits = 0;
     std::vector<Task> tasks;  ///< injected arrivals, injection order
     SimResult result;
   };

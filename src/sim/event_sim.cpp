@@ -162,6 +162,7 @@ void StreamSim::inject_arrival(const Task& t) {
   batch_time_ = t.release;
   batch_.push_back(t);
   tasks_seen_.push_back(t);
+  ws_.intern(t.id);
 }
 
 void StreamSim::commit() {
@@ -188,10 +189,7 @@ void StreamSim::commit() {
     p.remaining = task.work;
     p.core = rr_ % cores_;
     ++rr_;
-    if (p.remaining > 0.0) {
-      ws_.intern(p.task.id);
-      pending_.push_back(p);
-    }
+    if (p.remaining > 0.0) pending_.push_back(p);
   }
   batch_.clear();
   plan_ = policy_->replan(t, pending_, cfg_);

@@ -42,7 +42,7 @@ struct SimResult {
 namespace detail {
 
 /// Per-run buffers for the event loop. Task ids are interned into dense
-/// slots at admission; completion times and the pending-position index then
+/// slots as they arrive; completion times and the pending-position index then
 /// live in flat arrays instead of per-event std::maps. Position and
 /// remaining-work entries are epoch-stamped so rebuilding them is a write
 /// pass with no clearing.
@@ -70,8 +70,8 @@ struct SimWorkspace {
 
 /// The event loop decoupled from batch runs: a resumable simulation that an
 /// external arrival stream drives. One StreamSim owns one memory island's
-/// timeline; tools/sdem_service keeps one per island and feeds it SUBMIT
-/// requests as they arrive.
+/// timeline and task record; tools/sdem_service keeps one per island and
+/// feeds it SUBMIT requests as they arrive.
 ///
 /// Protocol:
 ///   * inject_arrival(t) buffers a task; tasks sharing one release instant
@@ -136,6 +136,14 @@ class StreamSim {
   /// Number of tasks injected so far (admitted or still buffered).
   std::size_t arrivals() const { return tasks_seen_.size(); }
   int replans() const { return res_.replans; }
+
+  /// Whether a task with this id was injected since the last reset(),
+  /// zero-work and still-buffered tasks included (the service's duplicate
+  /// check).
+  bool holds(int id) const { return ws_.slots.slot_of(id) >= 0; }
+
+  /// Whether finalize() has ended the run.
+  bool finalized() const { return finalized_; }
 
   /// Every injected task, in injection order (the replay verifier rebuilds
   /// the batch TaskSet from this).

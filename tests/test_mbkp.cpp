@@ -77,6 +77,27 @@ TEST(Mbkp, SameDensityClassRoundRobins) {
   EXPECT_EQ(res.deadline_misses, 0);
 }
 
+TEST(Mbkp, UnboundedDensityKeepsTheRunGoing) {
+  // Task 1's density work / (deadline - release) overflows to inf, whose
+  // cast to an int class is undefined. Clamped to DBL_MAX, it takes the
+  // top class, and every task is scheduled.
+  TaskSet ts;
+  ts.add(task(0, 0.0, 1.0, 100.0));
+  ts.add(task(1, 0.1, 0.6, 1e308));
+  ts.add(task(2, 0.2, 1.2, 100.0));
+  MbkpPolicy pol;
+  SimResult res;
+  ASSERT_NO_THROW(res = simulate(ts, sim_cfg(), pol));
+  EXPECT_EQ(res.replans, 3);
+  std::set<int> ran;
+  for (const auto& seg : res.schedule.segments()) {
+    EXPECT_GE(seg.core, 0);
+    EXPECT_LT(seg.core, 8);
+    ran.insert(seg.task_id);
+  }
+  EXPECT_EQ(ran, (std::set<int>{0, 1, 2}));
+}
+
 TEST(Mbkp, SpeedsRespectCap) {
   SyntheticParams p;
   p.num_tasks = 50;

@@ -3,6 +3,8 @@
 //   sdem_cli gen synthetic  <n> <x_ms> <seed>         task CSV to stdout
 //   sdem_cli gen dspstone   <n> <U> <seed>
 //   sdem_cli gen common     <n> <seed>
+//       <n> is a whole integer >= 1, <seed> any uint64, <x_ms> and <U>
+//       whole finite numbers > 0; any other token exits 2 with usage
 //   sdem_cli solve <scheme>                < tasks.csv   offline solve:
 //       scheme: cr-alpha0 | cr-alpha | cr-transition | agreeable
 //       prints energy, sleep time, a Gantt chart and the schedule CSV
@@ -16,6 +18,10 @@
 // All runs use the paper-default system configuration (8 A57-like cores,
 // 4 W DRAM, 40 ms break-even).
 #include <algorithm>
+#include <charconv>
+#include <climits>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -25,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "int_flag.hpp"
 #include "core/agreeable.hpp"
 #include "obs/timeline.hpp"
 #include "obs/trace.hpp"
@@ -44,6 +51,7 @@
 namespace {
 
 using namespace sdem;
+using sdem::tools::int_flag;
 
 SystemConfig default_cfg() { return SystemConfig::paper_default(); }
 
@@ -70,29 +78,46 @@ int usage() {
   return 2;
 }
 
+/// A generator's real-valued positional (x_ms, U): the whole token must be
+/// a finite number > 0, or the command is a usage error, as int_flag rules
+/// for integers.
+double positive_arg(const char* name, const char* token) {
+  const char* end = token + std::strlen(token);
+  double v = 0.0;
+  const auto [ptr, ec] = std::from_chars(token, end, v);
+  if (ec != std::errc() || ptr != end || !std::isfinite(v) || !(v > 0.0)) {
+    std::fprintf(stderr, "%s needs a finite number > 0, not \"%s\"\n", name,
+                 token);
+    std::exit(usage());
+  }
+  return v;
+}
+
 int cmd_gen(int argc, char** argv) {
   if (argc < 2) return usage();
   const std::string kind = argv[0];
+  const auto count = [&] {
+    return int_flag("<n>", argv[1], 1, INT_MAX, usage);
+  };
+  const auto seed = [&](int i) {
+    return int_flag("<seed>", argv[i], std::uint64_t{0}, UINT64_MAX, usage);
+  };
   if (kind == "synthetic" && argc >= 4) {
     SyntheticParams p;
-    p.num_tasks = std::atoi(argv[1]);
-    p.max_interarrival = std::atof(argv[2]) / 1000.0;
-    std::fputs(task_set_to_csv(make_synthetic(p, std::atoll(argv[3]))).c_str(),
-               stdout);
+    p.num_tasks = count();
+    p.max_interarrival = positive_arg("<x_ms>", argv[2]) / 1000.0;
+    std::fputs(task_set_to_csv(make_synthetic(p, seed(3))).c_str(), stdout);
     return 0;
   }
   if (kind == "dspstone" && argc >= 4) {
     DspstoneParams p;
-    p.num_tasks = std::atoi(argv[1]);
-    p.utilization_u = std::atof(argv[2]);
-    std::fputs(task_set_to_csv(make_dspstone(p, std::atoll(argv[3]))).c_str(),
-               stdout);
+    p.num_tasks = count();
+    p.utilization_u = positive_arg("<U>", argv[2]);
+    std::fputs(task_set_to_csv(make_dspstone(p, seed(3))).c_str(), stdout);
     return 0;
   }
   if (kind == "common" && argc >= 3) {
-    std::fputs(task_set_to_csv(
-                   make_common_release(std::atoi(argv[1]), 0.0,
-                                       std::atoll(argv[2])))
+    std::fputs(task_set_to_csv(make_common_release(count(), 0.0, seed(2)))
                    .c_str(),
                stdout);
     return 0;

@@ -189,17 +189,18 @@ int run_gen_stream(const Options& o) {
 
 /// Per-island replay report: a stable header line plus the schedule CSV,
 /// ascending island id. This is the byte surface the determinism and
-/// verify contracts are defined over.
-std::string island_report(const Service::IslandResult& isl) {
+/// verify contracts are defined over. `res` is the island's own result, or
+/// the batch simulator's on the same arrivals (--verify-batch).
+std::string island_report(const Service::IslandResult& isl,
+                          const SimResult& res) {
   char head[160];
   std::snprintf(head, sizeof(head),
                 "island %d policy=%s tasks=%llu replans=%d misses=%d "
                 "unfinished=%d\n",
                 isl.island, isl.policy.c_str(),
-                static_cast<unsigned long long>(isl.submits),
-                isl.result.replans, isl.result.deadline_misses,
-                isl.result.unfinished);
-  return std::string(head) + schedule_to_csv(isl.result.schedule);
+                static_cast<unsigned long long>(isl.tasks.size()),
+                res.replans, res.deadline_misses, res.unfinished);
+  return std::string(head) + schedule_to_csv(res.schedule);
 }
 
 int run_replay(const Options& o) {
@@ -263,7 +264,7 @@ int run_replay(const Options& o) {
     return 1;
   }
   std::string report;
-  for (const auto& isl : islands) report += island_report(isl);
+  for (const auto& isl : islands) report += island_report(isl, isl.result);
   std::fwrite(report.data(), 1, report.size(), stdout);
   std::fprintf(stderr, "replay: %zu island(s), %llu task(s), shards=%d\n",
                islands.size(), static_cast<unsigned long long>(seq),
@@ -277,13 +278,8 @@ int run_replay(const Options& o) {
     const auto policy = make_policy(o.policy);
     const SimResult batch =
         simulate(TaskSet(isl.tasks), sopt.cfg, *policy);
-    Service::IslandResult want;
-    want.island = isl.island;
-    want.policy = isl.policy;
-    want.submits = isl.submits;
-    want.result = batch;
-    const std::string got = island_report(isl);
-    const std::string expect = island_report(want);
+    const std::string got = island_report(isl, isl.result);
+    const std::string expect = island_report(isl, batch);
     if (got != expect || isl.result.horizon_lo != batch.horizon_lo ||
         isl.result.horizon_hi != batch.horizon_hi) {
       std::fprintf(stderr,
