@@ -88,6 +88,14 @@ std::vector<Segment> SdemOnPolicy::plan(double now,
     // The max() engaged its second arm: the task cannot make its real
     // deadline any more, i.e. it is past the admission test and races.
     if (t.deadline > p.task.deadline) SDEM_OBS_INC("online_sdem/admission_rejects");
+    // At large `now` the sum rounds, and the window can come out an ulp
+    // short of the solvers' own admission test: they would return no plan,
+    // and the task would block its island for good. Widen it until it
+    // passes.
+    while (t.filled_speed() > s_up * (1.0 + 1e-12)) {
+      t.deadline =
+          std::nextafter(t.deadline, std::numeric_limits<double>::infinity());
+    }
     const int slot = rs.slots.intern(t.id);
     if (slot >= static_cast<int>(rs.eff_deadline.size())) {
       const std::size_t size = rs.slots.size();

@@ -41,65 +41,8 @@ void flush_sim_counters(const SimResult& res) {
 
 }  // namespace
 
-namespace detail {
-
-int SimWorkspace::intern(int id) {
-  const int slot = slots.intern(id);
-  const std::size_t n = static_cast<std::size_t>(slots.size());
-  if (finished_at.size() < n) {
-    finished_at.resize(n, 0.0);
-    finished.resize(n, 0);
-    pos_val.resize(n, 0);
-    pos_gen.resize(n, 0);
-    rem.resize(n, 0.0);
-    rem_gen.resize(n, 0);
-  }
-  return slot;
-}
-
-void SimWorkspace::finish(int slot, double at) {
-  finished[static_cast<std::size_t>(slot)] = 1;
-  finished_at[static_cast<std::size_t>(slot)] = at;
-}
-
-double SimWorkspace::finished_time(int id) const {
-  const int slot = slots.slot_of(id);
-  if (slot < 0 || !finished[static_cast<std::size_t>(slot)]) {
-    return std::numeric_limits<double>::infinity();
-  }
-  return finished_at[static_cast<std::size_t>(slot)];
-}
-
-void SimWorkspace::clear() {
-  slots.clear();
-  finished_at.clear();
-  finished.clear();
-  pos_val.clear();
-  pos_gen.clear();
-  rem.clear();
-  rem_gen.clear();
-  gen = 0;
-}
-
-}  // namespace detail
-
 StreamSim::StreamSim(const SystemConfig& cfg, OnlinePolicy& policy, int cores)
     : cfg_(cfg), policy_(&policy), cores_(std::max(1, cores)) {
-  policy_->reset();
-}
-
-void StreamSim::reset() {
-  ws_.clear();
-  pending_.clear();
-  plan_.clear();
-  batch_.clear();
-  tasks_seen_.clear();
-  batch_time_ = 0.0;
-  plan_from_ = 0.0;
-  now_ = 0.0;
-  rr_ = 0;
-  finalized_ = false;
-  res_ = SimResult{};
   policy_->reset();
 }
 
@@ -108,13 +51,13 @@ void StreamSim::account(double upto) {
   // work, record completed pieces. Work is charged to the first pending
   // entry carrying the segment's task id (the position index replaces the
   // old per-segment linear scan; pending order is stable within a call).
-  const int gen = ++ws_.gen;
+  const int gen = ++gen_;
   for (std::size_t i = 0; i < pending_.size(); ++i) {
     const std::size_t slot = static_cast<std::size_t>(
-        ws_.slots.slot_of(pending_[i].task.id));
-    if (ws_.pos_gen[slot] != gen) {
-      ws_.pos_gen[slot] = gen;
-      ws_.pos_val[slot] = static_cast<int>(i);
+        slots_.slot_of(pending_[i].task.id));
+    if (pos_gen_[slot] != gen) {
+      pos_gen_[slot] = gen;
+      pos_val_[slot] = static_cast<int>(i);
     }
   }
   for (const auto& seg : plan_) {
@@ -125,16 +68,16 @@ void StreamSim::account(double upto) {
     piece.start = lo;
     piece.end = hi;
     res_.schedule.add(piece);
-    const int slot = ws_.slots.slot_of(piece.task_id);
-    if (slot < 0 || ws_.pos_gen[static_cast<std::size_t>(slot)] != gen) {
+    const int slot = slots_.slot_of(piece.task_id);
+    if (slot < 0 || pos_gen_[static_cast<std::size_t>(slot)] != gen) {
       continue;  // no pending task carries this id
     }
     PendingTask& p = pending_[static_cast<std::size_t>(
-        ws_.pos_val[static_cast<std::size_t>(slot)])];
+        pos_val_[static_cast<std::size_t>(slot)])];
     p.remaining -= piece.work();
     if (p.remaining < 1e-9 * std::max(1.0, p.task.work)) {
       p.remaining = 0.0;
-      ws_.finish(slot, hi);
+      finished_at_[static_cast<std::size_t>(slot)] = hi;
     }
   }
   std::erase_if(pending_,
@@ -143,8 +86,7 @@ void StreamSim::account(double upto) {
 
 void StreamSim::inject_arrival(const Task& t) {
   if (finalized_) {
-    throw std::logic_error(
-        "StreamSim: inject_arrival after finalize (call reset() first)");
+    throw std::logic_error("StreamSim: inject_arrival after finalize");
   }
   // The stream must be non-decreasing in release time: an arrival earlier
   // than the last committed instant (or the currently buffered batch) would
@@ -162,7 +104,12 @@ void StreamSim::inject_arrival(const Task& t) {
   batch_time_ = t.release;
   batch_.push_back(t);
   tasks_seen_.push_back(t);
-  ws_.intern(t.id);
+  // A first-seen id takes the next slot: grow the per-slot columns.
+  if (static_cast<std::size_t>(slots_.intern(t.id)) == finished_at_.size()) {
+    finished_at_.push_back(std::numeric_limits<double>::infinity());
+    pos_val_.push_back(0);
+    pos_gen_.push_back(0);
+  }
 }
 
 void StreamSim::commit() {
@@ -198,14 +145,6 @@ void StreamSim::commit() {
   ++res_.replans;
 }
 
-void StreamSim::advance_to(double t) {
-  if (!batch_.empty() && batch_time_ <= t) commit();
-  if (t < now_) {
-    throw std::invalid_argument("StreamSim: advance_to moves time backwards");
-  }
-  now_ = t;
-}
-
 const SimResult& StreamSim::finalize() {
   if (finalized_) return res_;
   commit();
@@ -221,7 +160,7 @@ const SimResult& StreamSim::finalize() {
   for (const auto& t : tasks_seen_) {
     max_deadline = std::max(max_deadline, t.deadline);
     if (t.work <= 0.0) continue;
-    if (ws_.finished_time(t.id) >
+    if (finished_at_[static_cast<std::size_t>(slots_.slot_of(t.id))] >
         t.deadline + 1e-9 * std::max(1.0, t.deadline)) {
       ++res_.deadline_misses;
     }
@@ -265,77 +204,43 @@ SimResult simulate_with_actuals(const TaskSet& arrivals,
   constexpr double kInf = std::numeric_limits<double>::infinity();
 
   struct Live {
-    PendingTask declared;    ///< what the policy sees (WCET-based)
-    double actual = 0.0;     ///< true remaining megacycles
+    PendingTask declared;  ///< what the policy sees (WCET-based)
+    double actual = 0.0;   ///< true remaining megacycles
   };
-  detail::SimWorkspace ws;
   std::vector<Live> pending;
+  std::map<int, double> finished_at;
   std::size_t next_arrival = 0;
   int rr = 0;
 
   res.horizon_lo = sorted[0].release;
   std::vector<Segment> plan;
-  std::vector<Segment> plan_sorted;  ///< plan by start time, built per replan
-  std::vector<PendingTask> view;     ///< declared view handed to the policy
   double plan_from = sorted[0].release;
 
-  // First pending index carrying `id` with actual work left, or -1. Walks
-  // forward past finished duplicates exactly like the old linear scan.
-  auto alive_at = [&](int id, int gen) {
-    const int slot = ws.slots.slot_of(id);
-    if (slot < 0 || ws.pos_gen[static_cast<std::size_t>(slot)] != gen) {
-      return -1;
-    }
-    for (std::size_t j = static_cast<std::size_t>(
-             ws.pos_val[static_cast<std::size_t>(slot)]);
-         j < pending.size(); ++j) {
-      if (pending[j].declared.task.id == id && pending[j].actual > 0.0) {
-        return static_cast<int>(j);
-      }
-    }
-    return -1;
-  };
-
-  auto stamp_positions = [&] {
-    const int gen = ++ws.gen;
-    for (std::size_t i = 0; i < pending.size(); ++i) {
-      const std::size_t slot = static_cast<std::size_t>(
-          ws.slots.slot_of(pending[i].declared.task.id));
-      if (ws.pos_gen[slot] != gen) {
-        ws.pos_gen[slot] = gen;
-        ws.pos_val[slot] = static_cast<int>(i);
-      }
-    }
-    return gen;
+  auto chronological = [](std::vector<Segment> v) {
+    std::sort(v.begin(), v.end(), [](const Segment& a, const Segment& b) {
+      return a.start < b.start;
+    });
+    return v;
   };
 
   // Earliest time a pending task's *actual* work completes under the plan.
   auto next_completion = [&](double after) {
     double best = kInf;
-    const int gen = ++ws.gen;
-    for (const auto& p : pending) {
-      const std::size_t slot = static_cast<std::size_t>(
-          ws.slots.slot_of(p.declared.task.id));
-      ws.rem[slot] = p.actual;
-      ws.rem_gen[slot] = gen;
-    }
-    for (const auto& seg : plan_sorted) {
-      const int slot = ws.slots.slot_of(seg.task_id);
-      if (slot < 0 || ws.rem_gen[static_cast<std::size_t>(slot)] != gen ||
-          ws.rem[static_cast<std::size_t>(slot)] <= 0.0) {
-        continue;
-      }
-      double& remaining = ws.rem[static_cast<std::size_t>(slot)];
+    std::map<int, double> rem;
+    for (const auto& p : pending) rem[p.declared.task.id] = p.actual;
+    for (const auto& seg : chronological(plan)) {
+      auto it = rem.find(seg.task_id);
+      if (it == rem.end() || it->second <= 0.0) continue;
       const double lo = std::max(seg.start, plan_from);
       if (seg.end <= lo) continue;
-      const double need = remaining / seg.speed;
+      const double need = it->second / seg.speed;
       const double have = seg.end - lo;
       if (need <= have + 1e-15) {
         const double tc = lo + need;
-        remaining = 0.0;
+        it->second = 0.0;
         if (tc > after + 1e-12) best = std::min(best, tc);
       } else {
-        remaining -= seg.speed * have;
+        it->second -= seg.speed * have;
       }
     }
     return best;
@@ -343,44 +248,37 @@ SimResult simulate_with_actuals(const TaskSet& arrivals,
 
   // Execute the plan on [plan_from, upto): truncate at actual completions.
   auto account = [&](double upto) {
-    const int gen = stamp_positions();
-    for (const auto& seg : plan_sorted) {
+    for (const auto& seg : chronological(plan)) {
       const double lo = std::max(seg.start, plan_from);
       const double hi = std::min(seg.end, upto);
       if (hi <= lo) continue;
-      const int j = alive_at(seg.task_id, gen);
-      if (j < 0) continue;
-      Live& p = pending[static_cast<std::size_t>(j)];
-      const double run = std::min(hi - lo, p.actual / seg.speed);
-      if (run <= 0.0) continue;
-      Segment piece = seg;
-      piece.start = lo;
-      piece.end = lo + run;
-      res.schedule.add(piece);
-      const double done = seg.speed * run;
-      p.actual = std::max(0.0, p.actual - done);
-      p.declared.remaining = std::max(0.0, p.declared.remaining - done);
-      if (p.actual <= 1e-9 * std::max(1.0, p.declared.task.work)) {
-        p.actual = 0.0;
-        ws.finish(ws.slots.slot_of(p.declared.task.id), piece.end);
+      for (auto& p : pending) {
+        if (p.declared.task.id != seg.task_id || p.actual <= 0.0) continue;
+        const double run = std::min(hi - lo, p.actual / seg.speed);
+        if (run <= 0.0) break;
+        Segment piece = seg;
+        piece.start = lo;
+        piece.end = lo + run;
+        res.schedule.add(piece);
+        const double done = seg.speed * run;
+        p.actual = std::max(0.0, p.actual - done);
+        p.declared.remaining = std::max(0.0, p.declared.remaining - done);
+        if (p.actual <= 1e-9 * std::max(1.0, p.declared.task.work)) {
+          p.actual = 0.0;
+          finished_at[p.declared.task.id] = piece.end;
+        }
+        break;
       }
     }
     std::erase_if(pending, [](const Live& p) { return p.actual <= 0.0; });
   };
 
   auto replan_now = [&](double t, bool completion) {
-    view.clear();
+    std::vector<PendingTask> view;
     view.reserve(pending.size());
     for (const auto& p : pending) view.push_back(p.declared);
     plan = completion ? policy.replan_completion(t, view, cfg)
                       : policy.replan(t, view, cfg);
-    // Both executors walk the plan chronologically; sort once per replan
-    // instead of once per event (the plan is immutable until the next one).
-    plan_sorted.assign(plan.begin(), plan.end());
-    std::sort(plan_sorted.begin(), plan_sorted.end(),
-              [](const Segment& a, const Segment& b) {
-                return a.start < b.start;
-              });
     plan_from = t;
     ++res.replans;
   };
@@ -392,7 +290,6 @@ SimResult simulate_with_actuals(const TaskSet& arrivals,
     const double t_done = replan_on_completion ? next_completion(plan_from)
                                                : kInf;
     if (t_arr == kInf && t_done == kInf) {
-      // Run the current plan out.
       double end = plan_from;
       for (const auto& seg : plan) end = std::max(end, seg.end);
       account(end);
@@ -420,10 +317,7 @@ SimResult simulate_with_actuals(const TaskSet& arrivals,
       l.actual = l.declared.task.work * frac;
       ++rr;
       ++next_arrival;
-      if (l.actual > 0.0) {
-        ws.intern(l.declared.task.id);
-        pending.push_back(l);
-      }
+      if (l.actual > 0.0) pending.push_back(l);
     }
     replan_now(t_arr, /*completion=*/false);
   }
@@ -435,8 +329,9 @@ SimResult simulate_with_actuals(const TaskSet& arrivals,
       frac = std::clamp(it->second, 0.0, 1.0);
     }
     if (t.work * frac <= 0.0) continue;
-    if (ws.finished_time(t.id) >
-        t.deadline + 1e-9 * std::max(1.0, t.deadline)) {
+    auto it = finished_at.find(t.id);
+    if (it == finished_at.end() ||
+        it->second > t.deadline + 1e-9 * std::max(1.0, t.deadline)) {
       ++res.deadline_misses;
     }
   }

@@ -14,12 +14,13 @@
 // Two driving modes share one event loop:
 //   * simulate() — the batch harness: one task set in, one SimResult out;
 //   * StreamSim — the resumable loop behind tools/sdem_service: arrivals
-//     are injected one at a time as they reach the server, the clock
-//     advances between replans, and the run is finalized on demand.
+//     are injected one at a time as they reach the server, each instant's
+//     batch commits into one replan, and the run is finalized on demand.
 // simulate() is a thin driver over StreamSim, so a streamed run replayed
 // from the same arrival sequence is byte-identical to the batch run by
 // construction (pinned by tests/test_service.cpp and the service-smoke CI
-// job against the frozen sim_reference oracle).
+// job against the frozen sim_reference oracle). simulate_with_actuals() is
+// the completion-driven loop of slack reclamation.
 #pragma once
 
 #include <map>
@@ -39,35 +40,6 @@ struct SimResult {
   double horizon_hi = 0.0;   ///< max(last deadline, last segment end)
 };
 
-namespace detail {
-
-/// Per-run buffers for the event loop. Task ids are interned into dense
-/// slots as they arrive; completion times and the pending-position index then
-/// live in flat arrays instead of per-event std::maps. Position and
-/// remaining-work entries are epoch-stamped so rebuilding them is a write
-/// pass with no clearing.
-struct SimWorkspace {
-  IdSlots slots;
-  std::vector<double> finished_at;  ///< per-slot completion time
-  std::vector<char> finished;       ///< per-slot: finished_at valid
-  std::vector<int> pos_val;         ///< per-slot first index in pending
-  std::vector<int> pos_gen;         ///< per-slot stamp for pos_val
-  std::vector<double> rem;          ///< per-slot remaining (next_completion)
-  std::vector<int> rem_gen;         ///< per-slot stamp for rem
-  int gen = 0;                      ///< current stamp
-
-  int intern(int id);
-  void finish(int slot, double at);
-
-  /// Completion time of `id`, or +inf when it never finished — stands in
-  /// for the old finished_at map's find() in the deadline-miss scan.
-  double finished_time(int id) const;
-
-  void clear();
-};
-
-}  // namespace detail
-
 /// The event loop decoupled from batch runs: a resumable simulation that an
 /// external arrival stream drives. One StreamSim owns one memory island's
 /// timeline and task record; tools/sdem_service keeps one per island and
@@ -79,8 +51,7 @@ struct SimWorkspace {
 ///     releases before the single replan);
 ///   * a batch commits — account the running plan up to the instant, admit
 ///     the batch in (deadline, id) order, replan once — when an arrival
-///     with a later release lands, on commit()/advance_to(), or at
-///     finalize();
+///     with a later release lands, on commit(), or at finalize();
 ///   * finalize() runs the last plan out and produces the SimResult.
 ///
 /// Equivalence contract: injecting a task set in non-decreasing release
@@ -93,20 +64,15 @@ struct SimWorkspace {
 /// window [t, t), contributing no segments, and the final replan at t sees
 /// the same pending set the batched commit would have seen.
 ///
-/// Accounting is lazy: advance_to() moves the clock without executing the
-/// plan, so segments are recorded whole at the next commit/finalize instead
-/// of being split at query points (splitting would break byte-equality with
-/// the batch loop).
+/// Accounting is lazy: a plan's segments are recorded whole at the next
+/// commit or finalize, never split at query points (splitting would break
+/// byte-equality with the batch loop).
 class StreamSim {
  public:
   /// `cores` is the round-robin width. Pass cfg.num_cores for bounded
   /// systems; the batch driver passes the task-set size when cfg is
   /// unbounded (an online stream has no task count to default to).
   StreamSim(const SystemConfig& cfg, OnlinePolicy& policy, int cores);
-
-  /// Forget the whole run (workspace, pending set, plan, result) and
-  /// reset() the policy; buffers keep their capacity for the next run.
-  void reset();
 
   /// Buffer a task arriving at t.release. Throws std::invalid_argument if
   /// the release precedes the last committed instant (the stream must be
@@ -118,12 +84,7 @@ class StreamSim {
   /// No-op when nothing is buffered.
   void commit();
 
-  /// Commit any batch at an instant <= t and advance the clock to t.
-  /// Throws std::invalid_argument when t would move the clock backwards
-  /// past a committed instant.
-  void advance_to(double t);
-
-  /// Latest committed/advanced instant.
+  /// Latest committed instant.
   double now() const { return now_; }
 
   /// The active plan (segments from the last replan) and its start.
@@ -137,10 +98,9 @@ class StreamSim {
   std::size_t arrivals() const { return tasks_seen_.size(); }
   int replans() const { return res_.replans; }
 
-  /// Whether a task with this id was injected since the last reset(),
-  /// zero-work and still-buffered tasks included (the service's duplicate
-  /// check).
-  bool holds(int id) const { return ws_.slots.slot_of(id) >= 0; }
+  /// Whether a task with this id was injected in this run, zero-work and
+  /// still-buffered tasks included (the service's duplicate check).
+  bool holds(int id) const { return slots_.slot_of(id) >= 0; }
 
   /// Whether finalize() has ended the run.
   bool finalized() const { return finalized_; }
@@ -151,8 +111,8 @@ class StreamSim {
 
   /// Commit the final batch, run the plan to completion, and account the
   /// run: deadline misses over every injected task, unfinished count,
-  /// horizons. The StreamSim stays readable afterwards; reset() starts a
-  /// fresh run.
+  /// horizons. The StreamSim stays readable afterwards and takes no more
+  /// arrivals.
   const SimResult& finalize();
 
  private:
@@ -162,7 +122,16 @@ class StreamSim {
   OnlinePolicy* policy_;
   int cores_;
 
-  detail::SimWorkspace ws_;
+  // The task record: ids interned into dense slots as they arrive, so
+  // completion times and the pending-position index live in flat per-slot
+  // columns. Positions are epoch-stamped, so rebuilding them is a write
+  // pass with no clearing.
+  IdSlots slots_;
+  std::vector<double> finished_at_;  ///< completion time, +inf until then
+  std::vector<int> pos_val_;         ///< first index in pending_
+  std::vector<int> pos_gen_;         ///< stamp for pos_val_
+  int gen_ = 0;                      ///< current stamp
+
   std::vector<PendingTask> pending_;
   std::vector<Segment> plan_;
   std::vector<Task> batch_;       ///< arrivals buffered at batch_time_

@@ -444,6 +444,10 @@ std::vector<Segment> SdemOnReferencePolicy::plan(
     const double min_span =
         std::isfinite(s_up) ? p.remaining / s_up : 1e-9;
     t.deadline = std::max(p.task.deadline, now + std::max(min_span, 1e-12));
+    // Re-released-deadline fix, applied to both copies (docs/testing.md).
+    while (t.filled_speed() > s_up * (1.0 + 1e-12)) {
+      t.deadline = std::nextafter(t.deadline, kInfRef);
+    }
     eff_deadline[t.id] = t.deadline;
     virt.add(t);
   }
@@ -607,149 +611,6 @@ SimResult simulate_reference(const TaskSet& arrivals, const SystemConfig& cfg,
   for (const auto& t : sorted.tasks()) {
     auto it = finished_at.find(t.id);
     if (t.work <= 0.0) continue;
-    if (it == finished_at.end() ||
-        it->second > t.deadline + 1e-9 * std::max(1.0, t.deadline)) {
-      ++res.deadline_misses;
-    }
-  }
-  res.horizon_hi = std::max(sorted.max_deadline(), res.schedule.end_time());
-  return res;
-}
-
-SimResult simulate_with_actuals_reference(
-    const TaskSet& arrivals, const SystemConfig& cfg, OnlinePolicy& policy,
-    const std::map<int, double>& actual_fraction, bool replan_on_completion) {
-  SimResult res;
-  if (arrivals.empty()) return res;
-
-  const TaskSet sorted = arrivals.sorted_by_release();
-  const int cores = cfg.unbounded() ? static_cast<int>(sorted.size())
-                                    : cfg.num_cores;
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-
-  struct Live {
-    PendingTask declared;
-    double actual = 0.0;
-  };
-  std::vector<Live> pending;
-  std::map<int, double> finished_at;
-  std::size_t next_arrival = 0;
-  int rr = 0;
-
-  res.horizon_lo = sorted[0].release;
-  std::vector<Segment> plan;
-  double plan_from = sorted[0].release;
-
-  auto chronological = [](std::vector<Segment> v) {
-    std::sort(v.begin(), v.end(), [](const Segment& a, const Segment& b) {
-      return a.start < b.start;
-    });
-    return v;
-  };
-
-  auto next_completion = [&](double after) {
-    double best = kInf;
-    std::map<int, double> rem;
-    for (const auto& p : pending) rem[p.declared.task.id] = p.actual;
-    for (const auto& seg : chronological(plan)) {
-      auto it = rem.find(seg.task_id);
-      if (it == rem.end() || it->second <= 0.0) continue;
-      const double lo = std::max(seg.start, plan_from);
-      if (seg.end <= lo) continue;
-      const double need = it->second / seg.speed;
-      const double have = seg.end - lo;
-      if (need <= have + 1e-15) {
-        const double tc = lo + need;
-        it->second = 0.0;
-        if (tc > after + 1e-12) best = std::min(best, tc);
-      } else {
-        it->second -= seg.speed * have;
-      }
-    }
-    return best;
-  };
-
-  auto account = [&](double upto) {
-    for (const auto& seg : chronological(plan)) {
-      const double lo = std::max(seg.start, plan_from);
-      const double hi = std::min(seg.end, upto);
-      if (hi <= lo) continue;
-      for (auto& p : pending) {
-        if (p.declared.task.id != seg.task_id || p.actual <= 0.0) continue;
-        const double run = std::min(hi - lo, p.actual / seg.speed);
-        if (run <= 0.0) break;
-        Segment piece = seg;
-        piece.start = lo;
-        piece.end = lo + run;
-        res.schedule.add(piece);
-        const double done = seg.speed * run;
-        p.actual = std::max(0.0, p.actual - done);
-        p.declared.remaining = std::max(0.0, p.declared.remaining - done);
-        if (p.actual <= 1e-9 * std::max(1.0, p.declared.task.work)) {
-          p.actual = 0.0;
-          finished_at[p.declared.task.id] = piece.end;
-        }
-        break;
-      }
-    }
-    std::erase_if(pending, [](const Live& p) { return p.actual <= 0.0; });
-  };
-
-  auto replan_now = [&](double t, bool completion) {
-    std::vector<PendingTask> view;
-    view.reserve(pending.size());
-    for (const auto& p : pending) view.push_back(p.declared);
-    plan = completion ? policy.replan_completion(t, view, cfg)
-                      : policy.replan(t, view, cfg);
-    plan_from = t;
-    ++res.replans;
-  };
-
-  while (next_arrival < sorted.size() || !pending.empty()) {
-    const double t_arr = next_arrival < sorted.size()
-                             ? sorted[next_arrival].release
-                             : kInf;
-    const double t_done = replan_on_completion ? next_completion(plan_from)
-                                               : kInf;
-    if (t_arr == kInf && t_done == kInf) {
-      double end = plan_from;
-      for (const auto& seg : plan) end = std::max(end, seg.end);
-      account(end);
-      break;
-    }
-    if (t_done < t_arr) {
-      account(t_done);
-      replan_now(t_done, /*completion=*/true);
-      continue;
-    }
-    account(t_arr);
-    while (next_arrival < sorted.size() &&
-           sorted[next_arrival].release == t_arr) {
-      Live l;
-      l.declared.task = sorted[next_arrival];
-      l.declared.remaining = l.declared.task.work;
-      l.declared.core = rr % cores;
-      double frac = 1.0;
-      if (auto it = actual_fraction.find(l.declared.task.id);
-          it != actual_fraction.end()) {
-        frac = std::clamp(it->second, 0.0, 1.0);
-      }
-      l.actual = l.declared.task.work * frac;
-      ++rr;
-      ++next_arrival;
-      if (l.actual > 0.0) pending.push_back(l);
-    }
-    replan_now(t_arr, /*completion=*/false);
-  }
-
-  res.unfinished = static_cast<int>(pending.size());
-  for (const auto& t : sorted.tasks()) {
-    double frac = 1.0;
-    if (auto it = actual_fraction.find(t.id); it != actual_fraction.end()) {
-      frac = std::clamp(it->second, 0.0, 1.0);
-    }
-    if (t.work * frac <= 0.0) continue;
-    auto it = finished_at.find(t.id);
     if (it == finished_at.end() ||
         it->second > t.deadline + 1e-9 * std::max(1.0, t.deadline)) {
       ++res.deadline_misses;

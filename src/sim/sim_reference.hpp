@@ -56,14 +56,11 @@ class MbkpReferencePolicy : public OnlinePolicy {
   std::map<int, int> class_cursor_;
 };
 
-/// The event loop as originally written (finished_at map, per-segment
-/// linear pending scans, per-event plan copies). Does not call
-/// policy.reset(): the original had no such hook.
+/// The arrival loop as originally written (finished_at map, per-segment
+/// linear pending scans). Does not call policy.reset(): the original had no
+/// such hook. The completion-driven loop of slack reclamation has no frozen
+/// copy: its plain original is simulate_with_actuals() itself.
 SimResult simulate_reference(const TaskSet& arrivals, const SystemConfig& cfg,
                              OnlinePolicy& policy);
-SimResult simulate_with_actuals_reference(
-    const TaskSet& arrivals, const SystemConfig& cfg, OnlinePolicy& policy,
-    const std::map<int, double>& actual_fraction,
-    bool replan_on_completion = true);
 
 }  // namespace sdem

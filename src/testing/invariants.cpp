@@ -374,16 +374,16 @@ class Checker {
     return false;
   }
 
-  /// Fast simulator/policy vs its frozen twin: bit-exact, except that
-  /// SDEM-ON runs planning with the Section 7 solver (`s7`) are held to the
-  /// shared tolerance contract of testing/oracle_compare.hpp, never worse
-  /// than the oracle in system energy.
-  void diff_sim(const std::string& label, const SimResult& fast,
+  /// A run vs its frozen twin under invariant `name`: bit-exact, except
+  /// that SDEM-ON runs planning with the Section 7 solver (`s7`) are held to
+  /// the shared tolerance contract of testing/oracle_compare.hpp, never
+  /// worse than the oracle in system energy.
+  void diff_sim(const std::string& name, const SimResult& fast,
                 const SimResult& ref, bool s7) {
     if (s7) {
       const std::string why = compare_section7_runs(
           fast, ref, c_.cfg, EnergyBound::kNeverWorse);
-      if (!why.empty()) add("sim:fast-vs-reference:" + label, why);
+      if (!why.empty()) add(name, why);
       return;
     }
     std::ostringstream why;
@@ -400,7 +400,27 @@ class Checker {
     if (!segments_identical(fast.schedule, ref.schedule))
       why << " segments differ (" << fast.schedule.size() << " vs "
           << ref.schedule.size() << ");";
-    if (!why.str().empty()) add("sim:fast-vs-reference:" + label, why.str());
+    if (!why.str().empty()) add(name, why.str());
+  }
+
+  /// The no-miss rule: on unbounded cores a policy that guarantees
+  /// feasibility finishes every task by its deadline. False when the run
+  /// missed a deadline or left work.
+  bool met_every_deadline(const std::string& label, const SimResult& sim,
+                          bool guaranteed_feasible) {
+    if (sim.deadline_misses == 0 && sim.unfinished == 0) return true;
+    // MBKP round-robins within a density class modulo the *instantaneous*
+    // pending count, so even unbounded cores can end up sharing — misses
+    // are legitimate for such heuristics, a bug for SDEM-ON. And a task
+    // that needs exactly s_up for its whole window sits on the feasibility
+    // boundary, where rounding across replans can tip either way.
+    if (guaranteed_feasible && !boundary_tight()) {
+      add("sim:no-miss-unbounded:" + label,
+          std::to_string(sim.deadline_misses) + " misses, " +
+              std::to_string(sim.unfinished) + " unfinished on unbounded "
+              "cores");
+    }
+    return false;
   }
 
   void check_online_run(const std::string& label, const SimResult& sim,
@@ -413,20 +433,7 @@ class Checker {
       return;
     }
     if (!c_.cfg.unbounded()) return;  // bounded cores may legitimately miss
-    if (sim.deadline_misses != 0 || sim.unfinished != 0) {
-      // MBKP round-robins within a density class modulo the *instantaneous*
-      // pending count, so even unbounded cores can end up sharing — misses
-      // are legitimate for such heuristics, a bug for SDEM-ON. And a task
-      // that needs exactly s_up for its whole window sits on the feasibility
-      // boundary, where rounding across replans can tip either way.
-      if (guaranteed_feasible && !boundary_tight()) {
-        add("sim:no-miss-unbounded:" + label,
-            std::to_string(sim.deadline_misses) + " misses, " +
-                std::to_string(sim.unfinished) + " unfinished on unbounded "
-                "cores");
-      }
-      return;
-    }
+    if (!met_every_deadline(label, sim, guaranteed_feasible)) return;
     ValidateOptions vo;
     vo.require_non_migrating = false;  // preemptive replans may split tasks
     const auto v = validate_schedule(sim.schedule, c_.tasks, c_.cfg, vo);
@@ -487,11 +494,38 @@ class Checker {
     }
     const bool s7 = plans_with_transition(c_.cfg);
     for (const auto& r : runs) {
-      diff_sim(r.label, r.fast, r.ref, s7 && r.label != "mbkp");
+      diff_sim("sim:fast-vs-reference:" + r.label, r.fast, r.ref,
+               s7 && r.label != "mbkp");
       check_online_run(r.label, r.fast, r.guaranteed_feasible);
     }
 
-    // Slack reclamation: early completions with deterministic fractions.
+    // The event loop alone, bit for bit. Where SDEM-ON plans with §7 its
+    // fast and frozen policies agree only within the tolerance above, so
+    // the frozen loop also runs the production policy and must reproduce
+    // simulate() exactly (runs[0] and runs[1], SDEM-ON and its eager form).
+    if (s7) {
+      for (std::size_t i = 0; i < 2; ++i) {
+        SdemOnPolicy policy(/*procrastinate=*/i == 0);
+        diff_sim("sim:loop-vs-reference:" + runs[i].label, runs[i].fast,
+                 simulate_reference(c_.tasks, c_.cfg, policy), false);
+      }
+    }
+
+    // The same case 1e3 s later, under the no-miss rule: SDEM-ON re-releases
+    // pending work at absolute times, whose rounding shows at large `now`.
+    if (c_.cfg.unbounded()) {
+      TaskSet late;
+      for (Task t : c_.tasks.tasks()) {
+        t.release += 1e3;
+        t.deadline += 1e3;
+        late.add(t);
+      }
+      SdemOnPolicy policy(true);
+      met_every_deadline("sdem-on+1e3", simulate(late, c_.cfg, policy), true);
+    }
+
+    // Slack reclamation: early completions with deterministic fractions,
+    // the fast and frozen SDEM-ON policies through the one completion loop.
     {
       std::map<int, double> fractions;
       for (const auto& t : c_.tasks.tasks()) {
@@ -501,9 +535,9 @@ class Checker {
       SdemOnReferencePolicy ref(true);
       const auto f =
           simulate_with_actuals(c_.tasks, c_.cfg, fast, fractions, true);
-      const auto r = simulate_with_actuals_reference(c_.tasks, c_.cfg, ref,
-                                                     fractions, true);
-      diff_sim("sdem-on-actuals", f, r, s7);
+      const auto r =
+          simulate_with_actuals(c_.tasks, c_.cfg, ref, fractions, true);
+      diff_sim("sim:fast-vs-reference:sdem-on-actuals", f, r, s7);
     }
 
     // Accounting theorem: on the same MBKP schedule, sleep-when-it-pays can

@@ -5,6 +5,7 @@
 #include "core/online_sdem.hpp"
 #include "sched/validate.hpp"
 #include "sim/event_sim.hpp"
+#include "sim/sim_reference.hpp"
 #include "test_util.hpp"
 #include "workload/generator.hpp"
 
@@ -124,6 +125,31 @@ TEST(SdemOn, OverloadedCoreRacesAtSup) {
   const auto res = simulate(ts, cfg, pol);
   EXPECT_EQ(res.unfinished, 0);  // all work done, just late
   EXPECT_GE(res.deadline_misses, 1);
+}
+
+TEST(SdemOn, OverdueTaskStillGetsAPlan) {
+  // An overdue task is re-released with deadline now + remaining / s_up.
+  // At this `now` that sum rounds down, so the window alone would ask a
+  // speed just above the solvers' admission test s_up·(1 + 1e-12): the
+  // solver would refuse it, the plan would come back empty, and the task
+  // would block its island for good. Both copies of the policy must widen
+  // the window until the test passes and run the task.
+  const auto cfg = SystemConfig::paper_default();
+  PendingTask p;
+  p.task = task(7, 76.0, 76.5, 2.765207077218265);
+  p.remaining = p.task.work;
+  const std::vector<PendingTask> pending{p};
+  const double now = 76.6136872786848;
+  SdemOnPolicy fast;
+  SdemOnReferencePolicy ref;
+  for (const auto& plan : {fast.replan(now, pending, cfg),
+                           ref.replan(now, pending, cfg)}) {
+    ASSERT_EQ(plan.size(), 1u);
+    EXPECT_EQ(plan[0].task_id, 7);
+    EXPECT_GE(plan[0].start, now);
+    EXPECT_NEAR(plan[0].end - plan[0].start,
+                p.remaining / cfg.core.max_speed(), 1e-12);
+  }
 }
 
 }  // namespace

@@ -877,12 +877,19 @@ TEST(ServiceHandOff, PooledPathAllocationsPerMessage) {
   EXPECT_EQ(failed.load(), 0u);
   const std::string metrics = svc.metrics_text();
   EXPECT_EQ(drains(metrics, "inline"), inline_before) << metrics;
-  // The parse, the response and its dump, and the lazy replans:
-  // 6.246-6.247 over 32 RelWithDebInfo runs (20 beside a loaded ctest) and
-  // in Debug ASan+UBSan and TSan builds, rounded up to the next 0.05.
-  EXPECT_LE(per_message, 6.25);
+  // The parse, the response and its dump, and the lazy replans: 8.114 in
+  // each of 24 RelWithDebInfo runs (12 beside a loaded ctest) and of 20
+  // Debug ASan+UBSan and 20 TSan runs, rounded up to the next 0.05. The
+  // bound was 6.25 while SDEM-ON starved islands: 434 and 3,403 of these
+  // tasks never ran, and the counted half mostly replanned a stuck island
+  // into empty plans.
+  EXPECT_LE(per_message, 8.15);
   std::printf("pooled path: %.3f operator new calls per message\n",
               per_message);
+  // So the bound is never again measured on a starved stream.
+  for (const auto& isl : svc.finalize_all()) {
+    EXPECT_EQ(isl.result.unfinished, 0) << "island " << isl.island;
+  }
 }
 
 TEST(ServiceSemantics, MalformedRawLineYieldsErrorEnvelope) {
@@ -1003,9 +1010,10 @@ TEST(StreamSim, DrivesLikeBatchAndSupportsAdvance) {
   const TaskSet sorted = ts.sorted_by_release();
   for (const Task& t : sorted.tasks()) {
     sim.inject_arrival(t);
-    // advance_to at the batch instant commits it; the interleaved clock
-    // motion must not perturb the schedule (accounting stays lazy).
-    sim.advance_to(t.release);
+    // Committing each arrival, as the eager Service does, moves the clock
+    // to its instant and must not perturb the schedule (accounting stays
+    // lazy).
+    sim.commit();
     EXPECT_DOUBLE_EQ(sim.now(), t.release);
   }
   const SimResult& streamed = sim.finalize();
@@ -1017,22 +1025,6 @@ TEST(StreamSim, DrivesLikeBatchAndSupportsAdvance) {
   EXPECT_EQ(streamed.horizon_hi, batch.horizon_hi);
 }
 
-TEST(StreamSim, ResetStartsAFreshRun) {
-  const SystemConfig cfg = SystemConfig::paper_default();
-  SdemOnPolicy policy;
-  StreamSim sim(cfg, policy, cfg.num_cores);
-  sim.inject_arrival(Task{1, 0.0, 0.5, 120.0});
-  const SimResult first = sim.finalize();  // copy before reset
-  EXPECT_EQ(first.unfinished, 0);
-
-  sim.reset();
-  sim.inject_arrival(Task{1, 0.0, 0.5, 120.0});
-  const SimResult& second = sim.finalize();
-  EXPECT_EQ(schedule_to_csv(first.schedule),
-            schedule_to_csv(second.schedule));
-  EXPECT_EQ(first.replans, second.replans);
-}
-
 TEST(StreamSim, ThrowsOnRegressions) {
   const SystemConfig cfg = SystemConfig::paper_default();
   SdemOnPolicy policy;
@@ -1041,7 +1033,6 @@ TEST(StreamSim, ThrowsOnRegressions) {
   sim.commit();
   EXPECT_THROW(sim.inject_arrival(Task{2, 0.5, 2.0, 100.0}),
                std::invalid_argument);
-  EXPECT_THROW(sim.advance_to(0.25), std::invalid_argument);
   sim.finalize();
   EXPECT_THROW(sim.inject_arrival(Task{3, 5.0, 6.0, 10.0}),
                std::logic_error);

@@ -1,20 +1,24 @@
 // Golden equivalence of the allocation-free online hot path against the
 // frozen pre-optimization implementations in sim/sim_reference.*.
 //
-// The optimized simulate()/simulate_with_actuals() loops and MbkpPolicy must
-// reproduce the originals bit for bit, and so must SdemOnPolicy wherever it
-// plans with the Section 4 solvers: same replan counts, same miss/unfinished
-// counters, the same segments field by field, and energies within 1e-12
-// relative (they are in fact identical once the segments are).
+// The optimized simulate() loop and MbkpPolicy must reproduce the originals
+// bit for bit, and so must SdemOnPolicy wherever it plans with the Section 4
+// solvers: same replan counts, same miss/unfinished counters, the same
+// segments field by field, and energies within 1e-12 relative (they are in
+// fact identical once the segments are). The slack-reclamation loop,
+// simulate_with_actuals(), has one copy, so there the fast and frozen
+// policies are compared through that one loop.
 //
 // Where SdemOnPolicy plans with the Section 7 solver (the `paper` config,
 // xi_m > 0) the oracle golden-searches each piece while the solver takes the
 // exact stationary point. There the runs are held to the shared contract of
-// testing/oracle_compare.hpp with EnergyBound::kWithin. Any other behavior
-// change to the hot path must come with an equally intentional edit here or
-// to the reference.
+// testing/oracle_compare.hpp with EnergyBound::kWithin, and the event loop
+// alone is pinned bit for bit by driving the frozen loop with the
+// production policies. Any other behavior change to the hot path must come
+// with an equally intentional edit here or to the reference.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -130,8 +134,8 @@ void check_trace(const TaskSet& ts, const std::string& trace) {
         compare(p,
                 simulate_with_actuals(ts, cfg, *p.fast, actuals,
                                       replan_on_completion),
-                simulate_with_actuals_reference(ts, cfg, *p.ref, actuals,
-                                                replan_on_completion),
+                simulate_with_actuals(ts, cfg, *p.ref, actuals,
+                                      replan_on_completion),
                 trace + "/" + cfg_name + "/" + p.label +
                     (replan_on_completion ? "/roc" : "/no-roc"));
       }
@@ -152,6 +156,36 @@ TEST(SimFastpath, SyntheticMatchesReference) {
     SyntheticParams p;
     p.num_tasks = 80;
     check_trace(make_synthetic(p, seed), "synthetic-" + std::to_string(seed));
+  }
+}
+
+TEST(SimFastpath, LoopMatchesReferenceUnderProductionPolicies) {
+  // The same production policy through simulate() and the frozen
+  // simulate_reference() loop: exact, on the paper config whose SDEM-ON
+  // replans the fast-vs-frozen policy pairs can only hold to a tolerance.
+  auto bounded = SystemConfig::paper_default();
+  auto unbounded = bounded;
+  unbounded.num_cores = 0;
+  const std::pair<std::string, std::function<std::unique_ptr<OnlinePolicy>()>>
+      policies[] = {
+          {"SDEM-ON", [] { return std::make_unique<SdemOnPolicy>(true); }},
+          {"SDEM-ON/eager",
+           [] { return std::make_unique<SdemOnPolicy>(false); }},
+          {"MBKP", [] { return std::make_unique<MbkpPolicy>(); }},
+      };
+  for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+    const TaskSet ts = make_synthetic(SyntheticParams{}, seed);
+    for (const SystemConfig& cfg : {bounded, unbounded}) {
+      for (const auto& [label, make] : policies) {
+        const auto fast = make();
+        const auto ref = make();
+        expect_same_result(simulate(ts, cfg, *fast),
+                           simulate_reference(ts, cfg, *ref), cfg,
+                           "loop/seed-" + std::to_string(seed) + "/" +
+                               (cfg.unbounded() ? "unbounded/" : "bounded/") +
+                               label);
+      }
+    }
   }
 }
 

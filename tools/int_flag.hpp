@@ -1,9 +1,11 @@
-// Strict integer command-line flags, shared by the tools: the whole token
-// must be a base-10 integer inside the flag's range, so "2x" or "abc" is a
-// usage error rather than the 2 or 0 that atoi would read.
+// Strict numeric command-line arguments, shared by the tools: the whole
+// token must be a base-10 integer inside the flag's range, or a finite
+// number > 0, so "2x" or "abc" is a usage error rather than the 2 or 0 that
+// atoi or atof would read.
 #pragma once
 
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -24,6 +26,22 @@ T int_flag(const char* flag, const char* token, T lo, T hi, Usage usage) {
   if (ec != std::errc() || ptr != end || v < lo || v > hi) {
     std::fprintf(stderr, "%s needs an integer in [%s, %s], not \"%s\"\n",
                  flag, std::to_string(lo).c_str(), std::to_string(hi).c_str(),
+                 token);
+    std::exit(usage());
+  }
+  return v;
+}
+
+/// The value of real-valued argument `name` (a positional or a flag): the
+/// whole token must be a finite number > 0, or the tool exits with
+/// `usage()` as int_flag does.
+template <typename Usage>
+double positive_arg(const char* name, const char* token, Usage usage) {
+  const char* end = token + std::strlen(token);
+  double v = 0.0;
+  const auto [ptr, ec] = std::from_chars(token, end, v);
+  if (ec != std::errc() || ptr != end || !std::isfinite(v) || !(v > 0.0)) {
+    std::fprintf(stderr, "%s needs a finite number > 0, not \"%s\"\n", name,
                  token);
     std::exit(usage());
   }

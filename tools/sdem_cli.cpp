@@ -18,9 +18,7 @@
 // All runs use the paper-default system configuration (8 A57-like cores,
 // 4 W DRAM, 40 ms break-even).
 #include <algorithm>
-#include <charconv>
 #include <climits>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -52,6 +50,7 @@ namespace {
 
 using namespace sdem;
 using sdem::tools::int_flag;
+using sdem::tools::positive_arg;
 
 SystemConfig default_cfg() { return SystemConfig::paper_default(); }
 
@@ -78,21 +77,6 @@ int usage() {
   return 2;
 }
 
-/// A generator's real-valued positional (x_ms, U): the whole token must be
-/// a finite number > 0, or the command is a usage error, as int_flag rules
-/// for integers.
-double positive_arg(const char* name, const char* token) {
-  const char* end = token + std::strlen(token);
-  double v = 0.0;
-  const auto [ptr, ec] = std::from_chars(token, end, v);
-  if (ec != std::errc() || ptr != end || !std::isfinite(v) || !(v > 0.0)) {
-    std::fprintf(stderr, "%s needs a finite number > 0, not \"%s\"\n", name,
-                 token);
-    std::exit(usage());
-  }
-  return v;
-}
-
 int cmd_gen(int argc, char** argv) {
   if (argc < 2) return usage();
   const std::string kind = argv[0];
@@ -105,14 +89,14 @@ int cmd_gen(int argc, char** argv) {
   if (kind == "synthetic" && argc >= 4) {
     SyntheticParams p;
     p.num_tasks = count();
-    p.max_interarrival = positive_arg("<x_ms>", argv[2]) / 1000.0;
+    p.max_interarrival = positive_arg("<x_ms>", argv[2], usage) / 1000.0;
     std::fputs(task_set_to_csv(make_synthetic(p, seed(3))).c_str(), stdout);
     return 0;
   }
   if (kind == "dspstone" && argc >= 4) {
     DspstoneParams p;
     p.num_tasks = count();
-    p.utilization_u = positive_arg("<U>", argv[2]);
+    p.utilization_u = positive_arg("<U>", argv[2], usage);
     std::fputs(task_set_to_csv(make_dspstone(p, seed(3))).c_str(), stdout);
     return 0;
   }

@@ -35,13 +35,15 @@
 namespace {
 
 using sdem::tools::int_flag;
+using sdem::tools::positive_arg;
 
 int usage(const char* argv0) {
   std::cerr
       << "usage: " << argv0 << " [options]\n"
       << "  --cases N           max cases per model class (default 1000;\n"
       << "                      0 = no cap)\n"
-      << "  --budget-seconds S  wall-clock budget across the run\n"
+      << "  --budget-seconds S  wall-clock budget across the run, a\n"
+      << "                      number > 0 (default: no cap)\n"
       << "  --seed S            master seed (default 1)\n"
       << "  --model M           all|common_release|agreeable|general|\n"
       << "                      sleep_ladder\n"
@@ -87,7 +89,8 @@ int main(int argc, char** argv) {
     if (arg == "--cases") {
       opts.cases = int_flag("--cases", need_value(i), 0L, LONG_MAX, bad);
     } else if (arg == "--budget-seconds") {
-      opts.budget_seconds = std::atof(need_value(i));
+      opts.budget_seconds =
+          positive_arg("--budget-seconds", need_value(i), bad);
     } else if (arg == "--seed") {
       opts.seed = int_flag<std::uint64_t>(
           "--seed", need_value(i), 0,
