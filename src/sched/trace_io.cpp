@@ -1,11 +1,25 @@
 #include "sched/trace_io.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <initializer_list>
 #include <sstream>
 #include <stdexcept>
 
 namespace sdem {
+namespace {
+
+/// A parsed row is whole when sscanf's trailing %n reached the end of the
+/// line (`used`), and its numbers are finite.
+bool whole_finite_row(const std::string& line, int used,
+                      std::initializer_list<double> values) {
+  return used == static_cast<int>(line.size()) &&
+         std::all_of(values.begin(), values.end(),
+                     [](double v) { return std::isfinite(v); });
+}
+
+}  // namespace
 
 std::string schedule_to_csv(const Schedule& sched) {
   std::ostringstream os;
@@ -41,10 +55,13 @@ TaskSet task_set_from_csv(const std::string& csv) {
   int lineno = 1;
   while (std::getline(is, line)) {
     ++lineno;
+    if (!line.empty() && line.back() == '\r') line.pop_back();  // CRLF files
     if (line.empty()) continue;
     Task t;
-    if (std::sscanf(line.c_str(), "%d,%lf,%lf,%lf", &t.id, &t.release,
-                    &t.deadline, &t.work) != 4) {
+    int used = 0;
+    if (std::sscanf(line.c_str(), "%d,%lf,%lf,%lf%n", &t.id, &t.release,
+                    &t.deadline, &t.work, &used) != 4 ||
+        !whole_finite_row(line, used, {t.release, t.deadline, t.work})) {
       throw std::invalid_argument("task_set_from_csv: bad row at line " +
                                   std::to_string(lineno));
     }
@@ -63,10 +80,13 @@ Schedule schedule_from_csv(const std::string& csv) {
   int lineno = 1;
   while (std::getline(is, line)) {
     ++lineno;
+    if (!line.empty() && line.back() == '\r') line.pop_back();  // CRLF files
     if (line.empty()) continue;
     Segment s;
-    if (std::sscanf(line.c_str(), "%d,%d,%lf,%lf,%lf", &s.task_id, &s.core,
-                    &s.start, &s.end, &s.speed) != 5) {
+    int used = 0;
+    if (std::sscanf(line.c_str(), "%d,%d,%lf,%lf,%lf%n", &s.task_id, &s.core,
+                    &s.start, &s.end, &s.speed, &used) != 5 ||
+        !whole_finite_row(line, used, {s.start, s.end, s.speed})) {
       throw std::invalid_argument("schedule_from_csv: bad row at line " +
                                   std::to_string(lineno));
     }

@@ -18,17 +18,25 @@ namespace sdem {
 /// Header template so hot solvers can inline the objective instead of
 /// paying a std::function indirection per probe; `golden_min` below
 /// delegates here, so both entry points evaluate the identical arithmetic.
+///
+/// Each round shrinks the bracket by 1/phi, so meeting the tolerance takes
+/// at most log(1/rel_tol)/log(phi) rounds: 58 at 1e-12, 63 at 1e-13, the
+/// smallest any caller passes, and 96 at 1e-20. Where one ulp of the
+/// bracket's ends exceeds the tolerance (ends at 1e4 s and a 1e-12 s
+/// tolerance) the bracket stops shrinking an ulp short and the rounds cycle
+/// for good; the cap of 100 rounds returns there instead.
 template <typename F>
 double golden_min_t(F&& f, double lo, double hi, double rel_tol = 1e-10) {
   if (hi <= lo) return lo;
   constexpr double inv_phi = 0.6180339887498949;
+  constexpr int kMaxRounds = 100;
   double a = lo, b = hi;
   double x1 = b - inv_phi * (b - a);
   double x2 = a + inv_phi * (b - a);
   double f1 = f(x1);
   double f2 = f(x2);
   const double tol = std::max(std::abs(hi - lo), 1.0) * rel_tol;
-  while (b - a > tol) {
+  for (int round = 0; round < kMaxRounds && b - a > tol; ++round) {
     if (f1 <= f2) {
       b = x2;
       x2 = x1;

@@ -34,6 +34,7 @@ namespace {
 constexpr double kPairTol = 1e-9;      ///< equivalent-solver agreement
 constexpr double kAccountTol = 1e-7;   ///< analytic vs re-accounted energy
 constexpr double kRefTol = 1e-4;       ///< one-sided optimality vs reference
+constexpr double kS7RefTol = 1e-9;     ///< the same, for the exact §7 solver
 constexpr double kRefLooseTol = 5e-3;  ///< two-sided reference agreement
 constexpr std::size_t kRefGrid = 20000;    ///< grid for the 1-D scans
 constexpr std::size_t kRefBlockGrid = 60;  ///< grid for agreeable 2-D blocks
@@ -253,7 +254,7 @@ class Checker {
         static_cast<int>(c_.tasks.size()) <= kMaxRefN) {
       const double ref =
           reference_common_release_transition(c_.tasks, c_.cfg, kRefGrid);
-      expect_le("opt:vs-reference", res.energy, ref, kRefTol,
+      expect_le("opt:vs-reference", res.energy, ref, kS7RefTol,
                 "transition solver energy vs grid reference");
       expect_close("opt:vs-reference-loose", res.energy, ref,
                    kRefLooseTol, "transition solver vs grid reference");
@@ -374,18 +375,9 @@ class Checker {
     return false;
   }
 
-  /// A run vs its frozen twin under invariant `name`: bit-exact, except
-  /// that SDEM-ON runs planning with the Section 7 solver (`s7`) are held to
-  /// the shared tolerance contract of testing/oracle_compare.hpp, never
-  /// worse than the oracle in system energy.
+  /// A run vs its frozen twin under invariant `name`, bit for bit.
   void diff_sim(const std::string& name, const SimResult& fast,
-                const SimResult& ref, bool s7) {
-    if (s7) {
-      const std::string why = compare_section7_runs(
-          fast, ref, c_.cfg, EnergyBound::kNeverWorse);
-      if (!why.empty()) add(name, why);
-      return;
-    }
+                const SimResult& ref) {
     std::ostringstream why;
     if (fast.replans != ref.replans)
       why << " replans " << fast.replans << " vs " << ref.replans << ";";
@@ -401,6 +393,13 @@ class Checker {
       why << " segments differ (" << fast.schedule.size() << " vs "
           << ref.schedule.size() << ");";
     if (!why.str().empty()) add(name, why.str());
+  }
+
+  /// The first replan where a TwinPolicy's two SDEM-ON plans differ beyond
+  /// the contract of testing/oracle_compare.hpp.
+  void diff_plans(const std::string& label, const TwinPolicy& twin) {
+    if (!twin.mismatch().empty())
+      add("sim:policy-vs-reference:" + label, twin.mismatch());
   }
 
   /// The no-miss rule: on unbounded cores a policy that guarantees
@@ -467,49 +466,37 @@ class Checker {
   }
 
   void check_general() {
-    struct Pair {
-      std::string label;
-      SimResult fast;
-      SimResult ref;
-      bool guaranteed_feasible;
-    };
-    std::vector<Pair> runs;
-    {
-      SdemOnPolicy fast(true);
-      SdemOnReferencePolicy ref(true);
-      runs.push_back({"sdem-on", simulate(c_.tasks, c_.cfg, fast),
-                      simulate_reference(c_.tasks, c_.cfg, ref), true});
-    }
-    {
-      SdemOnPolicy fast(false);
-      SdemOnReferencePolicy ref(false);
-      runs.push_back({"sdem-on-eager", simulate(c_.tasks, c_.cfg, fast),
-                      simulate_reference(c_.tasks, c_.cfg, ref), true});
-    }
-    {
-      MbkpPolicy fast;
-      MbkpReferencePolicy ref;
-      runs.push_back({"mbkp", simulate(c_.tasks, c_.cfg, fast),
-                      simulate_reference(c_.tasks, c_.cfg, ref), false});
-    }
+    // Where SDEM-ON plans with §7, its fast and frozen policies agree only
+    // within the tolerance of testing/oracle_compare.hpp: a TwinPolicy
+    // compares them replan by replan, and the frozen loop, driven by the
+    // production policy, must reproduce the run bit for bit. Elsewhere the
+    // frozen loop and policy reproduce the whole run.
     const bool s7 = plans_with_transition(c_.cfg);
-    for (const auto& r : runs) {
-      diff_sim("sim:fast-vs-reference:" + r.label, r.fast, r.ref,
-               s7 && r.label != "mbkp");
-      check_online_run(r.label, r.fast, r.guaranteed_feasible);
-    }
-
-    // The event loop alone, bit for bit. Where SDEM-ON plans with §7 its
-    // fast and frozen policies agree only within the tolerance above, so
-    // the frozen loop also runs the production policy and must reproduce
-    // simulate() exactly (runs[0] and runs[1], SDEM-ON and its eager form).
-    if (s7) {
-      for (std::size_t i = 0; i < 2; ++i) {
-        SdemOnPolicy policy(/*procrastinate=*/i == 0);
-        diff_sim("sim:loop-vs-reference:" + runs[i].label, runs[i].fast,
-                 simulate_reference(c_.tasks, c_.cfg, policy), false);
+    for (const bool procrastinate : {true, false}) {
+      const std::string label = procrastinate ? "sdem-on" : "sdem-on-eager";
+      SdemOnPolicy fast(procrastinate);
+      SdemOnReferencePolicy ref(procrastinate);
+      SimResult run;
+      if (s7) {
+        TwinPolicy twin(fast, ref);
+        run = simulate(c_.tasks, c_.cfg, twin);
+        diff_plans(label, twin);
+        SdemOnPolicy production(procrastinate);
+        diff_sim("sim:loop-vs-reference:" + label, run,
+                 simulate_reference(c_.tasks, c_.cfg, production));
+      } else {
+        run = simulate(c_.tasks, c_.cfg, fast);
+        diff_sim("sim:fast-vs-reference:" + label, run,
+                 simulate_reference(c_.tasks, c_.cfg, ref));
       }
+      check_online_run(label, run, /*guaranteed_feasible=*/true);
     }
+    MbkpPolicy mbkp;
+    MbkpReferencePolicy mbkp_ref;
+    const SimResult mbkp_run = simulate(c_.tasks, c_.cfg, mbkp);
+    diff_sim("sim:fast-vs-reference:mbkp", mbkp_run,
+             simulate_reference(c_.tasks, c_.cfg, mbkp_ref));
+    check_online_run("mbkp", mbkp_run, /*guaranteed_feasible=*/false);
 
     // The same case 1e3 s later, under the no-miss rule: SDEM-ON re-releases
     // pending work at absolute times, whose rounding shows at large `now`.
@@ -533,16 +520,20 @@ class Checker {
       }
       SdemOnPolicy fast(true);
       SdemOnReferencePolicy ref(true);
-      const auto f =
-          simulate_with_actuals(c_.tasks, c_.cfg, fast, fractions, true);
-      const auto r =
-          simulate_with_actuals(c_.tasks, c_.cfg, ref, fractions, true);
-      diff_sim("sim:fast-vs-reference:sdem-on-actuals", f, r, s7);
+      if (s7) {
+        TwinPolicy twin(fast, ref);
+        (void)simulate_with_actuals(c_.tasks, c_.cfg, twin, fractions, true);
+        diff_plans("sdem-on-actuals", twin);
+      } else {
+        diff_sim(
+            "sim:fast-vs-reference:sdem-on-actuals",
+            simulate_with_actuals(c_.tasks, c_.cfg, fast, fractions, true),
+            simulate_with_actuals(c_.tasks, c_.cfg, ref, fractions, true));
+      }
     }
 
     // Accounting theorem: on the same MBKP schedule, sleep-when-it-pays can
     // never cost more than never-sleeping.
-    const auto& mbkp_run = runs.back().fast;
     const auto never =
         evaluate_policy(mbkp_run, c_.cfg, SleepDiscipline::kNever, "mbkp");
     const auto opt =

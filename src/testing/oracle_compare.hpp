@@ -1,48 +1,64 @@
-// The one comparison of an online run against its frozen-oracle twin
-// (sim/sim_reference.*) where SDEM-ON plans with the Section 7 solver,
-// shared by the differential fuzzer and the equivalence tests.
+// The one comparison of SDEM-ON against its frozen-oracle twin
+// (sim/sim_reference.*) where it plans with the Section 7 solver, shared by
+// the differential fuzzer and the equivalence tests.
 //
 // The frozen oracle golden-searches each piece of the Section 7 objective
 // and places the memory end T only to about sqrt(eps) relative where the
 // objective is flat; the solver takes the closed-form stationary point
-// (docs/testing.md, "The Section 7 tolerance trade"). Those runs therefore
-// match the oracle within tolerances instead of bit for bit:
-//   * replans, misses, unfinished, horizon_lo, segment count, task ids and
-//     cores exact (horizon_lo is the first release, which no plan moves);
-//   * horizon_hi and every segment's start and end within kS7TimeTol;
-//   * every segment's speed within what a kS7TimeTol change of its length
+// (docs/testing.md, "The Section 7 tolerance trade"). A whole run's energy
+// is first-order in every replan's T, so two runs drift apart by rounding
+// noise of either sign. The comparison is therefore made per replan, where
+// no error accumulates: TwinPolicy hands each replan's input to both
+// policies, drives the run with the first one's plan and records the first
+// pair of plans that differ by more than
+//   * a segment count, task id or core;
+//   * a segment start or end beyond kS7TimeTol;
+//   * a speed beyond what a kS7TimeTol change of the segment's length
 //     explains, |ds| * length <= kS7TimeTol * speed: speed is remaining work
 //     over length, so a time tolerance is also the natural speed tolerance
 //     (a bare relative bound would have to grow without limit as segments
-//     shorten);
-//   * system energy never above the oracle's by more than kS7EnergyTol
-//     relative, and with EnergyBound::kWithin system and memory energy
-//     within kS7EnergyTol of the oracle's either way.
+//     shorten).
+// The event loop itself is pinned bit for bit elsewhere (the fuzzer's
+// sim:loop-vs-reference, SimFastpath.LoopMatchesReferenceUnderProductionPolicies).
 #pragma once
 
 #include <string>
+#include <vector>
 
-#include "model/power.hpp"
-#include "sim/event_sim.hpp"
+#include "sim/policy.hpp"
 
 namespace sdem::testing {
 
-inline constexpr double kS7TimeTol = 1e-8;    ///< seconds
-inline constexpr double kS7EnergyTol = 1e-9;  ///< relative
+inline constexpr double kS7TimeTol = 1e-8;  ///< seconds
 
-enum class EnergyBound {
-  /// System energy at most kS7EnergyTol above the oracle's. The fuzzer's
-  /// random configurations hold only this: the memory energy is first-order
-  /// in T even per solve, and the oracle's T carries its rounding noise.
-  kNeverWorse,
-  /// kNeverWorse, and system and memory energy within kS7EnergyTol either
-  /// way (the equivalence tests' paper-config traces).
-  kWithin,
+/// An OnlinePolicy that replans with `fast` and `ref` on the same
+/// (now, pending, cfg) and returns `fast`'s plan unchanged, so a run through
+/// the twin is the run through `fast`.
+class TwinPolicy : public OnlinePolicy {
+ public:
+  TwinPolicy(OnlinePolicy& fast, OnlinePolicy& ref) : fast_(fast), ref_(ref) {}
+
+  std::string name() const override { return fast_.name(); }
+  void reset() override;
+  std::vector<Segment> replan(double now,
+                              const std::vector<PendingTask>& pending,
+                              const SystemConfig& cfg) override;
+  std::vector<Segment> replan_completion(
+      double now, const std::vector<PendingTask>& pending,
+      const SystemConfig& cfg) override;
+
+  /// Empty while every plan matched; otherwise the first mismatch, kept
+  /// across reset().
+  const std::string& mismatch() const { return mismatch_; }
+
+ private:
+  void compare(const std::vector<Segment>& fast,
+               const std::vector<Segment>& ref, double now, bool completion);
+
+  OnlinePolicy& fast_;
+  OnlinePolicy& ref_;
+  int replans_ = 0;
+  std::string mismatch_;
 };
-
-/// Empty when `fast` matches `ref` under the contract above; otherwise one
-/// "; "-terminated reason per mismatch.
-std::string compare_section7_runs(const SimResult& fast, const SimResult& ref,
-                                  const SystemConfig& cfg, EnergyBound bound);
 
 }  // namespace sdem::testing

@@ -23,6 +23,15 @@ TEST(Golden, DegenerateInterval) {
   EXPECT_EQ(golden_min([](double v) { return v * v; }, 1.0, 1.0), 1.0);
 }
 
+TEST(Numeric, GoldenSearchReturnsOnABracketAt1e4) {
+  // One ulp of 1e4 (1.8e-12) exceeds the 1e-12 tolerance: the bracket stops
+  // shrinking an ulp short, and the search must return all the same.
+  const double x = golden_min(
+      [](double v) { return (v - 10000.004) * (v - 10000.004); }, 10000.0,
+      10000.01, 1e-12);
+  EXPECT_NEAR(x, 10000.004, 1e-9);
+}
+
 TEST(GridRefine, FindsGlobalMinOfBimodal) {
   // Two basins: grid must land in the deeper one.
   auto f = [](double x) {

@@ -2,8 +2,9 @@
 // and the determinism contracts from docs/service.md —
 //
 //   * replay equals batch: a Service fed an arrival stream in replay mode
-//     (lazy commits) finalizes to byte-identical SimResults to simulate()
-//     and to the frozen simulate_reference() oracle;
+//     (lazy commits) finalizes to byte-identical SimResults to simulate(),
+//     whose every replan the frozen SDEM-ON policy matches within the
+//     Section 7 tolerance (testing/oracle_compare.hpp);
 //   * shard invariance: the per-island results do not depend on --shards;
 //   * live mode: eager per-SUBMIT commits change the replan count but not
 //     one byte of the schedule;
@@ -555,10 +556,14 @@ TEST(ServiceDeterminism, ReplayMatchesBatchAndFrozenReference) {
   ASSERT_EQ(islands.size(), 4u);
   for (const auto& isl : islands) {
     const TaskSet ts(isl.tasks);
-    // Batch simulator, same policy implementation.
+    // Batch simulator, same policy implementation, with the frozen oracle
+    // (docs/testing.md) planning every replan beside it: the paper config
+    // plans with the Section 7 solver, so the two policies agree per replan
+    // within the stated tolerance of that trade.
     SdemOnPolicy batch_policy;
-    const SimResult batch = simulate(ts, SystemConfig::paper_default(),
-                                     batch_policy);
+    SdemOnReferencePolicy ref_policy;
+    sdem::testing::TwinPolicy twin(batch_policy, ref_policy);
+    const SimResult batch = simulate(ts, SystemConfig::paper_default(), twin);
     EXPECT_EQ(schedule_to_csv(isl.result.schedule),
               schedule_to_csv(batch.schedule))
         << "island " << isl.island;
@@ -567,17 +572,7 @@ TEST(ServiceDeterminism, ReplayMatchesBatchAndFrozenReference) {
     EXPECT_EQ(isl.result.unfinished, batch.unfinished);
     EXPECT_EQ(isl.result.horizon_lo, batch.horizon_lo);
     EXPECT_EQ(isl.result.horizon_hi, batch.horizon_hi);
-    // Frozen oracle (docs/testing.md): the paper config plans with the
-    // Section 7 solver, so the reference simulator agrees within the
-    // stated tolerance of that trade.
-    SdemOnReferencePolicy ref_policy;
-    const SimResult ref =
-        simulate_reference(ts, SystemConfig::paper_default(), ref_policy);
-    EXPECT_EQ(sdem::testing::compare_section7_runs(
-                  isl.result, ref, SystemConfig::paper_default(),
-                  sdem::testing::EnergyBound::kWithin),
-              "")
-        << "island " << isl.island;
+    EXPECT_EQ(twin.mismatch(), "") << "island " << isl.island;
   }
 }
 

@@ -11,17 +11,20 @@
 //
 // Where SdemOnPolicy plans with the Section 7 solver (the `paper` config,
 // xi_m > 0) the oracle golden-searches each piece while the solver takes the
-// exact stationary point. There the runs are held to the shared contract of
-// testing/oracle_compare.hpp with EnergyBound::kWithin, and the event loop
-// alone is pinned bit for bit by driving the frozen loop with the
-// production policies. Any other behavior change to the hot path must come
-// with an equally intentional edit here or to the reference.
+// exact stationary point. There a TwinPolicy (testing/oracle_compare.hpp)
+// hands every replan to both policies and holds their plans to the
+// contract's time tolerance, and the event loop alone is pinned bit for bit
+// by driving the frozen loop with the production policies. Any other
+// behavior change to the hot path must come with an equally intentional
+// edit here or to the reference.
 #include <gtest/gtest.h>
 
 #include <functional>
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "baseline/mbkp.hpp"
 #include "core/online_sdem.hpp"
@@ -112,30 +115,32 @@ std::vector<std::pair<std::string, SystemConfig>> make_cfgs() {
 void check_trace(const TaskSet& ts, const std::string& trace) {
   for (const auto& [cfg_name, cfg] : make_cfgs()) {
     const bool s7 = plans_with_transition(cfg);
-    const auto compare = [&](const PolicyPair& p, const SimResult& fast,
-                             const SimResult& ref, const std::string& what) {
+    // `run` drives the fast policy, `run_ref` the frozen one: the runs match
+    // bit for bit, except that §7 SDEM-ON pairs are compared per replan.
+    const auto compare = [&](PolicyPair& p, const auto& run,
+                             const auto& run_ref, const std::string& what) {
       if (p.sdem && s7) {
-        EXPECT_EQ(sdem::testing::compare_section7_runs(
-                      fast, ref, cfg, sdem::testing::EnergyBound::kWithin),
-                  "")
-            << what;
+        sdem::testing::TwinPolicy twin(*p.fast, *p.ref);
+        (void)run(twin);
+        EXPECT_EQ(twin.mismatch(), "") << what;
       } else {
-        expect_same_result(fast, ref, cfg, what);
+        expect_same_result(run(*p.fast), run_ref(*p.ref), cfg, what);
       }
     };
     for (auto& p : make_pairs()) {
-      compare(p, simulate(ts, cfg, *p.fast),
-              simulate_reference(ts, cfg, *p.ref),
-              trace + "/" + cfg_name + "/" + p.label);
+      compare(
+          p, [&](OnlinePolicy& pol) { return simulate(ts, cfg, pol); },
+          [&](OnlinePolicy& pol) { return simulate_reference(ts, cfg, pol); },
+          trace + "/" + cfg_name + "/" + p.label);
     }
     const auto actuals = make_actuals(ts);
     for (bool replan_on_completion : {true, false}) {
+      const auto run = [&](OnlinePolicy& pol) {
+        return simulate_with_actuals(ts, cfg, pol, actuals,
+                                     replan_on_completion);
+      };
       for (auto& p : make_pairs()) {
-        compare(p,
-                simulate_with_actuals(ts, cfg, *p.fast, actuals,
-                                      replan_on_completion),
-                simulate_with_actuals(ts, cfg, *p.ref, actuals,
-                                      replan_on_completion),
+        compare(p, run, run,
                 trace + "/" + cfg_name + "/" + p.label +
                     (replan_on_completion ? "/roc" : "/no-roc"));
       }
@@ -201,6 +206,42 @@ TEST(SimFastpath, DuplicateReleaseInstantsMatchReference) {
     }
   }
   check_trace(ts, "batched");
+}
+
+/// SDEM-ON with every segment of its arrival replans `delay` seconds later.
+class DelayedSdemOn : public SdemOnPolicy {
+ public:
+  explicit DelayedSdemOn(double delay) : delay_(delay) {}
+  std::vector<Segment> replan(double now,
+                              const std::vector<PendingTask>& pending,
+                              const SystemConfig& cfg) override {
+    auto plan = SdemOnPolicy::replan(now, pending, cfg);
+    for (Segment& s : plan) {
+      s.start += delay_;
+      s.end += delay_;
+    }
+    return plan;
+  }
+
+ private:
+  double delay_;
+};
+
+TEST(TwinPolicy, FlagsPlansLateByMoreThanTheTimeTolerance) {
+  // The per-replan bound, pinned from both sides: plans 2e-8 s late are
+  // reported, plans 2e-9 s late are not.
+  const auto cfg = SystemConfig::paper_default();
+  ASSERT_TRUE(plans_with_transition(cfg));
+  const TaskSet ts = make_synthetic(SyntheticParams{}, 1);
+  for (const auto& [delay, flagged] :
+       {std::pair{2e-8, true}, std::pair{2e-9, false}}) {
+    DelayedSdemOn fast(delay);
+    SdemOnReferencePolicy ref;
+    sdem::testing::TwinPolicy twin(fast, ref);
+    (void)simulate(ts, cfg, twin);
+    EXPECT_EQ(twin.mismatch().empty(), !flagged)
+        << "delay " << delay << ": " << twin.mismatch();
+  }
 }
 
 TEST(SimFastpath, MbkpResetClearsStaleCoreAssignments) {

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 #include "sched/trace_io.hpp"
 
@@ -35,8 +36,16 @@ TEST(TraceIo, CsvHeaderRequired) {
 }
 
 TEST(TraceIo, CsvBadRowRejected) {
-  EXPECT_THROW(schedule_from_csv("task,core,start,end,speed\n1,2,oops\n"),
-               std::invalid_argument);
+  // Rows are whole finite numbers: a number followed by other bytes is not
+  // that number, and NaN or inf is no time or speed.
+  for (const char* row :
+       {"1,2,oops", "1,0,0,0.5,849x", "1,0,nan,0.5,849", "1,0,0,inf,849",
+        "1,0,0,0.5,849,", "1,0.5,0,0.5,849"}) {
+    EXPECT_THROW(
+        schedule_from_csv(std::string("task,core,start,end,speed\n") + row),
+        std::invalid_argument)
+        << row;
+  }
 }
 
 TEST(TraceIo, CsvEmptySchedule) {
@@ -53,12 +62,23 @@ TEST(TraceIo, TaskSetCsvRoundTrip) {
   EXPECT_EQ(back[0].id, 3);
   EXPECT_EQ(back[0].release, 0.25);
   EXPECT_EQ(back[1].work, 0.5);
+  // A CRLF line end is no trailing byte of the row.
+  const auto crlf =
+      task_set_from_csv("id,release,deadline,work\r\n3,0.25,1.5,4.125\r\n");
+  ASSERT_EQ(crlf.size(), 1u);
+  EXPECT_EQ(crlf[0].work, 4.125);
 }
 
 TEST(TraceIo, TaskSetCsvRejectsGarbage) {
   EXPECT_THROW(task_set_from_csv("bogus"), std::invalid_argument);
-  EXPECT_THROW(task_set_from_csv("id,release,deadline,work\nx\n"),
-               std::invalid_argument);
+  for (const char* row :
+       {"x", "0,0,0.1,3junk", "0,0,nan,3", "0,0,inf,3", "0,-inf,0.1,3",
+        "0,0,0.1,nan", "0x1,0,0.1,3", "0,0,0.1,3,", "0,0,0.1"}) {
+    EXPECT_THROW(
+        task_set_from_csv(std::string("id,release,deadline,work\n") + row),
+        std::invalid_argument)
+        << row;
+  }
 }
 
 TEST(Gantt, ShowsLanesAndMemory) {
