@@ -9,8 +9,8 @@
 namespace sdem {
 
 void MbkpPolicy::reset() {
-  task_slots_.clear();
-  core_of_.clear();
+  last_ids_.clear();
+  last_cores_.clear();
   class_cursors_.clear();
   class_base_ = 0;
   for (auto& q : queues_) q.clear();
@@ -38,13 +38,14 @@ std::vector<Segment> MbkpPolicy::replan(double now,
   const int cores = cfg.num_cores > 0 ? cfg.num_cores
                                       : static_cast<int>(pending.size());
 
-  // Assign new tasks: round-robin inside their density class.
+  // Assign new tasks: round-robin inside their density class. A task that
+  // was pending at the last replan keeps its core.
+  next_cores_.clear();
   for (const auto& p : pending) {
-    const int slot = task_slots_.intern(p.task.id);
-    if (slot >= static_cast<int>(core_of_.size())) {
-      core_of_.resize(task_slots_.size(), -1);
+    if (const int last = last_ids_.find(p.task.id); last >= 0) {
+      next_cores_.push_back(last_cores_[static_cast<std::size_t>(last)]);
+      continue;
     }
-    if (core_of_[slot] >= 0) continue;
     SDEM_OBS_INC("mbkp/tasks_assigned");
     // Density has no upper bound (1e308 Mcycles over half a second is
     // inf), so it is clamped to a finite range before the class is cast to
@@ -54,9 +55,12 @@ std::vector<Segment> MbkpPolicy::replan(double now,
         std::numeric_limits<double>::max());
     const int klass = static_cast<int>(std::floor(std::log2(density)));
     int& cursor = cursor_for(klass);
-    core_of_[slot] = cursor % std::max(cores, 1);
+    next_cores_.push_back(cursor % std::max(cores, 1));
     ++cursor;
   }
+  last_ids_.rebuild(pending.size(),
+                    [&](std::size_t i) { return pending[i].task.id; });
+  last_cores_.swap(next_cores_);
 
   // Per-core Optimal Available over the core's own queue. With unbounded
   // cores the pending set (and hence `cores`) can shrink between replans
@@ -65,9 +69,10 @@ std::vector<Segment> MbkpPolicy::replan(double now,
   const std::size_t nqueues = static_cast<std::size_t>(std::max(cores, 1));
   if (queues_.size() < nqueues) queues_.resize(nqueues);
   for (auto& q : queues_) q.clear();
-  for (const auto& p : pending) {
-    const int c = core_of_[task_slots_.slot_of(p.task.id)];
-    queues_[c].push_back(OaJob{p.task.id, p.task.deadline, p.remaining});
+  for (std::size_t i = 0; i < pending.size(); ++i) {
+    const PendingTask& p = pending[i];
+    queues_[static_cast<std::size_t>(last_cores_[i])].push_back(
+        OaJob{p.task.id, p.task.deadline, p.remaining});
   }
   std::vector<Segment> plan;
   for (std::size_t c = 0; c < queues_.size(); ++c) {

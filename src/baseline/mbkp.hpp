@@ -33,8 +33,8 @@ class MbkpPolicy : public OnlinePolicy {
   std::string name() const override { return "MBKP"; }
 
   /// Drops all task->core assignments and round-robin cursors. Without this
-  /// a second run on the same policy object inherits the previous trace's
-  /// core map — stale for any reused task id.
+  /// a second run on the same policy object inherits the previous run's
+  /// class cursors and the cores of its last pending tasks.
   void reset() override;
 
   std::vector<Segment> replan(double now,
@@ -47,8 +47,12 @@ class MbkpPolicy : public OnlinePolicy {
   /// [-40, 1023]). Stored as a flat array over [base_, base_ + size).
   int& cursor_for(int klass);
 
-  IdSlots task_slots_;                ///< task id -> dense slot
-  std::vector<int> core_of_;          ///< per-slot assigned core (-1 = none)
+  // A task keeps the core it was assigned at its first replan for as long
+  // as it stays pending, and no longer: the cores of the last replan's
+  // pending set, by position, and this replan's.
+  PositionIndex last_ids_;            ///< last pending set: id -> position
+  std::vector<int> last_cores_;       ///< last pending set's cores
+  std::vector<int> next_cores_;       ///< this replan's, by position
   std::vector<int> class_cursors_;    ///< flat cursor array
   int class_base_ = 0;                ///< klass of class_cursors_[0]
   std::vector<std::vector<OaJob>> queues_;  ///< per-core queues, reused

@@ -34,14 +34,6 @@ OfflineResult plan_common_release(const TaskSet& tasks,
 
 }  // namespace
 
-void SdemOnPolicy::reset() {
-  rs_.slots.clear();
-  rs_.seen_epoch.clear();
-  rs_.eff_deadline.clear();
-  rs_.dur.clear();
-  rs_.epoch = 0;
-}
-
 std::vector<Segment> SdemOnPolicy::replan(double now,
                                           const std::vector<PendingTask>& pending,
                                           const SystemConfig& cfg) {
@@ -67,7 +59,6 @@ std::vector<Segment> SdemOnPolicy::plan(double now,
   const double s_up_capped = std::min(s_up, 1e9);
 
   ReplanScratch& rs = rs_;
-  const int epoch = ++rs.epoch;
 
   // Re-release everything at `now`. Overdue or overloaded tasks get a
   // race-to-finish effective deadline (the miss is already unavoidable;
@@ -76,7 +67,11 @@ std::vector<Segment> SdemOnPolicy::plan(double now,
   // exceed the release), so they can skip it.
   rs.virt.clear();
   rs.virt.reserve(pending.size());
-  bool trusted = true;
+  rs.eff_deadline.clear();
+  rs.dur.assign(pending.size(), 0.0);
+  rs.by_id.rebuild(pending.size(),
+                   [&](std::size_t i) { return pending[i].task.id; });
+  bool trusted = !rs.by_id.has_duplicate();
   for (const auto& p : pending) {
     Task t;
     t.id = p.task.id;
@@ -96,18 +91,8 @@ std::vector<Segment> SdemOnPolicy::plan(double now,
       t.deadline =
           std::nextafter(t.deadline, std::numeric_limits<double>::infinity());
     }
-    const int slot = rs.slots.intern(t.id);
-    if (slot >= static_cast<int>(rs.eff_deadline.size())) {
-      const std::size_t size = rs.slots.size();
-      rs.eff_deadline.resize(size, 0.0);
-      rs.dur.resize(size, 0.0);
-      rs.seen_epoch.resize(size, 0);
-    }
-    if (rs.seen_epoch[slot] == epoch) trusted = false;  // duplicate id
-    rs.seen_epoch[slot] = epoch;
     if (p.remaining < 0.0) trusted = false;
-    rs.eff_deadline[slot] = t.deadline;
-    rs.dur[slot] = 0.0;
+    rs.eff_deadline.push_back(t.deadline);
     rs.virt.add(t);
   }
 
@@ -115,18 +100,18 @@ std::vector<Segment> SdemOnPolicy::plan(double now,
       plan_common_release(rs.virt, cfg, rs.tw, rs.cw, trusted);
   if (!local.feasible) SDEM_OBS_INC("online_sdem/local_plan_infeasible");
 
-  // Per-task execution length p_j and speed from the local optimum.
+  // Per-task execution length p_j and speed from the local optimum. A
+  // solver plans only the ids it was given, and none when two pending tasks
+  // share one (it refuses the set).
   for (const auto& seg : local.schedule.segments()) {
-    rs.dur[rs.slots.slot_of(seg.task_id)] += seg.duration();
+    rs.dur[static_cast<std::size_t>(rs.by_id.find(seg.task_id))] +=
+        seg.duration();
   }
 
   // Latest start of each task; the batch wakes at the earliest one.
   double wake = std::numeric_limits<double>::infinity();
-  for (const auto& p : pending) {
-    const int slot = rs.slots.slot_of(p.task.id);
-    const double d = rs.eff_deadline[slot];
-    const double len = rs.dur[slot];
-    if (len > 0.0) wake = std::min(wake, d - len);
+  for (std::size_t i = 0; i < pending.size(); ++i) {
+    if (rs.dur[i] > 0.0) wake = std::min(wake, rs.eff_deadline[i] - rs.dur[i]);
   }
   if (!std::isfinite(wake)) return plan;
   wake = procrastinate ? std::max(wake, now) : now;
@@ -153,10 +138,10 @@ std::vector<Segment> SdemOnPolicy::plan(double now,
   for (std::size_t i = 1; i <= ncores; ++i) rs.offsets[i] += rs.offsets[i - 1];
   rs.cursor.assign(rs.offsets.begin(), rs.offsets.end());
   rs.items.resize(pending.size());
-  for (const auto& p : pending) {
-    const int slot = rs.slots.slot_of(p.task.id);
-    rs.items[rs.cursor[core_index(p.core)]++] =
-        ReplanScratch::Item{rs.eff_deadline[slot], slot, &p};
+  for (std::size_t i = 0; i < pending.size(); ++i) {
+    const PendingTask& p = pending[i];
+    rs.items[rs.cursor[core_index(p.core)]++] = ReplanScratch::Item{
+        rs.eff_deadline[i], static_cast<int>(i), &p};
   }
 
   for (std::size_t ci = 0; ci < ncores; ++ci) {
@@ -171,7 +156,7 @@ std::vector<Segment> SdemOnPolicy::plan(double now,
     for (auto it = begin; it != end; ++it) {
       const PendingTask* p = it->p;
       if (p->remaining <= 0.0) continue;
-      double len = rs.dur[it->slot];
+      double len = rs.dur[static_cast<std::size_t>(it->pos)];
       if (len <= 0.0) len = p->remaining / s_up_capped;
       const double d = it->eff;
       if (cur + len > d) {

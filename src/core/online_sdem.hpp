@@ -40,8 +40,6 @@ class SdemOnPolicy : public OnlinePolicy {
     return procrastinate_ ? "SDEM-ON" : "SDEM-ON/eager";
   }
 
-  void reset() override;
-
   std::vector<Segment> replan(double now,
                               const std::vector<PendingTask>& pending,
                               const SystemConfig& cfg) override;
@@ -55,28 +53,26 @@ class SdemOnPolicy : public OnlinePolicy {
 
  private:
   /// Buffers reused across replans so the per-arrival hot path allocates
-  /// nothing in steady state. Per-task values are keyed by dense id slot;
-  /// slot-indexed arrays only grow (stale slots are never read because every
-  /// read is preceded by a same-replan write for that pending id).
+  /// nothing in steady state. Per-task values are indexed by position in
+  /// the replan's pending set, so they last one replan and never grow with
+  /// the ids a run has seen.
   struct ReplanScratch {
     struct Item {
       double eff = 0.0;  ///< effective deadline (sort key)
-      int slot = 0;      ///< dense slot of the task id
+      int pos = 0;       ///< position in the pending set
       const PendingTask* p = nullptr;
     };
 
     TaskSet virt;                      ///< re-released pending set
-    IdSlots slots;                     ///< task id -> dense slot
-    std::vector<int> seen_epoch;       ///< per-slot replan stamp (dup check)
-    std::vector<double> eff_deadline;  ///< per-slot effective deadline
-    std::vector<double> dur;           ///< per-slot planned execution length
+    PositionIndex by_id;               ///< task id -> pending position
+    std::vector<double> eff_deadline;  ///< per-position effective deadline
+    std::vector<double> dur;           ///< per-position execution length
     std::vector<int> cores;            ///< sorted-unique cores this replan
     std::vector<int> offsets;          ///< per-core group offsets into items
     std::vector<int> cursor;           ///< counting-sort placement cursors
     std::vector<Item> items;           ///< pending grouped by core
     TransitionWorkspace tw;            ///< §7 solver workspace
     CommonReleaseScratch cw;           ///< §4 solver workspaces
-    int epoch = 0;
   };
 
   std::vector<Segment> plan(double now,

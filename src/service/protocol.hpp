@@ -15,6 +15,7 @@
 // the response envelopes; src/service/service.hpp owns the semantics.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -29,6 +30,14 @@ enum class Op { kSubmit, kQuery, kStats, kMetrics, kShutdown };
 /// creates holds its own policy and simulator (about 2 KB when new), so
 /// the cap bounds what clients can make the daemon hold.
 constexpr int kMaxIslands = 4096;
+
+/// An island holds at most this many tasks not yet finished at an
+/// arrival's instant, counting a lazy island's uncommitted same-instant
+/// batch (StreamSim::full_at); a SUBMIT past it is refused and leaves the
+/// island as it was. The busiest benchmark stream keeps about 50 pending.
+/// Every pending task is planned again at each commit, so the cap also
+/// bounds a commit's solve.
+constexpr std::size_t kMaxPending = 1024;
 
 /// Wire spelling of an op ("SUBMIT", ...).
 const char* op_name(Op op);

@@ -47,12 +47,16 @@ std::unique_ptr<OnlinePolicy> make_policy(const std::string& name) {
 }
 
 /// One memory island: its own policy instance and resumable simulation,
-/// which also holds the island's task record (duplicate ids, arrivals,
-/// whether the run is finalized). Owned exclusively by one shard; only that
-/// shard's drain touches it.
+/// which also holds the island's id set (the duplicate check), arrival
+/// count and whether the run is finalized. A live island's simulation
+/// keeps no history: it records neither its tasks nor its executed
+/// segments (`record` is false), so it holds its pending work, its plan
+/// and its id set. Owned exclusively by one shard; only that shard's drain
+/// touches it.
 struct Service::Island {
-  Island(const SystemConfig& cfg, std::unique_ptr<OnlinePolicy> pol)
-      : policy(std::move(pol)), sim(cfg, *policy, cfg.num_cores) {}
+  Island(const SystemConfig& cfg, std::unique_ptr<OnlinePolicy> pol,
+         bool record)
+      : policy(std::move(pol)), sim(cfg, *policy, cfg.num_cores, record) {}
 
   std::unique_ptr<OnlinePolicy> policy;
   StreamSim sim;
@@ -163,7 +167,8 @@ Service::Island& Service::island_of(Shard& s, int island) {
   if (it == s.islands.end()) {
     it = s.islands
              .emplace(island, std::make_unique<Island>(
-                                  opt_.cfg, make_policy(opt_.policy)))
+                                  opt_.cfg, make_policy(opt_.policy),
+                                  /*record=*/!opt_.eager))
              .first;
   }
   return *it->second;
@@ -303,6 +308,13 @@ void Service::process(Shard& s, Request& r) {
                                 "duplicate task id " +
                                     std::to_string(r.task.id) + " on island " +
                                     std::to_string(r.island)));
+        return;
+      }
+      if (isl.sim.full_at(r.task.release, kMaxPending)) {
+        done_(r, error_response(r.seq,
+                                "island " + std::to_string(r.island) +
+                                    " holds " + std::to_string(kMaxPending) +
+                                    " pending tasks, the most it takes"));
         return;
       }
       const int replans_before = isl.sim.replans();

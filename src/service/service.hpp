@@ -81,9 +81,11 @@ struct ServiceOptions {
   /// any other value. Kept because the benchmark harness
   /// (perfbench/layers.cpp) sets it.
   int producers = 1;
-  /// Live mode commits (replan + answer) on every SUBMIT; replay mode
-  /// batches same-instant arrivals exactly like the batch simulator so the
-  /// full SimResult (replans included) matches simulate().
+  /// Live mode commits (replan + answer) on every SUBMIT and keeps no
+  /// history: an island holds its pending tasks, its plan and its id set.
+  /// Replay mode batches same-instant arrivals exactly like the batch
+  /// simulator and records each island's tasks and executed segments, so
+  /// the full SimResult (replans included) matches simulate().
   bool eager = true;
   /// A shard's queue holds this many messages; the producer waits for the
   /// drain when it finds the queue full.
@@ -147,6 +149,10 @@ class Service {
   /// Seconds since construction.
   double uptime_s() const;
 
+  /// One island's finalized run. Its counts (replans, deadline misses,
+  /// unfinished tasks, horizons) are filled in both modes; `tasks` and
+  /// `result.schedule` only in replay mode (`eager == false`), since a
+  /// live island records neither.
   struct IslandResult {
     int island = 0;
     std::string policy;

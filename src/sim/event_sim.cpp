@@ -39,27 +39,27 @@ void flush_sim_counters(const SimResult& res) {
   SDEM_OBS_COUNT("sim/unfinished_tasks", res.unfinished);
 }
 
+/// Whether a task finishing at `at` (+inf: never) missed its deadline.
+bool missed(const Task& t, double at) {
+  return at > t.deadline + 1e-9 * std::max(1.0, t.deadline);
+}
+
 }  // namespace
 
-StreamSim::StreamSim(const SystemConfig& cfg, OnlinePolicy& policy, int cores)
-    : cfg_(cfg), policy_(&policy), cores_(std::max(1, cores)) {
+StreamSim::StreamSim(const SystemConfig& cfg, OnlinePolicy& policy, int cores,
+                     bool record)
+    : cfg_(cfg), policy_(&policy), cores_(std::max(1, cores)), record_(record) {
   policy_->reset();
 }
 
 void StreamSim::account(double upto) {
   // Execute the current plan on [plan_from_, upto): clip segments, charge
   // work, record completed pieces. Work is charged to the first pending
-  // entry carrying the segment's task id (the position index replaces the
-  // old per-segment linear scan; pending order is stable within a call).
-  const int gen = ++gen_;
-  for (std::size_t i = 0; i < pending_.size(); ++i) {
-    const std::size_t slot = static_cast<std::size_t>(
-        slots_.slot_of(pending_[i].task.id));
-    if (pos_gen_[slot] != gen) {
-      pos_gen_[slot] = gen;
-      pos_val_[slot] = static_cast<int>(i);
-    }
-  }
+  // entry carrying the segment's task id. A task's completion time is the
+  // end of the last piece charged to it, so its miss is counted once the
+  // whole plan is accounted, as it leaves the pending set.
+  finished_at_.assign(pending_.size(),
+                      std::numeric_limits<double>::infinity());
   for (const auto& seg : plan_) {
     const double lo = std::max(seg.start, plan_from_);
     const double hi = std::min(seg.end, upto);
@@ -67,21 +67,26 @@ void StreamSim::account(double upto) {
     Segment piece = seg;
     piece.start = lo;
     piece.end = hi;
-    res_.schedule.add(piece);
-    const int slot = slots_.slot_of(piece.task_id);
-    if (slot < 0 || pos_gen_[static_cast<std::size_t>(slot)] != gen) {
-      continue;  // no pending task carries this id
-    }
-    PendingTask& p = pending_[static_cast<std::size_t>(
-        pos_val_[static_cast<std::size_t>(slot)])];
+    if (record_) res_.schedule.add(piece);
+    max_end_ = std::max(max_end_, hi);
+    const int pos = by_id_.find(piece.task_id);
+    if (pos < 0) continue;  // no pending task carries this id
+    PendingTask& p = pending_[static_cast<std::size_t>(pos)];
     p.remaining -= piece.work();
     if (p.remaining < 1e-9 * std::max(1.0, p.task.work)) {
       p.remaining = 0.0;
-      finished_at_[static_cast<std::size_t>(slot)] = hi;
+      finished_at_[static_cast<std::size_t>(pos)] = hi;
     }
   }
-  std::erase_if(pending_,
-                [](const PendingTask& p) { return p.remaining <= 0.0; });
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < pending_.size(); ++i) {
+    if (pending_[i].remaining > 0.0) {
+      pending_[kept++] = pending_[i];
+    } else if (missed(pending_[i].task, finished_at_[i])) {
+      ++res_.deadline_misses;
+    }
+  }
+  pending_.resize(kept);
 }
 
 void StreamSim::inject_arrival(const Task& t) {
@@ -92,7 +97,7 @@ void StreamSim::inject_arrival(const Task& t) {
   // than the last committed instant (or the currently buffered batch) would
   // need already-emitted schedule segments rewritten.
   const double floor = batch_.empty() ? now_ : batch_time_;
-  if (tasks_seen_.empty()) {
+  if (arrivals_ == 0) {
     res_.horizon_lo = t.release;
     plan_from_ = t.release;
   } else if (t.release < floor) {
@@ -103,13 +108,10 @@ void StreamSim::inject_arrival(const Task& t) {
   if (!batch_.empty() && t.release != batch_time_) commit();
   batch_time_ = t.release;
   batch_.push_back(t);
-  tasks_seen_.push_back(t);
-  // A first-seen id takes the next slot: grow the per-slot columns.
-  if (static_cast<std::size_t>(slots_.intern(t.id)) == finished_at_.size()) {
-    finished_at_.push_back(std::numeric_limits<double>::infinity());
-    pos_val_.push_back(0);
-    pos_gen_.push_back(0);
-  }
+  ++arrivals_;
+  max_deadline_ = std::max(max_deadline_, t.deadline);
+  if (record_) tasks_seen_.push_back(t);
+  slots_.intern(t.id);
 }
 
 void StreamSim::commit() {
@@ -136,13 +138,41 @@ void StreamSim::commit() {
     p.remaining = task.work;
     p.core = rr_ % cores_;
     ++rr_;
-    if (p.remaining > 0.0) pending_.push_back(p);
+    if (p.remaining > 0.0) {
+      pending_.push_back(p);
+    } else if (!(task.work <= 0.0) &&
+               missed(task, std::numeric_limits<double>::infinity())) {
+      ++res_.deadline_misses;  // NaN work: never runs, so never finishes
+    }
   }
   batch_.clear();
   plan_ = policy_->replan(t, pending_, cfg_);
+  by_id_.rebuild(pending_.size(),
+                 [this](std::size_t i) { return pending_[i].task.id; });
   plan_from_ = t;
   now_ = t;
   ++res_.replans;
+}
+
+bool StreamSim::full_at(double t, std::size_t cap) {
+  if (pending_.size() + batch_.size() < cap) return false;
+  if (!batch_.empty() && t > batch_time_) commit();
+  // account(t) on a copy of the remaining work.
+  std::vector<double> left;
+  for (const auto& p : pending_) left.push_back(p.remaining);
+  for (const auto& seg : plan_) {
+    Segment piece = seg;
+    piece.start = std::max(seg.start, plan_from_);
+    piece.end = std::min(seg.end, t);
+    const int pos = by_id_.find(seg.task_id);
+    if (piece.end <= piece.start || pos < 0) continue;
+    const auto i = static_cast<std::size_t>(pos);
+    left[i] -= piece.work();
+    if (left[i] < 1e-9 * std::max(1.0, pending_[i].task.work)) left[i] = 0.0;
+  }
+  std::size_t held = batch_.size();
+  for (const double r : left) held += r > 0.0 ? 1 : 0;
+  return held >= cap;
 }
 
 const SimResult& StreamSim::finalize() {
@@ -156,16 +186,12 @@ const SimResult& StreamSim::finalize() {
     now_ = std::max(now_, end);
   }
   res_.unfinished = static_cast<int>(pending_.size());
-  double max_deadline = -std::numeric_limits<double>::infinity();
-  for (const auto& t : tasks_seen_) {
-    max_deadline = std::max(max_deadline, t.deadline);
-    if (t.work <= 0.0) continue;
-    if (finished_at_[static_cast<std::size_t>(slots_.slot_of(t.id))] >
-        t.deadline + 1e-9 * std::max(1.0, t.deadline)) {
+  for (const auto& p : pending_) {
+    if (missed(p.task, std::numeric_limits<double>::infinity())) {
       ++res_.deadline_misses;
     }
   }
-  res_.horizon_hi = std::max(max_deadline, res_.schedule.end_time());
+  res_.horizon_hi = std::max(max_deadline_, max_end_);
   finalized_ = true;
   flush_sim_counters(res_);
   return res_;
@@ -208,7 +234,6 @@ SimResult simulate_with_actuals(const TaskSet& arrivals,
     double actual = 0.0;   ///< true remaining megacycles
   };
   std::vector<Live> pending;
-  std::map<int, double> finished_at;
   std::size_t next_arrival = 0;
   int rr = 0;
 
@@ -216,58 +241,63 @@ SimResult simulate_with_actuals(const TaskSet& arrivals,
   std::vector<Segment> plan;
   double plan_from = sorted[0].release;
 
-  auto chronological = [](std::vector<Segment> v) {
-    std::sort(v.begin(), v.end(), [](const Segment& a, const Segment& b) {
-      return a.start < b.start;
-    });
-    return v;
-  };
+  // The plan in start order and the pending position of each segment's task
+  // (-1: none), rebuilt at each replan. Every event until the next replan
+  // walks them: only account() removes pending tasks, and a replan always
+  // follows it.
+  std::vector<Segment> chrono;
+  std::vector<int> chrono_pos;
+  PositionIndex by_id;
+  std::vector<double> rem;  ///< next_completion's scratch, by position
 
   // Earliest time a pending task's *actual* work completes under the plan.
   auto next_completion = [&](double after) {
     double best = kInf;
-    std::map<int, double> rem;
-    for (const auto& p : pending) rem[p.declared.task.id] = p.actual;
-    for (const auto& seg : chronological(plan)) {
-      auto it = rem.find(seg.task_id);
-      if (it == rem.end() || it->second <= 0.0) continue;
+    rem.clear();
+    for (const auto& p : pending) rem.push_back(p.actual);
+    for (std::size_t k = 0; k < chrono.size(); ++k) {
+      const Segment& seg = chrono[k];
+      const int pos = chrono_pos[k];
+      if (pos < 0 || rem[static_cast<std::size_t>(pos)] <= 0.0) continue;
+      double& left = rem[static_cast<std::size_t>(pos)];
       const double lo = std::max(seg.start, plan_from);
       if (seg.end <= lo) continue;
-      const double need = it->second / seg.speed;
+      const double need = left / seg.speed;
       const double have = seg.end - lo;
       if (need <= have + 1e-15) {
         const double tc = lo + need;
-        it->second = 0.0;
+        left = 0.0;
         if (tc > after + 1e-12) best = std::min(best, tc);
       } else {
-        it->second -= seg.speed * have;
+        left -= seg.speed * have;
       }
     }
     return best;
   };
 
   // Execute the plan on [plan_from, upto): truncate at actual completions.
+  // A task's miss is counted when it completes.
   auto account = [&](double upto) {
-    for (const auto& seg : chronological(plan)) {
+    for (std::size_t k = 0; k < chrono.size(); ++k) {
+      const Segment& seg = chrono[k];
+      const int pos = chrono_pos[k];
       const double lo = std::max(seg.start, plan_from);
       const double hi = std::min(seg.end, upto);
-      if (hi <= lo) continue;
-      for (auto& p : pending) {
-        if (p.declared.task.id != seg.task_id || p.actual <= 0.0) continue;
-        const double run = std::min(hi - lo, p.actual / seg.speed);
-        if (run <= 0.0) break;
-        Segment piece = seg;
-        piece.start = lo;
-        piece.end = lo + run;
-        res.schedule.add(piece);
-        const double done = seg.speed * run;
-        p.actual = std::max(0.0, p.actual - done);
-        p.declared.remaining = std::max(0.0, p.declared.remaining - done);
-        if (p.actual <= 1e-9 * std::max(1.0, p.declared.task.work)) {
-          p.actual = 0.0;
-          finished_at[p.declared.task.id] = piece.end;
-        }
-        break;
+      if (hi <= lo || pos < 0) continue;
+      Live& p = pending[static_cast<std::size_t>(pos)];
+      if (p.actual <= 0.0) continue;
+      const double run = std::min(hi - lo, p.actual / seg.speed);
+      if (run <= 0.0) continue;
+      Segment piece = seg;
+      piece.start = lo;
+      piece.end = lo + run;
+      res.schedule.add(piece);
+      const double done = seg.speed * run;
+      p.actual = std::max(0.0, p.actual - done);
+      p.declared.remaining = std::max(0.0, p.declared.remaining - done);
+      if (p.actual <= 1e-9 * std::max(1.0, p.declared.task.work)) {
+        p.actual = 0.0;
+        if (missed(p.declared.task, piece.end)) ++res.deadline_misses;
       }
     }
     std::erase_if(pending, [](const Live& p) { return p.actual <= 0.0; });
@@ -281,6 +311,18 @@ SimResult simulate_with_actuals(const TaskSet& arrivals,
                       : policy.replan(t, view, cfg);
     plan_from = t;
     ++res.replans;
+    chrono = plan;
+    std::sort(chrono.begin(), chrono.end(),
+              [](const Segment& a, const Segment& b) {
+                return a.start < b.start;
+              });
+    by_id.rebuild(pending.size(), [&](std::size_t i) {
+      return pending[i].declared.task.id;
+    });
+    chrono_pos.clear();
+    for (const auto& seg : chrono) {
+      chrono_pos.push_back(by_id.find(seg.task_id));
+    }
   };
 
   while (next_arrival < sorted.size() || !pending.empty()) {
@@ -317,24 +359,18 @@ SimResult simulate_with_actuals(const TaskSet& arrivals,
       l.actual = l.declared.task.work * frac;
       ++rr;
       ++next_arrival;
-      if (l.actual > 0.0) pending.push_back(l);
+      if (l.actual > 0.0) {
+        pending.push_back(l);
+      } else if (!(l.actual <= 0.0)) {
+        ++res.deadline_misses;  // NaN work: never runs, so never completes
+      }
     }
     replan_now(t_arr, /*completion=*/false);
   }
 
+  // A task that never completed missed its deadline.
   res.unfinished = static_cast<int>(pending.size());
-  for (const auto& t : sorted.tasks()) {
-    double frac = 1.0;
-    if (auto it = actual_fraction.find(t.id); it != actual_fraction.end()) {
-      frac = std::clamp(it->second, 0.0, 1.0);
-    }
-    if (t.work * frac <= 0.0) continue;
-    auto it = finished_at.find(t.id);
-    if (it == finished_at.end() ||
-        it->second > t.deadline + 1e-9 * std::max(1.0, t.deadline)) {
-      ++res.deadline_misses;
-    }
-  }
+  res.deadline_misses += res.unfinished;
   res.horizon_hi = std::max(sorted.max_deadline(), res.schedule.end_time());
   flush_sim_counters(res);
   return res;

@@ -23,6 +23,7 @@
 // the completion-driven loop of slack reclamation.
 #pragma once
 
+#include <limits>
 #include <map>
 #include <vector>
 
@@ -42,8 +43,8 @@ struct SimResult {
 
 /// The event loop decoupled from batch runs: a resumable simulation that an
 /// external arrival stream drives. One StreamSim owns one memory island's
-/// timeline and task record; tools/sdem_service keeps one per island and
-/// feeds it SUBMIT requests as they arrive.
+/// timeline; tools/sdem_service keeps one per island and feeds it SUBMIT
+/// requests as they arrive.
 ///
 /// Protocol:
 ///   * inject_arrival(t) buffers a task; tasks sharing one release instant
@@ -67,12 +68,23 @@ struct SimResult {
 /// Accounting is lazy: a plan's segments are recorded whole at the next
 /// commit or finalize, never split at query points (splitting would break
 /// byte-equality with the batch loop).
+///
+/// Memory: SDEM-ON re-releases every pending task at each replan (§6), so
+/// the run needs nothing from its past. A task's deadline miss is counted
+/// when it finishes (or at finalize, if it never does), and the latest
+/// deadline and the latest segment end are kept as they go. Beyond the
+/// pending set and the plan, a StreamSim keeps only its id set; a
+/// recording one also keeps the injected tasks and the executed segments
+/// for the SimResult.
 class StreamSim {
  public:
   /// `cores` is the round-robin width. Pass cfg.num_cores for bounded
   /// systems; the batch driver passes the task-set size when cfg is
   /// unbounded (an online stream has no task count to default to).
-  StreamSim(const SystemConfig& cfg, OnlinePolicy& policy, int cores);
+  /// `record` keeps injected() and the SimResult's schedule; without it
+  /// both stay empty and every count in the SimResult is the same.
+  StreamSim(const SystemConfig& cfg, OnlinePolicy& policy, int cores,
+            bool record = true);
 
   /// Buffer a task arriving at t.release. Throws std::invalid_argument if
   /// the release precedes the last committed instant (the stream must be
@@ -94,8 +106,19 @@ class StreamSim {
   /// Pending tasks as of the last commit (admitted, unfinished work).
   const std::vector<PendingTask>& pending() const { return pending_; }
 
+  /// Whether the island would hold `cap` or more tasks at instant t,
+  /// before admitting an arrival there: its uncommitted same-instant batch
+  /// plus the pending tasks the current plan leaves unfinished before t,
+  /// counted as a commit at t would account them. Counting at t, not at
+  /// the last commit, is what lets a full island take tasks again once
+  /// its own have run: a refused arrival commits nothing. A batch buffered
+  /// at an earlier instant is committed first, as an arrival at t commits
+  /// it; nothing else changes. Cheap unless pending and buffered tasks
+  /// together reach `cap`.
+  bool full_at(double t, std::size_t cap);
+
   /// Number of tasks injected so far (admitted or still buffered).
-  std::size_t arrivals() const { return tasks_seen_.size(); }
+  std::size_t arrivals() const { return arrivals_; }
   int replans() const { return res_.replans; }
 
   /// Whether a task with this id was injected in this run, zero-work and
@@ -105,12 +128,12 @@ class StreamSim {
   /// Whether finalize() has ended the run.
   bool finalized() const { return finalized_; }
 
-  /// Every injected task, in injection order (the replay verifier rebuilds
-  /// the batch TaskSet from this).
+  /// Every injected task, in injection order, when recording (the replay
+  /// verifier rebuilds the batch TaskSet from this); empty otherwise.
   const std::vector<Task>& injected() const { return tasks_seen_; }
 
   /// Commit the final batch, run the plan to completion, and account the
-  /// run: deadline misses over every injected task, unfinished count,
+  /// run: deadline misses of the tasks still pending, unfinished count,
   /// horizons. The StreamSim stays readable afterwards and takes no more
   /// arrivals.
   const SimResult& finalize();
@@ -121,21 +144,23 @@ class StreamSim {
   SystemConfig cfg_;
   OnlinePolicy* policy_;
   int cores_;
+  bool record_;
 
-  // The task record: ids interned into dense slots as they arrive, so
-  // completion times and the pending-position index live in flat per-slot
-  // columns. Positions are epoch-stamped, so rebuilding them is a write
-  // pass with no clearing.
-  IdSlots slots_;
-  std::vector<double> finished_at_;  ///< completion time, +inf until then
-  std::vector<int> pos_val_;         ///< first index in pending_
-  std::vector<int> pos_gen_;         ///< stamp for pos_val_
-  int gen_ = 0;                      ///< current stamp
+  IdSlots slots_;  ///< every injected id (holds())
 
   std::vector<PendingTask> pending_;
   std::vector<Segment> plan_;
-  std::vector<Task> batch_;       ///< arrivals buffered at batch_time_
-  std::vector<Task> tasks_seen_;  ///< every injected task, for the miss scan
+  std::vector<Task> batch_;  ///< arrivals buffered at batch_time_
+  // By pending position, rebuilt into reused buffers: the index at each
+  // replan, the completion times in each account().
+  PositionIndex by_id_;              ///< task id -> pending position
+  std::vector<double> finished_at_;  ///< completion time, +inf until then
+
+  std::vector<Task> tasks_seen_;  ///< every injected task, when recording
+  std::size_t arrivals_ = 0;
+  /// Latest injected deadline, and latest executed segment end.
+  double max_deadline_ = -std::numeric_limits<double>::infinity();
+  double max_end_ = 0.0;
   double batch_time_ = 0.0;
   double plan_from_ = 0.0;
   double now_ = 0.0;

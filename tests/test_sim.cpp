@@ -1,6 +1,8 @@
 // Tests for the discrete-event online simulator.
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "sim/event_sim.hpp"
 #include "test_util.hpp"
 
@@ -121,6 +123,23 @@ TEST(Sim, ZeroWorkTasksAreNotPending) {
   EXPECT_EQ(res.unfinished, 0);
   EXPECT_EQ(res.deadline_misses, 0);
   EXPECT_TRUE(res.schedule.empty());
+}
+
+TEST(Sim, NanWorkTaskNeverRunsAndMisses) {
+  // TaskSet::validate() lets a NaN work through. Such a task never joins
+  // the pending set, so it never finishes: both loops count it missed,
+  // though not unfinished.
+  TaskSet ts;
+  ts.add(task(0, 0.0, 1.0, 10.0));
+  ts.add(task(1, 0.2, 1.2, std::nan("")));
+  ASSERT_EQ(ts.validate(), "");
+  RunNowPolicy pol;
+  const auto cfg = make_cfg(0.0, 4.0, 0.0);
+  for (const SimResult& res :
+       {simulate(ts, cfg, pol), simulate_with_actuals(ts, cfg, pol, {})}) {
+    EXPECT_EQ(res.unfinished, 0);
+    EXPECT_EQ(res.deadline_misses, 1);
+  }
 }
 
 TEST(Sim, EmptyTaskSet) {
