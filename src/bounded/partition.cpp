@@ -48,7 +48,9 @@ double bounded_energy(const std::vector<double>& core_loads,
                             ? max_load / cfg.core.max_speed()
                             : 0.0;
   ib = std::clamp(ib, min_ib, deadline);
-  if (ib <= 0.0 || min_ib > deadline * (1.0 + 1e-12)) return kInf;
+  if (ib <= 0.0 || min_ib > deadline * (1.0 + CorePower::kAdmitSlack)) {
+    return kInf;
+  }
   if (best_interval) *best_interval = ib;
   return beta * sum_wl * std::pow(ib, 1.0 - lambda) + alpha_m * ib;
 }

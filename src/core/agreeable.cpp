@@ -43,8 +43,7 @@ OfflineResult solve_agreeable(const TaskSet& tasks, const SystemConfig& cfg,
   OfflineResult res;
   if (tasks.empty() || !tasks.is_agreeable() || !tasks.validate().empty())
     return res;
-  if (tasks.max_filled_speed() > cfg.core.max_speed() * (1.0 + 1e-12))
-    return res;
+  if (!cfg.core.admits(tasks.max_filled_speed())) return res;
 
   const TaskSet sorted = tasks.sorted_by_deadline();
   const int n = static_cast<int>(sorted.size());

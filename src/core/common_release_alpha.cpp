@@ -17,8 +17,7 @@ OfflineResult solve_common_release_alpha(const TaskSet& tasks,
   OfflineResult res;
   if (tasks.empty() || !tasks.is_common_release()) return res;
   if (!validated && !tasks.validate().empty()) return res;
-  if (tasks.max_filled_speed() > cfg.core.max_speed() * (1.0 + 1e-12))
-    return res;
+  if (!cfg.core.admits(tasks.max_filled_speed())) return res;
 
   const double alpha = cfg.core.alpha;
   const double alpha_m = cfg.memory.alpha_m;

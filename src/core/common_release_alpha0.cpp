@@ -32,15 +32,9 @@ Instance build_instance(const TaskSet& tasks, const SystemConfig& cfg,
                         CommonReleaseScratch& ws) {
   Instance in;
   in.ws = &ws;
-  // Same copy + comparator as TaskSet::sorted_by_deadline, minus the
-  // temporary TaskSet.
+  // TaskSet::sorted_by_deadline, minus the temporary TaskSet.
   ws.sorted.assign(tasks.tasks().begin(), tasks.tasks().end());
-  std::sort(ws.sorted.begin(), ws.sorted.end(),
-            [](const Task& a, const Task& b) {
-              if (a.deadline != b.deadline) return a.deadline < b.deadline;
-              if (a.release != b.release) return a.release < b.release;
-              return a.id < b.id;
-            });
+  std::sort(ws.sorted.begin(), ws.sorted.end(), TaskSet::ByDeadline{});
   in.release = ws.sorted.front().release;
   in.alpha_m = cfg.memory.alpha_m;
   in.beta = cfg.core.beta;
@@ -104,7 +98,7 @@ struct CaseLocal {
 
 /// Feasible Delta domain of case i: [delta_i, min(delta_{i-1}, speed cap)].
 /// The speed cap keeps the stretched tasks (j >= i) within s_up. A task
-/// whose filled speed sits inside instance_ok()'s 1e-12 slack above s_up
+/// whose filled speed sits inside CorePower::admits' slack above s_up
 /// leaves no room under the exact cap; the slack then admits the case at
 /// its lower edge, where every stretched task runs at most at its filled
 /// speed.
@@ -115,7 +109,10 @@ CaseLocal case_local_optimum(const Instance& in, int i) {
   if (std::isfinite(in.s_up) && in.ws->suffix_wmax[i] > 0.0) {
     const double w = in.ws->suffix_wmax[i];
     hi = std::min(hi, in.horizon - w / in.s_up);
-    if (hi < lo && in.horizon - w / (in.s_up * (1.0 + 1e-12)) >= lo) hi = lo;
+    if (hi < lo &&
+        in.horizon - w / (in.s_up * (1.0 + CorePower::kAdmitSlack)) >= lo) {
+      hi = lo;
+    }
   }
   if (hi < lo) return out;  // case entirely infeasible under the speed cap
   const double dm = std::clamp(delta_mi(in, i), lo, hi);
@@ -151,7 +148,7 @@ bool instance_ok(const TaskSet& tasks, const SystemConfig& cfg,
                  bool validated) {
   return !tasks.empty() && tasks.is_common_release() &&
          (validated || tasks.validate().empty()) &&
-         tasks.max_filled_speed() <= cfg.core.max_speed() * (1.0 + 1e-12);
+         cfg.core.admits(tasks.max_filled_speed());
 }
 
 }  // namespace

@@ -20,7 +20,7 @@ double best_race_level(const CorePower& core, const FrequencyLadder& ladder) {
   double best = ladder.levels().front();
   double best_epc = kInf;
   for (double s : ladder.levels()) {
-    if (s > core.max_speed() * (1.0 + 1e-12)) continue;
+    if (!core.admits(s)) continue;
     const double epc = core.power(s) / s;
     if (epc < best_epc) {
       best_epc = epc;
@@ -44,7 +44,7 @@ double window_energy(double work, const CorePower& core,
   const double top = std::min(ladder.highest(), core.max_speed());
   if (fill > top * (1.0 + 1e-9)) return kInf;
 
-  if (work / race <= window * (1.0 + 1e-12)) {
+  if (work / race <= window * (1.0 + CorePower::kAdmitSlack)) {
     // Loose window: race at the cheapest level and sleep.
     if (hi_level) *hi_level = race;
     if (lo_level) *lo_level = race;
@@ -85,7 +85,7 @@ OfflineResult solve_common_release_discrete(const TaskSet& tasks,
   if (tasks.empty() || !tasks.is_common_release() || !tasks.validate().empty())
     return res;
   const double top = std::min(ladder.highest(), cfg.core.max_speed());
-  if (tasks.max_filled_speed() > top * (1.0 + 1e-12)) return res;
+  if (!CorePower::admits(tasks.max_filled_speed(), top)) return res;
 
   const double release = tasks[0].release;
   double horizon = 0.0;
@@ -150,7 +150,7 @@ OfflineResult solve_common_release_discrete(const TaskSet& tasks,
     } else if (cap <= lo) {
       a = window_energy(t.work, cfg.core, ladder, race, cap, nullptr, nullptr,
                         nullptr);
-    } else if (t.work / race <= mid * (1.0 + 1e-12)) {
+    } else if (t.work / race <= mid * (1.0 + CorePower::kAdmitSlack)) {
       a = cfg.core.exec_energy(t.work, race);
     } else {
       const auto [s_lo, s_hi] = ladder.bracket(t.work / mid);

@@ -29,9 +29,7 @@ OfflineResult solve_common_release_islands(
       assignment.size() != tasks.size() || !tasks.validate().empty()) {
     return res;
   }
-  if (tasks.max_filled_speed() > cfg.core.max_speed() * (1.0 + 1e-12)) {
-    return res;
-  }
+  if (!cfg.core.admits(tasks.max_filled_speed())) return res;
   const double release = tasks[0].release;
 
   int num_islands = 0;

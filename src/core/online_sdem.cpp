@@ -62,9 +62,9 @@ std::vector<Segment> SdemOnPolicy::plan(double now,
 
   // Re-release everything at `now`. Overdue or overloaded tasks get a
   // race-to-finish effective deadline (the miss is already unavoidable;
-  // the validator will count it). `trusted` certifies here what the
-  // solvers' validate() pass would check (the constructed deadlines always
-  // exceed the release), so they can skip it.
+  // the validator will count it). `trusted` is the solvers' validate()
+  // verdict, taken here from the id index and task_error(), so they can
+  // skip that pass.
   rs.virt.clear();
   rs.virt.reserve(pending.size());
   rs.eff_deadline.clear();
@@ -87,11 +87,11 @@ std::vector<Segment> SdemOnPolicy::plan(double now,
     // short of the solvers' own admission test: they would return no plan,
     // and the task would block its island for good. Widen it until it
     // passes.
-    while (t.filled_speed() > s_up * (1.0 + 1e-12)) {
+    while (!cfg.core.admits(t.filled_speed())) {
       t.deadline =
           std::nextafter(t.deadline, std::numeric_limits<double>::infinity());
     }
-    if (p.remaining < 0.0) trusted = false;
+    if (!task_error(t).empty()) trusted = false;
     rs.eff_deadline.push_back(t.deadline);
     rs.virt.add(t);
   }

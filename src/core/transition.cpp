@@ -27,7 +27,7 @@ double task_cost(const Task& t, const SystemConfig& cfg, double s_m, double H,
   if (t.work <= 0.0) return 0.0;
   if (window <= 0.0) return kInf;
   const double fill = t.work / window;
-  if (fill > cfg.core.max_speed() * (1.0 + 1e-12)) return kInf;
+  if (!cfg.core.admits(fill)) return kInf;
 
   auto cost_at = [&](double r) {
     const double s = t.work / r;
@@ -71,8 +71,7 @@ OfflineResult solve_common_release_transition(const TaskSet& tasks,
   OfflineResult res;
   if (tasks.empty() || !tasks.is_common_release()) return res;
   if (!validated && !tasks.validate().empty()) return res;
-  if (tasks.max_filled_speed() > cfg.core.max_speed() * (1.0 + 1e-12))
-    return res;
+  if (!cfg.core.admits(tasks.max_filled_speed())) return res;
 
   const double release = tasks[0].release;
   double H = 0.0;

@@ -46,6 +46,21 @@ struct CorePower {
   /// Effective maximum speed: s_up if set, else +inf.
   double max_speed() const;
 
+  /// Relative slack of the admission test below: a filled speed up to
+  /// cap·(1 + kAdmitSlack) counts as within the cap, so a window whose
+  /// end rounds an ulp short still admits its task.
+  static constexpr double kAdmitSlack = 1e-12;
+
+  /// The paper's standing assumption (§3): a task's filled speed is within
+  /// the top speed. Every solver, SDEM-ON's re-release and the fuzzer's
+  /// checks ask this one test. A NaN speed passes; task_error() refuses it.
+  static bool admits(double speed, double cap) {
+    return !(speed > cap * (1.0 + kAdmitSlack));
+  }
+
+  /// The same against max_speed().
+  bool admits(double speed) const { return admits(speed, max_speed()); }
+
   /// Clamp s into [max(s_min, filled), max_speed()].
   double clamp_speed(double s, double filled_speed = 0.0) const;
 

@@ -1,9 +1,9 @@
 #include "model/task.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <set>
-#include <sstream>
 
 namespace sdem {
 
@@ -11,6 +11,31 @@ double Task::filled_speed() const {
   const double len = region();
   if (len <= 0.0) return std::numeric_limits<double>::infinity();
   return work / len;
+}
+
+std::string task_error(const Task& t) {
+  if (!std::isfinite(t.release))
+    return "task field \"release\" must be a finite number";
+  if (!std::isfinite(t.deadline))
+    return "task field \"deadline\" must be a finite number";
+  if (!std::isfinite(t.work))
+    return "task field \"work\" must be a finite number";
+  if (t.work < 0.0) return "task field \"work\" must be >= 0";
+  if (!(t.deadline > t.release))
+    return "task \"deadline\" must be > \"release\"";
+  // Finite fields can still overflow: a window from -1e308 to 1e308 is
+  // inf long, and 1e308 Mcycles over half a second fill at inf.
+  if (!std::isfinite(t.region()))
+    return "task \"deadline\" - \"release\" must be finite";
+  if (!std::isfinite(t.filled_speed()))
+    return "task \"work\" / (\"deadline\" - \"release\") must be finite";
+  return {};
+}
+
+bool task_id_from_number(double v, int* id) {
+  if (!(std::abs(v) <= 2e9) || v != std::floor(v)) return false;
+  *id = static_cast<int>(v);
+  return true;
 }
 
 TaskSet::TaskSet(std::vector<Task> tasks) : tasks_(std::move(tasks)) {}
@@ -28,10 +53,7 @@ bool TaskSet::is_agreeable() const {
   // r_i <= r_j implies d_i <= d_j for all pairs: equivalent to deadlines
   // being non-decreasing when sorted by (release, deadline).
   auto sorted = tasks_;
-  std::sort(sorted.begin(), sorted.end(), [](const Task& a, const Task& b) {
-    if (a.release != b.release) return a.release < b.release;
-    return a.deadline < b.deadline;
-  });
+  std::sort(sorted.begin(), sorted.end(), ByRelease{});
   for (std::size_t i = 1; i < sorted.size(); ++i) {
     // A strictly earlier release with a strictly later deadline breaks
     // agreeability (equal releases may have any deadline order).
@@ -83,40 +105,24 @@ double TaskSet::max_filled_speed() const {
 
 TaskSet TaskSet::sorted_by_deadline() const {
   auto copy = tasks_;
-  std::sort(copy.begin(), copy.end(), [](const Task& a, const Task& b) {
-    if (a.deadline != b.deadline) return a.deadline < b.deadline;
-    if (a.release != b.release) return a.release < b.release;
-    return a.id < b.id;
-  });
+  std::sort(copy.begin(), copy.end(), ByDeadline{});
   return TaskSet(std::move(copy));
 }
 
 TaskSet TaskSet::sorted_by_release() const {
   auto copy = tasks_;
-  std::sort(copy.begin(), copy.end(), [](const Task& a, const Task& b) {
-    if (a.release != b.release) return a.release < b.release;
-    if (a.deadline != b.deadline) return a.deadline < b.deadline;
-    return a.id < b.id;
-  });
+  std::sort(copy.begin(), copy.end(), ByRelease{});
   return TaskSet(std::move(copy));
 }
 
 std::string TaskSet::validate() const {
   std::set<int> ids;
   for (const auto& t : tasks_) {
-    std::ostringstream err;
-    if (t.work < 0.0) {
-      err << "task " << t.id << ": negative workload " << t.work;
-      return err.str();
-    }
-    if (t.deadline <= t.release) {
-      err << "task " << t.id << ": empty feasible region [" << t.release
-          << ", " << t.deadline << "]";
-      return err.str();
+    if (std::string err = task_error(t); !err.empty()) {
+      return "task " + std::to_string(t.id) + ": " + err;
     }
     if (!ids.insert(t.id).second) {
-      err << "duplicate task id " << t.id;
-      return err.str();
+      return "duplicate task id " + std::to_string(t.id);
     }
   }
   return {};

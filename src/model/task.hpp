@@ -26,6 +26,18 @@ struct Task {
   double filled_speed() const;
 };
 
+/// The task rule of §3, the one every reader and solver applies: release,
+/// deadline and work are finite, work >= 0, deadline > release, and the
+/// window |I_i| and the filled speed are finite too. Returns "" for a valid
+/// task, else the reason (the wire's wording, docs/service.md §2); only a
+/// failing task builds a string.
+std::string task_error(const Task& t);
+
+/// A task id carried as a JSON number (the wire, fuzz reproducers): it must
+/// be an integer of magnitude at most 2e9. Returns false, leaving `*id`
+/// alone, for a fraction, a non-finite value or a larger magnitude.
+bool task_id_from_number(double v, int* id);
+
 /// Classification of a task set against the paper's task models.
 enum class TaskModel {
   kCommonRelease,      ///< all r_i equal (individual deadlines) — §4
@@ -69,13 +81,31 @@ class TaskSet {
   /// Largest filled speed over the set (infeasibility check vs s_up).
   double max_filled_speed() const;
 
-  /// Returns a copy sorted by (deadline, release, id).
+  /// The order of sorted_by_deadline(): (deadline, release, id).
+  struct ByDeadline {
+    bool operator()(const Task& a, const Task& b) const {
+      if (a.deadline != b.deadline) return a.deadline < b.deadline;
+      if (a.release != b.release) return a.release < b.release;
+      return a.id < b.id;
+    }
+  };
+
+  /// The order of sorted_by_release(): (release, deadline, id).
+  struct ByRelease {
+    bool operator()(const Task& a, const Task& b) const {
+      if (a.release != b.release) return a.release < b.release;
+      if (a.deadline != b.deadline) return a.deadline < b.deadline;
+      return a.id < b.id;
+    }
+  };
+
+  /// Returns a copy sorted by ByDeadline.
   TaskSet sorted_by_deadline() const;
 
-  /// Returns a copy sorted by (release, deadline, id).
+  /// Returns a copy sorted by ByRelease.
   TaskSet sorted_by_release() const;
 
-  /// Validation: positive workloads, deadline > release, unique ids.
+  /// Validation: every task passes task_error(), and ids are unique.
   /// Returns an empty string when valid, else a diagnostic.
   std::string validate() const;
 

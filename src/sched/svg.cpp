@@ -8,6 +8,9 @@
 namespace sdem {
 namespace {
 
+constexpr int kWidth = 900;       ///< px, the whole figure
+constexpr int kLaneHeight = 26;   ///< px per lane
+
 /// Deterministic pleasant color per task id (golden-angle hue walk).
 std::string task_color(int id) {
   const double hue = std::fmod(137.50776405003785 * id, 360.0);
@@ -23,8 +26,8 @@ std::string render_svg(const Schedule& sched, const SvgOptions& opts) {
   const int cores = std::max(sched.cores_used(), 1);
   const int lanes = cores + (opts.show_memory ? 1 : 0);
   const int margin_left = 70, margin_top = opts.title.empty() ? 12 : 36;
-  const int height = margin_top + lanes * (opts.lane_height + 6) + 28;
-  const int plot_w = opts.width - margin_left - 12;
+  const int height = margin_top + lanes * (kLaneHeight + 6) + 28;
+  const int plot_w = kWidth - margin_left - 12;
 
   const double t0 = sched.start_time();
   const double t1 = std::max(sched.end_time(), t0 + 1e-9);
@@ -32,11 +35,11 @@ std::string render_svg(const Schedule& sched, const SvgOptions& opts) {
     return margin_left + (t - t0) / (t1 - t0) * plot_w;
   };
   auto y_of = [&](int lane) {
-    return margin_top + lane * (opts.lane_height + 6);
+    return margin_top + lane * (kLaneHeight + 6);
   };
 
   char buf[512];
-  os << "<svg xmlns=\"http://www.w3.org/2000/svg\" width=\"" << opts.width
+  os << "<svg xmlns=\"http://www.w3.org/2000/svg\" width=\"" << kWidth
      << "\" height=\"" << height << "\" font-family=\"sans-serif\" "
      << "font-size=\"11\">\n";
   if (!opts.title.empty()) {
@@ -49,8 +52,8 @@ std::string render_svg(const Schedule& sched, const SvgOptions& opts) {
     std::snprintf(buf, sizeof(buf),
                   "<rect x=\"%d\" y=\"%d\" width=\"%d\" height=\"%d\" "
                   "fill=\"#f2f2f2\"/>\n<text x=\"6\" y=\"%d\">core %d</text>\n",
-                  margin_left, y_of(c), plot_w, opts.lane_height,
-                  y_of(c) + opts.lane_height - 8, c);
+                  margin_left, y_of(c), plot_w, kLaneHeight,
+                  y_of(c) + kLaneHeight - 8, c);
     os << buf;
   }
 
@@ -63,14 +66,14 @@ std::string render_svg(const Schedule& sched, const SvgOptions& opts) {
                   "fill=\"%s\" stroke=\"#444\" stroke-width=\"0.4\">"
                   "<title>task %d: [%.4f, %.4f] s @ %.0f MHz</title>"
                   "</rect>\n",
-                  x, y_of(seg.core), w, opts.lane_height,
+                  x, y_of(seg.core), w, kLaneHeight,
                   task_color(seg.task_id).c_str(), seg.task_id, seg.start,
                   seg.end, seg.speed);
     os << buf;
-    if (opts.show_labels && w > 24.0) {
+    if (w > 24.0) {  // wide enough to label with the task id
       std::snprintf(buf, sizeof(buf),
                     "<text x=\"%.2f\" y=\"%d\" fill=\"#fff\">%d</text>\n",
-                    x + 4.0, y_of(seg.core) + opts.lane_height - 8,
+                    x + 4.0, y_of(seg.core) + kLaneHeight - 8,
                     seg.task_id);
       os << buf;
     }
@@ -83,8 +86,8 @@ std::string render_svg(const Schedule& sched, const SvgOptions& opts) {
                   "<rect x=\"%d\" y=\"%d\" width=\"%d\" height=\"%d\" "
                   "fill=\"#fbfbfb\" stroke=\"#ccc\" stroke-width=\"0.5\"/>"
                   "\n<text x=\"6\" y=\"%d\">MEM</text>\n",
-                  margin_left, y_of(lane), plot_w, opts.lane_height,
-                  y_of(lane) + opts.lane_height - 8);
+                  margin_left, y_of(lane), plot_w, kLaneHeight,
+                  y_of(lane) + kLaneHeight - 8);
     os << buf;
     for (const auto& b : sched.memory_busy()) {
       const double x = x_of(b.lo);
@@ -92,7 +95,7 @@ std::string render_svg(const Schedule& sched, const SvgOptions& opts) {
       std::snprintf(buf, sizeof(buf),
                     "<rect x=\"%.2f\" y=\"%d\" width=\"%.2f\" height=\"%d\" "
                     "fill=\"#666\"/>\n",
-                    x, y_of(lane), w, opts.lane_height);
+                    x, y_of(lane), w, kLaneHeight);
       os << buf;
     }
   }

@@ -12,10 +12,7 @@
 namespace sdem {
 
 struct SvgOptions {
-  int width = 900;        ///< px, time axis
-  int lane_height = 26;   ///< px per core lane
   bool show_memory = true;
-  bool show_labels = true;
   std::string title;      ///< optional header text
 };
 

@@ -59,13 +59,17 @@ TaskSet task_set_from_csv(const std::string& csv) {
     if (line.empty()) continue;
     Task t;
     int used = 0;
+    // The row's syntax only; TaskSet::validate() below judges its values.
     if (std::sscanf(line.c_str(), "%d,%lf,%lf,%lf%n", &t.id, &t.release,
                     &t.deadline, &t.work, &used) != 4 ||
-        !whole_finite_row(line, used, {t.release, t.deadline, t.work})) {
+        used != static_cast<int>(line.size())) {
       throw std::invalid_argument("task_set_from_csv: bad row at line " +
                                   std::to_string(lineno));
     }
     out.add(t);
+  }
+  if (const std::string err = out.validate(); !err.empty()) {
+    throw std::invalid_argument("task_set_from_csv: " + err);
   }
   return out;
 }
@@ -126,15 +130,13 @@ std::string render_gantt(const Schedule& sched, const GanttOptions& opts) {
     std::snprintf(head, sizeof(head), "core %2d |", c);
     os << head << lane << "|\n";
   }
-  if (opts.show_memory) {
-    std::string lane(w, ' ');
-    for (const auto& b : sched.memory_busy()) {
-      const int a = col(b.lo);
-      const int z = std::max(col(b.hi), a);
-      for (int i = a; i <= z; ++i) lane[i] = '=';
-    }
-    os << "MEM     |" << lane << "|\n";
+  std::string mem(w, ' ');
+  for (const auto& b : sched.memory_busy()) {
+    const int a = col(b.lo);
+    const int z = std::max(col(b.hi), a);
+    for (int i = a; i <= z; ++i) mem[i] = '=';
   }
+  os << "MEM     |" << mem << "|\n";
   char foot[96];
   std::snprintf(foot, sizeof(foot),
                 "        %.*s  t = [%.4f s, %.4f s]\n", 0, "", t0, t1);

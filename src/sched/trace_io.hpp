@@ -18,7 +18,9 @@ namespace sdem {
 std::string schedule_to_csv(const Schedule& sched);
 
 /// Task-set CSV with header "id,release,deadline,work" (seconds /
-/// megacycles, full precision) and its parser.
+/// megacycles, full precision) and its parser. The parser throws
+/// std::invalid_argument on a malformed row and on any set that
+/// TaskSet::validate() refuses, with its reason.
 std::string task_set_to_csv(const TaskSet& tasks);
 TaskSet task_set_from_csv(const std::string& csv);
 
@@ -28,12 +30,11 @@ Schedule schedule_from_csv(const std::string& csv);
 
 struct GanttOptions {
   int width = 72;          ///< characters across the time axis
-  bool show_memory = true; ///< add a MEM lane showing the busy union
 };
 
 /// ASCII Gantt: one row per core; '#'-blocks for executions labelled with
-/// task ids where they fit, '.' for idle. The MEM lane shows '=' while any
-/// core is busy and ' ' while the memory could sleep.
+/// task ids where they fit, '.' for idle. A last MEM lane shows '=' while
+/// any core is busy and ' ' while the memory could sleep.
 std::string render_gantt(const Schedule& sched, const GanttOptions& opts = {});
 
 }  // namespace sdem

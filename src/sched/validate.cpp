@@ -10,6 +10,10 @@ namespace {
 
 using Kind = ScheduleViolation::Kind;
 
+constexpr double kWorkTol = 1e-6;   ///< relative, on executed workload
+constexpr double kTimeTol = 1e-9;   ///< absolute (s), window/overlap checks
+constexpr double kSpeedTol = 1e-6;  ///< relative, on the s_up check
+
 /// Accumulates violations up to the configured cap.
 class Collector {
  public:
@@ -99,19 +103,19 @@ ValidationResult validate_schedule(const Schedule& sched, const TaskSet& tasks,
       err << "task " << s.task_id << ": non-positive speed " << s.speed;
       out.add(Kind::kBadSpeed, s.task_id, s.core, s.start, err.str());
     } else if (opts.enforce_speed_bounds && cfg.core.s_up > 0.0 &&
-               s.speed > cfg.core.s_up * (1.0 + opts.speed_tol)) {
+               s.speed > cfg.core.s_up * (1.0 + kSpeedTol)) {
       err.str({});
       err << "task " << s.task_id << ": speed " << s.speed << " exceeds s_up "
           << cfg.core.s_up;
       out.add(Kind::kBadSpeed, s.task_id, s.core, s.start, err.str());
     }
-    if (s.start < t.release - opts.time_tol) {
+    if (s.start < t.release - kTimeTol) {
       err.str({});
       err << "task " << s.task_id << ": starts at " << s.start
           << " before release " << t.release;
       out.add(Kind::kBeforeRelease, s.task_id, s.core, s.start, err.str());
     }
-    if (s.end > t.deadline + opts.time_tol) {
+    if (s.end > t.deadline + kTimeTol) {
       err.str({});
       err << "task " << s.task_id << ": ends at " << s.end
           << " after deadline " << t.deadline;
@@ -138,7 +142,7 @@ ValidationResult validate_schedule(const Schedule& sched, const TaskSet& tasks,
     if (out.full()) break;
     const double done = sched.task_work(t.id);
     if (std::abs(done - t.work) >
-        opts.work_tol * std::max(1.0, std::abs(t.work))) {
+        kWorkTol * std::max(1.0, std::abs(t.work))) {
       std::ostringstream err;
       err << "task " << t.id << ": executed " << done << " of " << t.work
           << " megacycles";
@@ -151,7 +155,7 @@ ValidationResult validate_schedule(const Schedule& sched, const TaskSet& tasks,
   for (int c = 0; c < cores && !out.full(); ++c) {
     const auto segs = sched.core_segments(c);
     for (std::size_t i = 1; i < segs.size(); ++i) {
-      if (segs[i].start < segs[i - 1].end - opts.time_tol) {
+      if (segs[i].start < segs[i - 1].end - kTimeTol) {
         std::ostringstream err;
         err << "core " << c << ": tasks " << segs[i - 1].task_id << " and "
             << segs[i].task_id << " overlap at t=" << segs[i].start;
@@ -177,7 +181,7 @@ ValidationResult validate_schedule(const Schedule& sched, const TaskSet& tasks,
     }
     if (opts.require_non_preemptive) {
       for (std::size_t i = 1; i < segs.size(); ++i) {
-        if (segs[i].start > segs[i - 1].end + opts.time_tol) {
+        if (segs[i].start > segs[i - 1].end + kTimeTol) {
           std::ostringstream err;
           err << "task " << id << " is preempted at t=" << segs[i - 1].end;
           out.add(Kind::kPreemption, id, segs[i].core, segs[i - 1].end,

@@ -21,10 +21,9 @@
 
 namespace sdem {
 
+/// The checks allow 1e-6 relative on executed workload and on the s_up
+/// check, and 1e-9 s absolute on window and overlap checks.
 struct ValidateOptions {
-  double work_tol = 1e-6;    ///< relative tolerance on executed workload
-  double time_tol = 1e-9;    ///< absolute slack on window/overlap checks (s)
-  double speed_tol = 1e-6;   ///< relative slack on the s_up check
   bool require_non_preemptive = false;  ///< one contiguous run per task
   bool require_non_migrating = true;    ///< all segments of a task on 1 core
   bool enforce_speed_bounds = true;     ///< check speed <= s_up
@@ -38,7 +37,7 @@ struct ScheduleViolation {
   enum class Kind {
     kUnknownTask,      ///< segment references a task id not in the set
     kEmptySegment,     ///< end <= start
-    kBadSpeed,         ///< speed <= 0 or speed > s_up (1 + tol)
+    kBadSpeed,         ///< speed <= 0 or speed > s_up (1 + 1e-6)
     kBeforeRelease,    ///< segment starts before the task's release
     kAfterDeadline,    ///< segment ends after the task's deadline
     kBadCore,          ///< negative core index

@@ -31,7 +31,7 @@ bool read_task(const Json& obj, Task* out, std::string* err) {
   }
   const auto field = [&](const char* name, double* dst) {
     const Json* v = t->find(name);
-    if (v == nullptr || !v->is_number() || !std::isfinite(v->as_number())) {
+    if (v == nullptr || !v->is_number()) {
       *err = std::string("task field \"") + name + "\" must be a finite number";
       return false;
     }
@@ -43,30 +43,12 @@ bool read_task(const Json& obj, Task* out, std::string* err) {
       !field("deadline", &out->deadline) || !field("work", &out->work)) {
     return false;
   }
-  if (id != std::floor(id) || std::abs(id) > 2e9) {
+  if (!task_id_from_number(id, &out->id)) {
     *err = "task field \"id\" must be an integer";
     return false;
   }
-  out->id = static_cast<int>(id);
-  if (out->work < 0.0) {
-    *err = "task field \"work\" must be >= 0";
-    return false;
-  }
-  if (!(out->deadline > out->release)) {
-    *err = "task \"deadline\" must be > \"release\"";
-    return false;
-  }
-  // Finite fields can still overflow: a window from -1e308 to 1e308 is
-  // inf long, and 1e308 Mcycles over half a second fill at inf.
-  if (!std::isfinite(out->region())) {
-    *err = "task \"deadline\" - \"release\" must be finite";
-    return false;
-  }
-  if (!std::isfinite(out->filled_speed())) {
-    *err = "task \"work\" / (\"deadline\" - \"release\") must be finite";
-    return false;
-  }
-  return true;
+  *err = task_error(*out);
+  return err->empty();
 }
 
 }  // namespace

@@ -65,8 +65,8 @@ struct Parsed {
 
 /// Parse and validate one request line against the grammar above. Never
 /// throws: malformed JSON, wrong types, unknown ops, islands outside
-/// [0, kMaxIslands) and invalid tasks (work < 0, deadline <= release,
-/// non-finite fields) all come back as `ok == false` with a one-line
+/// [0, kMaxIslands), task ids that are not integers and tasks that
+/// task_error() refuses all come back as `ok == false` with a one-line
 /// diagnostic.
 Parsed parse_request(const std::string& line);
 

@@ -120,11 +120,6 @@ struct Service::Shard {
 Service::Service(ServiceOptions opt, ThreadPool* pool,
                  std::function<void(const Request&, Json)> done)
     : opt_(std::move(opt)), pool_(pool), done_(std::move(done)) {
-  if (opt_.cfg.unbounded()) {
-    throw std::invalid_argument(
-        "service: cfg must bound num_cores (an online stream has no task "
-        "count to size an unbounded system from)");
-  }
   if (opt_.shards < 1) throw std::invalid_argument("service: shards < 1");
   if (opt_.producers != 1) {
     throw std::invalid_argument(
@@ -158,6 +153,11 @@ Service::~Service() {
   }
 }
 
+const SystemConfig& Service::config() {
+  static const SystemConfig cfg = SystemConfig::paper_default();
+  return cfg;
+}
+
 std::size_t Service::shard_index(int island) const {
   return static_cast<std::size_t>(island) % shards_.size();
 }
@@ -167,7 +167,7 @@ Service::Island& Service::island_of(Shard& s, int island) {
   if (it == s.islands.end()) {
     it = s.islands
              .emplace(island, std::make_unique<Island>(
-                                  opt_.cfg, make_policy(opt_.policy),
+                                  config(), make_policy(opt_.policy),
                                   /*record=*/!opt_.eager))
              .first;
   }
@@ -331,9 +331,8 @@ void Service::process(Shard& s, Request& r) {
       // Advisory admission: the paper's standing assumption (filled speed
       // within s_up). The task is scheduled either way; a false here
       // predicts a deadline miss unless other slack appears.
-      const double s_up = opt_.cfg.core.s_up;
       const double fs = r.task.filled_speed();
-      resp.set("admitted", s_up <= 0.0 || fs <= s_up * (1.0 + 1e-12));
+      resp.set("admitted", config().core.admits(fs));
       resp.set("filled_speed", fs);
       if (opt_.eager) {
         const std::uint64_t t0 = obs::now_ns();

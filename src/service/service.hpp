@@ -74,7 +74,6 @@ namespace sdem::service {
 std::unique_ptr<OnlinePolicy> make_policy(const std::string& name);
 
 struct ServiceOptions {
-  SystemConfig cfg = SystemConfig::paper_default();
   std::string policy = "sdem-on";
   int shards = 1;
   /// Ingest threads: only 1 is accepted, and the constructor throws for
@@ -103,9 +102,8 @@ class Service {
   /// routing stub (seq/conn/conn_seq valid, task fields not).
   /// `pool` may be null: requests are then drained inline by route_raw()/
   /// flush() — the serial reference the sharded runs must match.
-  /// Throws std::invalid_argument for an unknown policy name, an unbounded
-  /// cfg (an online stream has no task count to size cores from),
-  /// shards < 1, or producers other than 1.
+  /// Throws std::invalid_argument for an unknown policy name, shards < 1,
+  /// or producers other than 1.
   Service(ServiceOptions opt, ThreadPool* pool,
           std::function<void(const Request&, Json)> done);
   ~Service();
@@ -167,6 +165,11 @@ class Service {
 
   std::uint64_t requests_processed() const;
   int shards() const { return static_cast<int>(shards_.size()); }
+
+  /// The system every island runs: the paper's §8.1.3 default, whose 8
+  /// cores bound each island (an online stream has no task count to size
+  /// an unbounded system from).
+  static const SystemConfig& config();
 
  private:
   struct Island;

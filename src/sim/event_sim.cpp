@@ -119,18 +119,13 @@ void StreamSim::commit() {
   const double t = batch_time_;
   SDEM_OBS_INC("sim/arrival_events");
   account(t);
-  // Admit the batch in the batch loop's within-instant order: deadline, then
-  // id (TaskSet::sorted_by_release ties). stable_sort keeps injection order
-  // for exact duplicates, so driving StreamSim from an already-sorted set is
-  // a no-op permutation. It takes a scratch buffer even for one task, the
+  // Admit the batch in the batch loop's order (TaskSet::sorted_by_release;
+  // the batch shares one release). stable_sort keeps injection order for
+  // exact duplicates, so driving StreamSim from an already-sorted set is a
+  // no-op permutation. It takes a scratch buffer even for one task, the
   // common batch, so a single arrival skips it.
   if (batch_.size() > 1) {
-    std::stable_sort(batch_.begin(), batch_.end(),
-                     [](const Task& a, const Task& b) {
-                       if (a.deadline != b.deadline)
-                         return a.deadline < b.deadline;
-                       return a.id < b.id;
-                     });
+    std::stable_sort(batch_.begin(), batch_.end(), TaskSet::ByRelease{});
   }
   for (const Task& task : batch_) {
     PendingTask p;

@@ -17,6 +17,8 @@ namespace {
 
 namespace fs = std::filesystem;
 
+constexpr int kShrinkAttempts = 400;  ///< predicate budget per shrink
+
 double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
       .count();
@@ -103,19 +105,13 @@ FuzzReport run_fuzz(const FuzzOptions& opts, std::ostream& log) {
     ++report.cases_run;
     ++per_model[static_cast<int>(model)];
 
-    auto violations = check_case(c, opts.check);
-    if (violations.empty()) continue;
+    if (check_case(c, opts.check).empty()) continue;
 
     FuzzFailure failure;
     failure.original = c;
-    if (opts.shrink) {
-      auto shrunk = shrink_case(c, opts.check, opts.shrink_attempts);
-      failure.reduced = std::move(shrunk.reduced);
-      failure.violations = std::move(shrunk.violations);
-    } else {
-      failure.reduced = c;
-      failure.violations = std::move(violations);
-    }
+    auto shrunk = shrink_case(c, opts.check, kShrinkAttempts);
+    failure.reduced = std::move(shrunk.reduced);
+    failure.violations = std::move(shrunk.violations);
     failure.repro_path = write_repro(opts, failure);
     narrate_failure(failure, opts, log);
     report.failures.push_back(std::move(failure));

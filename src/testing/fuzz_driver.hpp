@@ -29,8 +29,6 @@ struct FuzzOptions {
                                     ModelClass::kGeneral,
                                     ModelClass::kSleepLadder};
   int max_failures = 5;          ///< stop after this many distinct failures
-  bool shrink = true;            ///< auto-shrink failing cases
-  int shrink_attempts = 400;     ///< predicate budget per shrink
   std::string out_dir;           ///< where .repro.json files go ("": no files)
   bool quiet = false;            ///< suppress per-failure test-body dump
   CheckOptions check;
@@ -38,7 +36,7 @@ struct FuzzOptions {
 
 struct FuzzFailure {
   FuzzCase original;             ///< as generated
-  FuzzCase reduced;              ///< after shrinking (== original if off)
+  FuzzCase reduced;              ///< after shrinking
   std::vector<Violation> violations;  ///< of the reduced case
   std::string repro_path;        ///< written file ("" if out_dir unset)
 };

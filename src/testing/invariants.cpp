@@ -125,8 +125,7 @@ class Checker {
         }
         break;
     }
-    if (c_.cfg.core.s_up > 0.0 &&
-        c_.tasks.max_filled_speed() > c_.cfg.core.s_up * (1.0 + 1e-12)) {
+    if (!c_.cfg.core.admits(c_.tasks.max_filled_speed())) {
       add("class:feasible", "max filled speed " +
                                 num(c_.tasks.max_filled_speed()) +
                                 " exceeds s_up " + num(c_.cfg.core.s_up));

@@ -157,13 +157,16 @@ FuzzCase parse_repro_body(const Json& doc) {
   for (std::size_t i = 0; i < tasks.size(); ++i) {
     const Json& jt = tasks.at(i);
     Task t;
-    t.id = static_cast<int>(require_number(jt, "id"));
+    if (!task_id_from_number(require_number(jt, "id"), &t.id))
+      throw std::invalid_argument("repro: task id must be an integer");
     t.release = require_number(jt, "release");
     t.deadline = require_number(jt, "deadline");
     t.work = require_number(jt, "work");
     v.push_back(t);
   }
   c.tasks = TaskSet(std::move(v));
+  if (const std::string err = c.tasks.validate(); !err.empty())
+    throw std::invalid_argument("repro: " + err);
   return c;
 }
 

@@ -24,8 +24,9 @@ namespace sdem::testing {
 std::string repro_to_json(const FuzzCase& c,
                           const std::vector<Violation>& violations = {});
 
-/// Parse a repro document. Throws std::invalid_argument on malformed input
-/// or missing fields.
+/// Parse a repro document. Throws std::invalid_argument on malformed input,
+/// missing fields, a task id that is not an integer (the wire's rule) or a
+/// task set that TaskSet::validate() refuses.
 FuzzCase repro_from_json(const std::string& text);
 
 /// A ready-to-paste TEST(...) body reproducing the case through

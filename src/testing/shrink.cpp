@@ -32,11 +32,7 @@ bool structurally_valid(const FuzzCase& c) {
       if (c.cfg.memory.ladder.empty()) return false;
       break;
   }
-  if (c.cfg.core.s_up > 0.0 &&
-      c.tasks.max_filled_speed() > c.cfg.core.s_up) {
-    return false;
-  }
-  return true;
+  return c.cfg.core.admits(c.tasks.max_filled_speed());
 }
 
 double round_digits(double v, int digits) {

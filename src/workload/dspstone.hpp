@@ -10,7 +10,7 @@
 //     (streaming DSP pipelines hand the filter whole buffers, not single
 //     frames) — 1.31 megacycles per 16-frame instance.
 //   * matmul: [X x Y] * [Y x Z] with X, Y, Z drawn uniformly from
-//     [dim_lo, dim_hi]; 2 cycles per multiply-accumulate.
+//     [40, 80]; 2 cycles per multiply-accumulate.
 //
 // As in the paper, an instance's feasible region equals its processing time
 // at 16.5 MHz (the reference DSP's clock), and instances of each stream are
@@ -25,12 +25,9 @@
 namespace sdem {
 
 struct DspstoneParams {
-  int num_tasks = 200;    ///< total instances across all streams
-  int num_streams = 8;    ///< one per core, alternating FFT / matmul
+  int num_tasks = 200;    ///< total instances across all 8 streams
   double utilization_u = 4.0;  ///< the paper's U in [2, 9]
   int fft_batch = 16;     ///< frames per FFT instance
-  int dim_lo = 40;        ///< matmul dimension range
-  int dim_hi = 80;
   double ref_mhz = 16.5;  ///< reference DSP clock defining the regions
 };
 

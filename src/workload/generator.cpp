@@ -15,7 +15,7 @@ TaskSet make_synthetic(const SyntheticParams& p, std::uint64_t seed) {
     Task task;
     task.id = i;
     task.release = t;
-    task.work = rng.uniform(p.work_lo, p.work_hi);
+    task.work = rng.uniform(kWorkLo, kWorkHi);
     task.deadline = t + rng.uniform(p.region_lo, p.region_hi);
     out.add(task);
   }
@@ -51,7 +51,7 @@ TaskSet make_bursty(const BurstyParams& p, std::uint64_t seed) {
       Task task;
       task.id = id++;
       task.release = t;
-      task.work = rng.uniform(p.work_lo, p.work_hi);
+      task.work = rng.uniform(kWorkLo, kWorkHi);
       task.deadline = t + rng.uniform(p.region_lo, p.region_hi);
       out.add(task);
     }

@@ -16,10 +16,12 @@
 
 namespace sdem {
 
+/// Workload range of every generated task, megacycles (§8.1.2).
+inline constexpr double kWorkLo = 2.0;
+inline constexpr double kWorkHi = 5.0;
+
 struct SyntheticParams {
   int num_tasks = 100;
-  double work_lo = 2.0;      ///< megacycles
-  double work_hi = 5.0;
   double region_lo = 0.010;  ///< seconds
   double region_hi = 0.120;
   double max_interarrival = 0.400;  ///< the paper's x, seconds
@@ -31,14 +33,14 @@ TaskSet make_synthetic(const SyntheticParams& p, std::uint64_t seed);
 /// All tasks released at `release`; deadlines spread over regions drawn as
 /// above. For the Section 4 schemes.
 TaskSet make_common_release(int num_tasks, double release, std::uint64_t seed,
-                            double work_lo = 2.0, double work_hi = 5.0,
+                            double work_lo = kWorkLo, double work_hi = kWorkHi,
                             double region_lo = 0.010, double region_hi = 0.120);
 
 /// Agreeable set: releases spaced by [0, max_interarrival]; each deadline =
 /// release + region with regions drawn so that deadlines stay sorted.
 TaskSet make_agreeable(int num_tasks, std::uint64_t seed,
                        double max_interarrival = 0.050,
-                       double work_lo = 2.0, double work_hi = 5.0,
+                       double work_lo = kWorkLo, double work_hi = kWorkHi,
                        double region_lo = 0.010, double region_hi = 0.120);
 
 /// Bursty arrivals (interrupt storms): tasks arrive in bursts of
@@ -50,8 +52,6 @@ struct BurstyParams {
   int burst_size = 8;
   double intra_spacing = 0.002;  ///< max spacing inside a burst, s
   double burst_gap = 0.500;      ///< mean gap between bursts, s
-  double work_lo = 2.0;
-  double work_hi = 5.0;
   double region_lo = 0.010;
   double region_hi = 0.120;
 };

@@ -126,6 +126,27 @@ TEST(FuzzShrink, ReducesToMinimalFailingCase) {
   EXPECT_TRUE(kept_signature);
 }
 
+TEST(FuzzShrink, AcceptsAReductionInsideTheAdmissionSlack) {
+  // The shrinker keeps exactly the cases the solvers admit: a filled speed
+  // up to s_up (1 + 1e-12). Under a negative ordering tolerance every valid
+  // case fails, so the first reduction, which drops task 0 and keeps task 1
+  // at the slack's edge, is accepted.
+  auto opts = fast_opts();
+  opts.order_tol = -1.0;
+  sdem::testing::FuzzCase c;
+  c.model = sdem::testing::ModelClass::kCommonRelease;
+  c.cfg = test::make_cfg(0.31, 4.0);
+  TaskSet ts;
+  ts.add(test::task(0, 0.0, 2.0, 100.0));
+  ts.add(test::task(1, 0.0, 1.0, 1900.0 * (1.0 + 1e-12)));
+  c.tasks = ts;
+  ASSERT_FALSE(sdem::testing::check_case(c, opts).empty());
+
+  const auto r = sdem::testing::shrink_case(c, opts, 50);
+  ASSERT_EQ(r.reduced.tasks.size(), 1u);
+  EXPECT_EQ(r.reduced.tasks[0].id, 1);
+}
+
 TEST(FuzzShrink, CleanCaseIsUntouched) {
   const auto c = sdem::testing::generate_case(
       sdem::testing::ModelClass::kCommonRelease, 3);
@@ -159,6 +180,30 @@ TEST(FuzzRepro, RejectsMalformedDocuments) {
       sdem::testing::repro_from_json(
           R"({"sdem_repro": 1, "model": "common_release", "tasks": 3})"),
       std::invalid_argument);
+}
+
+TEST(FuzzRepro, RefusesBadIdsAndInvalidTasks) {
+  // Task ids follow the wire's rule, and the task set TaskSet::validate().
+  const auto doc = [](const std::string& tasks) {
+    return R"({"sdem_repro": 1, "model": "general", "config": {"core": )"
+           R"({"alpha": 0.31, "beta": 2.53e-10, "lambda": 3, "s_up": 1900},)"
+           R"( "memory": {"alpha_m": 4}}, "tasks": [)" +
+           tasks + "]}";
+  };
+  EXPECT_NO_THROW(sdem::testing::repro_from_json(
+      doc(R"({"id": 3, "release": 0, "deadline": 1, "work": 5})")));
+  for (const char* bad : {
+           R"({"id": 1e20, "release": 0, "deadline": 1, "work": 5})",
+           R"({"id": 1.5, "release": 0, "deadline": 1, "work": 5})",
+           R"({"id": 1, "release": 1, "deadline": 0.5, "work": 5})",
+           R"({"id": 1, "release": 0, "deadline": 1, "work": -5})",
+           R"({"id": 1, "release": 0, "deadline": 1, "work": 5},)"
+           R"({"id": 1, "release": 0, "deadline": 2, "work": 5})",
+       }) {
+    EXPECT_THROW(sdem::testing::repro_from_json(doc(bad)),
+                 std::invalid_argument)
+        << bad;
+  }
 }
 
 TEST(FuzzRepro, TestBodyNamesTheCase) {

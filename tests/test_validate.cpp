@@ -134,7 +134,7 @@ TEST(Validate, EmptySegmentAndBadSpeed) {
 
 TEST(Validate, DeadlineExactCompletionIsFeasible) {
   // Ending exactly at d_i (and starting exactly at r_i) is feasible: the
-  // window checks allow time_tol slack, and an exact boundary needs none.
+  // window checks allow 1e-9 s slack, and an exact boundary needs none.
   TaskSet ts;
   ts.add(task(0, 0.25, 1.25, 100.0));
   Schedule s;

@@ -2,7 +2,7 @@
 //
 //   sdem_fuzz [--cases N] [--budget-seconds S] [--seed S]
 //             [--model all|common_release|agreeable|general|sleep_ladder]
-//             [--out-dir DIR] [--jobs N] [--no-shrink] [--no-reference]
+//             [--out-dir DIR] [--jobs N] [--no-reference]
 //             [--max-failures N] [--quiet]
 //   sdem_fuzz --replay FILE.repro.json [FILE2 ...]
 //   sdem_fuzz --replay-dir DIR
@@ -53,7 +53,6 @@ int usage(const char* argv0) {
       << "                      0..1024 (default 2; 0 disables the check)\n"
       << "  --max-failures N    stop after N distinct failures (default 5;\n"
       << "                      0 = no limit)\n"
-      << "  --no-shrink         keep failing cases as generated\n"
       << "  --no-reference      skip the slow grid-reference oracles\n"
       << "  --quiet             no per-failure regression-test dump\n"
       << "  --replay FILE...    replay repro files instead of fuzzing\n"
@@ -115,8 +114,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--max-failures") {
       opts.max_failures =
           int_flag("--max-failures", need_value(i), 0, INT_MAX, bad);
-    } else if (arg == "--no-shrink") {
-      opts.shrink = false;
     } else if (arg == "--no-reference") {
       opts.check.run_reference = false;
     } else if (arg == "--quiet") {

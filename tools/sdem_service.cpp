@@ -24,8 +24,8 @@
 // throughput and replan latency (cumulative in STATS, windowed Prometheus
 // exposition in METRICS) from the obs runtime domain.
 //
-// SIGINT/SIGTERM stop the daemon cleanly (self-pipe → request_stop), so an
-// interrupted --trace run still flushes a valid chrome://tracing JSON.
+// SIGINT/SIGTERM stop the daemon cleanly (the handler calls request_stop),
+// so an interrupted --trace run still flushes a valid chrome://tracing JSON.
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
@@ -112,18 +112,18 @@ struct Options {
   std::string trace;
 };
 
-/// SIGINT/SIGTERM → one byte down a self-pipe; a watcher thread turns it
-/// into Daemon::request_stop(). The handler itself only calls write()
-/// (async-signal-safe) — the daemon then unwinds normally, so end-of-run
-/// work (the --trace flush in main) still happens.
-int g_signal_pipe[2] = {-1, -1};
+/// The daemon whose run() is serving. SIGINT/SIGTERM call its
+/// request_stop() directly: an atomic store and a write(2) to its wake
+/// pipe, both async-signal-safe. The daemon then unwinds normally, so
+/// end-of-run work (the --trace flush in main) still happens. A handler
+/// that runs on a pool thread finishes before ~Daemon's pool join returns,
+/// and so before the wake pipe closes.
+std::atomic<Daemon*> g_serving{nullptr};
 
 extern "C" void on_terminate_signal(int) {
-  const char b = 1;
-  ssize_t n;
-  do {
-    n = ::write(g_signal_pipe[1], &b, 1);
-  } while (n < 0 && errno == EINTR);
+  const int saved = errno;
+  if (Daemon* d = g_serving.load()) d->request_stop();
+  errno = saved;
 }
 
 /// The canned per-island synthetic streams (paper §8.1.2 generator), merged
@@ -277,7 +277,7 @@ int run_replay(const Options& o) {
   for (const auto& isl : islands) {
     const auto policy = make_policy(o.policy);
     const SimResult batch =
-        simulate(TaskSet(isl.tasks), sopt.cfg, *policy);
+        simulate(TaskSet(isl.tasks), Service::config(), *policy);
     const std::string got = island_report(isl, isl.result);
     const std::string expect = island_report(isl, batch);
     if (got != expect || isl.result.horizon_lo != batch.horizon_lo ||
@@ -466,28 +466,13 @@ int main(int argc, char** argv) {
       dopt.port = o.port;
       dopt.use_stdin = true;
       Daemon daemon(dopt);
-      std::thread sig_watcher;
-      if (::pipe(g_signal_pipe) == 0) {
-        std::signal(SIGINT, on_terminate_signal);
-        std::signal(SIGTERM, on_terminate_signal);
-        sig_watcher = std::thread([&daemon] {
-          char b;
-          ssize_t n;
-          do {
-            n = ::read(g_signal_pipe[0], &b, 1);
-          } while (n < 0 && errno == EINTR);
-          // n == 0: main closed the write end after a normal exit.
-          if (n > 0) daemon.request_stop();
-        });
-      }
+      g_serving.store(&daemon);
+      std::signal(SIGINT, on_terminate_signal);
+      std::signal(SIGTERM, on_terminate_signal);
       rc = daemon.run();
-      if (sig_watcher.joinable()) {
-        std::signal(SIGINT, SIG_DFL);
-        std::signal(SIGTERM, SIG_DFL);
-        ::close(g_signal_pipe[1]);  // EOF-wakes the watcher if no signal came
-        sig_watcher.join();
-        ::close(g_signal_pipe[0]);
-      }
+      std::signal(SIGINT, SIG_DFL);
+      std::signal(SIGTERM, SIG_DFL);
+      g_serving.store(nullptr);
     }
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
