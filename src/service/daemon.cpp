@@ -501,25 +501,15 @@ void Daemon::dispatch(std::string line, Conn& c) {
   const std::uint64_t seq = seq_++;
   const std::uint64_t conn_seq = c.conn_seq++;
 
-  const Peeked peek = peek_request(line);
-  if (peek.routable()) {
-    // Fast path: ship the raw line; the shard's drain parses it.
-    svc_->route_raw(peek.island, peek.op, std::move(line), seq, c.id,
+  const RouteKey key = route_key(line);
+  if (!key.ok) {
+    post(c.id, conn_seq, error_response(seq, key.error).dump(0));
+    return;
+  }
+  if (key.op == Op::kSubmit || key.op == Op::kQuery) {
+    // Ship the raw line; the shard's drain parses it.
+    svc_->route_raw(key.island, key.op, std::move(line), seq, c.id,
                     conn_seq);
-    return;
-  }
-
-  // Peek miss (STATS, METRICS, SHUTDOWN, or a SUBMIT the peek cannot route,
-  // such as "island":2.0): full parse here on the loop.
-  const Parsed p = parse_request(line);
-  if (!p.ok) {
-    post(c.id, conn_seq, error_response(seq, p.error).dump(0));
-    return;
-  }
-  if (p.request.op == Op::kSubmit || p.request.op == Op::kQuery) {
-    // Route the line under its parsed key; the shard parses it again.
-    svc_->route_raw(p.request.island, p.request.op, std::move(line), seq,
-                    c.id, conn_seq);
     return;
   }
   // Service-wide barrier: the loop is the only producer, so with its
@@ -528,9 +518,9 @@ void Daemon::dispatch(std::string line, Conn& c) {
   // answer counts every request dispatched before it.
   svc_->flush();
   Json resp;
-  if (p.request.op == Op::kStats) {
+  if (key.op == Op::kStats) {
     resp = svc_->stats(seq);
-  } else if (p.request.op == Op::kMetrics) {
+  } else if (key.op == Op::kMetrics) {
     resp = svc_->metrics(seq);
   } else {
     svc_->drain_all();

@@ -231,6 +231,13 @@ Peeked peek_request(const std::string& line) {
   }
 }
 
+RouteKey route_key(const std::string& line) {
+  const Peeked peek = peek_request(line);
+  if (peek.routable()) return {true, peek.op, peek.island, {}};
+  Parsed p = parse_request(line);
+  return {p.ok, p.request.op, p.request.island, std::move(p.error)};
+}
+
 Json error_response(std::uint64_t seq, const std::string& message) {
   Json j = Json::object();
   j.set("ok", false);

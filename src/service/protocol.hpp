@@ -98,6 +98,19 @@ struct Peeked {
 };
 Peeked peek_request(const std::string& line);
 
+/// A request line's routing key: the peek's op and island when the peek
+/// routes the line, without a parse; else those of parse_request(), which
+/// learns them for STATS, METRICS, SHUTDOWN and a SUBMIT or QUERY the peek
+/// misses (such as "island":2.0). `ok == false` carries the parse's
+/// diagnostic. A routed line is parsed again on its shard.
+struct RouteKey {
+  bool ok = false;
+  Op op = Op::kStats;
+  int island = -1;
+  std::string error;
+};
+RouteKey route_key(const std::string& line);
+
 /// {"ok":false,"seq":...,"error":"..."} — the uniform failure envelope.
 Json error_response(std::uint64_t seq, const std::string& message);
 

@@ -1,6 +1,7 @@
 #include "sim/event_sim.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <map>
 #include <stdexcept>
@@ -39,9 +40,60 @@ void flush_sim_counters(const SimResult& res) {
   SDEM_OBS_COUNT("sim/unfinished_tasks", res.unfinished);
 }
 
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
 /// Whether a task finishing at `at` (+inf: never) missed its deadline.
 bool missed(const Task& t, double at) {
   return at > t.deadline + 1e-9 * std::max(1.0, t.deadline);
+}
+
+/// Whether a task of `work` declared megacycles that has `left` megacycles
+/// to run after `piece` is done: `left` is below 1e-9 of its work, or below
+/// the work the clock cannot resolve at the piece's end. A piece charges
+/// speed × (end − start) of rounded times, so at 1e5 s one ulp of `end`
+/// (1.5e-11 s) is worth 2.8e-8 megacycles at 1,900 MHz; a sliver that small
+/// would be planned a piece shorter than half an ulp, which never runs.
+bool finished(double left, double work, const Segment& piece) {
+  const double ulp = std::nextafter(piece.end, kInf) - piece.end;
+  return left < std::max(1e-9 * std::max(1.0, work), 2.0 * piece.speed * ulp);
+}
+
+/// The batch driver of simulate() and simulate_with_actuals(): inject each
+/// release instant's arrivals, each with its actual work, and commit them;
+/// when `reclaim` is set, take every completion before each new instant
+/// and after the last one.
+SimResult drive(const TaskSet& arrivals, const SystemConfig& cfg,
+                OnlinePolicy& policy,
+                const std::map<int, double>& actual_fraction, bool reclaim) {
+  if (arrivals.empty()) return SimResult{};
+  // An unbounded config means "as many cores as tasks" — a count only a
+  // closed set has, so it is resolved here rather than inside StreamSim.
+  const TaskSet sorted = arrivals.sorted_by_release();
+  const int cores = cfg.unbounded() ? static_cast<int>(sorted.size())
+                                    : cfg.num_cores;
+  StreamSim sim(cfg, policy, cores);
+  const auto complete_before = [&](double t) {
+    if (!reclaim) return;
+    for (double tc = sim.next_completion(); tc < t;
+         tc = sim.next_completion()) {
+      sim.complete_at(tc);
+    }
+  };
+  for (std::size_t i = 0; i < sorted.size();) {
+    const double t = sorted[i].release;
+    complete_before(t);
+    for (; i < sorted.size() && sorted[i].release == t; ++i) {
+      const Task& task = sorted[i];
+      const auto it = actual_fraction.find(task.id);
+      sim.inject_arrival(task, it == actual_fraction.end()
+                                   ? task.work
+                                   : task.work * std::clamp(it->second,
+                                                            0.0, 1.0));
+    }
+    sim.commit();
+  }
+  complete_before(kInf);
+  return sim.finalize();
 }
 
 }  // namespace
@@ -52,44 +104,77 @@ StreamSim::StreamSim(const SystemConfig& cfg, OnlinePolicy& policy, int cores,
   policy_->reset();
 }
 
-void StreamSim::account(double upto) {
-  // Execute the current plan on [plan_from_, upto): clip segments, charge
-  // work, record completed pieces. Work is charged to the first pending
-  // entry carrying the segment's task id. A task's completion time is the
-  // end of the last piece charged to it, so its miss is counted once the
-  // whole plan is accounted, as it leaves the pending set.
-  finished_at_.assign(pending_.size(),
-                      std::numeric_limits<double>::infinity());
+void StreamSim::walk(double upto, bool execute) {
+  // The one walk of the plan: run it on [plan_from_, upto) over copies of
+  // the pending work. Work is charged to the first pending entry carrying
+  // the segment's task id; a task that runs less than it declares stops
+  // where its actual work is done, and its later pieces never run. A
+  // task's completion time is the end of the last piece charged to it.
+  // `execute` records the pieces; account() keeps the work left.
+  walked_.clear();
+  for (std::size_t i = 0; i < pending_.size(); ++i) {
+    walked_.push_back({pending_[i].remaining, actual_[i], kInf});
+  }
   for (const auto& seg : plan_) {
     const double lo = std::max(seg.start, plan_from_);
-    const double hi = std::min(seg.end, upto);
+    double hi = std::min(seg.end, upto);
     if (hi <= lo) continue;
+    const int pos = by_id_.find(seg.task_id);
+    Walked* w = pos < 0 ? nullptr : &walked_[static_cast<std::size_t>(pos)];
+    if (w != nullptr && w->runs < kInf) {
+      if (w->done_at < kInf) continue;
+      hi = std::min(hi, lo + w->runs / seg.speed);
+      if (hi <= lo) continue;
+    }
     Segment piece = seg;
     piece.start = lo;
     piece.end = hi;
-    if (record_) res_.schedule.add(piece);
-    max_end_ = std::max(max_end_, hi);
-    const int pos = by_id_.find(piece.task_id);
-    if (pos < 0) continue;  // no pending task carries this id
-    PendingTask& p = pending_[static_cast<std::size_t>(pos)];
-    p.remaining -= piece.work();
-    if (p.remaining < 1e-9 * std::max(1.0, p.task.work)) {
-      p.remaining = 0.0;
-      finished_at_[static_cast<std::size_t>(pos)] = hi;
+    if (execute) {
+      if (record_) res_.schedule.add(piece);
+      max_end_ = std::max(max_end_, hi);
+    }
+    if (w == nullptr) continue;  // no pending task carries this id
+    const double work = piece.work();
+    w->left -= work;
+    w->runs -= work;  // +inf stays +inf
+    if (finished(std::min(w->left, w->runs),
+                 pending_[static_cast<std::size_t>(pos)].task.work, piece)) {
+      w->done_at = hi;
     }
   }
+}
+
+void StreamSim::account(double upto) {
+  // Execute the plan up to `upto`. A task's miss is counted once the whole
+  // plan is accounted, as it leaves the pending set.
+  walk(upto, /*execute=*/true);
   std::size_t kept = 0;
   for (std::size_t i = 0; i < pending_.size(); ++i) {
-    if (pending_[i].remaining > 0.0) {
-      pending_[kept++] = pending_[i];
-    } else if (missed(pending_[i].task, finished_at_[i])) {
+    const Walked& w = walked_[i];
+    if (w.done_at == kInf) {
+      pending_[kept] = pending_[i];
+      pending_[kept].remaining = w.left;
+      actual_[kept] = w.runs;
+      ++kept;
+    } else if (missed(pending_[i].task, w.done_at)) {
       ++res_.deadline_misses;
     }
   }
   pending_.resize(kept);
+  actual_.resize(kept);
 }
 
-void StreamSim::inject_arrival(const Task& t) {
+void StreamSim::replan(double t, bool completion) {
+  plan_ = completion ? policy_->replan_completion(t, pending_, cfg_)
+                     : policy_->replan(t, pending_, cfg_);
+  by_id_.rebuild(pending_.size(),
+                 [this](std::size_t i) { return pending_[i].task.id; });
+  plan_from_ = t;
+  now_ = t;
+  ++res_.replans;
+}
+
+void StreamSim::inject_arrival(const Task& t, double actual_work) {
   if (finalized_) {
     throw std::logic_error("StreamSim: inject_arrival after finalize");
   }
@@ -107,7 +192,7 @@ void StreamSim::inject_arrival(const Task& t) {
   }
   if (!batch_.empty() && t.release != batch_time_) commit();
   batch_time_ = t.release;
-  batch_.push_back(t);
+  batch_.push_back({t, actual_work});
   ++arrivals_;
   max_deadline_ = std::max(max_deadline_, t.deadline);
   if (record_) tasks_seen_.push_back(t);
@@ -125,48 +210,49 @@ void StreamSim::commit() {
   // no-op permutation. It takes a scratch buffer even for one task, the
   // common batch, so a single arrival skips it.
   if (batch_.size() > 1) {
-    std::stable_sort(batch_.begin(), batch_.end(), TaskSet::ByRelease{});
+    std::stable_sort(batch_.begin(), batch_.end(),
+                     [](const Arrival& a, const Arrival& b) {
+                       return TaskSet::ByRelease{}(a.task, b.task);
+                     });
   }
-  for (const Task& task : batch_) {
+  for (const Arrival& a : batch_) {
     PendingTask p;
-    p.task = task;
-    p.remaining = task.work;
+    p.task = a.task;
+    p.remaining = a.task.work;
     p.core = rr_ % cores_;
     ++rr_;
-    if (p.remaining > 0.0) {
+    const bool runs_short = a.actual < a.task.work;
+    const double runs = runs_short ? a.actual : a.task.work;
+    if (runs > 0.0) {
       pending_.push_back(p);
-    } else if (!(task.work <= 0.0) &&
-               missed(task, std::numeric_limits<double>::infinity())) {
+      actual_.push_back(runs_short ? runs : kInf);
+    } else if (!(runs <= 0.0) && missed(a.task, kInf)) {
       ++res_.deadline_misses;  // NaN work: never runs, so never finishes
     }
   }
   batch_.clear();
-  plan_ = policy_->replan(t, pending_, cfg_);
-  by_id_.rebuild(pending_.size(),
-                 [this](std::size_t i) { return pending_[i].task.id; });
-  plan_from_ = t;
-  now_ = t;
-  ++res_.replans;
+  replan(t, /*completion=*/false);
+}
+
+double StreamSim::next_completion() {
+  walk(kInf, /*execute=*/false);
+  double first = kInf;
+  for (const Walked& w : walked_) first = std::min(first, w.done_at);
+  return first;
+}
+
+void StreamSim::complete_at(double t) {
+  SDEM_OBS_INC("sim/completion_events");
+  account(t);
+  replan(t, /*completion=*/true);
 }
 
 bool StreamSim::full_at(double t, std::size_t cap) {
   if (pending_.size() + batch_.size() < cap) return false;
   if (!batch_.empty() && t > batch_time_) commit();
-  // account(t) on a copy of the remaining work.
-  std::vector<double> left;
-  for (const auto& p : pending_) left.push_back(p.remaining);
-  for (const auto& seg : plan_) {
-    Segment piece = seg;
-    piece.start = std::max(seg.start, plan_from_);
-    piece.end = std::min(seg.end, t);
-    const int pos = by_id_.find(seg.task_id);
-    if (piece.end <= piece.start || pos < 0) continue;
-    const auto i = static_cast<std::size_t>(pos);
-    left[i] -= piece.work();
-    if (left[i] < 1e-9 * std::max(1.0, pending_[i].task.work)) left[i] = 0.0;
-  }
+  walk(t, /*execute=*/false);
   std::size_t held = batch_.size();
-  for (const double r : left) held += r > 0.0 ? 1 : 0;
+  for (const Walked& w : walked_) held += w.done_at == kInf ? 1 : 0;
   return held >= cap;
 }
 
@@ -182,9 +268,7 @@ const SimResult& StreamSim::finalize() {
   }
   res_.unfinished = static_cast<int>(pending_.size());
   for (const auto& p : pending_) {
-    if (missed(p.task, std::numeric_limits<double>::infinity())) {
-      ++res_.deadline_misses;
-    }
+    if (missed(p.task, kInf)) ++res_.deadline_misses;
   }
   res_.horizon_hi = std::max(max_deadline_, max_end_);
   finalized_ = true;
@@ -195,19 +279,7 @@ const SimResult& StreamSim::finalize() {
 SimResult simulate(const TaskSet& arrivals, const SystemConfig& cfg,
                    OnlinePolicy& policy) {
   SDEM_OBS_TIMER("sim/simulate");
-  SimResult res;
-  if (arrivals.empty()) return res;
-
-  // The batch run is the streamed run: sort once, inject in order, finalize.
-  // An unbounded config means "as many cores as tasks" — a count only a
-  // closed set has, so it is resolved here rather than inside StreamSim.
-  const TaskSet sorted = arrivals.sorted_by_release();
-  const int cores = cfg.unbounded() ? static_cast<int>(sorted.size())
-                                    : cfg.num_cores;
-  StreamSim sim(cfg, policy, cores);
-  for (const auto& t : sorted.tasks()) sim.inject_arrival(t);
-  res = sim.finalize();
-  return res;
+  return drive(arrivals, cfg, policy, {}, /*reclaim=*/false);
 }
 
 SimResult simulate_with_actuals(const TaskSet& arrivals,
@@ -215,160 +287,7 @@ SimResult simulate_with_actuals(const TaskSet& arrivals,
                                 const std::map<int, double>& actual_fraction,
                                 bool replan_on_completion) {
   SDEM_OBS_TIMER("sim/simulate_with_actuals");
-  SimResult res;
-  if (arrivals.empty()) return res;
-  policy.reset();
-
-  const TaskSet sorted = arrivals.sorted_by_release();
-  const int cores = cfg.unbounded() ? static_cast<int>(sorted.size())
-                                    : cfg.num_cores;
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-
-  struct Live {
-    PendingTask declared;  ///< what the policy sees (WCET-based)
-    double actual = 0.0;   ///< true remaining megacycles
-  };
-  std::vector<Live> pending;
-  std::size_t next_arrival = 0;
-  int rr = 0;
-
-  res.horizon_lo = sorted[0].release;
-  std::vector<Segment> plan;
-  double plan_from = sorted[0].release;
-
-  // The plan in start order and the pending position of each segment's task
-  // (-1: none), rebuilt at each replan. Every event until the next replan
-  // walks them: only account() removes pending tasks, and a replan always
-  // follows it.
-  std::vector<Segment> chrono;
-  std::vector<int> chrono_pos;
-  PositionIndex by_id;
-  std::vector<double> rem;  ///< next_completion's scratch, by position
-
-  // Earliest time a pending task's *actual* work completes under the plan.
-  auto next_completion = [&](double after) {
-    double best = kInf;
-    rem.clear();
-    for (const auto& p : pending) rem.push_back(p.actual);
-    for (std::size_t k = 0; k < chrono.size(); ++k) {
-      const Segment& seg = chrono[k];
-      const int pos = chrono_pos[k];
-      if (pos < 0 || rem[static_cast<std::size_t>(pos)] <= 0.0) continue;
-      double& left = rem[static_cast<std::size_t>(pos)];
-      const double lo = std::max(seg.start, plan_from);
-      if (seg.end <= lo) continue;
-      const double need = left / seg.speed;
-      const double have = seg.end - lo;
-      if (need <= have + 1e-15) {
-        const double tc = lo + need;
-        left = 0.0;
-        if (tc > after + 1e-12) best = std::min(best, tc);
-      } else {
-        left -= seg.speed * have;
-      }
-    }
-    return best;
-  };
-
-  // Execute the plan on [plan_from, upto): truncate at actual completions.
-  // A task's miss is counted when it completes.
-  auto account = [&](double upto) {
-    for (std::size_t k = 0; k < chrono.size(); ++k) {
-      const Segment& seg = chrono[k];
-      const int pos = chrono_pos[k];
-      const double lo = std::max(seg.start, plan_from);
-      const double hi = std::min(seg.end, upto);
-      if (hi <= lo || pos < 0) continue;
-      Live& p = pending[static_cast<std::size_t>(pos)];
-      if (p.actual <= 0.0) continue;
-      const double run = std::min(hi - lo, p.actual / seg.speed);
-      if (run <= 0.0) continue;
-      Segment piece = seg;
-      piece.start = lo;
-      piece.end = lo + run;
-      res.schedule.add(piece);
-      const double done = seg.speed * run;
-      p.actual = std::max(0.0, p.actual - done);
-      p.declared.remaining = std::max(0.0, p.declared.remaining - done);
-      if (p.actual <= 1e-9 * std::max(1.0, p.declared.task.work)) {
-        p.actual = 0.0;
-        if (missed(p.declared.task, piece.end)) ++res.deadline_misses;
-      }
-    }
-    std::erase_if(pending, [](const Live& p) { return p.actual <= 0.0; });
-  };
-
-  auto replan_now = [&](double t, bool completion) {
-    std::vector<PendingTask> view;
-    view.reserve(pending.size());
-    for (const auto& p : pending) view.push_back(p.declared);
-    plan = completion ? policy.replan_completion(t, view, cfg)
-                      : policy.replan(t, view, cfg);
-    plan_from = t;
-    ++res.replans;
-    chrono = plan;
-    std::sort(chrono.begin(), chrono.end(),
-              [](const Segment& a, const Segment& b) {
-                return a.start < b.start;
-              });
-    by_id.rebuild(pending.size(), [&](std::size_t i) {
-      return pending[i].declared.task.id;
-    });
-    chrono_pos.clear();
-    for (const auto& seg : chrono) {
-      chrono_pos.push_back(by_id.find(seg.task_id));
-    }
-  };
-
-  while (next_arrival < sorted.size() || !pending.empty()) {
-    const double t_arr = next_arrival < sorted.size()
-                             ? sorted[next_arrival].release
-                             : kInf;
-    const double t_done = replan_on_completion ? next_completion(plan_from)
-                                               : kInf;
-    if (t_arr == kInf && t_done == kInf) {
-      double end = plan_from;
-      for (const auto& seg : plan) end = std::max(end, seg.end);
-      account(end);
-      break;
-    }
-    if (t_done < t_arr) {
-      SDEM_OBS_INC("sim/completion_events");
-      account(t_done);
-      replan_now(t_done, /*completion=*/true);
-      continue;
-    }
-    SDEM_OBS_INC("sim/arrival_events");
-    account(t_arr);
-    while (next_arrival < sorted.size() &&
-           sorted[next_arrival].release == t_arr) {
-      Live l;
-      l.declared.task = sorted[next_arrival];
-      l.declared.remaining = l.declared.task.work;
-      l.declared.core = rr % cores;
-      double frac = 1.0;
-      if (auto it = actual_fraction.find(l.declared.task.id);
-          it != actual_fraction.end()) {
-        frac = std::clamp(it->second, 0.0, 1.0);
-      }
-      l.actual = l.declared.task.work * frac;
-      ++rr;
-      ++next_arrival;
-      if (l.actual > 0.0) {
-        pending.push_back(l);
-      } else if (!(l.actual <= 0.0)) {
-        ++res.deadline_misses;  // NaN work: never runs, so never completes
-      }
-    }
-    replan_now(t_arr, /*completion=*/false);
-  }
-
-  // A task that never completed missed its deadline.
-  res.unfinished = static_cast<int>(pending.size());
-  res.deadline_misses += res.unfinished;
-  res.horizon_hi = std::max(sorted.max_deadline(), res.schedule.end_time());
-  flush_sim_counters(res);
-  return res;
+  return drive(arrivals, cfg, policy, actual_fraction, replan_on_completion);
 }
 
 }  // namespace sdem

@@ -4,23 +4,25 @@
 //   * tasks are assigned to cores round-robin in arrival order (the paper's
 //     "9th task goes back to core 1" rule);
 //   * at every distinct arrival instant the policy replans the pending set;
-//   * the plan executes until the next arrival, work is accounted, and the
+//   * the plan executes until the next event, work is accounted, and the
 //     executed pieces become schedule segments.
 //
 // The simulator never edits a plan: if a policy emits overlapping segments
 // on one core or misses a deadline, that surfaces in the result counters —
 // policies own feasibility, the simulator owns bookkeeping.
 //
-// Two driving modes share one event loop:
+// Three drivers share one event loop, StreamSim:
 //   * simulate() — the batch harness: one task set in, one SimResult out;
-//   * StreamSim — the resumable loop behind tools/sdem_service: arrivals
-//     are injected one at a time as they reach the server, each instant's
-//     batch commits into one replan, and the run is finalized on demand.
-// simulate() is a thin driver over StreamSim, so a streamed run replayed
-// from the same arrival sequence is byte-identical to the batch run by
-// construction (pinned by tests/test_service.cpp and the service-smoke CI
-// job against the frozen sim_reference oracle). simulate_with_actuals() is
-// the completion-driven loop of slack reclamation.
+//   * simulate_with_actuals() — the same driver for tasks that run less
+//     than they declare, replanning at their completions when it reclaims
+//     slack;
+//   * tools/sdem_service — arrivals are injected one at a time as they
+//     reach the server, each instant's batch commits into one replan, and
+//     the run is finalized on demand.
+// A streamed run replayed from the same arrival sequence is therefore
+// byte-identical to the batch run by construction (pinned by
+// tests/test_service.cpp and the service-smoke CI job against the frozen
+// sim_reference oracle).
 #pragma once
 
 #include <limits>
@@ -53,7 +55,15 @@ struct SimResult {
 ///   * a batch commits — account the running plan up to the instant, admit
 ///     the batch in (deadline, id) order, replan once — when an arrival
 ///     with a later release lands, on commit(), or at finalize();
+///   * complete_at(t), at next_completion(), accounts the plan up to the
+///     earliest instant it finishes a task's actual work and replans there
+///     (slack reclamation);
 ///   * finalize() runs the last plan out and produces the SimResult.
+///
+/// A task may run less than it declares (its actual work, slack
+/// reclamation's actual/WCET < 1). The policy plans its declared work, and
+/// a piece of it stops where its actual work is done. A task whose actual
+/// work is its declared work runs its plan as written.
 ///
 /// Equivalence contract: injecting a task set in non-decreasing release
 /// order and finalizing produces byte-identical SimResult (schedule
@@ -90,11 +100,26 @@ class StreamSim {
   /// the release precedes the last committed instant (the stream must be
   /// non-decreasing in release time; the service rejects late arrivals at
   /// the protocol layer).
-  void inject_arrival(const Task& t);
+  void inject_arrival(const Task& t) { inject_arrival(t, t.work); }
+
+  /// The same for a task that runs `actual_work` megacycles of its
+  /// declared t.work (no more than t.work; a task with no actual work
+  /// never joins the pending set).
+  void inject_arrival(const Task& t, double actual_work);
 
   /// Commit the buffered admission batch (account + admit + one replan).
   /// No-op when nothing is buffered.
   void commit();
+
+  /// The earliest instant at which the current plan finishes a pending
+  /// task's actual work, after plan_from(); +inf when it finishes none.
+  /// Buffered arrivals are not in the plan: commit() them first.
+  double next_completion();
+
+  /// Account the plan up to t and replan there through
+  /// OnlinePolicy::replan_completion (one replan). t is a completion
+  /// instant before the next arrival, as next_completion() returns it.
+  void complete_at(double t);
 
   /// Latest committed instant.
   double now() const { return now_; }
@@ -103,7 +128,8 @@ class StreamSim {
   const std::vector<Segment>& current_plan() const { return plan_; }
   double plan_from() const { return plan_from_; }
 
-  /// Pending tasks as of the last commit (admitted, unfinished work).
+  /// Pending tasks as of the last commit or completion (admitted,
+  /// unfinished), each with its declared remaining work.
   const std::vector<PendingTask>& pending() const { return pending_; }
 
   /// Whether the island would hold `cap` or more tasks at instant t,
@@ -139,7 +165,20 @@ class StreamSim {
   const SimResult& finalize();
 
  private:
+  struct Arrival {
+    Task task;
+    double actual;  ///< megacycles it runs
+  };
+  /// A pending task in one walk() of the plan.
+  struct Walked {
+    double left;     ///< declared megacycles left
+    double runs;     ///< actual megacycles left (as actual_)
+    double done_at;  ///< completion time, +inf until then
+  };
+
+  void walk(double upto, bool execute);
   void account(double upto);
+  void replan(double t, bool completion);
 
   SystemConfig cfg_;
   OnlinePolicy* policy_;
@@ -149,12 +188,15 @@ class StreamSim {
   IdSlots slots_;  ///< every injected id (holds())
 
   std::vector<PendingTask> pending_;
+  /// By pending position: the actual megacycles left of a task that runs
+  /// less than it declares, +inf for one that runs all of it.
+  std::vector<double> actual_;
   std::vector<Segment> plan_;
-  std::vector<Task> batch_;  ///< arrivals buffered at batch_time_
+  std::vector<Arrival> batch_;  ///< arrivals buffered at batch_time_
   // By pending position, rebuilt into reused buffers: the index at each
-  // replan, the completion times in each account().
-  PositionIndex by_id_;              ///< task id -> pending position
-  std::vector<double> finished_at_;  ///< completion time, +inf until then
+  // replan, the tasks in each walk().
+  PositionIndex by_id_;          ///< task id -> pending position
+  std::vector<Walked> walked_;
 
   std::vector<Task> tasks_seen_;  ///< every injected task, when recording
   std::size_t arrivals_ = 0;
@@ -174,12 +216,14 @@ SimResult simulate(const TaskSet& arrivals, const SystemConfig& cfg,
 
 /// Slack-reclamation variant (the online setting of Zhuo & Chakrabarti's
 /// slack distribution, §2): tasks declare their WCET but actually execute
-/// `actual_fraction[id] * work` megacycles (default 1.0). Policies plan
-/// against the declared remaining work; when a task completes early the
-/// simulator frees its core immediately and — when `replan_on_completion`
-/// is set — re-invokes the policy so the freed slack is redistributed
+/// `actual_fraction[id] * work` megacycles (default 1.0, clamped to
+/// [0, 1]). Policies plan against the declared remaining work; when a task
+/// completes early the simulator frees its core immediately and — when
+/// `replan_on_completion` is set — re-invokes the policy at every
+/// completion before the next arrival, so the freed slack is redistributed
 /// (slower speeds, longer memory sleep). Deadline accounting is against the
-/// actual work.
+/// actual work. With every fraction 1.0 and no completion replans it is
+/// simulate().
 SimResult simulate_with_actuals(const TaskSet& arrivals,
                                 const SystemConfig& cfg, OnlinePolicy& policy,
                                 const std::map<int, double>& actual_fraction,

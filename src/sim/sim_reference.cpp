@@ -570,7 +570,13 @@ SimResult simulate_reference(const TaskSet& arrivals, const SystemConfig& cfg,
       for (auto& p : pending) {
         if (p.task.id == piece.task_id) {
           p.remaining -= piece.work();
-          if (p.remaining < 1e-9 * std::max(1.0, p.task.work)) {
+          // Genuine-bug fix (docs/testing.md): below what the clock can
+          // resolve at the piece's end, the sliver left is done too.
+          const double ulp =
+              std::nextafter(hi, std::numeric_limits<double>::infinity()) -
+              hi;
+          if (p.remaining < std::max(1e-9 * std::max(1.0, p.task.work),
+                                     2.0 * piece.speed * ulp)) {
             p.remaining = 0.0;
             finished_at[p.task.id] = hi;
           }

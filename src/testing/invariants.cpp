@@ -497,17 +497,39 @@ class Checker {
              simulate_reference(c_.tasks, c_.cfg, mbkp_ref));
     check_online_run("mbkp", mbkp_run, /*guaranteed_feasible=*/false);
 
-    // The same case 1e3 s later, under the no-miss rule: SDEM-ON re-releases
+    // The same case later, under the no-miss rule: SDEM-ON re-releases
     // pending work at absolute times, whose rounding shows at large `now`.
+    // At 1e5 s one ulp of a piece's end is worth more work than 1e-9 of a
+    // small task, so the completion test must still finish every task,
+    // under MBKP too, and the loop must still be the frozen one's.
     if (c_.cfg.unbounded()) {
-      TaskSet late;
-      for (Task t : c_.tasks.tasks()) {
-        t.release += 1e3;
-        t.deadline += 1e3;
-        late.add(t);
-      }
+      const auto shifted = [&](double by) {
+        TaskSet out;
+        for (Task t : c_.tasks.tasks()) {
+          t.release += by;
+          t.deadline += by;
+          out.add(t);
+        }
+        return out;
+      };
       SdemOnPolicy policy(true);
-      met_every_deadline("sdem-on+1e3", simulate(late, c_.cfg, policy), true);
+      met_every_deadline("sdem-on+1e3",
+                         simulate(shifted(1e3), c_.cfg, policy), true);
+
+      const TaskSet late = shifted(1e5);
+      const SimResult sdem_run = simulate(late, c_.cfg, policy);
+      met_every_deadline("sdem-on+1e5", sdem_run, true);
+      SdemOnPolicy fresh_sdem(true);
+      diff_sim("sim:loop-vs-reference:sdem-on+1e5", sdem_run,
+               simulate_reference(late, c_.cfg, fresh_sdem));
+      MbkpPolicy mbkp_late, fresh_mbkp;
+      const SimResult mbkp_late_run = simulate(late, c_.cfg, mbkp_late);
+      if (mbkp_late_run.unfinished != 0) {
+        add("sim:finishes-every-task:mbkp+1e5",
+            std::to_string(mbkp_late_run.unfinished) + " unfinished");
+      }
+      diff_sim("sim:loop-vs-reference:mbkp+1e5", mbkp_late_run,
+               simulate_reference(late, c_.cfg, fresh_mbkp));
     }
 
     // Slack reclamation: early completions with deterministic fractions,

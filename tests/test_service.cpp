@@ -213,6 +213,27 @@ TEST(ServiceProtocol, PeekFallsBackConservatively) {
       << "overlong island literal";
 }
 
+TEST(ServiceProtocol, RouteKeyPeeksThenParses) {
+  // A peek hit is the key; a miss takes the parser's key or its error.
+  const RouteKey hit = route_key(
+      "{\"op\":\"QUERY\",\"island\":3}");
+  EXPECT_TRUE(hit.ok);
+  EXPECT_EQ(hit.op, Op::kQuery);
+  EXPECT_EQ(hit.island, 3);
+  const RouteKey miss = route_key(
+      "{\"op\":\"SUBMIT\",\"island\":2.0,"
+      "\"task\":{\"id\":1,\"release\":0,\"deadline\":1,\"work\":5}}");
+  EXPECT_TRUE(miss.ok) << miss.error;
+  EXPECT_EQ(miss.op, Op::kSubmit);
+  EXPECT_EQ(miss.island, 2);
+  const RouteKey stats = route_key("{\"op\":\"STATS\"}");
+  EXPECT_TRUE(stats.ok);
+  EXPECT_EQ(stats.op, Op::kStats);
+  const RouteKey bad = route_key("{\"op\":\"NOPE\",\"island\":1}");
+  EXPECT_FALSE(bad.ok);
+  EXPECT_EQ(bad.error, parse_request("{\"op\":\"NOPE\",\"island\":1}").error);
+}
+
 // ----------------------------------------------------------- test harness
 
 /// Wire rendering of a SUBMIT request (what the daemon's ingest sees).

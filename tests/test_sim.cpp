@@ -3,8 +3,10 @@
 
 #include <cmath>
 
+#include "service/service.hpp"
 #include "sim/event_sim.hpp"
 #include "test_util.hpp"
+#include "workload/generator.hpp"
 
 namespace sdem {
 namespace {
@@ -140,6 +142,35 @@ TEST(Sim, NanWorkTaskNeverRunsAndMisses) {
        {simulate(ts, cfg, pol), simulate_with_actuals(ts, cfg, pol, {})}) {
     EXPECT_EQ(res.unfinished, 0);
     EXPECT_EQ(res.deadline_misses, 1);
+  }
+}
+
+TEST(Sim, EveryWirePolicyFinishesALateStream) {
+  // Island 0 of `sdem_service --gen-stream 4000 --islands 4 --seed 1`,
+  // released 1e5 s and later. There one ulp of a piece's end is worth more
+  // work than 1e-9 of a 2-Mcycle task: a completion test blind to the
+  // clock left slivers that race, stretch, critical and MBKP planned as
+  // pieces shorter than half an ulp, which never ran.
+  SyntheticParams p;
+  p.num_tasks = 1000;
+  p.max_interarrival = 0.050;
+  const TaskSet ts = make_synthetic(p, 1000003);
+  const SystemConfig cfg = SystemConfig::paper_default();
+  for (const double shift : {1e5, 1e6, 1e9}) {
+    TaskSet late;
+    for (Task t : ts.tasks()) {
+      t.release += shift;
+      t.deadline += shift;
+      late.add(t);
+    }
+    for (const char* name : {"sdem-on", "sdem-on-eager", "mbkp", "race",
+                             "stretch", "critical"}) {
+      const auto policy = service::make_policy(name);
+      ASSERT_NE(policy, nullptr) << name;
+      const SimResult res = simulate(late, cfg, *policy);
+      EXPECT_EQ(res.unfinished, 0) << name << " +" << shift << " s";
+      EXPECT_EQ(res.deadline_misses, 0) << name << " +" << shift << " s";
+    }
   }
 }
 

@@ -230,29 +230,17 @@ int run_replay(const Options& o) {
   std::uint64_t seq = 0;
   while (std::getline(in, line)) {
     if (line.empty()) continue;
-    // Route by peek, parse on the shard. Parse failures surface through
+    // Route by key, parse on the shard. Parse failures surface through
     // the error callback, sequence-tagged.
-    const Peeked peek = peek_request(line);
-    int island = peek.island;
-    if (!peek.routable() || peek.op != Op::kSubmit) {
-      // Peek miss (e.g. {"island":2.0}): parse here to learn the key; the
-      // shard parses the line again.
-      const Parsed p = parse_request(line);
-      if (!p.ok) {
-        std::fprintf(stderr, "replay line %llu: %s\n",
-                     static_cast<unsigned long long>(seq + 1),
-                     p.error.c_str());
-        return 1;
-      }
-      if (p.request.op != Op::kSubmit) {
-        std::fprintf(stderr, "replay line %llu: only SUBMIT is replayable\n",
-                     static_cast<unsigned long long>(seq + 1));
-        return 1;
-      }
-      island = p.request.island;
+    const RouteKey key = route_key(line);
+    if (!key.ok || key.op != Op::kSubmit) {
+      std::fprintf(stderr, "replay line %llu: %s\n",
+                   static_cast<unsigned long long>(seq + 1),
+                   key.ok ? "only SUBMIT is replayable" : key.error.c_str());
+      return 1;
     }
     const std::uint64_t s = seq++;
-    svc.route_raw(island, Op::kSubmit, std::move(line), s, 0, s);
+    svc.route_raw(key.island, Op::kSubmit, std::move(line), s, 0, s);
   }
   const std::vector<Service::IslandResult> islands = svc.finalize_all();
   if (!errors.empty()) {
