@@ -5,18 +5,25 @@
 #include <limits>
 #include <vector>
 
-#include "core/common_release_scratch.hpp"
 #include "support/numeric.hpp"
 
 namespace sdem {
+namespace {
+
+/// A task and its critical-speed completion time.
+struct Entry {
+  Task task;
+  double s0 = 0.0;  ///< per-task critical speed
+  double c = 0.0;   ///< completion time at s0, relative to release
+};
+
+}  // namespace
 
 OfflineResult solve_common_release_alpha(const TaskSet& tasks,
-                                         const SystemConfig& cfg,
-                                         CommonReleaseScratch& ws,
-                                         bool validated) {
+                                         const SystemConfig& cfg) {
   OfflineResult res;
   if (tasks.empty() || !tasks.is_common_release()) return res;
-  if (!validated && !tasks.validate().empty()) return res;
+  if (!tasks.validate().empty()) return res;
   if (!cfg.core.admits(tasks.max_filled_speed())) return res;
 
   const double alpha = cfg.core.alpha;
@@ -30,19 +37,17 @@ OfflineResult solve_common_release_alpha(const TaskSet& tasks,
   const double s_m_raw = cfg.core.critical_speed_raw();
 
   const int n = static_cast<int>(tasks.size());
-  auto& es = ws.entries;
-  es.clear();
+  std::vector<Entry> es;
   es.reserve(n);
   for (const auto& t : tasks.tasks()) {
-    CommonReleaseScratch::AlphaEntry e;
+    Entry e;
     e.task = t;
     e.s0 = std::min(std::max(s_m_raw, t.filled_speed()), s_up);
     e.c = (t.work > 0.0) ? t.work / e.s0 : 0.0;
     es.push_back(e);
   }
   std::sort(es.begin(), es.end(),
-            [](const CommonReleaseScratch::AlphaEntry& a,
-               const CommonReleaseScratch::AlphaEntry& b) { return a.c < b.c; });
+            [](const Entry& a, const Entry& b) { return a.c < b.c; });
 
   const double horizon = es.back().c;  // |I| = c_n
   if (horizon <= 0.0) {
@@ -54,12 +59,9 @@ OfflineResult solve_common_release_alpha(const TaskSet& tasks,
   }
 
   // Suffix sums over the c-sorted order (1-based).
-  ws.suffix_wl.assign(n + 2, 0.0);
-  ws.suffix_wmax.assign(n + 2, 0.0);
-  ws.prefix.assign(n + 2, 0.0);  // energy of tasks < i at s0
-  auto& suffix_wl = ws.suffix_wl;
-  auto& suffix_wmax = ws.suffix_wmax;
-  auto& prefix_const = ws.prefix;
+  std::vector<double> suffix_wl(n + 2, 0.0);
+  std::vector<double> suffix_wmax(n + 2, 0.0);
+  std::vector<double> prefix_const(n + 2, 0.0);  // energy of tasks < i at s0
   for (int i = n; i >= 1; --i) {
     const auto& e = es[i - 1];
     suffix_wl[i] = suffix_wl[i + 1] + std::pow(e.task.work, lambda);
@@ -132,12 +134,6 @@ OfflineResult solve_common_release_alpha(const TaskSet& tasks,
                              e.task.work / len});
   }
   return res;
-}
-
-OfflineResult solve_common_release_alpha(const TaskSet& tasks,
-                                         const SystemConfig& cfg) {
-  CommonReleaseScratch ws;
-  return solve_common_release_alpha(tasks, cfg, ws, /*validated=*/false);
 }
 
 }  // namespace sdem

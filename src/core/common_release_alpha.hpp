@@ -31,16 +31,7 @@
 
 namespace sdem {
 
-struct CommonReleaseScratch;
-
 OfflineResult solve_common_release_alpha(const TaskSet& tasks,
                                          const SystemConfig& cfg);
-
-/// Scratch-reusing variant for repeated solves; `validated` skips the
-/// TaskSet::validate() pass for trusted callers. Same result as above.
-OfflineResult solve_common_release_alpha(const TaskSet& tasks,
-                                         const SystemConfig& cfg,
-                                         CommonReleaseScratch& ws,
-                                         bool validated = false);
 
 }  // namespace sdem

@@ -5,18 +5,20 @@
 #include <limits>
 #include <vector>
 
-#include "core/common_release_scratch.hpp"
 #include "support/numeric.hpp"
 
 namespace sdem {
 namespace {
 
 /// Precomputed per-instance state shared by both solver variants. The
-/// arrays live in the caller's CommonReleaseScratch so repeated solves (one
-/// per replan in the online policy) reuse their capacity instead of
-/// reallocating.
+/// double arrays are indexed by case i = 1..n, as in the paper.
 struct Instance {
-  CommonReleaseScratch* ws = nullptr;
+  std::vector<Task> sorted;         ///< tasks sorted by deadline
+  std::vector<double> d;            ///< deadlines relative to release
+  std::vector<double> delta;        ///< delta_i = |I| - d_i
+  std::vector<double> suffix_wl;    ///< sum_{j>=i} w_j^lambda
+  std::vector<double> suffix_wmax;  ///< max_{j>=i} w_j
+  std::vector<double> prefix;       ///< energy of T_1..T_{i-1}, filled speed
   double release = 0.0;             ///< common release time
   double horizon = 0.0;             ///< |I| = d_n - release
   double alpha_m = 0.0;
@@ -24,46 +26,43 @@ struct Instance {
   double lambda = 0.0;
   double s_up = 0.0;                ///< +inf when unconstrained
 
-  const std::vector<Task>& tasks() const { return ws->sorted; }
-  int n() const { return static_cast<int>(ws->sorted.size()); }
+  int n() const { return static_cast<int>(sorted.size()); }
 };
 
-Instance build_instance(const TaskSet& tasks, const SystemConfig& cfg,
-                        CommonReleaseScratch& ws) {
+Instance build_instance(const TaskSet& tasks, const SystemConfig& cfg) {
   Instance in;
-  in.ws = &ws;
   // TaskSet::sorted_by_deadline, minus the temporary TaskSet.
-  ws.sorted.assign(tasks.tasks().begin(), tasks.tasks().end());
-  std::sort(ws.sorted.begin(), ws.sorted.end(), TaskSet::ByDeadline{});
-  in.release = ws.sorted.front().release;
+  in.sorted.assign(tasks.tasks().begin(), tasks.tasks().end());
+  std::sort(in.sorted.begin(), in.sorted.end(), TaskSet::ByDeadline{});
+  in.release = in.sorted.front().release;
   in.alpha_m = cfg.memory.alpha_m;
   in.beta = cfg.core.beta;
   in.lambda = cfg.core.lambda;
   in.s_up = cfg.core.max_speed();
 
   const int n = in.n();
-  ws.d.resize(n + 1);
-  ws.delta.resize(n + 1);
-  ws.suffix_wl.assign(n + 2, 0.0);
-  ws.suffix_wmax.assign(n + 2, 0.0);
-  ws.prefix.assign(n + 2, 0.0);
+  in.d.resize(n + 1);
+  in.delta.resize(n + 1);
+  in.suffix_wl.assign(n + 2, 0.0);
+  in.suffix_wmax.assign(n + 2, 0.0);
+  in.prefix.assign(n + 2, 0.0);
 
-  in.horizon = ws.sorted.back().deadline - in.release;
+  in.horizon = in.sorted.back().deadline - in.release;
   for (int i = 1; i <= n; ++i) {
-    const Task& t = ws.sorted[i - 1];
-    ws.d[i] = t.deadline - in.release;
-    ws.delta[i] = in.horizon - ws.d[i];
+    const Task& t = in.sorted[i - 1];
+    in.d[i] = t.deadline - in.release;
+    in.delta[i] = in.horizon - in.d[i];
   }
   for (int i = n; i >= 1; --i) {
-    const Task& t = ws.sorted[i - 1];
-    ws.suffix_wl[i] = ws.suffix_wl[i + 1] + std::pow(t.work, in.lambda);
-    ws.suffix_wmax[i] = std::max(ws.suffix_wmax[i + 1], t.work);
+    const Task& t = in.sorted[i - 1];
+    in.suffix_wl[i] = in.suffix_wl[i + 1] + std::pow(t.work, in.lambda);
+    in.suffix_wmax[i] = std::max(in.suffix_wmax[i + 1], t.work);
   }
   for (int i = 1; i <= n; ++i) {
-    const Task& t = ws.sorted[i - 1];
-    ws.prefix[i + 1] =
-        ws.prefix[i] +
-        in.beta * stretch_energy_term(t.work, ws.d[i], in.lambda);
+    const Task& t = in.sorted[i - 1];
+    in.prefix[i + 1] =
+        in.prefix[i] +
+        in.beta * stretch_energy_term(t.work, in.d[i], in.lambda);
   }
   return in;
 }
@@ -72,10 +71,10 @@ Instance build_instance(const TaskSet& tasks, const SystemConfig& cfg,
 double case_energy(const Instance& in, int i, double delta) {
   const double T = in.horizon - delta;
   if (T < 0.0) return std::numeric_limits<double>::infinity();
-  double e = in.alpha_m * T + in.ws->prefix[i];
-  if (in.ws->suffix_wl[i] > 0.0) {
+  double e = in.alpha_m * T + in.prefix[i];
+  if (in.suffix_wl[i] > 0.0) {
     if (T <= 0.0) return std::numeric_limits<double>::infinity();
-    e += in.beta * in.ws->suffix_wl[i] * std::pow(T, 1.0 - in.lambda);
+    e += in.beta * in.suffix_wl[i] * std::pow(T, 1.0 - in.lambda);
   }
   return e;
 }
@@ -83,7 +82,7 @@ double case_energy(const Instance& in, int i, double delta) {
 /// Unconstrained case-i minimizer Delta_mi (Eq. 4).
 double delta_mi(const Instance& in, int i) {
   if (in.alpha_m <= 0.0) return 0.0;  // free memory: never shrink the interval
-  const double s = in.ws->suffix_wl[i];
+  const double s = in.suffix_wl[i];
   if (s <= 0.0) return in.horizon;
   const double t =
       std::pow(in.beta * (in.lambda - 1.0) * s / in.alpha_m, 1.0 / in.lambda);
@@ -104,10 +103,10 @@ struct CaseLocal {
 /// speed.
 CaseLocal case_local_optimum(const Instance& in, int i) {
   CaseLocal out;
-  const double lo = in.ws->delta[i];
-  double hi = (i >= 2) ? in.ws->delta[i - 1] : in.horizon;
-  if (std::isfinite(in.s_up) && in.ws->suffix_wmax[i] > 0.0) {
-    const double w = in.ws->suffix_wmax[i];
+  const double lo = in.delta[i];
+  double hi = (i >= 2) ? in.delta[i - 1] : in.horizon;
+  if (std::isfinite(in.s_up) && in.suffix_wmax[i] > 0.0) {
+    const double w = in.suffix_wmax[i];
     hi = std::min(hi, in.horizon - w / in.s_up);
     if (hi < lo &&
         in.horizon - w / (in.s_up * (1.0 + CorePower::kAdmitSlack)) >= lo) {
@@ -131,11 +130,11 @@ OfflineResult finalize(const Instance& in, int best_case, double best_delta,
   res.energy = best_energy;
   const double T = in.horizon - best_delta;
   for (int j = 1; j <= in.n(); ++j) {
-    const Task& t = in.ws->sorted[j - 1];
+    const Task& t = in.sorted[j - 1];
     if (t.work <= 0.0) continue;
     // Tasks with delta_j > Delta keep their whole region; the rest stretch
     // to finish exactly at |I| - Delta.
-    const double len = (j < best_case) ? in.ws->d[j] : T;
+    const double len = (j < best_case) ? in.d[j] : T;
     res.schedule.add(Segment{t.id, j - 1, in.release, in.release + len,
                              t.work / len});
   }
@@ -144,21 +143,18 @@ OfflineResult finalize(const Instance& in, int best_case, double best_delta,
 
 OfflineResult infeasible_result() { return {}; }
 
-bool instance_ok(const TaskSet& tasks, const SystemConfig& cfg,
-                 bool validated) {
+bool instance_ok(const TaskSet& tasks, const SystemConfig& cfg) {
   return !tasks.empty() && tasks.is_common_release() &&
-         (validated || tasks.validate().empty()) &&
+         tasks.validate().empty() &&
          cfg.core.admits(tasks.max_filled_speed());
 }
 
 }  // namespace
 
 OfflineResult solve_common_release_alpha0(const TaskSet& tasks,
-                                          const SystemConfig& cfg,
-                                          CommonReleaseScratch& ws,
-                                          bool validated) {
-  if (!instance_ok(tasks, cfg, validated)) return infeasible_result();
-  const Instance in = build_instance(tasks, cfg, ws);
+                                          const SystemConfig& cfg) {
+  if (!instance_ok(tasks, cfg)) return infeasible_result();
+  const Instance in = build_instance(tasks, cfg);
 
   int best_case = -1;
   double best_delta = 0.0;
@@ -175,17 +171,10 @@ OfflineResult solve_common_release_alpha0(const TaskSet& tasks,
   return finalize(in, best_case, best_delta, best_energy);
 }
 
-OfflineResult solve_common_release_alpha0(const TaskSet& tasks,
-                                          const SystemConfig& cfg) {
-  CommonReleaseScratch ws;
-  return solve_common_release_alpha0(tasks, cfg, ws, /*validated=*/false);
-}
-
 OfflineResult solve_common_release_alpha0_binary(const TaskSet& tasks,
                                                  const SystemConfig& cfg) {
-  if (!instance_ok(tasks, cfg, /*validated=*/false)) return infeasible_result();
-  CommonReleaseScratch ws;
-  const Instance in = build_instance(tasks, cfg, ws);
+  if (!instance_ok(tasks, cfg)) return infeasible_result();
+  const Instance in = build_instance(tasks, cfg);
   const int n = in.n();
 
   // Lemma 1: classify Case i by where its (speed-cap-clamped) local optimum
@@ -216,8 +205,8 @@ OfflineResult solve_common_release_alpha0_binary(const TaskSet& tasks,
       continue;
     }
     record(mid, loc);
-    const double dom_lo = ws.delta[mid];
-    const double dom_hi = (mid >= 2) ? ws.delta[mid - 1] : in.horizon;
+    const double dom_lo = in.delta[mid];
+    const double dom_hi = (mid >= 2) ? in.delta[mid - 1] : in.horizon;
     const double dm = delta_mi(in, mid);
     if (dm < dom_lo) {
       lo = mid + 1;  // just-fit

@@ -27,20 +27,10 @@
 
 namespace sdem {
 
-struct CommonReleaseScratch;
-
 /// Linear case scan (Theorem 2 order, evaluating every case): O(n) after
 /// sorting. Robust reference implementation.
 OfflineResult solve_common_release_alpha0(const TaskSet& tasks,
                                           const SystemConfig& cfg);
-
-/// Scratch-reusing variant for callers that solve repeatedly (the online
-/// policy). `validated` skips the O(n log n) TaskSet::validate() pass when
-/// the caller constructed the set itself. Same result as the plain entry.
-OfflineResult solve_common_release_alpha0(const TaskSet& tasks,
-                                          const SystemConfig& cfg,
-                                          CommonReleaseScratch& ws,
-                                          bool validated = false);
 
 /// Binary search over cases per Lemma 1: O(log n) case evaluations after
 /// sorting. Produces the same result as the linear scan.

@@ -5,34 +5,10 @@
 #include <limits>
 #include <vector>
 
-#include "core/common_release_alpha.hpp"
-#include "core/common_release_alpha0.hpp"
 #include "core/transition.hpp"
 #include "obs/obs.hpp"
 
 namespace sdem {
-
-bool plans_with_transition(const SystemConfig& cfg) {
-  return cfg.memory.xi_m > 0.0 || (cfg.core.alpha > 0.0 && cfg.core.xi > 0.0);
-}
-
-namespace {
-
-/// Pick the Section 4 / Section 7 scheme matching the configuration.
-OfflineResult plan_common_release(const TaskSet& tasks,
-                                  const SystemConfig& cfg,
-                                  TransitionWorkspace& tw,
-                                  CommonReleaseScratch& cw, bool validated) {
-  if (plans_with_transition(cfg)) {
-    return solve_common_release_transition(tasks, cfg, tw, validated);
-  }
-  if (cfg.core.alpha > 0.0) {
-    return solve_common_release_alpha(tasks, cfg, cw, validated);
-  }
-  return solve_common_release_alpha0(tasks, cfg, cw, validated);
-}
-
-}  // namespace
 
 std::vector<Segment> SdemOnPolicy::replan(double now,
                                           const std::vector<PendingTask>& pending,
@@ -97,7 +73,7 @@ std::vector<Segment> SdemOnPolicy::plan(double now,
   }
 
   const OfflineResult local =
-      plan_common_release(rs.virt, cfg, rs.tw, rs.cw, trusted);
+      solve_common_release_transition(rs.virt, cfg, rs.tw, trusted);
   if (!local.feasible) SDEM_OBS_INC("online_sdem/local_plan_infeasible");
 
   // Per-task execution length p_j and speed from the local optimum. A

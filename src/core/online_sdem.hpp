@@ -1,13 +1,14 @@
 // SDEM-ON: the paper's online heuristic for general tasks (§6).
 //
 // At every arrival, all unfinished tasks are re-released at `now` (remaining
-// work, original deadlines) and the common-release optimal scheme of
-// Section 4 (Section 7 when transition overheads are configured) computes
-// each task's execution length p_j. The plan then procrastinates: memory and
-// cores stay asleep until the first task hits its latest start d_j - p_j,
-// at which point every pending task starts (step 6 of the paper's listing),
-// maximizing the execution overlap and therefore the memory's common idle
-// time. A new arrival before the wake point simply triggers a fresh replan.
+// work, original deadlines) and the common-release optimal scheme computes
+// each task's execution length p_j: the Section 7 solver, which with no
+// transition overhead to pay (xi_m = 0, and xi = 0 or alpha = 0) reduces to
+// Section 4. The plan then procrastinates: memory and cores stay asleep
+// until the first task hits its latest start d_j - p_j, at which point every
+// pending task starts (step 6 of the paper's listing), maximizing the
+// execution overlap and therefore the memory's common idle time. A new
+// arrival before the wake point simply triggers a fresh replan.
 //
 // The scheme's unbounded-cores assumption meets reality in the per-core
 // serializer: when two pending tasks share a core, they run back-to-back in
@@ -16,16 +17,11 @@
 
 #include <vector>
 
-#include "core/common_release_scratch.hpp"
 #include "core/transition.hpp"
 #include "sim/policy.hpp"
 #include "support/id_slots.hpp"
 
 namespace sdem {
-
-/// Does SDEM-ON plan its replans with the Section 7 transition solver
-/// (transition overheads configured) rather than a Section 4 scheme?
-bool plans_with_transition(const SystemConfig& cfg);
 
 class SdemOnPolicy : public OnlinePolicy {
  public:
@@ -72,7 +68,6 @@ class SdemOnPolicy : public OnlinePolicy {
     std::vector<int> cursor;           ///< counting-sort placement cursors
     std::vector<Item> items;           ///< pending grouped by core
     TransitionWorkspace tw;            ///< §7 solver workspace
-    CommonReleaseScratch cw;           ///< §4 solver workspaces
   };
 
   std::vector<Segment> plan(double now,

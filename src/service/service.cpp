@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <condition_variable>
+#include <limits>
 #include <mutex>
 #include <stdexcept>
 #include <utility>
@@ -296,6 +298,19 @@ void Service::handle(Shard& s, Msg& m) {
 void Service::process(Shard& s, Request& r) {
   try {
     if (r.op == Op::kSubmit) {
+      // A task whose fastest run is shorter than the clock's step at its
+      // deadline would get pieces that round to empty: it would never run
+      // and would hold its island's pending slot for good.
+      const double s_up = config().core.max_speed();
+      const double d = r.task.deadline;
+      if (r.task.work > 0.0 && std::isfinite(s_up) &&
+          r.task.work / s_up <
+              std::nextafter(d, std::numeric_limits<double>::infinity()) - d) {
+        done_(r, error_response(r.seq,
+                                "task \"work\" at s_up runs shorter than "
+                                "one ulp of \"deadline\""));
+        return;
+      }
       Island& isl = island_of(s, r.island);
       if (isl.sim.finalized()) {
         done_(r, error_response(r.seq,

@@ -196,7 +196,7 @@ void StreamSim::inject_arrival(const Task& t, double actual_work) {
   ++arrivals_;
   max_deadline_ = std::max(max_deadline_, t.deadline);
   if (record_) tasks_seen_.push_back(t);
-  slots_.intern(t.id);
+  ids_.insert(t.id);
 }
 
 void StreamSim::commit() {

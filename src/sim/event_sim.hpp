@@ -149,7 +149,7 @@ class StreamSim {
 
   /// Whether a task with this id was injected in this run, zero-work and
   /// still-buffered tasks included (the service's duplicate check).
-  bool holds(int id) const { return slots_.slot_of(id) >= 0; }
+  bool holds(int id) const { return ids_.contains(id); }
 
   /// Whether finalize() has ended the run.
   bool finalized() const { return finalized_; }
@@ -185,7 +185,7 @@ class StreamSim {
   int cores_;
   bool record_;
 
-  IdSlots slots_;  ///< every injected id (holds())
+  IdSet ids_;  ///< every injected id (holds())
 
   std::vector<PendingTask> pending_;
   /// By pending position: the actual megacycles left of a task that runs

@@ -59,7 +59,8 @@ class MbkpReferencePolicy : public OnlinePolicy {
 /// The arrival loop as originally written (finished_at map, per-segment
 /// linear pending scans). Does not call policy.reset(): the original had no
 /// such hook. The completion-driven loop of slack reclamation has no frozen
-/// copy: its plain original is simulate_with_actuals() itself.
+/// copy: simulate_with_actuals() drives StreamSim, the one loop this
+/// function pins on arrival-only runs.
 SimResult simulate_reference(const TaskSet& arrivals, const SystemConfig& cfg,
                              OnlinePolicy& policy);
 

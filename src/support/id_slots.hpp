@@ -1,57 +1,54 @@
 // Task-id indexing for the online hot path.
 //
 // The simulator and the online policies key per-task state by task id.
-// IdSlots interns each id into a dense slot once: it is the set of ids an
-// island has been sent. PositionIndex maps the ids of one short-lived
-// sequence, a replan's pending set, to their positions, so per-task state
-// lives in flat vectors indexed by pending position and is dropped with the
-// task. A table's memory follows the number of ids it holds, never an id's
-// value: the daemon interns whatever ids its clients send.
+// IdSet is the set of ids an island has been sent. PositionIndex maps the
+// ids of one short-lived sequence, a replan's pending set, to their
+// positions, so per-task state lives in flat vectors indexed by pending
+// position and is dropped with the task. A table's memory follows the
+// number of ids it holds, never an id's value: the daemon keeps whatever
+// ids its clients send.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
-#include <map>
+#include <set>
 #include <utility>
 #include <vector>
 
 namespace sdem {
 
-/// Grow-on-first-sight task-id -> dense-slot index. Slots are assigned in
-/// first-seen order and never change. A new id resolves through a flat
-/// vector when it is nonnegative and below kDenseFloor plus twice the ids
-/// held (the generators number tasks 0..n-1, so all of theirs do), and
-/// through an ordered map otherwise. An id the map took
-/// may later fall under the grown bound, so slot_of() looks in both.
-class IdSlots {
+/// Grow-only set of task ids. A new id takes one bit of a flat vector when
+/// it is nonnegative and below kDenseFloor plus twice the ids held (the
+/// generators number tasks 0..n-1, so all of theirs do), and a node of an
+/// ordered set otherwise. An id the ordered set took may later fall under
+/// the grown bound, so contains() looks in both.
+class IdSet {
  public:
   /// Ids below this always take the flat vector.
   static constexpr std::size_t kDenseFloor = 1024;
 
-  int intern(int id) {
-    if (const int s = slot_of(id); s >= 0) return s;
+  void insert(int id) {
+    if (contains(id)) return;
     const auto i = static_cast<std::size_t>(id);
-    if (id >= 0 && i < kDenseFloor + 2 * static_cast<std::size_t>(next_)) {
-      if (i >= dense_.size()) dense_.resize(i + 1, -1);
-      dense_[i] = next_;
+    if (id >= 0 && i < kDenseFloor + 2 * size_) {
+      if (i >= dense_.size()) dense_.resize(i + 1, false);
+      dense_[i] = true;
     } else {
-      other_.emplace(id, next_);
+      other_.insert(id);
     }
-    return next_++;
+    ++size_;
   }
 
-  /// -1 when the id has not been interned.
-  int slot_of(int id) const {
+  bool contains(int id) const {
     const auto i = static_cast<std::size_t>(id);
-    if (id >= 0 && i < dense_.size() && dense_[i] >= 0) return dense_[i];
-    const auto it = other_.find(id);
-    return it == other_.end() ? -1 : it->second;
+    if (id >= 0 && i < dense_.size() && dense_[i]) return true;
+    return other_.count(id) != 0;
   }
 
  private:
-  std::vector<int> dense_;  ///< id -> slot, -1 where not interned here
-  std::map<int, int> other_;
-  int next_ = 0;
+  std::vector<bool> dense_;  ///< id -> held, for ids the vector took
+  std::set<int> other_;
+  std::size_t size_ = 0;     ///< ids held
 };
 
 /// Task id -> position in a sequence of tasks, rebuilt for each new

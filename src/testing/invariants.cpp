@@ -168,6 +168,7 @@ class Checker {
                : solve_common_release_alpha(c_.tasks, c_.cfg);
     const std::string solver = alpha0 ? "cr-alpha0" : "cr-alpha";
     check_offline_common(solver, res, /*check_accounting=*/true);
+    check_transition_reduces(res);
     if (!res.feasible) return;
 
     if (alpha0) {
@@ -183,15 +184,6 @@ class Checker {
       const auto red = solve_common_release_alpha(c_.tasks, c_.cfg);
       expect_close("pair:alpha-reduces-to-alpha0", res.energy, red.energy,
                    kPairTol, "section 4.2 at alpha=0 vs section 4.1");
-    }
-
-    // The section-7 solver must reduce to section 4 at xi == xi_m == 0.
-    const auto tr = solve_common_release_transition(c_.tasks, c_.cfg);
-    if (!tr.feasible) {
-      add("pair:transition-reduces", "transition solver rejected the case");
-    } else {
-      expect_close("pair:transition-reduces", res.energy, tr.energy,
-                   kPairTol, "section 7 at xi=xi_m=0 vs section 4");
     }
 
     // Cross-solver: a common-release set is agreeable, and with no block
@@ -213,6 +205,51 @@ class Checker {
                 "solver energy vs grid reference");
       expect_close("opt:vs-reference-loose", res.energy, ref,
                    kRefLooseTol, "solver vs grid reference");
+    }
+  }
+
+  /// The section-7 solver must reduce to the section-4 optimum `s4` at
+  /// xi == xi_m == 0: the same feasibility and energy, and, because SDEM-ON
+  /// plans with it and reads each task's run from the plan, the same
+  /// planned tasks, each run within kS7TimeTol.
+  void check_transition_reduces(const OfflineResult& s4) {
+    const std::string name = "pair:transition-reduces";
+    const auto s7 = solve_common_release_transition(c_.tasks, c_.cfg);
+    if (s7.feasible != s4.feasible) {
+      add(name, std::string("section 7 ") +
+                    (s7.feasible ? "accepts" : "rejects") +
+                    " the case, section 4 does not");
+      return;
+    }
+    if (!s7.feasible) return;
+    expect_close(name, s4.energy, s7.energy, kPairTol,
+                 "section 7 at xi=xi_m=0 vs section 4");
+    const auto runs = [](const OfflineResult& r) {
+      std::map<int, double> out;
+      for (const auto& seg : r.schedule.segments())
+        out[seg.task_id] += seg.duration();
+      return out;
+    };
+    const auto run4 = runs(s4);
+    const auto run7 = runs(s7);
+    if (run4.size() != run7.size()) {
+      add(name, "section 7 plans " + std::to_string(run7.size()) +
+                    " tasks, section 4 " + std::to_string(run4.size()));
+      return;
+    }
+    for (auto a = run7.begin(), b = run4.begin(); a != run7.end(); ++a, ++b) {
+      if (a->first != b->first) {
+        add(name, "section 7 plans task " + std::to_string(a->first) +
+                      " where section 4 plans task " +
+                      std::to_string(b->first));
+        return;
+      }
+      if (std::abs(a->second - b->second) > kS7TimeTol) {
+        add(name, "task " + std::to_string(a->first) + " runs " +
+                      num(a->second) + " s under section 7 vs " +
+                      num(b->second) + " s under section 4");
+        return;
+      }
     }
   }
 
@@ -465,29 +502,21 @@ class Checker {
   }
 
   void check_general() {
-    // Where SDEM-ON plans with §7, its fast and frozen policies agree only
-    // within the tolerance of testing/oracle_compare.hpp: a TwinPolicy
-    // compares them replan by replan, and the frozen loop, driven by the
-    // production policy, must reproduce the run bit for bit. Elsewhere the
-    // frozen loop and policy reproduce the whole run.
-    const bool s7 = plans_with_transition(c_.cfg);
+    // SDEM-ON plans with §7, its frozen twin with a golden-searched §7 or
+    // with §4, so the two agree only within the tolerance of
+    // testing/oracle_compare.hpp: a TwinPolicy compares them replan by
+    // replan. The frozen loop, driven by the production policy, must
+    // reproduce the run bit for bit.
     for (const bool procrastinate : {true, false}) {
       const std::string label = procrastinate ? "sdem-on" : "sdem-on-eager";
       SdemOnPolicy fast(procrastinate);
       SdemOnReferencePolicy ref(procrastinate);
-      SimResult run;
-      if (s7) {
-        TwinPolicy twin(fast, ref);
-        run = simulate(c_.tasks, c_.cfg, twin);
-        diff_plans(label, twin);
-        SdemOnPolicy production(procrastinate);
-        diff_sim("sim:loop-vs-reference:" + label, run,
-                 simulate_reference(c_.tasks, c_.cfg, production));
-      } else {
-        run = simulate(c_.tasks, c_.cfg, fast);
-        diff_sim("sim:fast-vs-reference:" + label, run,
-                 simulate_reference(c_.tasks, c_.cfg, ref));
-      }
+      TwinPolicy twin(fast, ref);
+      const SimResult run = simulate(c_.tasks, c_.cfg, twin);
+      diff_plans(label, twin);
+      SdemOnPolicy production(procrastinate);
+      diff_sim("sim:loop-vs-reference:" + label, run,
+               simulate_reference(c_.tasks, c_.cfg, production));
       check_online_run(label, run, /*guaranteed_feasible=*/true);
     }
     MbkpPolicy mbkp;
@@ -541,16 +570,9 @@ class Checker {
       }
       SdemOnPolicy fast(true);
       SdemOnReferencePolicy ref(true);
-      if (s7) {
-        TwinPolicy twin(fast, ref);
-        (void)simulate_with_actuals(c_.tasks, c_.cfg, twin, fractions, true);
-        diff_plans("sdem-on-actuals", twin);
-      } else {
-        diff_sim(
-            "sim:fast-vs-reference:sdem-on-actuals",
-            simulate_with_actuals(c_.tasks, c_.cfg, fast, fractions, true),
-            simulate_with_actuals(c_.tasks, c_.cfg, ref, fractions, true));
-      }
+      TwinPolicy twin(fast, ref);
+      (void)simulate_with_actuals(c_.tasks, c_.cfg, twin, fractions, true);
+      diff_plans("sdem-on-actuals", twin);
     }
 
     // Accounting theorem: on the same MBKP schedule, sleep-when-it-pays can

@@ -1,11 +1,13 @@
-// The one comparison of SDEM-ON against its frozen-oracle twin
-// (sim/sim_reference.*) where it plans with the Section 7 solver, shared by
+// The one comparison of SDEM-ON, which plans every replan with the Section
+// 7 solver, against its frozen-oracle twin (sim/sim_reference.*), shared by
 // the differential fuzzer and the equivalence tests.
 //
-// The frozen oracle golden-searches each piece of the Section 7 objective
-// and places the memory end T only to about sqrt(eps) relative where the
-// objective is flat; the solver takes the closed-form stationary point
-// (docs/testing.md, "The Section 7 tolerance trade"). A whole run's energy
+// Under transition overheads the frozen oracle golden-searches each piece of
+// the Section 7 objective and places the memory end T only to about
+// sqrt(eps) relative where the objective is flat; the solver takes the
+// closed-form stationary point (docs/testing.md, "The Section 7 tolerance
+// trade"). Without them the oracle plans with Section 4, whose closed form
+// the solver's sweep reaches by other roundings. A whole run's energy
 // is first-order in every replan's T, so two runs drift apart by rounding
 // noise of either sign. The comparison is therefore made per replan, where
 // no error accumulates: TwinPolicy hands each replan's input to both

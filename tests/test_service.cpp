@@ -372,9 +372,9 @@ TEST(ServiceSemantics, LiveIslandHeapHoldsNoHistory) {
   // A live island keeps its pending tasks, its plan and its id set, and
   // nothing else of its past. 18,000 more SUBMITs to one island may grow
   // the heap in use by no more than the id set: ids 0..19,999 all fall
-  // under IdSlots' dense bound, so that is a vector of 4-byte slots with
-  // at most twice 20,000 of them. Recording every task and segment had
-  // grown it by about 230 bytes per SUBMIT.
+  // under IdSet's dense bound, so that is a vector of at most twice 20,000
+  // bits. Recording every task and segment had grown it by about 230 bytes
+  // per SUBMIT.
   std::size_t failed = 0;
   Service svc(eager_opts(), nullptr, [&](const Request&, Json resp) {
     if (!resp.at("ok").as_bool()) ++failed;
@@ -396,7 +396,7 @@ TEST(ServiceSemantics, LiveIslandHeapHoldsNoHistory) {
   const std::int64_t at_20k = g_heap_in_use.load();
   EXPECT_EQ(failed, 0u);
   EXPECT_EQ(svc.requests_processed(), 20000u);
-  const std::int64_t id_set = 2 * 20000 * 4;
+  const std::int64_t id_set = 2 * 20000 / 8;
   std::printf("live island heap: %lld bytes after 2,000 SUBMITs, %lld after "
               "20,000\n",
               static_cast<long long>(at_2k), static_cast<long long>(at_20k));
@@ -433,6 +433,65 @@ TEST(ServiceSemantics, PendingSetIsCapped) {
     EXPECT_EQ(after.at("plan").dump(0), before.at("plan").dump(0));
     // The refused id was not taken, and by 200 s every task has run.
     EXPECT_TRUE(h.submit(0, cap, 200.0, 300.0, 1.0).at("ok").as_bool());
+  }
+}
+
+TEST(ServiceSemantics, RefusesASubmitReleasedAt1e300) {
+  // One ulp of 1e300 is about 1e284 s, so a task there cannot run for the
+  // half millisecond it needs at s_up. It used to be answered
+  // "admitted": true and was never planned. It is refused before it
+  // reaches an island: the island it names is not created, and an island
+  // that exists keeps its state and its id set.
+  InlineHarness h(eager_opts());
+  const std::string at_1e300 =
+      R"({"op":"SUBMIT","island":0,"task":{"id":1,"release":1e300,)"
+      R"("deadline":1.0000001e300,"work":1}})";
+  const Json resp = h.route(at_1e300);
+  EXPECT_FALSE(resp.at("ok").as_bool());
+  EXPECT_NE(resp.at("error").as_string().find("one ulp"), std::string::npos)
+      << resp.dump(0);
+  EXPECT_FALSE(h.query(0).at("ok").as_bool());
+
+  ASSERT_TRUE(h.submit(0, 0, 0.0, 0.5, 100.0).at("ok").as_bool());
+  const Json before = h.query(0);
+  EXPECT_FALSE(h.route(at_1e300).at("ok").as_bool());
+  const Json after = h.query(0);
+  for (const char* field : {"arrivals", "pending", "replans", "now"}) {
+    EXPECT_EQ(after.at(field).as_number(), before.at(field).as_number())
+        << field;
+  }
+  EXPECT_EQ(after.at("plan").dump(0), before.at("plan").dump(0));
+  EXPECT_TRUE(h.submit(0, 1, 0.1, 0.6, 100.0).at("ok").as_bool());
+}
+
+TEST(ServiceSemantics, RefusesTasksShorterThanTheClockStep) {
+  // One-cycle tasks (1e-6 Mcycles, 5.3e-10 s at s_up) are 1.13 ulps of a
+  // deadline at 3e6 s: every wire policy runs them all. At 1e7 s they are
+  // 0.28 ulps, their pieces round to empty and never run, so they are
+  // refused and their island is never created.
+  for (const char* policy : {"sdem-on", "sdem-on-eager", "mbkp", "race",
+                             "stretch", "critical"}) {
+    SCOPED_TRACE(policy);
+    ServiceOptions opt;
+    opt.policy = policy;
+    opt.eager = false;
+    InlineHarness h(opt);
+    for (int id = 0; id < 200; ++id) {
+      const double at_3e6 = 3e6 + 0.01 * id;
+      ASSERT_TRUE(h.submit(0, id, at_3e6, at_3e6 + 0.05, 1e-6)
+                      .at("ok")
+                      .as_bool())
+          << id;
+      const double at_1e7 = 1e7 + 0.01 * id;
+      const Json late = h.submit(1, id, at_1e7, at_1e7 + 0.05, 1e-6);
+      ASSERT_FALSE(late.at("ok").as_bool()) << id;
+      EXPECT_NE(late.at("error").as_string().find("one ulp"),
+                std::string::npos);
+    }
+    const auto islands = h.svc.finalize_all();
+    ASSERT_EQ(islands.size(), 1u);
+    EXPECT_EQ(islands[0].result.unfinished, 0);
+    EXPECT_EQ(islands[0].result.deadline_misses, 0);
   }
 }
 

@@ -2,21 +2,21 @@
 // frozen pre-optimization implementations in sim/sim_reference.*.
 //
 // The optimized simulate() loop and MbkpPolicy must reproduce the originals
-// bit for bit, and so must SdemOnPolicy wherever it plans with the Section 4
-// solvers: same replan counts, same miss/unfinished counters, the same
+// bit for bit: same replan counts, same miss/unfinished counters, the same
 // segments field by field, and energies within 1e-12 relative (they are in
 // fact identical once the segments are). The slack-reclamation loop,
 // simulate_with_actuals(), has one copy, so there the fast and frozen
 // policies are compared through that one loop.
 //
-// Where SdemOnPolicy plans with the Section 7 solver (the `paper` config,
-// xi_m > 0) the oracle golden-searches each piece while the solver takes the
-// exact stationary point. There a TwinPolicy (testing/oracle_compare.hpp)
-// hands every replan to both policies and holds their plans to the
-// contract's time tolerance, and the event loop alone is pinned bit for bit
-// by driving the frozen loop with the production policies. Any other
-// behavior change to the hot path must come with an equally intentional
-// edit here or to the reference.
+// SdemOnPolicy plans every replan with the Section 7 solver, whose exact
+// stationary point the frozen policy matches only to a tolerance: its oracle
+// golden-searches each piece under transition overheads and solves
+// Section 4 without them. A TwinPolicy (testing/oracle_compare.hpp) hands
+// every replan to both policies and holds their plans to the contract's
+// time tolerance, and the event loop alone is pinned bit for bit by driving
+// the frozen loop with the production policies. Any other behavior change
+// to the hot path must come with an equally intentional edit here or to the
+// reference.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -69,8 +69,7 @@ void expect_same_result(const SimResult& fast, const SimResult& ref,
 }
 
 /// Fast policy + its frozen twin, built fresh per trace. `sdem` marks the
-/// SDEM-ON pairs, which reach the Section 7 solver under
-/// plans_with_transition() configs.
+/// SDEM-ON pairs, which are compared per replan.
 struct PolicyPair {
   std::string label;
   std::unique_ptr<OnlinePolicy> fast;
@@ -98,8 +97,9 @@ std::map<int, double> make_actuals(const TaskSet& ts) {
   return f;
 }
 
-/// Paper-default config exercises the transition solver (xi_m > 0); the
-/// other two cover the alpha and alpha0 common-release dispatch branches.
+/// The paper default has transition overheads (xi_m > 0). The other two
+/// have none: there SDEM-ON's Section 7 plans meet the frozen policy's
+/// Section 4.2 (alpha > 0) and 4.1 (alpha = 0) plans.
 std::vector<std::pair<std::string, SystemConfig>> make_cfgs() {
   std::vector<std::pair<std::string, SystemConfig>> out;
   out.emplace_back("paper", SystemConfig::paper_default());
@@ -114,12 +114,11 @@ std::vector<std::pair<std::string, SystemConfig>> make_cfgs() {
 
 void check_trace(const TaskSet& ts, const std::string& trace) {
   for (const auto& [cfg_name, cfg] : make_cfgs()) {
-    const bool s7 = plans_with_transition(cfg);
     // `run` drives the fast policy, `run_ref` the frozen one: the runs match
-    // bit for bit, except that §7 SDEM-ON pairs are compared per replan.
+    // bit for bit, except that SDEM-ON pairs are compared per replan.
     const auto compare = [&](PolicyPair& p, const auto& run,
                              const auto& run_ref, const std::string& what) {
-      if (p.sdem && s7) {
+      if (p.sdem) {
         sdem::testing::TwinPolicy twin(*p.fast, *p.ref);
         (void)run(twin);
         EXPECT_EQ(twin.mismatch(), "") << what;
@@ -231,7 +230,6 @@ TEST(TwinPolicy, FlagsPlansLateByMoreThanTheTimeTolerance) {
   // The per-replan bound, pinned from both sides: plans 2e-8 s late are
   // reported, plans 2e-9 s late are not.
   const auto cfg = SystemConfig::paper_default();
-  ASSERT_TRUE(plans_with_transition(cfg));
   const TaskSet ts = make_synthetic(SyntheticParams{}, 1);
   for (const auto& [delay, flagged] :
        {std::pair{2e-8, true}, std::pair{2e-9, false}}) {

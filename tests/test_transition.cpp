@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
 
 #include "core/common_release_alpha.hpp"
 #include "core/common_release_alpha0.hpp"
@@ -9,6 +10,7 @@
 #include "core/transition.hpp"
 #include "sched/validate.hpp"
 #include "test_util.hpp"
+#include "testing/oracle_compare.hpp"
 #include "workload/generator.hpp"
 
 namespace sdem {
@@ -38,6 +40,49 @@ TEST(Transition, ZeroOverheadReducesToSection4) {
                                   : solve_common_release_alpha0(ts, cfg);
       ASSERT_TRUE(t7.feasible && s4.feasible) << "seed " << seed;
       expect_near_rel(s4.energy, t7.energy, 1e-6, "Section 7 vs 4");
+    }
+  }
+}
+
+/// Each planned task's total run length.
+std::map<int, double> runs(const OfflineResult& r) {
+  std::map<int, double> out;
+  for (const auto& seg : r.schedule.segments()) {
+    out[seg.task_id] += seg.duration();
+  }
+  return out;
+}
+
+TEST(Transition, ZeroOverheadRunsMatchSection4) {
+  // SDEM-ON plans every replan with Section 7 and reads each task's run
+  // from the plan, so at xi == xi_m == 0 the plan, not only its energy,
+  // must be that of Section 4.1 (alpha = 0) or 4.2: the same feasibility,
+  // the same tasks, each run within the per-replan comparison's tolerance.
+  for (double lambda : {2.0, 3.0}) {
+    for (double alpha : {0.0, 0.31}) {
+      for (double alpha_m : {0.0, 4.0}) {
+        auto cfg = with_overheads(alpha, alpha_m, 0.0, 0.0);
+        cfg.core.lambda = lambda;
+        for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+          SCOPED_TRACE(::testing::Message()
+                       << "lambda " << lambda << " alpha " << alpha
+                       << " alpha_m " << alpha_m << " seed " << seed);
+          const TaskSet ts = make_common_release(1 + seed % 8, 0.0, seed * 5);
+          const auto s7 = solve_common_release_transition(ts, cfg);
+          const auto s4 = alpha > 0.0 ? solve_common_release_alpha(ts, cfg)
+                                      : solve_common_release_alpha0(ts, cfg);
+          ASSERT_EQ(s7.feasible, s4.feasible);
+          const auto run7 = runs(s7);
+          const auto run4 = runs(s4);
+          ASSERT_EQ(run7.size(), run4.size());
+          for (auto a = run7.begin(), b = run4.begin(); a != run7.end();
+               ++a, ++b) {
+            ASSERT_EQ(a->first, b->first);
+            EXPECT_NEAR(a->second, b->second, sdem::testing::kS7TimeTol)
+                << "task " << a->first;
+          }
+        }
+      }
     }
   }
 }
